@@ -13,9 +13,9 @@ from pathlib import Path
 
 import click
 
-from . import _verify
+from . import _verify, fixtures
 from .cluster_core import pattern_walk, seed_from_json, seed_to_json
-from .monoid_ring import Exponent, LaurentSeries, series_to_str
+from .monoid_ring import series_to_str
 from .scattering import (
     ScatteringDiagram,
     build_initial,
@@ -26,13 +26,24 @@ from .scattering import (
     tk_invariance_check,
     wall_label,
 )
-from .theta import GenericityError, _endpoint_draw, enumerate_broken_lines
+from .theta import GenericityError, _theta_lines
+
+
+def _seed_path(ctx, param, value):
+    """The --seed file; a name that is no file here names a shipped fixture."""
+    if value is None or Path(value).exists():
+        return value
+    if value in fixtures.FILES:
+        return str(Path(fixtures.__file__).with_name(value))
+    raise click.BadParameter(f"File {value!r} does not exist, here or among the shipped fixtures.")
+
 
 SEED_OPT = dict(
     envvar="CLUSTERSCATTER_SEED",
     required=True,
-    type=click.Path(exists=True, dir_okay=False),
-    help="Seed JSON file.",
+    type=click.Path(dir_okay=False),
+    callback=_seed_path,
+    help=f"Seed JSON file, or a shipped fixture ({', '.join(fixtures.FILES[:2])}).",
 )
 
 
@@ -252,29 +263,15 @@ def theta(seed_path, m_text, order, q_seed, trace_path):
     at the all-positive chamber."""
     D = _completed(seed_path, order)
     p0 = _parse_vector(m_text, D.n)
-    endpoint = None
-    lines: tuple = ()
-    if any(p0):
-        last = None
-        got = False
-        for attempt in range(40):
-            endpoint = _endpoint_draw(q_seed, attempt)
-            try:
-                lines = enumerate_broken_lines(D, p0, endpoint, order)
-                got = True
-                break
-            except (GenericityError, ValueError) as err:
-                last = err
-        if not got:
-            raise click.ClickException(f"no generic endpoint found: {last}")
-        terms: dict[Exponent, int] = {}
-        for bl in lines:
-            c, t, m = bl.final
-            e = Exponent(m, t)
-            terms[e] = terms.get(e, 0) + c
-        series = LaurentSeries(terms, order)
-    else:
-        series = LaurentSeries.monomial(p0, (0,) * D.dims[1], 1, order)
+    try:
+        series, lines, endpoint = _theta_lines(D, p0, order, q_seed=q_seed)
+    except GenericityError as err:
+        raise click.ClickException(str(err))
+    except ValueError as err:
+        raise click.UsageError(str(err))
+    # the command cuts at --order also when the seed's coefficients are not
+    # the standard basis, where the library returns the lines' exact sum
+    series = series.truncate(order)
     lat = D.seed.coeff_lattice
     click.echo(series_to_str(series, [f"A{i + 1}" for i in range(D.n)], _tnames(lat)))
     if trace_path:

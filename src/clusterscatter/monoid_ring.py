@@ -9,9 +9,10 @@ always by coefficient degree, never by the lattice part.  A series of order
 exact Laurent polynomial.
 
 Coefficients are exact integers.  Rationals appear transiently inside
-``series_exp`` / ``series_log`` / negative powers and are normalized back to
-``int`` whenever the denominator clears; callers that need integrality assert
-it via ``assert_integral``.
+``series_exp`` / ``series_log`` / ``series_pow`` of negative powers and are
+normalized back to ``int`` whenever the denominator clears; callers that need
+integrality assert it via ``assert_integral``.  ``wall_cross`` never inverts:
+it expands ``(1 + g)^h`` binomially, with integer ``C(h, j)`` for any ``h``.
 
 Wall-crossing automorphisms ``z^p -> z^p * f^{sign*<n0, m(p)>}`` and their
 compositions are materialized as images of the ``n + d`` generators
@@ -367,28 +368,43 @@ def pairing(n0: Sequence, m: Sequence[int]):
 
 
 def wall_cross(x: LaurentSeries, f: LaurentSeries, n0: Sequence, sign: int = 1) -> LaurentSeries:
-    """Monomial-wise z^p -> z^p * f^{sign*<n0, m(p)>}; t-monomials are fixed.
+    """Monomial-wise z^p -> z^p * f^h, h = sign*<n0, m(p)>; t-monomials are fixed.
 
-    ``f`` must have constant term 1; ``n0`` is the acting normal (pairing with
-    every lattice part in the support must be an integer).
+    ``f = 1 + g`` must have constant term 1, so ``g`` has coefficient degree
+    >= 1 and ``f^h = sum_{j < order} C(h, j) g^j`` exactly, with integer
+    generalized binomials ``C(h, j)`` also for ``h < 0``: nothing is inverted,
+    and each ``g^j`` is formed once per call.  With ``order=None`` the sum ends
+    at ``j = h`` for ``h >= 0``; ``h < 0`` raises ValueError unless ``f == 1``.
+    ``n0`` is the acting normal; every pairing with the support must be integral.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if not f.constant_slice().is_one():
         raise ValueError("wall function must have constant term exactly 1")
-    buckets: dict[int, dict[Exponent, int | Fraction]] = {}
+    order = _min_order(x.order, f.order)
+    g = LaurentSeries({e: c for e, c in f.terms.items() if e.coeff_degree}, order)
+    ys: dict[int, dict[Exponent, int | Fraction]] = {}  # j -> sum C(h, j) c z^p
     for e, c in x.terms.items():
         h = pairing(n0, e.m)
         if not isinstance(h, int):
             raise ArithmeticError(f"non-integral crossing exponent <{tuple(n0)}, {e.m}> = {h}")
-        buckets.setdefault(sign * h, {})[e] = c
-    order = _min_order(x.order, f.order)
-    result = LaurentSeries.zero(order)
-    for h, terms in buckets.items():
-        part = LaurentSeries(terms, order)
-        if h:
-            part = series_mul(part, series_pow(f.truncate(order), h))
-        result = series_add(result, part)
+        h *= sign
+        if order is None and h < 0 and g:
+            raise ValueError("inverting a non-monomial series requires a finite truncation order")
+        binom = 1
+        for j in range(order - e.coeff_degree if order is not None else max(h, 0) + 1):
+            ys.setdefault(j, {})[e] = binom * c
+            binom = binom * (h - j) // (j + 1)  # exact: C(h, j + 1)
+            if not binom:
+                break
+    result = LaurentSeries(ys.get(0), order)
+    power = g
+    for j in range(1, len(ys)):
+        if j > 1:
+            power = series_mul(power, g)
+        if not power:
+            break
+        result = series_add(result, series_mul(power, LaurentSeries(ys[j], order)))
     return result
 
 

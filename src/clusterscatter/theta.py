@@ -286,8 +286,18 @@ def theta(
     coefficient degree ``order``.
 
     With no endpoint given, Q is drawn deterministically from q_seed inside
-    the all-positive quadrant, redrawing on genericity failures.
+    the all-positive quadrant, redrawing on genericity failures; running out
+    of redraws raises GenericityError.
     """
+    return _theta_lines(D, p0, order, Q, q_seed)[0]
+
+
+_REDRAWS = 40
+
+
+def _theta_lines(D: ScatteringDiagram, p0, order=None, Q=None, q_seed=0):
+    """``theta`` together with the broken lines summed into it and their
+    endpoint; p0 = 0 has no lines and no endpoint."""
     if D.seed is None:
         raise ValueError("theta needs the diagram's seed")
     if order is None:
@@ -296,27 +306,27 @@ def theta(
     if len(p0) != D.n:
         raise ValueError(f"exponent must have length {D.n}")
     if not any(p0):
-        return LaurentSeries.monomial(p0, (0,) * D.seed.coeff_lattice.d, 1, order)
+        return LaurentSeries.monomial(p0, (0,) * D.seed.coeff_lattice.d, 1, order), (), None
     if Q is not None:
         lines = enumerate_broken_lines(D, p0, Q, order)
     else:
         lines = None
-        last = None
-        for attempt in range(40):
+        for attempt in range(_REDRAWS):
+            Q = _endpoint_draw(q_seed, attempt)
             try:
-                lines = enumerate_broken_lines(D, p0, _endpoint_draw(q_seed, attempt), order)
+                lines = enumerate_broken_lines(D, p0, Q, order)
                 break
             except (GenericityError, _EndpointOnWall) as err:
                 last = err
         if lines is None:
-            raise last
+            raise GenericityError(f"no generic endpoint in {_REDRAWS} draws; last: {last}")
     terms: dict[Exponent, int] = {}
     for bl in lines:
         c, t, m = bl.final
         e = Exponent(m, t)
         terms[e] = terms.get(e, 0) + c
     identity = seed_frame(D.seed).is_identity
-    return LaurentSeries(terms, order if identity else None)
+    return LaurentSeries(terms, order if identity else None), lines, Q
 
 
 def theta_via_transport(D: ScatteringDiagram, p0, depth: int = 8) -> RationalFunction:

@@ -3,6 +3,8 @@ fixture files.  Output determinism is part of the contract, so several
 tests compare bytes, not parsed structures."""
 
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -66,6 +68,15 @@ class TestMutate:
     def test_missing_seed_file(self, runner, tmp_path):
         res = runner.invoke(cli, ["mutate", "--seed", str(tmp_path / "no.json")])
         assert res.exit_code == 2
+
+    def test_bare_name_is_a_shipped_fixture(self, runner, b2_path):
+        with runner.isolated_filesystem():
+            res = runner.invoke(cli, ["mutate", "--seed", "b2.json", "121"])
+            missing = runner.invoke(cli, ["mutate", "--seed", "nope.json", "121"])
+        assert res.exit_code == 0
+        assert res.stdout == runner.invoke(cli, ["mutate", "--seed", b2_path, "121"]).stdout
+        assert missing.exit_code == 2
+        assert "'nope.json' does not exist" in missing.output
 
     def test_malformed_seed_file(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -187,6 +198,13 @@ class TestTheta:
         assert straight["segments"] == [{"c": 1, "t": [0, 0, 0], "m": [-1, 0]}]
         bent = doc["lines"][1]
         assert len(bent["bends"]) == 1 and len(bent["segments"]) == 2
+
+    def test_redraws_run_out(self, runner, b2_path, monkeypatch):
+        on_wall = (Fraction(3), Fraction(0))  # on the incoming ray (1,0)
+        monkeypatch.setattr(sys.modules["clusterscatter.theta"], "_endpoint_draw", lambda q, a: on_wall)
+        res = runner.invoke(cli, ["theta", "--seed", b2_path, "--m", "-1,0"])
+        assert res.exit_code == 1
+        assert "no generic endpoint in 40 draws" in res.output
 
     def test_bad_exponent_text(self, runner, b2_path):
         res = runner.invoke(cli, ["theta", "--seed", b2_path, "--m", "garbage"])

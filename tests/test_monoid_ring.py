@@ -10,10 +10,12 @@ from clusterscatter.monoid_ring import (
     Derivation,
     Exponent,
     LaurentSeries,
+    _min_order,
     crossing_automorphism,
     exp_derivation,
     exponent,
     monomial_map,
+    pairing,
     series_add,
     series_exact_div,
     series_exp,
@@ -306,3 +308,112 @@ def test_wall_cross_multiplicative(a, b):
     f = one(5) + mono(A2, T11, order=5)
     n0 = (1, 0)
     assert wall_cross(a * b, f, n0, 1) == wall_cross(a, f, n0, 1) * wall_cross(b, f, n0, 1)
+
+
+# -- binomial crossing against the bucketed reference ------------------------
+
+
+def bucketed_wall_cross(x, f, n0, sign=1):
+    """Reference crossing: bucket the terms of x by level h = sign*<n0, m>
+    and multiply each bucket by its own power f^h."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if not f.constant_slice().is_one():
+        raise ValueError("wall function must have constant term exactly 1")
+    buckets = {}
+    for e, c in x.terms.items():
+        h = pairing(n0, e.m)
+        if not isinstance(h, int):
+            raise ArithmeticError(f"non-integral crossing exponent <{tuple(n0)}, {e.m}> = {h}")
+        buckets.setdefault(sign * h, {})[e] = c
+    order = _min_order(x.order, f.order)
+    result = LaurentSeries.zero(order)
+    for h, terms in buckets.items():
+        part = LaurentSeries(terms, order)
+        if h:
+            part = series_mul(part, series_pow(f.truncate(order), h))
+        result = series_add(result, part)
+    return result
+
+
+coeffs = st.one_of(
+    st.integers(-4, 4).filter(bool),
+    st.fractions(-3, 3, max_denominator=4).filter(bool),
+)
+t_positive = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)).filter(any)
+
+
+@st.composite
+def crossings(draw, untruncated=False):
+    """(x, f, n0, sign): n0 = v/k and every lattice part of x is k times an
+    integer vector, so every pairing is integral."""
+    k = draw(st.integers(1, 3))
+    v = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    n0 = tuple(Fraction(a, k) for a in v) if k > 1 else v
+    sign = draw(st.sampled_from((1, -1)))
+    order = None if untruncated else draw(st.integers(1, 8))
+    x_terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        m = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+        if untruncated and sign * pairing(v, m) < 0:
+            m = (-m[0], -m[1])  # keep every level >= 0
+        x_terms[exponent((k * m[0], k * m[1]), draw(t_positive | st.just(Z3)))] = draw(coeffs)
+    f_terms = {exponent(Z2, Z3): 1}
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+        f_terms[exponent(m, draw(t_positive))] = draw(coeffs)
+    x_order = order if draw(st.booleans()) or untruncated else None
+    f_order = None if untruncated else draw(st.sampled_from((None, order, order + 2)))
+    if x_order is None and f_order is None:
+        f_order = order
+    return LaurentSeries(x_terms, x_order), LaurentSeries(f_terms, f_order), n0, sign
+
+
+@settings(max_examples=300, deadline=None)
+@given(crossings())
+def test_wall_cross_matches_bucketed(case):
+    got = wall_cross(*case)
+    want = bucketed_wall_cross(*case)
+    assert got.order == want.order
+    assert got.terms == want.terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(crossings(untruncated=True))
+def test_wall_cross_matches_bucketed_untruncated(case):
+    got = wall_cross(*case)
+    want = bucketed_wall_cross(*case)
+    assert got.order == want.order is None
+    assert got.terms == want.terms
+
+
+class TestBinomialCrossing:
+    def test_untruncated_negative_level_needs_order(self):
+        f = one() + mono(A2, T11)
+        for cross in (wall_cross, bucketed_wall_cross):
+            with pytest.raises(ValueError, match="finite truncation order"):
+                cross(mono(A1, Z3), f, (1, 0), -1)
+
+    def test_untruncated_trivial_wall_is_identity(self):
+        x = mono((-3, 1), T21, 2) + mono((2, 0), Z3, Fraction(1, 3))
+        assert wall_cross(x, one(), (1, 0), 1) == x
+        assert wall_cross(x, one(), (1, 0), -1) == x
+
+    def test_untruncated_positive_level_is_exact_power(self):
+        f = one() + mono(A2, T11) + mono((1, 1), T22, 2)
+        x = mono((3, 0), Z3)
+        assert wall_cross(x, f, (1, 0), 1) == x * f * f * f
+
+    def test_non_integral_pairing_rejected(self):
+        f = one(4) + mono(A2, T11, order=4)
+        for cross in (wall_cross, bucketed_wall_cross):
+            with pytest.raises(ArithmeticError):
+                cross(mono((1, 1), Z3, order=4), f, (Fraction(1, 3), 0), -1)
+
+    def test_constant_term_other_than_one_rejected(self):
+        x = mono(A1, Z3, order=4)
+        for f in (mono(Z2, Z3, 2, order=4) + mono(A2, T11, order=4),
+                  one(4) + mono(A1, Z3, order=4)):
+            for cross in (wall_cross, bucketed_wall_cross):
+                with pytest.raises(ValueError, match="constant term"):
+                    cross(x, f, (1, 0), 1)

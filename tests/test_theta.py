@@ -1,5 +1,6 @@
 """Broken lines, theta functions, and chamber transport."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -190,6 +191,12 @@ class TestTheta:
         moved = tk_transform(b2_d6, 2)
         th = theta(moved, (1, 1), 4)
         assert th.terms and all(c > 0 for c in th.terms.values())
+
+    def test_redraws_run_out(self, b2_d6, monkeypatch):
+        on_wall = (Fraction(3), Fraction(0))  # on the incoming ray (1,0)
+        monkeypatch.setattr(sys.modules["clusterscatter.theta"], "_endpoint_draw", lambda q, a: on_wall)
+        with pytest.raises(GenericityError, match="no generic endpoint in 40 draws"):
+            theta(b2_d6, (-1, 0), 6)
 
     def test_wrong_length_exponent(self, b2_d6):
         with pytest.raises(ValueError):
