@@ -8,10 +8,8 @@ Checks are (name, passed, first counterexample or None).
 from dataclasses import replace
 
 from .cluster_core import (
+    _chamber_walk,
     chart_variables,
-    g_frame_mutate,
-    initial_g_frame,
-    initial_seed,
     rational_to_json,
     seed_from_json,
     seed_mutate,
@@ -120,21 +118,12 @@ def suite_tk_invariance(order=None, depth=None) -> list[Check]:
 
 
 def _chamber_vectors(data, depth):
+    """Each g-vector within ``depth`` mutations, with the first (word, index)
+    that reaches it."""
     out = {}
-    G0 = initial_g_frame(data)
-    for i in range(data.n):
-        out.setdefault(G0.g[i], ((), i))
-    frontier = [((), G0, initial_seed(data))]
-    for _ in range(depth):
-        nxt = []
-        for word, G, sd in frontier:
-            for k in range(1, data.n + 1):
-                G2 = g_frame_mutate(G, sd, k)
-                sd2 = seed_mutate(sd, k)
-                nxt.append((word + (k,), G2, sd2))
-                for i in range(data.n):
-                    out.setdefault(G2.g[i], (word + (k,), i))
-        frontier = nxt
+    for word, _, G in _chamber_walk(data, depth):
+        for i in range(data.n):
+            out.setdefault(G.g[i], (word, i))
     return out
 
 

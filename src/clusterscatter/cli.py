@@ -2,19 +2,20 @@
 checks, the hyperplane-trading transform, theta functions, and the shipped
 verification suites.
 
-Exit codes: 0 success, 1 a requested check failed, 2 bad input.  Flags have
-environment mirrors CLUSTERSCATTER_ORDER, _DEPTH, _SEED, _JSON, _SVG,
-_SUITE and _Q_SEED; all output is deterministic byte for byte.
+Exit codes: 0 success, 1 a requested check failed or an invariant was
+violated, 2 bad input.  Flags have environment mirrors CLUSTERSCATTER_ORDER,
+_DEPTH, _SEED, _JSON, _SVG, _SUITE and _Q_SEED; all output is deterministic
+byte for byte.
 """
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import click
 
 from . import _verify, fixtures
-from .cluster_core import pattern_walk, seed_from_json, seed_to_json
+from .cluster_core import InvariantViolation, pattern_walk, seed_from_json, seed_to_json
 from .monoid_ring import series_to_str
 from .scattering import (
     ScatteringDiagram,
@@ -45,26 +46,6 @@ SEED_OPT = dict(
     callback=_seed_path,
     help=f"Seed JSON file, or a shipped fixture ({', '.join(fixtures.FILES[:2])}).",
 )
-
-
-@dataclass(frozen=True)
-class Config:
-    """Resolved invocation settings; every default is explicit."""
-
-    order: int = 6
-    depth: int = 4
-    q_seed: int = 0
-    seed_path: str | None = None
-    json_path: str | None = None
-    svg_path: str | None = None
-    suite: str | None = None
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
-def config_from_json(data: dict) -> Config:
-    return Config(**data)
 
 
 def _dumps(obj) -> str:
@@ -125,7 +106,17 @@ def _tnames(lat) -> list[str]:
     return out
 
 
-@click.group()
+class _Group(click.Group):
+    """Every command's violated invariant ends as exit code 1 with a message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except InvariantViolation as err:
+            raise click.ClickException(f"invariant violated: {err}")
+
+
+@click.group(cls=_Group)
 def cli():
     """Exact rank-2 wall diagrams, theta functions, and seed mutation."""
 

@@ -663,6 +663,33 @@ def g_frame_mutate(G: GVectorFrame, s: Seed | Matrix, k: int) -> GVectorFrame:
     return GVectorFrame(G.data, tuple(g), tuple(gstar))
 
 
+def _chamber_walk(data: FixedData, depth: int):
+    """Breadth-first walk over the cluster chambers within ``depth``
+    mutations of the base chamber, which comes first.
+
+    Yields ``(word, tropical seed, g-frame)`` once per distinct (seed, frame)
+    pair, with the first word that reaches it.
+    """
+    sd = initial_seed(data, with_cluster=False, semifield=True)
+    G = initial_g_frame(data)
+    seen = {(seed_key(sd), G.g, G.gstar)}
+    frontier = [((), sd, G)]
+    yield frontier[0]
+    for _ in range(depth):
+        nxt = []
+        for word, sd, G in frontier:
+            for k in range(1, data.n + 1):
+                G2 = g_frame_mutate(G, sd, k)
+                sd2 = seed_mutate(sd, k)
+                key = (seed_key(sd2), G2.g, G2.gstar)
+                if key in seen:
+                    continue
+                seen.add(key)
+                nxt.append((word + (k,), sd2, G2))
+                yield nxt[-1]
+        frontier = nxt
+
+
 # -- Y-seeds -----------------------------------------------------------------
 
 
@@ -886,6 +913,17 @@ def _crossing_map(n: int, d: int, f: LaurentSeries, normal, sign: int) -> Cluste
     return ClusterMap(n, d, f, tuple(int(x) for x in normal), int(sign))
 
 
+def _exchange_factor(coeffs, w, n: int, d: int) -> LaurentSeries:
+    """prod_p (p^- + p^+ z^w) over the tropical coefficients of one direction."""
+    f = LaurentSeries.one(n, d)
+    for p in coeffs:
+        f = f * (
+            LaurentSeries.monomial((0,) * n, p_minus(p).exponents)
+            + LaurentSeries.monomial(w, p_plus(p).exponents)
+        )
+    return f
+
+
 def a_mutation_pullback(s: Seed, k: int, inverse: bool = False) -> ClusterMap:
     """Pullback of the cluster mutation in direction k, in the seed's own
     chart: z^m picks up f_k^(-<e_k, m>) with f_k built from the direction-k
@@ -896,12 +934,7 @@ def a_mutation_pullback(s: Seed, k: int, inverse: bool = False) -> ClusterMap:
     a = k - 1
     d = s.coeff_lattice.d
     w = tuple(_beta(s.matrix, s.data.r, i, a) for i in range(n))
-    f = LaurentSeries.one(n, d)
-    for p in s.coeffs[a]:
-        f = f * (
-            LaurentSeries.monomial((0,) * n, p_minus(p).exponents)
-            + LaurentSeries.monomial(w, p_plus(p).exponents)
-        )
+    f = _exchange_factor(s.coeffs[a], w, n, d)
     return _crossing_map(n, d, f, _unit(n, a), 1 if inverse else -1)
 
 
@@ -914,13 +947,7 @@ def x_mutation_pullback(ys: YSeed, k: int, inverse: bool = False) -> ClusterMap:
         raise IndexError(f"direction {k} out of range 1..{n}")
     a = k - 1
     d = ys.coeff_lattice.d
-    ek = _unit(n, a)
-    g = LaurentSeries.one(n, d)
-    for q in ys.qcoeffs[a]:
-        g = g * (
-            LaurentSeries.monomial((0,) * n, p_minus(q).exponents)
-            + LaurentSeries.monomial(ek, p_plus(q).exponents)
-        )
+    g = _exchange_factor(ys.qcoeffs[a], _unit(n, a), n, d)
     w = tuple(_beta(ys.matrix, ys.data.r, i, a) for i in range(n))
     return _crossing_map(n, d, g, w, -1 if inverse else 1)
 
@@ -993,12 +1020,7 @@ def chart_variables(s0: Seed, word) -> tuple[RationalFunction, ...]:
     for k in word:
         a = k - 1
         wk = _ambient_normal(data, E[a], a)
-        f = LaurentSeries.one(n, d)
-        for p in s.coeffs[a]:
-            f = f * (
-                LaurentSeries.monomial((0,) * n, p_minus(p).exponents)
-                + LaurentSeries.monomial(wk, p_plus(p).exponents)
-            )
+        f = _exchange_factor(s.coeffs[a], wk, n, d)
         steps.append(_crossing_map(n, d, f, E[a], -1))
         E = _mutate_basis_rows(E, s.matrix, a)
         s = seed_mutate(s, k)
@@ -1028,12 +1050,7 @@ def chart_y_variables(ys0: YSeed, word) -> tuple[RationalFunction, ...]:
     for k in word:
         a = k - 1
         wk = _ambient_normal(data, E[a], a)
-        g = LaurentSeries.one(n, d)
-        for p in q[a]:
-            g = g * (
-                LaurentSeries.monomial((0,) * n, p_minus(p).exponents)
-                + LaurentSeries.monomial(E[a], p_plus(p).exponents)
-            )
+        g = _exchange_factor(q[a], E[a], n, d)
         steps.append(_crossing_map(n, d, g, wk, 1))
         E = _mutate_basis_rows(E, B, a)
         q = _xcoeffs_mutate(q, B, data.r, a)

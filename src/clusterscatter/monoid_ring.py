@@ -9,9 +9,9 @@ always by coefficient degree, never by the lattice part.  A series of order
 exact Laurent polynomial.
 
 Coefficients are exact integers.  Rationals appear transiently inside
-``series_exp`` / ``series_log`` / ``series_pow`` of negative powers and are
-normalized back to ``int`` whenever the denominator clears; callers that need
-integrality assert it via ``assert_integral``.  ``wall_cross`` never inverts:
+``series_log`` and ``series_pow`` of negative powers and are normalized back
+to ``int`` whenever the denominator clears; callers that need integrality
+assert it via ``assert_integral``.  ``wall_cross`` never inverts:
 it expands ``(1 + g)^h`` binomially, with integer ``C(h, j)`` for any ``h``.
 
 Wall-crossing automorphisms ``z^p -> z^p * f^{sign*<n0, m(p)>}`` and their
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class Exponent(NamedTuple):
@@ -319,46 +319,6 @@ def series_log(f: LaurentSeries) -> LaurentSeries:
     return result
 
 
-def series_exp(x: LaurentSeries) -> LaurentSeries:
-    """exp x for x of coefficient degree >= 1; exact rational coefficients."""
-    if x.order is None:
-        raise ValueError("series_exp requires a finite truncation order")
-    dims = x.dims()
-    if dims is None:
-        raise ValueError("series_exp needs dimensioned input (use an explicit zero with a term removed)")
-    mindeg = x.min_coeff_degree()
-    if mindeg is not None and mindeg < 1:
-        raise ValueError("series_exp requires every term to have coefficient degree >= 1")
-    n, d = dims
-    result = LaurentSeries.one(n, d, x.order)
-    power = LaurentSeries.one(n, d, x.order)
-    factorial = 1
-    for j in range(1, x.order):
-        power = series_mul(power, x)
-        if not power:
-            break
-        factorial *= j
-        result = series_add(result, series_scale(power, Fraction(1, factorial)))
-    return result
-
-
-def monomial_map(
-    a: LaurentSeries,
-    T: Callable[[Exponent], Exponent],
-    require_monoid: bool = False,
-) -> LaurentSeries:
-    """Apply an exponent map termwise; rejects maps that merge exponents."""
-    terms: dict[Exponent, int | Fraction] = {}
-    for e, c in a.terms.items():
-        e2 = T(e)
-        if e2 in terms:
-            raise ValueError(f"exponent map is not injective on the support (collision at {e2})")
-        if require_monoid and any(x < 0 for x in e2.t):
-            raise ValueError(f"image exponent {e2} leaves the coefficient monoid")
-        terms[e2] = c
-    return LaurentSeries(terms, a.order)
-
-
 def pairing(n0: Sequence, m: Sequence[int]):
     """<n0, m> with exact rational normals; result may be a Fraction."""
     total = sum((x * y for x, y in zip(n0, m)), start=Fraction(0))
@@ -412,10 +372,11 @@ def wall_cross(x: LaurentSeries, f: LaurentSeries, n0: Sequence, sign: int = 1) 
 
 
 class Derivation:
-    """Sum of terms c * z^p * d_n acting by z^q -> c*<n, m(q)> z^{p+q}.
+    """Record of defect terms ``c * z^p * d_n``: coefficient, exponent and
+    exact rational normal, one triple per term.
 
-    Normals are exact rational vectors in N; the action only sees the lattice
-    part of the argument, so t-monomials are annihilated.
+    It is what a consistency check reports as the leading failure of a loop
+    (``ConsistencyReport.discrepancy``); it does not act on series.
     """
 
     __slots__ = ("terms",)
@@ -425,31 +386,6 @@ class Derivation:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def min_coeff_degree(self) -> int | None:
-        if not self.terms:
-            return None
-        return min(e.coeff_degree for _, e, _ in self.terms)
-
-    def apply(self, x: LaurentSeries) -> LaurentSeries:
-        result = LaurentSeries.zero(x.order)
-        for c, p, n in self.terms:
-            terms: dict[Exponent, int | Fraction] = {}
-            for q, cq in x.terms.items():
-                factor = pairing(n, q.m)
-                if factor == 0:
-                    continue
-                e = p + q
-                s = terms.get(e, 0) + c * cq * factor
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-            result = series_add(result, LaurentSeries(terms, x.order))
-        return result
-
-    def scaled(self, c) -> "Derivation":
-        return Derivation((c * cc, e, n) for cc, e, n in self.terms)
 
 
 # -- automorphisms ----------------------------------------------------------
@@ -542,39 +478,6 @@ def _unit_vec(length: int, idx: int) -> tuple[int, ...]:
     v = [0] * length
     v[idx] = 1
     return tuple(v)
-
-
-def crossing_automorphism(n: int, d: int, f: LaurentSeries, n0: Sequence, sign: int, order: int | None) -> Automorphism:
-    """The wall-crossing map as a materialized Automorphism (t-generators fixed)."""
-    ident = Automorphism.identity(n, d, order)
-    m_images = [wall_cross(img, f, n0, sign) for img in ident.m_images]
-    return Automorphism(m_images, ident.t_images, order)
-
-
-def exp_derivation(D: Derivation, n: int, d: int, order: int) -> Automorphism:
-    """exp of a pro-nilpotent derivation, as images of the generators."""
-    mindeg = D.min_coeff_degree()
-    if mindeg is not None and mindeg < 1:
-        raise ValueError("exp_derivation requires every term to have coefficient degree >= 1")
-    ident = Automorphism.identity(n, d, order)
-
-    def exp_apply(x: LaurentSeries) -> LaurentSeries:
-        result = x
-        power = x
-        factorial = 1
-        for j in range(1, order):
-            power = D.apply(power)
-            if not power:
-                break
-            factorial *= j
-            result = series_add(result, series_scale(power, Fraction(1, factorial)))
-        return result
-
-    return Automorphism(
-        [exp_apply(img) for img in ident.m_images],
-        [exp_apply(img) for img in ident.t_images],
-        order,
-    )
 
 
 # -- exact division ---------------------------------------------------------

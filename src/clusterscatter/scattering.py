@@ -25,13 +25,12 @@ from math import gcd, hypot
 from typing import Callable, Iterable, Sequence
 
 from .cluster_core import (
-    FixedData,
     InvariantViolation,
     Seed,
     _ambient_normal,
+    _chamber_walk,
     _mutate_basis_rows,
     _unit,
-    initial_seed,
     matrix_mutate,
     seed_mutate,
     unimodular_inverse_transpose,
@@ -110,25 +109,6 @@ def _fraction_vec_primitive(v: Sequence[Fraction]) -> tuple[int, ...]:
         denom = denom * x.denominator // gcd(denom, x.denominator)
     ints = [int(x * denom) for x in v]
     return _primitive(ints)
-
-
-def _perp_basis(e: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Integer basis of the hyperplane orthogonal to a primitive vector."""
-    n = len(e)
-    if n == 2:
-        return (_primitive((-e[1], e[0])),)
-    # column-style elimination: collect n-1 independent relations sum e_i x_i = 0
-    idx = next(i for i in range(n) if e[i])
-    rows = []
-    for j in range(n):
-        if j == idx:
-            continue
-        g = gcd(abs(e[idx]), abs(e[j])) if e[j] else abs(e[idx])
-        v = [0] * n
-        v[idx] = -e[j] // g
-        v[j] = e[idx] // g
-        rows.append(_primitive(v) if any(v) else None)
-    return tuple(v for v in rows if v is not None)
 
 
 # -- walls and diagrams -------------------------------------------------------
@@ -366,27 +346,23 @@ def build_initial(s: Seed, order: int) -> ScatteringDiagram:
     """Incoming diagram of a seed: one hyperplane per direction, carrying
     ``prod_j (1 + t_{i,j} z^{w_i})`` with the direction's normal covector w_i.
 
-    In rank 2 each hyperplane is stored as its two opposite rays.
+    Rank 2 only (ValueError otherwise); each hyperplane is stored as its two
+    opposite rays.
     """
     if s.semifield:
         raise ValueError("build_initial needs a group-mode seed (semifield=False)")
+    if s.data.n != 2:
+        raise ValueError("build_initial is defined for rank-2 seeds only")
     frame = seed_frame(s)
-    data = s.data
-    n = data.n
     walls = []
-    for i in range(n):
+    for i in range(2):
         e_i = _primitive(frame.E[i])
         if frame.E[i] != e_i:
             raise InvariantViolation("basis row is not primitive")
         atoms = tuple((tuple(p.exponents), frame.W[i], 1) for p in s.coeffs[i])
-        if n == 2:
-            ray = _primitive((-e_i[1], e_i[0]))
-            for r in (ray, tuple(-x for x in ray)):
-                walls.append(Wall((r,), e_i, e_i, atoms, incoming=True))
-        else:
-            basis = _perp_basis(e_i)
-            rays = tuple(basis) + tuple(tuple(-x for x in v) for v in basis)
-            walls.append(Wall(rays, e_i, e_i, atoms, incoming=True))
+        ray = _primitive((-e_i[1], e_i[0]))
+        for r in (ray, tuple(-x for x in ray)):
+            walls.append(Wall((r,), e_i, e_i, atoms, incoming=True))
     return ScatteringDiagram(_sort_walls(walls), order, s)
 
 
@@ -791,19 +767,11 @@ def cluster_chamber_walls(s: Seed, depth: int) -> tuple[Wall, ...]:
     chamber's tropical coefficients, with eps the frame sign of direction i.
     Duplicate facets must agree exactly; disagreement is an error.
     """
-    from .cluster_core import GVectorFrame, initial_g_frame, g_frame_mutate, seed_key
-
     if s.word:
         raise ValueError("cluster_chamber_walls starts from the base seed")
-    data = s.data
-    n = data.n
-    trop = initial_seed(data, with_cluster=False, semifield=True)
-    G0 = initial_g_frame(data)
+    n = s.data.n
     found: dict[tuple[tuple[int, ...], ...], Wall] = {}
-    seen = {(seed_key(trop), G0.g, G0.gstar)}
-    frontier: list[tuple] = [(trop, G0)]
-
-    def emit(sd: Seed, G: GVectorFrame) -> None:
+    for _, sd, G in _chamber_walk(s.data, depth):
         for i in range(1, n + 1):
             eps = G.epsilon(i)
             w_i = G.w(i)
@@ -826,21 +794,6 @@ def cluster_chamber_walls(s: Seed, depth: int) -> tuple[Wall, ...]:
                 found[support] = wall
             elif old.factors != wall.factors or _cross2_free(old.acting, wall.acting):
                 raise InvariantViolation(f"facet {support} reached twice with different walls")
-
-    emit(trop, G0)
-    for _ in range(depth):
-        nxt = []
-        for sd, G in frontier:
-            for k in range(1, n + 1):
-                G2 = g_frame_mutate(G, sd, k)
-                sd2 = seed_mutate(sd, k)
-                key = (seed_key(sd2), G2.g, G2.gstar)
-                if key in seen:
-                    continue
-                seen.add(key)
-                emit(sd2, G2)
-                nxt.append((sd2, G2))
-        frontier = nxt
     return _sort_walls(found.values())
 
 

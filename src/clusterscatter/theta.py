@@ -18,14 +18,13 @@ from fractions import Fraction
 
 from .cluster_core import (
     ClusterMap,
-    GVectorFrame,
     RationalFunction,
-    Seed,
+    _chamber_walk,
+    _exchange_factor,
     g_frame_mutate,
     initial_g_frame,
     initial_seed,
     rf_monomial,
-    seed_key,
     seed_mutate,
 )
 from .monoid_ring import Exponent, LaurentSeries
@@ -347,59 +346,29 @@ def theta_via_transport(D: ScatteringDiagram, p0, depth: int = 8) -> RationalFun
     p0 = tuple(int(x) for x in p0)
     if len(p0) != n:
         raise ValueError(f"exponent must have length {n}")
-    trop = initial_seed(data, with_cluster=False, semifield=True)
-    d = trop.coeff_lattice.d
-    G0 = initial_g_frame(data)
-
-    def coords(G: GVectorFrame):
-        return tuple(_dot(G.gstar[i], p0) for i in range(n))
-
-    # BFS over chambers; states carry the mutation chain back to the root.
-    states: list[tuple[Seed, GVectorFrame, int, int]] = [(trop, G0, -1, 0)]
-    seen = {(seed_key(trop), G0.g, G0.gstar)}
-    found = None
-    if all(c >= 0 for c in coords(G0)):
-        found = 0
-    level = [0]
-    for _ in range(depth):
-        if found is not None:
-            break
-        nxt = []
-        for idx in level:
-            sd, G, _, _ = states[idx]
-            for k in range(1, n + 1):
-                G2 = g_frame_mutate(G, sd, k)
-                sd2 = seed_mutate(sd, k)
-                tag = (seed_key(sd2), G2.g, G2.gstar)
-                if tag in seen:
-                    continue
-                seen.add(tag)
-                states.append((sd2, G2, idx, k))
-                nxt.append(len(states) - 1)
-                if found is None and all(c >= 0 for c in coords(G2)):
-                    found = len(states) - 1
-        level = nxt
-    if found is None:
+    word = next(
+        (w for w, _, G in _chamber_walk(data, depth) if all(_dot(g, p0) >= 0 for g in G.gstar)),
+        None,
+    )
+    if word is None:
         raise ValueError(f"no cluster chamber contains {p0} within depth {depth}")
-    x = rf_monomial(n, d, p0)
-    idx = found
-    while idx > 0:
-        sd_c, G_c, parent, k = states[idx]
-        sd_p, G_p, _, _ = states[parent]
-        eps = G_p.epsilon(k)
-        w = tuple(eps * a for a in G_p.w(k))
-        f = LaurentSeries.one(n, d)
-        for p in sd_p.coeffs[k - 1]:
-            f = f * (
-                LaurentSeries.one(n, d)
-                + LaurentSeries.monomial(w, tuple(eps * a for a in p.exponents))
-            )
-        normal = tuple(eps * a for a in G_p.gstar[k - 1])
-        interior = tuple(sum(col) for col in zip(*G_c.g))
-        sgn = _dot(normal, interior)
+    # replay the word, crossing one chamber facet per step
+    sd = initial_seed(data, with_cluster=False, semifield=True)
+    d = sd.coeff_lattice.d
+    G = initial_g_frame(data)
+    steps = []
+    for k in word:
+        eps = G.epsilon(k)
+        w = tuple(eps * a for a in G.w(k))
+        f = _exchange_factor([p**eps for p in sd.coeffs[k - 1]], w, n, d)
+        normal = tuple(eps * a for a in G.gstar[k - 1])
+        G = g_frame_mutate(G, sd, k)
+        sd = seed_mutate(sd, k)
+        sgn = _dot(normal, tuple(sum(col) for col in zip(*G.g)))
         if sgn == 0:
             raise AssertionError("chamber interior landed on its own facet")
-        sgn = 1 if sgn > 0 else -1
-        x = ClusterMap(n, d, f, normal, sgn).apply(x)
-        idx = parent
+        steps.append(ClusterMap(n, d, f, normal, 1 if sgn > 0 else -1))
+    x = rf_monomial(n, d, p0)
+    for step in reversed(steps):
+        x = step.apply(x)
     return x

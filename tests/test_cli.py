@@ -9,9 +9,10 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from clusterscatter.cli import Config, cli, config_from_json
+from clusterscatter.cli import cli
+from clusterscatter.cluster_core import FixedData, initial_seed, seed_to_json
 from clusterscatter.fixtures import fixture_text
-from clusterscatter.scattering import diagram_from_json
+from clusterscatter.scattering import PositivityError, diagram_from_json
 
 
 @pytest.fixture()
@@ -119,6 +120,16 @@ class TestScatter:
         assert res.exit_code == 0
         assert len(res.stdout.splitlines()) == 6
 
+    def test_violated_invariant_exits_1(self, runner, b2_path, monkeypatch):
+        def fail(D):
+            raise PositivityError("wall exponent -1 at degree 2")
+
+        monkeypatch.setattr(sys.modules["clusterscatter.cli"], "complete_rank2", fail)
+        res = runner.invoke(cli, ["scatter", "--seed", b2_path])
+        assert res.exit_code == 1
+        assert "invariant violated: wall exponent -1 at degree 2" in res.output
+        assert isinstance(res.exception, SystemExit)  # handled, no traceback
+
 
 class TestScatterCheck:
     def test_initial_diagram_inconsistent(self, runner, b2_path):
@@ -132,6 +143,14 @@ class TestScatterCheck:
         assert res.exit_code == 0
         rep = json.loads(res.stdout)
         assert rep == {"consistent": True, "first_failure_degree": None, "order": 6}
+
+    def test_rank3_seed_is_bad_input(self, runner, tmp_path):
+        a3 = FixedData(B=((0, 1, 0), (-1, 0, 1), (0, -1, 0)), d=(1, 1, 1), r=(1, 1, 1))
+        p = tmp_path / "a3.json"
+        p.write_text(json.dumps(seed_to_json(initial_seed(a3, with_cluster=False))))
+        res = runner.invoke(cli, ["scatter-check", "--seed", str(p)])
+        assert res.exit_code == 2
+        assert "build_initial is defined for rank-2 seeds only" in res.output
 
 
 class TestScatterMutate:
@@ -254,13 +273,3 @@ class TestVerify:
             "b2-k1-o4", "b2-k2-o4", "kronecker-k1-o4", "kronecker-k2-o4"
         }
 
-
-class TestConfig:
-    def test_round_trip(self):
-        cfg = Config(order=8, depth=5, seed_path="x.json", suite="all")
-        assert config_from_json(cfg.to_json()) == cfg
-        assert config_from_json(Config().to_json()) == Config()
-
-    def test_defaults_are_cli_defaults(self):
-        cfg = Config()
-        assert cfg.order == 6 and cfg.depth == 4 and cfg.q_seed == 0

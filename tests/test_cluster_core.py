@@ -13,6 +13,7 @@ from clusterscatter.cluster_core import (
     RationalFunction,
     Seed,
     TropMap,
+    _chamber_walk,
     a_mutation_pullback,
     c_matrix_mutate,
     c_matrix_of,
@@ -420,6 +421,16 @@ class TestGVectorFrame:
         G = initial_g_frame(B2)
         assert G.w(1) == (0, 1)
         assert G.w(2) == (-1, 0)
+
+    def test_chamber_walk_yields_each_pair_once(self):
+        walk = list(_chamber_walk(B2, 9))
+        assert walk[0][0] == () and walk[0][2] == initial_g_frame(B2)
+        keys = [(seed_key(sd), G.g, G.gstar) for _, sd, G in walk]
+        assert len(set(keys)) == len(keys) == 12  # finite type: closed by depth 6
+        # breadth first, and every word extends one yielded before it
+        words = [w for w, _, _ in walk]
+        assert [len(w) for w in words] == sorted(len(w) for w in words)
+        assert all(w[:-1] in words[:i] for i, w in enumerate(words) if w)
 
 
 # -- Y-seeds -----------------------------------------------------------------

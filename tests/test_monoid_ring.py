@@ -1,4 +1,4 @@
-"""Series kernel: exact truncated arithmetic, crossings, derivations, division."""
+"""Series kernel: exact truncated arithmetic, crossings, automorphisms, division."""
 
 from fractions import Fraction
 
@@ -7,18 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from clusterscatter.monoid_ring import (
     Automorphism,
-    Derivation,
-    Exponent,
     LaurentSeries,
     _min_order,
-    crossing_automorphism,
-    exp_derivation,
     exponent,
-    monomial_map,
     pairing,
     series_add,
     series_exact_div,
-    series_exp,
     series_from_json,
     series_log,
     series_mul,
@@ -96,37 +90,6 @@ class TestRingOps:
         assert series_pow(m, -1) == mono((-2, 1), (0, -1, 0))
 
 
-class TestMonomialMap:
-    def test_identity(self):
-        a = one() + mono(A1, T21, 7)
-        assert monomial_map(a, lambda e: e) == a
-
-    def test_tk_lift_on_b2_monomial(self):
-        # T-tilde_{1,+} sends t_{2,j} z^{w_2} to t_{2,j} t_1^{beta_12} z^{w_2 + beta_12*r_1*w_1}
-        # with beta_12 = -1, w_1 = e2*, w_2 = -e1*: result t21*t11^(-1)*z^(-e1*-e2*).
-        w1, w2 = (0, 1), (-1, 0)
-
-        def tk(e: Exponent) -> Exponent:
-            h = e.m[0]  # <e_1, m>
-            return Exponent(
-                (e.m[0] + h * w1[0], e.m[1] + h * w1[1]),
-                (e.t[0] + h, e.t[1], e.t[2]),
-            )
-
-        image = monomial_map(mono(w2, T21), tk)
-        assert image == mono((-1, -1), (-1, 1, 0))
-
-    def test_collision_rejected(self):
-        a = mono(A1, Z3) + mono(A2, Z3)
-        with pytest.raises(ValueError):
-            monomial_map(a, lambda e: Exponent(Z2, e.t))
-
-    def test_monoid_violation_rejected(self):
-        a = mono(A1, T11)
-        with pytest.raises(ValueError):
-            monomial_map(a, lambda e: Exponent(e.m, tuple(-x for x in e.t)), require_monoid=True)
-
-
 class TestWallCross:
     def test_b2_initial_wall(self):
         f = one(6) + mono(A2, T11, order=6)
@@ -162,10 +125,6 @@ class TestExpLog:
         u = mono(A2, T11, order=3)
         assert series_log(one(3) + u) == u - (u * u) * LaurentSeries({exponent(Z2, Z3): Fraction(1, 2)})
 
-    def test_log_exp_round_trip(self):
-        x = mono(A2, T11, order=6) + mono((-1, 0), T21, 2, order=6)
-        assert series_log(series_exp(x)) == x
-
     def test_log_of_square(self):
         f = one(6) + mono(A2, T11, order=6)
         assert series_log(f * f) == series_add(series_log(f), series_log(f))
@@ -175,40 +134,18 @@ class TestExpLog:
             series_log(mono(A1, Z3, order=4) + one(4))
 
 
-class TestDerivation:
-    def test_zero_derivation(self):
-        aut = exp_derivation(Derivation(), N, D, 5)
-        assert aut.is_identity()
-
-    def test_rank1_matches_wall_cross(self):
-        # D = t11 z^{w} d_n with <n, w> = 0 acts like crossing with f = exp(t11 z^w)
-        w = (0, 1)
-        n = (1, 0)
-        dv = Derivation([(1, exponent(w, T11), n)])
-        aut = exp_derivation(dv, N, D, 6)
-        f = series_exp(mono(w, T11, order=6))
-        for i, img in enumerate(aut.m_images):
-            basis = mono((1, 0) if i == 0 else (0, 1), Z3, order=6)
-            assert img == wall_cross(basis, f, n, 1)
-        for j, img in enumerate(aut.t_images):
-            t = [0, 0, 0]
-            t[j] = 1
-            assert img == mono(Z2, t, order=6)
-
-    def test_exp_inverse(self):
-        dv = Derivation([(2, exponent((-1, 1), T11), (1, 1)), (1, exponent((1, -2), T22), (2, 1))])
-        forward = exp_derivation(dv, N, D, 5)
-        backward = exp_derivation(dv.scaled(-1), N, D, 5)
-        assert forward.compose(backward).is_identity()
-        assert backward.compose(forward).is_identity()
+def crossing(f, n0, order):
+    """The crossing z^m -> z^m f^<n0, m> as images of the generators."""
+    ident = Automorphism.identity(N, D, order)
+    return Automorphism([wall_cross(img, f, n0, 1) for img in ident.m_images], ident.t_images, order)
 
 
 class TestAutomorphism:
     def test_compose_order(self):
         f = one(6) + mono(A2, T11, order=6)
         g = (one(6) + mono((-1, 0), T21, order=6)) * (one(6) + mono((-1, 0), T22, order=6))
-        cross_f = crossing_automorphism(N, D, f, (1, 0), 1, 6)
-        cross_g = crossing_automorphism(N, D, g, (0, 1), 1, 6)
+        cross_f = crossing(f, (1, 0), 6)
+        cross_g = crossing(g, (0, 1), 6)
         x = mono((1, 1), Z3, order=6)
         via_compose = cross_g.compose(cross_f).apply(x)
         direct = cross_g.apply(cross_f.apply(x))
@@ -216,13 +153,13 @@ class TestAutomorphism:
 
     def test_apply_negative_powers(self):
         f = one(6) + mono(A2, T11, order=6)
-        aut = crossing_automorphism(N, D, f, (1, 0), 1, 6)
+        aut = crossing(f, (1, 0), 6)
         image = aut.apply(mono((-1, 0), Z3, order=6))
         assert image == wall_cross(mono((-1, 0), Z3, order=6), f, (1, 0), 1)
 
     def test_multiplicativity(self):
         f = one(6) + mono(A2, T11, order=6)
-        aut = crossing_automorphism(N, D, f, (1, 0), 1, 6)
+        aut = crossing(f, (1, 0), 6)
         a = mono((2, -1), T21, order=6)
         b = mono((-3, 2), T22, 5, order=6)
         assert aut.apply(a * b) == aut.apply(a) * aut.apply(b)
@@ -308,6 +245,23 @@ def test_wall_cross_multiplicative(a, b):
     f = one(5) + mono(A2, T11, order=5)
     n0 = (1, 0)
     assert wall_cross(a * b, f, n0, 1) == wall_cross(a, f, n0, 1) * wall_cross(b, f, n0, 1)
+
+
+@st.composite
+def unit_pairs(draw):
+    """Two series with constant term 1 at a shared order in 2..6."""
+    order = draw(st.integers(2, 6))
+    higher = st.dictionaries(
+        exps.filter(lambda e: e.coeff_degree), st.integers(-5, 5).filter(bool), max_size=3
+    )
+    return tuple(one(order) + LaurentSeries(draw(higher), order) for _ in range(2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_pairs())
+def test_log_is_additive_on_products(pair):
+    f, g = pair
+    assert series_log(f * g) == series_log(f) + series_log(g)
 
 
 # -- binomial crossing against the bucketed reference ------------------------

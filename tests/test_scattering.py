@@ -151,6 +151,11 @@ class TestBuildInitial:
         with pytest.raises(ValueError):
             build_initial(initial_seed(B2, with_cluster=False, semifield=True), 6)
 
+    def test_rejects_rank3_seed(self):
+        a3 = FixedData(((0, 1, 0), (-1, 0, 1), (0, -1, 0)), (1, 1, 1), (1, 1, 1))
+        with pytest.raises(ValueError, match="rank-2 seeds only"):
+            build_initial(group_seed(a3), 6)
+
     def test_zero_matrix_consistent(self):
         D = build_initial(group_seed(ZERO), 5)
         assert check_consistency(D).consistent
