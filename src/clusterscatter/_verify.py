@@ -64,8 +64,8 @@ def suite_b2_chart(order=None, depth=None) -> list[Check]:
 
 
 def suite_b2_scatter(order=None, depth=None) -> list[Check]:
-    order = order or 6
-    depth = depth or 6
+    order = 6 if order is None else order
+    depth = 6 if depth is None else depth
     s = _fixture_seed("b2.json", group=True)
     D = complete_rank2(build_initial(s, order))
     checks: list[Check] = []
@@ -88,7 +88,7 @@ def suite_b2_mutation(order=None, depth=None) -> list[Check]:
     moved = tk_transform(complete_rank2(build_initial(s, 6)), 2)
     same = diagram_to_json(moved) == load_fixture("b2_mutated_walls_order6.json")
     checks.append(("transform-vs-fixture", same, None))
-    _, _, ok = tk_invariance_check(s, 2, order or 4)
+    _, _, ok = tk_invariance_check(s, 2, 4 if order is None else order)
     checks.append(("invariance-k2", ok, None))
     return checks
 
@@ -98,15 +98,15 @@ def suite_kron_series(order=None, depth=None) -> list[Check]:
     checks: list[Check] = []
     checks.append(("closed-form-vs-fixture", kron_rw_series() == fix, None))
     s = _fixture_seed("kronecker.json", group=True)
-    D = complete_rank2(build_initial(s, order or 10))
+    D = complete_rank2(build_initial(s, 10 if order is None else order))
     wall = next(w for w in D.walls if w.ray == (1, -1) and not w.incoming)
-    same = wall.function(11) == fix if (order or 10) >= 10 else True
+    same = wall.function(11) == fix if D.order >= 10 else True
     checks.append(("completion-vs-closed-form", same, None))
     return checks
 
 
 def suite_tk_invariance(order=None, depth=None) -> list[Check]:
-    orders = (order,) if order else (4, 6)
+    orders = (4, 6) if order is None else (order,)
     checks: list[Check] = []
     for name in ("b2.json", "kronecker.json"):
         s = _fixture_seed(name, group=True)
@@ -128,8 +128,8 @@ def _chamber_vectors(data, depth):
 
 
 def suite_theta_chart(order=None, depth=None) -> list[Check]:
-    order = order or 8
-    depth = depth or 6
+    order = 8 if order is None else order
+    depth = 6 if depth is None else depth
     s = _fixture_seed("b2.json", group=True)
     s_cl = _fixture_seed("b2.json", group=False)
     D = complete_rank2(build_initial(s, order))

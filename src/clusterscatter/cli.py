@@ -305,6 +305,9 @@ def theta(seed_path, m_text, order, q_seed, trace_path):
 @click.pass_context
 def verify(ctx, suite, order, depth):
     """Run a shipped verification suite and print a JSON report."""
+    for flag, value in (("--order", order), ("--depth", depth)):
+        if value is not None and value < 1:
+            raise click.UsageError(f"{flag} must be at least 1, got {value}")
     try:
         checks = _verify.run_suite(suite, order=order, depth=depth)
     except KeyError as err:

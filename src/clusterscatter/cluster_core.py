@@ -668,7 +668,10 @@ def _chamber_walk(data: FixedData, depth: int):
     mutations of the base chamber, which comes first.
 
     Yields ``(word, tropical seed, g-frame)`` once per distinct (seed, frame)
-    pair, with the first word that reaches it.
+    pair, with the first word that reaches it.  The walk is principal: the
+    tropical seeds start from the generators of ``data.lattice`` whatever the
+    coefficients of the caller's seed, and callers push the coefficient
+    exponents they emit through that seed's coefficients (``TropMap``).
     """
     sd = initial_seed(data, with_cluster=False, semifield=True)
     G = initial_g_frame(data)

@@ -11,6 +11,8 @@ walls spanned by cluster chambers, and specializes coefficients.
 
 Support in rank 2 is always a single ray from the origin; the two halves of an
 incoming hyperplane are stored as two ray walls carrying the same function.
+Every crossing goes through one fan of rays, each crossed once with the product
+of its walls' functions; so diagrams agree when their merged atoms per ray do.
 Wall monomial exponents are kept in the coefficient basis of the initial seed;
 operations that need degrees relative to a mutated seed's own coefficients
 (completion stages, truncation) change basis internally and convert back.
@@ -27,11 +29,13 @@ from typing import Callable, Iterable, Sequence
 from .cluster_core import (
     InvariantViolation,
     Seed,
+    TropMap,
     _ambient_normal,
     _chamber_walk,
     _mutate_basis_rows,
     _unit,
     matrix_mutate,
+    seed_key,
     seed_mutate,
     unimodular_inverse_transpose,
 )
@@ -380,13 +384,6 @@ def _sort_walls(walls: Iterable[Wall]) -> tuple[Wall, ...]:
 # -- crossings ----------------------------------------------------------------
 
 
-def _ray_groups(walls: Sequence[Wall]) -> dict[tuple[int, ...], list[Wall]]:
-    groups: dict[tuple[int, ...], list[Wall]] = {}
-    for w in walls:
-        groups.setdefault(w.ray, []).append(w)
-    return groups
-
-
 def _crossing_eps(ray: tuple[int, ...], acting: tuple[int, ...], ccw: bool) -> int:
     c = _cross(ray, acting)
     if c == 0:
@@ -394,63 +391,48 @@ def _crossing_eps(ray: tuple[int, ...], acting: tuple[int, ...], ccw: bool) -> i
     return -_sign(c) if ccw else _sign(c)
 
 
-class _FunctionCache:
-    __slots__ = ("memo",)
+def _fan(walls: Sequence[Wall], series_order: int | None, memo: dict) -> list:
+    """The wall rays in counterclockwise order, each as (ray, acting normal,
+    product of the functions of the walls on it).
 
-    def __init__(self):
-        self.memo: dict[tuple[Wall, int | None], LaurentSeries] = {}
+    Walls on one ray must have parallel acting normals.  Their crossings then
+    commute, and since eps * acting is the same for each, crossing the ray once
+    with the product is crossing its walls one at a time.  ``memo`` keeps wall
+    functions by (wall, series_order) across calls.
+    """
+    groups: dict[tuple[int, ...], list[Wall]] = {}
+    for w in walls:
+        groups.setdefault(w.ray, []).append(w)
+    fan = []
+    for ray in sorted(groups, key=_angle_key):
+        acting = groups[ray][0].acting
+        f = None
+        for w in groups[ray]:
+            if _cross(acting, w.acting) != 0:
+                raise InvariantViolation(
+                    "simultaneous crossings on one ray do not commute: "
+                    f"acting normals {acting} and {w.acting}"
+                )
+            g = memo.get((w, series_order))
+            if g is None:
+                g = memo[w, series_order] = w.function(series_order)
+            f = g if f is None else series_mul(f, g)
+        fan.append((ray, acting, f))
+    return fan
 
-    def get(self, w: Wall, order: int | None) -> LaurentSeries:
-        key = (w, order)
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = w.function(order)
-            self.memo[key] = hit
-        return hit
 
-
-def _check_same_normal_direction(group: Sequence[Wall]) -> None:
-    base = group[0].acting
-    for w in group[1:]:
-        if _cross(base, w.acting) != 0:
-            raise InvariantViolation(
-                "simultaneous crossings on one ray do not commute: "
-                f"acting normals {base} and {w.acting}"
-            )
-
-
-def _cross_group(
-    images: list[LaurentSeries],
-    group: Sequence[Wall],
-    ccw: bool,
-    order: int,
-    cache: _FunctionCache,
-) -> list[LaurentSeries]:
-    _check_same_normal_direction(group)
-    for w in sorted(group, key=lambda w: w.factors):
-        eps = _crossing_eps(w.ray, w.acting, ccw)
-        f = cache.get(w, order)
-        images = [wall_cross(x, f, w.acting, eps) for x in images]
+def _cross_fan(fan: list, ccw: bool, d: int, series_order: int) -> list[LaurentSeries]:
+    """Images of the generators z^{e_i} after crossing the rays in fan order."""
+    images = [LaurentSeries.monomial(_unit(2, i), (0,) * d, 1, series_order) for i in range(2)]
+    for ray, acting, f in fan:
+        eps = _crossing_eps(ray, acting, ccw)
+        images = [wall_cross(x, f, acting, eps) for x in images]
     return images
 
 
-def _generator_images(n: int, d: int, order: int) -> list[LaurentSeries]:
-    return [LaurentSeries.monomial(_unit(n, i), (0,) * d, 1, order) for i in range(n)]
-
-
-def _sorted_rays(groups: dict[tuple[int, ...], list[Wall]]) -> list[tuple[int, ...]]:
-    return sorted(groups, key=_angle_key)
-
-
-def _loop_images(
-    walls: Sequence[Wall], d: int, series_order: int, cache: _FunctionCache
-) -> list[LaurentSeries]:
+def _loop_images(walls: Sequence[Wall], d: int, series_order: int, memo: dict) -> list[LaurentSeries]:
     """Full counterclockwise loop starting just below the positive x-axis."""
-    groups = _ray_groups(walls)
-    images = _generator_images(2, d, series_order)
-    for ray in _sorted_rays(groups):
-        images = _cross_group(images, groups[ray], True, series_order, cache)
-    return images
+    return _cross_fan(_fan(walls, series_order, memo), True, d, series_order)
 
 
 def _require_rank2(D: ScatteringDiagram, caller: str) -> None:
@@ -458,8 +440,13 @@ def _require_rank2(D: ScatteringDiagram, caller: str) -> None:
         raise ValueError(f"{caller} is defined for rank-2 diagrams only")
 
 
-def _on_some_ray(v: tuple[int, int], groups: dict[tuple[int, ...], list[Wall]]) -> bool:
-    return _primitive(v) in groups
+def _turn(v: Sequence[int], start: Sequence[int], ccw: bool):
+    """Sort key of direction v by the angle turned from ``start`` in the
+    direction of travel; ``start`` itself sorts last, as a full turn."""
+    k, s = _angle_key(v), _angle_key(start)
+    if not ccw:
+        k, s = (-k[0], -k[1]), (-s[0], -s[1])
+    return (k <= s, k)
 
 
 def path_ordered_product(D: ScatteringDiagram, path: PathSpec, order: int | None = None) -> Automorphism:
@@ -471,41 +458,16 @@ def path_ordered_product(D: ScatteringDiagram, path: PathSpec, order: int | None
     series_order = (order if order is not None else D.order) + 1
     frame = _frame_or_none(D)
     walls = _fresh_walls(D.walls, frame) if frame is not None else list(D.walls)
-    groups = _ray_groups(walls)
     if not any(path.start) or not any(path.end):
         raise ValueError("path endpoints must be nonzero directions")
-    if _on_some_ray(path.start, groups) or (not path.loop and _on_some_ray(path.end, groups)):
+    end = path.start if path.loop else path.end
+    if {_primitive(path.start), _primitive(end)} & {w.ray for w in walls}:
         raise ValueError("path endpoint lies on a wall")
-    rays = _sorted_rays(groups)
-    start_key = _angle_key(path.start)
-    if path.loop:
-        ordered = [r for r in rays if _angle_key(r) > start_key] + [
-            r for r in rays if _angle_key(r) < start_key
-        ]
-        if not path.ccw:
-            ordered.reverse()
-    else:
-        end_key = _angle_key(path.end)
-        if path.ccw:
-            if start_key < end_key:
-                ordered = [r for r in rays if start_key < _angle_key(r) < end_key]
-            else:
-                ordered = [r for r in rays if _angle_key(r) > start_key] + [
-                    r for r in rays if _angle_key(r) < end_key
-                ]
-        else:
-            rev = list(reversed(rays))
-            if end_key < start_key:
-                ordered = [r for r in rev if end_key < _angle_key(r) < start_key]
-            else:
-                ordered = [r for r in rev if _angle_key(r) < start_key] + [
-                    r for r in rev if _angle_key(r) > end_key
-                ]
-    cache = _FunctionCache()
+    turn = lambda r: _turn(r[0], path.start, path.ccw)
+    stop = _turn(end, path.start, path.ccw)
+    fan = sorted((r for r in _fan(walls, series_order, {}) if turn(r) < stop), key=turn)
     _, d = D.dims
-    images = _generator_images(2, d, series_order)
-    for ray in ordered:
-        images = _cross_group(images, groups[ray], path.ccw, series_order, cache)
+    images = _cross_fan(fan, path.ccw, d, series_order)
     ident = Automorphism.identity(2, d, series_order)
     return Automorphism(images, ident.t_images, series_order)
 
@@ -530,14 +492,14 @@ def _defect_derivation(
     frame: SeedFrame,
     d: int,
     series_order: int,
-    cache: _FunctionCache,
+    memo: dict,
 ):
     """Log of the loop product's deviation from the identity.
 
     Returns (first_degree, terms) with terms a list of (coeff, Exponent,
     acting normal, grading vector); both are None when the loop closes.
     """
-    images = _loop_images(walls, d, series_order, cache)
+    images = _loop_images(walls, d, series_order, memo)
     n = 2
     logs = []
     for a in range(n):
@@ -586,8 +548,7 @@ def check_consistency(D: ScatteringDiagram, order: int | None = None) -> Consist
     ord_ = order if order is not None else D.order
     frame = seed_frame(D.seed)
     walls = _fresh_walls(D.walls, frame)
-    cache = _FunctionCache()
-    first, terms = _defect_derivation(walls, frame, D.seed.coeff_lattice.d, ord_ + 1, cache)
+    first, terms = _defect_derivation(walls, frame, D.seed.coeff_lattice.d, ord_ + 1, {})
     if first is None:
         return ConsistencyReport(True, ord_)
     derivation = Derivation((c, e, acting) for c, e, acting, _ in terms)
@@ -608,7 +569,7 @@ def complete_rank2(D: ScatteringDiagram, order: int | None = None) -> Scattering
     frame = seed_frame(D.seed)
     lat = D.seed.coeff_lattice
     walls = _fresh_walls(D.walls, frame)
-    cache = _FunctionCache()
+    memo: dict = {}
     outgoing: dict[tuple[int, ...], Wall] = {}
     for w in walls:
         if not w.incoming:
@@ -616,7 +577,7 @@ def complete_rank2(D: ScatteringDiagram, order: int | None = None) -> Scattering
                 raise ValueError("diagram has two outgoing walls on one ray; merge them first")
             outgoing[w.ray] = w
     for degree in range(2, ord_ + 1):
-        first, terms = _defect_derivation(walls, frame, lat.d, degree + 1, cache)
+        first, terms = _defect_derivation(walls, frame, lat.d, degree + 1, memo)
         if first is None:
             continue
         if first < degree:
@@ -642,7 +603,7 @@ def complete_rank2(D: ScatteringDiagram, order: int | None = None) -> Scattering
                 walls.remove(old)
             outgoing[ray] = new
             walls.append(new)
-    first, _ = _defect_derivation(walls, frame, lat.d, ord_ + 1, cache)
+    first, _ = _defect_derivation(walls, frame, lat.d, ord_ + 1, memo)
     if first is not None:
         raise InvariantViolation(f"completion finished but the loop still fails at degree {first}")
     return ScatteringDiagram(_sort_walls(_old_walls(walls, frame)), ord_, D.seed)
@@ -765,26 +726,27 @@ def cluster_chamber_walls(s: Seed, depth: int) -> tuple[Wall, ...]:
     Each chamber contributes one wall per facet: support spanned by the other
     frame vectors, function ``prod_j (1 + p_{i,j}^eps z^{eps w_i})`` from the
     chamber's tropical coefficients, with eps the frame sign of direction i.
+    The walk runs on principal coefficients; each p^eps is then evaluated at
+    the seed's own coefficients, while the grading normal is read from the
+    principal exponents, which are the seed's own coefficient degrees.
     Duplicate facets must agree exactly; disagreement is an error.
     """
     if s.word:
         raise ValueError("cluster_chamber_walls starts from the base seed")
     n = s.data.n
+    lat = s.data.lattice
+    lam = TropMap(lat, s.coeff_lattice, tuple(p for tup in s.coeffs for p in tup))
     found: dict[tuple[tuple[int, ...], ...], Wall] = {}
     for _, sd, G in _chamber_walk(s.data, depth):
         for i in range(1, n + 1):
             eps = G.epsilon(i)
-            w_i = G.w(i)
+            m = tuple(eps * x for x in G.w(i))
             support = tuple(sorted(G.g[j] for j in range(n) if j != i - 1))
-            atoms = tuple(
-                (tuple(eps * x for x in p.exponents), tuple(eps * x for x in w_i), 1)
-                for p in sd.coeffs[i - 1]
-            )
+            atoms = tuple((lam.of(p**eps).exponents, m, 1) for p in sd.coeffs[i - 1])
             acting = tuple(eps * x for x in G.gstar[i - 1])
-            lat = sd.coeff_lattice
             alphas = {
-                tuple(sum(t[j] for j in lat.block_range(b)) for b in range(n))
-                for t, _, _ in atoms
+                tuple(eps * sum(p.exponents[j] for j in lat.block_range(b)) for b in range(n))
+                for p in sd.coeffs[i - 1]
             }
             if len(alphas) != 1:
                 raise InvariantViolation("facet coefficients have mixed gradings")
@@ -968,12 +930,14 @@ def _frame_or_none(D: ScatteringDiagram) -> SeedFrame | None:
 
 
 def canonical_form(
-    D: ScatteringDiagram, order: int | None = None, refactor: bool = False
+    D: ScatteringDiagram, order: int | None = None
 ) -> dict[tuple[int, ...], tuple[Atom, ...]]:
-    """Map each support ray to the merged, canonically factored function.
+    """Map each support ray to the merged atoms of its walls.
 
-    Merging, degree cuts, and refactoring happen in the seed's own coefficient
-    basis; the returned atom exponents are in the initial basis.
+    Merging and the cut at degree ``order`` happen in the seed's own
+    coefficient basis; the returned atom exponents are in the initial basis.
+    The merged atoms of a ray determine its function and are determined by
+    it (see ``diagrams_equivalent``).
     """
     ord_ = order if order is not None else D.order
     frame = _frame_or_none(D)
@@ -989,63 +953,38 @@ def canonical_form(
     out = {}
     for ray, atoms in merged.items():
         combined = _combine_atoms(atoms)
-        if not combined:
-            continue
-        if refactor:
-            n = len(ray)
-            d = len(combined[0][0])
-            f = LaurentSeries.one(n, d, ord_ + 1)
-            for t, m, c in combined:
-                atom = LaurentSeries.one(n, d, ord_ + 1) + LaurentSeries.monomial(m, t, 1, ord_ + 1)
-                f = series_mul(f, series_pow(atom, c))
-            combined = _greedy_atoms(f, ord_ + 1)
-        out[ray] = tuple((to_old(t), m, c) for t, m, c in combined)
+        if combined:
+            out[ray] = tuple((to_old(t), m, c) for t, m, c in combined)
     return out
 
 
 def diagrams_equivalent(
     D1: ScatteringDiagram, D2: ScatteringDiagram, order: int | None = None
 ) -> bool:
-    """Same walls after merging per support, else same path-ordered products.
+    """Do the two diagrams have the same path-ordered products up to ``order``?
+
+    Decided by the merged atoms per ray alone (``canonical_form``).  A ray's
+    function is a product of factors ``(1 + t^a z^m)^c`` with c > 0 and
+    coefficient degree |a| >= 1, and such a product factors uniquely, lowest
+    degree first: if k is the least degree of a factor, the function's terms
+    of degree k are the sum of ``c t^a z^m`` over the factors of degree k,
+    because a product of two factors has degree above k; dividing those out
+    and repeating reads off every factor up to the order.  So equal merged
+    atoms hold exactly when the ray functions agree modulo degree above the
+    order.  Equal ray functions give equal crossings and so equal products
+    along every path; conversely an arc that crosses one ray alone is that
+    ray's crossing ``z^m -> z^m f^{eps <n, m>}``, and with n primitive some m
+    has <n, m> = 1, which gives back f.
 
     Both diagrams must sit over the same seed (or both carry none), so that
-    degrees and products are compared in one coefficient basis.
+    degrees are compared in one coefficient basis.
     """
-    from .cluster_core import seed_key
-
     if (D1.seed is None) != (D2.seed is None):
         raise ValueError("cannot compare a seed-tagged diagram with an untagged one")
     if D1.seed is not None and seed_key(D1.seed) != seed_key(D2.seed):
         raise ValueError("diagrams sit over different seeds")
     ord_ = min(D1.order, D2.order) if order is None else order
-    if canonical_form(D1, ord_) == canonical_form(D2, ord_):
-        return True
-    if canonical_form(D1, ord_, refactor=True) == canonical_form(D2, ord_, refactor=True):
-        return True
-    if D1.n != 2 or D2.n != 2:
-        return False
-    # compare the crossing prefix products over the union fan
-    _, d = D1.dims
-    if d != D2.dims[1]:
-        return False
-    frame1, frame2 = _frame_or_none(D1), _frame_or_none(D2)
-    w1 = _fresh_walls(D1.walls, frame1) if frame1 is not None else list(D1.walls)
-    w2 = _fresh_walls(D2.walls, frame2) if frame2 is not None else list(D2.walls)
-    g1 = _ray_groups(w1)
-    g2 = _ray_groups(w2)
-    rays = sorted(set(g1) | set(g2), key=_angle_key)
-    cache = _FunctionCache()
-    series_order = ord_ + 1
-    im1 = _generator_images(2, d, series_order)
-    im2 = _generator_images(2, d, series_order)
-    for ray in rays:
-        if ray in g1:
-            im1 = _cross_group(im1, g1[ray], True, series_order, cache)
-        if ray in g2:
-            im2 = _cross_group(im2, g2[ray], True, series_order, cache)
-        if any(not a.eq_mod_order(b) for a, b in zip(im1, im2)):
-            return False
-    return True
+    return canonical_form(D1, ord_) == canonical_form(D2, ord_)
 
 
 def diagram_truncate(D: ScatteringDiagram, order: int) -> ScatteringDiagram:

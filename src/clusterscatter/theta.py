@@ -19,24 +19,18 @@ from fractions import Fraction
 from .cluster_core import (
     ClusterMap,
     RationalFunction,
+    TropMap,
     _chamber_walk,
     _exchange_factor,
     g_frame_mutate,
     initial_g_frame,
     initial_seed,
+    rational,
     rf_monomial,
     seed_mutate,
 )
 from .monoid_ring import Exponent, LaurentSeries
-from .scattering import (
-    ScatteringDiagram,
-    Wall,
-    _check_same_normal_direction,
-    _cross,
-    _fresh_walls,
-    _ray_groups,
-    seed_frame,
-)
+from .scattering import ScatteringDiagram, _cross, _fan, _fresh_walls, seed_frame
 
 __all__ = [
     "BrokenLine",
@@ -80,10 +74,6 @@ class BrokenLine:
         return self.segments[-1]
 
 
-def _crossq(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
@@ -97,19 +87,16 @@ def _vadd(u, v):
 
 
 class _RayData:
-    """Merged per-ray wall data in the diagram seed's own coefficient basis."""
+    """One ray of the fan with its acting normal and merged wall function, in
+    the diagram seed's own coefficient basis; powers are kept as computed."""
 
     __slots__ = ("ray", "acting", "function", "powers")
 
-    def __init__(self, ray, group: list[Wall], order: int, d: int):
-        _check_same_normal_direction(group)
+    def __init__(self, ray, acting, function: LaurentSeries):
         self.ray = ray
-        self.acting = group[0].acting
-        f = LaurentSeries.one(len(ray), d).truncate(order)
-        for w in group:
-            f = f * w.function(order)
-        self.function = f
-        self.powers: dict[int, LaurentSeries] = {1: f}
+        self.acting = acting
+        self.function = function
+        self.powers: dict[int, LaurentSeries] = {1: function}
 
     def power(self, e: int) -> LaurentSeries:
         got = self.powers.get(e)
@@ -180,12 +167,9 @@ def enumerate_broken_lines(
         raise ValueError("endpoint must be nonzero")
     frame = seed_frame(D.seed)
     walls = _fresh_walls(D.walls, frame)
-    rays = [
-        _RayData(ray, group, order, D.dims[1])
-        for ray, group in sorted(_ray_groups(walls).items())
-    ]
+    rays = [_RayData(*ray) for ray in sorted(_fan(walls, order, {}))]
     for rd in rays:
-        if _crossq(rd.ray, Q) == 0 and _dot(rd.ray, Q) > 0:
+        if _cross(rd.ray, Q) == 0 and _dot(rd.ray, Q) > 0:
             raise _EndpointOnWall(f"endpoint {Q} lies on the wall ray {rd.ray}")
     budget = order - 1
     reach = _reachable_shifts(rays, budget, n)
@@ -193,24 +177,24 @@ def enumerate_broken_lines(
 
     def descend(x: Point, p: tuple, used: int, trail: list) -> None:
         if p == p0:
-            if _crossq(x, p) == 0 and _dot(x, p) < 0:
+            if _cross(x, p) == 0 and _dot(x, p) < 0:
                 raise GenericityError("initial segment passes through the origin")
             for rd in rays:
-                if _crossq(rd.ray, p) == 0 and _crossq(rd.ray, x) == 0:
+                if _cross(rd.ray, p) == 0 and _cross(rd.ray, x) == 0:
                     raise GenericityError(f"initial segment runs along the ray {rd.ray}")
             lines.append(_assemble(Q, p0, trail, frame))
             return
         hits: list[tuple[Fraction, int]] = []
         for i, rd in enumerate(rays):
-            cp = _crossq(p, rd.ray)
+            cp = _cross(p, rd.ray)
             if cp == 0:
-                if _crossq(rd.ray, x) == 0:
+                if _cross(rd.ray, x) == 0:
                     raise GenericityError(f"segment runs along the ray {rd.ray}")
                 continue
-            s = Fraction(-_crossq(x, rd.ray), cp)
+            s = Fraction(-_cross(x, rd.ray), cp)
             if s <= 0:
                 continue
-            u = Fraction(-_crossq(x, p), cp)
+            u = Fraction(-_cross(x, p), cp)
             if u < 0:
                 continue
             if u == 0:
@@ -333,6 +317,7 @@ def theta_via_transport(D: ScatteringDiagram, p0, depth: int = 8) -> RationalFun
     computed by transporting the bare monomial to the positive chamber
     across the chamber facets.
 
+    The chamber walk is principal, then evaluated at the seed's coefficients.
     Raises ValueError when no chamber within ``depth`` mutations contains
     p0.  Agrees with ``theta`` order by order on consistent diagrams.
     """
@@ -371,4 +356,5 @@ def theta_via_transport(D: ScatteringDiagram, p0, depth: int = 8) -> RationalFun
     x = rf_monomial(n, d, p0)
     for step in reversed(steps):
         x = step.apply(x)
-    return x
+    lam = TropMap(data.lattice, s.coeff_lattice, tuple(p for tup in s.coeffs for p in tup))
+    return rational(lam.on_series(x.num), lam.on_series(x.den))

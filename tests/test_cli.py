@@ -273,3 +273,11 @@ class TestVerify:
             "b2-k1-o4", "b2-k2-o4", "kronecker-k1-o4", "kronecker-k2-o4"
         }
 
+    @pytest.mark.parametrize("flag", ["--order", "--depth"])
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_order_and_depth_below_one_are_bad_input(self, runner, flag, value):
+        res = runner.invoke(cli, ["verify", "--suite", "b2-scatter", flag, value])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"{flag} must be at least 1" in res.stderr
+        assert "Traceback" not in res.output

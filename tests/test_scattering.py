@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from clusterscatter.cluster_core import (
     FixedData,
@@ -60,6 +60,28 @@ def kron_completed():
 
 def outgoing_by_ray(D):
     return {w.ray: w for w in D.walls if not w.incoming}
+
+
+def angle(v):
+    a = math.atan2(v[1], v[0])
+    return a if a >= 0 else a + 2 * math.pi
+
+
+def turn(a, b):
+    """Counterclockwise angle from direction a to direction b, in [0, 2pi)."""
+    return (angle(b) - angle(a)) % (2 * math.pi)
+
+
+DIRECTION = st.tuples(st.integers(-15, 15), st.integers(-15, 15)).filter(lambda v: v != (0, 0))
+
+
+def off_rays(D, *directions):
+    rays = {w.ray for w in D.walls}
+    for v in directions:
+        g = math.gcd(*v)
+        if (v[0] // g, v[1] // g) in rays:
+            return False
+    return True
 
 
 # -- wall objects -------------------------------------------------------------
@@ -196,6 +218,35 @@ class TestPathOrderedProduct:
         fwd = path_ordered_product(C, PathSpec((1, -3), (1, 1), ccw=True))
         back = path_ordered_product(C, PathSpec((1, 1), (1, -3), ccw=False))
         assert back.compose(fwd).is_identity()
+
+    @given(DIRECTION, DIRECTION, DIRECTION)
+    @settings(max_examples=30, deadline=None)
+    def test_random_arcs(self, b2_completed, a, b, c):
+        C = b2_completed
+        assume(off_rays(C, a, b, c))
+        ab = path_ordered_product(C, PathSpec(a, b, ccw=True))
+        bc = path_ordered_product(C, PathSpec(b, c, ccw=True))
+        ac = path_ordered_product(C, PathSpec(a, c, ccw=True))
+        assert bc.compose(ab).eq_mod_order(ac)
+        ba = path_ordered_product(C, PathSpec(b, a, ccw=False))
+        assert ba.compose(ab).is_identity()
+        for ccw in (True, False):
+            assert path_ordered_product(C, PathSpec(a, a, ccw=ccw, loop=True)).is_identity()
+
+    @given(DIRECTION, DIRECTION, DIRECTION)
+    @settings(max_examples=30, deadline=None)
+    def test_random_arcs_compose_on_initial(self, a, b, c):
+        # the initial diagram is not consistent, so a turn past the start
+        # would not cancel: only arcs a -> b -> c inside one turn compose
+        D = build_initial(group_seed(B2), 6)
+        assume(off_rays(D, a, b, c))
+        assume(0 < turn(a, b) < turn(a, c))
+        ab = path_ordered_product(D, PathSpec(a, b, ccw=True))
+        bc = path_ordered_product(D, PathSpec(b, c, ccw=True))
+        ac = path_ordered_product(D, PathSpec(a, c, ccw=True))
+        assert bc.compose(ab).eq_mod_order(ac)
+        cb = path_ordered_product(D, PathSpec(c, b, ccw=False))
+        assert cb.compose(ac).eq_mod_order(ab)
 
     def test_endpoint_on_wall_rejected(self, b2_completed):
         with pytest.raises(ValueError):
@@ -382,6 +433,14 @@ class TestChamberWalls:
         with pytest.raises(ValueError):
             cluster_chamber_walls(seed_mutate(group_seed(B2), 1), 2)
 
+    def test_non_principal_coefficients(self):
+        lat = A2.lattice
+        coeffs = ((lat.element((1, 1)),), (lat.generator(1, 0),))
+        s = initial_seed(A2, coeffs, with_cluster=False, semifield=False)
+        chambers = ScatteringDiagram(cluster_chamber_walls(s, 6), 6, s)
+        assert {w.ray: w.factors for w in chambers.walls}[(1, -1)] == (((1, 2), (-1, 1), 1),)
+        assert diagrams_equivalent(complete_rank2(build_initial(s, 6)), chambers)
+
 
 # -- specialization -----------------------------------------------------------
 
@@ -442,6 +501,81 @@ class TestEquivalence:
     def test_different_seeds_rejected(self, b2_completed, kron_completed):
         with pytest.raises(ValueError):
             diagrams_equivalent(b2_completed, kron_completed)
+
+
+def crossing_comparison(D1, D2, order):
+    """Equal path-ordered products from one fixed start to a direction in
+    every gap between the rays of both diagrams."""
+    rays = sorted({w.ray for w in D1.walls + D2.walls}, key=angle)
+    gaps = []
+    for r, q in zip(rays, rays[1:] + rays[:1]):
+        inside = r[0] * q[1] - r[1] * q[0] > 0
+        gaps.append((r[0] + q[0], r[1] + q[1]) if inside else (-r[1], r[0]))
+    start = gaps[-1]
+    for end in gaps:
+        P1 = path_ordered_product(D1, PathSpec(start, end), order)
+        P2 = path_ordered_product(D2, PathSpec(start, end), order)
+        if not P1.eq_mod_order(P2):
+            return False
+    return True
+
+
+def edit_walls(D, edits):
+    """Apply (kind, wall index, atom index) edits to D's walls."""
+    walls = list(D.walls)
+    for kind, i, j in edits:
+        i %= len(walls)
+        w = walls[i]
+        atoms = list(w.factors)
+        j %= len(atoms)
+        if kind == "split":
+            t, m, c = atoms[j]
+            if c > 1:
+                left, right = atoms[:j] + [(t, m, c - 1)] + atoms[j + 1:], [(t, m, 1)]
+            elif len(atoms) > 1:
+                left, right = atoms[:j] + atoms[j + 1:], [atoms[j]]
+            else:
+                continue
+            walls[i:i + 1] = [w.map_factors(lambda a: a, factors=tuple(part)) for part in (left, right)]
+        elif kind == "flip":
+            walls[i] = w.map_factors(lambda a: a, acting=tuple(-x for x in w.acting))
+        elif kind == "raise":
+            t, m, c = atoms[j]
+            walls[i] = w.map_factors(lambda a: a, factors=tuple(atoms[:j] + [(t, m, c + 1)] + atoms[j + 1:]))
+        elif kind == "drop" and len(atoms) > 1:
+            walls[i] = w.map_factors(lambda a: a, factors=tuple(atoms[:j] + atoms[j + 1:]))
+        elif len(walls) > 1:  # remove the wall, or drop its only atom
+            del walls[i]
+    return ScatteringDiagram(tuple(walls), D.order, D.seed)
+
+
+@pytest.fixture(scope="module")
+def edit_bases(b2_completed):
+    kron = complete_rank2(build_initial(group_seed(KRON), 5))
+    out = []
+    for D in (b2_completed, kron):
+        out += [D, tk_transform(D, 1), tk_transform(D, 2)]
+    return out
+
+
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["split", "flip", "raise", "drop", "remove"]),
+        st.integers(0, 30),
+        st.integers(0, 5),
+    ),
+    max_size=3,
+)
+
+
+class TestEquivalenceOracle:
+    @given(st.integers(0, 5), EDITS, EDITS, st.integers(3, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_merged_atoms_decide_like_crossings(self, edit_bases, base, edits1, edits2, order):
+        D = edit_bases[base]
+        order = min(order, D.order)
+        D1, D2 = edit_walls(D, edits1), edit_walls(D, edits2)
+        assert diagrams_equivalent(D1, D2, order) == crossing_comparison(D1, D2, order)
 
 
 class TestTruncate:

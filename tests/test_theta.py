@@ -242,6 +242,21 @@ class TestTransport:
             assert x.den.is_one()
             assert theta(b2_d12, p0, 12, q_seed=trial) == x.num.truncate(12)
 
+    def test_non_principal_coefficients(self):
+        # the chamber walk is principal; its coefficients must be evaluated
+        # at the seed's own (t1*t2, t2), not left as (t1, t2)
+        data = FixedData(((0, -1), (1, 0)), (1, 1), (1, 1))
+        lat = data.lattice
+        coeffs = ((lat.element((1, 1)),), (lat.generator(1, 0),))
+        D = complete_rank2(build_initial(initial_seed(data, coeffs, with_cluster=False, semifield=False), 6))
+        for p0 in ((-1, 0), (0, -1), (-1, 1), (1, 1), (0, 1)):
+            x = theta_via_transport(D, p0)
+            assert x.den.is_one()
+            assert theta(D, p0, 6) == x.num
+        assert theta_via_transport(D, (-1, 0)).num == LaurentSeries.monomial(
+            (-1, 0), (0, 0)
+        ) + LaurentSeries.monomial((-1, 1), (1, 1))
+
     def test_requires_base_seed(self, b2_d6):
         moved = tk_transform(b2_d6, 1)
         with pytest.raises(ValueError):
