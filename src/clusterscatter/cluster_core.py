@@ -200,8 +200,7 @@ def rational(num: LaurentSeries, den: LaurentSeries) -> RationalFunction:
         raise ZeroDivisionError("zero denominator")
     if den.is_one():
         return RationalFunction(num, den)
-    e0 = next(iter(den.terms))
-    one = LaurentSeries.one(len(e0.m), len(e0.t))
+    one = LaurentSeries.one(*den.dims())
     if not num:
         return RationalFunction(LaurentSeries.zero(None), one)
     q = series_exact_div(num, den)

@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, hypot
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .cluster_core import (
@@ -229,12 +230,6 @@ class ScatteringDiagram:
             if w.factors:
                 return len(w.factors[0][1]), len(w.factors[0][0])
         raise ValueError("diagram has no wall factors to read dimensions from")
-
-    def incoming_walls(self) -> tuple[Wall, ...]:
-        return tuple(w for w in self.walls if w.incoming)
-
-    def outgoing_walls(self) -> tuple[Wall, ...]:
-        return tuple(w for w in self.walls if not w.incoming)
 
 
 @dataclass(frozen=True)
@@ -503,11 +498,8 @@ def _defect_derivation(
     n = 2
     logs = []
     for a in range(n):
-        shifted = LaurentSeries(
-            {e + Exponent(tuple(-x for x in _unit(n, a)), (0,) * d): c for e, c in images[a].terms.items()},
-            images[a].order,
-        )
-        logs.append(series_log(shifted))
+        shift = LaurentSeries.monomial(tuple(-x for x in _unit(n, a)), (0,) * d, 1, series_order)
+        logs.append(series_log(series_mul(images[a], shift)))
     degrees = [lg.min_coeff_degree() for lg in logs if lg]
     if not degrees:
         return None, None
@@ -857,13 +849,12 @@ def specialize_diagram(D: ScatteringDiagram, scalars) -> ScatteringDiagram:
             for i in range(n):
                 rng = lat.block_range(i)
                 tc[rng.start] = sum(t[j] for j in rng)
-            atom_exp = exponent(m, tc)
             for _ in range(c):
                 nxt: dict[Exponent, Gauss] = {}
                 for e1, c1 in terms.items():
                     _acc(nxt, e1, c1)
-                    e2 = e1 + atom_exp
-                    if e2.coeff_degree < series_order:
+                    if sum(e1.t) + sum(tc) < series_order:
+                        e2 = exponent(map(add, e1.m, m), map(add, e1.t, tc))
                         _acc(nxt, e2, _gauss_mul(c1, scale))
                 terms = nxt
         int_terms: dict[Exponent, int] = {}

@@ -210,7 +210,7 @@ def enumerate_broken_lines(
             assert e >= 1
             pt = (x[0] + s * p[0], x[1] + s * p[1])
             fe = rd.power(e)
-            for exp in sorted(fe.terms):
+            for exp, coeff in sorted(fe.terms.items()):
                 if not any(exp.t):
                     continue
                 dq = sum(exp.t)
@@ -219,7 +219,6 @@ def enumerate_broken_lines(
                 need = reach.get(_vsub(prev, p0))
                 if need is None or nu + need > budget:
                     continue
-                coeff = fe.terms[exp]
                 trail.append((pt, rd.ray, coeff, exp.t, exp.m))
                 descend(pt, prev, nu, trail)
                 trail.pop()

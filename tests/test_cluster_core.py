@@ -1,6 +1,7 @@
 """Seed mutation, patterns, c/g-vectors, Y-seeds, separation, pullbacks."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -319,6 +320,26 @@ class TestFiniteType:
         assert seeds_equal(s, s0) and not seeds_equal(s, s0, strict=True)
         s = pattern_walk(s0, (1, 2) * 6)
         assert seeds_equal(s, s0, strict=True)
+
+    def test_b2_long_walk_stays_periodic(self):
+        # ten trips round the period: nothing carried along the word may grow
+        s0 = initial_seed(B2)
+        memo = {}
+        for trips in range(1, 11):
+            assert seeds_equal(pattern_walk(s0, (1, 2) * 6 * trips, memo), s0, strict=True)
+
+    def test_kronecker_long_walk_follows_the_exchange_recurrence(self):
+        # principal coefficients at t = 1 and (A1, A2) = (2, 3): letter j makes
+        # the variable y_{j+1} with y_{j+1} * y_{j-1} = y_j^2 + 1
+        s0 = initial_seed(FixedData(KRON.B, (1, 1), (1, 1)))
+        word = (1, 2) * 20
+        memo = {}
+        pattern_walk(s0, word, memo)
+        ys = [Fraction(2), Fraction(3)]
+        for j in range(1, len(word) + 1):
+            ys.append((ys[-1] ** 2 + 1) / ys[-2])
+            x = memo[word[:j]].cluster[word[j - 1] - 1].series
+            assert sum(c * ys[0] ** e.m[0] * ys[1] ** e.m[1] for e, c in x.terms.items()) == ys[-1]
 
     def test_kronecker_keeps_growing(self):
         # infinite type: every mutation step reaches a new seed and variable

@@ -1,13 +1,17 @@
 """Series kernel: exact truncated arithmetic, crossings, automorphisms, division."""
 
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clusterscatter import monoid_ring
 from clusterscatter.monoid_ring import (
     Automorphism,
+    Exponent,
     LaurentSeries,
+    _decode,
     _min_order,
     exponent,
     pairing,
@@ -371,3 +375,195 @@ class TestBinomialCrossing:
             for cross in (wall_cross, bucketed_wall_cross):
                 with pytest.raises(ValueError, match="constant term"):
                     cross(x, f, (1, 0), 1)
+
+
+# -- packed keys against Exponent-keyed reference kernels --------------------
+
+
+def _exp_add(e, f):
+    return Exponent(tuple(map(add, e.m, f.m)), tuple(map(add, e.t, f.t)))
+
+
+def reference_mul(a, b):
+    """Product over Exponent keys: every pair, cut by coefficient degree."""
+    order = _min_order(a.order, b.order)
+    terms = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = _exp_add(ea, eb)
+            if order is None or sum(e.t) < order:
+                terms[e] = terms.get(e, 0) + ca * cb
+    return LaurentSeries(terms, order)
+
+
+def reference_exact_div(a, b):
+    """Exact quotient over flat exponent tuples shifted to their minima:
+    peel the lexicographically largest remainder term until it is gone, or
+    until the next quotient exponent leaves the shifted orthant (None)."""
+    if not a.terms:
+        return LaurentSeries.zero(None)
+    n = len(next(iter(a.terms)).m)
+
+    def shifted(s):
+        flat = [e.m + e.t for e in s.terms]
+        mins = [min(col) for col in zip(*flat)]
+        return mins, {tuple(x - y for x, y in zip(e.m + e.t, mins)): c for e, c in s.terms.items()}
+
+    mins_a, rem = shifted(a)
+    mins_b, div = shifted(b)
+    lead_div = max(div)
+    quot = {}
+    while rem:
+        lead = max(rem)
+        step = tuple(x - y for x, y in zip(lead, lead_div))
+        if any(x < 0 for x in step):
+            return None
+        q = Fraction(rem[lead]) / div[lead_div]
+        quot[step] = q
+        for e, ce in div.items():
+            key = tuple(x + y for x, y in zip(step, e))
+            rem[key] = rem.get(key, 0) - q * ce
+            if rem[key] == 0:
+                del rem[key]
+    shift = [x - y for x, y in zip(mins_a, mins_b)]
+    return LaurentSeries(
+        {exponent(k[:n], k[n:]): c for k, c in ((tuple(map(add, k, shift)), c) for k, c in quot.items())},
+        None,
+    )
+
+
+@st.composite
+def packed_series(draw, count, untruncated=False):
+    """``count`` series sharing random dims n in 1..3 and d in 1..4, with
+    negative exponents, int and Fraction coefficients and orders None or 1..8."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    exps_nd = st.builds(
+        exponent,
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        st.lists(st.integers(-1, 3), min_size=d, max_size=d),
+    )
+    orders = st.none() if untruncated else st.none() | st.integers(1, 8)
+    return [
+        LaurentSeries(draw(st.dictionaries(exps_nd, coeffs, max_size=5)), draw(orders))
+        for _ in range(count)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_series(2))
+def test_mul_matches_reference(pair):
+    a, b = pair
+    got, want = series_mul(a, b), reference_mul(a, b)
+    assert got.order == want.order
+    assert got.terms == want.terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_series(3, untruncated=True))
+def test_exact_div_matches_reference(triple):
+    p, q, r = triple
+    for num, den in ((p * q, q), (p * q + r, q), (p, q)):
+        if not den:
+            continue
+        got, want = series_exact_div(num, den), reference_exact_div(num, den)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.order == want.order is None
+            assert got.terms == want.terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_series(1))
+def test_packed_key_order_is_exponent_order(one_series):
+    s, = one_series
+    n, d = s.dims() or (0, 0)
+    assert [_decode(k, n, d) for k in sorted(s._packed)] == sorted(s.terms)
+
+
+class TestDims:
+    """Operands of different (n, d) are rejected, never truncated."""
+
+    a = mono((1, 0), (1, 0, 0), order=5)
+    b = mono((0, 1), (0, 1, 0, 0), order=5)
+
+    def test_mul(self):
+        with pytest.raises(ValueError, match=r"\(2, 3\) and \(2, 4\)"):
+            series_mul(self.a, self.b)
+
+    def test_add(self):
+        with pytest.raises(ValueError, match=r"\(2, 3\) and \(2, 4\)"):
+            series_add(self.a, self.b)
+
+    def test_wall_cross(self):
+        x = mono((1, 0), (0, 0), order=5)
+        f = one(5) + mono((0, 1), (1, 0, 0), order=5)
+        with pytest.raises(ValueError, match=r"\(2, 2\) and \(2, 3\)"):
+            wall_cross(x, f, (1, 0), 1)
+
+    def test_exact_div(self):
+        with pytest.raises(ValueError, match=r"\(2, 3\) and \(2, 4\)"):
+            series_exact_div(mono((1, 0), Z3), mono((0, 1), (0, 0, 0, 0)) + mono((1, 1), (0, 0, 0, 1)))
+
+    def test_constructor(self):
+        with pytest.raises(ValueError, match="different dims"):
+            LaurentSeries({exponent(A1, T11): 1, exponent(A1, (1, 0)): 1})
+
+    def test_empty_series_adopts_the_other_dims(self):
+        zero = LaurentSeries.zero(5)
+        assert (zero + self.b).dims() == (2, 4)
+        assert (self.b - self.b + self.a).dims() == (2, 3)
+        assert not zero * self.b and (zero * self.b).dims() is None
+
+
+class TestOverflow:
+    """Every slot of a packed key stays inside (-2^31, 2^31)."""
+
+    top = 2**31 - 1
+
+    def test_largest_slot_round_trips(self):
+        x = LaurentSeries.monomial((self.top, -self.top), (self.top, 0, 0), order=None)
+        assert x.terms == {exponent((self.top, -self.top), (self.top, 0, 0)): 1}
+        assert (x * mono(Z2, Z3)).terms == x.terms
+
+    def test_one_past_the_largest_slot_is_rejected(self):
+        for m, t in (((self.top + 1, 0), Z3), ((0, -self.top - 1), Z3), (A1, (self.top, 1, 0))):
+            with pytest.raises(OverflowError):
+                LaurentSeries.monomial(m, t)
+
+    def test_square_past_the_limit_decodes_no_exponent(self, monkeypatch):
+        x = mono((2**30, 0), T11)
+        y = mono((2**30 - 1, 1), Z3)
+        assert (y * y).terms == {exponent((self.top - 1, 2), Z3): 1}
+
+        def no_decoding(*args):
+            raise AssertionError("an exponent was decoded")
+
+        monkeypatch.setattr(monoid_ring, "_decode", no_decoding)
+        with pytest.raises(OverflowError):
+            x * x
+        with pytest.raises(OverflowError):
+            series_pow(x, 2)
+
+    def test_bounds_inside_the_limit_scan_no_keys(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("keys were scanned for a bound")
+
+        monkeypatch.setattr(monoid_ring, "_box", no_scan)
+        y = mono((2**30 - 1, 1), Z3)
+        assert (y * y).terms == {exponent((self.top - 1, 2), Z3): 1}
+        f = one(6) + mono((3, -1), T11)
+        assert series_pow(f, 5) == f * f * f * f * f
+
+    def test_loose_bounds_are_re_derived_from_the_keys(self):
+        # the quotient by a monomial carries the sum of both bounds, 3 * 2^29,
+        # while its one key has slot 2^29; its square still fits
+        a = mono((2**29, 0), Z3)
+        q = series_exact_div(a * a, a)
+        assert q == a
+        assert (q * q).terms == {exponent((2**30, 0), Z3): 1}
+
+    def test_exact_quotient_bound_is_its_support_box(self):
+        f = one() + mono((5, -7), T11)
+        g = mono(A1, Z3) + mono((-2, 3), T21)
+        q = series_exact_div(f * g, g)
+        assert q == f and q._bound == 7
