@@ -55,7 +55,7 @@ print("labeled seeds within depth 8:", len(seeds))
 print("distinct cluster variables:", len(variables))
 print()
 
-# separation: each variable is a Laurent polynomial over the initial chart
+# chart variables: each variable is a Laurent polynomial over the initial chart
 print("the variables of the twice-mutated seed, written in the initial chart:")
 for x in chart_variables(s0, (1, 2)):
     print("  ", x)

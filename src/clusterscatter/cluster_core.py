@@ -5,10 +5,9 @@ divisible by the exchange-polynomial degree r_i), a tuple of r_i normalized
 coefficients per direction living in a tropical semifield, and n cluster
 variables stored as exact rational functions of the initial cluster.  On top
 of seed mutation this module provides pattern walks, the c-vector block
-matrices, g-vector frames with signed mutation, Y-seeds, the separation of a
-cluster variable into its initial-cluster expression and coefficient
-denominator, and the one-step birational pullbacks whose composition along a
-mutation path reproduces cluster variables and Y-variables.
+matrices, g-vector frames with signed mutation, and the chart variables: the
+cluster variables at the end of a mutation path, computed a second way by
+composing wall-crossing substitutions in the initial chart.
 
 Directions k are 1-based in the public API, matching the usual edge labels
 of the regular tree.  All arithmetic is exact.
@@ -34,7 +33,6 @@ from .semifield import (
     TropElement,
     p_minus,
     p_plus,
-    trop_add,
     trop_element_from_json,
     trop_element_to_json,
 )
@@ -121,10 +119,6 @@ class FixedData:
     def lattice(self) -> CoeffLattice:
         return CoeffLattice(self.r)
 
-    def beta(self, i: int, j: int) -> int:
-        """b_{ij}/r_j of the initial matrix (1-based)."""
-        return _beta(self.B, self.r, i - 1, j - 1)
-
     def omega(self, u, v) -> Fraction:
         """Skew form on N in basis coordinates: omega(e_a, e_b) = b_ab/d_b."""
         tot = Fraction(0)
@@ -163,9 +157,6 @@ class RationalFunction:
         if e < 0:
             return rational(series_pow(self.den, -e), series_pow(self.num, -e))
         return rational(series_pow(self.num, e), series_pow(self.den, e))
-
-    def inv(self) -> "RationalFunction":
-        return rational(self.den, self.num)
 
     @property
     def is_laurent(self) -> bool:
@@ -259,10 +250,6 @@ class Seed:
     @property
     def coeff_lattice(self) -> CoeffLattice:
         return self.coeffs[0][0].lattice
-
-    def beta(self, i: int, j: int) -> int:
-        return _beta(self.matrix, self.data.r, i - 1, j - 1)
-
 
 def initial_seed(
     data: FixedData,
@@ -692,96 +679,7 @@ def _chamber_walk(data: FixedData, depth: int):
         frontier = nxt
 
 
-# -- Y-seeds -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class YSeed:
-    """Y-seed: matrix, coefficient tuples, and n Y-variables as exact
-    rational functions of the initial ones."""
-
-    data: FixedData
-    matrix: Matrix
-    qcoeffs: tuple[tuple[TropElement, ...], ...]
-    y: tuple[RationalFunction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_matrix(self.matrix))
-        validate_exchange_matrix(self.matrix, self.data.d, self.data.r)
-        if len(self.qcoeffs) != self.data.n or len(self.y) != self.data.n:
-            raise ValueError("Y-seed size mismatch")
-        for i, tup in enumerate(self.qcoeffs):
-            if len(tup) != self.data.r[i]:
-                raise ValueError(f"direction {i + 1} needs {self.data.r[i]} coefficients")
-
-    @property
-    def coeff_lattice(self) -> CoeffLattice:
-        return self.qcoeffs[0][0].lattice
-
-
-def initial_y_seed(data: FixedData, qcoeffs=None, lattice: CoeffLattice | None = None) -> YSeed:
-    if qcoeffs is None:
-        lat = lattice if lattice is not None else data.lattice
-        if lat.orders != data.r:
-            raise ValueError("principal coefficients require lattice blocks matching r")
-        qcoeffs = tuple(
-            tuple(lat.generator(i, j) for j in range(data.r[i])) for i in range(data.n)
-        )
-    else:
-        qcoeffs = tuple(tuple(tup) for tup in qcoeffs)
-    lat = qcoeffs[0][0].lattice
-    y = tuple(rf_monomial(data.n, lat.d, _unit(data.n, i)) for i in range(data.n))
-    return YSeed(data, data.B, qcoeffs, y)
-
-
-def _xcoeffs_mutate(qcoeffs, B: Matrix, r, a: int):
-    # the transposed-sign rule: -B^T governs the coefficients
-    one = qcoeffs[a][0].lattice.one()
-    qk_plus = _prod_trop((p_plus(q) for q in qcoeffs[a]), one)
-    qk_minus = _prod_trop((p_minus(q) for q in qcoeffs[a]), one)
-    out = []
-    for i, tup in enumerate(qcoeffs):
-        if i == a:
-            out.append(tuple(q.inv() for q in tup))
-            continue
-        b_ik = _beta(B, r, i, a)
-        b_ki = _beta(B, r, a, i)
-        base = qk_minus if -b_ki > 0 else qk_plus
-        fac = base ** (-b_ik)
-        out.append(tuple(q * fac for q in tup))
-    return tuple(out)
-
-
-def y_seed_mutate(ys: YSeed, k: int) -> YSeed:
-    """Y-seed mutation in direction k; involutive."""
-    n = ys.data.n
-    if not 1 <= k <= n:
-        raise IndexError(f"direction {k} out of range 1..{n}")
-    a = k - 1
-    r = ys.data.r
-    d = ys.coeff_lattice.d
-    qcoeffs = _xcoeffs_mutate(ys.qcoeffs, ys.matrix, r, a)
-    ynew = []
-    for i in range(n):
-        if i == a:
-            ynew.append(ys.y[a].inv())
-            continue
-        b_ik = _beta(ys.matrix, r, i, a)
-        if b_ik == 0:
-            ynew.append(ys.y[i])
-            continue
-        s = 1 if b_ik > 0 else -1
-        yk_s = ys.y[a] ** s
-        fac = rf_one(n, d)
-        for q in ys.qcoeffs[a]:
-            qs = p_plus(q) if s > 0 else p_minus(q)
-            qo = p_minus(q) if s > 0 else p_plus(q)
-            fac = fac * (rf_coeff(n, qs) * yk_s + rf_coeff(n, qo))
-        ynew.append(ys.y[i] * fac**b_ik)
-    return YSeed(ys.data, matrix_mutate(ys.matrix, k), qcoeffs, tuple(ynew))
-
-
-# -- separation of a cluster variable ----------------------------------------
+# -- coefficient maps ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -795,10 +693,6 @@ class TropMap:
     def __post_init__(self):
         if len(self.images) != self.source.d:
             raise ValueError("one image per source generator required")
-
-    @staticmethod
-    def identity(lat: CoeffLattice) -> "TropMap":
-        return TropMap(lat, lat, tuple(lat.generators()))
 
     def of_exponents(self, t) -> TropElement:
         out = self.target.one()
@@ -819,54 +713,7 @@ class TropMap:
         return LaurentSeries(terms, x.order)
 
 
-def x_function(s0: Seed, word, l: int, memo: dict | None = None) -> RationalFunction:
-    """The cluster variable at the end of the word, in initial-cluster form."""
-    s = pattern_walk(s0, word, memo)
-    if s.cluster is None:
-        raise ValueError("pattern carries no cluster")
-    if not 1 <= l <= s.data.n:
-        raise IndexError(f"index {l} out of range 1..{s.data.n}")
-    return s.cluster[l - 1]
-
-
-def f_function(s0: Seed, word, l: int, memo: dict | None = None) -> LaurentSeries:
-    """The cluster variable with every initial variable set to 1: a
-    polynomial in the coefficients alone."""
-    x = x_function(s0, word, l, memo).series
-    n = len(next(iter(x.terms)).m) if x.terms else s0.data.n
-    terms: dict[Exponent, int | Fraction] = {}
-    zero_m = (0,) * n
-    for e, c in x.terms.items():
-        e2 = Exponent(zero_m, e.t)
-        v = terms.get(e2, 0) + c
-        if v:
-            terms[e2] = v
-        else:
-            terms.pop(e2, None)
-    return LaurentSeries(terms, None)
-
-
-def separation_evaluate(s0: Seed, word, l: int, lam: TropMap, memo: dict | None = None) -> RationalFunction:
-    """Evaluate the stored variable over another tropical semifield: push the
-    initial-cluster expression through ``lam`` and divide by the tropical
-    evaluation of its coefficient polynomial."""
-    X = x_function(s0, word, l, memo).series
-    F = f_function(s0, word, l, memo)
-    Xev = lam.on_series(X)
-    fval = None
-    for e, _c in F.terms.items():
-        v = lam.of_exponents(e.t)
-        fval = v if fval is None else trop_add(fval, v)
-    if fval is None:
-        raise InvariantViolation("empty coefficient polynomial")
-    n = len(next(iter(X.terms)).m) if X.terms else s0.data.n
-    return rational(
-        Xev * LaurentSeries.monomial((0,) * n, tuple(-e for e in fval.exponents)),
-        LaurentSeries.one(n, lam.target.d),
-    )
-
-
-# -- one-step birational pullbacks and their composition ---------------------
+# -- chart variables by composed crossings -----------------------------------
 
 
 @dataclass(frozen=True)
@@ -911,10 +758,6 @@ class ClusterMap:
         return rational(num * self._fpow(dd - dn, cache), den)
 
 
-def _crossing_map(n: int, d: int, f: LaurentSeries, normal, sign: int) -> ClusterMap:
-    return ClusterMap(n, d, f, tuple(int(x) for x in normal), int(sign))
-
-
 def _exchange_factor(coeffs, w, n: int, d: int) -> LaurentSeries:
     """prod_p (p^- + p^+ z^w) over the tropical coefficients of one direction."""
     f = LaurentSeries.one(n, d)
@@ -924,34 +767,6 @@ def _exchange_factor(coeffs, w, n: int, d: int) -> LaurentSeries:
             + LaurentSeries.monomial(w, p_plus(p).exponents)
         )
     return f
-
-
-def a_mutation_pullback(s: Seed, k: int, inverse: bool = False) -> ClusterMap:
-    """Pullback of the cluster mutation in direction k, in the seed's own
-    chart: z^m picks up f_k^(-<e_k, m>) with f_k built from the direction-k
-    coefficients and normal covector."""
-    n = s.data.n
-    if not 1 <= k <= n:
-        raise IndexError(f"direction {k} out of range 1..{n}")
-    a = k - 1
-    d = s.coeff_lattice.d
-    w = tuple(_beta(s.matrix, s.data.r, i, a) for i in range(n))
-    f = _exchange_factor(s.coeffs[a], w, n, d)
-    return _crossing_map(n, d, f, _unit(n, a), 1 if inverse else -1)
-
-
-def x_mutation_pullback(ys: YSeed, k: int, inverse: bool = False) -> ClusterMap:
-    """Pullback of the Y-side mutation in direction k: z^n picks up
-    g_k^(<n, w_k>) with g_k built from the direction-k coefficients on the
-    dual torus."""
-    n = ys.data.n
-    if not 1 <= k <= n:
-        raise IndexError(f"direction {k} out of range 1..{n}")
-    a = k - 1
-    d = ys.coeff_lattice.d
-    g = _exchange_factor(ys.qcoeffs[a], _unit(n, a), n, d)
-    w = tuple(_beta(ys.matrix, ys.data.r, i, a) for i in range(n))
-    return _crossing_map(n, d, g, w, -1 if inverse else 1)
 
 
 def unimodular_inverse_transpose(rows: Matrix) -> Matrix:
@@ -1009,9 +824,9 @@ def _ambient_normal(data: FixedData, ek_row, k0: int) -> tuple[int, ...]:
 
 
 def chart_variables(s0: Seed, word) -> tuple[RationalFunction, ...]:
-    """Cluster variables at the end of the word computed by composing the
-    one-step birational pullbacks in the initial chart (instead of iterating
-    exchange relations)."""
+    """Cluster variables at the end of the word computed by composing one
+    wall-crossing substitution per step in the initial chart (instead of
+    iterating exchange relations)."""
     data = s0.data
     n = data.n
     d = s0.coeff_lattice.d
@@ -1023,7 +838,7 @@ def chart_variables(s0: Seed, word) -> tuple[RationalFunction, ...]:
         a = k - 1
         wk = _ambient_normal(data, E[a], a)
         f = _exchange_factor(s.coeffs[a], wk, n, d)
-        steps.append(_crossing_map(n, d, f, E[a], -1))
+        steps.append(ClusterMap(n, d, f, E[a], -1))
         E = _mutate_basis_rows(E, s.matrix, a)
         s = seed_mutate(s, k)
     dual = unimodular_inverse_transpose(E)
@@ -1035,36 +850,6 @@ def chart_variables(s0: Seed, word) -> tuple[RationalFunction, ...]:
         for step in reversed(steps):
             x = step.apply(x)
         out.append(x)
-    return tuple(out)
-
-
-def chart_y_variables(ys0: YSeed, word) -> tuple[RationalFunction, ...]:
-    """Y-variables at the end of the word computed by composing the one-step
-    pullbacks on the dual torus."""
-    data = ys0.data
-    n = data.n
-    d = ys0.coeff_lattice.d
-    word = reduce_word(word)
-    E: Matrix = tuple(_unit(n, i) for i in range(n))
-    B = ys0.matrix
-    q = ys0.qcoeffs
-    steps: list[ClusterMap] = []
-    for k in word:
-        a = k - 1
-        wk = _ambient_normal(data, E[a], a)
-        g = _exchange_factor(q[a], E[a], n, d)
-        steps.append(_crossing_map(n, d, g, wk, 1))
-        E = _mutate_basis_rows(E, B, a)
-        q = _xcoeffs_mutate(q, B, data.r, a)
-        B = matrix_mutate(B, k)
-    out = []
-    for i in range(n):
-        y = RationalFunction(
-            LaurentSeries.monomial(E[i], (0,) * d), LaurentSeries.one(n, d)
-        )
-        for step in reversed(steps):
-            y = step.apply(y)
-        out.append(y)
     return tuple(out)
 
 

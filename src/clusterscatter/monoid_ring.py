@@ -32,12 +32,11 @@ it expands ``(1 + g)^h`` binomially, with integer ``C(h, j)`` for any ``h``.
 Wall-crossing automorphisms ``z^p -> z^p * f^{sign*<n0, m(p)>}`` and their
 compositions are materialized as images of the ``n + d`` generators
 (`Automorphism`); the t-generators are fixed by crossings but move under the
-piecewise-linear transforms and specializations defined elsewhere.
+piecewise-linear transforms defined elsewhere.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
@@ -47,10 +46,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 class Exponent(NamedTuple):
     m: tuple[int, ...]
     t: tuple[int, ...]
-
-    @property
-    def coeff_degree(self) -> int:
-        return sum(self.t)
 
 
 def exponent(m: Sequence[int], t: Sequence[int]) -> Exponent:
@@ -237,9 +232,6 @@ class LaurentSeries:
 
     def min_coeff_degree(self) -> int | None:
         return min(map(_deg, self._packed), default=None)
-
-    def max_coeff_degree(self) -> int | None:
-        return max(map(_deg, self._packed), default=None)
 
     def degree_slice(self, k: int) -> "LaurentSeries":
         packed = {key: c for key, c in self._packed.items() if _deg(key) == k}
@@ -700,9 +692,7 @@ def series_to_json(a: LaurentSeries) -> dict:
     }
 
 
-def series_from_json(data: dict | str) -> LaurentSeries:
-    if isinstance(data, str):
-        data = json.loads(data)
+def series_from_json(data: dict) -> LaurentSeries:
     order = data.get("order", "inf")
     order = None if order == "inf" else int(order)
     terms = {exponent(t["m"], t["t"]): int(t["c"]) for t in data["terms"]}

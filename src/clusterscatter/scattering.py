@@ -6,8 +6,8 @@ wall acts on the ambient Laurent ring by ``z^p -> z^p * f^{<n, m(p)>}`` with the
 acting normal ``n`` oriented toward the side the path comes from.  The module
 builds the incoming diagram of a seed, composes crossings along angular paths,
 checks consistency of the loop around the origin, completes a rank-2 diagram
-order by order, applies the piecewise-linear mutation transform, collects the
-walls spanned by cluster chambers, and specializes coefficients.
+order by order, applies the piecewise-linear mutation transform, and collects
+the walls spanned by cluster chambers.
 
 Support in rank 2 is always a single ray from the origin; the two halves of an
 incoming hyperplane are stored as two ray walls carrying the same function.
@@ -20,11 +20,9 @@ operations that need degrees relative to a mutated seed's own coefficients
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, hypot
-from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .cluster_core import (
@@ -43,9 +41,7 @@ from .cluster_core import (
 from .monoid_ring import (
     Automorphism,
     Derivation,
-    Exponent,
     LaurentSeries,
-    exponent,
     series_log,
     series_mul,
     series_pow,
@@ -760,159 +756,6 @@ def _cross2_free(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     return False
 
 
-# -- specialization -----------------------------------------------------------
-
-
-Gauss = tuple[Fraction, Fraction]
-
-
-def _as_gauss(x) -> Gauss:
-    if isinstance(x, tuple):
-        re, im = x
-        return (Fraction(re), Fraction(im))
-    if isinstance(x, (int, Fraction)):
-        return (Fraction(x), Fraction(0))
-    raise TypeError(f"scalars must be rational or (re, im) pairs, got {type(x).__name__}")
-
-
-def _gauss_mul(x: Gauss, y: Gauss) -> Gauss:
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _gauss_pow(x: Gauss, e: int) -> Gauss:
-    if e < 0:
-        norm = x[0] * x[0] + x[1] * x[1]
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero scalar")
-        x = (x[0] / norm, -x[1] / norm)
-        e = -e
-    out: Gauss = (Fraction(1), Fraction(0))
-    while e:
-        if e & 1:
-            out = _gauss_mul(out, x)
-        x = _gauss_mul(x, x)
-        e >>= 1
-    return out
-
-
-def ord_specialization_scalars(s: Seed) -> tuple[tuple[Gauss, ...], ...]:
-    """Scalars collapsing each block product to ``1 + u^{r_i}``; needs r_i <= 2."""
-    out = []
-    for i, r in enumerate(s.data.r):
-        if r == 1:
-            out.append(((Fraction(1), Fraction(0)),))
-        elif r == 2:
-            out.append(((Fraction(0), Fraction(1)), (Fraction(0), Fraction(-1))))
-        else:
-            raise NotImplementedError(f"no exact scalar field wired in for block degree {r}")
-    return tuple(out)
-
-
-def specialize_diagram(D: ScatteringDiagram, scalars) -> ScatteringDiagram:
-    """Send each t_{i,j} to scalar_{i,j} * t_{i,1} and re-factor every wall.
-
-    Degrees within each block collapse onto the block's first generator, so the
-    coefficient lattice and the grading stay as they were.  The scalars may be
-    rational or Gaussian-rational (as (re, im) pairs); each specialized wall
-    function must come out with integer coefficients, and the result must stay
-    consistent at the diagram's order.
-    """
-    _require_rank2(D, "specialize_diagram")
-    if D.seed is None:
-        raise ValueError("specialize_diagram needs the diagram's seed")
-    if not seed_frame(D.seed).is_identity:
-        raise ValueError("specialize the diagram of the base seed, before any mutation transform")
-    n, d = D.dims
-    lat = D.seed.coeff_lattice
-    flat_scalars: list[Gauss] = []
-    for i in range(n):
-        row = scalars[i]
-        if len(row) != D.seed.data.r[i]:
-            raise ValueError("one scalar per coefficient generator required")
-        for x in row:
-            g = _as_gauss(x)
-            if g == (Fraction(0), Fraction(0)):
-                raise ValueError("specialization scalars must be nonzero")
-            flat_scalars.append(g)
-    series_order = D.order + 1
-    new_walls = []
-    for w in D.walls:
-        terms: dict[Exponent, Gauss] = {
-            exponent((0,) * n, (0,) * d): (Fraction(1), Fraction(0))
-        }
-        for t, m, c in w.factors:
-            scale: Gauss = (Fraction(1), Fraction(0))
-            for j, e in enumerate(t):
-                if e:
-                    scale = _gauss_mul(scale, _gauss_pow(flat_scalars[j], e))
-            tc = [0] * d
-            for i in range(n):
-                rng = lat.block_range(i)
-                tc[rng.start] = sum(t[j] for j in rng)
-            for _ in range(c):
-                nxt: dict[Exponent, Gauss] = {}
-                for e1, c1 in terms.items():
-                    _acc(nxt, e1, c1)
-                    if sum(e1.t) + sum(tc) < series_order:
-                        e2 = exponent(map(add, e1.m, m), map(add, e1.t, tc))
-                        _acc(nxt, e2, _gauss_mul(c1, scale))
-                terms = nxt
-        int_terms: dict[Exponent, int] = {}
-        for e, (re, im) in terms.items():
-            if im != 0:
-                raise PositivityError(f"specialized wall function has imaginary part at {e}")
-            if re.denominator != 1:
-                raise PositivityError(f"specialized wall function has non-integer coefficient at {e}")
-            if re:
-                int_terms[e] = int(re)
-        f = LaurentSeries(int_terms, series_order)
-        atoms = _greedy_atoms(f, series_order)
-        if not atoms:
-            continue
-        new_walls.append(Wall(w.support, w.normal, w.acting, atoms, w.incoming))
-    out = ScatteringDiagram(_sort_walls(new_walls), D.order, D.seed)
-    report = check_consistency(out)
-    if not report.consistent:
-        raise InvariantViolation(
-            f"specialized diagram is inconsistent at degree {report.first_failure_degree}"
-        )
-    return out
-
-
-def _acc(terms: dict[Exponent, Gauss], e: Exponent, c: Gauss) -> None:
-    old = terms.get(e, (Fraction(0), Fraction(0)))
-    s = (old[0] + c[0], old[1] + c[1])
-    if s == (0, 0):
-        terms.pop(e, None)
-    else:
-        terms[e] = s
-
-
-def _greedy_atoms(f: LaurentSeries, series_order: int) -> tuple[Atom, ...]:
-    """Factor ``1 + higher`` into atoms, smallest monomial first."""
-    dims = f.dims()
-    if dims is None:
-        raise PositivityError("wall function vanished under specialization")
-    n, d = dims
-    atoms: list[Atom] = []
-    work = f
-    for _ in range(series_order * max(1, len(f.terms)) + 8):
-        nonconst = [(e, c) for e, c in work.terms.items() if e.coeff_degree > 0]
-        if not nonconst:
-            break
-        e, c = min(nonconst, key=lambda item: (item[0].coeff_degree, item[0].t, item[0].m))
-        if not isinstance(c, int) or c <= 0:
-            raise PositivityError(f"cannot factor wall function: leading term {c} * z^{e.m} t^{e.t}")
-        atoms.append((e.t, e.m, c))
-        atom = LaurentSeries.one(n, d, series_order) + LaurentSeries.monomial(e.m, e.t, 1, series_order)
-        work = series_mul(work, series_pow(atom, -c))
-    else:
-        raise PositivityError("wall function did not factor into finitely many atoms")
-    if not work.is_one():
-        raise PositivityError("wall function left a non-trivial remainder after factoring")
-    return _combine_atoms(atoms)
-
-
 # -- equivalence and truncation ----------------------------------------------
 
 
@@ -1008,29 +851,6 @@ def diagram_to_json(D: ScatteringDiagram) -> dict:
             }
         )
     return {"order": D.order, "walls": walls}
-
-
-def diagram_from_json(data: dict | str) -> ScatteringDiagram:
-    if isinstance(data, str):
-        data = json.loads(data)
-    walls = []
-    for entry in data["walls"]:
-        acting = []
-        for x in entry["acting_normal"]:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError("only integral acting normals are supported")
-            acting.append(int(f))
-        walls.append(
-            Wall(
-                tuple(tuple(r) for r in entry["support"]["rays"]),
-                tuple(entry["normal"]),
-                tuple(acting),
-                tuple((tuple(f["t"]), tuple(f["m"]), int(f["c"])) for f in entry["factors"]),
-                bool(entry["incoming"]),
-            )
-        )
-    return ScatteringDiagram(tuple(walls), int(data["order"]), None)
 
 
 def _atom_str(atom: Atom, lat: CoeffLattice | None) -> str:

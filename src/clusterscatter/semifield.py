@@ -6,17 +6,15 @@ where ``r_i`` is the polynomial order attached to direction ``i``.  An element
 is a dense integer exponent vector over the flat generator list
 ``(0,0), (0,1), ..., (n-1, r_{n-1}-1)``.
 
-Tropical addition is the componentwise minimum of exponent vectors; the group
-law (written multiplicatively) is componentwise addition.  ``p_plus`` and
-``p_minus`` split an element into its numerator and denominator parts, so that
+The group law (written multiplicatively) is componentwise addition.  Tropical
+addition, the componentwise minimum, enters through ``p_plus`` and ``p_minus``:
+they split an element into its numerator and denominator parts, so that
 ``p == p_plus(p) / p_minus(p)`` with disjoint supports.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -60,9 +58,6 @@ class CoeffLattice:
         exps = [0] * self.d
         exps[self.flat_index(i, j)] = 1
         return TropElement(self, tuple(exps))
-
-    def generators(self) -> list[TropElement]:
-        return [self.generator(i, j) for i in range(self.n) for j in range(self.orders[i])]
 
     def element(self, exponents: Sequence[int]) -> TropElement:
         return TropElement(self, tuple(int(e) for e in exponents))
@@ -118,12 +113,6 @@ def _check_same_lattice(a: TropElement, b: TropElement) -> None:
         raise ValueError(f"lattice mismatch: {a.lattice.orders} vs {b.lattice.orders}")
 
 
-def trop_add(a: TropElement, b: TropElement) -> TropElement:
-    """Tropical sum: componentwise minimum of exponent vectors."""
-    _check_same_lattice(a, b)
-    return TropElement(a.lattice, tuple(min(x, y) for x, y in zip(a.exponents, b.exponents)))
-
-
 def p_plus(a: TropElement) -> TropElement:
     """Positive part: keeps exponents ``max(e, 0)``; equals ``a / (a (+) 1)``."""
     return TropElement(a.lattice, tuple(max(e, 0) for e in a.exponents))
@@ -134,35 +123,10 @@ def p_minus(a: TropElement) -> TropElement:
     return TropElement(a.lattice, tuple(max(-e, 0) for e in a.exponents))
 
 
-def evaluate(a: TropElement, values: Sequence) -> Fraction:
-    """Group homomorphism into the multiplicative group of the target ring.
-
-    ``values`` lists one nonzero scalar per generator, in flat order.  Exact
-    rationals by default; any type supporting ``**`` and ``*`` works.
-    """
-    if len(values) != a.lattice.d:
-        raise ValueError(f"need {a.lattice.d} generator values, got {len(values)}")
-    result = None
-    for v, e in zip(values, a.exponents):
-        if v == 0:
-            raise ValueError("generator value must be nonzero")
-        if e == 0:
-            continue
-        if isinstance(v, int) and e < 0:
-            v = Fraction(v)
-        factor = v**e
-        result = factor if result is None else result * factor
-    if result is None:
-        return Fraction(1)
-    return result
-
-
 def trop_element_to_json(a: TropElement) -> dict:
     return {"orders": list(a.lattice.orders), "exponents": list(a.exponents)}
 
 
-def trop_element_from_json(data: dict | str) -> TropElement:
-    if isinstance(data, str):
-        data = json.loads(data)
+def trop_element_from_json(data: dict) -> TropElement:
     lattice = CoeffLattice(tuple(data["orders"]))
     return lattice.element(data["exponents"])

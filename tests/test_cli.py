@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from clusterscatter.cli import cli
 from clusterscatter.cluster_core import FixedData, initial_seed, seed_to_json
 from clusterscatter.fixtures import fixture_text
-from clusterscatter.scattering import PositivityError, diagram_from_json
+from clusterscatter.scattering import PositivityError
 
 
 @pytest.fixture()
@@ -84,6 +84,16 @@ class TestMutate:
         bad.write_text("{}")
         res = runner.invoke(cli, ["mutate", "--seed", str(bad)])
         assert res.exit_code == 2
+
+    def test_string_coefficients_are_bad_input(self, runner, tmp_path):
+        data = json.loads(fixture_text("b2.json"))
+        data["coeffs"] = "p11"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        res = runner.invoke(cli, ["mutate", "--seed", str(bad)])
+        assert res.exit_code == 2
+        assert "cannot load seed from" in res.output
+        assert "Expecting value" not in res.output
 
 
 class TestScatter:
@@ -164,8 +174,7 @@ class TestScatterMutate:
         assert res.exit_code == 0
         assert json.loads(res.stdout) == {"invariant": True, "k": 2, "order": 6}
         assert jp.read_text() == fixture_text("b2_mutated_walls_order6.json")
-        moved = diagram_from_json(json.loads(jp.read_text()))
-        assert len(moved.walls) == 6
+        assert len(json.loads(jp.read_text())["walls"]) == 6
 
     def test_direction_out_of_range(self, runner, b2_path):
         res = runner.invoke(cli, ["scatter-mutate", "--seed", b2_path, "--k", "5"])

@@ -1,4 +1,4 @@
-"""Seed mutation, patterns, c/g-vectors, Y-seeds, separation, pullbacks."""
+"""Seed mutation, patterns, c/g-vectors, chart variables."""
 
 import json
 from fractions import Fraction
@@ -13,21 +13,17 @@ from clusterscatter.cluster_core import (
     InvariantViolation,
     RationalFunction,
     Seed,
-    TropMap,
+    _beta,
     _chamber_walk,
-    a_mutation_pullback,
     c_matrix_mutate,
     c_matrix_of,
     chart_variables,
-    chart_y_variables,
     distinct_cluster_variables,
     explore_pattern,
-    f_function,
     g_frame_mutate,
     initial_c_matrix,
     initial_g_frame,
     initial_seed,
-    initial_y_seed,
     matrix_mutate,
     pattern_walk,
     rational,
@@ -40,13 +36,8 @@ from clusterscatter.cluster_core import (
     seed_mutate,
     seed_to_json,
     seeds_equal,
-    separation_evaluate,
     unimodular_inverse_transpose,
-    x_function,
-    x_mutation_pullback,
-    y_seed_mutate,
 )
-from clusterscatter.monoid_ring import LaurentSeries
 from clusterscatter.semifield import CoeffLattice
 
 B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
@@ -118,8 +109,8 @@ class TestFixedData:
             FixedData(((0, -1), (1, 0)), (2, 2), (1, 1))
 
     def test_beta(self):
-        assert B2.beta(1, 2) == -1
-        assert B2.beta(2, 1) == 1
+        assert _beta(B2.B, B2.r, 0, 1) == -1
+        assert _beta(B2.B, B2.r, 1, 0) == 1
 
 
 # -- golden chart ------------------------------------------------------------
@@ -454,135 +445,10 @@ class TestGVectorFrame:
         assert all(w[:-1] in words[:i] for i, w in enumerate(words) if w)
 
 
-# -- Y-seeds -----------------------------------------------------------------
-
-
-class TestYSeed:
-    @given(
-        st.sampled_from([B2, KRON, R3, A2CL]),
-        st.lists(st.integers(-2, 2), min_size=24, max_size=24),
-        st.integers(1, 3),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_involution(self, data, exps, k):
-        if k > data.n:
-            k = data.n
-        lat = CoeffLattice((2, 1))
-        it = iter(exps)
-        q = tuple(
-            tuple(lat.element([next(it) for _ in range(3)]) for _ in range(data.r[i]))
-            for i in range(data.n)
-        )
-        ys = initial_y_seed(data, qcoeffs=q)
-        again = y_seed_mutate(y_seed_mutate(ys, k), k)
-        assert again.matrix == ys.matrix and again.qcoeffs == ys.qcoeffs
-        for a, b in zip(again.y, ys.y):
-            assert a.equivalent(b)
-
-    def test_classical_a2_values(self):
-        lat = CoeffLattice((1, 1))
-        triv = ((lat.one(),), (lat.one(),))
-        ys = y_seed_mutate(initial_y_seed(A2CL, qcoeffs=triv), 1)
-        y1 = rf_monomial(2, 2, (1, 0))
-        y2 = rf_monomial(2, 2, (0, 1))
-        one = rf_one(2, 2)
-        assert ys.y[0].equivalent(y1 ** -1)
-        assert ys.y[1].equivalent(y1 * y2 / (one + y1))
-
-    def test_principal_b2_first_step(self):
-        ys = y_seed_mutate(initial_y_seed(B2), 1)
-        # beta_21 = 1 > 0: y'_2 = y_2 * (t11 y_1 + 1)
-        y1 = rf_monomial(2, 3, (1, 0))
-        y2 = rf_monomial(2, 3, (0, 1))
-        t11 = rf_monomial(2, 3, None, (1, 0, 0))
-        assert ys.y[1].equivalent(y2 * (t11 * y1 + rf_one(2, 3)))
-
-
-# -- separation --------------------------------------------------------------
-
-
-class TestSeparation:
-    def test_identity_map_recovers_stored_variable(self):
-        s0 = initial_seed(B2)
-        lam = TropMap.identity(s0.coeff_lattice)
-        for word, l in [((1,), 1), ((1, 2), 2), ((1, 2, 1, 2), 2), ((1, 2, 1), 1)]:
-            sep = separation_evaluate(s0, word, l, lam)
-            assert sep.equivalent(x_function(s0, word, l))
-
-    def test_trivial_coefficients_at_t4(self):
-        s0 = initial_seed(B2)
-        one_lat = CoeffLattice((1,))
-        lam = TropMap(s0.coeff_lattice, one_lat, (one_lat.one(),) * 3)
-        sep = separation_evaluate(s0, (1, 2, 1, 2), 2, lam)
-        A1 = rf_monomial(2, 1, (1, 0))
-        A2 = rf_monomial(2, 1, (0, 1))
-        assert sep.equivalent(A2 ** -1 * (rf_one(2, 1) + A1) ** 2)
-
-    def test_f_polynomial_at_t4(self):
-        s0 = initial_seed(B2)
-        F = f_function(s0, (1, 2, 1, 2), 2)
-        # (t21 + 1)(t22 + 1) after setting both cluster variables to 1
-        t21 = LaurentSeries.monomial((0, 0), (0, 1, 0))
-        t22 = LaurentSeries.monomial((0, 0), (0, 0, 1))
-        one = LaurentSeries.one(2, 3)
-        assert F == (t21 + one) * (t22 + one)
-
-    @given(
-        st.sampled_from([B2, KRON]),
-        st.data(),
-        st.lists(st.integers(-2, 2), min_size=12, max_size=12),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_matches_direct_mutation_over_image_semifield(self, data, draw, exps):
-        word = draw.draw(walk_words(data.n, 5))
-        l = draw.draw(st.integers(1, data.n))
-        s0 = initial_seed(data)
-        target = CoeffLattice((3,))
-        src = s0.coeff_lattice
-        it = iter(exps)
-        images = tuple(
-            target.element([next(it) for _ in range(3)]) for _ in range(src.d)
-        )
-        lam = TropMap(src, target, images)
-        sep = separation_evaluate(s0, word, l, lam)
-        mapped = tuple(
-            tuple(lam.of(p) for p in tup) for tup in s0.coeffs
-        )
-        direct = pattern_walk(initial_seed(data, coeffs=mapped), word)
-        assert sep.equivalent(direct.cluster[l - 1])
-
-
-# -- pullbacks ---------------------------------------------------------------
+# -- chart variables ---------------------------------------------------------
 
 
 class TestPullbacks:
-    def test_one_step_images(self):
-        s0 = initial_seed(B2)
-        m = a_mutation_pullback(s0, 1)
-        A1 = rf_monomial(2, 3, (1, 0))
-        A2 = rf_monomial(2, 3, (0, 1))
-        t11 = rf_monomial(2, 3, None, (1, 0, 0))
-        f = rf_one(2, 3) + t11 * A2
-        assert m.apply(A1).equivalent(A1 / f)
-        assert m.apply(A2).equivalent(A2)
-
-    def test_inverse_composes_to_identity(self):
-        s0 = initial_seed(B2)
-        m = a_mutation_pullback(s0, 2)
-        mi = a_mutation_pullback(s0, 2, inverse=True)
-        for i in range(2):
-            gen = rf_monomial(2, 3, tuple(1 if a == i else 0 for a in range(2)))
-            assert mi.apply(m.apply(gen)).equivalent(gen)
-
-    def test_classical_x_pullback(self):
-        lat = CoeffLattice((1, 1))
-        triv = ((lat.one(),), (lat.one(),))
-        ys = initial_y_seed(A2CL, qcoeffs=triv)
-        m = x_mutation_pullback(ys, 1)
-        y1 = rf_monomial(2, 2, (1, 0))
-        y12 = rf_monomial(2, 2, (1, 1))
-        assert m.apply(y12).equivalent(y12 / (rf_one(2, 2) + y1))
-
     def test_chart_replay_on_chart_prefixes(self):
         s0 = initial_seed(B2)
         memo = {}
@@ -602,18 +468,6 @@ class TestPullbacks:
         cv = chart_variables(s0, word)
         for i in range(data.n):
             assert cv[i].equivalent(sv.cluster[i])
-
-    @given(st.sampled_from([B2, KRON, R3]), st.data())
-    @settings(max_examples=15, deadline=None)
-    def test_y_replay_matches_y_walk(self, data, draw):
-        word = draw.draw(walk_words(data.n, 4))
-        ys0 = initial_y_seed(data)
-        ys = ys0
-        for k in word:
-            ys = y_seed_mutate(ys, k)
-        yv = chart_y_variables(ys0, word)
-        for i in range(data.n):
-            assert yv[i].equivalent(ys.y[i])
 
     def test_unimodular_inverse_transpose(self):
         M = ((1, 2), (0, 1))

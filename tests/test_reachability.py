@@ -1,0 +1,115 @@
+"""Every public function and method of the package is reached by a
+command-line run or a demo, or is listed in ``ALLOW`` with the reason it is
+kept.  Code that only tests call fails here: delete it, or give it a route.
+
+The runs are profiled in-process: the README commands of
+``test_cli_transcript``, the seed commands on the Kronecker fixture, and the
+four demos.  A function counts as reached when the profiler saw its code
+object called.
+"""
+
+import contextlib
+import cProfile
+import importlib
+import inspect
+import io
+import runpy
+import shlex
+import shutil
+from pathlib import Path
+
+from click.testing import CliRunner
+
+import clusterscatter
+from clusterscatter.cli import cli
+from test_cli_transcript import _MIRRORS, COMMANDS
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(clusterscatter.__file__).parent
+DEMOS = ["mutation_hexagon", "diagram_completion", "diagram_mutation", "broken_lines"]
+KRONECKER = [
+    "mutate --seed kronecker.json 121",
+    "scatter --seed kronecker.json --order 6",
+    "scatter-check --seed kronecker.json",
+    "scatter-mutate --seed kronecker.json --k 2",
+    "theta --seed kronecker.json --m -1,0",
+]
+
+_ORACLE = "oracle of diagrams_equivalent in TestEquivalenceOracle"
+_C_MATRIX = (
+    "second route for seed_mutate's coefficient rule (test_tracks_seed_coefficients) "
+    "and for g/c duality (test_dual_basis_and_coefficient_identity)"
+)
+
+ALLOW = {
+    "scattering.path_ordered_product": _ORACLE + "; traced by perfbench/tracing.LAYERS",
+    "scattering.ScatteringDiagram.dims": "serves path_ordered_product, the " + _ORACLE,
+    "monoid_ring.Automorphism.identity": "acting automorphism, serves the " + _ORACLE,
+    "monoid_ring.Automorphism.apply": "acting automorphism, serves the " + _ORACLE,
+    "monoid_ring.Automorphism.compose": "acting automorphism, serves the " + _ORACLE,
+    "monoid_ring.Automorphism.eq_mod_order": "acting automorphism, serves the " + _ORACLE,
+    "monoid_ring.Automorphism.is_identity": "acting automorphism, serves the " + _ORACLE,
+    "monoid_ring.Automorphism.n": "acting automorphism, serves the " + _ORACLE,
+    "monoid_ring.Automorphism.d": "acting automorphism, serves the " + _ORACLE,
+    "monoid_ring.LaurentSeries.eq_mod_order": "called by Automorphism.eq_mod_order",
+    "cluster_core.initial_c_matrix": _C_MATRIX,
+    "cluster_core.c_matrix_mutate": _C_MATRIX,
+    "cluster_core.CMatrix.dim": _C_MATRIX,
+    "cluster_core.CMatrix.column": _C_MATRIX,
+    "cluster_core.CMatrix.is_sign_coherent": _C_MATRIX,
+    "cluster_core.CMatrix.block_structure_ok": _C_MATRIX,
+    "cluster_core.GVectorFrame.matrix": "second route for the mutated exchange matrix (TestGVectorFrame.test_hexagon)",
+    "cluster_core.RationalFunction.equivalent": "oracle of rational-function equality in the tests",
+    "cli.main": "the console entry point",
+    "semifield.TropElement.is_one": "called by TropElement.__str__",
+    "monoid_ring.pairing": "the non-integral acting-normal path of wall_cross",
+}
+
+
+def _public_functions() -> dict:
+    """Qualified name -> code object of every public module-level function,
+    method and property getter defined in the package's top-level modules."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        mod = importlib.import_module(f"clusterscatter.{path.stem}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                out[f"{path.stem}.{name}"] = obj.__code__
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    fn = member.fget if isinstance(member, property) else getattr(member, "__func__", member)
+                    if not attr.startswith("_") and inspect.isfunction(fn):
+                        out[f"{path.stem}.{name}.{attr}"] = fn.__code__
+    return out
+
+
+def _reached() -> set:
+    runner = CliRunner(env={f"CLUSTERSCATTER_{m}": None for m in _MIRRORS})
+    prof = cProfile.Profile(subcalls=False, builtins=False)
+    with runner.isolated_filesystem():
+        prof.enable()
+        try:
+            for args in [a for a, _ in COMMANDS] + KRONECKER:
+                res = runner.invoke(cli, shlex.split(args))
+                assert res.exception is None or isinstance(res.exception, SystemExit), args
+            for demo in DEMOS:
+                # a copy, so that the picture a demo writes lands in the temporary directory
+                script = shutil.copy(ROOT / "demos" / f"{demo}.py", ".")
+                with contextlib.redirect_stdout(io.StringIO()):
+                    runpy.run_path(script, run_name="__main__")
+        finally:
+            prof.disable()
+    return {entry.code for entry in prof.getstats()}
+
+
+def test_every_public_function_is_reached_or_allowed():
+    public = _public_functions()
+    assert set(ALLOW) <= set(public), f"ALLOW names what does not exist: {sorted(set(ALLOW) - set(public))}"
+    reached = _reached()
+    unreached = {name for name, code in public.items() if code not in reached}
+    assert unreached - set(ALLOW) == set(), "reached by no command or demo, and not in ALLOW"
+    assert set(ALLOW) - unreached == set(), "reached after all: drop from ALLOW"

@@ -24,14 +24,11 @@ from clusterscatter.scattering import (
     check_consistency,
     cluster_chamber_walls,
     complete_rank2,
-    diagram_from_json,
     diagram_to_json,
     diagram_truncate,
     diagrams_equivalent,
-    ord_specialization_scalars,
     path_ordered_product,
     render_svg,
-    specialize_diagram,
     tk_invariance_check,
     tk_transform,
     wall_label,
@@ -442,43 +439,6 @@ class TestChamberWalls:
         assert diagrams_equivalent(complete_rank2(build_initial(s, 6)), chambers)
 
 
-# -- specialization -----------------------------------------------------------
-
-
-class TestSpecialization:
-    def test_root_of_unity_collapse(self, b2_completed):
-        S = specialize_diagram(b2_completed, ord_specialization_scalars(group_seed(B2)))
-        by_ray = {w.ray: w for w in S.walls}
-        assert by_ray[(1, 0)].factors == (((0, 2, 0), (-2, 0), 1),)
-        assert by_ray[(0, 1)].factors == (((1, 0, 0), (0, 1), 1),)
-        assert by_ray[(1, -1)].factors == (((2, 2, 0), (-2, 2), 1),)
-        assert by_ray[(2, -1)].factors == (((1, 2, 0), (-2, 1), 1),)
-
-    def test_all_ones_merges(self, b2_completed):
-        S = specialize_diagram(b2_completed, ((1,), (1, 1)))
-        out = outgoing_by_ray(S)
-        assert out[(1, -1)].factors == (((1, 1, 0), (-1, 1), 2),)
-        assert out[(2, -1)].factors == (((1, 2, 0), (-2, 1), 1),)
-
-    def test_zero_scalar_rejected(self, b2_completed):
-        with pytest.raises(ValueError):
-            specialize_diagram(b2_completed, ((0,), (1, 1)))
-
-    def test_wrong_arity_rejected(self, b2_completed):
-        with pytest.raises(ValueError):
-            specialize_diagram(b2_completed, ((1, 1), (1,)))
-
-    def test_fractional_scalar_rejected(self, b2_completed):
-        from fractions import Fraction
-
-        with pytest.raises(PositivityError):
-            specialize_diagram(b2_completed, ((Fraction(1, 2),), (1, 1)))
-
-    def test_transformed_diagram_rejected(self, b2_completed):
-        with pytest.raises(ValueError):
-            specialize_diagram(tk_transform(b2_completed, 2), ((1,), (1, 1)))
-
-
 # -- equivalence and truncation ----------------------------------------------
 
 
@@ -596,32 +556,22 @@ class TestTruncate:
 class TestSerialization:
     def test_json_round_trip(self, b2_completed):
         blob = diagram_to_json(b2_completed)
-        back = diagram_from_json(blob)
-        assert back.walls == b2_completed.walls
-        assert back.order == b2_completed.order
+        back = json.loads(json.dumps(blob))
+        walls = tuple(
+            Wall(
+                tuple(tuple(r) for r in e["support"]["rays"]),
+                tuple(e["normal"]),
+                tuple(int(x) for x in e["acting_normal"]),
+                tuple((tuple(f["t"]), tuple(f["m"]), f["c"]) for f in e["factors"]),
+                e["incoming"],
+            )
+            for e in back["walls"]
+        )
+        assert walls == b2_completed.walls
+        assert back["order"] == b2_completed.order
         assert json.dumps(blob, sort_keys=True) == json.dumps(
             diagram_to_json(b2_completed), sort_keys=True
         )
-
-    def test_json_via_string(self, b2_completed):
-        text = json.dumps(diagram_to_json(b2_completed))
-        assert diagram_from_json(text).walls == b2_completed.walls
-
-    def test_fractional_acting_rejected(self):
-        blob = {
-            "order": 2,
-            "walls": [
-                {
-                    "support": {"rays": [[0, 1]]},
-                    "normal": [1, 0],
-                    "acting_normal": ["1/2", "0"],
-                    "factors": [{"t": [1, 0], "m": [0, 1], "c": 1}],
-                    "incoming": True,
-                }
-            ],
-        }
-        with pytest.raises(ValueError):
-            diagram_from_json(blob)
 
     def test_svg_deterministic(self, b2_completed):
         svg = render_svg(b2_completed)
