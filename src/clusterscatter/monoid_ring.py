@@ -442,14 +442,6 @@ def series_log(f: LaurentSeries) -> LaurentSeries:
     return result
 
 
-def pairing(n0: Sequence, m: Sequence[int]):
-    """<n0, m> with exact rational normals; result may be a Fraction."""
-    total = sum((x * y for x, y in zip(n0, m)), start=Fraction(0))
-    if total.denominator == 1:
-        return int(total)
-    return total
-
-
 def wall_cross(x: LaurentSeries, f: LaurentSeries, n0: Sequence, sign: int = 1) -> LaurentSeries:
     """Monomial-wise z^p -> z^p * f^h, h = sign*<n0, m(p)>; t-monomials are fixed.
 
@@ -458,10 +450,12 @@ def wall_cross(x: LaurentSeries, f: LaurentSeries, n0: Sequence, sign: int = 1) 
     generalized binomials ``C(h, j)`` also for ``h < 0``: nothing is inverted,
     and each ``g^j`` is formed once per call.  With ``order=None`` the sum ends
     at ``j = h`` for ``h >= 0``; ``h < 0`` raises ValueError unless ``f == 1``.
-    ``n0`` is the acting normal; every pairing with the support must be integral.
+    ``n0`` is the acting normal, a vector of ints.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if not all(isinstance(v, int) for v in n0):
+        raise ValueError(f"acting normal {tuple(n0)} must have int entries")
     if not f.constant_slice().is_one():
         raise ValueError("wall function must have constant term exactly 1")
     nd = _dims(x, f)
@@ -474,14 +468,10 @@ def wall_cross(x: LaurentSeries, f: LaurentSeries, n0: Sequence, sign: int = 1) 
         return LaurentSeries.zero(order)
     n, d = nd
     low = _pack([_HALF] * (d + 1))  # lifts the t and degree slots to [0, 2^32)
-    integral = all(isinstance(v, int) for v in n0)
     ys: dict[int, dict[int, int | Fraction]] = {}  # j -> sum C(h, j) c z^p
     for k, c in x._packed.items():
         m = _unpack((k + low) >> (_SLOT * (d + 1)), n)
-        h = sum(map(mul, n0, m)) if integral else pairing(n0, m)
-        if not isinstance(h, int):
-            raise ArithmeticError(f"non-integral crossing exponent <{tuple(n0)}, {tuple(m)}> = {h}")
-        h *= sign
+        h = sign * sum(map(mul, n0, m))
         if order is None and h < 0 and g:
             raise ValueError("inverting a non-monomial series requires a finite truncation order")
         binom = 1

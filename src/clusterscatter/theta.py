@@ -8,6 +8,8 @@ crosses a wall: at a crossing the carried term is replaced by one term of
 and e = |<n, m>| for the acting normal n.  Theta functions sum the final
 terms of all broken lines, and for exponents inside a cluster chamber they
 agree with the transport of the bare monomial to the positive chamber.
+The search holds points as reduced integer homogeneous coordinates and
+exposes them as ``Fraction`` points.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd, lcm
 
 from .cluster_core import (
     ClusterMap,
@@ -78,17 +82,15 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def _vadd(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
 class _RayData:
-    """One ray of the fan with its acting normal and merged wall function, in
-    the diagram seed's own coefficient basis; powers are kept as computed."""
+    """One ray of the fan with its acting normal and merged wall function F,
+    in the diagram seed's own coefficient basis.  ``powers[e]`` holds F^e and
+    its bending terms (coeff, t, m, coefficient degree), those with t != 0 in
+    exponent order, each computed once."""
 
     __slots__ = ("ray", "acting", "function", "powers")
 
@@ -96,32 +98,29 @@ class _RayData:
         self.ray = ray
         self.acting = acting
         self.function = function
-        self.powers: dict[int, LaurentSeries] = {1: function}
+        self.powers: dict[int, tuple[LaurentSeries, tuple]] = {}
 
-    def power(self, e: int) -> LaurentSeries:
+    def power(self, e: int) -> tuple[LaurentSeries, tuple]:
         got = self.powers.get(e)
         if got is None:
-            got = self.function * self.power(e - 1)
-            self.powers[e] = got
+            f = self.function if e == 1 else self.function * self.power(e - 1)[0]
+            bends = tuple((c, x.t, x.m, sum(x.t)) for x, c in sorted(f.terms.items()) if any(x.t))
+            got = self.powers[e] = (f, bends)
         return got
 
 
-def _reachable_shifts(rays: list[_RayData], budget: int, n: int) -> dict[tuple, int]:
-    """Minimal coefficient degree needed to realize each achievable sum of
-    wall exponents; bends spend from these sums."""
+def _reachable_shifts(rays: list[_RayData], budget: int, start: tuple) -> dict[tuple, int]:
+    """Minimal coefficient degree needed to reach each exponent from ``start``
+    by adding wall exponents; bends spend from these sums."""
     types = set()
     for rd in rays:
-        for e in rd.function.terms:
-            d = sum(e.t)
-            if not any(e.t):
-                continue
+        for _, _, m, d in rd.power(1)[1]:
             if d < 1:
                 raise ValueError("wall factors must carry positive coefficient degree")
-            types.add((d, e.m))
+            types.add((d, m))
     types = sorted(types)
-    zero = (0,) * n
-    best: dict[tuple, int] = {zero: 0}
-    heap: list[tuple[int, tuple]] = [(0, zero)]
+    best: dict[tuple, int] = {start: 0}
+    heap: list[tuple[int, tuple]] = [(0, start)]
     while heap:
         d, v = heapq.heappop(heap)
         if best.get(v, d + 1) < d:
@@ -148,7 +147,11 @@ def enumerate_broken_lines(
 
     Degrees are measured in the diagram seed's own coefficient basis.  Raises
     ValueError if Q lies on a wall and GenericityError when some segment runs
-    through the origin or along a wall line.
+    through the origin or along a wall line.  The search holds each point as
+    reduced integer homogeneous coordinates (X0, X1, w) with w > 0; a segment
+    from x along p meets a ray r at x + s*p = u*r with s = a/(w*c) for ints a
+    and c > 0, so every incidence test is an int sign test.  The lines carry
+    ``Fraction`` points.
     """
     if D.seed is None:
         raise ValueError("broken lines need the diagram's seed")
@@ -168,14 +171,16 @@ def enumerate_broken_lines(
     frame = seed_frame(D.seed)
     walls = _fresh_walls(D.walls, frame)
     rays = [_RayData(*ray) for ray in sorted(_fan(walls, order, {}))]
+    w = lcm(Q[0].denominator, Q[1].denominator)
+    x = (int(Q[0] * w), int(Q[1] * w), w)  # _cross and _dot read only (X0, X1)
     for rd in rays:
-        if _cross(rd.ray, Q) == 0 and _dot(rd.ray, Q) > 0:
+        if _cross(rd.ray, x) == 0 and _dot(rd.ray, x) > 0:
             raise _EndpointOnWall(f"endpoint {Q} lies on the wall ray {rd.ray}")
     budget = order - 1
-    reach = _reachable_shifts(rays, budget, n)
+    reach = _reachable_shifts(rays, budget, p0)
     lines: list[BrokenLine] = []
 
-    def descend(x: Point, p: tuple, used: int, trail: list) -> None:
+    def descend(x: tuple[int, int, int], p: tuple, used: int, trail: list) -> None:
         if p == p0:
             if _cross(x, p) == 0 and _dot(x, p) < 0:
                 raise GenericityError("initial segment passes through the origin")
@@ -184,50 +189,45 @@ def enumerate_broken_lines(
                     raise GenericityError(f"initial segment runs along the ray {rd.ray}")
             lines.append(_assemble(Q, p0, trail, frame))
             return
-        hits: list[tuple[Fraction, int]] = []
-        for i, rd in enumerate(rays):
-            cp = _cross(p, rd.ray)
-            if cp == 0:
-                if _cross(rd.ray, x) == 0:
+        (X0, X1, w), (a0, a1) = x, p
+        k = X1 * a0 - X0 * a1
+        hits = []
+        for rd in rays:
+            r0, r1 = rd.ray
+            c, a = a0 * r1 - a1 * r0, X1 * r0 - X0 * r1
+            if c == 0:
+                if a == 0:
                     raise GenericityError(f"segment runs along the ray {rd.ray}")
                 continue
-            s = Fraction(-_cross(x, rd.ray), cp)
-            if s <= 0:
-                continue
-            u = Fraction(-_cross(x, p), cp)
-            if u < 0:
+            a, c, u = (a, c, k) if c > 0 else (-a, -c, -k)
+            if a <= 0 or u < 0:
                 continue
             if u == 0:
                 raise GenericityError("segment passes through the origin")
-            hits.append((s, i))
-        hits.sort()
-        for j in range(1, len(hits)):
-            if hits[j][0] == hits[j - 1][0]:
-                raise GenericityError("segment meets two rays at one point")
-        for s, i in hits:
-            rd = rays[i]
-            e = abs(_dot(rd.acting, p))
+            hits.append((a, c, rd))
+        # no two hits share s: distinct primitive rays meet only at the origin, where u == 0 raised
+        hits.sort(key=cmp_to_key(lambda h, g: h[0] * g[1] - g[0] * h[1]))
+        for a, c, rd in hits:
+            e = abs(rd.acting[0] * a0 + rd.acting[1] * a1)
             assert e >= 1
-            pt = (x[0] + s * p[0], x[1] + s * p[1])
-            fe = rd.power(e)
-            for exp, coeff in sorted(fe.terms.items()):
-                if not any(exp.t):
-                    continue
-                dq = sum(exp.t)
+            Y0, Y1, v = X0 * c + a * a0, X1 * c + a * a1, w * c
+            g = gcd(Y0, Y1, v)
+            pt = (Y0 // g, Y1 // g, v // g)
+            for coeff, t, m, dq in rd.power(e)[1]:
                 nu = used + dq
-                prev = _vsub(p, exp.m)
-                need = reach.get(_vsub(prev, p0))
+                prev = (a0 - m[0], a1 - m[1])
+                need = reach.get(prev)
                 if need is None or nu + need > budget:
                     continue
-                trail.append((pt, rd.ray, coeff, exp.t, exp.m))
+                trail.append((pt, rd.ray, coeff, t, m))
                 descend(pt, prev, nu, trail)
                 trail.pop()
 
     # The DFS runs backward from Q, so it must be seeded with each candidate
     # final exponent: p0 shifted by any reachable sum of wall exponents.
-    for delta in sorted(reach):
-        if reach[delta] <= budget:
-            descend(Q, _vadd(p0, delta), 0, [])
+    for p in sorted(reach):
+        if reach[p] <= budget:
+            descend(x, p, 0, [])
     key = lambda bl: (sum(bl.final[1]), bl.final[2], bl.final[1], bl.bends)
     return tuple(sorted(lines, key=key))
 
@@ -237,7 +237,7 @@ def _assemble(Q: Point, p0, trail, frame) -> BrokenLine:
     segments = [(c, t, m)]
     bends = []
     deg = 0
-    for pt, ray, cq, tq, mq in reversed(trail):
+    for (X0, X1, w), ray, cq, tq, mq in reversed(trail):
         c *= cq
         t = _vadd(t, tq)
         m = _vadd(m, mq)
@@ -245,7 +245,7 @@ def _assemble(Q: Point, p0, trail, frame) -> BrokenLine:
         assert nd > deg, "bend must raise the coefficient degree"
         deg = nd
         segments.append((c, t, m))
-        bends.append((pt, ray))
+        bends.append(((Fraction(X0, w), Fraction(X1, w)), ray))
     segments = [(c, frame.to_old(t), m) for c, t, m in segments]
     return BrokenLine(Q, tuple(segments), tuple(bends))
 

@@ -62,7 +62,6 @@ ALLOW = {
     "cluster_core.RationalFunction.equivalent": "oracle of rational-function equality in the tests",
     "cli.main": "the console entry point",
     "semifield.TropElement.is_one": "called by TropElement.__str__",
-    "monoid_ring.pairing": "the non-integral acting-normal path of wall_cross",
 }
 
 

@@ -2,8 +2,10 @@
 
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterscatter.cluster_core import (
     FixedData,
@@ -14,17 +16,34 @@ from clusterscatter.cluster_core import (
     seed_mutate,
 )
 from clusterscatter.monoid_ring import LaurentSeries
-from clusterscatter.scattering import build_initial, complete_rank2, tk_transform
+from clusterscatter.scattering import (
+    _cross,
+    _fan,
+    _fresh_walls,
+    build_initial,
+    complete_rank2,
+    seed_frame,
+    tk_transform,
+)
 from clusterscatter.theta import (
     BrokenLine,
     GenericityError,
+    _assemble,
+    _dot,
+    _endpoint_draw,
+    _EndpointOnWall,
+    _RayData,
+    _reachable_shifts,
+    _vadd,
     enumerate_broken_lines,
     theta,
     theta_via_transport,
 )
+from test_bench_digests import _load
 
 B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
 KRON = FixedData(((0, -2), (2, 0)), (1, 1), (2, 2))
+G2 = FixedData(((0, -3), (1, 0)), (1, 3), (1, 3))
 
 # generic endpoint in the all-positive chamber: its direction has no small
 # integer multiple, so no candidate exponent can aim a segment at the origin
@@ -121,13 +140,22 @@ class TestBrokenLines:
         with pytest.raises(ValueError):
             enumerate_broken_lines(b2_d6, (1, 1), (Fraction(0), Fraction(0)), 4)
 
-    def test_segment_through_origin_is_degenerate(self, b2_d6):
-        with pytest.raises(GenericityError):
+    def test_initial_segment_through_origin_is_degenerate(self, b2_d6):
+        with pytest.raises(GenericityError, match="^initial segment passes through the origin$"):
             enumerate_broken_lines(b2_d6, (1, 1), (Fraction(-3), Fraction(-3)), 4)
+
+    def test_segment_through_origin_is_degenerate(self, b2_d6):
+        # a candidate final exponent aims the last segment back through the origin
+        with pytest.raises(GenericityError, match="^segment passes through the origin$"):
+            enumerate_broken_lines(b2_d6, (0, -1), (Fraction(1), Fraction(1)), 2)
+
+    def test_initial_segment_along_wall_line_is_degenerate(self, b2_d6):
+        with pytest.raises(GenericityError, match=r"^initial segment runs along the ray \(1, -1\)$"):
+            enumerate_broken_lines(b2_d6, (-1, 1), (Fraction(-2), Fraction(2)), 1)
 
     def test_segment_along_wall_line_is_degenerate(self, b2_d6):
         # endpoint on the reverse extension of the (1,-1) ray
-        with pytest.raises(GenericityError):
+        with pytest.raises(GenericityError, match=r"^segment runs along the ray \(1, -1\)$"):
             enumerate_broken_lines(b2_d6, (1, -1), (Fraction(-2), Fraction(2)), 4)
 
     def test_order_above_diagram_rejected(self, b2_d6):
@@ -141,6 +169,133 @@ class TestBrokenLines:
     def test_first_segment_must_be_bare(self):
         with pytest.raises(ValueError):
             BrokenLine(Q0, ((2, (0, 0, 0), (1, 0)),), ())
+
+
+# -- integer geometry against the Fraction route -----------------------------
+
+
+def reference_broken_lines(D, p0, Q, order=None):
+    """The broken-line search on ``Fraction`` points: every incidence builds
+    its hit parameters as Fractions and the hits are checked pairwise for a
+    shared point.  Same validation, fan, reach and assembly as the library."""
+    if D.seed is None:
+        raise ValueError("broken lines need the diagram's seed")
+    if order is None:
+        order = D.order
+    if order < 1 or order > D.order:
+        raise ValueError(f"order must lie in 1..{D.order}")
+    n = D.n
+    if n != 2:
+        raise ValueError("broken lines are implemented for rank 2")
+    p0 = tuple(int(x) for x in p0)
+    if len(p0) != n:
+        raise ValueError(f"exponent must have length {n}")
+    Q = (Fraction(Q[0]), Fraction(Q[1]))
+    if Q == (Fraction(0), Fraction(0)):
+        raise ValueError("endpoint must be nonzero")
+    frame = seed_frame(D.seed)
+    walls = _fresh_walls(D.walls, frame)
+    rays = [_RayData(*ray) for ray in sorted(_fan(walls, order, {}))]
+    for rd in rays:
+        if _cross(rd.ray, Q) == 0 and _dot(rd.ray, Q) > 0:
+            raise _EndpointOnWall(f"endpoint {Q} lies on the wall ray {rd.ray}")
+    budget = order - 1
+    reach = _reachable_shifts(rays, budget, (0,) * n)
+    lines = []
+
+    def descend(x, p, used, trail):
+        if p == p0:
+            if _cross(x, p) == 0 and _dot(x, p) < 0:
+                raise GenericityError("initial segment passes through the origin")
+            for rd in rays:
+                if _cross(rd.ray, p) == 0 and _cross(rd.ray, x) == 0:
+                    raise GenericityError(f"initial segment runs along the ray {rd.ray}")
+            # a Fraction point is the homogeneous point (x0, x1, 1)
+            lines.append(_assemble(Q, p0, [((*pt, 1), *rest) for pt, *rest in trail], frame))
+            return
+        hits = []
+        for i, rd in enumerate(rays):
+            cp = _cross(p, rd.ray)
+            if cp == 0:
+                if _cross(rd.ray, x) == 0:
+                    raise GenericityError(f"segment runs along the ray {rd.ray}")
+                continue
+            s = Fraction(-_cross(x, rd.ray), cp)
+            if s <= 0:
+                continue
+            u = Fraction(-_cross(x, p), cp)
+            if u < 0:
+                continue
+            if u == 0:
+                raise GenericityError("segment passes through the origin")
+            hits.append((s, i))
+        hits.sort()
+        for j in range(1, len(hits)):
+            if hits[j][0] == hits[j - 1][0]:
+                raise GenericityError("segment meets two rays at one point")
+        for s, i in hits:
+            rd = rays[i]
+            e = abs(_dot(rd.acting, p))
+            assert e >= 1
+            pt = (x[0] + s * p[0], x[1] + s * p[1])
+            fe = rd.power(e)[0]
+            for exp, coeff in sorted(fe.terms.items()):
+                if not any(exp.t):
+                    continue
+                nu = used + sum(exp.t)
+                prev = tuple(a - b for a, b in zip(p, exp.m))
+                need = reach.get(tuple(a - b for a, b in zip(prev, p0)))
+                if need is None or nu + need > budget:
+                    continue
+                trail.append((pt, rd.ray, coeff, exp.t, exp.m))
+                descend(pt, prev, nu, trail)
+                trail.pop()
+
+    for delta in sorted(reach):
+        if reach[delta] <= budget:
+            descend(Q, _vadd(p0, delta), 0, [])
+    key = lambda bl: (sum(bl.final[1]), bl.final[2], bl.final[1], bl.bends)
+    return tuple(sorted(lines, key=key))
+
+
+@lru_cache(maxsize=None)
+def small_diagram(name):
+    data, order = {"b2": (B2, 6), "kron": (KRON, 5), "g2": (G2, 5)}[name]
+    return complete_rank2(build_initial(group_seed(data), order))
+
+
+# the endpoint seeds of the benchmark's theta workload, first draw each
+Q_SEEDS = _load("workloads").Q_SEEDS
+coords = st.fractions(-4, 4, max_denominator=10**4).filter(bool)
+
+
+def near_axis(k, y, vertical):
+    return (Fraction(k, 10**4), y) if vertical else (y, Fraction(k, 10**4))
+
+
+@st.composite
+def broken_line_cases(draw):
+    D = small_diagram(draw(st.sampled_from(("b2", "kron", "g2"))))
+    p0 = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    Q = draw(st.one_of(
+        st.tuples(coords, coords),
+        st.builds(near_axis, st.integers(-3, 3), coords, st.booleans()),
+        st.sampled_from(Q_SEEDS).map(lambda q: _endpoint_draw(q, 0)),
+    ))
+    return D, p0, Q, draw(st.sampled_from(range(D.order, 0, -1)))  # order 1 has no bends
+
+
+def outcome(route, *args):
+    try:
+        return route(*args)
+    except (ValueError, GenericityError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(broken_line_cases())
+def test_integer_search_matches_fraction_route(case):
+    assert outcome(enumerate_broken_lines, *case) == outcome(reference_broken_lines, *case)
 
 
 # -- theta functions ----------------------------------------------------------
