@@ -7,7 +7,9 @@ variables stored as exact rational functions of the initial cluster.  On top
 of seed mutation this module provides pattern walks, the c-vector block
 matrices, g-vector frames with signed mutation, and the chart variables: the
 cluster variables at the end of a mutation path, computed a second way by
-composing wall-crossing substitutions in the initial chart.
+composing wall-crossing substitutions in the initial chart.  One g-frame step
+moves every frame: ``g_frame_mutate`` takes its sign from g*_k, while chart
+variables (and the seed frames of ``scattering``) replay it with sign +1.
 
 Directions k are 1-based in the public API, matching the usual edge labels
 of the regular tree.  All arithmetic is exact.
@@ -23,6 +25,7 @@ from math import gcd
 from .monoid_ring import (
     Exponent,
     LaurentSeries,
+    _unit,
     series_exact_div,
     series_from_json,
     series_pow,
@@ -279,10 +282,6 @@ def initial_seed(
     return Seed(data, data.B, coeffs, cluster, (), semifield)
 
 
-def _unit(n: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if a == i else 0 for a in range(n))
-
-
 def _prod_trop(items, one: TropElement) -> TropElement:
     out = one
     for x in items:
@@ -340,7 +339,10 @@ def _exchange_variable(s: Seed, a: int) -> RationalFunction:
 
 
 def seed_mutate(s: Seed, k: int) -> Seed:
-    """Mutation in direction k; involutive."""
+    """Mutation in direction k: an involution in semifield mode.  In group
+    mode, mutating twice in direction k multiplies each other p_i by
+    t_k^{b_ki/r_i} (t_k: the product of the direction-k coefficients), while
+    the word drops the repeated letter."""
     n = s.data.n
     if not 1 <= k <= n:
         raise IndexError(f"direction {k} out of range 1..{n}")
@@ -370,7 +372,9 @@ def reduce_word(word) -> tuple[int, ...]:
 
 def pattern_walk(s0: Seed, word, memo: dict | None = None) -> Seed:
     """Apply a mutation word; consecutive equal letters cancel before any
-    work is done, and intermediate seeds are memoized by reduced word."""
+    work is done, and intermediate seeds are memoized by reduced word.  A
+    cancelled pair returns the seed of the shorter word, which in group mode
+    differs from mutating twice with ``seed_mutate``."""
     if memo is None:
         memo = {}
     memo.setdefault((), s0)
@@ -408,29 +412,32 @@ def seeds_equal(s1: Seed, s2: Seed, strict: bool = False) -> bool:
     return seed_key(s1, strict) == seed_key(s2, strict)
 
 
+def _bfs(start, n: int, depth: int, step, key):
+    """Breadth first over reduced words up to length ``depth``, yielding
+    ``(word, state)`` for the first word that reaches each distinct
+    ``key(state)``, the empty word first; ``step(state, k)`` moves one letter."""
+    seen = {key(start)}
+    frontier = [((), start)]
+    yield frontier[0]
+    for _ in range(depth):
+        nxt = []
+        for word, state in frontier:
+            for k in range(1, n + 1):
+                if word and word[-1] == k:
+                    continue
+                state2 = step(state, k)
+                key2 = key(state2)
+                if key2 not in seen:
+                    seen.add(key2)
+                    nxt.append((word + (k,), state2))
+                    yield nxt[-1]
+        frontier = nxt
+
+
 def explore_pattern(s0: Seed, depth: int) -> dict[tuple[int, ...], Seed]:
     """Breadth-first over reduced words up to the given length, keeping the
     first word that reaches each distinct labeled seed."""
-    n = s0.data.n
-    memo: dict[tuple[int, ...], Seed] = {(): s0}
-    found: dict[tuple, tuple[int, ...]] = {seed_key(s0): ()}
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(depth):
-        nxt: list[tuple[int, ...]] = []
-        for w in frontier:
-            s = memo[w]
-            for k in range(1, n + 1):
-                if w and w[-1] == k:
-                    continue
-                w2 = w + (k,)
-                s2 = seed_mutate(s, k)
-                memo[w2] = s2
-                key = seed_key(s2)
-                if key not in found:
-                    found[key] = w2
-                    nxt.append(w2)
-        frontier = nxt
-    return {w: memo[w] for w in found.values()}
+    return dict(_bfs(s0, s0.data.n, depth, seed_mutate, seed_key))
 
 
 def distinct_cluster_variables(seeds) -> list[RationalFunction]:
@@ -626,15 +633,12 @@ def initial_g_frame(data: FixedData) -> GVectorFrame:
     return GVectorFrame(data, ident, ident)
 
 
-def g_frame_mutate(G: GVectorFrame, s: Seed | Matrix, k: int) -> GVectorFrame:
-    """Signed mutation in direction k, with the sign read off g*_k."""
+def _frame_step(G: GVectorFrame, B: Matrix, k: int, eps: int) -> GVectorFrame:
+    """Frame mutation in direction k with sign eps under the matrix B:
+    g*_k -> -g*_k and g*_i -> g*_i + [-eps b_ik]_+ g*_k, with g moved dually."""
     n = G.data.n
-    if not 1 <= k <= n:
-        raise IndexError(f"direction {k} out of range 1..{n}")
     a = k - 1
-    Bv = s.matrix if isinstance(s, Seed) else _as_matrix(s)
-    eps = G.epsilon(k)
-    coef = [max(-eps * Bv[i][a], 0) for i in range(n)]
+    coef = [max(-eps * B[i][a], 0) for i in range(n)]
     gstar = [
         tuple(-x for x in G.gstar[a])
         if i == a
@@ -649,6 +653,14 @@ def g_frame_mutate(G: GVectorFrame, s: Seed | Matrix, k: int) -> GVectorFrame:
     return GVectorFrame(G.data, tuple(g), tuple(gstar))
 
 
+def g_frame_mutate(G: GVectorFrame, s: Seed | Matrix, k: int) -> GVectorFrame:
+    """Signed mutation in direction k, with the sign read off g*_k."""
+    n = G.data.n
+    if not 1 <= k <= n:
+        raise IndexError(f"direction {k} out of range 1..{n}")
+    return _frame_step(G, s.matrix if isinstance(s, Seed) else _as_matrix(s), k, G.epsilon(k))
+
+
 def _chamber_walk(data: FixedData, depth: int):
     """Breadth-first walk over the cluster chambers within ``depth``
     mutations of the base chamber, which comes first.
@@ -659,24 +671,11 @@ def _chamber_walk(data: FixedData, depth: int):
     coefficients of the caller's seed, and callers push the coefficient
     exponents they emit through that seed's coefficients (``TropMap``).
     """
-    sd = initial_seed(data, with_cluster=False, semifield=True)
-    G = initial_g_frame(data)
-    seen = {(seed_key(sd), G.g, G.gstar)}
-    frontier = [((), sd, G)]
-    yield frontier[0]
-    for _ in range(depth):
-        nxt = []
-        for word, sd, G in frontier:
-            for k in range(1, data.n + 1):
-                G2 = g_frame_mutate(G, sd, k)
-                sd2 = seed_mutate(sd, k)
-                key = (seed_key(sd2), G2.g, G2.gstar)
-                if key in seen:
-                    continue
-                seen.add(key)
-                nxt.append((word + (k,), sd2, G2))
-                yield nxt[-1]
-        frontier = nxt
+    start = (initial_seed(data, with_cluster=False, semifield=True), initial_g_frame(data))
+    step = lambda st, k: (seed_mutate(st[0], k), g_frame_mutate(st[1], st[0], k))
+    key = lambda st: (seed_key(st[0]), st[1].g, st[1].gstar)
+    for word, (sd, G) in _bfs(start, data.n, depth, step, key):
+        yield word, sd, G
 
 
 # -- coefficient maps ---------------------------------------------------------
@@ -796,57 +795,26 @@ def unimodular_inverse_transpose(rows: Matrix) -> Matrix:
     return tuple(out)
 
 
-def _mutate_basis_rows(E: Matrix, Bv: Matrix, a: int) -> Matrix:
-    """Plus-signed basis mutation in ambient coordinates."""
-    n = len(E)
-    rows = []
-    for i in range(n):
-        if i == a:
-            rows.append(tuple(-x for x in E[a]))
-        else:
-            c = max(-Bv[i][a], 0)
-            rows.append(tuple(x + c * y for x, y in zip(E[i], E[a])))
-    return tuple(rows)
-
-
-def _ambient_normal(data: FixedData, ek_row, k0: int) -> tuple[int, ...]:
-    """omega(-, (d_k/r_k) e_k) in dual coordinates, for e_k given in ambient
-    basis coordinates."""
-    n = data.n
-    scale = Fraction(data.d[k0], data.r[k0])
-    out = []
-    for a in range(n):
-        v = data.omega(_unit(n, a), ek_row) * scale
-        if v.denominator != 1:
-            raise InvariantViolation("normal covector is not integral")
-        out.append(int(v))
-    return tuple(out)
-
-
 def chart_variables(s0: Seed, word) -> tuple[RationalFunction, ...]:
     """Cluster variables at the end of the word computed by composing one
     wall-crossing substitution per step in the initial chart (instead of
-    iterating exchange relations)."""
+    iterating exchange relations).  The frame replays the g-frame step with
+    sign +1; its dual rows g give the monomials to pull back."""
     data = s0.data
     n = data.n
     d = s0.coeff_lattice.d
-    word = reduce_word(word)
-    E: Matrix = tuple(_unit(n, i) for i in range(n))
+    G = initial_g_frame(data)
     s = s0
     steps: list[ClusterMap] = []
-    for k in word:
+    for k in reduce_word(word):
         a = k - 1
-        wk = _ambient_normal(data, E[a], a)
-        f = _exchange_factor(s.coeffs[a], wk, n, d)
-        steps.append(ClusterMap(n, d, f, E[a], -1))
-        E = _mutate_basis_rows(E, s.matrix, a)
+        f = _exchange_factor(s.coeffs[a], G.w(k), n, d)
+        steps.append(ClusterMap(n, d, f, G.gstar[a], -1))
+        G = _frame_step(G, s.matrix, k, 1)
         s = seed_mutate(s, k)
-    dual = unimodular_inverse_transpose(E)
     out = []
     for i in range(n):
-        x = RationalFunction(
-            LaurentSeries.monomial(dual[i], (0,) * d), LaurentSeries.one(n, d)
-        )
+        x = rf_monomial(n, d, G.g[i])
         for step in reversed(steps):
             x = step.apply(x)
         out.append(x)

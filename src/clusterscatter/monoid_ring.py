@@ -542,8 +542,8 @@ class Automorphism:
 
     @staticmethod
     def identity(n: int, d: int, order: int | None) -> "Automorphism":
-        m_images = [LaurentSeries.monomial(_unit_vec(n, i), (0,) * d, order=order) for i in range(n)]
-        t_images = [LaurentSeries.monomial((0,) * n, _unit_vec(d, j), order=order) for j in range(d)]
+        m_images = [LaurentSeries.monomial(_unit(n, i), (0,) * d, order=order) for i in range(n)]
+        t_images = [LaurentSeries.monomial((0,) * n, _unit(d, j), order=order) for j in range(d)]
         return Automorphism(m_images, t_images, order)
 
     def _gen_power(self, i: int, e: int) -> LaurentSeries:
@@ -594,7 +594,7 @@ class Automorphism:
         return self.eq_mod_order(Automorphism.identity(self.n, self.d, self.order), order)
 
 
-def _unit_vec(length: int, idx: int) -> tuple[int, ...]:
+def _unit(length: int, idx: int) -> tuple[int, ...]:
     v = [0] * length
     v[idx] = 1
     return tuple(v)

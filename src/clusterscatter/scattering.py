@@ -13,26 +13,28 @@ Support in rank 2 is always a single ray from the origin; the two halves of an
 incoming hyperplane are stored as two ray walls carrying the same function.
 Every crossing goes through one fan of rays, each crossed once with the product
 of its walls' functions; so diagrams agree when their merged atoms per ray do.
-Wall monomial exponents are kept in the coefficient basis of the initial seed;
-operations that need degrees relative to a mutated seed's own coefficients
-(completion stages, truncation) change basis internally and convert back.
+Every diagram carries the seed it was built from.  Its frame (basis rows e_i
+and normal covectors w_i = omega(-, (d_i/r_i) e_i)) replays the seed's word
+with the g-frame step at sign +1.  Wall monomial exponents are kept in the
+coefficient basis of the initial seed; operations that need degrees relative
+to a mutated seed's own coefficients (completion stages, truncation) change
+basis internally and convert back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, hypot
+from math import gcd, hypot, lcm
 from typing import Callable, Iterable, Sequence
 
 from .cluster_core import (
     InvariantViolation,
     Seed,
     TropMap,
-    _ambient_normal,
     _chamber_walk,
-    _mutate_basis_rows,
-    _unit,
+    _frame_step,
+    initial_g_frame,
     matrix_mutate,
     seed_key,
     seed_mutate,
@@ -42,6 +44,7 @@ from .monoid_ring import (
     Automorphism,
     Derivation,
     LaurentSeries,
+    _unit,
     series_log,
     series_mul,
     series_pow,
@@ -101,15 +104,6 @@ def _angle_key(v: Sequence[int]):
     if x == 0 and y < 0:
         return (6, Fraction(0))
     return (7, Fraction(y, x))
-
-
-def _fraction_vec_primitive(v: Sequence[Fraction]) -> tuple[int, ...]:
-    """Primitive integer vector positively proportional to a rational one."""
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    return _primitive(ints)
 
 
 # -- walls and diagrams -------------------------------------------------------
@@ -201,31 +195,23 @@ class Wall:
 
 @dataclass(frozen=True)
 class ScatteringDiagram:
-    """A finite set of walls known modulo coefficient degree > order."""
+    """A finite set of walls known modulo coefficient degree > order, over
+    the group-mode seed whose frame and coefficient basis grade them."""
 
     walls: tuple[Wall, ...]
     order: int
-    seed: Seed | None = None
+    seed: Seed
 
     def __post_init__(self):
         object.__setattr__(self, "walls", tuple(self.walls))
         if self.order < 1:
             raise ValueError("diagram order must be at least 1")
-        if self.seed is not None and self.seed.semifield:
+        if self.seed.semifield:
             raise ValueError("scattering diagrams carry group-mode seeds (semifield=False)")
 
     @property
     def n(self) -> int:
-        if self.seed is not None:
-            return self.seed.data.n
-        return len(self.walls[0].support[0])
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        for w in self.walls:
-            if w.factors:
-                return len(w.factors[0][1]), len(w.factors[0][0])
-        raise ValueError("diagram has no wall factors to read dimensions from")
+        return self.seed.data.n
 
 
 @dataclass(frozen=True)
@@ -281,17 +267,18 @@ class SeedFrame:
 
 
 def seed_frame(s: Seed) -> SeedFrame:
-    """Replay the seed's word to recover basis rows and coefficient basis."""
+    """Replay the seed's word with the g-frame step at sign +1 (E = g*,
+    W_i = w_i) and read the coefficient basis off the seed."""
     data = s.data
-    n = data.n
-    E: tuple[tuple[int, ...], ...] = tuple(_unit(n, i) for i in range(n))
+    G = initial_g_frame(data)
     B = data.B
     for k in s.word:
-        E = _mutate_basis_rows(E, B, k - 1)
+        G = _frame_step(G, B, k, 1)
         B = matrix_mutate(B, k)
     if B != s.matrix:
         raise InvariantViolation("seed word does not reproduce the seed matrix")
-    W = tuple(_ambient_normal(data, E[i], i) for i in range(n))
+    E = G.gstar
+    W = tuple(G.w(i) for i in range(1, data.n + 1))
     lat = s.coeff_lattice
     U = tuple(tuple(p.exponents) for tup in s.coeffs for p in tup)
     ident = tuple(_unit(lat.d, j) for j in range(lat.d))
@@ -310,6 +297,8 @@ def _grading_data(frame: SeedFrame, t_fresh: Sequence[int]):
     Returns (alpha, n_primitive, acting, m) where alpha holds the per-direction
     degrees of ``t`` in the frame's basis, the normals are ambient primitive
     integer vectors, and m is the unique lattice exponent the grading allows.
+    With nbar = sum_i alpha_i (d_i/r_i) e_i, acting is primitive(lcm(r) nbar)
+    and m = omega(-, nbar) = sum_i alpha_i w_i.
     """
     data = frame.seed.data
     lat = frame.seed.coeff_lattice
@@ -319,19 +308,12 @@ def _grading_data(frame: SeedFrame, t_fresh: Sequence[int]):
         raise InvariantViolation("coefficient monomial has zero grading")
     if any(a < 0 for a in alpha):
         raise InvariantViolation(f"coefficient monomial grading {alpha} leaves the positive cone")
+    L = lcm(*data.r)
+    scale = [alpha[i] * data.d[i] * (L // data.r[i]) for i in range(n)]
     n_vec = tuple(sum(alpha[i] * frame.E[i][b] for i in range(n)) for b in range(n))
-    nbar = tuple(
-        sum(Fraction(alpha[i] * data.d[i], data.r[i]) * frame.E[i][b] for i in range(n))
-        for b in range(n)
-    )
-    acting = _fraction_vec_primitive(nbar)
-    m = []
-    for b in range(n):
-        v = data.omega(_unit(n, b), nbar)
-        if v.denominator != 1:
-            raise InvariantViolation("wall monomial exponent is not integral")
-        m.append(int(v))
-    return alpha, _primitive(n_vec), acting, tuple(m)
+    nbar = tuple(sum(scale[i] * frame.E[i][b] for i in range(n)) for b in range(n))
+    m = tuple(sum(alpha[i] * frame.W[i][b] for i in range(n)) for b in range(n))
+    return alpha, _primitive(n_vec), _primitive(nbar), m
 
 
 # -- diagram construction -----------------------------------------------------
@@ -447,8 +429,7 @@ def path_ordered_product(D: ScatteringDiagram, path: PathSpec, order: int | None
     """
     _require_rank2(D, "path_ordered_product")
     series_order = (order if order is not None else D.order) + 1
-    frame = _frame_or_none(D)
-    walls = _fresh_walls(D.walls, frame) if frame is not None else list(D.walls)
+    walls = _fresh_walls(D.walls, seed_frame(D.seed))
     if not any(path.start) or not any(path.end):
         raise ValueError("path endpoints must be nonzero directions")
     end = path.start if path.loop else path.end
@@ -457,7 +438,7 @@ def path_ordered_product(D: ScatteringDiagram, path: PathSpec, order: int | None
     turn = lambda r: _turn(r[0], path.start, path.ccw)
     stop = _turn(end, path.start, path.ccw)
     fan = sorted((r for r in _fan(walls, series_order, {}) if turn(r) < stop), key=turn)
-    _, d = D.dims
+    d = D.seed.coeff_lattice.d
     images = _cross_fan(fan, path.ccw, d, series_order)
     ident = Automorphism.identity(2, d, series_order)
     return Automorphism(images, ident.t_images, series_order)
@@ -531,8 +512,6 @@ def _defect_derivation(
 def check_consistency(D: ScatteringDiagram, order: int | None = None) -> ConsistencyReport:
     """Is the counterclockwise loop around the origin the identity?"""
     _require_rank2(D, "check_consistency")
-    if D.seed is None:
-        raise ValueError("check_consistency needs the diagram's seed for the degree grading")
     ord_ = order if order is not None else D.order
     frame = seed_frame(D.seed)
     walls = _fresh_walls(D.walls, frame)
@@ -551,8 +530,6 @@ def complete_rank2(D: ScatteringDiagram, order: int | None = None) -> Scattering
     exponent must come out a positive integer.  Idempotent on consistent input.
     """
     _require_rank2(D, "complete_rank2")
-    if D.seed is None:
-        raise ValueError("complete_rank2 needs the diagram's seed")
     ord_ = order if order is not None else D.order
     frame = seed_frame(D.seed)
     lat = D.seed.coeff_lattice
@@ -610,8 +587,6 @@ def tk_transform(D: ScatteringDiagram, k: int) -> ScatteringDiagram:
     The result is tagged with the one-step mutated seed.
     """
     _require_rank2(D, "tk_transform")
-    if D.seed is None:
-        raise ValueError("tk_transform needs the diagram's seed")
     s = D.seed
     data = s.data
     n = data.n
@@ -759,10 +734,6 @@ def _cross2_free(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
 # -- equivalence and truncation ----------------------------------------------
 
 
-def _frame_or_none(D: ScatteringDiagram) -> SeedFrame | None:
-    return seed_frame(D.seed) if D.seed is not None else None
-
-
 def canonical_form(
     D: ScatteringDiagram, order: int | None = None
 ) -> dict[tuple[int, ...], tuple[Atom, ...]]:
@@ -774,21 +745,19 @@ def canonical_form(
     it (see ``diagrams_equivalent``).
     """
     ord_ = order if order is not None else D.order
-    frame = _frame_or_none(D)
-    to_fresh = frame.to_fresh if frame is not None else tuple
-    to_old = frame.to_old if frame is not None else tuple
+    frame = seed_frame(D.seed)
     merged: dict[tuple[int, ...], list[Atom]] = {}
     for w in D.walls:
         for ray in w.support:
             for t, m, c in w.factors:
-                tf = to_fresh(t)
+                tf = frame.to_fresh(t)
                 if sum(tf) <= ord_:
                     merged.setdefault(ray, []).append((tf, m, c))
     out = {}
     for ray, atoms in merged.items():
         combined = _combine_atoms(atoms)
         if combined:
-            out[ray] = tuple((to_old(t), m, c) for t, m, c in combined)
+            out[ray] = tuple((frame.to_old(t), m, c) for t, m, c in combined)
     return out
 
 
@@ -810,12 +779,10 @@ def diagrams_equivalent(
     ray's crossing ``z^m -> z^m f^{eps <n, m>}``, and with n primitive some m
     has <n, m> = 1, which gives back f.
 
-    Both diagrams must sit over the same seed (or both carry none), so that
-    degrees are compared in one coefficient basis.
+    Both diagrams must sit over the same seed, so that degrees are compared
+    in one coefficient basis.
     """
-    if (D1.seed is None) != (D2.seed is None):
-        raise ValueError("cannot compare a seed-tagged diagram with an untagged one")
-    if D1.seed is not None and seed_key(D1.seed) != seed_key(D2.seed):
+    if seed_key(D1.seed) != seed_key(D2.seed):
         raise ValueError("diagrams sit over different seeds")
     ord_ = min(D1.order, D2.order) if order is None else order
     return canonical_form(D1, ord_) == canonical_form(D2, ord_)
@@ -825,8 +792,7 @@ def diagram_truncate(D: ScatteringDiagram, order: int) -> ScatteringDiagram:
     """Drop wall factors above ``order`` in the seed's coefficient degrees."""
     if order > D.order:
         raise ValueError("cannot truncate to a higher order than the diagram carries")
-    frame = _frame_or_none(D)
-    degree = frame.fresh_degree if frame is not None else sum
+    degree = seed_frame(D.seed).fresh_degree
     walls = []
     for w in D.walls:
         kept = tuple(a for a in w.factors if degree(a[0]) <= order)
@@ -845,7 +811,7 @@ def diagram_to_json(D: ScatteringDiagram) -> dict:
             {
                 "support": {"rays": [list(r) for r in w.support]},
                 "normal": list(w.normal),
-                "acting_normal": [str(Fraction(x)) for x in w.acting],
+                "acting_normal": [str(x) for x in w.acting],
                 "factors": [{"t": list(t), "m": list(m), "c": c} for t, m, c in w.factors],
                 "incoming": w.incoming,
             }
@@ -853,16 +819,13 @@ def diagram_to_json(D: ScatteringDiagram) -> dict:
     return {"order": D.order, "walls": walls}
 
 
-def _atom_str(atom: Atom, lat: CoeffLattice | None) -> str:
+def _atom_str(atom: Atom, lat: CoeffLattice) -> str:
     t, m, c = atom
     parts = []
     for j, e in enumerate(t):
         if e:
-            if lat is not None:
-                i, jj = _block_of(lat, j)
-                name = f"t{i + 1}{jj + 1}"
-            else:
-                name = f"t{j}"
+            i, jj = _block_of(lat, j)
+            name = f"t{i + 1}{jj + 1}"
             parts.append(name if e == 1 else f"{name}^{e}")
     mono = ",".join(str(x) for x in m)
     parts.append(f"z^({mono})")
@@ -878,14 +841,14 @@ def _block_of(lat: CoeffLattice, flat: int) -> tuple[int, int]:
     raise IndexError(flat)
 
 
-def wall_label(w: Wall, lat: CoeffLattice | None = None) -> str:
+def wall_label(w: Wall, lat: CoeffLattice) -> str:
     return "".join(_atom_str(a, lat) for a in w.factors)
 
 
 def render_svg(D: ScatteringDiagram) -> str:
     """Deterministic 1000x1000 picture of a rank-2 diagram."""
     _require_rank2(D, "render_svg")
-    lat = D.seed.coeff_lattice if D.seed is not None else None
+    lat = D.seed.coeff_lattice
     cx = cy = 500.0
     length = 430.0
     lines = [

@@ -153,8 +153,6 @@ def enumerate_broken_lines(
     and c > 0, so every incidence test is an int sign test.  The lines carry
     ``Fraction`` points.
     """
-    if D.seed is None:
-        raise ValueError("broken lines need the diagram's seed")
     if order is None:
         order = D.order
     if order < 1 or order > D.order:
@@ -280,8 +278,6 @@ _REDRAWS = 40
 def _theta_lines(D: ScatteringDiagram, p0, order=None, Q=None, q_seed=0):
     """``theta`` together with the broken lines summed into it and their
     endpoint; p0 = 0 has no lines and no endpoint."""
-    if D.seed is None:
-        raise ValueError("theta needs the diagram's seed")
     if order is None:
         order = D.order
     p0 = tuple(int(x) for x in p0)
@@ -321,8 +317,6 @@ def theta_via_transport(D: ScatteringDiagram, p0, depth: int = 8) -> RationalFun
     p0.  Agrees with ``theta`` order by order on consistent diagrams.
     """
     s = D.seed
-    if s is None:
-        raise ValueError("transport needs the diagram's seed")
     if s.word:
         raise ValueError("transport starts from the base seed")
     data = s.data

@@ -287,6 +287,34 @@ class TestSeedMutation:
         sb = pattern_walk(initial_seed(B2, with_cluster=False, semifield=False), (1, 2, 1))
         assert sa.coeffs != sb.coeffs
 
+    @pytest.mark.parametrize("data", [B2, KRON], ids=["b2", "kronecker"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_group_mode_twice_is_not_an_involution(self, data, k):
+        # twice in direction k: p_i -> p_i * t_k^(b_ki / r_i) for i != k, with
+        # t_k the product of the direction-k coefficients; the word cancels
+        s = initial_seed(data, with_cluster=False, semifield=False)
+        twice = seed_mutate(seed_mutate(s, k), k)
+        a = k - 1
+        t_k = s.coeffs[a][0]
+        for p in s.coeffs[a][1:]:
+            t_k = t_k * p
+        expected = tuple(
+            tup if i == a else tuple(p * t_k ** (data.B[a][i] // data.r[i]) for p in tup)
+            for i, tup in enumerate(s.coeffs)
+        )
+        assert twice.coeffs == expected != s.coeffs
+        assert twice.word == () and twice.matrix == s.matrix
+        # pattern_walk cancels the pair instead and returns the start seed
+        assert pattern_walk(s, (k, k)) is s
+
+    def test_group_mode_twice_on_b2(self):
+        s = initial_seed(B2, with_cluster=False, semifield=False)
+        twice = seed_mutate(seed_mutate(s, 1), 1)
+        assert [[p.exponents for p in tup] for tup in twice.coeffs] == [
+            [(1, 0, 0)],
+            [(-1, 1, 0), (-1, 0, 1)],
+        ]
+
     def test_kronecker_first_exchange(self):
         s = seed_mutate(initial_seed(KRON), 1)
         n, dd = 2, 4

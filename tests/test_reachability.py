@@ -1,6 +1,8 @@
-"""Every public function and method of the package is reached by a
-command-line run or a demo, or is listed in ``ALLOW`` with the reason it is
-kept.  Code that only tests call fails here: delete it, or give it a route.
+"""Every public function and method of the package, and every private
+module-level function, is reached by a command-line run or a demo, or is
+listed in ``ALLOW`` with the reason it is kept.  Code that only tests call
+fails here, and so does a helper that nothing calls any more: delete it, or
+give it a route.
 
 The runs are profiled in-process: the README commands of
 ``test_cli_transcript``, the seed commands on the Kronecker fixture, and the
@@ -43,7 +45,8 @@ _C_MATRIX = (
 
 ALLOW = {
     "scattering.path_ordered_product": _ORACLE + "; traced by perfbench/tracing.LAYERS",
-    "scattering.ScatteringDiagram.dims": "serves path_ordered_product, the " + _ORACLE,
+    "scattering._turn": "serves path_ordered_product, the " + _ORACLE,
+    "monoid_ring._tight_bound": "the overflow guard: re-derives a slot bound only when the carried one exceeds the slot limit",
     "monoid_ring.Automorphism.identity": "acting automorphism, serves the " + _ORACLE,
     "monoid_ring.Automorphism.apply": "acting automorphism, serves the " + _ORACLE,
     "monoid_ring.Automorphism.compose": "acting automorphism, serves the " + _ORACLE,
@@ -66,19 +69,20 @@ ALLOW = {
 
 
 def _public_functions() -> dict:
-    """Qualified name -> code object of every public module-level function,
-    method and property getter defined in the package's top-level modules."""
+    """Qualified name -> code object of every module-level function that is
+    public or has a single leading underscore, and of every public method and
+    property getter, defined in the package's top-level modules."""
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "__init__":
             continue
         mod = importlib.import_module(f"clusterscatter.{path.stem}")
         for name, obj in vars(mod).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+            if name.startswith("__") or getattr(obj, "__module__", None) != mod.__name__:
                 continue
             if inspect.isfunction(obj):
                 out[f"{path.stem}.{name}"] = obj.__code__
-            elif inspect.isclass(obj):
+            elif inspect.isclass(obj) and not name.startswith("_"):
                 for attr, member in vars(obj).items():
                     fn = member.fget if isinstance(member, property) else getattr(member, "__func__", member)
                     if not attr.startswith("_") and inspect.isfunction(fn):

@@ -2,6 +2,8 @@
 
 import json
 import math
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,8 +11,13 @@ from hypothesis import assume, given, settings, strategies as st
 from clusterscatter.cluster_core import (
     FixedData,
     InvariantViolation,
+    _frame_step,
+    initial_g_frame,
     initial_seed,
+    matrix_mutate,
+    pattern_walk,
     seed_mutate,
+    unimodular_inverse_transpose,
 )
 from clusterscatter.monoid_ring import LaurentSeries, series_mul, series_pow, series_unit_inverse
 from clusterscatter.scattering import (
@@ -33,6 +40,9 @@ from clusterscatter.scattering import (
     tk_transform,
     wall_label,
     _angle_key,
+    _grading_data,
+    _primitive,
+    seed_frame,
 )
 
 B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
@@ -135,6 +145,94 @@ class TestAngleOrder:
             assert (_angle_key(u) < _angle_key(v)) == (ang(u) < ang(v))
         else:
             assert _angle_key(u) == _angle_key(v)
+
+
+# -- frames: the g-frame step against the plus-signed replay ------------------
+
+
+def _valid_rank2():
+    out = []
+    for b12, b21, d1, d2, r1, r2 in product(range(1, 5), range(1, 5), *[range(1, 4)] * 4):
+        try:
+            out.append(FixedData(((0, -b12), (b21, 0)), (d1, d2), (r1, r2)))
+        except ValueError:
+            pass
+    return out
+
+
+RANK2 = _valid_rank2()
+
+
+def reference_basis_rows(E, B, a):
+    """Plus-signed basis mutation in ambient coordinates."""
+    rows = []
+    for i in range(len(E)):
+        if i == a:
+            rows.append(tuple(-x for x in E[a]))
+        else:
+            c = max(-B[i][a], 0)
+            rows.append(tuple(x + c * y for x, y in zip(E[i], E[a])))
+    return tuple(rows)
+
+
+def reference_normal(data, e_row, k0):
+    """omega(-, (d_k/r_k) e_k) in dual coordinates, for e_k in ambient
+    basis coordinates."""
+    scale = Fraction(data.d[k0], data.r[k0])
+    out = []
+    for a in range(data.n):
+        v = data.omega(tuple(int(b == a) for b in range(data.n)), e_row) * scale
+        assert v.denominator == 1
+        out.append(int(v))
+    return tuple(out)
+
+
+def reference_grading(data, E, alpha):
+    """(alpha, n0, acting, m) with nbar = sum_i alpha_i (d_i/r_i) e_i in
+    Fractions: acting is nbar cleared of denominators, m = omega(-, nbar)."""
+    n = data.n
+    n_vec = tuple(sum(alpha[i] * E[i][b] for i in range(n)) for b in range(n))
+    nbar = tuple(
+        sum(Fraction(alpha[i] * data.d[i], data.r[i]) * E[i][b] for i in range(n))
+        for b in range(n)
+    )
+    denom = math.lcm(*(x.denominator for x in nbar))
+    acting = _primitive([int(x * denom) for x in nbar])
+    m = []
+    for b in range(n):
+        v = data.omega(tuple(int(a == b) for a in range(n)), nbar)
+        assert v.denominator == 1
+        m.append(int(v))
+    return alpha, _primitive(n_vec), acting, tuple(m)
+
+
+class TestFrameOracle:
+    def test_box_of_valid_data(self):
+        assert len(RANK2) == 37
+
+    @given(
+        st.sampled_from(RANK2),
+        st.lists(st.integers(1, 2), max_size=6),
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_frame_step_and_grading_match_the_plus_signed_replay(self, data, word, alpha):
+        s = pattern_walk(group_seed(data), word)
+        E, B = ((1, 0), (0, 1)), data.B
+        G = initial_g_frame(data)
+        for k in s.word:
+            E = reference_basis_rows(E, B, k - 1)
+            G = _frame_step(G, B, k, 1)
+            B = matrix_mutate(B, k)
+        frame = seed_frame(s)
+        assert frame.E == G.gstar == E
+        assert frame.W == tuple(reference_normal(data, E[i], i) for i in range(2))
+        assert G.g == unimodular_inverse_transpose(E)
+        lat = s.coeff_lattice
+        t = [0] * lat.d
+        for i in range(2):
+            t[lat.block_range(i)[-1]] = alpha[i]
+        assert _grading_data(frame, t) == reference_grading(data, E, alpha)
 
 
 # -- initial diagrams ---------------------------------------------------------

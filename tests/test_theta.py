@@ -178,8 +178,6 @@ def reference_broken_lines(D, p0, Q, order=None):
     """The broken-line search on ``Fraction`` points: every incidence builds
     its hit parameters as Fractions and the hits are checked pairwise for a
     shared point.  Same validation, fan, reach and assembly as the library."""
-    if D.seed is None:
-        raise ValueError("broken lines need the diagram's seed")
     if order is None:
         order = D.order
     if order < 1 or order > D.order:
