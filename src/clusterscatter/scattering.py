@@ -196,11 +196,16 @@ class Wall:
 @dataclass(frozen=True)
 class ScatteringDiagram:
     """A finite set of walls known modulo coefficient degree > order, over
-    the group-mode seed whose frame and coefficient basis grade them."""
+    the group-mode seed whose frame and coefficient basis grade them.
+
+    ``_search`` keeps the broken-line search context of ``theta`` by order.
+    It is a function of the frozen walls, order and seed, so equality,
+    hashing, ``repr`` and ``dataclasses.replace`` ignore it."""
 
     walls: tuple[Wall, ...]
     order: int
     seed: Seed
+    _search: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "walls", tuple(self.walls))

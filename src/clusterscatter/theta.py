@@ -9,7 +9,10 @@ and e = |<n, m>| for the acting normal n.  Theta functions sum the final
 terms of all broken lines, and for exponents inside a cluster chamber they
 agree with the transport of the bare monomial to the positive chamber.
 The search holds points as reduced integer homogeneous coordinates and
-exposes them as ``Fraction`` points.
+exposes them as ``Fraction`` points.  What it reads of a diagram at one
+order (the seed frame, the ray fan with every power of its wall functions,
+and the table of shifts reachable from the origin) is built once, on first
+use, and kept on the diagram for every later call at that order.
 """
 
 from __future__ import annotations
@@ -109,9 +112,10 @@ class _RayData:
         return got
 
 
-def _reachable_shifts(rays: list[_RayData], budget: int, start: tuple) -> dict[tuple, int]:
-    """Minimal coefficient degree needed to reach each exponent from ``start``
-    by adding wall exponents; bends spend from these sums."""
+def _reachable_shifts(rays: list[_RayData], budget: int) -> dict[tuple, int]:
+    """Minimal coefficient degree needed to reach each shift from the origin
+    by adding wall exponents; bends spend from these sums.  Reaching p from
+    p0 costs the same as reaching p - p0 from the origin."""
     types = set()
     for rd in rays:
         for _, _, m, d in rd.power(1)[1]:
@@ -119,8 +123,8 @@ def _reachable_shifts(rays: list[_RayData], budget: int, start: tuple) -> dict[t
                 raise ValueError("wall factors must carry positive coefficient degree")
             types.add((d, m))
     types = sorted(types)
-    best: dict[tuple, int] = {start: 0}
-    heap: list[tuple[int, tuple]] = [(0, start)]
+    best: dict[tuple, int] = {(0, 0): 0}
+    heap: list[tuple[int, tuple]] = [(0, (0, 0))]
     while heap:
         d, v = heapq.heappop(heap)
         if best.get(v, d + 1) < d:
@@ -134,6 +138,44 @@ def _reachable_shifts(rays: list[_RayData], budget: int, start: tuple) -> dict[t
                 best[nv] = nd
                 heapq.heappush(heap, (nd, nv))
     return best
+
+
+class _SearchContext:
+    """What the broken-line search reads of one diagram at one order: the
+    seed frame, the ray fan (whose ``powers`` memos fill as bends need them)
+    and the reach table with its shifts in sorted order."""
+
+    __slots__ = ("order", "frame", "rays", "_reach")
+
+    def __init__(self, D: ScatteringDiagram, order: int):
+        self.order = order
+        self.frame = seed_frame(D.seed)
+        walls = _fresh_walls(D.walls, self.frame)
+        self.rays = [_RayData(*ray) for ray in sorted(_fan(walls, order, {}))]
+        self._reach = None
+
+    def reach(self) -> tuple[dict[tuple, int], list[tuple]]:
+        # built on first use, so that the endpoint check raises before the
+        # degree check of _reachable_shifts
+        if self._reach is None:
+            table = _reachable_shifts(self.rays, self.order - 1)
+            self._reach = (table, sorted(table))
+        return self._reach
+
+
+def _search_context(D: ScatteringDiagram, order: int | None) -> _SearchContext:
+    """The search context of D at ``order`` (default D.order), built on the
+    first call and kept on the diagram."""
+    if order is None:
+        order = D.order
+    if order < 1 or order > D.order:
+        raise ValueError(f"order must lie in 1..{D.order}")
+    ctx = D._search.get(order)
+    if ctx is None:
+        if D.n != 2:
+            raise ValueError("broken lines are implemented for rank 2")
+        ctx = D._search[order] = _SearchContext(D, order)
+    return ctx
 
 
 def enumerate_broken_lines(
@@ -152,30 +194,27 @@ def enumerate_broken_lines(
     from x along p meets a ray r at x + s*p = u*r with s = a/(w*c) for ints a
     and c > 0, so every incidence test is an int sign test.  The lines carry
     ``Fraction`` points.
+
+    The seed frame, the ray fan with its powers and the reach table are
+    built once per (D, order) and kept on D (see ``_search_context``); the
+    reach table holds shifts from the origin, one table for every p0.
     """
-    if order is None:
-        order = D.order
-    if order < 1 or order > D.order:
-        raise ValueError(f"order must lie in 1..{D.order}")
-    n = D.n
-    if n != 2:
-        raise ValueError("broken lines are implemented for rank 2")
+    ctx = _search_context(D, order)
     p0 = tuple(int(x) for x in p0)
-    if len(p0) != n:
-        raise ValueError(f"exponent must have length {n}")
+    if len(p0) != 2:
+        raise ValueError("exponent must have length 2")
     Q = (Fraction(Q[0]), Fraction(Q[1]))
     if Q == (Fraction(0), Fraction(0)):
         raise ValueError("endpoint must be nonzero")
-    frame = seed_frame(D.seed)
-    walls = _fresh_walls(D.walls, frame)
-    rays = [_RayData(*ray) for ray in sorted(_fan(walls, order, {}))]
+    frame, rays = ctx.frame, ctx.rays
     w = lcm(Q[0].denominator, Q[1].denominator)
     x = (int(Q[0] * w), int(Q[1] * w), w)  # _cross and _dot read only (X0, X1)
     for rd in rays:
         if _cross(rd.ray, x) == 0 and _dot(rd.ray, x) > 0:
             raise _EndpointOnWall(f"endpoint {Q} lies on the wall ray {rd.ray}")
-    budget = order - 1
-    reach = _reachable_shifts(rays, budget, p0)
+    budget = ctx.order - 1
+    reach, shifts = ctx.reach()
+    q0, q1 = p0
     lines: list[BrokenLine] = []
 
     def descend(x: tuple[int, int, int], p: tuple, used: int, trail: list) -> None:
@@ -214,7 +253,7 @@ def enumerate_broken_lines(
             for coeff, t, m, dq in rd.power(e)[1]:
                 nu = used + dq
                 prev = (a0 - m[0], a1 - m[1])
-                need = reach.get(prev)
+                need = reach.get((prev[0] - q0, prev[1] - q1))
                 if need is None or nu + need > budget:
                     continue
                 trail.append((pt, rd.ray, coeff, t, m))
@@ -223,9 +262,8 @@ def enumerate_broken_lines(
 
     # The DFS runs backward from Q, so it must be seeded with each candidate
     # final exponent: p0 shifted by any reachable sum of wall exponents.
-    for p in sorted(reach):
-        if reach[p] <= budget:
-            descend(x, p, 0, [])
+    for delta in shifts:
+        descend(x, _vadd(p0, delta), 0, [])
     key = lambda bl: (sum(bl.final[1]), bl.final[2], bl.final[1], bl.bends)
     return tuple(sorted(lines, key=key))
 
@@ -278,8 +316,8 @@ _REDRAWS = 40
 def _theta_lines(D: ScatteringDiagram, p0, order=None, Q=None, q_seed=0):
     """``theta`` together with the broken lines summed into it and their
     endpoint; p0 = 0 has no lines and no endpoint."""
-    if order is None:
-        order = D.order
+    ctx = _search_context(D, order)
+    order = ctx.order
     p0 = tuple(int(x) for x in p0)
     if len(p0) != D.n:
         raise ValueError(f"exponent must have length {D.n}")
@@ -303,8 +341,7 @@ def _theta_lines(D: ScatteringDiagram, p0, order=None, Q=None, q_seed=0):
         c, t, m = bl.final
         e = Exponent(m, t)
         terms[e] = terms.get(e, 0) + c
-    identity = seed_frame(D.seed).is_identity
-    return LaurentSeries(terms, order if identity else None), lines, Q
+    return LaurentSeries(terms, order if ctx.frame.is_identity else None), lines, Q
 
 
 def theta_via_transport(D: ScatteringDiagram, p0, depth: int = 8) -> RationalFunction:

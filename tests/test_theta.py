@@ -1,6 +1,8 @@
 """Broken lines, theta functions, and chamber transport."""
 
+import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from clusterscatter.cluster_core import (
     FixedData,
+    _chamber_walk,
     chart_variables,
     g_frame_mutate,
     initial_g_frame,
@@ -17,11 +20,14 @@ from clusterscatter.cluster_core import (
 )
 from clusterscatter.monoid_ring import LaurentSeries
 from clusterscatter.scattering import (
+    ScatteringDiagram,
     _cross,
     _fan,
     _fresh_walls,
     build_initial,
     complete_rank2,
+    diagram_to_json,
+    diagram_truncate,
     seed_frame,
     tk_transform,
 )
@@ -34,12 +40,14 @@ from clusterscatter.theta import (
     _EndpointOnWall,
     _RayData,
     _reachable_shifts,
+    _theta_lines,
     _vadd,
     enumerate_broken_lines,
     theta,
     theta_via_transport,
 )
 from test_bench_digests import _load
+from test_scattering import RANK2
 
 B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
 KRON = FixedData(((0, -2), (2, 0)), (1, 1), (2, 2))
@@ -198,7 +206,7 @@ def reference_broken_lines(D, p0, Q, order=None):
         if _cross(rd.ray, Q) == 0 and _dot(rd.ray, Q) > 0:
             raise _EndpointOnWall(f"endpoint {Q} lies on the wall ray {rd.ray}")
     budget = order - 1
-    reach = _reachable_shifts(rays, budget, (0,) * n)
+    reach = _reachable_shifts(rays, budget)
     lines = []
 
     def descend(x, p, used, trail):
@@ -256,10 +264,17 @@ def reference_broken_lines(D, p0, Q, order=None):
     return tuple(sorted(lines, key=key))
 
 
+SMALL = {"b2": (B2, 6), "kron": (KRON, 5), "g2": (G2, 5)}
+
+
+def completed(name):
+    data, order = SMALL[name]
+    return complete_rank2(build_initial(group_seed(data), order))
+
+
 @lru_cache(maxsize=None)
 def small_diagram(name):
-    data, order = {"b2": (B2, 6), "kron": (KRON, 5), "g2": (G2, 5)}[name]
-    return complete_rank2(build_initial(group_seed(data), order))
+    return completed(name)
 
 
 # the endpoint seeds of the benchmark's theta workload, first draw each
@@ -356,6 +371,62 @@ class TestTheta:
             theta(b2_d6, (1, 0, 0), 4)
         with pytest.raises(ValueError):
             theta(b2_d6, (0, 0, 0), 4)
+
+    def test_order_checked_for_zero_exponent(self, b2_d6):
+        for order in (0, -3, b2_d6.order + 1):
+            with pytest.raises(ValueError, match=r"^order must lie in 1\.\.6$"):
+                theta(b2_d6, (0, 0), order)
+
+
+# -- the search context kept on the diagram -----------------------------------
+
+BOX = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+
+
+class TestSearchContext:
+    @pytest.mark.parametrize("name", sorted(SMALL))
+    def test_shared_diagram_matches_fresh_ones(self, name):
+        D, base = completed(name), completed(name)
+        box = BOX[:]
+        random.Random(name).shuffle(box)
+        for i, g in enumerate(box):
+            fresh = ScatteringDiagram(base.walls, base.order, base.seed)  # no context yet
+            got = _theta_lines(D, g, q_seed=i)
+            assert theta(D, g, q_seed=i) == got[0]
+            assert got == _theta_lines(fresh, g, q_seed=i), g
+
+    def test_orders_share_one_diagram(self):
+        D = complete_rank2(build_initial(group_seed(KRON), 8))
+        exponents = [(-1, 2), (3, -2), (-1, -1), (2, -3), (-2, 1)]
+        for order in (5, 8):
+            fresh = complete_rank2(build_initial(group_seed(KRON), 8))
+            for g in exponents:
+                assert _theta_lines(D, g, order) == _theta_lines(fresh, g, order), (order, g)
+        assert sorted(D._search) == [5, 8]
+
+    def test_context_is_invisible(self):
+        D, fresh = completed("b2"), completed("b2")
+        theta(D, (-1, 0))
+        theta(D, (1, -2), 4)
+        assert sorted(D._search) == [4, 6] and not fresh._search
+        assert D == fresh and hash(D) == hash(fresh) and repr(D) == repr(fresh)
+        assert diagram_to_json(D) == diagram_to_json(fresh)
+        assert replace(D) == D and not replace(D)._search
+        assert not diagram_truncate(D, 4)._search
+
+
+# -- generalized data: theta against chamber transport ------------------------
+
+
+def test_theta_matches_transport_on_valid_rank2_data():
+    """Every valid B = ((0,-b12),(b21,0)) with b12, b21 in 1..4 and d, r in
+    1..3, completed at order 4, on the g-vectors of the depth-2 chamber walk."""
+    for data in RANK2:
+        D = complete_rank2(build_initial(group_seed(data), 4))
+        for g in sorted({g for _, _, G in _chamber_walk(data, 2) for g in G.g}):
+            x = theta_via_transport(D, g)
+            assert x.den.is_one(), (data, g)
+            assert theta(D, g, 4) == x.num.truncate(4), (data, g)
 
 
 # -- chamber transport --------------------------------------------------------
