@@ -24,10 +24,13 @@ of its support.  ``LaurentSeries.terms`` is the read-only ``{Exponent:
 coefficient}`` view, decoded once when first read.
 
 Coefficients are exact integers.  Rationals appear transiently inside
-``series_log`` and ``series_pow`` of negative powers and are normalized back
-to ``int`` whenever the denominator clears; callers that need integrality
-assert it via ``assert_integral``.  ``wall_cross`` never inverts:
+``series_log``, ``series_pow`` of negative powers and exact division; every
+kernel stores them normalized back to ``int`` whenever the denominator clears,
+so ``series_add`` normalizes only the sums it writes.  Callers that need
+integrality assert it via ``assert_integral``.  ``wall_cross`` never inverts:
 it expands ``(1 + g)^h`` binomially, with integer ``C(h, j)`` for any ``h``.
+``series_exact_div`` pops each leading term from a max-heap of packed keys and
+divides int coefficients with ``divmod``.
 
 Wall-crossing automorphisms ``z^p -> z^p * f^{sign*<n0, m(p)>}`` and their
 compositions are materialized as images of the ``n + d`` generators
@@ -38,6 +41,7 @@ piecewise-linear transforms defined elsewhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -304,14 +308,14 @@ def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     nd = _dims(a, b)
     order = _min_order(a.order, b.order)
     a, b = a.truncate(order), b.truncate(order)
-    terms = dict(a._packed)
+    terms = dict(a._packed)  # stored coefficients are normalized: only a written sum needs it
     for k, c in b._packed.items():
         s = terms.get(k, 0) + c
         if s:
-            terms[k] = s
+            terms[k] = _norm_coeff(s) if type(s) is Fraction else s
         else:
             del terms[k]
-    return LaurentSeries._make(_normalized(terms), order, nd, max(a._bound, b._bound))
+    return LaurentSeries._make(terms, order, nd, max(a._bound, b._bound))
 
 
 def series_sub(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -611,7 +615,9 @@ def series_exact_div(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries | None
     Slot by slot, the support of an exact quotient spans ``[min a - min b,
     max a - max b]``; a leading quotient term outside that box proves there
     is none, and inside it the remainder stays in the box of ``a``.  The
-    quotient's bound is read off that box, so it is tight.
+    quotient's bound is read off that box, so it is tight.  Leading terms come
+    off a max-heap of remainder keys with lazy deletion (every key a step writes
+    is at most its lead); int coefficients divide by ``divmod``.
     """
     if a.order is not None or b.order is not None:
         raise ValueError("exact division is defined for untruncated polynomials only")
@@ -642,20 +648,29 @@ def series_exact_div(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries | None
 
     div = list(b._packed.items())
     rem = dict(a._packed)
+    heap = [-k for k in rem]  # max-heap of remainder keys; a popped key gone from rem is stale
+    heapify(heap)
     quot: dict[int, int | Fraction] = {}
     while rem:
-        lead = max(rem)
+        lead = -heappop(heap)
+        c = rem.get(lead)
+        if c is None:
+            continue
         if not (nonneg(lead - lo) and nonneg(hi - lead)):
             return None
         step = lead - lead_div
-        q = quot[step] = _norm_coeff(Fraction(rem[lead]) / lead_div_c)
+        q, r = divmod(c, lead_div_c) if type(c) is type(lead_div_c) is int else (0, c)
+        q = quot[step] = _norm_coeff(Fraction(c) / lead_div_c) if r else q
         for kb, cb in div:
             k = step + kb
-            s = rem.get(k, 0) - q * cb
-            if s == 0:
-                rem.pop(k, None)
-            else:
+            s = rem.get(k)
+            if s is None:
+                heappush(heap, -k)
+                rem[k] = -q * cb
+            elif s := s - q * cb:
                 rem[k] = s
+            else:
+                del rem[k]
     return LaurentSeries._make(quot, None, nd, _box_bound(low_a - low_b, high_a - high_b, count))
 
 

@@ -21,6 +21,7 @@ from clusterscatter.monoid_ring import (
     series_log,
     series_mul,
     series_pow,
+    series_scale,
     series_sub,
     series_to_json,
     series_to_str,
@@ -184,6 +185,23 @@ class TestExactDivision:
     def test_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             series_exact_div(one(), LaurentSeries.zero(None))
+
+    def test_int_operands_with_a_fraction_quotient(self):
+        q = series_exact_div(one() + mono(A1, Z3), mono(Z2, Z3, 2) + mono(A1, Z3, 2))
+        assert q == mono(Z2, Z3, Fraction(1, 2))
+        assert type(q.coefficient(exponent(Z2, Z3))) is Fraction
+
+    def test_cancelled_remainder_key_is_created_again(self):
+        # (1 - 3z^2 + z^3 - z^5) / (1 - z - z^2): the first step cancels z^3
+        # below its lead, the second writes z^3 again, and the heap's stale
+        # copy of z^3 pops while z^2, z and 1 are still in the remainder
+        def z(e, c=1):
+            return mono((e, 0), Z3, c)
+
+        den = z(0) - z(1) - z(2)
+        quot = z(0) + z(1) - z(2) + z(3)
+        assert den * quot == z(0) - z(2, 3) + z(3) - z(5)
+        assert series_exact_div(den * quot, den) == quot
 
 
 class TestSerialization:
@@ -417,7 +435,7 @@ def reference_exact_div(a, b):
 
 
 @st.composite
-def packed_series(draw, count, untruncated=False):
+def packed_series(draw, count, untruncated=False, max_size=5, coefficients=coeffs):
     """``count`` series sharing random dims n in 1..3 and d in 1..4, with
     negative exponents, int and Fraction coefficients and orders None or 1..8."""
     n, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
@@ -428,9 +446,31 @@ def packed_series(draw, count, untruncated=False):
     )
     orders = st.none() if untruncated else st.none() | st.integers(1, 8)
     return [
-        LaurentSeries(draw(st.dictionaries(exps_nd, coeffs, max_size=5)), draw(orders))
+        LaurentSeries(draw(st.dictionaries(exps_nd, coefficients, max_size=max_size)), draw(orders))
         for _ in range(count)
     ]
+
+
+int_coeffs = st.integers(-4, 4).filter(bool)
+leads = st.sampled_from((2, -2, 3, -3)) | st.fractions(-3, 3, max_denominator=4).filter(
+    lambda c: c.denominator > 1
+)
+
+
+@st.composite
+def division_triples(draw):
+    """Untruncated (p, q, r) of up to 12 terms each, with int coefficients
+    only in about half the draws, and q's leading coefficient +-2, +-3 or a
+    non-integral Fraction: quotient terms take both the divmod and the
+    Fraction path, with and without a remainder."""
+    p, q, r = draw(
+        packed_series(3, untruncated=True, max_size=12, coefficients=draw(st.sampled_from((int_coeffs, coeffs))))
+    )
+    if q:
+        terms = dict(q.terms)
+        terms[max(terms)] = draw(leads)
+        q = LaurentSeries(terms)
+    return p, q, r
 
 
 @settings(max_examples=200, deadline=None)
@@ -443,7 +483,7 @@ def test_mul_matches_reference(pair):
 
 
 @settings(max_examples=150, deadline=None)
-@given(packed_series(3, untruncated=True))
+@given(division_triples())
 def test_exact_div_matches_reference(triple):
     p, q, r = triple
     for num, den in ((p * q, q), (p * q + r, q), (p, q)):
@@ -454,6 +494,32 @@ def test_exact_div_matches_reference(triple):
         if got is not None:
             assert got.order == want.order is None
             assert got.terms == want.terms
+
+
+def _is_normalized(c):
+    return type(c) is int or type(c) is Fraction and c.denominator != 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(packed_series(3, untruncated=True), st.integers(1, 8))
+def test_every_kernel_stores_normalized_coefficients(triple, order):
+    """An int, or a Fraction whose denominator is not 1: series_add relies on
+    it and normalizes only the sums it writes."""
+    p, q, r = triple
+    n, d = p.dims() or q.dims() or r.dims() or (1, 1)
+    unit = LaurentSeries.one(n, d, order) + LaurentSeries(
+        {e: c for e, c in r.terms.items() if sum(e.t) > 0}, order
+    )
+    half = series_scale(p, Fraction(1, 2))
+    results = [
+        LaurentSeries(dict(p.terms), order), half + half, p + q, series_sub(p, q), p * q,
+        series_pow(unit, 2), series_pow(unit, -2), series_log(unit),
+        wall_cross(p.truncate(order), unit, (1,) * n, -1),
+    ]
+    if q:
+        results += [series_exact_div(p * q, q), series_exact_div(p, q)]
+    for s in results:
+        assert s is None or all(map(_is_normalized, s._packed.values())), s
 
 
 @settings(max_examples=100, deadline=None)

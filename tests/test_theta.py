@@ -420,10 +420,10 @@ class TestSearchContext:
 
 def test_theta_matches_transport_on_valid_rank2_data():
     """Every valid B = ((0,-b12),(b21,0)) with b12, b21 in 1..4 and d, r in
-    1..3, completed at order 4, on the g-vectors of the depth-2 chamber walk."""
+    1..3, completed at order 4, on the g-vectors of the depth-3 chamber walk."""
     for data in RANK2:
         D = complete_rank2(build_initial(group_seed(data), 4))
-        for g in sorted({g for _, _, G in _chamber_walk(data, 2) for g in G.g}):
+        for g in sorted({g for _, _, G in _chamber_walk(data, 3) for g in G.g}):
             x = theta_via_transport(D, g)
             assert x.den.is_one(), (data, g)
             assert theta(D, g, 4) == x.num.truncate(4), (data, g)
