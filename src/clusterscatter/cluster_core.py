@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd
+from operator import mul
 
 from .monoid_ring import (
     Exponent,
@@ -305,7 +306,7 @@ def _coeffs_mutate_normalized(coeffs, B: Matrix, r, a: int):
     return tuple(out)
 
 
-def _coeffs_mutate_group(coeffs, B: Matrix, r, a: int, eps: int = 1):
+def _coeffs_mutate_group(coeffs, B: Matrix, r, a: int):
     one = coeffs[a][0].lattice.one()
     tk = _prod_trop(coeffs[a], one)
     out = []
@@ -313,7 +314,7 @@ def _coeffs_mutate_group(coeffs, B: Matrix, r, a: int, eps: int = 1):
         if i == a:
             out.append(tuple(p.inv() for p in tup))
             continue
-        e = max(eps * _beta(B, r, a, i), 0)
+        e = max(_beta(B, r, a, i), 0)
         fac = tk**e
         out.append(tuple(p * fac for p in tup))
     return tuple(out)
@@ -704,10 +705,12 @@ class TropMap:
         return self.of_exponents(p.exponents)
 
     def on_series(self, x: LaurentSeries) -> LaurentSeries:
-        """Push every coefficient monomial through the map; collisions add."""
+        """Push every coefficient monomial through the map, one integer
+        matrix-vector product per term; collisions add."""
+        rows = tuple(zip(*(p.exponents for p in self.images)))  # rows[j][b]: exponent j of image b
         terms: dict[Exponent, int | Fraction] = {}
         for e, c in x.terms.items():
-            e2 = Exponent(e.m, self.of_exponents(e.t).exponents)
+            e2 = Exponent(e.m, tuple(sum(map(mul, row, e.t)) for row in rows))
             terms[e2] = terms.get(e2, 0) + c
         return LaurentSeries(terms, x.order)
 

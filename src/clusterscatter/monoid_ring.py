@@ -30,7 +30,9 @@ so ``series_add`` normalizes only the sums it writes.  Callers that need
 integrality assert it via ``assert_integral``.  ``wall_cross`` never inverts:
 it expands ``(1 + g)^h`` binomially, with integer ``C(h, j)`` for any ``h``.
 ``series_exact_div`` pops each leading term from a max-heap of packed keys and
-divides int coefficients with ``divmod``.
+divides int coefficients with ``divmod``.  ``_OnlineFan`` crosses a fan of
+walls one coefficient degree at a time, so that completion can add walls
+between degrees without crossing the fan again.
 
 Wall-crossing automorphisms ``z^p -> z^p * f^{sign*<n0, m(p)>}`` and their
 compositions are materialized as images of the ``n + d`` generators
@@ -470,30 +472,196 @@ def wall_cross(x: LaurentSeries, f: LaurentSeries, n0: Sequence, sign: int = 1) 
     )
     if not x._packed:
         return LaurentSeries.zero(order)
-    n, d = nd
-    low = _pack([_HALF] * (d + 1))  # lifts the t and degree slots to [0, 2^32)
-    ys: dict[int, dict[int, int | Fraction]] = {}  # j -> sum C(h, j) c z^p
-    for k, c in x._packed.items():
-        m = _unpack((k + low) >> (_SLOT * (d + 1)), n)
-        h = sign * sum(map(mul, n0, m))
-        if order is None and h < 0 and g:
-            raise ValueError("inverting a non-monomial series requires a finite truncation order")
-        binom = 1
-        for j in range(order - _deg(k) if order is not None else max(h, 0) + 1):
-            ys.setdefault(j, {})[k] = binom * c
-            binom = binom * (h - j) // (j + 1)  # exact: C(h, j + 1)
-            if not binom:
-                break
-    result = LaurentSeries._make(_normalized(ys.get(0, {})), order, nd, x._bound)
-    power = g
+    if not g:
+        return x.truncate(order)
+    ys = _binomial_tables(x._packed, n0, sign, nd, order, max(g.min_coeff_degree(), 1))
+    terms, bound, power = dict(ys.get(0, {})), x._bound, g
     for j in range(1, len(ys)):
         if j > 1:
             power = series_mul(power, g)
         if not power:
             break
-        y = LaurentSeries._make(_normalized(ys[j]), order, nd, x._bound)
-        result = series_add(result, series_mul(power, y))
-    return result
+        bound = max(bound, _sum_bound(x, power))
+        powers = _by_degree(power._packed)
+        for dy, y in _by_degree(ys[j]).items():
+            for dp, p in powers.items():
+                if order is None or dy + dp < order:
+                    _mul_into(terms, y, p)
+    return LaurentSeries._make(_normalized(terms), order, nd, bound)
+
+
+def _binomial_tables(
+    terms: dict, n0: Sequence[int], sign: int, nd: tuple[int, int], order: int | None, low: int = 1
+) -> dict:
+    """j -> sum of C(h, j) c z^p over the packed terms c z^p, h = sign*<n0, m(p)>.
+
+    With a finite order, j stops where a j-th power of degree at least ``low``
+    times z^p would pass the order; with none, at h (and h < 0 raises
+    ValueError: the crossing would need an inverse).
+    """
+    n, d = nd
+    lift, shift = _pack([_HALF] * (d + 1)), _SLOT * (d + 1)  # lifts the t and degree slots to [0, 2^32)
+    ys: dict[int, dict[int, int | Fraction]] = {}
+    hs: dict[int, int] = {}  # h by the lifted m-slots of a key, shared by every t
+    for k, c in terms.items():
+        mk = (k + lift) >> shift
+        h = hs.get(mk)
+        if h is None:
+            h = hs[mk] = sign * sum(map(mul, n0, _unpack(mk, n)))
+        if order is None and h < 0:
+            raise ValueError("inverting a non-monomial series requires a finite truncation order")
+        binom = 1
+        for j in range((order - 1 - _deg(k)) // low + 1 if order is not None else h + 1):
+            ys.setdefault(j, {})[k] = binom * c
+            binom = binom * (h - j) // (j + 1)  # exact: C(h, j + 1)
+            if not binom:
+                break
+    return ys
+
+
+_ONE = {0: 1}  # the packed series 1
+
+
+def _by_degree(packed: dict) -> dict[int, dict]:
+    """Packed terms split into slices by coefficient degree."""
+    out: dict[int, dict] = {}
+    for k, c in packed.items():
+        out.setdefault(_deg(k), {})[k] = c
+    return out
+
+
+def _mul_into(acc: dict, a: dict, b: dict) -> None:
+    """acc += a * b on packed terms, untruncated; sums are not normalized."""
+    get = acc.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            s = get(k, 0) + ca * cb
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+
+
+class _Crossing:
+    """One position of an `_OnlineFan`: acting normal and sign, the slices of
+    g = f - 1 and of its powers by degree (``powers[1]`` is ``g``), the
+    binomial tables of the finished input slices per generator, the output
+    slices per generator, and the slot bound of g's terms."""
+
+    __slots__ = ("n0", "sign", "powers", "tables", "out", "bound")
+
+    def __init__(self, n0, sign, tables, out):
+        self.n0, self.sign, self.tables, self.out = tuple(n0), sign, tables, out
+        self.powers: dict[int, dict[int, dict]] = {1: {}}
+        self.bound = 0
+
+
+class _OnlineFan:
+    """Images of the generators z^{e_i} across a sequence of wall crossings,
+    built one coefficient degree at a time (online, or "relaxed", evaluation:
+    van der Hoeven, *Relax, but don't be too lazy*, 2002).
+
+    Position j crosses by z^p -> z^p f_j^h, h = sign_j*<n0_j, m(p)>, with
+    f_j = 1 + g_j known to ``order``.  Each position keeps its output image as
+    slices by coefficient degree.  Slice k of an output is slice k of its input
+    plus, over k' < k and q >= 1, the table Y_{k'}^q = sum C(h, q) c z^p over
+    the input's slice k' times slice k - k' of g_j^q: only lower slices enter,
+    and each table is built once, when its input slice is final.  Slice 0 of
+    every image is its generator, so a factor 1 + psi multiplied into f_j at
+    stage k, psi of degree >= k, changes slice k at j and at every later
+    position by its first-order term h(e_i) z^{e_i} psi_k alone.
+
+    Slot bound: an image term is a generator times at most order - 1 terms of
+    the g_j, and a term of g_j has slots within the sum of the bounds of the
+    factors multiplied into f_j; ``multiply`` guards that product.
+    """
+
+    def __init__(self, n: int, d: int, order: int):
+        self.nd, self.order, self.k, self.bound = (n, d), order, 0, 2
+        self.gens = [_pack((*_unit(n, i), *(0,) * d, 0)) for i in range(n)]
+        self.start = [[{key: 1}] + [{} for _ in range(order - 1)] for key in self.gens]
+        self.rays: list[_Crossing] = []
+
+    def _input(self, j: int) -> list[list[dict]]:
+        return self.rays[j - 1].out if j else self.start
+
+    def _tables(self, sl: dict, n0: Sequence[int], sign: int, low: int) -> dict:
+        tables = _binomial_tables(sl, n0, sign, self.nd, self.order, low)
+        tables.pop(0, None)  # the q = 0 term is the input slice itself
+        return tables
+
+    def insert(self, j: int, n0: Sequence[int], sign: int) -> None:
+        """A crossing with f = 1 at position j: its output is its input, whose
+        slices below the stage are final and shared."""
+        src, k, low = self._input(j), self.k, max(self.k, 1)  # no factor of degree below the stage is added
+        tables = [[self._tables(sl[s], n0, sign, low) for s in range(k)] for sl in src]
+        self.rays.insert(j, _Crossing(n0, sign, tables, [sl[:k] + [dict(sl[k])] for sl in src]))
+
+    def multiply(self, j: int, phi: LaurentSeries) -> None:
+        """f_j *= phi, where phi - 1 has degree at least the current stage."""
+        if not phi.constant_slice().is_one():
+            raise ValueError("wall function must have constant term exactly 1")
+        psi = _by_degree(phi.truncate(self.order)._packed)
+        del psi[0]
+        if not psi:
+            return
+        if min(psi) < max(self.k, 1):
+            raise ValueError(f"wall factor of coefficient degree {min(psi)} at stage {self.k}")
+        x = self.rays[j]
+        x.bound += phi._bound
+        self.bound = _guard(max(self.bound, 2 + (self.order - 1) * x.bound))
+        if self.k in psi:
+            for i, tables in enumerate(x.tables):
+                delta: dict = {}
+                _mul_into(delta, tables[0].get(1, {}), psi[self.k])
+                for later in self.rays[j:]:
+                    _mul_into(later.out[i][self.k], _ONE, delta)
+        g, grown = x.powers[1], {}  # f * phi = 1 + g + psi + g psi
+        for u, p in psi.items():
+            _mul_into(grown.setdefault(u, {}), _ONE, p)
+            for s, gs in g.items():
+                if s + u < self.order:
+                    _mul_into(grown.setdefault(s + u, {}), gs, p)
+        for s, acc in grown.items():
+            _mul_into(g.setdefault(s, {}), _ONE, acc)
+            if not g[s]:
+                del g[s]
+
+    def step(self) -> None:
+        """Build the next slice of every output, first position first."""
+        k = self.k = self.k + 1
+        for j, x in enumerate(self.rays):
+            src, g, powers = self._input(j), x.powers[1], x.powers
+            low = min(min(g, default=k), k)
+            for i, sl in enumerate(src):
+                x.tables[i].append(self._tables(sl[k - 1], x.n0, x.sign, low))
+            for q in range(2, k + 1):  # slice k of g^q = sum_s g_s (g^{q-1})_{k-s}
+                lower = powers.get(q - 1)
+                if lower is None:  # g^{q-1}, and so g^q, vanishes below degree k
+                    break
+                acc: dict = {}
+                for s, gs in g.items():
+                    if k - s in lower:
+                        _mul_into(acc, gs, lower[k - s])
+                if acc:
+                    powers.setdefault(q, {})[k] = acc
+            for i, sl in enumerate(src):
+                acc = dict(sl[k])
+                tables = x.tables[i]
+                for q, slices in powers.items():
+                    for s, gq in slices.items():
+                        if s <= k and q in tables[k - s]:
+                            _mul_into(acc, tables[k - s][q], gq)
+                x.out[i].append(acc)
+
+    def defect(self) -> list[LaurentSeries]:
+        """Slice k of z^{-e_i} times the last output, one series per generator."""
+        last = self._input(len(self.rays))
+        return [
+            LaurentSeries._make({key - gen: c for key, c in sl[self.k].items()}, self.order, self.nd, self.bound)
+            for gen, sl in zip(self.gens, last)
+        ]
 
 
 # -- derivations ------------------------------------------------------------

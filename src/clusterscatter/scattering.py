@@ -23,9 +23,10 @@ basis internally and convert back.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, hypot, lcm
+from math import comb, gcd, hypot, lcm
 from typing import Callable, Iterable, Sequence
 
 from .cluster_core import (
@@ -43,11 +44,12 @@ from .cluster_core import (
 from .monoid_ring import (
     Automorphism,
     Derivation,
+    Exponent,
     LaurentSeries,
+    _OnlineFan,
     _unit,
     series_log,
     series_mul,
-    series_pow,
     wall_cross,
 )
 from .semifield import CoeffLattice
@@ -128,6 +130,17 @@ def _combine_atoms(factors: Iterable[Atom]) -> tuple[Atom, ...]:
     return tuple(out)
 
 
+def _factor(t: Sequence[int], m: Sequence[int], c: int, order: int | None) -> LaurentSeries:
+    """``(1 + t z^m)^c`` at the given truncation order, expanded binomially."""
+    deg = sum(t)
+    terms = {}
+    for q in range(c + 1):
+        if order is not None and q * deg >= order:
+            break
+        terms[Exponent(tuple(q * x for x in m), tuple(q * x for x in t))] = comb(c, q)
+    return LaurentSeries(terms, order)
+
+
 @dataclass(frozen=True)
 class Wall:
     """One wall: support cone, grading normal, acting normal, factored function.
@@ -173,12 +186,10 @@ class Wall:
         """Expanded wall function at the given truncation order."""
         if not self.factors:
             raise ValueError("wall has an empty factor list")
-        n = len(self.factors[0][1])
-        d = len(self.factors[0][0])
-        out = LaurentSeries.one(n, d, order)
+        t, m, _ = self.factors[0]
+        out = LaurentSeries.one(len(m), len(t), order)
         for t, m, c in self.factors:
-            atom = LaurentSeries.one(n, d, order) + LaurentSeries.monomial(m, t, 1, order)
-            out = series_mul(out, series_pow(atom, c))
+            out = series_mul(out, _factor(t, m, c, order))
         return out
 
     def map_factors(self, fn: Callable[[Atom], Atom], **overrides) -> "Wall":
@@ -473,20 +484,29 @@ def _defect_derivation(
 ):
     """Log of the loop product's deviation from the identity.
 
-    Returns (first_degree, terms) with terms a list of (coeff, Exponent,
-    acting normal, grading vector); both are None when the loop closes.
+    Returns (first_degree, terms) with the terms of `_defect_terms`; both are
+    None when the loop closes.
     """
     images = _loop_images(walls, d, series_order, memo)
-    n = 2
     logs = []
-    for a in range(n):
-        shift = LaurentSeries.monomial(tuple(-x for x in _unit(n, a)), (0,) * d, 1, series_order)
+    for a in range(2):
+        shift = LaurentSeries.monomial(tuple(-x for x in _unit(2, a)), (0,) * d, 1, series_order)
         logs.append(series_log(series_mul(images[a], shift)))
     degrees = [lg.min_coeff_degree() for lg in logs if lg]
     if not degrees:
         return None, None
     first = min(degrees)
-    slices = [lg.degree_slice(first) for lg in logs]
+    return first, _defect_terms(frame, [lg.degree_slice(first) for lg in logs])
+
+
+def _defect_terms(frame: SeedFrame, slices: Sequence[LaurentSeries]) -> list:
+    """Read the lowest slices of a loop defect, one per generator z^{e_a} of
+    log(image * z^{-e_a}), as a derivation.
+
+    Returns a list of (coeff, Exponent, acting normal, grading vector), one
+    per monomial; raises InvariantViolation when a monomial breaks the grading
+    or the generators disagree on its coefficient.
+    """
     keys = sorted({e for sl in slices for e in sl.terms}, key=lambda e: (e.t, e.m))
     terms = []
     for e in keys:
@@ -497,7 +517,7 @@ def _defect_derivation(
             )
         coeffs = [sl.coefficient(e) for sl in slices]
         c_tilde = None
-        for a in range(n):
+        for a in range(2):
             pair = acting[a]
             if pair == 0:
                 if coeffs[a] != 0:
@@ -511,7 +531,7 @@ def _defect_derivation(
                     f"loop defect coefficients disagree across generators: {c_tilde} vs {value}"
                 )
         terms.append((c_tilde, e, acting, n0))
-    return first, terms
+    return terms
 
 
 def check_consistency(D: ScatteringDiagram, order: int | None = None) -> ConsistencyReport:
@@ -528,11 +548,20 @@ def check_consistency(D: ScatteringDiagram, order: int | None = None) -> Consist
 
 
 def complete_rank2(D: ScatteringDiagram, order: int | None = None) -> ScatteringDiagram:
-    """Add outgoing walls order by order until the loop closes.
+    """Add outgoing walls degree by degree until the loop closes.
 
-    At each coefficient degree the loop defect is a derivation; every term
-    forces one factor ``(1 + t z^m)^c`` on the ray opposite to m, and the
-    exponent must come out a positive integer.  Idempotent on consistent input.
+    The loop images of z^{e_1} and z^{e_2} are built online (`_OnlineFan`):
+    stage k computes their degree-k slices at every ray of the fan from the
+    lower slices alone, and reads the loop defect at degree k off the last
+    ray, through the same reader as ``check_consistency``.  The defect is a
+    derivation; each term forces one factor ``(1 + t z^m)^c`` of degree k on
+    the ray opposite to m, and the exponent must come out a positive integer.
+    A degree-k factor changes the loop at degree k by its first-order term
+    alone, which is added at its ray and every later one (a new ray starts as
+    a copy of the images before it); after that, the degree-k slices of the
+    loop must vanish.  Each new wall is built once, after the last stage, and
+    a closing one-shot loop at the full order checks the result.  The whole
+    costs about two loops.  Idempotent on consistent input.
     """
     _require_rank2(D, "complete_rank2")
     ord_ = order if order is not None else D.order
@@ -546,14 +575,20 @@ def complete_rank2(D: ScatteringDiagram, order: int | None = None) -> Scattering
             if w.ray in outgoing:
                 raise ValueError("diagram has two outgoing walls on one ray; merge them first")
             outgoing[w.ray] = w
-    for degree in range(2, ord_ + 1):
-        first, terms = _defect_derivation(walls, frame, lat.d, degree + 1, memo)
-        if first is None:
+    fan = _OnlineFan(2, lat.d, ord_ + 1)
+    keys: list = []  # angle keys of the fan's rays, in fan order
+    for ray, acting, f in _fan(walls, ord_ + 1, memo):
+        fan.insert(len(keys), acting, _crossing_eps(ray, acting, True))
+        fan.multiply(len(keys), f)
+        keys.append(_angle_key(ray))
+    new: dict[tuple[int, ...], tuple] = {}  # ray -> (grading normal, acting normal, atoms)
+    for degree in range(1, ord_ + 1):
+        fan.step()
+        terms = _defect_terms(frame, fan.defect())
+        if degree == 1:
+            if terms and ord_ > 1:
+                raise InvariantViolation("completion left a defect at degree 1 below the current stage 2")
             continue
-        if first < degree:
-            raise InvariantViolation(
-                f"completion left a defect at degree {first} below the current stage {degree}"
-            )
         for c_tilde, e, acting, n0 in terms:
             ray = _primitive(tuple(-x for x in e.m))
             eps = _crossing_eps(ray, acting, True)
@@ -562,17 +597,31 @@ def complete_rank2(D: ScatteringDiagram, order: int | None = None) -> Scattering
                 raise PositivityError(
                     f"completion needs (1 + t^{e.t} z^{e.m})^{c}; exponent is not a positive integer"
                 )
-            atom = (e.t, e.m, int(c))
             old = outgoing.get(ray)
-            if old is None:
-                new = Wall((ray,), n0, acting, (atom,), incoming=False)
-            else:
-                if _cross(old.acting, acting) != 0:
-                    raise InvariantViolation("existing wall on the ray has a different normal direction")
-                new = Wall(old.support, old.normal, old.acting, old.factors + (atom,), old.incoming)
-                walls.remove(old)
-            outgoing[ray] = new
-            walls.append(new)
+            entry = new.setdefault(ray, (n0, acting, []))
+            if _cross(old.acting if old is not None else entry[1], acting) != 0:
+                raise InvariantViolation("existing wall on the ray has a different normal direction")
+            key = _angle_key(ray)
+            pos = bisect_left(keys, key)
+            if pos == len(keys) or keys[pos] != key:
+                keys.insert(pos, key)
+                fan.insert(pos, acting, eps)
+            atom = (e.t, e.m, int(c))
+            fan.multiply(pos, _factor(*atom, ord_ + 1))
+            entry[2].append(atom)
+        if any(fan.defect()):
+            raise InvariantViolation(
+                f"stage invariant violated: completion stage {degree} left degree-{degree} terms "
+                "in the loop after adding its walls"
+            )
+    del fan  # frees the slices before the closing loop, so that the two peaks do not add up
+    for ray, (n0, acting, atoms) in new.items():
+        old = outgoing.get(ray)
+        if old is None:
+            walls.append(Wall((ray,), n0, acting, tuple(atoms), incoming=False))
+        else:
+            merged = Wall(old.support, old.normal, old.acting, old.factors + tuple(atoms), old.incoming)
+            walls[walls.index(old)] = merged
     first, _ = _defect_derivation(walls, frame, lat.d, ord_ + 1, memo)
     if first is not None:
         raise InvariantViolation(f"completion finished but the loop still fails at degree {first}")
