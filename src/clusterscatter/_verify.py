@@ -5,8 +5,6 @@ them against the fixture files or against an independent second route.
 Checks are (name, passed, first counterexample or None).
 """
 
-from dataclasses import replace
-
 from .cluster_core import (
     _chamber_walk,
     chart_variables,
@@ -35,10 +33,7 @@ Check = tuple[str, bool, object]
 
 
 def _fixture_seed(name: str, group: bool):
-    s = seed_from_json(load_fixture(name), semifield=not group)
-    if group and s.cluster is not None:
-        s = replace(s, cluster=None)
-    return s
+    return seed_from_json(load_fixture(name), semifield=not group)
 
 
 def suite_b2_chart(order=None, depth=None) -> list[Check]:

@@ -9,7 +9,6 @@ byte for byte.
 """
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -84,16 +83,9 @@ def _parse_vector(text: str, n: int) -> tuple[int, ...]:
     return vec
 
 
-def _group_seed(seed_path: str):
-    s = _load_seed(seed_path, semifield=False)
-    if s.cluster is not None:
-        s = replace(s, cluster=None)
-    return s
-
-
 def _completed(seed_path: str, order: int) -> ScatteringDiagram:
     try:
-        return complete_rank2(build_initial(_group_seed(seed_path), order))
+        return complete_rank2(build_initial(_load_seed(seed_path, semifield=False), order))
     except ValueError as err:
         raise click.UsageError(str(err))
 
@@ -183,7 +175,7 @@ def scatter_check(ctx, seed_path, order, completed):
     The bare initial diagram is usually inconsistent, which is what
     completion repairs; an inconsistent diagram exits with code 1.
     """
-    s = _group_seed(seed_path)
+    s = _load_seed(seed_path, semifield=False)
     try:
         D = build_initial(s, order)
         if completed:
@@ -220,7 +212,7 @@ def scatter_check(ctx, seed_path, order, completed):
 def scatter_mutate(ctx, seed_path, k, order, json_path):
     """Trade the direction-k hyperplane across the completed diagram and
     confirm the result matches the mutated seed's own completion."""
-    s = _group_seed(seed_path)
+    s = _load_seed(seed_path, semifield=False)
     try:
         moved, _, ok = tk_invariance_check(s, k, order)
     except (ValueError, IndexError) as err:

@@ -3,13 +3,15 @@
 A seed carries an exchange matrix B (skew-symmetrizable by diag(d), column i
 divisible by the exchange-polynomial degree r_i), a tuple of r_i normalized
 coefficients per direction living in a tropical semifield, and n cluster
-variables stored as exact rational functions of the initial cluster.  On top
-of seed mutation this module provides pattern walks, the c-vector block
-matrices, g-vector frames with signed mutation, and the chart variables: the
-cluster variables at the end of a mutation path, computed a second way by
-composing wall-crossing substitutions in the initial chart.  One g-frame step
-moves every frame: ``g_frame_mutate`` takes its sign from g*_k, while chart
+variables stored as exact Laurent polynomials in the initial cluster (the
+Laurent phenomenon): each exchange is one exact division.  On top of seed
+mutation this module provides pattern walks, the c-vector block matrices,
+g-vector frames with signed mutation, and the chart variables: the cluster
+variables at the end of a mutation path, computed a second way by composing
+wall-crossing substitutions in the initial chart.  One g-frame step moves
+every frame: ``g_frame_mutate`` takes its sign from g*_k, while chart
 variables (and the seed frames of ``scattering``) replay it with sign +1.
+Chart variables and theta's chamber transport share one replay of the word.
 
 Directions k are 1-based in the public API, matching the usual edge labels
 of the regular tree.  All arithmetic is exact.
@@ -17,7 +19,7 @@ of the regular tree.  All arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -135,32 +137,16 @@ class FixedData:
         return tot
 
 
-# -- rational functions ------------------------------------------------------
+# -- cluster variables -------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """Quotient of two exact Laurent polynomials over the coefficient group."""
+    """A cluster variable as results and JSON carry it: ``num / den``.  Every
+    instance the library builds is a Laurent polynomial, ``den`` one."""
 
     num: LaurentSeries
     den: LaurentSeries
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return rational(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        return rational(self.num * other.den, self.den * other.num)
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return rational(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return rational(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __pow__(self, e: int) -> "RationalFunction":
-        if e < 0:
-            return rational(series_pow(self.den, -e), series_pow(self.num, -e))
-        return rational(series_pow(self.num, e), series_pow(self.den, e))
 
     @property
     def is_laurent(self) -> bool:
@@ -172,12 +158,8 @@ class RationalFunction:
             raise ValueError("rational function did not reduce to a Laurent polynomial")
         return self.num
 
-    def equivalent(self, other: "RationalFunction") -> bool:
-        """Equality as rational functions (cross multiplication)."""
-        return self.num * other.den == other.num * self.den
-
     def key(self):
-        """Hashable canonical key; exact only for reduced representations."""
+        """Hashable canonical key."""
         return (
             tuple(self.num.sorted_terms()),
             tuple(self.den.sorted_terms()),
@@ -189,35 +171,16 @@ class RationalFunction:
         return f"({self.num}) / ({self.den})"
 
 
+def _laurent(x: LaurentSeries) -> RationalFunction:
+    return RationalFunction(x, LaurentSeries.one(*x.dims()))
+
+
 def rational(num: LaurentSeries, den: LaurentSeries) -> RationalFunction:
-    """Normalize: reduce to denominator 1 whenever the division is exact."""
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if den.is_one():
-        return RationalFunction(num, den)
-    one = LaurentSeries.one(*den.dims())
-    if not num:
-        return RationalFunction(LaurentSeries.zero(None), one)
+    """num / den reduced to a Laurent polynomial; ValueError if it is none."""
     q = series_exact_div(num, den)
-    if q is not None:
-        return RationalFunction(q, one)
-    return RationalFunction(num, den)
-
-
-def rf_one(n: int, d: int) -> RationalFunction:
-    one = LaurentSeries.one(n, d)
-    return RationalFunction(one, one)
-
-
-def rf_monomial(n: int, d: int, m=None, t=None, coeff=1) -> RationalFunction:
-    m = tuple(m) if m is not None else (0,) * n
-    t = tuple(t) if t is not None else (0,) * d
-    return RationalFunction(LaurentSeries.monomial(m, t, coeff), LaurentSeries.one(n, d))
-
-
-def rf_coeff(n: int, p: TropElement) -> RationalFunction:
-    """The coefficient p as a monomial of the group ring."""
-    return rf_monomial(n, p.lattice.d, None, p.exponents)
+    if q is None:
+        raise ValueError("rational function does not reduce to a Laurent polynomial")
+    return RationalFunction(q, LaurentSeries.one(*den.dims()))
 
 
 # -- seeds and mutation ------------------------------------------------------
@@ -230,7 +193,8 @@ class Seed:
     ``semifield=True`` mutates coefficients with the normalized rule (the
     tropical splits p^+/p^-); ``semifield=False`` treats coefficients as bare
     group elements and applies the plus-signed rule used by the scattering
-    frame changes.  The cluster may be None for coefficient-only patterns.
+    frame changes.  That rule is no Y-pattern, so a group-mode seed carries
+    no cluster; the cluster is None for coefficient-only patterns as well.
     """
 
     data: FixedData
@@ -248,8 +212,11 @@ class Seed:
         for i, tup in enumerate(self.coeffs):
             if len(tup) != self.data.r[i]:
                 raise ValueError(f"direction {i + 1} needs {self.data.r[i]} coefficients")
-        if self.cluster is not None and len(self.cluster) != self.data.n:
-            raise ValueError("cluster size mismatch")
+        if self.cluster is not None:
+            if not self.semifield:
+                raise ValueError("group-mode seeds (semifield=False) carry no cluster")
+            if len(self.cluster) != self.data.n:
+                raise ValueError("cluster size mismatch")
 
     @property
     def coeff_lattice(self) -> CoeffLattice:
@@ -278,7 +245,7 @@ def initial_seed(
     cluster = None
     if with_cluster:
         cluster = tuple(
-            rf_monomial(data.n, lat.d, _unit(data.n, i)) for i in range(data.n)
+            _laurent(LaurentSeries.monomial(_unit(data.n, i), (0,) * lat.d)) for i in range(data.n)
         )
     return Seed(data, data.B, coeffs, cluster, (), semifield)
 
@@ -321,22 +288,33 @@ def _coeffs_mutate_group(coeffs, B: Matrix, r, a: int):
 
 
 def _exchange_variable(s: Seed, a: int) -> RationalFunction:
-    # x_k' = x_k^{-1} * prod_l (p_{k,l}^+ u_+ + p_{k,l}^- u_-)
+    # x_k' = x_k^{-1} * prod_l (p_{k,l}^+ u_+ + p_{k,l}^- u_-), one exact division
     n = s.data.n
     r = s.data.r
     d = s.coeff_lattice.d
-    u_plus = rf_one(n, d)
-    u_minus = rf_one(n, d)
+    x = [v.series for v in s.cluster]
+    u_plus = LaurentSeries.one(n, d)
+    u_minus = LaurentSeries.one(n, d)
     for i in range(n):
         b = s.matrix[i][a]
         if b > 0:
-            u_plus = u_plus * s.cluster[i] ** (b // r[a])
+            u_plus = u_plus * series_pow(x[i], b // r[a])
         elif b < 0:
-            u_minus = u_minus * s.cluster[i] ** (-(b // r[a]))
-    theta = rf_one(n, d)
+            u_minus = u_minus * series_pow(x[i], -(b // r[a]))
+    num = LaurentSeries.one(n, d)
+    zero = (0,) * n
     for p in s.coeffs[a]:
-        theta = theta * (rf_coeff(n, p_plus(p)) * u_plus + rf_coeff(n, p_minus(p)) * u_minus)
-    return theta / s.cluster[a]
+        num = num * (
+            LaurentSeries.monomial(zero, p_plus(p).exponents) * u_plus
+            + LaurentSeries.monomial(zero, p_minus(p).exponents) * u_minus
+        )
+    q = series_exact_div(num, x[a])
+    if q is None:
+        raise InvariantViolation(
+            f"exchange in direction {a + 1} is not a Laurent polynomial (Laurent property): "
+            "the cluster does not belong to the pattern"
+        )
+    return _laurent(q)
 
 
 def seed_mutate(s: Seed, k: int) -> Seed:
@@ -718,48 +696,6 @@ class TropMap:
 # -- chart variables by composed crossings -----------------------------------
 
 
-@dataclass(frozen=True)
-class ClusterMap:
-    """Wall-crossing substitution z^m -> z^m * f^(sign * <normal, m>); the
-    coefficient generators are fixed."""
-
-    n: int
-    d: int
-    f: LaurentSeries
-    normal: tuple[int, ...]
-    sign: int
-
-    def _fpow(self, e: int, cache: dict) -> LaurentSeries:
-        hit = cache.get(e)
-        if hit is None:
-            hit = series_pow(self.f, e)
-            cache[e] = hit
-        return hit
-
-    def _apply_series(self, x: LaurentSeries, cache: dict) -> tuple[LaurentSeries, int]:
-        """Image as (numerator, D) meaning numerator / f^D."""
-        levels: dict[int, dict[Exponent, object]] = {}
-        for e, c in x.terms.items():
-            lv = self.sign * sum(self.normal[a] * e.m[a] for a in range(self.n))
-            levels.setdefault(lv, {})[e] = c
-        if not levels:
-            return LaurentSeries.zero(None), 0
-        D = max(0, -min(levels))
-        out = LaurentSeries.zero(None)
-        for lv, terms in levels.items():
-            out = out + LaurentSeries(terms, None) * self._fpow(lv + D, cache)
-        return out, D
-
-    def apply(self, x: RationalFunction, cache: dict | None = None) -> RationalFunction:
-        if cache is None:
-            cache = {}
-        num, dn = self._apply_series(x.num, cache)
-        den, dd = self._apply_series(x.den, cache)
-        if dn >= dd:
-            return rational(num, den * self._fpow(dn - dd, cache))
-        return rational(num * self._fpow(dd - dn, cache), den)
-
-
 def _exchange_factor(coeffs, w, n: int, d: int) -> LaurentSeries:
     """prod_p (p^- + p^+ z^w) over the tropical coefficients of one direction."""
     f = LaurentSeries.one(n, d)
@@ -798,30 +734,62 @@ def unimodular_inverse_transpose(rows: Matrix) -> Matrix:
     return tuple(out)
 
 
+def _transport(s: Seed, word, signed: bool):
+    """Replay the reduced word on a coefficient-only copy of s, from the
+    initial frame.  Each letter k steps the frame with eps = epsilon(k) when
+    ``signed`` (chamber transport) or eps = +1 (chart variables).
+
+    Returns the steps ``(f, g*_k)`` in order, with f the exchange factor
+    ``_exchange_factor`` builds from the coefficients p^eps and the normal
+    covector eps w_k, and the last frame.
+    """
+    n = s.data.n
+    d = s.coeff_lattice.d
+    s = replace(s, cluster=None)
+    G = initial_g_frame(s.data)
+    steps = []
+    for k in reduce_word(word):
+        a = k - 1
+        eps = G.epsilon(k) if signed else 1
+        w = tuple(eps * x for x in G.w(k))
+        steps.append((_exchange_factor([p**eps for p in s.coeffs[a]], w, n, d), G.gstar[a]))
+        G = _frame_step(G, s.matrix, k, eps)
+        s = seed_mutate(s, k)
+    return steps, G
+
+
+def _pull_back(steps, x: LaurentSeries) -> LaurentSeries:
+    """Write x, a Laurent polynomial in the last chart of ``steps``, in the
+    first: each step, last first, crosses z^m -> z^m f^(-<g*_k, m>).  The
+    terms over the common denominator f^D come back out of one exact
+    division; by the Laurent phenomenon it always succeeds."""
+    for f, gstar in reversed(steps):
+        levels: dict[int, dict[Exponent, object]] = {}
+        for e, c in x.terms.items():
+            levels.setdefault(-sum(map(mul, gstar, e.m)), {})[e] = c
+        D = max(0, -min(levels))
+        powers = {e: series_pow(f, e) for e in {D, *(lv + D for lv in levels)}}
+        x = LaurentSeries.zero(None)
+        for lv, terms in levels.items():
+            x = x + LaurentSeries(terms, None) * powers[lv + D]
+        if D:
+            x = series_exact_div(x, powers[D])
+            if x is None:
+                raise InvariantViolation("a crossing left the Laurent ring (Laurent phenomenon)")
+    return x
+
+
 def chart_variables(s0: Seed, word) -> tuple[RationalFunction, ...]:
     """Cluster variables at the end of the word computed by composing one
     wall-crossing substitution per step in the initial chart (instead of
     iterating exchange relations).  The frame replays the g-frame step with
-    sign +1; its dual rows g give the monomials to pull back."""
-    data = s0.data
-    n = data.n
+    sign +1; its dual rows g give the monomials to pull back.  A group-mode
+    seed has no cluster variables and raises ValueError."""
+    if not s0.semifield:
+        raise ValueError("chart variables need a semifield-mode seed: group-mode seeds carry no cluster")
+    steps, G = _transport(s0, word, signed=False)
     d = s0.coeff_lattice.d
-    G = initial_g_frame(data)
-    s = s0
-    steps: list[ClusterMap] = []
-    for k in reduce_word(word):
-        a = k - 1
-        f = _exchange_factor(s.coeffs[a], G.w(k), n, d)
-        steps.append(ClusterMap(n, d, f, G.gstar[a], -1))
-        G = _frame_step(G, s.matrix, k, 1)
-        s = seed_mutate(s, k)
-    out = []
-    for i in range(n):
-        x = rf_monomial(n, d, G.g[i])
-        for step in reversed(steps):
-            x = step.apply(x)
-        out.append(x)
-    return tuple(out)
+    return tuple(_laurent(_pull_back(steps, LaurentSeries.monomial(g, (0,) * d))) for g in G.g)
 
 
 # -- serialization -----------------------------------------------------------
@@ -853,11 +821,14 @@ def seed_to_json(s: Seed) -> dict:
 
 
 def seed_from_json(data: dict, semifield: bool = True) -> Seed:
+    """The seed of a JSON document.  A group-mode seed (``semifield=False``)
+    ignores the document's cluster; a cluster entry that does not reduce to a
+    Laurent polynomial raises ValueError."""
     fixed = FixedData(_as_matrix(data["B"]), tuple(data["d"]), tuple(data["r"]))
     coeffs = tuple(
         tuple(trop_element_from_json(p) for p in tup) for tup in data["coeffs"]
     )
     cluster = None
-    if data.get("cluster") is not None:
+    if semifield and data.get("cluster") is not None:
         cluster = tuple(rational_from_json(x) for x in data["cluster"])
     return Seed(fixed, fixed.B, coeffs, cluster, (), semifield)

@@ -730,7 +730,8 @@ def _regrade_normal(frame: SeedFrame, atoms: Sequence[Atom]) -> tuple[int, ...]:
             base = n0
         elif base != n0 and base != tuple(-x for x in n0):
             raise InvariantViolation("wall atoms have incompatible gradings")
-    assert base is not None
+    if base is None:
+        raise InvariantViolation("a transformed wall has no atoms")
     return base
 
 

@@ -24,17 +24,14 @@ from functools import cmp_to_key
 from math import gcd, lcm
 
 from .cluster_core import (
-    ClusterMap,
+    InvariantViolation,
     RationalFunction,
     TropMap,
     _chamber_walk,
-    _exchange_factor,
-    g_frame_mutate,
-    initial_g_frame,
+    _laurent,
+    _pull_back,
+    _transport,
     initial_seed,
-    rational,
-    rf_monomial,
-    seed_mutate,
 )
 from .monoid_ring import Exponent, LaurentSeries
 from .scattering import ScatteringDiagram, _cross, _fan, _fresh_walls, seed_frame
@@ -246,7 +243,8 @@ def enumerate_broken_lines(
         hits.sort(key=cmp_to_key(lambda h, g: h[0] * g[1] - g[0] * h[1]))
         for a, c, rd in hits:
             e = abs(rd.acting[0] * a0 + rd.acting[1] * a1)
-            assert e >= 1
+            if e < 1:
+                raise InvariantViolation(f"a segment crossing the ray {rd.ray} pairs to 0 with its normal")
             Y0, Y1, v = X0 * c + a * a0, X1 * c + a * a1, w * c
             g = gcd(Y0, Y1, v)
             pt = (Y0 // g, Y1 // g, v // g)
@@ -278,7 +276,8 @@ def _assemble(Q: Point, p0, trail, frame) -> BrokenLine:
         t = _vadd(t, tq)
         m = _vadd(m, mq)
         nd = sum(t)
-        assert nd > deg, "bend must raise the coefficient degree"
+        if nd <= deg:
+            raise InvariantViolation("a bend must raise the coefficient degree")
         deg = nd
         segments.append((c, t, m))
         bends.append(((Fraction(X0, w), Fraction(X1, w)), ray))
@@ -368,23 +367,7 @@ def theta_via_transport(D: ScatteringDiagram, p0, depth: int = 8) -> RationalFun
     if word is None:
         raise ValueError(f"no cluster chamber contains {p0} within depth {depth}")
     # replay the word, crossing one chamber facet per step
-    sd = initial_seed(data, with_cluster=False, semifield=True)
-    d = sd.coeff_lattice.d
-    G = initial_g_frame(data)
-    steps = []
-    for k in word:
-        eps = G.epsilon(k)
-        w = tuple(eps * a for a in G.w(k))
-        f = _exchange_factor([p**eps for p in sd.coeffs[k - 1]], w, n, d)
-        normal = tuple(eps * a for a in G.gstar[k - 1])
-        G = g_frame_mutate(G, sd, k)
-        sd = seed_mutate(sd, k)
-        sgn = _dot(normal, tuple(sum(col) for col in zip(*G.g)))
-        if sgn == 0:
-            raise AssertionError("chamber interior landed on its own facet")
-        steps.append(ClusterMap(n, d, f, normal, 1 if sgn > 0 else -1))
-    x = rf_monomial(n, d, p0)
-    for step in reversed(steps):
-        x = step.apply(x)
+    steps, _ = _transport(initial_seed(data, with_cluster=False), word, signed=True)
+    x = _pull_back(steps, LaurentSeries.monomial(p0, (0,) * data.lattice.d))
     lam = TropMap(data.lattice, s.coeff_lattice, tuple(p for tup in s.coeffs for p in tup))
-    return rational(lam.on_series(x.num), lam.on_series(x.den))
+    return _laurent(lam.on_series(x))

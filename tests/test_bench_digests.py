@@ -1,6 +1,7 @@
-"""Every ``complete`` entry the benchmark can draw, including the mutated
-starting seeds, must reproduce its digest in ``perfbench/reference.json``
-byte for byte (the benchmark reads the same file)."""
+"""Every ``complete``, ``mutate`` and ``theta`` entry the benchmark can draw,
+including the mutated starting seeds, must reproduce its digest in
+``perfbench/reference.json`` byte for byte (the benchmark reads the same
+file)."""
 
 import importlib.util
 import json
@@ -17,12 +18,23 @@ def _load(name: str):
     return module
 
 
-def test_complete_entries_match_reference_digests():
-    workloads, reference = _load("workloads"), _load("reference")
+def _check_digests(prefix: str, ops) -> None:
+    reference = _load("reference")
     want = json.loads((PERFBENCH / "reference.json").read_text())
-    ops = workloads.complete_all_ops()
-    keys = {op.key for op in ops}
-    assert {"complete/b2/o12/w21", "complete/kron/o8/w2"} <= keys
-    assert keys == {k for k in want if k.startswith("complete/")}
+    assert {op.key for op in ops} == {k for k in want if k.startswith(prefix)}
     for op in ops:
         assert reference.digest(op.canon(op.call())) == want[op.key], op.key
+
+
+def test_complete_entries_match_reference_digests():
+    ops = _load("workloads").complete_all_ops()
+    assert {"complete/b2/o12/w21", "complete/kron/o8/w2"} <= {op.key for op in ops}
+    _check_digests("complete/", ops)
+
+
+def test_mutate_entries_match_reference_digests():
+    _check_digests("mutate/", _load("workloads").mutate_all_ops())
+
+
+def test_theta_entries_match_reference_digests():
+    _check_digests("theta/", _load("workloads").theta_all_ops())

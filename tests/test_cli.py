@@ -95,6 +95,34 @@ class TestMutate:
         assert "cannot load seed from" in res.output
         assert "Expecting value" not in res.output
 
+    @staticmethod
+    def _a2_seed_file(tmp_path, edit):
+        # A2 with principal coefficients, its cluster entry 1 changed by ``edit``
+        a2 = FixedData(B=((0, -1), (1, 0)), d=(1, 1), r=(1, 1))
+        data = seed_to_json(initial_seed(a2))
+        edit(data["cluster"][0])
+        p = tmp_path / "a2.json"
+        p.write_text(json.dumps(data))
+        return str(p)
+
+    def test_cluster_outside_the_pattern_violates_the_laurent_property(self, runner, tmp_path):
+        # cluster (z0 + z1, z1): the exchange in direction 1 divides by z0 + z1
+        path = self._a2_seed_file(tmp_path, lambda x: x["num"].append({"m": [0, 1], "t": [0, 0], "c": 1}))
+        assert runner.invoke(cli, ["mutate", "--seed", path, "2"]).exit_code == 0
+        res = runner.invoke(cli, ["mutate", "--seed", path, "1"])
+        assert res.exit_code == 1
+        assert "invariant violated: " in res.output and "Laurent" in res.output
+        assert isinstance(res.exception, SystemExit)  # handled, no traceback
+
+    def test_non_laurent_cluster_entry_is_bad_input(self, runner, tmp_path):
+        # cluster entry z0 / (1 + z1)
+        path = self._a2_seed_file(
+            tmp_path, lambda x: x.update(den=[{"m": [0, m], "t": [0, 0], "c": 1} for m in (0, 1)])
+        )
+        res = runner.invoke(cli, ["mutate", "--seed", path])
+        assert res.exit_code == 2
+        assert "cannot load seed from" in res.output and "Laurent" in res.output
+
 
 class TestScatter:
     def test_wall_listing_and_files(self, runner, b2_path, tmp_path):

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clusterscatter import cluster_core
 from clusterscatter.cluster_core import (
     CMatrix,
     FixedData,
     GVectorFrame,
     InvariantViolation,
-    RationalFunction,
     Seed,
     _beta,
     _chamber_walk,
@@ -26,11 +26,8 @@ from clusterscatter.cluster_core import (
     initial_seed,
     matrix_mutate,
     pattern_walk,
-    rational,
+    rational_to_json,
     reduce_word,
-    rf_coeff,
-    rf_monomial,
-    rf_one,
     seed_from_json,
     seed_key,
     seed_mutate,
@@ -38,6 +35,7 @@ from clusterscatter.cluster_core import (
     seeds_equal,
     unimodular_inverse_transpose,
 )
+from clusterscatter.monoid_ring import LaurentSeries, series_pow
 from clusterscatter.semifield import CoeffLattice
 
 B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
@@ -117,14 +115,15 @@ class TestFixedData:
 
 
 def _b2_symbols():
-    n, dd = 2, 3
-    A1 = rf_monomial(n, dd, (1, 0))
-    A2 = rf_monomial(n, dd, (0, 1))
-    t11 = rf_monomial(n, dd, None, (1, 0, 0))
-    t21 = rf_monomial(n, dd, None, (0, 1, 0))
-    t22 = rf_monomial(n, dd, None, (0, 0, 1))
-    one = rf_one(n, dd)
-    return A1, A2, t11, t21, t22, one
+    mono = LaurentSeries.monomial
+    return (
+        mono((1, 0), (0, 0, 0)),
+        mono((0, 1), (0, 0, 0)),
+        mono((0, 0), (1, 0, 0)),
+        mono((0, 0), (0, 1, 0)),
+        mono((0, 0), (0, 0, 1)),
+        LaurentSeries.one(2, 3),
+    )
 
 
 class TestChart:
@@ -139,7 +138,7 @@ class TestChart:
             [(1, 0, 0)],
             [(0, 1, 0), (0, 0, 1)],
         ]
-        assert s.cluster[0].equivalent(A1) and s.cluster[1].equivalent(A2)
+        assert s.cluster[0].series == A1 and s.cluster[1].series == A2
 
         s = seed_mutate(s, 1)  # t1
         assert s.matrix == ((0, 2), (-1, 0))
@@ -147,9 +146,9 @@ class TestChart:
             [(-1, 0, 0)],
             [(0, 1, 0), (0, 0, 1)],
         ]
-        x1_t1 = A1 ** -1 * (one + t11 * A2)
-        assert s.cluster[0].equivalent(x1_t1)
-        assert s.cluster[1].equivalent(A2)
+        x1_t1 = series_pow(A1, -1) * (one + t11 * A2)
+        assert s.cluster[0].series == x1_t1
+        assert s.cluster[1].series == A2
 
         s = seed_mutate(s, 2)  # t2
         assert s.matrix == ((0, -2), (1, 0))
@@ -157,10 +156,10 @@ class TestChart:
             [(-1, 0, 0)],
             [(0, -1, 0), (0, 0, -1)],
         ]
-        inner = A1 ** -1 * (one + t11 * A2)
-        x2_t2 = A2 ** -1 * (one + t21 * inner) * (one + t22 * inner)
-        assert s.cluster[1].equivalent(x2_t2)
-        assert s.cluster[0].equivalent(x1_t1)
+        inner = series_pow(A1, -1) * (one + t11 * A2)
+        x2_t2 = series_pow(A2, -1) * (one + t21 * inner) * (one + t22 * inner)
+        assert s.cluster[1].series == x2_t2
+        assert s.cluster[0].series == x1_t1
 
         s = seed_mutate(s, 1)  # t3
         assert s.matrix == ((0, 2), (-1, 0))
@@ -170,14 +169,14 @@ class TestChart:
         ]
         x1_t3 = (
             A1
-            * A2 ** -1
+            * series_pow(A2, -1)
             * (
-                (one + t21 * A1 ** -1) * (one + t22 * A1 ** -1)
-                + t11 * t21 * t22 * A1 ** -2 * A2
+                (one + t21 * series_pow(A1, -1)) * (one + t22 * series_pow(A1, -1))
+                + t11 * t21 * t22 * series_pow(A1, -2) * A2
             )
         )
-        assert s.cluster[0].equivalent(x1_t3)
-        assert s.cluster[1].equivalent(x2_t2)
+        assert s.cluster[0].series == x1_t3
+        assert s.cluster[1].series == x2_t2
 
         s = seed_mutate(s, 2)  # t4
         assert s.matrix == ((0, -2), (1, 0))
@@ -185,9 +184,9 @@ class TestChart:
             [(-1, -1, -1)],
             [(1, 1, 0), (1, 0, 1)],
         ]
-        x2_t4 = A2 ** -1 * (t21 + A1) * (t22 + A1)
-        assert s.cluster[1].equivalent(x2_t4)
-        assert s.cluster[0].equivalent(x1_t3)
+        x2_t4 = series_pow(A2, -1) * (t21 + A1) * (t22 + A1)
+        assert s.cluster[1].series == x2_t4
+        assert s.cluster[0].series == x1_t3
 
         s = seed_mutate(s, 1)  # t5
         assert s.matrix == ((0, 2), (-1, 0))
@@ -195,8 +194,8 @@ class TestChart:
             [(1, 1, 1)],
             [(0, 0, -1), (0, -1, 0)],  # tuple indices come back swapped
         ]
-        assert s.cluster[0].equivalent(A1)
-        assert s.cluster[1].equivalent(x2_t4)
+        assert s.cluster[0].series == A1
+        assert s.cluster[1].series == x2_t4
 
         s = seed_mutate(s, 2)  # t6
         assert s.matrix == ((0, -2), (1, 0))
@@ -204,8 +203,8 @@ class TestChart:
             [(1, 0, 0)],
             [(0, 0, 1), (0, 1, 0)],
         ]
-        assert s.cluster[0].equivalent(A1)
-        assert s.cluster[1].equivalent(A2)
+        assert s.cluster[0].series == A1
+        assert s.cluster[1].series == A2
 
         s0 = initial_seed(B2)
         assert seeds_equal(s, s0)
@@ -307,6 +306,21 @@ class TestSeedMutation:
         # pattern_walk cancels the pair instead and returns the start seed
         assert pattern_walk(s, (k, k)) is s
 
+    def test_group_mode_seed_carries_no_cluster(self):
+        with pytest.raises(ValueError, match="carry no cluster"):
+            initial_seed(B2, with_cluster=True, semifield=False)
+        doc = seed_to_json(initial_seed(B2))
+        assert "cluster" in doc
+        assert seed_from_json(doc, semifield=False).cluster is None
+
+    def test_exchange_outside_the_pattern_is_an_invariant_violation(self):
+        # cluster (z0 + z1, z1): x1' = (z1 + t0) / (z0 + z1) is no Laurent polynomial
+        doc = seed_to_json(initial_seed(A2CL))
+        doc["cluster"][0]["num"].append({"m": [0, 1], "t": [0, 0], "c": 1})
+        s = seed_from_json(doc)
+        with pytest.raises(InvariantViolation, match="Laurent"):
+            seed_mutate(s, 1)
+
     def test_group_mode_twice_on_b2(self):
         s = initial_seed(B2, with_cluster=False, semifield=False)
         twice = seed_mutate(seed_mutate(s, 1), 1)
@@ -317,13 +331,13 @@ class TestSeedMutation:
 
     def test_kronecker_first_exchange(self):
         s = seed_mutate(initial_seed(KRON), 1)
-        n, dd = 2, 4
-        A1 = rf_monomial(n, dd, (1, 0))
-        A2 = rf_monomial(n, dd, (0, 1))
-        s1 = rf_monomial(n, dd, None, (1, 0, 0, 0))
-        s2 = rf_monomial(n, dd, None, (0, 1, 0, 0))
-        one = rf_one(n, dd)
-        assert s.cluster[0].equivalent(A1 ** -1 * (one + s1 * A2) * (one + s2 * A2))
+        mono = LaurentSeries.monomial
+        A1 = mono((1, 0), (0, 0, 0, 0))
+        A2 = mono((0, 1), (0, 0, 0, 0))
+        s1 = mono((0, 0), (1, 0, 0, 0))
+        s2 = mono((0, 0), (0, 1, 0, 0))
+        one = LaurentSeries.one(2, 4)
+        assert s.cluster[0].series == series_pow(A1, -1) * (one + s1 * A2) * (one + s2 * A2)
 
 
 class TestFiniteType:
@@ -485,7 +499,7 @@ class TestPullbacks:
             sv = pattern_walk(s0, word, memo)
             cv = chart_variables(s0, word)
             for i in range(2):
-                assert cv[i].equivalent(sv.cluster[i])
+                assert cv[i] == sv.cluster[i]
 
     @given(st.sampled_from([B2, KRON, R3]), st.data())
     @settings(max_examples=15, deadline=None)
@@ -495,7 +509,27 @@ class TestPullbacks:
         sv = pattern_walk(s0, word)
         cv = chart_variables(s0, word)
         for i in range(data.n):
-            assert cv[i].equivalent(sv.cluster[i])
+            assert cv[i] == sv.cluster[i]
+
+    def test_chart_runs_no_exchange_relation(self, monkeypatch):
+        # the chart route must stay independent of the exchange relation it checks
+        s0 = initial_seed(KRON)
+        words = [(1, 2, 1, 2), (2, 1, 2)]
+        want = [[rational_to_json(x) for x in pattern_walk(s0, w).cluster] for w in words]
+
+        def fail(s, a):
+            raise AssertionError("the exchange relation ran")
+
+        monkeypatch.setattr(cluster_core, "_exchange_variable", fail)
+        with pytest.raises(AssertionError, match="exchange relation ran"):
+            pattern_walk(s0, words[0])
+        assert [[rational_to_json(x) for x in chart_variables(s0, w)] for w in words] == want
+
+    def test_group_mode_seed_has_no_chart_variables(self):
+        # the plus-signed group rule is no Y-pattern: at (1, 2, 1, 2) its
+        # crossings would leave the Laurent ring
+        with pytest.raises(ValueError, match="group-mode seeds carry no cluster"):
+            chart_variables(initial_seed(B2, with_cluster=False, semifield=False), (1, 2, 1, 2))
 
     def test_unimodular_inverse_transpose(self):
         M = ((1, 2), (0, 1))
@@ -527,6 +561,16 @@ class TestSerialization:
         sb = seed_from_json(json.loads(json.dumps(seed_to_json(s))))
         assert sb.cluster is None
         assert seeds_equal(s, sb, strict=True)
+
+    def test_non_laurent_cluster_entry_rejected(self):
+        doc = seed_to_json(initial_seed(B2))
+        # z0 / (1 + z1)
+        doc["cluster"][0]["den"] = [{"m": [0, m], "t": [0, 0, 0], "c": 1} for m in (0, 1)]
+        with pytest.raises(ValueError, match="Laurent"):
+            seed_from_json(doc)
+        # a quotient that reduces is accepted, and stored reduced: (z0 + z0 z1) / (1 + z1)
+        doc["cluster"][0]["num"] = [{"m": [1, m], "t": [0, 0, 0], "c": 1} for m in (0, 1)]
+        assert seeds_equal(seed_from_json(doc), initial_seed(B2), strict=True)
 
     def test_schema_keys(self):
         js = seed_to_json(initial_seed(B2))

@@ -62,7 +62,6 @@ ALLOW = {
     "cluster_core.CMatrix.is_sign_coherent": _C_MATRIX,
     "cluster_core.CMatrix.block_structure_ok": _C_MATRIX,
     "cluster_core.GVectorFrame.matrix": "second route for the mutated exchange matrix (TestGVectorFrame.test_hexagon)",
-    "cluster_core.RationalFunction.equivalent": "oracle of rational-function equality in the tests",
     "cli.main": "the console entry point",
     "semifield.TropElement.is_one": "called by TropElement.__str__",
 }
