@@ -304,6 +304,8 @@ def verify(ctx, suite, order, depth):
         checks = _verify.run_suite(suite, order=order, depth=depth)
     except KeyError as err:
         raise click.UsageError(str(err.args[0]))
+    except ValueError as err:
+        raise click.UsageError(str(err))
     report = {
         "suite": suite,
         "checks": [

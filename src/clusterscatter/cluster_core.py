@@ -823,7 +823,7 @@ def seed_to_json(s: Seed) -> dict:
 def seed_from_json(data: dict, semifield: bool = True) -> Seed:
     """The seed of a JSON document.  A group-mode seed (``semifield=False``)
     ignores the document's cluster; a cluster entry that does not reduce to a
-    Laurent polynomial raises ValueError."""
+    Laurent polynomial, or has a coefficient below 0, raises ValueError."""
     fixed = FixedData(_as_matrix(data["B"]), tuple(data["d"]), tuple(data["r"]))
     coeffs = tuple(
         tuple(trop_element_from_json(p) for p in tup) for tup in data["coeffs"]
@@ -831,4 +831,8 @@ def seed_from_json(data: dict, semifield: bool = True) -> Seed:
     cluster = None
     if semifield and data.get("cluster") is not None:
         cluster = tuple(rational_from_json(x) for x in data["cluster"])
+        for i, x in enumerate(cluster, 1):
+            c = min(x.num.terms.values(), default=0)
+            if c < 0:
+                raise ValueError(f"cluster entry {i} has the coefficient {c} < 0 (positivity)")
     return Seed(fixed, fixed.B, coeffs, cluster, (), semifield)

@@ -27,12 +27,15 @@ Coefficients are exact integers.  Rationals appear transiently inside
 ``series_log``, ``series_pow`` of negative powers and exact division; every
 kernel stores them normalized back to ``int`` whenever the denominator clears,
 so ``series_add`` normalizes only the sums it writes.  Callers that need
-integrality assert it via ``assert_integral``.  ``wall_cross`` never inverts:
-it expands ``(1 + g)^h`` binomially, with integer ``C(h, j)`` for any ``h``.
-``series_exact_div`` pops each leading term from a max-heap of packed keys and
-divides int coefficients with ``divmod``.  ``_OnlineFan`` crosses a fan of
-walls one coefficient degree at a time, so that completion can add walls
-between degrees without crossing the fan again.
+integrality assert it via ``assert_integral``.  Crossings never invert: they
+expand ``(1 + g)^h`` binomially, with integer ``C(h, j)`` for any ``h``.
+``_cross_factors`` crosses an image held as slices by coefficient degree in
+place, one wall factor ``(1 + t z^m)^c`` at a time, and is the kernel of every
+one-shot crossing; ``wall_cross`` crosses with an expanded function and is
+kept as its test oracle.  ``series_exact_div`` pops each leading term from a
+max-heap of packed keys and divides int coefficients with ``divmod``.
+``_OnlineFan`` crosses a fan of walls one coefficient degree at a time, so
+that completion can add walls between degrees without crossing the fan again.
 
 Wall-crossing automorphisms ``z^p -> z^p * f^{sign*<n0, m(p)>}`` and their
 compositions are materialized as images of the ``n + d`` generators
@@ -519,7 +522,67 @@ def _binomial_tables(
     return ys
 
 
+def _cross_factors(
+    slices: list[dict], factors: Sequence, n0: Sequence[int], sign: int, nd: tuple[int, int]
+) -> int:
+    """Cross an image in place, factor by factor: z^p -> z^p (1 + t z^m)^(c h),
+    h = sign*<n0, m(p)>, for each factor (t, m, c) in turn.
+
+    ``slices[k]`` holds the image's packed terms of coefficient degree k, for
+    k below the order ``len(slices)``.  Every z^m is tangent to the wall
+    (<n0, m> = 0), so a term a factor writes has the h of the term it came
+    from, and crossing factor after factor is crossing once with their
+    product.  A factor of degree delta reads only the slices below ``order -
+    delta``, from the top down, and writes only above the slice it reads, so
+    no term is crossed twice by one factor.  The binomials C(c h, j) are
+    integers for any h: nothing is inverted.  Returns the slot bound of the
+    image, whose terms are a generator times at most order - 1 factor
+    monomials; it is guarded before any key forms.
+    """
+    order, (n, d) = len(slices), nd
+    live = []
+    for t, m, c in factors:
+        delta = sum(t)
+        if delta < 1:
+            raise ValueError("wall function must have constant term exactly 1")
+        if sum(map(mul, n0, m)):
+            raise ValueError(f"wall monomial {tuple(m)} is not tangent to the acting normal {tuple(n0)}")
+        if delta < order:
+            live.append((delta, (*m, *t, delta), c))
+    bound = _guard(1 + (order - 1) * max((abs(v) for _, y, _ in live for v in y), default=0))
+    lift, shift = _pack([_HALF] * (d + 1)), _SLOT * (d + 1)  # lifts the t and degree slots to [0, 2^32)
+    hs: dict[int, int] = {}  # h by the lifted m-slots of a key, shared by every t
+    for delta, y, c in live:
+        y = _pack(y)
+        for k in range(order - 1 - delta, -1, -1):
+            if not slices[k]:
+                continue
+            targets = list(zip(range(1, order), slices[k + delta :: delta], range(y, order * y, y)))
+            for key, a in slices[k].items():
+                mk = (key + lift) >> shift
+                h = hs.get(mk)
+                if h is None:
+                    h = hs[mk] = sign * sum(map(mul, n0, _unpack(mk, n)))
+                e, binom = c * h, 1
+                for j, out, step in targets:
+                    binom = binom * (e - j + 1) // j  # exact: C(e, j)
+                    if not binom:
+                        break
+                    k2 = key + step
+                    s = out.get(k2, 0) + binom * a
+                    if s:
+                        out[k2] = s
+                    else:
+                        del out[k2]
+    return bound
+
+
 _ONE = {0: 1}  # the packed series 1
+
+
+def _generator_slices(n: int, d: int, order: int) -> list[list[dict]]:
+    """Each generator z^{e_i} as packed slices by coefficient degree below ``order``."""
+    return [[{_pack((*_unit(n, i), *(0,) * d, 0)): 1}] + [{} for _ in range(order - 1)] for i in range(n)]
 
 
 def _by_degree(packed: dict) -> dict[int, dict]:
@@ -579,8 +642,8 @@ class _OnlineFan:
 
     def __init__(self, n: int, d: int, order: int):
         self.nd, self.order, self.k, self.bound = (n, d), order, 0, 2
-        self.gens = [_pack((*_unit(n, i), *(0,) * d, 0)) for i in range(n)]
-        self.start = [[{key: 1}] + [{} for _ in range(order - 1)] for key in self.gens]
+        self.start = _generator_slices(n, d, order)
+        self.gens = [next(iter(sl[0])) for sl in self.start]
         self.rays: list[_Crossing] = []
 
     def _input(self, j: int) -> list[list[dict]]:

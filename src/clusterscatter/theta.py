@@ -148,7 +148,7 @@ class _SearchContext:
         self.order = order
         self.frame = seed_frame(D.seed)
         walls = _fresh_walls(D.walls, self.frame)
-        self.rays = [_RayData(*ray) for ray in sorted(_fan(walls, order, {}))]
+        self.rays = [_RayData(*ray) for ray in sorted(_fan(walls, order))]
         self._reach = None
 
     def reach(self) -> tuple[dict[tuple, int], list[tuple]]:

@@ -123,6 +123,16 @@ class TestMutate:
         assert res.exit_code == 2
         assert "cannot load seed from" in res.output and "Laurent" in res.output
 
+    def test_negative_cluster_coefficient_is_bad_input(self, runner, tmp_path):
+        # B2 with its first cluster entry -z0
+        data = json.loads(fixture_text("b2.json"))
+        data["cluster"][0]["num"][0]["c"] = -1
+        path = tmp_path / "b2_negative.json"
+        path.write_text(json.dumps(data))
+        res = runner.invoke(cli, ["mutate", "--seed", str(path), "121"])
+        assert res.exit_code == 2
+        assert "cannot load seed from" in res.output and "positivity" in res.output
+
 
 class TestScatter:
     def test_wall_listing_and_files(self, runner, b2_path, tmp_path):
@@ -141,6 +151,13 @@ class TestScatter:
         again = runner.invoke(cli, args)
         assert again.stdout == res.stdout
         assert sp.read_text() == svg
+
+    @pytest.mark.parametrize("command", [["scatter"], ["theta", "--m", "1,0"], ["scatter-check"]])
+    def test_order_beyond_a_packed_slot_is_bad_input(self, runner, b2_path, command):
+        # 2^31 + 1 does not fit a packed slot; nothing is allocated per degree
+        res = runner.invoke(cli, [*command, "--seed", b2_path, "--order", "2147483648"])
+        assert res.exit_code == 2
+        assert "order + 1 must fit a packed slot" in res.output
 
     def test_order_env_mirror(self, runner, b2_path):
         res = runner.invoke(
@@ -309,6 +326,12 @@ class TestVerify:
         assert {c["name"] for c in rep["checks"]} == {
             "b2-k1-o4", "b2-k2-o4", "kronecker-k1-o4", "kronecker-k2-o4"
         }
+
+    def test_order_beyond_a_packed_slot_is_bad_input(self, runner):
+        res = runner.invoke(cli, ["verify", "--suite", "b2-scatter", "--order", "2147483648"])
+        assert res.exit_code == 2
+        assert "order + 1 must fit a packed slot" in res.stderr
+        assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("flag", ["--order", "--depth"])
     @pytest.mark.parametrize("value", ["-1", "0"])

@@ -1,4 +1,5 @@
-"""Online completion against the staged oracle.
+"""Online completion against the staged oracle, and the factor-by-factor
+crossing against the expanded one.
 
 ``reference_complete_rank2`` is the staged completion the library used
 before completion went online: at every degree k it re-crosses the whole fan
@@ -6,6 +7,10 @@ at series order k + 1, reads the lowest slice of the loop's log, adds one wall
 per defect term, and ends with one more full loop as a check.  The online
 ``complete_rank2`` must return the same diagram, byte for byte, and raise the
 same errors.
+
+``reference_cross_fan`` is the crossing the one-shot loop used before it went
+factor by factor: expand each ray's function, then ``wall_cross`` once per
+generator.  ``_cross_fan`` must give the same images.
 """
 
 from dataclasses import replace
@@ -13,8 +18,17 @@ from dataclasses import replace
 import pytest
 
 from clusterscatter.cluster_core import FixedData, InvariantViolation, pattern_walk
-from clusterscatter.monoid_ring import LaurentSeries, _OnlineFan, _unit, series_mul
+from clusterscatter.monoid_ring import (
+    LaurentSeries,
+    _cross_factors,
+    _generator_slices,
+    _OnlineFan,
+    _unit,
+    series_mul,
+    wall_cross,
+)
 from clusterscatter.scattering import (
+    PathSpec,
     PositivityError,
     ScatteringDiagram,
     Wall,
@@ -26,10 +40,13 @@ from clusterscatter.scattering import (
     _fresh_walls,
     _old_walls,
     _primitive,
+    _ray_atoms,
     _sort_walls,
+    _turn,
     build_initial,
     complete_rank2,
     diagram_to_json,
+    path_ordered_product,
     seed_frame,
     tk_invariance_check,
     tk_transform,
@@ -46,7 +63,6 @@ def reference_complete_rank2(D: ScatteringDiagram, order: int | None = None) -> 
     frame = seed_frame(D.seed)
     lat = D.seed.coeff_lattice
     walls = _fresh_walls(D.walls, frame)
-    memo: dict = {}
     outgoing: dict = {}
     for w in walls:
         if not w.incoming:
@@ -54,7 +70,7 @@ def reference_complete_rank2(D: ScatteringDiagram, order: int | None = None) -> 
                 raise ValueError("diagram has two outgoing walls on one ray; merge them first")
             outgoing[w.ray] = w
     for degree in range(2, ord_ + 1):
-        first, terms = _defect_derivation(walls, frame, lat.d, degree + 1, memo)
+        first, terms = _defect_derivation(walls, frame, lat.d, degree + 1)
         if first is None:
             continue
         if first < degree:
@@ -80,7 +96,7 @@ def reference_complete_rank2(D: ScatteringDiagram, order: int | None = None) -> 
                 walls.remove(old)
             outgoing[ray] = new
             walls.append(new)
-    first, _ = _defect_derivation(walls, frame, lat.d, ord_ + 1, memo)
+    first, _ = _defect_derivation(walls, frame, lat.d, ord_ + 1)
     if first is not None:
         raise InvariantViolation(f"completion finished but the loop still fails at degree {first}")
     return ScatteringDiagram(_sort_walls(_old_walls(walls, frame)), ord_, D.seed)
@@ -213,14 +229,87 @@ def test_online_fan_matches_one_shot_crossing(data, order, completed):
     so = order + 1
     walls = _fresh_walls(D.walls, seed_frame(D.seed))
     d = D.seed.coeff_lattice.d
-    fan = _fan(walls, so, {})
     online = _OnlineFan(2, d, so)
-    for j, (ray, acting, f) in enumerate(fan):
+    for j, (ray, acting, f) in enumerate(_fan(walls, so)):
         online.insert(j, acting, _crossing_eps(ray, acting, True))
         online.multiply(j, f)
-    images = _cross_fan(fan, True, d, so)
+    images = _cross_fan(_ray_atoms(walls), True, d, so)
     for k in range(1, so):
         online.step()
         for a, sl in enumerate(online.defect()):
             shift = LaurentSeries.monomial(tuple(-x for x in _unit(2, a)), (0,) * d, 1, so)
             assert sl.terms == series_mul(images[a], shift).degree_slice(k).terms, (k, a)
+
+
+# -- the factor-by-factor crossing against the expanded one -------------------
+
+
+def reference_cross_fan(fan, ccw, d, series_order):
+    """Images of the generators after crossing an expanded fan (`_fan`) in
+    order: each ray's function at once, by ``wall_cross`` per generator."""
+    images = [LaurentSeries.monomial(_unit(2, i), (0,) * d, 1, series_order) for i in range(2)]
+    for ray, acting, f in fan:
+        eps = _crossing_eps(ray, acting, ccw)
+        images = [wall_cross(x, f, acting, eps) for x in images]
+    return images
+
+
+CROSSINGS = [(B2, 8), (KRON, 9), (G2, 7), (WILD, 5)]
+CROSSING_IDS = ["b2", "kron", "g2", "wild"]
+
+
+@pytest.mark.parametrize("data, order", CROSSINGS, ids=CROSSING_IDS)
+@pytest.mark.parametrize("word", [(), (2, 1)], ids=["base", "w21"])
+@pytest.mark.parametrize("drop", [False, True], ids=["closed", "dropped"])
+def test_factor_crossing_matches_expanded_crossing(data, order, word, drop):
+    """The loop of a completion, over the base seed and over a mutated seed's
+    frame, closed and with its last outgoing wall dropped."""
+    D = complete_rank2(build_initial(pattern_walk(group_seed(data), word), order))
+    walls = _fresh_walls(D.walls, seed_frame(D.seed))
+    if drop:
+        walls.remove([w for w in walls if not w.incoming][-1])
+    d, so = D.seed.coeff_lattice.d, order + 1
+    got = _cross_fan(_ray_atoms(walls), True, d, so)
+    assert got == reference_cross_fan(_fan(walls, so), True, d, so)
+    closed = [LaurentSeries.monomial(_unit(2, i), (0,) * d, 1, so) for i in range(2)]
+    assert (got == closed) is not drop
+
+
+@pytest.mark.parametrize("data, order", CROSSINGS, ids=CROSSING_IDS)
+def test_clockwise_partial_path_matches_expanded_crossing(data, order):
+    D = complete_rank2(build_initial(group_seed(data), order))
+    path = PathSpec((1000, 1), (-1000, 1), ccw=False)
+    walls = _fresh_walls(D.walls, seed_frame(D.seed))
+    stop = _turn(path.end, path.start, False)
+    turn = lambda r: _turn(r[0], path.start, False)
+    fan = sorted((r for r in _fan(walls, order + 1) if turn(r) < stop), key=turn)
+    assert len(fan) >= 3
+    want = reference_cross_fan(fan, False, D.seed.coeff_lattice.d, order + 1)
+    assert path_ordered_product(D, path).m_images == want
+
+
+def test_cross_factors_rejects_a_factor_of_degree_below_one():
+    for t in ((0, 0), (1, -2)):
+        slices = _generator_slices(2, 2, 4)[1]
+        with pytest.raises(ValueError, match="constant term exactly 1"):
+            _cross_factors(slices, [((1, 0), (1, 0), 1), (t, (1, 0), 1)], (0, 1), 1, (2, 2))
+
+
+def test_cross_factors_rejects_a_factor_off_the_wall():
+    with pytest.raises(ValueError, match="not tangent"):
+        _cross_factors(_generator_slices(2, 2, 4)[1], [((1, 0), (1, 1), 1)], (0, 1), 1, (2, 2))
+
+
+def test_cross_factors_guards_the_slots_before_any_key_forms():
+    """An image term is a generator times at most order - 1 factor monomials:
+    at order 4 a slot of 715827882 fits (1 + 3 * 715827882 = 2^31 - 1), one
+    more does not, and the image is left as it was."""
+    fits = (2**31 - 2) // 3
+    slices = _generator_slices(2, 2, 4)[1]
+    assert _cross_factors(slices, [((1, 0), (fits, 0), 1)], (0, 1), 1, (2, 2)) == 2**31 - 1
+    image = LaurentSeries._make({k: c for sl in slices for k, c in sl.items()}, 4, (2, 2), 2**31 - 1)
+    assert image == LaurentSeries({((0, 1), (0, 0)): 1, ((fits, 1), (1, 0)): 1}, 4)
+    slices = _generator_slices(2, 2, 4)[1]
+    with pytest.raises(OverflowError):
+        _cross_factors(slices, [((1, 0), (fits + 1, 0), 1)], (0, 1), 1, (2, 2))
+    assert slices == _generator_slices(2, 2, 4)[1]

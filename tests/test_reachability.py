@@ -46,6 +46,7 @@ _C_MATRIX = (
 ALLOW = {
     "scattering.path_ordered_product": _ORACLE + "; traced by perfbench/tracing.LAYERS",
     "scattering._turn": "serves path_ordered_product, the " + _ORACLE,
+    "monoid_ring.wall_cross": "oracle of `_cross_factors`; traced by perfbench/tracing.LAYERS",
     "monoid_ring._tight_bound": "the overflow guard: re-derives a slot bound only when the carried one exceeds the slot limit",
     "monoid_ring.Automorphism.identity": "acting automorphism, serves the " + _ORACLE,
     "monoid_ring.Automorphism.apply": "acting automorphism, serves the " + _ORACLE,

@@ -273,6 +273,12 @@ class TestBuildInitial:
         with pytest.raises(ValueError, match="rank-2 seeds only"):
             build_initial(group_seed(a3), 6)
 
+    def test_order_must_fit_a_packed_slot(self):
+        """Series run to order + 1, and the largest packed slot is 2^31 - 1."""
+        assert build_initial(group_seed(B2), 2**31 - 2).order == 2**31 - 2
+        with pytest.raises(ValueError, match="order \\+ 1 must fit a packed slot"):
+            build_initial(group_seed(B2), 2**31 - 1)
+
     def test_zero_matrix_consistent(self):
         D = build_initial(group_seed(ZERO), 5)
         assert check_consistency(D).consistent

@@ -201,7 +201,7 @@ def reference_broken_lines(D, p0, Q, order=None):
         raise ValueError("endpoint must be nonzero")
     frame = seed_frame(D.seed)
     walls = _fresh_walls(D.walls, frame)
-    rays = [_RayData(*ray) for ray in sorted(_fan(walls, order, {}))]
+    rays = [_RayData(*ray) for ray in sorted(_fan(walls, order))]
     for rd in rays:
         if _cross(rd.ray, Q) == 0 and _dot(rd.ray, Q) > 0:
             raise _EndpointOnWall(f"endpoint {Q} lies on the wall ray {rd.ray}")
