@@ -227,7 +227,13 @@ def scatter_mutate(ctx, seed_path, k, order, json_path):
 @cli.command()
 @click.option("--seed", "seed_path", **SEED_OPT)
 @click.option("--m", "m_text", required=True, help='Exponent, e.g. "-1,0".')
-@click.option("--order", envvar="CLUSTERSCATTER_ORDER", default=6, show_default=True)
+@click.option(
+    "--order",
+    envvar="CLUSTERSCATTER_ORDER",
+    default=6,
+    show_default=True,
+    help="Keep terms below this degree, counted in the seed's own coefficients.",
+)
 @click.option(
     "--q-seed",
     envvar="CLUSTERSCATTER_Q_SEED",
@@ -243,20 +249,18 @@ def scatter_mutate(ctx, seed_path, k, order, json_path):
 )
 def theta(seed_path, m_text, order, q_seed, trace_path):
     """Theta function of an exponent over the completed diagram, presented
-    at the all-positive chamber."""
+    at the all-positive chamber: the sum of the final terms of the broken
+    lines that --trace writes."""
     D = _completed(seed_path, order)
-    p0 = _parse_vector(m_text, D.n)
+    p0 = _parse_vector(m_text, 2)
     try:
         series, lines, endpoint = _theta_lines(D, p0, order, q_seed=q_seed)
     except GenericityError as err:
         raise click.ClickException(str(err))
     except ValueError as err:
         raise click.UsageError(str(err))
-    # the command cuts at --order also when the seed's coefficients are not
-    # the standard basis, where the library returns the lines' exact sum
-    series = series.truncate(order)
     lat = D.seed.coeff_lattice
-    click.echo(series_to_str(series, [f"A{i + 1}" for i in range(D.n)], _tnames(lat)))
+    click.echo(series_to_str(series, ["A1", "A2"], _tnames(lat)))
     if trace_path:
         payload = {
             "p0": list(p0),

@@ -585,6 +585,19 @@ def _generator_slices(n: int, d: int, order: int) -> list[list[dict]]:
     return [[{_pack((*_unit(n, i), *(0,) * d, 0)): 1}] + [{} for _ in range(order - 1)] for i in range(n)]
 
 
+def _shifted_slices(
+    images: Sequence[list[dict]], k: int, order: int, nd: tuple[int, int], bound: int
+) -> list[LaurentSeries]:
+    """Slice k >= 1 of z^{-e_i} times the image of each generator z^{e_i},
+    from images held as slices by coefficient degree.  Crossings add terms of
+    degree >= 1 only, so slice 0 of an image is its generator."""
+    out = []
+    for slices in images:
+        (gen,) = slices[0]
+        out.append(LaurentSeries._make({key - gen: c for key, c in slices[k].items()}, order, nd, bound))
+    return out
+
+
 def _by_degree(packed: dict) -> dict[int, dict]:
     """Packed terms split into slices by coefficient degree."""
     out: dict[int, dict] = {}
@@ -643,7 +656,6 @@ class _OnlineFan:
     def __init__(self, n: int, d: int, order: int):
         self.nd, self.order, self.k, self.bound = (n, d), order, 0, 2
         self.start = _generator_slices(n, d, order)
-        self.gens = [next(iter(sl[0])) for sl in self.start]
         self.rays: list[_Crossing] = []
 
     def _input(self, j: int) -> list[list[dict]]:
@@ -720,11 +732,7 @@ class _OnlineFan:
 
     def defect(self) -> list[LaurentSeries]:
         """Slice k of z^{-e_i} times the last output, one series per generator."""
-        last = self._input(len(self.rays))
-        return [
-            LaurentSeries._make({key - gen: c for key, c in sl[self.k].items()}, self.order, self.nd, self.bound)
-            for gen, sl in zip(self.gens, last)
-        ]
+        return _shifted_slices(self._input(len(self.rays)), self.k, self.order, self.nd, self.bound)
 
 
 # -- derivations ------------------------------------------------------------

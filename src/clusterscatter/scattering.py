@@ -14,12 +14,14 @@ incoming hyperplane are stored as two ray walls carrying the same function.
 Every crossing goes through one fan of rays.  A ray is crossed factor by
 factor over the atoms of its walls, which is crossing it once with the product
 of their functions; so diagrams agree when their merged atoms per ray do.
-Every diagram carries the seed it was built from.  Its frame (basis rows e_i
+A diagram decides its shape, order and basis once.  Its seed has rank 2 and
+each wall sits on one ray of the plane.  Every operation runs at the
+diagram's order; ``diagram_truncate`` lowers it.  Its frame (basis rows e_i
 and normal covectors w_i = omega(-, (d_i/r_i) e_i)) replays the seed's word
 with the g-frame step at sign +1.  Wall monomial exponents are kept in the
-coefficient basis of the initial seed; operations that need degrees relative
-to a mutated seed's own coefficients (completion stages, truncation) change
-basis internally and convert back.
+coefficient basis of the initial seed, and degrees are counted in the seed's
+own coefficient basis: the frame and the walls in that basis are built on
+first use and kept on the diagram.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd, hypot, lcm
 from typing import Callable, Iterable, Sequence
 
@@ -51,8 +54,8 @@ from .monoid_ring import (
     _cross_factors,
     _generator_slices,
     _OnlineFan,
+    _shifted_slices,
     _unit,
-    series_log,
     series_mul,
 )
 from .semifield import CoeffLattice
@@ -157,7 +160,7 @@ def _function(atoms: Sequence[Atom], order: int | None) -> LaurentSeries:
 class Wall:
     """One wall: support cone, grading normal, acting normal, factored function.
 
-    ``support`` lists primitive ray generators (exactly one in rank 2).
+    ``support`` holds exactly one primitive ray of the plane.
     ``normal`` is the primitive grading vector of the function's coefficient
     monomials in the tagged seed's basis; ``acting`` is the primitive integer
     normal used by crossings, orthogonal to the support and to every monomial
@@ -171,27 +174,25 @@ class Wall:
     incoming: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "support", tuple(_primitive(r) for r in self.support))
+        support = tuple(_primitive(r) for r in self.support)
+        if len(support) != 1 or len(support[0]) != 2:
+            raise ValueError(f"a wall is supported on exactly one ray of the plane, got {support}")
+        object.__setattr__(self, "support", support)
         object.__setattr__(self, "normal", tuple(int(x) for x in self.normal))
         object.__setattr__(self, "acting", tuple(int(x) for x in self.acting))
         object.__setattr__(self, "factors", _combine_atoms(self.factors))
-        if not self.support:
-            raise ValueError("wall needs at least one support ray")
         if not any(self.acting):
             raise ValueError("wall needs a nonzero acting normal")
         if self.acting != _primitive(self.acting):
             raise ValueError("acting normal must be primitive")
-        for ray in self.support:
-            if sum(a * b for a, b in zip(self.acting, ray)):
-                raise InvariantViolation(f"support ray {ray} not orthogonal to acting normal {self.acting}")
+        if sum(a * b for a, b in zip(self.acting, self.ray)):
+            raise InvariantViolation(f"support ray {self.ray} not orthogonal to acting normal {self.acting}")
         for _, m, _ in self.factors:
             if sum(a * b for a, b in zip(self.acting, m)):
                 raise InvariantViolation(f"wall monomial {m} not tangent to the wall")
 
     @property
     def ray(self) -> tuple[int, ...]:
-        if len(self.support) != 1:
-            raise ValueError("wall support is not a single ray")
         return self.support[0]
 
     def function(self, order: int | None = None) -> LaurentSeries:
@@ -215,11 +216,12 @@ class Wall:
 @dataclass(frozen=True)
 class ScatteringDiagram:
     """A finite set of walls known modulo coefficient degree > order, over
-    the group-mode seed whose frame and coefficient basis grade them.
+    the rank-2 group-mode seed whose frame and coefficient basis grade them.
 
-    ``_search`` keeps the broken-line search context of ``theta`` by order.
-    It is a function of the frozen walls, order and seed, so equality,
-    hashing, ``repr`` and ``dataclasses.replace`` ignore it."""
+    ``frame``, ``fresh_walls`` and ``_search`` (the broken-line search
+    context of ``theta`` by order) are built on first use and kept.  They are
+    functions of the frozen walls, order and seed, so equality, hashing,
+    ``repr`` and ``dataclasses.replace`` ignore them."""
 
     walls: tuple[Wall, ...]
     order: int
@@ -236,10 +238,21 @@ class ScatteringDiagram:
             )
         if self.seed.semifield:
             raise ValueError("scattering diagrams carry group-mode seeds (semifield=False)")
+        if self.seed.data.n != 2:
+            raise ValueError("scattering diagrams are defined for rank-2 seeds only")
 
-    @property
-    def n(self) -> int:
-        return self.seed.data.n
+    @cached_property
+    def frame(self) -> SeedFrame:
+        """The seed's frame and coefficient basis (``seed_frame``)."""
+        return seed_frame(self.seed)
+
+    @cached_property
+    def fresh_walls(self) -> tuple[Wall, ...]:
+        """The walls with coefficient exponents in the seed's own basis."""
+        frame = self.frame
+        if frame.is_identity:
+            return self.walls
+        return tuple(w.map_factors(lambda a: (frame.to_fresh(a[0]), a[1], a[2])) for w in self.walls)
 
 
 @dataclass(frozen=True)
@@ -372,14 +385,7 @@ def build_initial(s: Seed, order: int) -> ScatteringDiagram:
 
 
 def _sort_walls(walls: Iterable[Wall]) -> tuple[Wall, ...]:
-    def key(w: Wall):
-        if len(w.support) == 1 and len(w.support[0]) == 2:
-            pos = _angle_key(w.support[0])
-        else:
-            pos = (8, w.support)
-        return (pos, not w.incoming, w.factors)
-
-    return tuple(sorted(walls, key=key))
+    return tuple(sorted(walls, key=lambda w: (_angle_key(w.ray), not w.incoming, w.factors)))
 
 
 # -- crossings ----------------------------------------------------------------
@@ -421,28 +427,16 @@ def _fan(walls: Sequence[Wall], series_order: int | None) -> list:
     return [(ray, acting, _function(atoms, series_order)) for ray, acting, atoms in _ray_atoms(walls)]
 
 
-def _cross_fan(fan: list, ccw: bool, d: int, series_order: int) -> list[LaurentSeries]:
+def _cross_fan(fan: list, ccw: bool, d: int, series_order: int) -> tuple[list[list[dict]], int]:
     """Images of the generators z^{e_i} after crossing the rays of a
-    `_ray_atoms` fan in order, each ray factor by factor."""
+    `_ray_atoms` fan in order, each ray factor by factor: packed slices by
+    coefficient degree per generator, and their slot bound."""
     images, bound = _generator_slices(2, d, series_order), 1
     for ray, acting, atoms in fan:
         eps = _crossing_eps(ray, acting, ccw)
         for slices in images:
             bound = max(bound, _cross_factors(slices, atoms, acting, eps, (2, d)))
-    return [
-        LaurentSeries._make({k: c for sl in slices for k, c in sl.items()}, series_order, (2, d), bound)
-        for slices in images
-    ]
-
-
-def _loop_images(walls: Sequence[Wall], d: int, series_order: int) -> list[LaurentSeries]:
-    """Full counterclockwise loop starting just below the positive x-axis."""
-    return _cross_fan(_ray_atoms(walls), True, d, series_order)
-
-
-def _require_rank2(D: ScatteringDiagram, caller: str) -> None:
-    if D.n != 2:
-        raise ValueError(f"{caller} is defined for rank-2 diagrams only")
+    return images, bound
 
 
 def _turn(v: Sequence[int], start: Sequence[int], ccw: bool):
@@ -454,14 +448,14 @@ def _turn(v: Sequence[int], start: Sequence[int], ccw: bool):
     return (k <= s, k)
 
 
-def path_ordered_product(D: ScatteringDiagram, path: PathSpec, order: int | None = None) -> Automorphism:
-    """Compose the crossings met along the angular path, first crossed first.
+def path_ordered_product(D: ScatteringDiagram, path: PathSpec) -> Automorphism:
+    """Compose the crossings met along the angular path, first crossed first,
+    modulo coefficient degree above the diagram's order.
 
     Coefficient exponents in the result are taken in the seed's own basis.
     """
-    _require_rank2(D, "path_ordered_product")
-    series_order = (order if order is not None else D.order) + 1
-    walls = _fresh_walls(D.walls, seed_frame(D.seed))
+    series_order = D.order + 1
+    walls = D.fresh_walls
     if not any(path.start) or not any(path.end):
         raise ValueError("path endpoints must be nonzero directions")
     end = path.start if path.loop else path.end
@@ -471,18 +465,15 @@ def path_ordered_product(D: ScatteringDiagram, path: PathSpec, order: int | None
     stop = _turn(end, path.start, path.ccw)
     fan = sorted((r for r in _ray_atoms(walls) if turn(r) < stop), key=turn)
     d = D.seed.coeff_lattice.d
-    images = _cross_fan(fan, path.ccw, d, series_order)
-    ident = Automorphism.identity(2, d, series_order)
-    return Automorphism(images, ident.t_images, series_order)
+    images, bound = _cross_fan(fan, path.ccw, d, series_order)
+    images = [
+        LaurentSeries._make({k: c for sl in slices for k, c in sl.items()}, series_order, (2, d), bound)
+        for slices in images
+    ]
+    return Automorphism(images, Automorphism.identity(2, d, series_order).t_images, series_order)
 
 
 # -- consistency and completion ----------------------------------------------
-
-
-def _fresh_walls(walls: Sequence[Wall], frame: SeedFrame) -> list[Wall]:
-    if frame.is_identity:
-        return list(walls)
-    return [w.map_factors(lambda a: (frame.to_fresh(a[0]), a[1], a[2])) for w in walls]
 
 
 def _old_walls(walls: Sequence[Wall], frame: SeedFrame) -> list[Wall]:
@@ -497,21 +488,19 @@ def _defect_derivation(
     d: int,
     series_order: int,
 ):
-    """Log of the loop product's deviation from the identity.
+    """Lowest slice of the log of the counterclockwise loop around the origin.
 
-    Returns (first_degree, terms) with the terms of `_defect_terms`; both are
-    None when the loop closes.
+    The loop starts just below the positive x-axis and maps z^{e_a} to
+    z^{e_a} (1 + x_a); the lowest nonzero slice of log(1 + x_a) is that of
+    x_a, so it is read off the crossed images directly.  Returns
+    (first_degree, terms) with the terms of `_defect_terms`; both are None
+    when the loop closes.
     """
-    images = _loop_images(walls, d, series_order)
-    logs = []
-    for a in range(2):
-        shift = LaurentSeries.monomial(tuple(-x for x in _unit(2, a)), (0,) * d, 1, series_order)
-        logs.append(series_log(series_mul(images[a], shift)))
-    degrees = [lg.min_coeff_degree() for lg in logs if lg]
-    if not degrees:
+    images, bound = _cross_fan(_ray_atoms(walls), True, d, series_order)
+    first = next((k for k in range(1, series_order) if any(sl[k] for sl in images)), None)
+    if first is None:
         return None, None
-    first = min(degrees)
-    return first, _defect_terms(frame, [lg.degree_slice(first) for lg in logs])
+    return first, _defect_terms(frame, _shifted_slices(images, first, series_order, (2, d), bound))
 
 
 def _defect_terms(frame: SeedFrame, slices: Sequence[LaurentSeries]) -> list:
@@ -549,21 +538,19 @@ def _defect_terms(frame: SeedFrame, slices: Sequence[LaurentSeries]) -> list:
     return terms
 
 
-def check_consistency(D: ScatteringDiagram, order: int | None = None) -> ConsistencyReport:
-    """Is the counterclockwise loop around the origin the identity?"""
-    _require_rank2(D, "check_consistency")
-    ord_ = order if order is not None else D.order
-    frame = seed_frame(D.seed)
-    walls = _fresh_walls(D.walls, frame)
-    first, terms = _defect_derivation(walls, frame, D.seed.coeff_lattice.d, ord_ + 1)
+def check_consistency(D: ScatteringDiagram) -> ConsistencyReport:
+    """Is the counterclockwise loop around the origin the identity, modulo
+    coefficient degree above the diagram's order?"""
+    first, terms = _defect_derivation(D.fresh_walls, D.frame, D.seed.coeff_lattice.d, D.order + 1)
     if first is None:
-        return ConsistencyReport(True, ord_)
+        return ConsistencyReport(True, D.order)
     derivation = Derivation((c, e, acting) for c, e, acting, _ in terms)
-    return ConsistencyReport(False, ord_, first, derivation)
+    return ConsistencyReport(False, D.order, first, derivation)
 
 
-def complete_rank2(D: ScatteringDiagram, order: int | None = None) -> ScatteringDiagram:
-    """Add outgoing walls degree by degree until the loop closes.
+def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
+    """Add outgoing walls degree by degree, up to the diagram's order, until
+    the loop closes.
 
     The loop images of z^{e_1} and z^{e_2} are built online (`_OnlineFan`):
     stage k computes their degree-k slices at every ray of the fan from the
@@ -579,11 +566,8 @@ def complete_rank2(D: ScatteringDiagram, order: int | None = None) -> Scattering
     each ray factor by factor, expands no wall function, and takes about a
     fifth of a completion.  Idempotent on consistent input.
     """
-    _require_rank2(D, "complete_rank2")
-    ord_ = order if order is not None else D.order
-    frame = seed_frame(D.seed)
-    lat = D.seed.coeff_lattice
-    walls = _fresh_walls(D.walls, frame)
+    ord_, frame, lat = D.order, D.frame, D.seed.coeff_lattice
+    walls = list(D.fresh_walls)
     outgoing: dict[tuple[int, ...], Wall] = {}
     for w in walls:
         if not w.incoming:
@@ -655,14 +639,12 @@ def tk_transform(D: ScatteringDiagram, k: int) -> ScatteringDiagram:
     hyperplane trades its function for the one with inverted coefficients.
     The result is tagged with the one-step mutated seed.
     """
-    _require_rank2(D, "tk_transform")
     s = D.seed
     data = s.data
-    n = data.n
-    if not 1 <= k <= n:
-        raise IndexError(f"direction {k} out of range 1..{n}")
+    if not 1 <= k <= 2:
+        raise IndexError(f"direction {k} out of range 1..2")
     a = k - 1
-    frame = seed_frame(s)
+    frame = D.frame
     e_k = frame.E[a]
     w_k = frame.W[a]
     r_k = data.r[a]
@@ -756,8 +738,8 @@ def _regrade_normal(frame: SeedFrame, atoms: Sequence[Atom]) -> tuple[int, ...]:
 def cluster_chamber_walls(s: Seed, depth: int) -> tuple[Wall, ...]:
     """Walls spanned by the chamber facets reachable in ``depth`` mutations.
 
-    Each chamber contributes one wall per facet: support spanned by the other
-    frame vectors, function ``prod_j (1 + p_{i,j}^eps z^{eps w_i})`` from the
+    Each chamber contributes one wall per facet: support the ray of the other
+    g-vector, function ``prod_j (1 + p_{i,j}^eps z^{eps w_i})`` from the
     chamber's tropical coefficients, with eps the frame sign of direction i.
     The walk runs on principal coefficients; each p^eps is then evaluated at
     the seed's own coefficients, while the grading normal is read from the
@@ -766,19 +748,20 @@ def cluster_chamber_walls(s: Seed, depth: int) -> tuple[Wall, ...]:
     """
     if s.word:
         raise ValueError("cluster_chamber_walls starts from the base seed")
-    n = s.data.n
+    if s.data.n != 2:
+        raise ValueError("cluster_chamber_walls is defined for rank-2 seeds only")
     lat = s.data.lattice
     lam = TropMap(lat, s.coeff_lattice, tuple(p for tup in s.coeffs for p in tup))
     found: dict[tuple[tuple[int, ...], ...], Wall] = {}
     for _, sd, G in _chamber_walk(s.data, depth):
-        for i in range(1, n + 1):
+        for i in (1, 2):
             eps = G.epsilon(i)
             m = tuple(eps * x for x in G.w(i))
-            support = tuple(sorted(G.g[j] for j in range(n) if j != i - 1))
+            support = (G.g[2 - i],)
             atoms = tuple((lam.of(p**eps).exponents, m, 1) for p in sd.coeffs[i - 1])
             acting = tuple(eps * x for x in G.gstar[i - 1])
             alphas = {
-                tuple(eps * sum(p.exponents[j] for j in lat.block_range(b)) for b in range(n))
+                tuple(eps * sum(p.exponents[j] for j in lat.block_range(b)) for b in range(2))
                 for p in sd.coeffs[i - 1]
             }
             if len(alphas) != 1:
@@ -787,42 +770,30 @@ def cluster_chamber_walls(s: Seed, depth: int) -> tuple[Wall, ...]:
             old = found.get(support)
             if old is None:
                 found[support] = wall
-            elif old.factors != wall.factors or _cross2_free(old.acting, wall.acting):
+            elif old.factors != wall.factors or _cross(old.acting, wall.acting):
                 raise InvariantViolation(f"facet {support} reached twice with different walls")
     return _sort_walls(found.values())
-
-
-def _cross2_free(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    """Not parallel, for vectors of any length."""
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if u[i] * v[j] - u[j] * v[i]:
-                return True
-    return False
 
 
 # -- equivalence and truncation ----------------------------------------------
 
 
-def canonical_form(
-    D: ScatteringDiagram, order: int | None = None
-) -> dict[tuple[int, ...], tuple[Atom, ...]]:
+def canonical_form(D: ScatteringDiagram) -> dict[tuple[int, ...], tuple[Atom, ...]]:
     """Map each support ray to the merged atoms of its walls.
 
-    Merging and the cut at degree ``order`` happen in the seed's own
-    coefficient basis; the returned atom exponents are in the initial basis.
-    The merged atoms of a ray determine its function and are determined by
-    it (see ``diagrams_equivalent``).
+    Merging and the cut at degree ``D.order`` (the cut of
+    ``diagram_truncate``) happen in the seed's own coefficient basis; the
+    returned atom exponents are in the initial basis.  The merged atoms of a
+    ray determine its function and are determined by it (see
+    ``diagrams_equivalent``).
     """
-    ord_ = order if order is not None else D.order
-    frame = seed_frame(D.seed)
+    frame = D.frame
     merged: dict[tuple[int, ...], list[Atom]] = {}
     for w in D.walls:
-        for ray in w.support:
-            for t, m, c in w.factors:
-                tf = frame.to_fresh(t)
-                if sum(tf) <= ord_:
-                    merged.setdefault(ray, []).append((tf, m, c))
+        for t, m, c in w.factors:
+            tf = frame.to_fresh(t)
+            if sum(tf) <= D.order:
+                merged.setdefault(w.ray, []).append((tf, m, c))
     out = {}
     for ray, atoms in merged.items():
         combined = _combine_atoms(atoms)
@@ -831,10 +802,9 @@ def canonical_form(
     return out
 
 
-def diagrams_equivalent(
-    D1: ScatteringDiagram, D2: ScatteringDiagram, order: int | None = None
-) -> bool:
-    """Do the two diagrams have the same path-ordered products up to ``order``?
+def diagrams_equivalent(D1: ScatteringDiagram, D2: ScatteringDiagram) -> bool:
+    """Do the two diagrams have the same path-ordered products up to the
+    lower of their orders?  The deeper one is truncated to the shallower.
 
     Decided by the merged atoms per ray alone (``canonical_form``).  A ray's
     function is a product of factors ``(1 + t^a z^m)^c`` with c > 0 and
@@ -854,15 +824,18 @@ def diagrams_equivalent(
     """
     if seed_key(D1.seed) != seed_key(D2.seed):
         raise ValueError("diagrams sit over different seeds")
-    ord_ = min(D1.order, D2.order) if order is None else order
-    return canonical_form(D1, ord_) == canonical_form(D2, ord_)
+    if D1.order > D2.order:
+        D1 = diagram_truncate(D1, D2.order)
+    elif D2.order > D1.order:
+        D2 = diagram_truncate(D2, D1.order)
+    return canonical_form(D1) == canonical_form(D2)
 
 
 def diagram_truncate(D: ScatteringDiagram, order: int) -> ScatteringDiagram:
     """Drop wall factors above ``order`` in the seed's coefficient degrees."""
     if order > D.order:
         raise ValueError("cannot truncate to a higher order than the diagram carries")
-    degree = seed_frame(D.seed).fresh_degree
+    degree = D.frame.fresh_degree
     walls = []
     for w in D.walls:
         kept = tuple(a for a in w.factors if degree(a[0]) <= order)
@@ -916,8 +889,7 @@ def wall_label(w: Wall, lat: CoeffLattice) -> str:
 
 
 def render_svg(D: ScatteringDiagram) -> str:
-    """Deterministic 1000x1000 picture of a rank-2 diagram."""
-    _require_rank2(D, "render_svg")
+    """Deterministic 1000x1000 picture of a diagram."""
     lat = D.seed.coeff_lattice
     cx = cy = 500.0
     length = 430.0

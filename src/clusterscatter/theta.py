@@ -10,9 +10,9 @@ terms of all broken lines, and for exponents inside a cluster chamber they
 agree with the transport of the bare monomial to the positive chamber.
 The search holds points as reduced integer homogeneous coordinates and
 exposes them as ``Fraction`` points.  What it reads of a diagram at one
-order (the seed frame, the ray fan with every power of its wall functions,
-and the table of shifts reachable from the origin) is built once, on first
-use, and kept on the diagram for every later call at that order.
+order (the ray fan with every power of its wall functions, and the table of
+shifts reachable from the origin) is built once, on first use, and kept on
+the diagram for every later call at that order, next to the diagram's frame.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .cluster_core import (
     initial_seed,
 )
 from .monoid_ring import Exponent, LaurentSeries
-from .scattering import ScatteringDiagram, _cross, _fan, _fresh_walls, seed_frame
+from .scattering import ScatteringDiagram, _cross, _fan
 
 __all__ = [
     "BrokenLine",
@@ -139,16 +139,14 @@ def _reachable_shifts(rays: list[_RayData], budget: int) -> dict[tuple, int]:
 
 class _SearchContext:
     """What the broken-line search reads of one diagram at one order: the
-    seed frame, the ray fan (whose ``powers`` memos fill as bends need them)
-    and the reach table with its shifts in sorted order."""
+    ray fan in the seed's own coefficient basis (whose ``powers`` memos fill
+    as bends need them) and the reach table with its shifts in sorted order."""
 
-    __slots__ = ("order", "frame", "rays", "_reach")
+    __slots__ = ("order", "rays", "_reach")
 
     def __init__(self, D: ScatteringDiagram, order: int):
         self.order = order
-        self.frame = seed_frame(D.seed)
-        walls = _fresh_walls(D.walls, self.frame)
-        self.rays = [_RayData(*ray) for ray in sorted(_fan(walls, order))]
+        self.rays = [_RayData(*ray) for ray in sorted(_fan(D.fresh_walls, order))]
         self._reach = None
 
     def reach(self) -> tuple[dict[tuple, int], list[tuple]]:
@@ -169,8 +167,6 @@ def _search_context(D: ScatteringDiagram, order: int | None) -> _SearchContext:
         raise ValueError(f"order must lie in 1..{D.order}")
     ctx = D._search.get(order)
     if ctx is None:
-        if D.n != 2:
-            raise ValueError("broken lines are implemented for rank 2")
         ctx = D._search[order] = _SearchContext(D, order)
     return ctx
 
@@ -192,9 +188,9 @@ def enumerate_broken_lines(
     and c > 0, so every incidence test is an int sign test.  The lines carry
     ``Fraction`` points.
 
-    The seed frame, the ray fan with its powers and the reach table are
-    built once per (D, order) and kept on D (see ``_search_context``); the
-    reach table holds shifts from the origin, one table for every p0.
+    The ray fan with its powers and the reach table are built once per
+    (D, order) and kept on D (see ``_search_context``); the reach table
+    holds shifts from the origin, one table for every p0.
     """
     ctx = _search_context(D, order)
     p0 = tuple(int(x) for x in p0)
@@ -203,7 +199,7 @@ def enumerate_broken_lines(
     Q = (Fraction(Q[0]), Fraction(Q[1]))
     if Q == (Fraction(0), Fraction(0)):
         raise ValueError("endpoint must be nonzero")
-    frame, rays = ctx.frame, ctx.rays
+    frame, rays = D.frame, ctx.rays
     w = lcm(Q[0].denominator, Q[1].denominator)
     x = (int(Q[0] * w), int(Q[1] * w), w)  # _cross and _dot read only (X0, X1)
     for rd in rays:
@@ -318,8 +314,8 @@ def _theta_lines(D: ScatteringDiagram, p0, order=None, Q=None, q_seed=0):
     ctx = _search_context(D, order)
     order = ctx.order
     p0 = tuple(int(x) for x in p0)
-    if len(p0) != D.n:
-        raise ValueError(f"exponent must have length {D.n}")
+    if len(p0) != 2:
+        raise ValueError("exponent must have length 2")
     if not any(p0):
         return LaurentSeries.monomial(p0, (0,) * D.seed.coeff_lattice.d, 1, order), (), None
     if Q is not None:
@@ -340,7 +336,7 @@ def _theta_lines(D: ScatteringDiagram, p0, order=None, Q=None, q_seed=0):
         c, t, m = bl.final
         e = Exponent(m, t)
         terms[e] = terms.get(e, 0) + c
-    return LaurentSeries(terms, order if ctx.frame.is_identity else None), lines, Q
+    return LaurentSeries(terms, order if D.frame.is_identity else None), lines, Q
 
 
 def theta_via_transport(D: ScatteringDiagram, p0, depth: int = 8) -> RationalFunction:

@@ -10,9 +10,11 @@ import pytest
 from click.testing import CliRunner
 
 from clusterscatter.cli import cli
-from clusterscatter.cluster_core import FixedData, initial_seed, seed_to_json
+from clusterscatter.cluster_core import FixedData, initial_seed, seed_from_json, seed_to_json
 from clusterscatter.fixtures import fixture_text
-from clusterscatter.scattering import PositivityError
+from clusterscatter.monoid_ring import Exponent, LaurentSeries, series_to_str
+from clusterscatter.scattering import PositivityError, build_initial, complete_rank2
+from clusterscatter.theta import theta
 
 
 @pytest.fixture()
@@ -186,6 +188,27 @@ class TestScatter:
         assert isinstance(res.exception, SystemExit)  # handled, no traceback
 
 
+@pytest.fixture(scope="module")
+def a3_path(tmp_path_factory):
+    a3 = FixedData(B=((0, 1, 0), (-1, 0, 1), (0, -1, 0)), d=(1, 1, 1), r=(1, 1, 1))
+    p = tmp_path_factory.mktemp("seeds") / "a3.json"
+    p.write_text(json.dumps(seed_to_json(initial_seed(a3, with_cluster=False))))
+    return str(p)
+
+
+@pytest.fixture(scope="module")
+def sheared_b2_path(tmp_path_factory):
+    """b2.json without its cluster, with coefficients p11 = t11,
+    p21 = t11*t21, p22 = t22: a lattice basis that is not the standard one."""
+    doc = json.loads(fixture_text("b2.json"))
+    del doc["cluster"]
+    for (i, j), exps in {(0, 0): [1, 0, 0], (1, 0): [1, 1, 0], (1, 1): [0, 0, 1]}.items():
+        doc["coeffs"][i][j]["exponents"] = exps
+    p = tmp_path_factory.mktemp("seeds") / "b2_sheared.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
 class TestScatterCheck:
     def test_initial_diagram_inconsistent(self, runner, b2_path):
         res = runner.invoke(cli, ["scatter-check", "--seed", b2_path])
@@ -199,13 +222,17 @@ class TestScatterCheck:
         rep = json.loads(res.stdout)
         assert rep == {"consistent": True, "first_failure_degree": None, "order": 6}
 
-    def test_rank3_seed_is_bad_input(self, runner, tmp_path):
-        a3 = FixedData(B=((0, 1, 0), (-1, 0, 1), (0, -1, 0)), d=(1, 1, 1), r=(1, 1, 1))
-        p = tmp_path / "a3.json"
-        p.write_text(json.dumps(seed_to_json(initial_seed(a3, with_cluster=False))))
-        res = runner.invoke(cli, ["scatter-check", "--seed", str(p)])
+    def test_rank3_seed_is_bad_input(self, runner, a3_path):
+        res = runner.invoke(cli, ["scatter-check", "--seed", a3_path])
         assert res.exit_code == 2
         assert "build_initial is defined for rank-2 seeds only" in res.output
+
+    @pytest.mark.parametrize("command", [["scatter"], ["theta", "--m", "-1,0,0"]], ids=["scatter", "theta"])
+    def test_rank3_seed_is_bad_input_everywhere(self, runner, a3_path, command):
+        res = runner.invoke(cli, [*command, "--seed", a3_path])
+        assert res.exit_code == 2
+        assert "rank-2 seeds only" in res.output
+        assert "Traceback" not in res.output
 
 
 class TestScatterMutate:
@@ -271,6 +298,27 @@ class TestTheta:
         assert straight["segments"] == [{"c": 1, "t": [0, 0, 0], "m": [-1, 0]}]
         bent = doc["lines"][1]
         assert len(bent["bends"]) == 1 and len(bent["segments"]) == 2
+
+    def test_prints_what_the_library_computed_in_the_seed_basis(self, runner, sheared_b2_path, tmp_path):
+        """--order counts the seed's own coefficient degrees: the degree-1
+        term t11*t21 = p21 stays, though its initial-basis degree is 2."""
+        tp = tmp_path / "trace.json"
+        res = runner.invoke(
+            cli,
+            ["theta", "--seed", sheared_b2_path, "--m", "0,-1", "--order", "2", "--trace", str(tp)],
+        )
+        assert res.exit_code == 0
+        names = (["A1", "A2"], ["t11", "t21", "t22"])
+        s = seed_from_json(json.loads(open(sheared_b2_path).read()), semifield=False)
+        series = theta(complete_rank2(build_initial(s, 2)), (0, -1), 2)
+        traced: dict = {}
+        for line in json.loads(tp.read_text())["lines"]:
+            final = line["segments"][-1]
+            e = Exponent(tuple(final["m"]), tuple(final["t"]))
+            traced[e] = traced.get(e, 0) + final["c"]
+        printed = res.stdout.strip()
+        assert printed == series_to_str(series, *names) == series_to_str(LaurentSeries(traced), *names)
+        assert "t11*t21*A1^-1*A2^-1" in printed
 
     def test_redraws_run_out(self, runner, b2_path, monkeypatch):
         on_wall = (Fraction(3), Fraction(0))  # on the incoming ray (1,0)

@@ -3,10 +3,12 @@ crossing against the expanded one.
 
 ``reference_complete_rank2`` is the staged completion the library used
 before completion went online: at every degree k it re-crosses the whole fan
-at series order k + 1, reads the lowest slice of the loop's log, adds one wall
-per defect term, and ends with one more full loop as a check.  The online
-``complete_rank2`` must return the same diagram, byte for byte, and raise the
-same errors.
+at series order k + 1, reads the lowest slice of the loop's log with
+``series_log`` (``log_defect_derivation``), adds one wall per defect term, and
+ends with one more full loop as a check.  The online ``complete_rank2`` must
+return the same diagram, byte for byte, and raise the same errors; the
+library's ``_defect_derivation`` reads the same slice off the crossed images
+without a log, and must agree with the log reading.
 
 ``reference_cross_fan`` is the crossing the one-shot loop used before it went
 factor by factor: expand each ray's function, then ``wall_cross`` once per
@@ -24,6 +26,7 @@ from clusterscatter.monoid_ring import (
     _generator_slices,
     _OnlineFan,
     _unit,
+    series_log,
     series_mul,
     wall_cross,
 )
@@ -36,8 +39,8 @@ from clusterscatter.scattering import (
     _cross_fan,
     _crossing_eps,
     _defect_derivation,
+    _defect_terms,
     _fan,
-    _fresh_walls,
     _old_walls,
     _primitive,
     _ray_atoms,
@@ -46,6 +49,7 @@ from clusterscatter.scattering import (
     build_initial,
     complete_rank2,
     diagram_to_json,
+    diagram_truncate,
     path_ordered_product,
     seed_frame,
     tk_invariance_check,
@@ -57,12 +61,34 @@ G2 = FixedData(((0, -3), (1, 0)), (1, 3), (1, 3))
 WILD = FixedData(((0, -3), (3, 0)), (1, 1), (3, 3))
 
 
-def reference_complete_rank2(D: ScatteringDiagram, order: int | None = None) -> ScatteringDiagram:
+def one_shot_images(fan, ccw, d, series_order):
+    """`_cross_fan`'s images of the generators as series."""
+    images, bound = _cross_fan(fan, ccw, d, series_order)
+    return [
+        LaurentSeries._make({k: c for sl in slices for k, c in sl.items()}, series_order, (2, d), bound)
+        for slices in images
+    ]
+
+
+def log_defect_derivation(walls, frame, d, series_order):
+    """The loop's defect read off its log: z^{-e_a} times each image, then
+    ``series_log``, then the lowest nonzero slice of the two logs."""
+    images = one_shot_images(_ray_atoms(walls), True, d, series_order)
+    logs = []
+    for a in range(2):
+        shift = LaurentSeries.monomial(tuple(-x for x in _unit(2, a)), (0,) * d, 1, series_order)
+        logs.append(series_log(series_mul(images[a], shift)))
+    degrees = [lg.min_coeff_degree() for lg in logs if lg]
+    if not degrees:
+        return None, None
+    first = min(degrees)
+    return first, _defect_terms(frame, [lg.degree_slice(first) for lg in logs])
+
+
+def reference_complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
     """The staged completion: a full loop at order k + 1 for every degree k."""
-    ord_ = order if order is not None else D.order
-    frame = seed_frame(D.seed)
-    lat = D.seed.coeff_lattice
-    walls = _fresh_walls(D.walls, frame)
+    ord_, frame, lat = D.order, D.frame, D.seed.coeff_lattice
+    walls = list(D.fresh_walls)
     outgoing: dict = {}
     for w in walls:
         if not w.incoming:
@@ -70,7 +96,7 @@ def reference_complete_rank2(D: ScatteringDiagram, order: int | None = None) -> 
                 raise ValueError("diagram has two outgoing walls on one ray; merge them first")
             outgoing[w.ray] = w
     for degree in range(2, ord_ + 1):
-        first, terms = _defect_derivation(walls, frame, lat.d, degree + 1)
+        first, terms = log_defect_derivation(walls, frame, lat.d, degree + 1)
         if first is None:
             continue
         if first < degree:
@@ -96,23 +122,25 @@ def reference_complete_rank2(D: ScatteringDiagram, order: int | None = None) -> 
                 walls.remove(old)
             outgoing[ray] = new
             walls.append(new)
-    first, _ = _defect_derivation(walls, frame, lat.d, ord_ + 1)
+    first, _ = log_defect_derivation(walls, frame, lat.d, ord_ + 1)
     if first is not None:
         raise InvariantViolation(f"completion finished but the loop still fails at degree {first}")
     return ScatteringDiagram(_sort_walls(_old_walls(walls, frame)), ord_, D.seed)
 
 
-def outcome(complete, D, order=None):
-    """The JSON of the completion, or the type and message of its error."""
+def outcome(fn, *args):
+    """What the call returns (a diagram as its JSON), or the type and message
+    of its error."""
     try:
-        return diagram_to_json(complete(D, order))
+        out = fn(*args)
     except (ValueError, InvariantViolation) as exc:
         return type(exc).__name__, str(exc)
+    return diagram_to_json(out) if isinstance(out, ScatteringDiagram) else out
 
 
-def assert_same(D, order=None):
-    got = outcome(complete_rank2, D, order)
-    assert got == outcome(reference_complete_rank2, D, order)
+def assert_same(D):
+    got = outcome(complete_rank2, D)
+    assert got == outcome(reference_complete_rank2, D)
     return got
 
 
@@ -162,10 +190,56 @@ def test_recompleting_a_transformed_diagram(data, order, k):
 def test_consistent_input_is_returned_unchanged():
     C = complete_rank2(build_initial(group_seed(KRON), 7))
     assert complete_rank2(C).walls == C.walls
-    assert assert_same(C, 5) == diagram_to_json(complete_rank2(C, 5))
+    C5 = diagram_truncate(C, 5)
+    assert assert_same(C5) == diagram_to_json(complete_rank2(C5)) == diagram_to_json(C5)
+
+
+def without_one_outgoing_atom(C):
+    """C with one atom of one outgoing wall dropped, for every such atom (a
+    wall left without atoms is dropped too)."""
+    for i, w in enumerate(C.walls):
+        if w.incoming:
+            continue
+        for j in range(len(w.factors)):
+            factors = w.factors[:j] + w.factors[j + 1 :]
+            rest = C.walls[:i] + ((replace(w, factors=factors),) if factors else ()) + C.walls[i + 1 :]
+            yield replace(C, walls=rest)
+
+
+def test_recompleting_with_one_outgoing_atom_dropped():
+    """Stages insert next to walls of higher degree, which are already in the
+    fan: each dropped atom must come back exactly."""
+    cases = 0
+    for data, order in [(B2, 6), (KRON, 6), (G2, 6), (WILD, 4)]:
+        C = complete_rank2(build_initial(group_seed(data), order))
+        for D in without_one_outgoing_atom(C):
+            assert assert_same(D) == diagram_to_json(C)
+            cases += 1
+    assert cases == 66
 
 
 # -- error paths, each pinned on both routes ----------------------------------
+
+
+# -- the defect reader against the log of the loop ---------------------------
+
+
+def test_defect_reader_matches_the_log_of_the_loop():
+    """The lowest nonzero slice of log(1 + x) is that of x: first degree,
+    terms and raised errors agree on bare and completed diagrams, and on
+    completions with one outgoing wall dropped, over the box at orders 3
+    and 5."""
+    cases = 0
+    for data in RANK2:
+        for order in (3, 5):
+            D = build_initial(group_seed(data), order)
+            C = complete_rank2(D)
+            dropped = [replace(C, walls=C.walls[:i] + C.walls[i + 1 :]) for i, w in enumerate(C.walls) if not w.incoming]
+            for E in [D, C, *dropped]:
+                args = (list(E.fresh_walls), E.frame, E.seed.coeff_lattice.d, order + 1)
+                assert outcome(_defect_derivation, *args) == outcome(log_defect_derivation, *args)
+                cases += 1
+    assert cases == 436
 
 
 def without_one_incoming_ray(data, order):
@@ -227,13 +301,13 @@ def test_online_fan_matches_one_shot_crossing(data, order, completed):
     if completed:
         D = complete_rank2(D)
     so = order + 1
-    walls = _fresh_walls(D.walls, seed_frame(D.seed))
+    walls = D.fresh_walls
     d = D.seed.coeff_lattice.d
     online = _OnlineFan(2, d, so)
     for j, (ray, acting, f) in enumerate(_fan(walls, so)):
         online.insert(j, acting, _crossing_eps(ray, acting, True))
         online.multiply(j, f)
-    images = _cross_fan(_ray_atoms(walls), True, d, so)
+    images = one_shot_images(_ray_atoms(walls), True, d, so)
     for k in range(1, so):
         online.step()
         for a, sl in enumerate(online.defect()):
@@ -265,11 +339,11 @@ def test_factor_crossing_matches_expanded_crossing(data, order, word, drop):
     """The loop of a completion, over the base seed and over a mutated seed's
     frame, closed and with its last outgoing wall dropped."""
     D = complete_rank2(build_initial(pattern_walk(group_seed(data), word), order))
-    walls = _fresh_walls(D.walls, seed_frame(D.seed))
+    walls = list(D.fresh_walls)
     if drop:
         walls.remove([w for w in walls if not w.incoming][-1])
     d, so = D.seed.coeff_lattice.d, order + 1
-    got = _cross_fan(_ray_atoms(walls), True, d, so)
+    got = one_shot_images(_ray_atoms(walls), True, d, so)
     assert got == reference_cross_fan(_fan(walls, so), True, d, so)
     closed = [LaurentSeries.monomial(_unit(2, i), (0,) * d, 1, so) for i in range(2)]
     assert (got == closed) is not drop
@@ -279,7 +353,7 @@ def test_factor_crossing_matches_expanded_crossing(data, order, word, drop):
 def test_clockwise_partial_path_matches_expanded_crossing(data, order):
     D = complete_rank2(build_initial(group_seed(data), order))
     path = PathSpec((1000, 1), (-1000, 1), ccw=False)
-    walls = _fresh_walls(D.walls, seed_frame(D.seed))
+    walls = D.fresh_walls
     stop = _turn(path.end, path.start, False)
     turn = lambda r: _turn(r[0], path.start, False)
     fan = sorted((r for r in _fan(walls, order + 1) if turn(r) < stop), key=turn)

@@ -49,6 +49,7 @@ B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
 KRON = FixedData(((0, -2), (2, 0)), (1, 1), (2, 2))
 A2 = FixedData(((0, -1), (1, 0)), (1, 1), (1, 1))
 ZERO = FixedData(((0, 0), (0, 0)), (1, 1), (1, 1))
+A3 = FixedData(((0, 1, 0), (-1, 0, 1), (0, -1, 0)), (1, 1, 1), (1, 1, 1))
 
 
 def group_seed(data):
@@ -116,6 +117,13 @@ class TestWall:
     def test_rejects_negative_exponent(self):
         with pytest.raises(PositivityError):
             Wall(((0, 1),), (1, 0), (1, 0), (((1, 0), (0, 1), -1),))
+
+    @pytest.mark.parametrize(
+        "support", [((0, 1), (0, -1)), ((0, 1, 0),), ()], ids=["two-rays", "space-ray", "no-ray"]
+    )
+    def test_rejects_a_support_that_is_not_one_plane_ray(self, support):
+        with pytest.raises(ValueError, match="exactly one ray of the plane"):
+            Wall(support, (1, 0), (1, 0), (((1, 0), (0, 1), 1),))
 
     def test_support_primitivized(self):
         w = Wall(((0, 3),), (1, 0), (1, 0), (((1, 0), (0, 1), 1),))
@@ -269,9 +277,12 @@ class TestBuildInitial:
             build_initial(initial_seed(B2, with_cluster=False, semifield=True), 6)
 
     def test_rejects_rank3_seed(self):
-        a3 = FixedData(((0, 1, 0), (-1, 0, 1), (0, -1, 0)), (1, 1, 1), (1, 1, 1))
         with pytest.raises(ValueError, match="rank-2 seeds only"):
-            build_initial(group_seed(a3), 6)
+            build_initial(group_seed(A3), 6)
+
+    def test_diagram_rejects_rank3_seed(self):
+        with pytest.raises(ValueError, match="rank-2 seeds only"):
+            ScatteringDiagram((), 6, group_seed(A3))
 
     def test_order_must_fit_a_packed_slot(self):
         """Series run to order + 1, and the largest packed slot is 2^31 - 1."""
@@ -534,6 +545,10 @@ class TestChamberWalls:
         with pytest.raises(ValueError):
             cluster_chamber_walls(seed_mutate(group_seed(B2), 1), 2)
 
+    def test_rejects_rank3_seed(self):
+        with pytest.raises(ValueError, match="rank-2 seeds only"):
+            cluster_chamber_walls(group_seed(A3), 2)
+
     def test_non_principal_coefficients(self):
         lat = A2.lattice
         coeffs = ((lat.element((1, 1)),), (lat.generator(1, 0),))
@@ -576,9 +591,10 @@ def crossing_comparison(D1, D2, order):
         inside = r[0] * q[1] - r[1] * q[0] > 0
         gaps.append((r[0] + q[0], r[1] + q[1]) if inside else (-r[1], r[0]))
     start = gaps[-1]
+    D1, D2 = diagram_truncate(D1, order), diagram_truncate(D2, order)
     for end in gaps:
-        P1 = path_ordered_product(D1, PathSpec(start, end), order)
-        P2 = path_ordered_product(D2, PathSpec(start, end), order)
+        P1 = path_ordered_product(D1, PathSpec(start, end))
+        P2 = path_ordered_product(D2, PathSpec(start, end))
         if not P1.eq_mod_order(P2):
             return False
     return True
@@ -639,7 +655,8 @@ class TestEquivalenceOracle:
         D = edit_bases[base]
         order = min(order, D.order)
         D1, D2 = edit_walls(D, edits1), edit_walls(D, edits2)
-        assert diagrams_equivalent(D1, D2, order) == crossing_comparison(D1, D2, order)
+        T1, T2 = diagram_truncate(D1, order), diagram_truncate(D2, order)
+        assert diagrams_equivalent(T1, T2) == crossing_comparison(D1, D2, order)
 
 
 class TestTruncate:

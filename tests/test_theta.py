@@ -23,12 +23,10 @@ from clusterscatter.scattering import (
     ScatteringDiagram,
     _cross,
     _fan,
-    _fresh_walls,
     build_initial,
     complete_rank2,
     diagram_to_json,
     diagram_truncate,
-    seed_frame,
     tk_transform,
 )
 from clusterscatter.theta import (
@@ -190,18 +188,14 @@ def reference_broken_lines(D, p0, Q, order=None):
         order = D.order
     if order < 1 or order > D.order:
         raise ValueError(f"order must lie in 1..{D.order}")
-    n = D.n
-    if n != 2:
-        raise ValueError("broken lines are implemented for rank 2")
     p0 = tuple(int(x) for x in p0)
-    if len(p0) != n:
-        raise ValueError(f"exponent must have length {n}")
+    if len(p0) != 2:
+        raise ValueError("exponent must have length 2")
     Q = (Fraction(Q[0]), Fraction(Q[1]))
     if Q == (Fraction(0), Fraction(0)):
         raise ValueError("endpoint must be nonzero")
-    frame = seed_frame(D.seed)
-    walls = _fresh_walls(D.walls, frame)
-    rays = [_RayData(*ray) for ray in sorted(_fan(walls, order))]
+    frame = D.frame
+    rays = [_RayData(*ray) for ray in sorted(_fan(D.fresh_walls, order))]
     for rd in rays:
         if _cross(rd.ray, Q) == 0 and _dot(rd.ray, Q) > 0:
             raise _EndpointOnWall(f"endpoint {Q} lies on the wall ray {rd.ray}")
