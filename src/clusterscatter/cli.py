@@ -26,7 +26,7 @@ from .scattering import (
     tk_invariance_check,
     wall_label,
 )
-from .theta import GenericityError, _theta_lines
+from .theta import GenericityError, _theta_lines, theta as _theta
 
 
 def _seed_path(ctx, param, value):
@@ -254,7 +254,10 @@ def theta(seed_path, m_text, order, q_seed, trace_path):
     D = _completed(seed_path, order)
     p0 = _parse_vector(m_text, 2)
     try:
-        series, lines, endpoint = _theta_lines(D, p0, order, q_seed=q_seed)
+        if trace_path:
+            series, lines, endpoint = _theta_lines(D, p0, order, q_seed=q_seed)
+        else:
+            series = _theta(D, p0, order, q_seed=q_seed)
     except GenericityError as err:
         raise click.ClickException(str(err))
     except ValueError as err:

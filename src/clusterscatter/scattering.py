@@ -21,7 +21,9 @@ and normal covectors w_i = omega(-, (d_i/r_i) e_i)) replays the seed's word
 with the g-frame step at sign +1.  Wall monomial exponents are kept in the
 coefficient basis of the initial seed, and degrees are counted in the seed's
 own coefficient basis: the frame and the walls in that basis are built on
-first use and kept on the diagram.
+first use and kept on the diagram.  The diagrams that ``build_initial``,
+``complete_rank2``, ``diagram_truncate`` and ``tk_transform`` return start
+with the frame those functions already hold.
 """
 
 from __future__ import annotations
@@ -219,8 +221,9 @@ class ScatteringDiagram:
     the rank-2 group-mode seed whose frame and coefficient basis grade them.
 
     ``frame``, ``fresh_walls`` and ``_search`` (the broken-line search
-    context of ``theta`` by order) are built on first use and kept.  They are
-    functions of the frozen walls, order and seed, so equality, hashing,
+    context of ``theta`` by order) are built on first use and kept; a
+    derived diagram may start with its frame in place (``_framed``).  They
+    are functions of the frozen walls, order and seed, so equality, hashing,
     ``repr`` and ``dataclasses.replace`` ignore them."""
 
     walls: tuple[Wall, ...]
@@ -253,6 +256,13 @@ class ScatteringDiagram:
         if frame.is_identity:
             return self.walls
         return tuple(w.map_factors(lambda a: (frame.to_fresh(a[0]), a[1], a[2])) for w in self.walls)
+
+
+def _framed(D: ScatteringDiagram, frame: SeedFrame) -> ScatteringDiagram:
+    """D with ``frame``, a frame of D's seed, already in place of its
+    ``frame`` cache: a derived diagram keeps the frame it was built with."""
+    D.__dict__["frame"] = frame
+    return D
 
 
 @dataclass(frozen=True)
@@ -381,7 +391,7 @@ def build_initial(s: Seed, order: int) -> ScatteringDiagram:
         ray = _primitive((-e_i[1], e_i[0]))
         for r in (ray, tuple(-x for x in ray)):
             walls.append(Wall((r,), e_i, e_i, atoms, incoming=True))
-    return ScatteringDiagram(_sort_walls(walls), order, s)
+    return _framed(ScatteringDiagram(_sort_walls(walls), order, s), frame)
 
 
 def _sort_walls(walls: Iterable[Wall]) -> tuple[Wall, ...]:
@@ -624,7 +634,7 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
     first, _ = _defect_derivation(walls, frame, lat.d, ord_ + 1)
     if first is not None:
         raise InvariantViolation(f"completion finished but the loop still fails at degree {first}")
-    return ScatteringDiagram(_sort_walls(_old_walls(walls, frame)), ord_, D.seed)
+    return _framed(ScatteringDiagram(_sort_walls(_old_walls(walls, frame)), ord_, D.seed), frame)
 
 
 # -- mutation transform -------------------------------------------------------
@@ -689,7 +699,7 @@ def tk_transform(D: ScatteringDiagram, k: int) -> ScatteringDiagram:
     ray = _primitive((-e_k2[1], e_k2[0]))
     for r in (ray, tuple(-x for x in ray)):
         new_walls.append(Wall((r,), e_k2, e_k2, inv_atoms, incoming=True))
-    return ScatteringDiagram(_sort_walls(new_walls), D.order, s2)
+    return _framed(ScatteringDiagram(_sort_walls(new_walls), D.order, s2), frame2)
 
 
 def tk_invariance_check(
@@ -835,13 +845,13 @@ def diagram_truncate(D: ScatteringDiagram, order: int) -> ScatteringDiagram:
     """Drop wall factors above ``order`` in the seed's coefficient degrees."""
     if order > D.order:
         raise ValueError("cannot truncate to a higher order than the diagram carries")
-    degree = D.frame.fresh_degree
+    frame = D.frame
     walls = []
     for w in D.walls:
-        kept = tuple(a for a in w.factors if degree(a[0]) <= order)
+        kept = tuple(a for a in w.factors if frame.fresh_degree(a[0]) <= order)
         if kept:
             walls.append(Wall(w.support, w.normal, w.acting, kept, w.incoming))
-    return ScatteringDiagram(_sort_walls(walls), order, D.seed)
+    return _framed(ScatteringDiagram(_sort_walls(walls), order, D.seed), frame)
 
 
 # -- serialization and rendering ----------------------------------------------

@@ -8,8 +8,11 @@ crosses a wall: at a crossing the carried term is replaced by one term of
 and e = |<n, m>| for the acting normal n.  Theta functions sum the final
 terms of all broken lines, and for exponents inside a cluster chamber they
 agree with the transport of the bare monomial to the positive chamber.
-The search holds points as reduced integer homogeneous coordinates and
-exposes them as ``Fraction`` points.  What it reads of a diagram at one
+One search serves both uses: ``theta`` sums the final terms as the search
+completes each line and builds no line, while ``enumerate_broken_lines``
+(and ``clusterscatter theta --trace``) builds the lines whole.  The search
+holds points as reduced integer homogeneous coordinates, and the built
+lines carry them as ``Fraction`` points.  What it reads of a diagram at one
 order (the ray fan with every power of its wall functions, and the table of
 shifts reachable from the origin) is built once, on first use, and kept on
 the diagram for every later call at that order, next to the diagram's frame.
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
+from operator import add
 
 from .cluster_core import (
     InvariantViolation,
@@ -178,28 +182,47 @@ def enumerate_broken_lines(
     order: int | None = None,
 ) -> tuple[BrokenLine, ...]:
     """All broken lines for exponent p0 ending at Q, with final coefficient
-    degree below ``order``.
+    degree below ``order``, each built whole: its ``Fraction`` bend points,
+    and its segments in the initial coefficient basis.  ``theta`` sums the
+    same search's final terms without building lines.
 
     Degrees are measured in the diagram seed's own coefficient basis.  Raises
     ValueError if Q lies on a wall and GenericityError when some segment runs
-    through the origin or along a wall line.  The search holds each point as
-    reduced integer homogeneous coordinates (X0, X1, w) with w > 0; a segment
-    from x along p meets a ray r at x + s*p = u*r with s = a/(w*c) for ints a
-    and c > 0, so every incidence test is an int sign test.  The lines carry
-    ``Fraction`` points.
-
-    The ray fan with its powers and the reach table are built once per
-    (D, order) and kept on D (see ``_search_context``); the reach table
-    holds shifts from the origin, one table for every p0.
+    through the origin or along a wall line.
     """
     ctx = _search_context(D, order)
+    p0 = _exponent(p0)
+    Q = (Fraction(Q[0]), Fraction(Q[1]))
+    frame = D.frame
+    lines: list[BrokenLine] = []
+    _search(ctx, p0, Q, lambda trail: lines.append(_assemble(Q, p0, trail, frame)))
+    key = lambda bl: (sum(bl.final[1]), bl.final[2], bl.final[1], bl.bends)
+    return tuple(sorted(lines, key=key))
+
+
+def _exponent(p0) -> tuple[int, int]:
     p0 = tuple(int(x) for x in p0)
     if len(p0) != 2:
         raise ValueError("exponent must have length 2")
-    Q = (Fraction(Q[0]), Fraction(Q[1]))
+    return p0
+
+
+def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
+    """The broken-line search for p0 ending at Q: ``emit(trail)`` runs on
+    every completed line, whose trail lists its bends from Q backward as
+    (point, ray, coeff, t, m) with t in the seed's own basis.
+
+    The search holds each point as reduced integer homogeneous coordinates
+    (X0, X1, w) with w > 0; a segment from x along p meets a ray r at
+    x + s*p = u*r with s = a/(w*c) for ints a and c > 0, so every incidence
+    test is an int sign test.  The ray fan with its powers and the reach
+    table are built once per (D, order) and kept on D (see
+    ``_search_context``); the reach table holds shifts from the origin, one
+    table for every p0.
+    """
     if Q == (Fraction(0), Fraction(0)):
         raise ValueError("endpoint must be nonzero")
-    frame, rays = D.frame, ctx.rays
+    rays = ctx.rays
     w = lcm(Q[0].denominator, Q[1].denominator)
     x = (int(Q[0] * w), int(Q[1] * w), w)  # _cross and _dot read only (X0, X1)
     for rd in rays:
@@ -208,7 +231,6 @@ def enumerate_broken_lines(
     budget = ctx.order - 1
     reach, shifts = ctx.reach()
     q0, q1 = p0
-    lines: list[BrokenLine] = []
 
     def descend(x: tuple[int, int, int], p: tuple, used: int, trail: list) -> None:
         if p == p0:
@@ -217,7 +239,7 @@ def enumerate_broken_lines(
             for rd in rays:
                 if _cross(rd.ray, p) == 0 and _cross(rd.ray, x) == 0:
                     raise GenericityError(f"initial segment runs along the ray {rd.ray}")
-            lines.append(_assemble(Q, p0, trail, frame))
+            emit(trail)
             return
         (X0, X1, w), (a0, a1) = x, p
         k = X1 * a0 - X0 * a1
@@ -236,7 +258,8 @@ def enumerate_broken_lines(
                 raise GenericityError("segment passes through the origin")
             hits.append((a, c, rd))
         # no two hits share s: distinct primitive rays meet only at the origin, where u == 0 raised
-        hits.sort(key=cmp_to_key(lambda h, g: h[0] * g[1] - g[0] * h[1]))
+        if len(hits) > 1:
+            hits.sort(key=cmp_to_key(lambda h, g: h[0] * g[1] - g[0] * h[1]))
         for a, c, rd in hits:
             e = abs(rd.acting[0] * a0 + rd.acting[1] * a1)
             if e < 1:
@@ -258,8 +281,9 @@ def enumerate_broken_lines(
     # final exponent: p0 shifted by any reachable sum of wall exponents.
     for delta in shifts:
         descend(x, _vadd(p0, delta), 0, [])
-    key = lambda bl: (sum(bl.final[1]), bl.final[2], bl.final[1], bl.bends)
-    return tuple(sorted(lines, key=key))
+
+
+_DEGREE_RAISE = "a bend must raise the coefficient degree"
 
 
 def _assemble(Q: Point, p0, trail, frame) -> BrokenLine:
@@ -273,7 +297,7 @@ def _assemble(Q: Point, p0, trail, frame) -> BrokenLine:
         m = _vadd(m, mq)
         nd = sum(t)
         if nd <= deg:
-            raise InvariantViolation("a bend must raise the coefficient degree")
+            raise InvariantViolation(_DEGREE_RAISE)
         deg = nd
         segments.append((c, t, m))
         bends.append(((Fraction(X0, w), Fraction(X1, w)), ray))
@@ -281,11 +305,59 @@ def _assemble(Q: Point, p0, trail, frame) -> BrokenLine:
     return BrokenLine(Q, tuple(segments), tuple(bends))
 
 
+def _final_sums(ctx: _SearchContext, p0: tuple[int, int], Q, d: int) -> dict:
+    """The final terms (c, t, m) of the broken lines for p0 ending at Q,
+    summed by (m, t) with t in the seed's own coefficient basis (of rank d):
+    c, t and m - p0 are the product and sums of the bends' terms."""
+    sums: dict[tuple, int] = {}
+
+    def gather(trail):
+        c, t, m = 1, (0,) * d, p0
+        for _, _, cq, tq, mq in trail:
+            if sum(tq) <= 0:
+                raise InvariantViolation(_DEGREE_RAISE)
+            c *= cq
+            t = tuple(map(add, t, tq))
+            m = (m[0] + mq[0], m[1] + mq[1])
+        key = (m, t)
+        sums[key] = sums.get(key, 0) + c
+
+    _search(ctx, p0, (Fraction(Q[0]), Fraction(Q[1])), gather)
+    return sums
+
+
 def _endpoint_draw(q_seed: int, attempt: int) -> Point:
     h = (1103515245 * (q_seed * 65537 + attempt * 1013 + 12345) + 54321) % (1 << 31)
     a = 1 + h % 911
     b = 1 + (h >> 11) % 877
     return (Fraction(a, 641), Fraction(b, 643))
+
+
+_REDRAWS = 40
+
+
+def _at_endpoint(search, Q, q_seed: int):
+    """``(search(Q), Q)``; with no Q given, at the first of the endpoints
+    drawn from q_seed on which the search meets no degenerate incidence.  A
+    failed draw discards whatever its search had gathered."""
+    if Q is not None:
+        return search(Q), Q
+    for attempt in range(_REDRAWS):
+        Q = _endpoint_draw(q_seed, attempt)
+        try:
+            return search(Q), Q
+        except (GenericityError, _EndpointOnWall) as err:
+            last = err
+    raise GenericityError(f"no generic endpoint in {_REDRAWS} draws; last: {last}")
+
+
+def _series(D: ScatteringDiagram, order: int, finals) -> LaurentSeries:
+    """The sum of final terms (c, t, m), t in the initial basis."""
+    terms: dict[Exponent, int] = {}
+    for c, t, m in finals:
+        e = Exponent(m, t)
+        terms[e] = terms.get(e, 0) + c
+    return LaurentSeries(terms, order if D.frame.is_identity else None)
 
 
 def theta(
@@ -296,47 +368,37 @@ def theta(
     q_seed: int = 0,
 ) -> LaurentSeries:
     """Theta function of p0 presented at the chamber of Q, as a series mod
-    coefficient degree ``order``.
+    coefficient degree ``order``: the sum of the final terms of the broken
+    lines for p0 ending at Q.
 
-    With no endpoint given, Q is drawn deterministically from q_seed inside
-    the all-positive quadrant, redrawing on genericity failures; running out
-    of redraws raises GenericityError.
+    The search adds each line's final term to a sum keyed in the seed's own
+    coefficient basis as it completes the line, so no ``BrokenLine`` is
+    built; each distinct key is mapped to the initial basis once.  The lines
+    themselves come from ``enumerate_broken_lines`` (and ``clusterscatter
+    theta --trace``).  With no endpoint given, Q is drawn deterministically
+    from q_seed inside the all-positive quadrant, redrawing on genericity
+    failures; running out of redraws raises GenericityError.
     """
-    return _theta_lines(D, p0, order, Q, q_seed)[0]
-
-
-_REDRAWS = 40
+    ctx = _search_context(D, order)
+    p0 = _exponent(p0)
+    d = D.seed.coeff_lattice.d
+    if not any(p0):
+        return LaurentSeries.monomial(p0, (0,) * d, 1, ctx.order)
+    sums, _ = _at_endpoint(lambda Q: _final_sums(ctx, p0, Q, d), Q, q_seed)
+    to_old = D.frame.to_old
+    return _series(D, ctx.order, ((c, to_old(t), m) for (m, t), c in sums.items()))
 
 
 def _theta_lines(D: ScatteringDiagram, p0, order=None, Q=None, q_seed=0):
-    """``theta`` together with the broken lines summed into it and their
-    endpoint; p0 = 0 has no lines and no endpoint."""
+    """``theta`` through whole broken lines (``clusterscatter theta
+    --trace``): the series, the lines summed into it and their endpoint;
+    p0 = 0 has no lines and no endpoint."""
     ctx = _search_context(D, order)
-    order = ctx.order
-    p0 = tuple(int(x) for x in p0)
-    if len(p0) != 2:
-        raise ValueError("exponent must have length 2")
+    p0 = _exponent(p0)
     if not any(p0):
-        return LaurentSeries.monomial(p0, (0,) * D.seed.coeff_lattice.d, 1, order), (), None
-    if Q is not None:
-        lines = enumerate_broken_lines(D, p0, Q, order)
-    else:
-        lines = None
-        for attempt in range(_REDRAWS):
-            Q = _endpoint_draw(q_seed, attempt)
-            try:
-                lines = enumerate_broken_lines(D, p0, Q, order)
-                break
-            except (GenericityError, _EndpointOnWall) as err:
-                last = err
-        if lines is None:
-            raise GenericityError(f"no generic endpoint in {_REDRAWS} draws; last: {last}")
-    terms: dict[Exponent, int] = {}
-    for bl in lines:
-        c, t, m = bl.final
-        e = Exponent(m, t)
-        terms[e] = terms.get(e, 0) + c
-    return LaurentSeries(terms, order if D.frame.is_identity else None), lines, Q
+        return theta(D, p0, order), (), None
+    lines, Q = _at_endpoint(lambda Q: enumerate_broken_lines(D, p0, Q, ctx.order), Q, q_seed)
+    return _series(D, ctx.order, (bl.final for bl in lines)), lines, Q
 
 
 def theta_via_transport(D: ScatteringDiagram, p0, depth: int = 8) -> RationalFunction:

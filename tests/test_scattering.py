@@ -2,10 +2,13 @@
 
 import json
 import math
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 from clusterscatter.cluster_core import (
@@ -16,9 +19,11 @@ from clusterscatter.cluster_core import (
     initial_seed,
     matrix_mutate,
     pattern_walk,
+    seed_key,
     seed_mutate,
     unimodular_inverse_transpose,
 )
+from clusterscatter.cli import cli
 from clusterscatter.monoid_ring import LaurentSeries, series_mul, series_pow, series_unit_inverse
 from clusterscatter.scattering import (
     ConsistencyReport,
@@ -44,6 +49,7 @@ from clusterscatter.scattering import (
     _primitive,
     seed_frame,
 )
+from test_cli_transcript import _MIRRORS
 
 B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
 KRON = FixedData(((0, -2), (2, 0)), (1, 1), (2, 2))
@@ -241,6 +247,37 @@ class TestFrameOracle:
         for i in range(2):
             t[lat.block_range(i)[-1]] = alpha[i]
         assert _grading_data(frame, t) == reference_grading(data, E, alpha)
+
+
+# -- frames handed on to derived diagrams ---------------------------------------
+
+
+class TestFrameHandOver:
+    def test_derived_diagrams_keep_the_frame_they_were_built_with(self):
+        s = pattern_walk(group_seed(B2), (2, 1))
+        built = build_initial(s, 4)
+        for D in (built, complete_rank2(built), diagram_truncate(complete_rank2(built), 2), tk_transform(built, 1)):
+            assert "frame" in vars(D)  # in place before first use
+            bare = ScatteringDiagram(D.walls, D.order, D.seed)
+            assert D.frame == seed_frame(D.seed) == bare.frame
+            assert D == bare and hash(D) == hash(bare) and repr(D) == repr(bare)
+            assert diagram_to_json(D) == diagram_to_json(bare)
+            assert "frame" not in vars(replace(D))
+
+    def test_verify_all_replays_under_half_the_frames(self, monkeypatch):
+        """One ``verify --suite all`` replayed 103 seed frames for 6 seeds
+        when every derived diagram replayed its own."""
+        scattering = sys.modules["clusterscatter.scattering"]
+        real, seeds = seed_frame, []
+
+        def counted(s):
+            seeds.append(seed_key(s))
+            return real(s)
+
+        monkeypatch.setattr(scattering, "seed_frame", counted)
+        res = CliRunner(env={f"CLUSTERSCATTER_{m}": None for m in _MIRRORS}).invoke(cli, ["verify", "--suite", "all"])
+        assert res.exit_code == 0, res.output
+        assert len(set(seeds)) == 6 and 2 * len(seeds) < 103
 
 
 # -- initial diagrams ---------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from clusterscatter.cluster_core import (
     FixedData,
+    InvariantViolation,
     _chamber_walk,
     chart_variables,
     g_frame_mutate,
@@ -18,7 +19,7 @@ from clusterscatter.cluster_core import (
     initial_seed,
     seed_mutate,
 )
-from clusterscatter.monoid_ring import LaurentSeries
+from clusterscatter.monoid_ring import Exponent, LaurentSeries, series_to_str
 from clusterscatter.scattering import (
     ScatteringDiagram,
     _cross,
@@ -38,6 +39,7 @@ from clusterscatter.theta import (
     _EndpointOnWall,
     _RayData,
     _reachable_shifts,
+    _search_context,
     _theta_lines,
     _vadd,
     enumerate_broken_lines,
@@ -407,6 +409,128 @@ class TestSearchContext:
         assert diagram_to_json(D) == diagram_to_json(fresh)
         assert replace(D) == D and not replace(D)._search
         assert not diagram_truncate(D, 4)._search
+
+
+# -- the summing route against the built lines --------------------------------
+
+THETA = sys.modules["clusterscatter.theta"]
+ON_WALL = (Fraction(3), Fraction(0))  # on the incoming ray (1,0) of every base seed
+DEGENERATE = [  # (p0, endpoint, order): the cases of TestBrokenLines
+    ((1, 1), (Fraction(2), Fraction(0)), 4),
+    ((1, 1), (Fraction(0), Fraction(0)), 4),
+    ((1, 1), (Fraction(-3), Fraction(-3)), 4),
+    ((0, -1), (Fraction(1), Fraction(1)), 2),
+    ((-1, 1), (Fraction(-2), Fraction(2)), 1),
+    ((1, -1), (Fraction(-2), Fraction(2)), 4),
+]
+
+
+def lines_sum(D, lines, order):
+    """The final terms of the lines (initial basis) summed as ``theta`` does."""
+    terms = {}
+    for bl in lines:
+        c, t, m = bl.final
+        e = Exponent(m, t)
+        terms[e] = terms.get(e, 0) + c
+    return LaurentSeries(terms, order if D.frame.is_identity else None)
+
+
+def both_routes(D, p0, order, monkeypatch, q_seed=0):
+    """``theta`` and the traced route with drawn endpoints, the first draw
+    on a wall; returns both series and the endpoint each route settled on."""
+    out = []
+    for route in (theta, _theta_lines):
+        draws = []
+
+        def draw(q, attempt):
+            draws.append(ON_WALL if attempt == 0 else _endpoint_draw(q, attempt))
+            return draws[-1]
+
+        monkeypatch.setattr(THETA, "_endpoint_draw", draw)
+        got = route(D, p0, order, q_seed=q_seed)
+        assert len(draws) >= 2
+        if route is _theta_lines:
+            assert got[2] == draws[-1]
+            got = got[0]
+        out.append((got, draws[-1]))
+    return out
+
+
+class TestSummingRoute:
+    def test_routes_agree_on_valid_rank2_data(self, monkeypatch):
+        """theta against the sum of the built lines' finals, at an explicit
+        endpoint and at drawn ones, on every valid rank-2 datum of the box."""
+        exponents = [(-1, 0), (0, -1), (1, -1), (-1, 1), (2, -1), (-1, -1), (-2, 3)]
+        for i, data in enumerate(RANK2):
+            D = complete_rank2(build_initial(group_seed(data), 4))
+            for g in exponents:
+                for order in (2, 4):
+                    lines = enumerate_broken_lines(D, g, Q0, order)
+                    assert theta(D, g, order, Q=Q0) == lines_sum(D, lines, order), (data, g, order)
+                (a, qa), (b, qb) = both_routes(D, g, 3, monkeypatch, q_seed=i)
+                assert a == b and qa == qb, (data, g)
+
+    def test_routes_agree_on_the_sheared_basis(self, monkeypatch):
+        """B2 with coefficients p11 = t11, p21 = t11*t21, p22 = t22: a
+        coefficient basis that is not the standard one."""
+        lat = B2.lattice
+        coeffs = ((lat.element((1, 0, 0)),), (lat.element((1, 1, 0)), lat.element((0, 0, 1))))
+        D = complete_rank2(build_initial(initial_seed(B2, coeffs, with_cluster=False, semifield=False), 4))
+        assert not D.frame.is_identity
+        for g in [(a, b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]:
+            for order in range(1, 5):
+                lines = enumerate_broken_lines(D, g, Q0, order)
+                assert theta(D, g, order, Q=Q0) == lines_sum(D, lines, order), (g, order)
+            (a, qa), (b, qb) = both_routes(D, g, 4, monkeypatch)
+            assert a == b and qa == qb, g
+        assert "t11*t21*A1^-1*A2^-1" in series_to_str(theta(D, (0, -1), 2), ["A1", "A2"], ["t11", "t21", "t22"])
+
+    @pytest.mark.parametrize("p0, Q, order", DEGENERATE)
+    def test_degenerate_endpoints_fail_alike(self, b2_d6, p0, Q, order):
+        summed = outcome(lambda: theta(b2_d6, p0, order, Q=Q))
+        built = outcome(lambda: enumerate_broken_lines(b2_d6, p0, Q, order))
+        assert isinstance(summed, tuple) and summed == built
+
+    def test_a_failed_draw_leaves_no_terms(self, monkeypatch):
+        """The first endpoint makes a segment pass through the origin after
+        three lines have been summed; the redraw starts from nothing."""
+        D = completed("b2")
+        bad = (Fraction(1), Fraction(1))
+        real_search, emitted, failed = THETA._search, [], []
+
+        def search(ctx, p0, Q, emit):
+            emitted.append(0)
+
+            def counted(trail):
+                emitted[-1] += 1
+                emit(trail)
+
+            try:
+                real_search(ctx, p0, Q, counted)
+            except GenericityError:
+                failed.append(emitted[-1])
+                raise
+
+        monkeypatch.setattr(THETA, "_search", search)
+        monkeypatch.setattr(THETA, "_endpoint_draw", lambda q, a: bad if a == 0 else _endpoint_draw(q, a))
+        got = theta(D, (0, -1))
+        assert failed == [3] and len(emitted) == 2
+        x = theta_via_transport(D, (0, -1))
+        assert x.den.is_one() and got == x.num.truncate(D.order)
+
+    def test_degree_check_is_live_on_both_routes(self):
+        """A bending term of coefficient degree 0 on the ray (0,1), where
+        the line of (-1,0) to Q0 bends, violates the invariant."""
+        D = completed("b2")
+        ctx = _search_context(D, 3)
+        ctx.reach()  # built from the true terms, before the stub
+        (rd,) = [rd for rd in ctx.rays if rd.ray == (0, 1)]
+        for e in range(1, 4):
+            f, bends = rd.power(e)
+            rd.powers[e] = (f, tuple((c, (0, 0, 0), m, 0) for c, _, m, _ in bends))
+        for call in (lambda: theta(D, (-1, 0), 3, Q=Q0), lambda: enumerate_broken_lines(D, (-1, 0), Q0, 3)):
+            with pytest.raises(InvariantViolation, match="^a bend must raise the coefficient degree$"):
+                call()
 
 
 # -- generalized data: theta against chamber transport ------------------------
