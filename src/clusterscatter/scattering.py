@@ -21,9 +21,8 @@ and normal covectors w_i = omega(-, (d_i/r_i) e_i)) replays the seed's word
 with the g-frame step at sign +1.  Wall monomial exponents are kept in the
 coefficient basis of the initial seed, and degrees are counted in the seed's
 own coefficient basis: the frame and the walls in that basis are built on
-first use and kept on the diagram.  The diagrams that ``build_initial``,
-``complete_rank2``, ``diagram_truncate`` and ``tk_transform`` return start
-with the frame those functions already hold.
+first use and kept on the diagram.  A seed's frame is replayed once and
+shared by every diagram over that seed (``_frame_of``).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, gcd, hypot, lcm
 from typing import Callable, Iterable, Sequence
 
@@ -221,9 +220,8 @@ class ScatteringDiagram:
     the rank-2 group-mode seed whose frame and coefficient basis grade them.
 
     ``frame``, ``fresh_walls`` and ``_search`` (the broken-line search
-    context of ``theta`` by order) are built on first use and kept; a
-    derived diagram may start with its frame in place (``_framed``).  They
-    are functions of the frozen walls, order and seed, so equality, hashing,
+    context of ``theta`` by order) are built on first use and kept.  They are
+    functions of the frozen walls, order and seed, so equality, hashing,
     ``repr`` and ``dataclasses.replace`` ignore them."""
 
     walls: tuple[Wall, ...]
@@ -247,7 +245,7 @@ class ScatteringDiagram:
     @cached_property
     def frame(self) -> SeedFrame:
         """The seed's frame and coefficient basis (``seed_frame``)."""
-        return seed_frame(self.seed)
+        return _frame_of(self.seed)
 
     @cached_property
     def fresh_walls(self) -> tuple[Wall, ...]:
@@ -256,13 +254,6 @@ class ScatteringDiagram:
         if frame.is_identity:
             return self.walls
         return tuple(w.map_factors(lambda a: (frame.to_fresh(a[0]), a[1], a[2])) for w in self.walls)
-
-
-def _framed(D: ScatteringDiagram, frame: SeedFrame) -> ScatteringDiagram:
-    """D with ``frame``, a frame of D's seed, already in place of its
-    ``frame`` cache: a derived diagram keeps the frame it was built with."""
-    D.__dict__["frame"] = frame
-    return D
 
 
 @dataclass(frozen=True)
@@ -342,6 +333,14 @@ def seed_frame(s: Seed) -> SeedFrame:
     return SeedFrame(s, E, W, U, M, False)
 
 
+@lru_cache(maxsize=256)
+def _frame_of(s: Seed) -> SeedFrame:
+    """``seed_frame(s)``, replayed once per seed: the diagrams a computation
+    derives from one another (completion, truncation, the mutation
+    transform and its check) share their seeds' frames."""
+    return seed_frame(s)
+
+
 def _grading_data(frame: SeedFrame, t_fresh: Sequence[int]):
     """Grading vector, acting normal, and forced monomial of a coefficient.
 
@@ -381,7 +380,7 @@ def build_initial(s: Seed, order: int) -> ScatteringDiagram:
         raise ValueError("build_initial needs a group-mode seed (semifield=False)")
     if s.data.n != 2:
         raise ValueError("build_initial is defined for rank-2 seeds only")
-    frame = seed_frame(s)
+    frame = _frame_of(s)
     walls = []
     for i in range(2):
         e_i = _primitive(frame.E[i])
@@ -391,7 +390,7 @@ def build_initial(s: Seed, order: int) -> ScatteringDiagram:
         ray = _primitive((-e_i[1], e_i[0]))
         for r in (ray, tuple(-x for x in ray)):
             walls.append(Wall((r,), e_i, e_i, atoms, incoming=True))
-    return _framed(ScatteringDiagram(_sort_walls(walls), order, s), frame)
+    return ScatteringDiagram(_sort_walls(walls), order, s)
 
 
 def _sort_walls(walls: Iterable[Wall]) -> tuple[Wall, ...]:
@@ -634,7 +633,7 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
     first, _ = _defect_derivation(walls, frame, lat.d, ord_ + 1)
     if first is not None:
         raise InvariantViolation(f"completion finished but the loop still fails at degree {first}")
-    return _framed(ScatteringDiagram(_sort_walls(_old_walls(walls, frame)), ord_, D.seed), frame)
+    return ScatteringDiagram(_sort_walls(_old_walls(walls, frame)), ord_, D.seed)
 
 
 # -- mutation transform -------------------------------------------------------
@@ -674,7 +673,7 @@ def tk_transform(D: ScatteringDiagram, k: int) -> ScatteringDiagram:
         raise ValueError("diagram does not carry the expected direction-k hyperplane to trade away")
 
     s2 = seed_mutate(s, k)
-    frame2 = seed_frame(s2)
+    frame2 = _frame_of(s2)
     new_walls: list[Wall] = []
     for w in rest:
         h_ray = pairing_e(w.ray)
@@ -699,7 +698,7 @@ def tk_transform(D: ScatteringDiagram, k: int) -> ScatteringDiagram:
     ray = _primitive((-e_k2[1], e_k2[0]))
     for r in (ray, tuple(-x for x in ray)):
         new_walls.append(Wall((r,), e_k2, e_k2, inv_atoms, incoming=True))
-    return _framed(ScatteringDiagram(_sort_walls(new_walls), D.order, s2), frame2)
+    return ScatteringDiagram(_sort_walls(new_walls), D.order, s2)
 
 
 def tk_invariance_check(
@@ -713,7 +712,7 @@ def tk_invariance_check(
     cover every preimage before transforming and truncating.  Returns
     (transformed side, mutated-seed side, equivalent?).
     """
-    frame = seed_frame(s)
+    frame = _frame_of(s)
     if not frame.is_identity:
         raise ValueError("tk_invariance_check starts from the base seed")
     rhs = complete_rank2(build_initial(seed_mutate(s, k), order))
@@ -845,13 +844,13 @@ def diagram_truncate(D: ScatteringDiagram, order: int) -> ScatteringDiagram:
     """Drop wall factors above ``order`` in the seed's coefficient degrees."""
     if order > D.order:
         raise ValueError("cannot truncate to a higher order than the diagram carries")
-    frame = D.frame
+    degree = D.frame.fresh_degree
     walls = []
     for w in D.walls:
-        kept = tuple(a for a in w.factors if frame.fresh_degree(a[0]) <= order)
+        kept = tuple(a for a in w.factors if degree(a[0]) <= order)
         if kept:
             walls.append(Wall(w.support, w.normal, w.acting, kept, w.incoming))
-    return _framed(ScatteringDiagram(_sort_walls(walls), order, D.seed), frame)
+    return ScatteringDiagram(_sort_walls(walls), order, D.seed)
 
 
 # -- serialization and rendering ----------------------------------------------

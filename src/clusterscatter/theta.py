@@ -8,11 +8,12 @@ crosses a wall: at a crossing the carried term is replaced by one term of
 and e = |<n, m>| for the acting normal n.  Theta functions sum the final
 terms of all broken lines, and for exponents inside a cluster chamber they
 agree with the transport of the bare monomial to the positive chamber.
-One search serves both uses: ``theta`` sums the final terms as the search
-completes each line and builds no line, while ``enumerate_broken_lines``
-(and ``clusterscatter theta --trace``) builds the lines whole.  The search
-holds points as reduced integer homogeneous coordinates, and the built
-lines carry them as ``Fraction`` points.  What it reads of a diagram at one
+One search, run through ``enumerate_broken_lines``, serves both uses:
+``theta`` asks it for each line's final term only and sums those, so no
+line is built, while ``enumerate_broken_lines`` itself (and ``clusterscatter
+theta --trace``) returns the lines whole.  The search holds points as
+reduced integer homogeneous coordinates, and the built lines carry them as
+``Fraction`` points.  What it reads of a diagram at one
 order (the ray fan with every power of its wall functions, and the table of
 shifts reachable from the origin) is built once, on first use, and kept on
 the diagram for every later call at that order, next to the diagram's frame.
@@ -180,19 +181,28 @@ def enumerate_broken_lines(
     p0,
     Q,
     order: int | None = None,
+    *,
+    _finals: bool = False,
 ) -> tuple[BrokenLine, ...]:
     """All broken lines for exponent p0 ending at Q, with final coefficient
     degree below ``order``, each built whole: its ``Fraction`` bend points,
-    and its segments in the initial coefficient basis.  ``theta`` sums the
-    same search's final terms without building lines.
+    and its segments in the initial coefficient basis.
 
-    Degrees are measured in the diagram seed's own coefficient basis.  Raises
-    ValueError if Q lies on a wall and GenericityError when some segment runs
-    through the origin or along a wall line.
+    ``theta`` runs the same search with ``_finals=True`` and gets back only
+    each line's final term (c, t, m), t in the seed's own coefficient basis,
+    in search order: no line is built.  Degrees are measured in the diagram
+    seed's own coefficient basis.  Raises ValueError if Q lies on a wall and
+    GenericityError when some segment runs through the origin or along a
+    wall line.
     """
     ctx = _search_context(D, order)
     p0 = _exponent(p0)
     Q = (Fraction(Q[0]), Fraction(Q[1]))
+    if _finals:
+        finals: list[tuple] = []
+        d = D.seed.coeff_lattice.d
+        _search(ctx, p0, Q, lambda trail: finals.append(_final(p0, trail, d)))
+        return tuple(finals)
     frame = D.frame
     lines: list[BrokenLine] = []
     _search(ctx, p0, Q, lambda trail: lines.append(_assemble(Q, p0, trail, frame)))
@@ -210,7 +220,8 @@ def _exponent(p0) -> tuple[int, int]:
 def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
     """The broken-line search for p0 ending at Q: ``emit(trail)`` runs on
     every completed line, whose trail lists its bends from Q backward as
-    (point, ray, coeff, t, m) with t in the seed's own basis.
+    (point, ray, coeff, t, m) with t in the seed's own basis.  A bend term
+    that does not raise the coefficient degree raises InvariantViolation.
 
     The search holds each point as reduced integer homogeneous coordinates
     (X0, X1, w) with w > 0; a segment from x along p meets a ray r at
@@ -268,6 +279,8 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
             g = gcd(Y0, Y1, v)
             pt = (Y0 // g, Y1 // g, v // g)
             for coeff, t, m, dq in rd.power(e)[1]:
+                if dq < 1:
+                    raise InvariantViolation("a bend must raise the coefficient degree")
                 nu = used + dq
                 prev = (a0 - m[0], a1 - m[1])
                 need = reach.get((prev[0] - q0, prev[1] - q1))
@@ -283,47 +296,30 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
         descend(x, _vadd(p0, delta), 0, [])
 
 
-_DEGREE_RAISE = "a bend must raise the coefficient degree"
-
-
 def _assemble(Q: Point, p0, trail, frame) -> BrokenLine:
     c, t, m = 1, (0,) * frame.seed.coeff_lattice.d, tuple(p0)
     segments = [(c, t, m)]
     bends = []
-    deg = 0
     for (X0, X1, w), ray, cq, tq, mq in reversed(trail):
         c *= cq
         t = _vadd(t, tq)
         m = _vadd(m, mq)
-        nd = sum(t)
-        if nd <= deg:
-            raise InvariantViolation(_DEGREE_RAISE)
-        deg = nd
         segments.append((c, t, m))
         bends.append(((Fraction(X0, w), Fraction(X1, w)), ray))
     segments = [(c, frame.to_old(t), m) for c, t, m in segments]
     return BrokenLine(Q, tuple(segments), tuple(bends))
 
 
-def _final_sums(ctx: _SearchContext, p0: tuple[int, int], Q, d: int) -> dict:
-    """The final terms (c, t, m) of the broken lines for p0 ending at Q,
-    summed by (m, t) with t in the seed's own coefficient basis (of rank d):
-    c, t and m - p0 are the product and sums of the bends' terms."""
-    sums: dict[tuple, int] = {}
-
-    def gather(trail):
-        c, t, m = 1, (0,) * d, p0
-        for _, _, cq, tq, mq in trail:
-            if sum(tq) <= 0:
-                raise InvariantViolation(_DEGREE_RAISE)
-            c *= cq
-            t = tuple(map(add, t, tq))
-            m = (m[0] + mq[0], m[1] + mq[1])
-        key = (m, t)
-        sums[key] = sums.get(key, 0) + c
-
-    _search(ctx, p0, (Fraction(Q[0]), Fraction(Q[1])), gather)
-    return sums
+def _final(p0: tuple[int, int], trail, d: int) -> tuple:
+    """The final term (c, t, m) of a trail's line, t in the seed's own
+    coefficient basis (of rank d): c, t and m - p0 are the product and sums
+    of the bends' terms."""
+    c, t, m = 1, (0,) * d, p0
+    for _, _, cq, tq, mq in trail:
+        c *= cq
+        t = tuple(map(add, t, tq))
+        m = (m[0] + mq[0], m[1] + mq[1])
+    return c, t, m
 
 
 def _endpoint_draw(q_seed: int, attempt: int) -> Point:
@@ -371,20 +367,26 @@ def theta(
     coefficient degree ``order``: the sum of the final terms of the broken
     lines for p0 ending at Q.
 
-    The search adds each line's final term to a sum keyed in the seed's own
-    coefficient basis as it completes the line, so no ``BrokenLine`` is
-    built; each distinct key is mapped to the initial basis once.  The lines
-    themselves come from ``enumerate_broken_lines`` (and ``clusterscatter
-    theta --trace``).  With no endpoint given, Q is drawn deterministically
-    from q_seed inside the all-positive quadrant, redrawing on genericity
-    failures; running out of redraws raises GenericityError.
+    The search (``enumerate_broken_lines`` with ``_finals=True``) hands back
+    each line's final term and no ``BrokenLine``; the terms are summed by
+    key in the seed's own coefficient basis and each distinct key is mapped
+    to the initial basis once.  The lines themselves come from
+    ``enumerate_broken_lines`` (and ``clusterscatter theta --trace``).
+
+    With no endpoint given, Q is drawn deterministically from q_seed inside
+    the all-positive quadrant, redrawing on genericity failures; running out
+    of redraws raises GenericityError.
     """
     ctx = _search_context(D, order)
     p0 = _exponent(p0)
-    d = D.seed.coeff_lattice.d
     if not any(p0):
-        return LaurentSeries.monomial(p0, (0,) * d, 1, ctx.order)
-    sums, _ = _at_endpoint(lambda Q: _final_sums(ctx, p0, Q, d), Q, q_seed)
+        return LaurentSeries.monomial(p0, (0,) * D.seed.coeff_lattice.d, 1, ctx.order)
+    finals, _ = _at_endpoint(
+        lambda Q: enumerate_broken_lines(D, p0, Q, ctx.order, _finals=True), Q, q_seed
+    )
+    sums: dict[tuple, int] = {}
+    for c, t, m in finals:
+        sums[m, t] = sums.get((m, t), 0) + c
     to_old = D.frame.to_old
     return _series(D, ctx.order, ((c, to_old(t), m) for (m, t), c in sums.items()))
 

@@ -23,6 +23,7 @@ from pathlib import Path
 from click.testing import CliRunner
 
 import clusterscatter
+from clusterscatter import scattering
 from clusterscatter.cli import cli
 from test_cli_transcript import _MIRRORS, COMMANDS
 
@@ -98,6 +99,8 @@ def _public_functions() -> dict:
 def _reached() -> set:
     runner = CliRunner(env={f"CLUSTERSCATTER_{m}": None for m in _MIRRORS})
     prof = cProfile.Profile(subcalls=False, builtins=False)
+    # start from an empty frame memo, as a fresh process does
+    scattering._frame_of.cache_clear()
     with runner.isolated_filesystem():
         prof.enable()
         try:

@@ -3,7 +3,6 @@
 import json
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -249,24 +248,26 @@ class TestFrameOracle:
         assert _grading_data(frame, t) == reference_grading(data, E, alpha)
 
 
-# -- frames handed on to derived diagrams ---------------------------------------
+# -- one frame per seed ---------------------------------------------------------
 
 
-class TestFrameHandOver:
-    def test_derived_diagrams_keep_the_frame_they_were_built_with(self):
+class TestFrameMemo:
+    def test_diagrams_over_one_seed_share_its_frame(self):
         s = pattern_walk(group_seed(B2), (2, 1))
         built = build_initial(s, 4)
-        for D in (built, complete_rank2(built), diagram_truncate(complete_rank2(built), 2), tk_transform(built, 1)):
-            assert "frame" in vars(D)  # in place before first use
+        completed = complete_rank2(built)
+        moved = tk_transform(built, 1)
+        assert completed.frame is built.frame is diagram_truncate(completed, 2).frame
+        assert moved.frame is build_initial(moved.seed, 4).frame
+        for D in (built, completed, moved):
             bare = ScatteringDiagram(D.walls, D.order, D.seed)
             assert D.frame == seed_frame(D.seed) == bare.frame
             assert D == bare and hash(D) == hash(bare) and repr(D) == repr(bare)
             assert diagram_to_json(D) == diagram_to_json(bare)
-            assert "frame" not in vars(replace(D))
 
-    def test_verify_all_replays_under_half_the_frames(self, monkeypatch):
+    def test_verify_all_replays_each_seed_frame_once(self, monkeypatch):
         """One ``verify --suite all`` replayed 103 seed frames for 6 seeds
-        when every derived diagram replayed its own."""
+        when every diagram replayed its own."""
         scattering = sys.modules["clusterscatter.scattering"]
         real, seeds = seed_frame, []
 
@@ -275,9 +276,10 @@ class TestFrameHandOver:
             return real(s)
 
         monkeypatch.setattr(scattering, "seed_frame", counted)
+        scattering._frame_of.cache_clear()
         res = CliRunner(env={f"CLUSTERSCATTER_{m}": None for m in _MIRRORS}).invoke(cli, ["verify", "--suite", "all"])
         assert res.exit_code == 0, res.output
-        assert len(set(seeds)) == 6 and 2 * len(seeds) < 103
+        assert len(set(seeds)) == len(seeds) == 6
 
 
 # -- initial diagrams ---------------------------------------------------------
