@@ -26,6 +26,7 @@ from math import gcd
 from operator import mul
 
 from .monoid_ring import (
+    _LIMIT,
     Exponent,
     LaurentSeries,
     _unit,
@@ -312,6 +313,11 @@ def _exchange_variable(s: Seed, a: int) -> RationalFunction:
     if q is None:
         raise InvariantViolation(
             f"exchange in direction {a + 1} is not a Laurent polynomial (Laurent property): "
+            "the cluster does not belong to the pattern"
+        )
+    if not q.is_integral():
+        raise InvariantViolation(
+            f"exchange in direction {a + 1} has a non-integer coefficient (integrality): "
             "the cluster does not belong to the pattern"
         )
     return _laurent(q)
@@ -802,10 +808,27 @@ def rational_to_json(x: RationalFunction) -> dict:
     }
 
 
-def rational_from_json(data: dict) -> RationalFunction:
-    num = series_from_json({"terms": data["num"], "order": "inf"})
-    den = series_from_json({"terms": data["den"], "order": "inf"})
-    return rational(num, den)
+def _fit_slots(what: str, exponents) -> None:
+    big = max((abs(int(e)) for e in exponents), default=0)
+    if big > _LIMIT:
+        raise ValueError(f"{what}: the exponent magnitude {big} exceeds the packed-slot limit {_LIMIT} (2^31 - 1)")
+
+
+def _cluster_entry(i: int, data: dict) -> RationalFunction:
+    """Cluster entry i of a seed document; ValueError unless its exponents fit
+    a packed slot and it is a nonzero Laurent polynomial with integer
+    coefficients >= 0."""
+    _fit_slots(f"cluster entry {i}", [e for term in data["num"] + data["den"] for e in (*term["m"], *term["t"])])
+    num, den = (series_from_json({"terms": data[k], "order": "inf"}) for k in ("num", "den"))
+    if not num or not den:
+        raise ValueError(f"cluster entry {i} " + ("is zero" if den else "has a zero denominator"))
+    x = rational(num, den)
+    if not x.num.is_integral():
+        raise ValueError(f"cluster entry {i} has a non-integer coefficient (integrality)")
+    c = min(x.num.terms.values())
+    if c < 0:
+        raise ValueError(f"cluster entry {i} has the coefficient {c} < 0 (positivity)")
+    return x
 
 
 def seed_to_json(s: Seed) -> dict:
@@ -822,17 +845,16 @@ def seed_to_json(s: Seed) -> dict:
 
 def seed_from_json(data: dict, semifield: bool = True) -> Seed:
     """The seed of a JSON document.  A group-mode seed (``semifield=False``)
-    ignores the document's cluster; a cluster entry that does not reduce to a
-    Laurent polynomial, or has a coefficient below 0, raises ValueError."""
+    ignores the document's cluster.  An exponent beyond a packed slot, and a
+    cluster entry that is zero, has a zero denominator, does not reduce to a
+    Laurent polynomial or has a coefficient that is no integer or below 0,
+    raise ValueError."""
     fixed = FixedData(_as_matrix(data["B"]), tuple(data["d"]), tuple(data["r"]))
     coeffs = tuple(
         tuple(trop_element_from_json(p) for p in tup) for tup in data["coeffs"]
     )
+    _fit_slots("coefficients", [e for tup in coeffs for p in tup for e in p.exponents])
     cluster = None
     if semifield and data.get("cluster") is not None:
-        cluster = tuple(rational_from_json(x) for x in data["cluster"])
-        for i, x in enumerate(cluster, 1):
-            c = min(x.num.terms.values(), default=0)
-            if c < 0:
-                raise ValueError(f"cluster entry {i} has the coefficient {c} < 0 (positivity)")
+        cluster = tuple(_cluster_entry(i, x) for i, x in enumerate(data["cluster"], 1))
     return Seed(fixed, fixed.B, coeffs, cluster, (), semifield)

@@ -12,19 +12,20 @@ One search, run through ``enumerate_broken_lines``, serves both uses:
 ``theta`` asks it for each line's final term only and sums those, so no
 line is built, while ``enumerate_broken_lines`` itself (and ``clusterscatter
 theta --trace``) returns the lines whole.  The search holds points as
-reduced integer homogeneous coordinates, and the built lines carry them as
-``Fraction`` points.  What it reads of a diagram at one
-order (the ray fan with every power of its wall functions, and the table of
-shifts reachable from the origin) is built once, on first use, and kept on
-the diagram for every later call at that order, next to the diagram's frame.
+reduced integer homogeneous coordinates, and each of its steps walks the
+counterclockwise fan from the segment's start to the first ray it misses.
+What it reads of a diagram at one order (the ray fan with every power of
+its wall functions, and the table of shifts reachable from the origin) is
+built once, on first use, and kept on the diagram for every later call at
+that order, next to the diagram's frame.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd, lcm
 from operator import add
 
@@ -39,7 +40,7 @@ from .cluster_core import (
     initial_seed,
 )
 from .monoid_ring import Exponent, LaurentSeries
-from .scattering import ScatteringDiagram, _cross, _fan
+from .scattering import ScatteringDiagram, _angle_key, _cross, _fan
 
 __all__ = [
     "BrokenLine",
@@ -95,9 +96,10 @@ class _RayData:
     """One ray of the fan with its acting normal and merged wall function F,
     in the diagram seed's own coefficient basis.  ``powers[e]`` holds F^e and
     its bending terms (coeff, t, m, coefficient degree), those with t != 0 in
-    exponent order, each computed once."""
+    exponent order, each computed once.  ``walks`` is the fan as seen from
+    this ray (``_SearchContext.walks``), set by the search context."""
 
-    __slots__ = ("ray", "acting", "function", "powers")
+    __slots__ = ("ray", "acting", "function", "powers", "walks")
 
     def __init__(self, ray, acting, function: LaurentSeries):
         self.ray = ray
@@ -145,14 +147,22 @@ def _reachable_shifts(rays: list[_RayData], budget: int) -> dict[tuple, int]:
 class _SearchContext:
     """What the broken-line search reads of one diagram at one order: the
     ray fan in the seed's own coefficient basis (whose ``powers`` memos fill
-    as bends need them) and the reach table with its shifts in sorted order."""
+    as bends need them), counterclockwise as ``ring`` and in tuple order as
+    ``rays``, and the reach table with its shifts in sorted order."""
 
-    __slots__ = ("order", "rays", "_reach")
+    __slots__ = ("order", "ring", "rays", "_reach")
 
     def __init__(self, D: ScatteringDiagram, order: int):
         self.order = order
-        self.rays = [_RayData(*ray) for ray in sorted(_fan(D.fresh_walls, order))]
+        self.ring = [_RayData(*ray) for ray in _fan(D.fresh_walls, order)]
+        self.rays = sorted(self.ring, key=lambda rd: rd.ray)
+        for i, rd in enumerate(self.ring):
+            rd.walks = self.walks(i - 1, i + 1)
         self._reach = None
+
+    def walks(self, lo: int, hi: int) -> tuple[list, list]:
+        # the ring once round, clockwise from ring[lo] and counterclockwise from ring[hi]
+        return self.ring[lo::-1] + self.ring[:lo:-1], self.ring[hi:] + self.ring[:hi]
 
     def reach(self) -> tuple[dict[tuple, int], list[tuple]]:
         # built on first use, so that the endpoint check raises before the
@@ -225,11 +235,14 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
 
     The search holds each point as reduced integer homogeneous coordinates
     (X0, X1, w) with w > 0; a segment from x along p meets a ray r at
-    x + s*p = u*r with s = a/(w*c) for ints a and c > 0, so every incidence
-    test is an int sign test.  The ray fan with its powers and the reach
-    table are built once per (D, order) and kept on D (see
-    ``_search_context``); the reach table holds shifts from the origin, one
-    table for every p0.
+    x + s*p = u*r with s = a/(w*c), a = cross(x, r) and c = cross(r, p)
+    signed by cross(x, p) both > 0.  Such rays lie in the arc (under a
+    half-turn) swept from x toward p, met in fan order, so a step walks the
+    ring that way from x's place (Q's gap, or the ray x bent on) to the
+    first ray it misses.  Every degenerate incidence has cross(x, p) == 0:
+    such a step checks the rays in tuple order and crosses none.  The ray
+    fan and reach table are built once per (D, order) and kept on D (see
+    ``_search_context``); the reach table holds shifts from the origin.
     """
     if Q == (Fraction(0), Fraction(0)):
         raise ValueError("endpoint must be nonzero")
@@ -243,35 +256,30 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
     reach, shifts = ctx.reach()
     q0, q1 = p0
 
-    def descend(x: tuple[int, int, int], p: tuple, used: int, trail: list) -> None:
+    def descend(x: tuple[int, int, int], p: tuple, used: int, trail: list, walks) -> None:
+        (X0, X1, w), (a0, a1) = x, p
+        k = X0 * a1 - X1 * a0  # cross(x, p): > 0 sweeps counterclockwise
         if p == p0:
-            if _cross(x, p) == 0 and _dot(x, p) < 0:
+            if k == 0 and _dot(x, p) < 0:
                 raise GenericityError("initial segment passes through the origin")
-            for rd in rays:
-                if _cross(rd.ray, p) == 0 and _cross(rd.ray, x) == 0:
+            for rd in rays if k == 0 else ():
+                if _cross(rd.ray, x) == 0:
                     raise GenericityError(f"initial segment runs along the ray {rd.ray}")
             emit(trail)
             return
-        (X0, X1, w), (a0, a1) = x, p
-        k = X1 * a0 - X0 * a1
-        hits = []
-        for rd in rays:
-            r0, r1 = rd.ray
-            c, a = a0 * r1 - a1 * r0, X1 * r0 - X0 * r1
-            if c == 0:
-                if a == 0:
+        if k == 0:
+            for rd in rays:
+                if _cross(rd.ray, x) == 0:
                     raise GenericityError(f"segment runs along the ray {rd.ray}")
-                continue
-            a, c, u = (a, c, k) if c > 0 else (-a, -c, -k)
-            if a <= 0 or u < 0:
-                continue
-            if u == 0:
-                raise GenericityError("segment passes through the origin")
-            hits.append((a, c, rd))
-        # no two hits share s: distinct primitive rays meet only at the origin, where u == 0 raised
-        if len(hits) > 1:
-            hits.sort(key=cmp_to_key(lambda h, g: h[0] * g[1] - g[0] * h[1]))
-        for a, c, rd in hits:
+                if _dot(x, p) < 0:
+                    raise GenericityError("segment passes through the origin")
+            return
+        sx0, sx1, sp0, sp1 = (X0, X1, a0, a1) if k > 0 else (-X0, -X1, -a0, -a1)
+        for rd in walks[k > 0]:
+            r0, r1 = rd.ray
+            a, c = sx0 * r1 - sx1 * r0, r0 * sp1 - r1 * sp0
+            if a <= 0 or c <= 0:
+                break
             e = abs(rd.acting[0] * a0 + rd.acting[1] * a1)
             if e < 1:
                 raise InvariantViolation(f"a segment crossing the ray {rd.ray} pairs to 0 with its normal")
@@ -287,13 +295,15 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
                 if need is None or nu + need > budget:
                     continue
                 trail.append((pt, rd.ray, coeff, t, m))
-                descend(pt, prev, nu, trail)
+                descend(pt, prev, nu, trail, rd.walks)
                 trail.pop()
 
     # The DFS runs backward from Q, so it must be seeded with each candidate
     # final exponent: p0 shifted by any reachable sum of wall exponents.
+    j = bisect(ctx.ring, _angle_key(x), key=lambda rd: _angle_key(rd.ray))  # Q lies on no ray
+    start = ctx.walks(j - 1, j)
     for delta in shifts:
-        descend(x, _vadd(p0, delta), 0, [])
+        descend(x, _vadd(p0, delta), 0, [], start)
 
 
 def _assemble(Q: Point, p0, trail, frame) -> BrokenLine:

@@ -135,6 +135,47 @@ class TestMutate:
         assert res.exit_code == 2
         assert "cannot load seed from" in res.output and "positivity" in res.output
 
+    @staticmethod
+    def _b2_mutate(runner, tmp_path, edit, word="121"):
+        # b2.json with one field changed by ``edit``; the error must be handled, with no traceback
+        data = json.loads(fixture_text("b2.json"))
+        edit(data)
+        path = tmp_path / "b2_edited.json"
+        path.write_text(json.dumps(data))
+        res = runner.invoke(cli, ["mutate", "--seed", str(path), word])
+        assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+        return res
+
+    @pytest.mark.parametrize(
+        "part, message", [("num", "cluster entry 1 is zero"), ("den", "cluster entry 1 has a zero denominator")]
+    )
+    def test_zero_cluster_entry_is_bad_input(self, runner, tmp_path, part, message):
+        res = self._b2_mutate(runner, tmp_path, lambda d: d["cluster"][0][part][0].update(c=0))
+        assert res.exit_code == 2
+        assert "cannot load seed from" in res.output and message in res.output
+
+    @pytest.mark.parametrize(
+        "field, where",
+        [(lambda d: d["coeffs"][0][0]["exponents"], "coefficients"), (lambda d: d["cluster"][0]["num"][0]["m"], "cluster entry 1")],
+        ids=["coefficient", "cluster"],
+    )
+    def test_exponent_beyond_a_packed_slot_is_bad_input(self, runner, tmp_path, field, where):
+        res = self._b2_mutate(runner, tmp_path, lambda d: field(d).__setitem__(0, 2**40))
+        assert res.exit_code == 2
+        assert f"{where}: the exponent magnitude {2**40} exceeds the packed-slot limit 2147483647" in res.output
+
+    def test_non_integer_cluster_entry_is_bad_input(self, runner, tmp_path):
+        # first cluster entry z0 / 7
+        res = self._b2_mutate(runner, tmp_path, lambda d: d["cluster"][0]["den"][0].update(c=7), word="")
+        assert res.exit_code == 2
+        assert "cluster entry 1 has a non-integer coefficient (integrality)" in res.output
+
+    def test_non_integral_exchange_violates_integrality(self, runner, tmp_path):
+        # first cluster entry 7*z0: the exchange in direction 1 divides by 7
+        res = self._b2_mutate(runner, tmp_path, lambda d: d["cluster"][0]["num"][0].update(c=7))
+        assert res.exit_code == 1
+        assert "invariant violated: exchange in direction 1 has a non-integer coefficient (integrality)" in res.output
+
 
 class TestScatter:
     def test_wall_listing_and_files(self, runner, b2_path, tmp_path):

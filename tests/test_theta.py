@@ -282,6 +282,10 @@ def near_axis(k, y, vertical):
     return (Fraction(k, 10**4), y) if vertical else (y, Fraction(k, 10**4))
 
 
+def scaled(v, lam):
+    return (lam * v[0], lam * v[1])
+
+
 @st.composite
 def broken_line_cases(draw):
     D = small_diagram(draw(st.sampled_from(("b2", "kron", "g2"))))
@@ -290,6 +294,10 @@ def broken_line_cases(draw):
         st.tuples(coords, coords),
         st.builds(near_axis, st.integers(-3, 3), coords, st.booleans()),
         st.sampled_from(Q_SEEDS).map(lambda q: _endpoint_draw(q, 0)),
+        # degenerate draws: on the line of a fan ray, on either side of the
+        # origin, and parallel or antiparallel to p0 (segments with x || p)
+        st.builds(scaled, st.sampled_from(sorted({w.ray for w in D.walls})), coords),
+        st.builds(scaled, st.just(p0), coords),
     ))
     return D, p0, Q, draw(st.sampled_from(range(D.order, 0, -1)))  # order 1 has no bends
 
