@@ -99,13 +99,17 @@ def _tnames(lat) -> list[str]:
 
 
 class _Group(click.Group):
-    """Every command's violated invariant ends as exit code 1 with a message."""
+    """Every command's violated invariant ends as exit code 1 with a message,
+    and an exponent that outgrows a packed slot partway through a command as
+    exit code 2 (the input is too large to compute on)."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except InvariantViolation as err:
             raise click.ClickException(f"invariant violated: {err}")
+        except OverflowError as err:
+            raise click.UsageError(str(err))
 
 
 @click.group(cls=_Group)

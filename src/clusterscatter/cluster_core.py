@@ -11,7 +11,10 @@ variables at the end of a mutation path, computed a second way by composing
 wall-crossing substitutions in the initial chart.  One g-frame step moves
 every frame: ``g_frame_mutate`` takes its sign from g*_k, while chart
 variables (and the seed frames of ``scattering``) replay it with sign +1.
-Chart variables and theta's chamber transport share one replay of the word.
+Chart variables and theta's chamber transport share one replay of the word
+and one pull-back.  A crossing z^m -> z^m f^h, h = -<g*_k, m>, leaves the
+terms of level h >= 0 Laurent on their own, so each step divides only the
+terms of negative level, once, by f^D for the deepest level -D.
 
 Directions k are 1-based in the public API, matching the usual edge labels
 of the regular tree.  All arithmetic is exact.
@@ -29,6 +32,7 @@ from .monoid_ring import (
     _LIMIT,
     Exponent,
     LaurentSeries,
+    _by_level,
     _unit,
     series_exact_div,
     series_from_json,
@@ -766,22 +770,30 @@ def _transport(s: Seed, word, signed: bool):
 
 def _pull_back(steps, x: LaurentSeries) -> LaurentSeries:
     """Write x, a Laurent polynomial in the last chart of ``steps``, in the
-    first: each step, last first, crosses z^m -> z^m f^(-<g*_k, m>).  The
-    terms over the common denominator f^D come back out of one exact
-    division; by the Laurent phenomenon it always succeeds."""
+    first: each step, last first, crosses z^m -> z^m f^h, h = -<g*_k, m>.
+
+    The terms are split by level h.  A term of level h >= 0 maps straight to
+    the Laurent polynomial z^m f^h.  Only the terms of negative level are
+    crossed over their common denominator f^D, D = -min h, and come back out
+    of one exact division by f^D.  The whole image is Laurent exactly when
+    that part is, so the split changes no outcome.  On the monomials the
+    library pulls back the division succeeds by the Laurent phenomenon; when
+    it fails, InvariantViolation is raised."""
     for f, gstar in reversed(steps):
-        levels: dict[int, dict[Exponent, object]] = {}
-        for e, c in x.terms.items():
-            levels.setdefault(-sum(map(mul, gstar, e.m)), {})[e] = c
+        levels = _by_level(x, [-v for v in gstar])
         D = max(0, -min(levels))
-        powers = {e: series_pow(f, e) for e in {D, *(lv + D for lv in levels)}}
-        x = LaurentSeries.zero(None)
-        for lv, terms in levels.items():
-            x = x + LaurentSeries(terms, None) * powers[lv + D]
+        powers = {e: series_pow(f, e) for e in {D, *(h + D if h < 0 else h for h in levels)}}
+        x = neg = LaurentSeries.zero(None)
+        for h, part in levels.items():
+            if h < 0:
+                neg = neg + part * powers[h + D]
+            else:
+                x = x + part * powers[h]
         if D:
-            x = series_exact_div(x, powers[D])
-            if x is None:
+            neg = series_exact_div(neg, powers[D])
+            if neg is None:
                 raise InvariantViolation("a crossing left the Laurent ring (Laurent phenomenon)")
+            x = x + neg
     return x
 
 
@@ -789,7 +801,8 @@ def chart_variables(s0: Seed, word) -> tuple[RationalFunction, ...]:
     """Cluster variables at the end of the word computed by composing one
     wall-crossing substitution per step in the initial chart (instead of
     iterating exchange relations).  The frame replays the g-frame step with
-    sign +1; its dual rows g give the monomials to pull back.  A group-mode
+    sign +1; its dual rows g give the monomials to pull back, and each step
+    divides only the terms of negative level (``_pull_back``).  A group-mode
     seed has no cluster variables and raises ValueError."""
     if not s0.semifield:
         raise ValueError("chart variables need a semifield-mode seed: group-mode seeds carry no cluster")

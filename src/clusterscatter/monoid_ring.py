@@ -36,6 +36,8 @@ kept as its test oracle.  ``series_exact_div`` pops each leading term from a
 max-heap of packed keys and divides int coefficients with ``divmod``.
 ``_OnlineFan`` crosses a fan of walls one coefficient degree at a time, so
 that completion can add walls between degrees without crossing the fan again.
+``_by_level`` splits a polynomial by the level <n0, m> of its terms, read off
+the m-slots of the packed keys, for the seed layer's pull-back.
 
 Wall-crossing automorphisms ``z^p -> z^p * f^{sign*<n0, m(p)>}`` and their
 compositions are materialized as images of the ``n + d`` generators
@@ -604,6 +606,24 @@ def _by_degree(packed: dict) -> dict[int, dict]:
     for k, c in packed.items():
         out.setdefault(_deg(k), {})[k] = c
     return out
+
+
+def _by_level(x: LaurentSeries, n0: Sequence[int]) -> dict[int, LaurentSeries]:
+    """The terms c z^p of x split by level h = <n0, m(p)>: h -> the part of x
+    at level h, with x's order, dims and slot bound."""
+    if not x._packed:
+        return {}
+    n, d = x._nd
+    lift, shift = _pack([_HALF] * (d + 1)), _SLOT * (d + 1)  # lifts the t and degree slots to [0, 2^32)
+    parts: dict[int, dict] = {}
+    hs: dict[int, int] = {}  # h by the lifted m-slots of a key, shared by every t
+    for k, c in x._packed.items():
+        mk = (k + lift) >> shift
+        h = hs.get(mk)
+        if h is None:
+            h = hs[mk] = sum(map(mul, n0, _unpack(mk, n)))
+        parts.setdefault(h, {})[k] = c
+    return {h: LaurentSeries._make(p, x.order, x._nd, x._bound) for h, p in parts.items()}
 
 
 def _mul_into(acc: dict, a: dict, b: dict) -> None:

@@ -419,8 +419,11 @@ def theta_via_transport(D: ScatteringDiagram, p0, depth: int = 8) -> RationalFun
     across the chamber facets.
 
     The chamber walk is principal, then evaluated at the seed's coefficients.
-    Raises ValueError when no chamber within ``depth`` mutations contains
-    p0.  Agrees with ``theta`` order by order on consistent diagrams.
+    The monomial is pulled back one facet at a time as the chart variables
+    are (``cluster_core._pull_back``): each crossing divides only the terms
+    of negative level.  Raises ValueError when no chamber within ``depth``
+    mutations contains p0.  Agrees with ``theta`` order by order on
+    consistent diagrams.
     """
     s = D.seed
     if s.word:

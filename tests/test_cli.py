@@ -2,12 +2,16 @@
 fixture files.  Output determinism is part of the contract, so several
 tests compare bytes, not parsed structures."""
 
+import copy
 import json
 import sys
 from fractions import Fraction
+from functools import reduce
+from operator import getitem
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from clusterscatter.cli import cli
 from clusterscatter.cluster_core import FixedData, initial_seed, seed_from_json, seed_to_json
@@ -163,6 +167,17 @@ class TestMutate:
         res = self._b2_mutate(runner, tmp_path, lambda d: field(d).__setitem__(0, 2**40))
         assert res.exit_code == 2
         assert f"{where}: the exponent magnitude {2**40} exceeds the packed-slot limit 2147483647" in res.output
+
+    @pytest.mark.parametrize(
+        "field",
+        [lambda d: d["coeffs"][0][0]["exponents"], lambda d: d["cluster"][0]["num"][0]["m"]],
+        ids=["coefficient", "cluster"],
+    )
+    def test_exponent_that_outgrows_a_slot_partway_is_bad_input(self, runner, tmp_path, field):
+        # 2^31 - 1 loads, and the first exchange would need a slot beyond it
+        res = self._b2_mutate(runner, tmp_path, lambda d: field(d).__setitem__(0, 2**31 - 1))
+        assert res.exit_code == 2
+        assert "Error: a packed exponent slot could reach 2147483648; slots hold at most 2147483647" in res.output
 
     def test_non_integer_cluster_entry_is_bad_input(self, runner, tmp_path):
         # first cluster entry z0 / 7
@@ -430,3 +445,79 @@ class TestVerify:
         assert res.stdout == ""
         assert f"{flag} must be at least 1" in res.stderr
         assert "Traceback" not in res.output
+
+
+# -- fuzz: one edited field of a fixture, every command -----------------------
+
+FUZZ_FIXTURES = ("b2.json", "kronecker.json")
+FUZZ_VALUES = (0, 1, -1, 2, -3, 7, 2**31 - 1, -(2**31 - 1), 2**31, 2**40, 1.5, "1", None, True, [], {})
+FUZZ_COMMANDS = (
+    ("mutate", "121"),
+    ("scatter", "--order", "3"),
+    ("scatter-check", "--completed", "--order", "3"),
+    ("scatter-mutate", "--k", "1", "--order", "3"),
+    ("theta", "--m", "-1,0", "--order", "3"),
+)
+
+
+def _fields(node, path=()):
+    """The path of keys and indices of every field below a JSON node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _fields(child, path + (key,))
+
+
+@st.composite
+def one_field_edits(draw):
+    """A fixture, one of its fields, and an edit of it: a new value (another
+    type, sign or size), removal (a missing key or a shorter list), or, for a
+    list, one more copy of its last entry."""
+    name = draw(st.sampled_from(FUZZ_FIXTURES))
+    doc = json.loads(fixture_text(name))
+    path = draw(st.sampled_from(list(_fields(doc))))
+    target = reduce(getitem, path, doc)
+    kinds = [st.tuples(st.just("set"), st.sampled_from(FUZZ_VALUES)), st.just(("delete",))]
+    if isinstance(target, list) and target:
+        kinds.append(st.just(("grow",)))
+    return name, path, draw(st.one_of(kinds))
+
+
+def _edited(name, path, edit):
+    doc = json.loads(fixture_text(name))
+    *head, last = path
+    parent = reduce(getitem, head, doc)
+    if edit[0] == "set":
+        parent[last] = edit[1]
+    elif edit[0] == "delete":
+        del parent[last]
+    else:
+        parent[last].append(copy.deepcopy(parent[last][-1]))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "edited.json"
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(edit=one_field_edits())
+@example(edit=("b2.json", ("coeffs", 0, 0, "exponents", 0), ("set", 2**31 - 1)))
+@example(edit=("b2.json", ("cluster", 0, "num", 0, "m", 0), ("set", 2**31 - 1)))
+def test_one_edited_field_never_ends_in_a_traceback(fuzz_path, edit):
+    """Every command on a fixture with one field edited exits 0, or 2 with a
+    message, or 1 naming the violated invariant; never with a traceback."""
+    fuzz_path.write_text(json.dumps(_edited(*edit)))
+    runner = CliRunner()
+    for command, *args in FUZZ_COMMANDS:
+        res = runner.invoke(cli, [command, "--seed", str(fuzz_path), *args])
+        where = (edit, command, res.exit_code, res.output[-300:])
+        assert res.exception is None or isinstance(res.exception, SystemExit), (where, repr(res.exception))
+        assert "Traceback" not in res.output, where
+        if res.exit_code == 2:
+            assert "Error: " in res.output, where
+        elif res.exit_code == 1:
+            assert "invariant violated: " in res.output, where
+        else:
+            assert res.exit_code == 0, where

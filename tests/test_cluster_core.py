@@ -1,7 +1,9 @@
 """Seed mutation, patterns, c/g-vectors, chart variables."""
 
 import json
+import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,8 @@ from clusterscatter.cluster_core import (
     Seed,
     _beta,
     _chamber_walk,
+    _pull_back,
+    _transport,
     c_matrix_mutate,
     c_matrix_of,
     chart_variables,
@@ -35,8 +39,10 @@ from clusterscatter.cluster_core import (
     seeds_equal,
     unimodular_inverse_transpose,
 )
-from clusterscatter.monoid_ring import LaurentSeries, series_pow
+from clusterscatter.monoid_ring import LaurentSeries, series_exact_div, series_pow
 from clusterscatter.semifield import CoeffLattice
+
+from test_scattering import RANK2
 
 B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
 KRON = FixedData(((0, -2), (2, 0)), (1, 1), (2, 2))
@@ -531,6 +537,15 @@ class TestPullbacks:
         with pytest.raises(ValueError, match="group-mode seeds carry no cluster"):
             chart_variables(initial_seed(B2, with_cluster=False, semifield=False), (1, 2, 1, 2))
 
+    def test_crossing_that_leaves_the_laurent_ring(self):
+        # one step f = 1 + z1, g*_k = e_1: the lone z0 has level -1, and z0 / (1 + z1) is no Laurent polynomial
+        f = LaurentSeries.one(2, 1) + LaurentSeries.monomial((0, 1), (0,))
+        steps, x = [(f, (1, 0))], LaurentSeries.monomial((1, 0), (0,))
+        for pull_back in (_pull_back, reference_pull_back):
+            with pytest.raises(InvariantViolation, match=r"^a crossing left the Laurent ring \(Laurent phenomenon\)$"):
+                pull_back(steps, x)
+        assert _pull_back(steps, f * x) == reference_pull_back(steps, f * x) == x
+
     def test_unimodular_inverse_transpose(self):
         M = ((1, 2), (0, 1))
         X = unimodular_inverse_transpose(M)
@@ -540,6 +555,70 @@ class TestPullbacks:
                 assert sum(M[i][a] * X[j][a] for a in range(2)) == (1 if i == j else 0)
         with pytest.raises(ValueError):
             unimodular_inverse_transpose(((2, 0), (0, 1)))
+
+
+def reference_pull_back(steps, x):
+    """``_pull_back`` before the level split, kept as its oracle: every term
+    is crossed over the common denominator f^D, and the whole sum comes back
+    out of one exact division by f^D."""
+    for f, gstar in reversed(steps):
+        levels: dict = {}
+        for e, c in x.terms.items():
+            levels.setdefault(-sum(map(mul, gstar, e.m)), {})[e] = c
+        D = max(0, -min(levels))
+        powers = {e: series_pow(f, e) for e in {D, *(lv + D for lv in levels)}}
+        x = LaurentSeries.zero(None)
+        for lv, terms in levels.items():
+            x = x + LaurentSeries(terms, None) * powers[lv + D]
+        if D:
+            x = series_exact_div(x, powers[D])
+            if x is None:
+                raise InvariantViolation("a crossing left the Laurent ring (Laurent phenomenon)")
+    return x
+
+
+def pull_back_outcome(pull_back, steps, x):
+    """The pulled-back series, or the type and message of the error."""
+    try:
+        return pull_back(steps, x)
+    except (InvariantViolation, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def drawn_laurent(rng, d: int, terms: int) -> LaurentSeries:
+    """Up to ``terms`` terms c z^m t^a, m in [-1, 1]^2, a in {0, 1}^d, c in
+    -2..3 but 0."""
+    draw = lambda: (tuple(rng.randint(-1, 1) for _ in range(2)), tuple(rng.randint(0, 1) for _ in range(d)))
+    return LaurentSeries({draw(): rng.choice((-2, -1, 1, 2, 3)) for _ in range(terms)}, None)
+
+
+def test_level_split_matches_the_common_denominator_oracle():
+    """``_pull_back`` against ``reference_pull_back`` on all 37 valid rank-2
+    data of the box, both replays of each reduced word (chart variables and
+    chamber transport).  The inputs are the chart monomials z^g of every
+    word and, on words up to length 2, a drawn monomial and two small drawn
+    Laurent polynomials, about half of which leave the Laurent ring.  Words
+    run to length 5 where b12 b21 <= 4; wild data stop at length 3, since
+    with principal coefficients their length-5 chart variables reach about
+    3e5 terms."""
+    rng = random.Random(17)
+    outcomes = {True: 0, False: 0}  # raised or not, over the drawn inputs
+    for data in RANK2:
+        s = initial_seed(data, with_cluster=False)
+        d = s.coeff_lattice.d
+        longest = 5 if data.B[0][1] * data.B[1][0] >= -4 else 3
+        words = [()] + [tuple((k, 3 - k)[i % 2] for i in range(n)) for n in range(1, longest + 1) for k in (1, 2)]
+        for word in words:
+            for signed in (False, True):
+                steps, G = _transport(s, word, signed)
+                charts = [LaurentSeries.monomial(g, (0,) * d) for g in G.g]
+                drawn = [drawn_laurent(rng, d, terms) for terms in (1, 2, 3)] if len(word) <= 2 else []
+                for i, x in enumerate(charts + drawn):
+                    got = pull_back_outcome(_pull_back, steps, x)
+                    assert got == pull_back_outcome(reference_pull_back, steps, x), (data, word, signed, x)
+                    if i >= len(charts):
+                        outcomes[isinstance(got, tuple)] += 1
+    assert all(outcomes.values()), outcomes  # drawn inputs take both ends of the Laurent-ring check
 
 
 # -- serialization -----------------------------------------------------------
