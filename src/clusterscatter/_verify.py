@@ -1,8 +1,10 @@
 """Reference verification suites behind the ``verify`` command.
 
 Each suite recomputes results from the shipped fixture seeds and compares
-them against the fixture files or against an independent second route.
-Checks are (name, passed, first counterexample or None).
+them against the fixture files or against an independent second route.  The
+suites are fixed: orders and depths are constants of each suite, so the JSON
+report of ``verify`` is itself the reference.  Checks are (name, passed,
+first counterexample or None).
 """
 
 from .cluster_core import (
@@ -36,7 +38,7 @@ def _fixture_seed(name: str, group: bool):
     return seed_from_json(load_fixture(name), semifield=not group)
 
 
-def suite_b2_chart(order=None, depth=None) -> list[Check]:
+def suite_b2_chart() -> list[Check]:
     fix = load_fixture("b2_chart.json")
     s0 = seed_from_json(fix["seed"], semifield=True)
     checks: list[Check] = []
@@ -58,55 +60,51 @@ def suite_b2_chart(order=None, depth=None) -> list[Check]:
     return checks
 
 
-def suite_b2_scatter(order=None, depth=None) -> list[Check]:
-    order = 6 if order is None else order
-    depth = 6 if depth is None else depth
+def suite_b2_scatter() -> list[Check]:
     s = _fixture_seed("b2.json", group=True)
-    D = complete_rank2(build_initial(s, order))
+    D = complete_rank2(build_initial(s, 6))
     checks: list[Check] = []
     rep = check_consistency(D)
     checks.append(
         ("completed-consistent", rep.consistent, rep.first_failure_degree)
     )
-    if order == 6:
-        same = diagram_to_json(D) == load_fixture("b2_walls_order6.json")
-        checks.append(("walls-vs-fixture", same, None if same else {"order": order}))
-    chamber = ScatteringDiagram(cluster_chamber_walls(s, depth), order, seed=s)
+    same = diagram_to_json(D) == load_fixture("b2_walls_order6.json")
+    checks.append(("walls-vs-fixture", same, None if same else {"order": 6}))
+    chamber = ScatteringDiagram(cluster_chamber_walls(s, 6), D.order, seed=s)
     eq = diagrams_equivalent(D, chamber)
-    checks.append(("chamber-closure", eq, None if eq else {"depth": depth}))
+    checks.append(("chamber-closure", eq, None if eq else {"depth": 6}))
     return checks
 
 
-def suite_b2_mutation(order=None, depth=None) -> list[Check]:
+def suite_b2_mutation() -> list[Check]:
     s = _fixture_seed("b2.json", group=True)
     checks: list[Check] = []
     moved = tk_transform(complete_rank2(build_initial(s, 6)), 2)
     same = diagram_to_json(moved) == load_fixture("b2_mutated_walls_order6.json")
     checks.append(("transform-vs-fixture", same, None))
-    _, _, ok = tk_invariance_check(s, 2, 4 if order is None else order)
+    _, _, ok = tk_invariance_check(s, 2, 4)
     checks.append(("invariance-k2", ok, None))
     return checks
 
 
-def suite_kron_series(order=None, depth=None) -> list[Check]:
+def suite_kron_series() -> list[Check]:
     fix = series_from_json(load_fixture("kron_rw_order10.json"))
     checks: list[Check] = []
     checks.append(("closed-form-vs-fixture", kron_rw_series() == fix, None))
     s = _fixture_seed("kronecker.json", group=True)
-    D = complete_rank2(build_initial(s, 10 if order is None else order))
+    D = complete_rank2(build_initial(s, 10))
     wall = next(w for w in D.walls if w.ray == (1, -1) and not w.incoming)
-    same = wall.function(11) == fix if D.order >= 10 else True
+    same = wall.function(11) == fix
     checks.append(("completion-vs-closed-form", same, None))
     return checks
 
 
-def suite_tk_invariance(order=None, depth=None) -> list[Check]:
-    orders = (4, 6) if order is None else (order,)
+def suite_tk_invariance() -> list[Check]:
     checks: list[Check] = []
     for name in ("b2.json", "kronecker.json"):
         s = _fixture_seed(name, group=True)
         for k in (1, 2):
-            for o in orders:
+            for o in (4, 6):
                 _, _, ok = tk_invariance_check(s, k, o)
                 checks.append((f"{name.removesuffix('.json')}-k{k}-o{o}", ok, None))
     return checks
@@ -122,17 +120,15 @@ def _chamber_vectors(data, depth):
     return out
 
 
-def suite_theta_chart(order=None, depth=None) -> list[Check]:
-    order = 8 if order is None else order
-    depth = 6 if depth is None else depth
+def suite_theta_chart() -> list[Check]:
     s = _fixture_seed("b2.json", group=True)
     s_cl = _fixture_seed("b2.json", group=False)
-    D = complete_rank2(build_initial(s, order))
+    D = complete_rank2(build_initial(s, 8))
     checks: list[Check] = []
-    for g, (word, i) in sorted(_chamber_vectors(s.data, depth).items()):
+    for g, (word, i) in sorted(_chamber_vectors(s.data, 6).items()):
         var = chart_variables(s_cl, word)[i]
         tag = f"({g[0]},{g[1]})"
-        ok = var.is_laurent and theta(D, g, order) == var.num.truncate(order)
+        ok = var.is_laurent and theta(D, g, 8) == var.num.truncate(8)
         checks.append((f"theta-{tag}", ok, None if ok else {"g": list(g)}))
         tv = theta_via_transport(D, g)
         ok2 = tv.den.is_one() and tv.num == var.num
@@ -150,13 +146,13 @@ SUITES = {
 }
 
 
-def run_suite(name: str, order=None, depth=None) -> list[Check]:
+def run_suite(name: str) -> list[Check]:
     if name == "all":
         out: list[Check] = []
         for key in SUITES:
-            out.extend((f"{key}/{n}", ok, ce) for n, ok, ce in SUITES[key](order, depth))
+            out.extend((f"{key}/{n}", ok, ce) for n, ok, ce in SUITES[key]())
         return out
     fn = SUITES.get(name)
     if fn is None:
         raise KeyError(f"unknown suite {name!r}; available: {', '.join([*SUITES, 'all'])}")
-    return fn(order, depth)
+    return fn()

@@ -3,9 +3,9 @@ checks, the hyperplane-trading transform, theta functions, and the shipped
 verification suites.
 
 Exit codes: 0 success, 1 a requested check failed or an invariant was
-violated, 2 bad input.  Flags have environment mirrors CLUSTERSCATTER_ORDER,
-_DEPTH, _SEED, _JSON, _SVG, _SUITE and _Q_SEED; all output is deterministic
-byte for byte.
+violated, 2 bad input.  Each input comes from its flag alone (no environment
+variable is read), and ``verify`` runs fixed suites whose JSON report is the
+reference; all output is deterministic byte for byte.
 """
 
 import json
@@ -39,7 +39,6 @@ def _seed_path(ctx, param, value):
 
 
 SEED_OPT = dict(
-    envvar="CLUSTERSCATTER_SEED",
     required=True,
     type=click.Path(dir_okay=False),
     callback=_seed_path,
@@ -136,18 +135,16 @@ def mutate(seed_path, word):
 
 @cli.command()
 @click.option("--seed", "seed_path", **SEED_OPT)
-@click.option("--order", envvar="CLUSTERSCATTER_ORDER", default=6, show_default=True)
+@click.option("--order", default=6, show_default=True)
 @click.option(
     "--json",
     "json_path",
-    envvar="CLUSTERSCATTER_JSON",
     type=click.Path(dir_okay=False),
     help="Write the diagram as JSON here.",
 )
 @click.option(
     "--svg",
     "svg_path",
-    envvar="CLUSTERSCATTER_SVG",
     type=click.Path(dir_okay=False),
     help="Write a picture here.",
 )
@@ -166,7 +163,7 @@ def scatter(seed_path, order, json_path, svg_path):
 
 @cli.command("scatter-check")
 @click.option("--seed", "seed_path", **SEED_OPT)
-@click.option("--order", envvar="CLUSTERSCATTER_ORDER", default=6, show_default=True)
+@click.option("--order", default=6, show_default=True)
 @click.option(
     "--completed",
     is_flag=True,
@@ -204,11 +201,10 @@ def scatter_check(ctx, seed_path, order, completed):
 @cli.command("scatter-mutate")
 @click.option("--seed", "seed_path", **SEED_OPT)
 @click.option("--k", required=True, type=int, help="Mutation direction.")
-@click.option("--order", envvar="CLUSTERSCATTER_ORDER", default=4, show_default=True)
+@click.option("--order", default=4, show_default=True)
 @click.option(
     "--json",
     "json_path",
-    envvar="CLUSTERSCATTER_JSON",
     type=click.Path(dir_okay=False),
     help="Write the transformed diagram as JSON here.",
 )
@@ -233,14 +229,12 @@ def scatter_mutate(ctx, seed_path, k, order, json_path):
 @click.option("--m", "m_text", required=True, help='Exponent, e.g. "-1,0".')
 @click.option(
     "--order",
-    envvar="CLUSTERSCATTER_ORDER",
     default=6,
     show_default=True,
     help="Keep terms below this degree, counted in the seed's own coefficients.",
 )
 @click.option(
     "--q-seed",
-    envvar="CLUSTERSCATTER_Q_SEED",
     default=0,
     show_default=True,
     help="Deterministic endpoint draw.",
@@ -290,33 +284,17 @@ def theta(seed_path, m_text, order, q_seed, trace_path):
 
 
 @cli.command()
-@click.option("--suite", envvar="CLUSTERSCATTER_SUITE", default="all", show_default=True)
-@click.option(
-    "--order",
-    envvar="CLUSTERSCATTER_ORDER",
-    default=None,
-    type=int,
-    help="Override the suite's diagram order.",
-)
-@click.option(
-    "--depth",
-    envvar="CLUSTERSCATTER_DEPTH",
-    default=None,
-    type=int,
-    help="Override the suite's exploration depth.",
-)
+@click.option("--suite", default="all", show_default=True)
 @click.pass_context
-def verify(ctx, suite, order, depth):
-    """Run a shipped verification suite and print a JSON report."""
-    for flag, value in (("--order", order), ("--depth", depth)):
-        if value is not None and value < 1:
-            raise click.UsageError(f"{flag} must be at least 1, got {value}")
+def verify(ctx, suite):
+    """Run a shipped verification suite and print a JSON report.
+
+    The suites are fixed, so the report of a passing run is the reference.
+    """
     try:
-        checks = _verify.run_suite(suite, order=order, depth=depth)
+        checks = _verify.run_suite(suite)
     except KeyError as err:
         raise click.UsageError(str(err.args[0]))
-    except ValueError as err:
-        raise click.UsageError(str(err))
     report = {
         "suite": suite,
         "checks": [

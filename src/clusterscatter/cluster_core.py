@@ -230,7 +230,6 @@ class Seed:
 def initial_seed(
     data: FixedData,
     coeffs=None,
-    lattice: CoeffLattice | None = None,
     with_cluster: bool = True,
     semifield: bool = True,
 ) -> Seed:
@@ -238,9 +237,7 @@ def initial_seed(
     generators themselves (principal); pass explicit tuples for other
     coefficient patterns."""
     if coeffs is None:
-        lat = lattice if lattice is not None else data.lattice
-        if lat.orders != data.r:
-            raise ValueError("principal coefficients require lattice blocks matching r")
+        lat = data.lattice
         coeffs = tuple(
             tuple(lat.generator(i, j) for j in range(data.r[i])) for i in range(data.n)
         )

@@ -347,18 +347,10 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     if len(a._packed) > len(b._packed):
         a, b = b, a
     terms: dict[int, int | Fraction] = {}
-    get = terms.get
     if order is None:
-        b_items = list(b._packed.items())
-        for ka, ca in a._packed.items():
-            for kb, cb in b_items:
-                k = ka + kb
-                s = get(k, 0) + ca * cb
-                if s:
-                    terms[k] = s
-                else:
-                    del terms[k]
+        _mul_into(terms, a._packed, b._packed)
     else:
+        get = terms.get
         b_items = sorted((((kb + _HALF) & _MASK) - _HALF, kb, cb) for kb, cb in b._packed.items())
         for ka, ca in a._packed.items():
             room = order - ((ka + _HALF) & _MASK) + _HALF

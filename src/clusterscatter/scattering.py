@@ -28,7 +28,7 @@ shared by every diagram over that seed (``_frame_of``).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd, hypot, lcm
@@ -202,16 +202,8 @@ class Wall:
             raise ValueError("wall has an empty factor list")
         return _function(self.factors, order)
 
-    def map_factors(self, fn: Callable[[Atom], Atom], **overrides) -> "Wall":
-        kw = dict(
-            support=self.support,
-            normal=self.normal,
-            acting=self.acting,
-            factors=tuple(fn(a) for a in self.factors),
-            incoming=self.incoming,
-        )
-        kw.update(overrides)
-        return Wall(**kw)
+    def map_factors(self, fn: Callable[[Atom], Atom]) -> "Wall":
+        return replace(self, factors=tuple(fn(a) for a in self.factors))
 
 
 @dataclass(frozen=True)

@@ -413,7 +413,10 @@ def _theta_lines(D: ScatteringDiagram, p0, order=None, Q=None, q_seed=0):
     return _series(D, ctx.order, (bl.final for bl in lines)), lines, Q
 
 
-def theta_via_transport(D: ScatteringDiagram, p0, depth: int = 8) -> RationalFunction:
+_TRANSPORT_DEPTH = 8
+
+
+def theta_via_transport(D: ScatteringDiagram, p0) -> RationalFunction:
     """Exact theta function of an exponent lying in some cluster chamber,
     computed by transporting the bare monomial to the positive chamber
     across the chamber facets.
@@ -421,9 +424,9 @@ def theta_via_transport(D: ScatteringDiagram, p0, depth: int = 8) -> RationalFun
     The chamber walk is principal, then evaluated at the seed's coefficients.
     The monomial is pulled back one facet at a time as the chart variables
     are (``cluster_core._pull_back``): each crossing divides only the terms
-    of negative level.  Raises ValueError when no chamber within ``depth``
-    mutations contains p0.  Agrees with ``theta`` order by order on
-    consistent diagrams.
+    of negative level.  Raises ValueError when no chamber within
+    ``_TRANSPORT_DEPTH`` mutations contains p0.  Agrees with ``theta`` order
+    by order on consistent diagrams.
     """
     s = D.seed
     if s.word:
@@ -434,11 +437,11 @@ def theta_via_transport(D: ScatteringDiagram, p0, depth: int = 8) -> RationalFun
     if len(p0) != n:
         raise ValueError(f"exponent must have length {n}")
     word = next(
-        (w for w, _, G in _chamber_walk(data, depth) if all(_dot(g, p0) >= 0 for g in G.gstar)),
+        (w for w, _, G in _chamber_walk(data, _TRANSPORT_DEPTH) if all(_dot(g, p0) >= 0 for g in G.gstar)),
         None,
     )
     if word is None:
-        raise ValueError(f"no cluster chamber contains {p0} within depth {depth}")
+        raise ValueError(f"no cluster chamber contains {p0} within depth {_TRANSPORT_DEPTH}")
     # replay the word, crossing one chamber facet per step
     steps, _ = _transport(initial_seed(data, with_cluster=False), word, signed=True)
     x = _pull_back(steps, LaurentSeries.monomial(p0, (0,) * data.lattice.d))

@@ -19,6 +19,10 @@ from clusterscatter.fixtures import fixture_text
 from clusterscatter.monoid_ring import Exponent, LaurentSeries, series_to_str
 from clusterscatter.scattering import PositivityError, build_initial, complete_rank2
 from clusterscatter.theta import theta
+from test_cli_transcript import TRANSCRIPT
+
+# the stdout of ``verify --suite all`` as the transcript stores it
+VERIFY_ALL = TRANSCRIPT.read_text().split("$ clusterscatter verify --suite all\n[exit 0]\n")[1].split("$ ")[0]
 
 
 @pytest.fixture()
@@ -217,21 +221,10 @@ class TestScatter:
         assert res.exit_code == 2
         assert "order + 1 must fit a packed slot" in res.output
 
-    def test_order_env_mirror(self, runner, b2_path):
-        res = runner.invoke(
-            cli, ["scatter", "--seed", b2_path], env={"CLUSTERSCATTER_ORDER": "2"}
-        )
-        assert res.exit_code == 0
-        # the degree-3 wall on (2,-1) is below the horizon at order 2
-        assert len(res.stdout.splitlines()) == 5
-        assert "(2,-1)" not in res.stdout
-
-    def test_seed_env_mirror(self, runner, b2_path):
-        res = runner.invoke(
-            cli, ["scatter"], env={"CLUSTERSCATTER_SEED": b2_path}
-        )
-        assert res.exit_code == 0
-        assert len(res.stdout.splitlines()) == 6
+    def test_seed_comes_from_its_flag_alone(self, runner, b2_path):
+        res = runner.invoke(cli, ["scatter"], env={"CLUSTERSCATTER_SEED": b2_path})
+        assert res.exit_code == 2
+        assert "Missing option '--seed'" in res.stderr
 
     def test_violated_invariant_exits_1(self, runner, b2_path, monkeypatch):
         def fail(D):
@@ -417,34 +410,21 @@ class TestVerify:
         res = runner.invoke(cli, ["verify", "--suite", "nope"])
         assert res.exit_code == 2
 
-    def test_suite_env_mirror(self, runner):
-        res = runner.invoke(
-            cli, ["verify"], env={"CLUSTERSCATTER_SUITE": "b2-chart"}
-        )
-        assert json.loads(res.stdout)["suite"] == "b2-chart"
-
-    def test_order_override_reaches_suite(self, runner):
-        res = runner.invoke(cli, ["verify", "--suite", "tk-invariance", "--order", "4"])
-        rep = json.loads(res.stdout)
+    @pytest.mark.parametrize("name", ["ORDER", "DEPTH", "SUITE", "SEED", "JSON", "SVG", "Q_SEED"])
+    def test_environment_never_reaches_the_suites(self, runner, b2_path, tmp_path, name):
+        values = {"ORDER": "1", "DEPTH": "1", "SUITE": "b2-chart", "SEED": b2_path,
+                  "JSON": str(tmp_path / "d.json"), "SVG": str(tmp_path / "d.svg"), "Q_SEED": "5"}
+        res = runner.invoke(cli, ["verify", "--suite", "all"], env={f"CLUSTERSCATTER_{name}": values[name]})
         assert res.exit_code == 0
-        assert {c["name"] for c in rep["checks"]} == {
-            "b2-k1-o4", "b2-k2-o4", "kronecker-k1-o4", "kronecker-k2-o4"
-        }
+        assert res.stdout == VERIFY_ALL
+        assert len(json.loads(res.stdout)["checks"]) == 34
+        assert not any(tmp_path.iterdir())
 
-    def test_order_beyond_a_packed_slot_is_bad_input(self, runner):
-        res = runner.invoke(cli, ["verify", "--suite", "b2-scatter", "--order", "2147483648"])
+    @pytest.mark.parametrize("flag, value", [("--order", "4"), ("--depth", "6")])
+    def test_suites_take_no_order_or_depth(self, runner, flag, value):
+        res = runner.invoke(cli, ["verify", flag, value])
         assert res.exit_code == 2
-        assert "order + 1 must fit a packed slot" in res.stderr
-        assert "Traceback" not in res.output
-
-    @pytest.mark.parametrize("flag", ["--order", "--depth"])
-    @pytest.mark.parametrize("value", ["-1", "0"])
-    def test_order_and_depth_below_one_are_bad_input(self, runner, flag, value):
-        res = runner.invoke(cli, ["verify", "--suite", "b2-scatter", flag, value])
-        assert res.exit_code == 2
-        assert res.stdout == ""
-        assert f"{flag} must be at least 1" in res.stderr
-        assert "Traceback" not in res.output
+        assert f"No such option '{flag}'" in res.stderr
 
 
 # -- fuzz: one edited field of a fixture, every command -----------------------

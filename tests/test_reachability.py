@@ -25,7 +25,7 @@ from click.testing import CliRunner
 import clusterscatter
 from clusterscatter import scattering
 from clusterscatter.cli import cli
-from test_cli_transcript import _MIRRORS, COMMANDS
+from test_cli_transcript import COMMANDS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(clusterscatter.__file__).parent
@@ -97,7 +97,7 @@ def _public_functions() -> dict:
 
 
 def _reached() -> set:
-    runner = CliRunner(env={f"CLUSTERSCATTER_{m}": None for m in _MIRRORS})
+    runner = CliRunner()
     prof = cProfile.Profile(subcalls=False, builtins=False)
     # start from an empty frame memo, as a fresh process does
     scattering._frame_of.cache_clear()

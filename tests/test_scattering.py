@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -48,7 +49,6 @@ from clusterscatter.scattering import (
     _primitive,
     seed_frame,
 )
-from test_cli_transcript import _MIRRORS
 
 B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
 KRON = FixedData(((0, -2), (2, 0)), (1, 1), (2, 2))
@@ -277,7 +277,7 @@ class TestFrameMemo:
 
         monkeypatch.setattr(scattering, "seed_frame", counted)
         scattering._frame_of.cache_clear()
-        res = CliRunner(env={f"CLUSTERSCATTER_{m}": None for m in _MIRRORS}).invoke(cli, ["verify", "--suite", "all"])
+        res = CliRunner().invoke(cli, ["verify", "--suite", "all"])
         assert res.exit_code == 0, res.output
         assert len(set(seeds)) == len(seeds) == 6
 
@@ -655,14 +655,14 @@ def edit_walls(D, edits):
                 left, right = atoms[:j] + atoms[j + 1:], [atoms[j]]
             else:
                 continue
-            walls[i:i + 1] = [w.map_factors(lambda a: a, factors=tuple(part)) for part in (left, right)]
+            walls[i:i + 1] = [replace(w, factors=tuple(part)) for part in (left, right)]
         elif kind == "flip":
-            walls[i] = w.map_factors(lambda a: a, acting=tuple(-x for x in w.acting))
+            walls[i] = replace(w, acting=tuple(-x for x in w.acting))
         elif kind == "raise":
             t, m, c = atoms[j]
-            walls[i] = w.map_factors(lambda a: a, factors=tuple(atoms[:j] + [(t, m, c + 1)] + atoms[j + 1:]))
+            walls[i] = replace(w, factors=tuple(atoms[:j] + [(t, m, c + 1)] + atoms[j + 1:]))
         elif kind == "drop" and len(atoms) > 1:
-            walls[i] = w.map_factors(lambda a: a, factors=tuple(atoms[:j] + atoms[j + 1:]))
+            walls[i] = replace(w, factors=tuple(atoms[:j] + atoms[j + 1:]))
         elif len(walls) > 1:  # remove the wall, or drop its only atom
             del walls[i]
     return ScatteringDiagram(tuple(walls), D.order, D.seed)

@@ -579,7 +579,7 @@ class TestTransport:
 
     def test_gap_vector_not_found(self, kron_d8):
         with pytest.raises(ValueError, match="no cluster chamber"):
-            theta_via_transport(kron_d8, (1, -1), depth=8)
+            theta_via_transport(kron_d8, (1, -1))
 
     def test_agrees_with_theta(self, b2_d12):
         import random
