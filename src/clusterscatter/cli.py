@@ -18,6 +18,7 @@ from .cluster_core import InvariantViolation, pattern_walk, seed_from_json, seed
 from .monoid_ring import series_to_str
 from .scattering import (
     ScatteringDiagram,
+    _tnames,
     build_initial,
     check_consistency,
     complete_rank2,
@@ -48,6 +49,13 @@ SEED_OPT = dict(
 
 def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        raise click.UsageError(f"cannot write {path}: {err}")
 
 
 def _load_seed(path: str, semifield: bool):
@@ -87,14 +95,6 @@ def _completed(seed_path: str, order: int) -> ScatteringDiagram:
         return complete_rank2(build_initial(_load_seed(seed_path, semifield=False), order))
     except ValueError as err:
         raise click.UsageError(str(err))
-
-
-def _tnames(lat) -> list[str]:
-    out = []
-    for i in range(lat.n):
-        rng = lat.block_range(i)
-        out.extend(f"t{i + 1}{j + 1}" for j in range(len(rng)))
-    return out
 
 
 class _Group(click.Group):
@@ -156,9 +156,9 @@ def scatter(seed_path, order, json_path, svg_path):
         kind = "incoming" if w.incoming else "outgoing"
         click.echo(f"ray ({w.ray[0]},{w.ray[1]}) {kind}: {wall_label(w, lat)}")
     if json_path:
-        Path(json_path).write_text(_dumps(diagram_to_json(D)))
+        _write(json_path, _dumps(diagram_to_json(D)))
     if svg_path:
-        Path(svg_path).write_text(render_svg(D))
+        _write(svg_path, render_svg(D))
 
 
 @cli.command("scatter-check")
@@ -219,7 +219,7 @@ def scatter_mutate(ctx, seed_path, k, order, json_path):
         raise click.UsageError(str(err))
     click.echo(_dumps({"k": k, "order": order, "invariant": ok}), nl=False)
     if json_path:
-        Path(json_path).write_text(_dumps(diagram_to_json(moved)))
+        _write(json_path, _dumps(diagram_to_json(moved)))
     if not ok:
         ctx.exit(1)
 
@@ -280,7 +280,7 @@ def theta(seed_path, m_text, order, q_seed, trace_path):
                 for bl in lines
             ],
         }
-        Path(trace_path).write_text(_dumps(payload))
+        _write(trace_path, _dumps(payload))
 
 
 @cli.command()

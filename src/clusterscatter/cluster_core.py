@@ -4,7 +4,10 @@ A seed carries an exchange matrix B (skew-symmetrizable by diag(d), column i
 divisible by the exchange-polynomial degree r_i), a tuple of r_i normalized
 coefficients per direction living in a tropical semifield, and n cluster
 variables stored as exact Laurent polynomials in the initial cluster (the
-Laurent phenomenon): each exchange is one exact division.  On top of seed
+Laurent phenomenon): each exchange is one exact division.  Coefficients
+mutate by one normalized rule with the split p = p^+/p^-; group-mode seeds,
+whose coefficients are bare group elements, use the same rule with the split
+(p, 1), which is the plus-signed rule of the scattering frames.  On top of seed
 mutation this module provides pattern walks, the c-vector block matrices,
 g-vector frames with signed mutation, and the chart variables: the cluster
 variables at the end of a mutation path, computed a second way by composing
@@ -163,13 +166,6 @@ class RationalFunction:
             raise ValueError("rational function did not reduce to a Laurent polynomial")
         return self.num
 
-    def key(self):
-        """Hashable canonical key."""
-        return (
-            tuple(self.num.sorted_terms()),
-            tuple(self.den.sorted_terms()),
-        )
-
     def __str__(self) -> str:
         if self.den.is_one():
             return str(self.num)
@@ -195,11 +191,13 @@ def rational(num: LaurentSeries, den: LaurentSeries) -> RationalFunction:
 class Seed:
     """Labeled seed: matrix, coefficient tuples, and optional cluster.
 
-    ``semifield=True`` mutates coefficients with the normalized rule (the
-    tropical splits p^+/p^-); ``semifield=False`` treats coefficients as bare
-    group elements and applies the plus-signed rule used by the scattering
-    frame changes.  That rule is no Y-pattern, so a group-mode seed carries
-    no cluster; the cluster is None for coefficient-only patterns as well.
+    Both modes mutate coefficients by the one normalized rule
+    (``_coeffs_mutate``).  ``semifield=True`` splits each coefficient
+    tropically, p = p^+/p^-; ``semifield=False`` treats coefficients as bare
+    group elements, each its own plus part (the split (p, 1)), which gives
+    the plus-signed rule of the scattering frame changes.  That rule is no
+    Y-pattern, so a group-mode seed carries no cluster; the cluster is None
+    for coefficient-only patterns as well.
     """
 
     data: FixedData
@@ -227,6 +225,7 @@ class Seed:
     def coeff_lattice(self) -> CoeffLattice:
         return self.coeffs[0][0].lattice
 
+
 def initial_seed(
     data: FixedData,
     coeffs=None,
@@ -252,39 +251,23 @@ def initial_seed(
     return Seed(data, data.B, coeffs, cluster, (), semifield)
 
 
-def _prod_trop(items, one: TropElement) -> TropElement:
-    out = one
-    for x in items:
-        out = out * x
-    return out
+def _coeffs_mutate(coeffs, B: Matrix, r, a: int, split):
+    """Coefficients after mutation in direction a, by the normalized rule.
 
-
-def _coeffs_mutate_normalized(coeffs, B: Matrix, r, a: int):
-    one = coeffs[a][0].lattice.one()
-    pk_plus = _prod_trop((p_plus(p) for p in coeffs[a]), one)
-    pk_minus = _prod_trop((p_minus(p) for p in coeffs[a]), one)
+    ``split(p)`` is the pair (p^+, p^-) of a direction-a coefficient, and P^+
+    and P^- are the products of those parts.  p_a goes to 1/p_a, and every
+    other p_i is multiplied by (P^- if b_ia > 0 else P^+)^(b_ai), with
+    b_ij = B[i][j]/r_j.  Group mode splits p as (p, 1): b_ia and b_ai are zero
+    together and otherwise of opposite signs, so its factor is
+    (prod p_a)^max(b_ai, 0), the plus-signed rule."""
+    plus, minus = zip(*map(split, coeffs[a]))
+    pk_plus, pk_minus = reduce(mul, plus), reduce(mul, minus)
     out = []
     for i, tup in enumerate(coeffs):
         if i == a:
             out.append(tuple(p.inv() for p in tup))
             continue
-        b_ik = _beta(B, r, i, a)
-        b_ki = _beta(B, r, a, i)
-        fac = (pk_minus if b_ik > 0 else pk_plus) ** b_ki
-        out.append(tuple(p * fac for p in tup))
-    return tuple(out)
-
-
-def _coeffs_mutate_group(coeffs, B: Matrix, r, a: int):
-    one = coeffs[a][0].lattice.one()
-    tk = _prod_trop(coeffs[a], one)
-    out = []
-    for i, tup in enumerate(coeffs):
-        if i == a:
-            out.append(tuple(p.inv() for p in tup))
-            continue
-        e = max(_beta(B, r, a, i), 0)
-        fac = tk**e
+        fac = (pk_minus if _beta(B, r, i, a) > 0 else pk_plus) ** _beta(B, r, a, i)
         out.append(tuple(p * fac for p in tup))
     return tuple(out)
 
@@ -333,10 +316,9 @@ def seed_mutate(s: Seed, k: int) -> Seed:
     if not 1 <= k <= n:
         raise IndexError(f"direction {k} out of range 1..{n}")
     a = k - 1
-    if s.semifield:
-        coeffs = _coeffs_mutate_normalized(s.coeffs, s.matrix, s.data.r, a)
-    else:
-        coeffs = _coeffs_mutate_group(s.coeffs, s.matrix, s.data.r, a)
+    one = s.coeff_lattice.one()
+    split = (lambda p: (p_plus(p), p_minus(p))) if s.semifield else (lambda p: (p, one))
+    coeffs = _coeffs_mutate(s.coeffs, s.matrix, s.data.r, a, split)
     cluster = None
     if s.cluster is not None:
         entries = list(s.cluster)
@@ -388,10 +370,7 @@ def seed_key(s: Seed, strict: bool = True):
         tuple(p.exponents for p in tup) if strict else tuple(sorted(p.exponents for p in tup))
         for tup in s.coeffs
     )
-    cluster = None
-    if s.cluster is not None:
-        cluster = tuple(x.key() for x in s.cluster)
-    return (s.matrix, s.data.d, s.data.r, coeffs, cluster)
+    return (s.matrix, s.data.d, s.data.r, coeffs, s.cluster)
 
 
 def seeds_equal(s1: Seed, s2: Seed, strict: bool = False) -> bool:
@@ -427,13 +406,7 @@ def explore_pattern(s0: Seed, depth: int) -> dict[tuple[int, ...], Seed]:
 
 
 def distinct_cluster_variables(seeds) -> list[RationalFunction]:
-    out: dict = {}
-    for s in seeds:
-        if s.cluster is None:
-            continue
-        for x in s.cluster:
-            out.setdefault(x.key(), x)
-    return list(out.values())
+    return list(dict.fromkeys(x for s in seeds if s.cluster is not None for x in s.cluster))
 
 
 # -- coefficient block matrices ----------------------------------------------

@@ -763,9 +763,6 @@ class Derivation:
     def __init__(self, terms: Iterable[tuple[int | Fraction, Exponent, tuple]] = ()):  # (coeff, exponent, normal)
         self.terms = [(c, e, tuple(n)) for c, e, n in terms if c != 0]
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
 
 # -- automorphisms ----------------------------------------------------------
 

@@ -403,24 +403,18 @@ def _ray_atoms(walls: Sequence[Wall]) -> list:
     """The wall rays in counterclockwise order, each as (ray, acting normal,
     factors of the walls on it).
 
-    Walls on one ray must have parallel acting normals.  Their crossings then
+    Walls on one ray have parallel acting normals.  Their crossings then
     commute, and since eps * acting is the same for each, crossing the ray once
     with all their factors is crossing its walls one at a time.
     """
     groups: dict[tuple[int, ...], list[Wall]] = {}
     for w in walls:
         groups.setdefault(w.ray, []).append(w)
-    fan = []
-    for ray in sorted(groups, key=_angle_key):
-        acting = groups[ray][0].acting
-        for w in groups[ray]:
-            if _cross(acting, w.acting) != 0:
-                raise InvariantViolation(
-                    "simultaneous crossings on one ray do not commute: "
-                    f"acting normals {acting} and {w.acting}"
-                )
-        fan.append((ray, acting, tuple(a for w in groups[ray] for a in w.factors)))
-    return fan
+    # each acting normal is orthogonal to its ray (Wall checks it), so in the plane they are parallel
+    return [
+        (ray, groups[ray][0].acting, tuple(a for w in groups[ray] for a in w.factors))
+        for ray in sorted(groups, key=_angle_key)
+    ]
 
 
 def _fan(walls: Sequence[Wall], series_order: int | None) -> list:
@@ -597,10 +591,8 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
                 raise PositivityError(
                     f"completion needs (1 + t^{e.t} z^{e.m})^{c}; exponent is not a positive integer"
                 )
-            old = outgoing.get(ray)
+            # acting is orthogonal to m (omega is skew), so parallel to every other normal on this ray
             entry = new.setdefault(ray, (n0, acting, []))
-            if _cross(old.acting if old is not None else entry[1], acting) != 0:
-                raise InvariantViolation("existing wall on the ray has a different normal direction")
             key = _angle_key(ray)
             pos = bisect_left(keys, key)
             if pos == len(keys) or keys[pos] != key:
@@ -863,13 +855,16 @@ def diagram_to_json(D: ScatteringDiagram) -> dict:
     return {"order": D.order, "walls": walls}
 
 
-def _atom_str(atom: Atom, lat: CoeffLattice) -> str:
+def _tnames(lat: CoeffLattice) -> list[str]:
+    """Display names t{i}{j} of the coefficient generators, in flat order."""
+    return [f"t{i + 1}{j + 1}" for i in range(lat.n) for j in range(lat.orders[i])]
+
+
+def _atom_str(atom: Atom, names: Sequence[str]) -> str:
     t, m, c = atom
     parts = []
-    for j, e in enumerate(t):
+    for name, e in zip(names, t):
         if e:
-            i, jj = _block_of(lat, j)
-            name = f"t{i + 1}{jj + 1}"
             parts.append(name if e == 1 else f"{name}^{e}")
     mono = ",".join(str(x) for x in m)
     parts.append(f"z^({mono})")
@@ -877,16 +872,9 @@ def _atom_str(atom: Atom, lat: CoeffLattice) -> str:
     return body if c == 1 else f"{body}^{c}"
 
 
-def _block_of(lat: CoeffLattice, flat: int) -> tuple[int, int]:
-    for i in range(lat.n):
-        rng = lat.block_range(i)
-        if flat in rng:
-            return i, flat - rng.start
-    raise IndexError(flat)
-
-
 def wall_label(w: Wall, lat: CoeffLattice) -> str:
-    return "".join(_atom_str(a, lat) for a in w.factors)
+    names = _tnames(lat)
+    return "".join(_atom_str(a, names) for a in w.factors)
 
 
 def render_svg(D: ScatteringDiagram) -> str:

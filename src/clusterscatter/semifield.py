@@ -91,22 +91,6 @@ class TropElement:
     def inv(self) -> TropElement:
         return TropElement(self.lattice, tuple(-a for a in self.exponents))
 
-    def is_one(self) -> bool:
-        return all(a == 0 for a in self.exponents)
-
-    def __str__(self) -> str:
-        if self.is_one():
-            return "1"
-        parts = []
-        for i in range(self.lattice.n):
-            for j in range(self.lattice.orders[i]):
-                e = self.exponents[self.lattice.flat_index(i, j)]
-                if e == 0:
-                    continue
-                name = f"p[{i},{j}]"
-                parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts)
-
 
 def _check_same_lattice(a: TropElement, b: TropElement) -> None:
     if a.lattice.orders != b.lattice.orders:

@@ -385,6 +385,24 @@ class TestTheta:
         assert res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["scatter", "--json"],
+        ["scatter", "--svg"],
+        ["scatter-mutate", "--k", "2", "--json"],
+        ["theta", "--m", "-1,0", "--trace"],
+    ],
+    ids=["scatter-json", "scatter-svg", "scatter-mutate-json", "theta-trace"],
+)
+def test_output_path_in_a_missing_directory_is_bad_input(runner, b2_path, tmp_path, command):
+    path = str(tmp_path / "missing" / "out")
+    res = runner.invoke(cli, [*command, path, "--seed", b2_path])
+    assert res.exit_code == 2
+    assert f"cannot write {path}: " in res.stderr
+    assert isinstance(res.exception, SystemExit)  # handled, no traceback
+
+
 class TestVerify:
     @pytest.mark.parametrize(
         "suite",

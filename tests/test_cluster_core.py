@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from operator import mul
 
@@ -40,7 +41,7 @@ from clusterscatter.cluster_core import (
     unimodular_inverse_transpose,
 )
 from clusterscatter.monoid_ring import LaurentSeries, series_exact_div, series_pow
-from clusterscatter.semifield import CoeffLattice
+from clusterscatter.semifield import CoeffLattice, p_minus, p_plus
 
 from test_scattering import RANK2
 
@@ -344,6 +345,68 @@ class TestSeedMutation:
         s2 = mono((0, 0), (0, 1, 0, 0))
         one = LaurentSeries.one(2, 4)
         assert s.cluster[0].series == series_pow(A1, -1) * (one + s1 * A2) * (one + s2 * A2)
+
+
+def _reference_prod(items, one):
+    out = one
+    for x in items:
+        out = out * x
+    return out
+
+
+def reference_coeffs_normalized(coeffs, B, r, a):
+    """The normalized rule, stated on its own: the coefficient rule of
+    semifield-mode seeds."""
+    one = coeffs[a][0].lattice.one()
+    pk_plus = _reference_prod((p_plus(p) for p in coeffs[a]), one)
+    pk_minus = _reference_prod((p_minus(p) for p in coeffs[a]), one)
+    out = []
+    for i, tup in enumerate(coeffs):
+        if i == a:
+            out.append(tuple(p.inv() for p in tup))
+            continue
+        b_ik = _beta(B, r, i, a)
+        b_ki = _beta(B, r, a, i)
+        fac = (pk_minus if b_ik > 0 else pk_plus) ** b_ki
+        out.append(tuple(p * fac for p in tup))
+    return tuple(out)
+
+
+def reference_coeffs_group(coeffs, B, r, a):
+    """The plus-signed rule, stated on its own: the coefficient rule of
+    group-mode seeds."""
+    one = coeffs[a][0].lattice.one()
+    tk = _reference_prod(coeffs[a], one)
+    out = []
+    for i, tup in enumerate(coeffs):
+        if i == a:
+            out.append(tuple(p.inv() for p in tup))
+            continue
+        e = max(_beta(B, r, a, i), 0)
+        fac = tk**e
+        out.append(tuple(p * fac for p in tup))
+    return tuple(out)
+
+
+def test_one_coefficient_rule_matches_both_reference_rules():
+    """seed_mutate's coefficients, in both modes, against the normalized and
+    the plus-signed rule stated apart: all 37 valid rank-2 data of the box,
+    every reduced word up to length 5 (each prefix of the two alternating
+    words), principal and drawn coefficients.  The drawn ones have mixed
+    signs, where the two modes part."""
+    rng = random.Random(19)
+    for data in RANK2:
+        exps = [rng.randint(-2, 2) for _ in range(3 * sum(data.r))]
+        for s0 in (initial_seed(data, with_cluster=False), random_coeff_seed(data, exps, with_cluster=False)):
+            for semifield, rule in ((True, reference_coeffs_normalized), (False, reference_coeffs_group)):
+                for word in ((1, 2, 1, 2, 1), (2, 1, 2, 1, 2)):
+                    s = replace(s0, semifield=semifield)
+                    B, coeffs = s.matrix, s.coeffs
+                    for k in word:
+                        coeffs = rule(coeffs, B, data.r, k - 1)
+                        B = matrix_mutate(B, k)
+                        s = seed_mutate(s, k)
+                        assert s.coeffs == coeffs, (data, s0.coeffs, semifield, s.word)
 
 
 class TestFiniteType:

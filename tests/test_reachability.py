@@ -70,14 +70,17 @@ ALLOW = {
     "cluster_core.CMatrix.block_structure_ok": _C_MATRIX,
     "cluster_core.GVectorFrame.matrix": "second route for the mutated exchange matrix (TestGVectorFrame.test_hexagon)",
     "cli.main": "the console entry point",
-    "semifield.TropElement.is_one": "called by TropElement.__str__",
 }
+
+# dunders that only implicit conversions call, so that code nothing converts shows up here
+_CONVERSIONS = ("__str__", "__bool__")
 
 
 def _public_functions() -> dict:
     """Qualified name -> code object of every module-level function that is
-    public or has a single leading underscore, and of every public method and
-    property getter, defined in the package's top-level modules."""
+    public or has a single leading underscore, and of every public method,
+    property getter and ``_CONVERSIONS`` dunder of a public class, defined in
+    the package's top-level modules."""
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "__init__":
@@ -91,7 +94,7 @@ def _public_functions() -> dict:
             elif inspect.isclass(obj) and not name.startswith("_"):
                 for attr, member in vars(obj).items():
                     fn = member.fget if isinstance(member, property) else getattr(member, "__func__", member)
-                    if not attr.startswith("_") and inspect.isfunction(fn):
+                    if (not attr.startswith("_") or attr in _CONVERSIONS) and inspect.isfunction(fn):
                         out[f"{path.stem}.{name}.{attr}"] = fn.__code__
     return out
 

@@ -620,6 +620,16 @@ class TestEquivalence:
         with pytest.raises(ValueError):
             diagrams_equivalent(b2_completed, kron_completed)
 
+    def test_deeper_diagram_is_cut_to_the_shallower(self, b2_completed, kron_completed):
+        b2_deep = complete_rank2(build_initial(group_seed(B2), 8))
+        kron_deep = complete_rank2(build_initial(group_seed(KRON), 8))
+        # Kronecker has factors of degree 7 and 8, which must be cut before comparing
+        assert canonical_form(kron_deep) != canonical_form(kron_completed)
+        for deep, shallow in ((b2_deep, b2_completed), (kron_deep, kron_completed)):
+            assert diagrams_equivalent(deep, shallow) and diagrams_equivalent(shallow, deep)
+        bare = build_initial(group_seed(B2), 6)
+        assert not diagrams_equivalent(b2_deep, bare) and not diagrams_equivalent(bare, b2_deep)
+
 
 def crossing_comparison(D1, D2, order):
     """Equal path-ordered products from one fixed start to a direction in
