@@ -154,5 +154,5 @@ def run_suite(name: str) -> list[Check]:
         return out
     fn = SUITES.get(name)
     if fn is None:
-        raise KeyError(f"unknown suite {name!r}; available: {', '.join([*SUITES, 'all'])}")
+        raise ValueError(f"unknown suite {name!r}; available: {', '.join([*SUITES, 'all'])}")
     return fn()

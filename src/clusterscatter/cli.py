@@ -3,9 +3,11 @@ checks, the hyperplane-trading transform, theta functions, and the shipped
 verification suites.
 
 Exit codes: 0 success, 1 a requested check failed or an invariant was
-violated, 2 bad input.  Each input comes from its flag alone (no environment
-variable is read), and ``verify`` runs fixed suites whose JSON report is the
-reference; all output is deterministic byte for byte.
+violated, 2 bad input; ``_Group.invoke`` alone maps library exceptions to
+them, so a command body holds only its computation and output.  Each input
+comes from its flag alone (no environment variable is read), and ``verify``
+runs fixed suites whose JSON report is the reference; all output is
+deterministic byte for byte.
 """
 
 import json
@@ -91,24 +93,25 @@ def _parse_vector(text: str, n: int) -> tuple[int, ...]:
 
 
 def _completed(seed_path: str, order: int) -> ScatteringDiagram:
-    try:
-        return complete_rank2(build_initial(_load_seed(seed_path, semifield=False), order))
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    return complete_rank2(build_initial(_load_seed(seed_path, semifield=False), order))
 
 
 class _Group(click.Group):
-    """Every command's violated invariant ends as exit code 1 with a message,
-    and an exponent that outgrows a packed slot partway through a command as
-    exit code 2 (the input is too large to compute on)."""
+    """The one exit-code policy: an ``InvariantViolation`` exits 1 with
+    ``invariant violated: ...``, a ``GenericityError`` 1 with its message, and
+    a ``ValueError``, ``IndexError`` or ``OverflowError`` 2 with ``Error: ...``
+    under the command's usage.  Any other exception keeps its traceback."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except InvariantViolation as err:
             raise click.ClickException(f"invariant violated: {err}")
-        except OverflowError as err:
-            raise click.UsageError(str(err))
+        except GenericityError as err:
+            raise click.ClickException(str(err))
+        except (ValueError, IndexError, OverflowError) as err:
+            name = ctx.invoked_subcommand
+            raise click.UsageError(str(err), click.Context(self.commands[name], parent=ctx, info_name=name))
 
 
 @click.group(cls=_Group)
@@ -126,10 +129,7 @@ def mutate(seed_path, word):
     An empty word re-serializes the seed canonically.
     """
     s = _load_seed(seed_path, semifield=True)
-    try:
-        s2 = pattern_walk(s, _parse_word(word))
-    except (IndexError, ValueError) as err:
-        raise click.UsageError(str(err))
+    s2 = pattern_walk(s, _parse_word(word))
     click.echo(_dumps(seed_to_json(s2)), nl=False)
 
 
@@ -177,13 +177,10 @@ def scatter_check(ctx, seed_path, order, completed):
     completion repairs; an inconsistent diagram exits with code 1.
     """
     s = _load_seed(seed_path, semifield=False)
-    try:
-        D = build_initial(s, order)
-        if completed:
-            D = complete_rank2(D)
-        rep = check_consistency(D)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    D = build_initial(s, order)
+    if completed:
+        D = complete_rank2(D)
+    rep = check_consistency(D)
     click.echo(
         _dumps(
             {
@@ -213,10 +210,7 @@ def scatter_mutate(ctx, seed_path, k, order, json_path):
     """Trade the direction-k hyperplane across the completed diagram and
     confirm the result matches the mutated seed's own completion."""
     s = _load_seed(seed_path, semifield=False)
-    try:
-        moved, _, ok = tk_invariance_check(s, k, order)
-    except (ValueError, IndexError) as err:
-        raise click.UsageError(str(err))
+    moved, _, ok = tk_invariance_check(s, k, order)
     click.echo(_dumps({"k": k, "order": order, "invariant": ok}), nl=False)
     if json_path:
         _write(json_path, _dumps(diagram_to_json(moved)))
@@ -251,15 +245,10 @@ def theta(seed_path, m_text, order, q_seed, trace_path):
     lines that --trace writes."""
     D = _completed(seed_path, order)
     p0 = _parse_vector(m_text, 2)
-    try:
-        if trace_path:
-            series, lines, endpoint = _theta_lines(D, p0, order, q_seed=q_seed)
-        else:
-            series = _theta(D, p0, order, q_seed=q_seed)
-    except GenericityError as err:
-        raise click.ClickException(str(err))
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    if trace_path:
+        series, lines, endpoint = _theta_lines(D, p0, order, q_seed=q_seed)
+    else:
+        series = _theta(D, p0, order, q_seed=q_seed)
     lat = D.seed.coeff_lattice
     click.echo(series_to_str(series, ["A1", "A2"], _tnames(lat)))
     if trace_path:
@@ -291,10 +280,7 @@ def verify(ctx, suite):
 
     The suites are fixed, so the report of a passing run is the reference.
     """
-    try:
-        checks = _verify.run_suite(suite)
-    except KeyError as err:
-        raise click.UsageError(str(err.args[0]))
+    checks = _verify.run_suite(suite)
     report = {
         "suite": suite,
         "checks": [

@@ -74,12 +74,16 @@ def validate_exchange_matrix(B: Matrix, d, r) -> None:
                 raise ValueError(f"column {j + 1} is not divisible by r_{j + 1} = {r[j]}")
 
 
+def _check_direction(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise IndexError(f"direction {k} out of range 1..{n}")
+
+
 def matrix_mutate(B, k: int) -> Matrix:
     """Exchange-matrix mutation in direction k."""
     B = _as_matrix(B)
     n = len(B)
-    if not 1 <= k <= n:
-        raise IndexError(f"direction {k} out of range 1..{n}")
+    _check_direction(k, n)
     a = k - 1
     return tuple(
         tuple(
@@ -312,9 +316,7 @@ def seed_mutate(s: Seed, k: int) -> Seed:
     mode, mutating twice in direction k multiplies each other p_i by
     t_k^{b_ki/r_i} (t_k: the product of the direction-k coefficients), while
     the word drops the repeated letter."""
-    n = s.data.n
-    if not 1 <= k <= n:
-        raise IndexError(f"direction {k} out of range 1..{n}")
+    matrix = matrix_mutate(s.matrix, k)
     a = k - 1
     one = s.coeff_lattice.one()
     split = (lambda p: (p_plus(p), p_minus(p))) if s.semifield else (lambda p: (p, one))
@@ -325,7 +327,7 @@ def seed_mutate(s: Seed, k: int) -> Seed:
         entries[a] = _exchange_variable(s, a)
         cluster = tuple(entries)
     word = s.word[:-1] if s.word and s.word[-1] == k else s.word + (k,)
-    return Seed(s.data, matrix_mutate(s.matrix, k), coeffs, cluster, word, s.semifield)
+    return Seed(s.data, matrix, coeffs, cluster, word, s.semifield)
 
 
 def reduce_word(word) -> tuple[int, ...]:
@@ -339,26 +341,20 @@ def reduce_word(word) -> tuple[int, ...]:
 
 
 def pattern_walk(s0: Seed, word, memo: dict | None = None) -> Seed:
-    """Apply a mutation word; consecutive equal letters cancel before any
-    work is done, and intermediate seeds are memoized by reduced word.  A
-    cancelled pair returns the seed of the shorter word, which in group mode
-    differs from mutating twice with ``seed_mutate``."""
+    """Apply a mutation word of directions; consecutive equal letters cancel
+    before any work is done, and seeds are memoized by reduced prefix.  A
+    cancelled pair costs no mutation and returns the seed of the shorter word,
+    which in group mode differs from mutating twice with ``seed_mutate``."""
+    for k in word:
+        _check_direction(k, s0.data.n)
     if memo is None:
         memo = {}
-    memo.setdefault((), s0)
-    stack: list[int] = []
-    s = s0
-    for k in word:
-        if stack and stack[-1] == k:
-            stack.pop()
-            s = memo[tuple(stack)]
-            continue
-        stack.append(int(k))
-        key = tuple(stack)
-        hit = memo.get(key)
+    s = memo.setdefault((), s0)
+    word = reduce_word(word)
+    for i in range(1, len(word) + 1):
+        hit = memo.get(word[:i])
         if hit is None:
-            hit = seed_mutate(s, k)
-            memo[key] = hit
+            hit = memo[word[:i]] = seed_mutate(s, word[i - 1])
         s = hit
     return s
 
@@ -497,8 +493,7 @@ def c_matrix_mutate(C: CMatrix, B, k: int) -> CMatrix:
     n = len(C.r)
     if len(B) != n:
         raise ValueError("matrix size does not match block count")
-    if not 1 <= k <= n:
-        raise IndexError(f"direction {k} out of range 1..{n}")
+    _check_direction(k, n)
     a = k - 1
     dim = C.dim
     colk = C.blocks[a]
@@ -614,9 +609,7 @@ def _frame_step(G: GVectorFrame, B: Matrix, k: int, eps: int) -> GVectorFrame:
 
 def g_frame_mutate(G: GVectorFrame, s: Seed | Matrix, k: int) -> GVectorFrame:
     """Signed mutation in direction k, with the sign read off g*_k."""
-    n = G.data.n
-    if not 1 <= k <= n:
-        raise IndexError(f"direction {k} out of range 1..{n}")
+    _check_direction(k, G.data.n)
     return _frame_step(G, s.matrix if isinstance(s, Seed) else _as_matrix(s), k, G.epsilon(k))
 
 

@@ -747,23 +747,6 @@ class _OnlineFan:
         return _shifted_slices(self._input(len(self.rays)), self.k, self.order, self.nd, self.bound)
 
 
-# -- derivations ------------------------------------------------------------
-
-
-class Derivation:
-    """Record of defect terms ``c * z^p * d_n``: coefficient, exponent and
-    exact rational normal, one triple per term.
-
-    It is what a consistency check reports as the leading failure of a loop
-    (``ConsistencyReport.discrepancy``); it does not act on series.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Iterable[tuple[int | Fraction, Exponent, tuple]] = ()):  # (coeff, exponent, normal)
-        self.terms = [(c, e, tuple(n)) for c, e, n in terms if c != 0]
-
-
 # -- automorphisms ----------------------------------------------------------
 
 

@@ -48,7 +48,6 @@ from .cluster_core import (
 )
 from .monoid_ring import (
     Automorphism,
-    Derivation,
     Exponent,
     LaurentSeries,
     _LIMIT,
@@ -267,7 +266,8 @@ class ConsistencyReport:
     consistent: bool
     order: int
     first_failure_degree: int | None = None
-    discrepancy: Derivation | None = None
+    # the leading loop defect of an inconsistent diagram: (coeff, exponent, acting normal) per term
+    discrepancy: tuple[tuple[Fraction, Exponent, tuple[int, ...]], ...] | None = None
 
 
 # -- seed frames --------------------------------------------------------------
@@ -378,11 +378,14 @@ def build_initial(s: Seed, order: int) -> ScatteringDiagram:
         e_i = _primitive(frame.E[i])
         if frame.E[i] != e_i:
             raise InvariantViolation("basis row is not primitive")
-        atoms = tuple((tuple(p.exponents), frame.W[i], 1) for p in s.coeffs[i])
-        ray = _primitive((-e_i[1], e_i[0]))
-        for r in (ray, tuple(-x for x in ray)):
-            walls.append(Wall((r,), e_i, e_i, atoms, incoming=True))
+        walls += _hyperplane(e_i, tuple((tuple(p.exponents), frame.W[i], 1) for p in s.coeffs[i]))
     return ScatteringDiagram(_sort_walls(walls), order, s)
+
+
+def _hyperplane(e: tuple[int, ...], atoms) -> list[Wall]:
+    """The incoming hyperplane with primitive normal e, as its two opposite rays."""
+    ray = _primitive((-e[1], e[0]))
+    return [Wall((r,), e, e, atoms, incoming=True) for r in (ray, tuple(-x for x in ray))]
 
 
 def _sort_walls(walls: Iterable[Wall]) -> tuple[Wall, ...]:
@@ -539,8 +542,7 @@ def check_consistency(D: ScatteringDiagram) -> ConsistencyReport:
     first, terms = _defect_derivation(D.fresh_walls, D.frame, D.seed.coeff_lattice.d, D.order + 1)
     if first is None:
         return ConsistencyReport(True, D.order)
-    derivation = Derivation((c, e, acting) for c, e, acting, _ in terms)
-    return ConsistencyReport(False, D.order, first, derivation)
+    return ConsistencyReport(False, D.order, first, tuple((c, e, acting) for c, e, acting, _ in terms))
 
 
 def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
@@ -633,9 +635,8 @@ def tk_transform(D: ScatteringDiagram, k: int) -> ScatteringDiagram:
     The result is tagged with the one-step mutated seed.
     """
     s = D.seed
+    s2 = seed_mutate(s, k)
     data = s.data
-    if not 1 <= k <= 2:
-        raise IndexError(f"direction {k} out of range 1..2")
     a = k - 1
     frame = D.frame
     e_k = frame.E[a]
@@ -656,7 +657,6 @@ def tk_transform(D: ScatteringDiagram, k: int) -> ScatteringDiagram:
     if len(slab) != 2 or any(w.factors != slab_atoms for w in slab):
         raise ValueError("diagram does not carry the expected direction-k hyperplane to trade away")
 
-    s2 = seed_mutate(s, k)
     frame2 = _frame_of(s2)
     new_walls: list[Wall] = []
     for w in rest:
@@ -675,13 +675,10 @@ def tk_transform(D: ScatteringDiagram, k: int) -> ScatteringDiagram:
         acting2 = tuple(x - r_k * pair_w * y for x, y in zip(w.acting, e_k))
         normal2 = _regrade_normal(frame2, atoms2)
         new_walls.append(Wall((ray2,), normal2, _primitive(acting2), tuple(atoms2), w.incoming))
-    e_k2 = _primitive(frame2.E[a])
     inv_atoms = tuple(
         (tuple(-x for x in p.exponents), tuple(-x for x in w_k), 1) for p in s.coeffs[a]
     )
-    ray = _primitive((-e_k2[1], e_k2[0]))
-    for r in (ray, tuple(-x for x in ray)):
-        new_walls.append(Wall((r,), e_k2, e_k2, inv_atoms, incoming=True))
+    new_walls += _hyperplane(_primitive(frame2.E[a]), inv_atoms)
     return ScatteringDiagram(_sort_walls(new_walls), D.order, s2)
 
 

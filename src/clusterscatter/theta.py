@@ -39,7 +39,7 @@ from .cluster_core import (
     _transport,
     initial_seed,
 )
-from .monoid_ring import Exponent, LaurentSeries
+from .monoid_ring import Exponent, LaurentSeries, series_pow
 from .scattering import ScatteringDiagram, _angle_key, _cross, _fan
 
 __all__ = [
@@ -96,8 +96,9 @@ class _RayData:
     """One ray of the fan with its acting normal and merged wall function F,
     in the diagram seed's own coefficient basis.  ``powers[e]`` holds F^e and
     its bending terms (coeff, t, m, coefficient degree), those with t != 0 in
-    exponent order, each computed once.  ``walks`` is the fan as seen from
-    this ray (``_SearchContext.walks``), set by the search context."""
+    exponent order, each computed once; binary powering keeps a large e to
+    about log e products.  ``walks`` is the fan as seen from this ray
+    (``_SearchContext.walks``), set by the search context."""
 
     __slots__ = ("ray", "acting", "function", "powers", "walks")
 
@@ -110,7 +111,7 @@ class _RayData:
     def power(self, e: int) -> tuple[LaurentSeries, tuple]:
         got = self.powers.get(e)
         if got is None:
-            f = self.function if e == 1 else self.function * self.power(e - 1)[0]
+            f = series_pow(self.function, e)
             bends = tuple((c, x.t, x.m, sum(x.t)) for x, c in sorted(f.terms.items()) if any(x.t))
             got = self.powers[e] = (f, bends)
         return got

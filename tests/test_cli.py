@@ -2,6 +2,7 @@
 fixture files.  Output determinism is part of the contract, so several
 tests compare bytes, not parsed structures."""
 
+import ast
 import copy
 import json
 import sys
@@ -13,13 +14,16 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+from clusterscatter import _verify
 from clusterscatter.cli import cli
-from clusterscatter.cluster_core import FixedData, initial_seed, seed_from_json, seed_to_json
+from clusterscatter.cluster_core import FixedData, InvariantViolation, initial_seed, seed_from_json, seed_to_json
 from clusterscatter.fixtures import fixture_text
 from clusterscatter.monoid_ring import Exponent, LaurentSeries, series_to_str
 from clusterscatter.scattering import PositivityError, build_initial, complete_rank2
-from clusterscatter.theta import theta
+from clusterscatter.theta import GenericityError, theta
 from test_cli_transcript import TRANSCRIPT
+
+CLI_MODULE = sys.modules["clusterscatter.cli"]
 
 # the stdout of ``verify --suite all`` as the transcript stores it
 VERIFY_ALL = TRANSCRIPT.read_text().split("$ clusterscatter verify --suite all\n[exit 0]\n")[1].split("$ ")[0]
@@ -519,3 +523,99 @@ def test_one_edited_field_never_ends_in_a_traceback(fuzz_path, edit):
             assert "invariant violated: " in res.output, where
         else:
             assert res.exit_code == 0, where
+
+
+# -- one exit-code policy for every command ------------------------------------
+
+# each command, and the library call in its body that a test makes fail
+POLICY_COMMANDS = [
+    (["mutate", "--seed", "b2.json", "121"], CLI_MODULE, "pattern_walk"),
+    (["scatter", "--seed", "b2.json"], CLI_MODULE, "complete_rank2"),
+    (["scatter-check", "--seed", "b2.json"], CLI_MODULE, "check_consistency"),
+    (["scatter-mutate", "--seed", "b2.json", "--k", "1"], CLI_MODULE, "tk_invariance_check"),
+    (["theta", "--seed", "b2.json", "--m", "-1,0"], CLI_MODULE, "_theta"),
+    (["verify", "--suite", "b2-chart"], _verify, "run_suite"),
+]
+POLICY = [
+    (InvariantViolation, 1, "Error: invariant violated: boom"),
+    (GenericityError, 1, "Error: boom"),
+    (ValueError, 2, "Error: boom"),
+    (IndexError, 2, "Error: boom"),
+    (OverflowError, 2, "Error: boom"),
+]
+
+
+@pytest.mark.parametrize("error, code, message", POLICY, ids=[e.__name__ for e, _, _ in POLICY])
+@pytest.mark.parametrize("args, module, name", POLICY_COMMANDS, ids=[a[0] for a, _, _ in POLICY_COMMANDS])
+def test_every_command_shares_one_exit_code_policy(runner, monkeypatch, args, module, name, error, code, message):
+    def fail(*_args, **_kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(module, name, fail)
+    res = runner.invoke(cli, args)
+    assert isinstance(res.exception, SystemExit)  # handled, no traceback
+    assert res.exit_code == code
+    assert res.stdout == "" and res.stderr.endswith(message + "\n")
+    if code == 2:
+        assert res.stderr.startswith(f"Usage: cli {args[0]} [OPTIONS]")
+
+
+def test_only_the_group_maps_exceptions_to_exit_codes():
+    """No command body holds a ``try``: ``_Group.invoke`` maps library
+    exceptions, and the only other handlers add what it cannot know (the
+    seed path, the output path, the exponent text)."""
+    tree = ast.parse(open(CLI_MODULE.__file__).read())
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    commands = [fn for fn in functions if any(ast.unparse(d).startswith("cli.command(") for d in fn.decorator_list)]
+    handlers = {fn.name for fn in functions if any(isinstance(node, ast.Try) for node in ast.walk(fn))}
+    assert len(commands) == len(cli.commands) == 6
+    assert not handlers & {fn.name for fn in commands}
+    assert handlers == {"invoke", "_load_seed", "_write", "_parse_vector"}
+
+
+# -- fuzz: one bad option value, every command ---------------------------------
+
+BIG = 2**31 - 1
+OPTION_VALUES = ("-1", "0", "1", str(2**31), str(2**40), "x", "1,2,3", "1.5,0", "")
+M_VALUES = (
+    "-1,0", "0,0", "x", "1,2,3", "1.5,0", "", "-1000,0", "-990,1", "0,-1000",
+    f"1,-{BIG}", f"{BIG},0", f"-{BIG},-{BIG}", f"-{BIG + 1},0", f"{2**40},1",
+)
+WORD_VALUES = ("", "33", "0", "3", "1221", "121", "1,2,1", "x1", "1 2", str(2**31), "-1")
+# (command with the fuzzed option last, values); --order stays at most 3 wherever it is not fuzzed
+OPTION_FUZZ = [
+    (["mutate"], WORD_VALUES),
+    (["scatter", "--order"], OPTION_VALUES),
+    (["scatter-check", "--completed", "--order"], OPTION_VALUES),
+    (["scatter-mutate", "--order", "3", "--k"], OPTION_VALUES),
+    (["scatter-mutate", "--k", "1", "--order"], OPTION_VALUES),
+    (["theta", "--order", "3", "--m"], M_VALUES),
+    (["theta", "--m", "-1,0", "--order"], OPTION_VALUES),
+    (["theta", "--m", "-1,0", "--order", "3", "--q-seed"], OPTION_VALUES),
+]
+
+
+@pytest.mark.parametrize("fixture", FUZZ_FIXTURES)
+@pytest.mark.parametrize("command, values", OPTION_FUZZ, ids=[" ".join(c) for c, _ in OPTION_FUZZ])
+def test_a_bad_option_value_never_ends_in_a_traceback(runner, fixture, command, values):
+    """Each value exits 0, 1 or 2, and an exit 2 carries a message."""
+    for value in values:
+        res = runner.invoke(cli, [command[0], "--seed", fixture, *command[1:], value])
+        where = (command, value, res.exit_code, res.output[-300:])
+        assert res.exception is None or isinstance(res.exception, SystemExit), (where, repr(res.exception))
+        assert "Traceback" not in res.output and res.exit_code in (0, 1, 2), where
+        if res.exit_code == 2:
+            assert "Error: " in res.output, where
+
+
+@pytest.mark.parametrize("fixture", FUZZ_FIXTURES)
+def test_a_bad_trace_path_never_ends_in_a_traceback(runner, fixture, tmp_path):
+    (tmp_path / "dir").mkdir()
+    # an empty path asks for no trace
+    paths = {"": 0, str(tmp_path / "t.json"): 0, str(tmp_path / "dir"): 2, str(tmp_path / "missing" / "t.json"): 2}
+    for path, code in paths.items():
+        res = runner.invoke(cli, ["theta", "--seed", fixture, "--m", "-1,0", "--order", "3", "--trace", path])
+        assert res.exception is None or isinstance(res.exception, SystemExit), (path, repr(res.exception))
+        assert res.exit_code == code, (path, res.output[-300:])
+        if code == 2:
+            assert "Error: " in res.output, path

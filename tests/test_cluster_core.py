@@ -231,6 +231,17 @@ class TestChart:
         s = pattern_walk(s0, (1, 2, 1), memo)
         assert seeds_equal(pattern_walk(s0, (1, 2, 2, 2, 1, 1, 1), memo), s, strict=True)
 
+    def test_cancelled_pair_costs_no_mutation(self):
+        s0 = initial_seed(B2)
+        memo = {}
+        assert pattern_walk(s0, (1, 2, 2, 1), memo) is s0
+        assert list(memo) == [()]
+
+    @pytest.mark.parametrize("word", [(3, 3), (0,), (1, 3, 3, 1)])
+    def test_letter_out_of_range_fails_even_when_it_cancels(self, word):
+        with pytest.raises(IndexError, match=r"direction \d out of range 1\.\.2"):
+            pattern_walk(initial_seed(B2), word)
+
     def test_reduce_word(self):
         assert reduce_word((1, 2, 2, 1)) == ()
         assert reduce_word((1, 2, 2, 3)) == (1, 3)

@@ -415,12 +415,12 @@ class TestConsistency:
         assert isinstance(rep, ConsistencyReport)
         assert not rep.consistent
         assert rep.first_failure_degree == 2
-        got = {(e.t, e.m, c) for c, e, _ in rep.discrepancy.terms}
+        got = {(e.t, e.m, c) for c, e, _ in rep.discrepancy}
         assert got == {
             ((1, 0, 1), (-1, 1), 1),
             ((1, 1, 0), (-1, 1), 1),
         }
-        assert all(n == (1, 1) for _, _, n in rep.discrepancy.terms)
+        assert all(n == (1, 1) for _, _, n in rep.discrepancy)
 
     def test_completed_passes(self, b2_completed, kron_completed):
         assert check_consistency(b2_completed).consistent

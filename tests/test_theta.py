@@ -5,6 +5,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -343,6 +344,12 @@ class TestTheta:
             var = chart_variables(s_cl, word)[i]
             assert var.is_laurent
             assert theta(kron_d8, g, 8) == var.num.truncate(8)
+
+    def test_a_large_bend_exponent_is_one_power(self, b2_d6):
+        # (-1000, 0) is 1000 times the g-vector of x1' = A1^-1 (1 + t11 A2), so
+        # theta is x1'^1000: its one bend raises the wall function to the 1000th power
+        th = theta(b2_d6, (-1000, 0), 3)
+        assert th == LaurentSeries({Exponent((-1000, k), (k, 0, 0)): comb(1000, k) for k in range(3)}, 3)
 
     def test_coefficients_positive(self, b2_d6):
         for p0 in [(-1, -1), (-2, -1), (1, -2)]:
