@@ -32,12 +32,12 @@ print("initial diagram consistent:", rep.consistent,
 # complete and look at the walls; two outgoing rays appear in the fourth
 # quadrant between (1,0) and (0,-1)
 D = complete_rank2(D0)
-lat = D.seed.coeff_lattice
+orders = D.seed.coeff_orders
 print()
 print("completed walls at order 6:")
 for w in D.walls:
     kind = "incoming" if w.incoming else "outgoing"
-    print(f"  ray {w.ray} {kind:8s} {wall_label(w, lat)}")
+    print(f"  ray {w.ray} {kind:8s} {wall_label(w, orders)}")
 
 rep = check_consistency(D)
 print()

@@ -20,18 +20,18 @@ s = initial_seed(data, with_cluster=False, semifield=False)
 moved, recomputed, ok = tk_invariance_check(s, k=2, order=6)
 
 print("walls of the transformed diagram:")
-lat = moved.seed.coeff_lattice
+orders = moved.seed.coeff_orders
 for w in moved.walls:
     kind = "incoming" if w.incoming else "outgoing"
-    print(f"  ray {w.ray} {kind:8s} {wall_label(w, lat)}")
+    print(f"  ray {w.ray} {kind:8s} {wall_label(w, orders)}")
 
 # side 2: mutate the seed first, then complete from scratch
 print()
 print("independently completed diagram of the mutated seed:")
-lat2 = recomputed.seed.coeff_lattice
+orders2 = recomputed.seed.coeff_orders
 for w in recomputed.walls:
     kind = "incoming" if w.incoming else "outgoing"
-    print(f"  ray {w.ray} {kind:8s} {wall_label(w, lat2)}")
+    print(f"  ray {w.ray} {kind:8s} {wall_label(w, orders2)}")
 
 print()
 print("equivalent at order 6:", ok)

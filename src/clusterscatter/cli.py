@@ -151,13 +151,12 @@ def mutate(seed_path, word):
 def scatter(seed_path, order, json_path, svg_path):
     """Complete the seed's diagram to --order and list its walls."""
     D = _completed(seed_path, order)
-    lat = D.seed.coeff_lattice
     for w in D.walls:
         kind = "incoming" if w.incoming else "outgoing"
-        click.echo(f"ray ({w.ray[0]},{w.ray[1]}) {kind}: {wall_label(w, lat)}")
-    if json_path:
+        click.echo(f"ray ({w.ray[0]},{w.ray[1]}) {kind}: {wall_label(w, D.seed.coeff_orders)}")
+    if json_path is not None:
         _write(json_path, _dumps(diagram_to_json(D)))
-    if svg_path:
+    if svg_path is not None:
         _write(svg_path, render_svg(D))
 
 
@@ -212,7 +211,7 @@ def scatter_mutate(ctx, seed_path, k, order, json_path):
     s = _load_seed(seed_path, semifield=False)
     moved, _, ok = tk_invariance_check(s, k, order)
     click.echo(_dumps({"k": k, "order": order, "invariant": ok}), nl=False)
-    if json_path:
+    if json_path is not None:
         _write(json_path, _dumps(diagram_to_json(moved)))
     if not ok:
         ctx.exit(1)
@@ -245,13 +244,12 @@ def theta(seed_path, m_text, order, q_seed, trace_path):
     lines that --trace writes."""
     D = _completed(seed_path, order)
     p0 = _parse_vector(m_text, 2)
-    if trace_path:
+    if trace_path is not None:
         series, lines, endpoint = _theta_lines(D, p0, order, q_seed=q_seed)
     else:
         series = _theta(D, p0, order, q_seed=q_seed)
-    lat = D.seed.coeff_lattice
-    click.echo(series_to_str(series, ["A1", "A2"], _tnames(lat)))
-    if trace_path:
+    click.echo(series_to_str(series, ["A1", "A2"], _tnames(D.seed.coeff_orders)))
+    if trace_path is not None:
         payload = {
             "p0": list(p0),
             "order": order,

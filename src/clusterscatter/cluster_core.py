@@ -2,16 +2,21 @@
 
 A seed carries an exchange matrix B (skew-symmetrizable by diag(d), column i
 divisible by the exchange-polynomial degree r_i), a tuple of r_i normalized
-coefficients per direction living in a tropical semifield, and n cluster
-variables stored as exact Laurent polynomials in the initial cluster (the
-Laurent phenomenon): each exchange is one exact division.  Coefficients
-mutate by one normalized rule with the split p = p^+/p^-; group-mode seeds,
-whose coefficients are bare group elements, use the same rule with the split
-(p, 1), which is the plus-signed rule of the scattering frames.  On top of seed
-mutation this module provides pattern walks, the c-vector block matrices,
-g-vector frames with signed mutation, and the chart variables: the cluster
-variables at the end of a mutation path, computed a second way by composing
-wall-crossing substitutions in the initial chart.  One g-frame step moves
+coefficients per direction, and n cluster variables stored as exact Laurent
+polynomials in the initial cluster (the Laurent phenomenon): each exchange is
+one exact division.  A coefficient is an element of a tropical semifield,
+held as its int exponent tuple over the semifield's generators, whose shape
+the seed stores once as ``coeff_orders``; the same tuples are the
+t-exponents of series and wall functions.  Coefficients mutate by one
+normalized rule with the split p = p^+/p^-, integer arithmetic on the
+tuples; group-mode seeds, whose coefficients are bare group elements, use the
+same rule with the split (p, 1), which is the plus-signed rule of the
+scattering frames.  ``coeff_map`` evaluates principal coefficient exponents
+at a seed's own coefficients.  On top of seed mutation this module provides
+pattern walks, the c-vector block matrices, g-vector frames with signed
+mutation, and the chart variables: the cluster variables at the end of a
+mutation path, computed a second way by composing wall-crossing
+substitutions in the initial chart.  One g-frame step moves
 every frame: ``g_frame_mutate`` takes its sign from g*_k, while chart
 variables (and the seed frames of ``scattering``) replay it with sign +1.
 Chart variables and theta's chamber transport share one replay of the word
@@ -33,7 +38,6 @@ from operator import mul
 
 from .monoid_ring import (
     _LIMIT,
-    Exponent,
     LaurentSeries,
     _by_level,
     _unit,
@@ -42,14 +46,7 @@ from .monoid_ring import (
     series_pow,
     series_to_json,
 )
-from .semifield import (
-    CoeffLattice,
-    TropElement,
-    p_minus,
-    p_plus,
-    trop_element_from_json,
-    trop_element_to_json,
-)
+from .semifield import block_range, generator_blocks, p_minus, p_plus
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -133,10 +130,6 @@ class FixedData:
     def n(self) -> int:
         return len(self.B)
 
-    @property
-    def lattice(self) -> CoeffLattice:
-        return CoeffLattice(self.r)
-
     def omega(self, u, v) -> Fraction:
         """Skew form on N in basis coordinates: omega(e_a, e_b) = b_ab/d_b."""
         tot = Fraction(0)
@@ -195,6 +188,9 @@ def rational(num: LaurentSeries, den: LaurentSeries) -> RationalFunction:
 class Seed:
     """Labeled seed: matrix, coefficient tuples, and optional cluster.
 
+    ``coeffs[i]`` holds the r_i coefficients of direction i, each an int
+    exponent tuple over the generators of the coefficient semifield, whose
+    shape (one block of generators per direction) is ``coeff_orders``.
     Both modes mutate coefficients by the one normalized rule
     (``_coeffs_mutate``).  ``semifield=True`` splits each coefficient
     tropically, p = p^+/p^-; ``semifield=False`` treats coefficients as bare
@@ -206,28 +202,32 @@ class Seed:
 
     data: FixedData
     matrix: Matrix
-    coeffs: tuple[tuple[TropElement, ...], ...]
+    coeffs: tuple[tuple[tuple[int, ...], ...], ...]
+    coeff_orders: tuple[int, ...]
     cluster: tuple[RationalFunction, ...] | None
     word: tuple[int, ...] = ()
     semifield: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _as_matrix(self.matrix))
+        object.__setattr__(self, "coeffs", tuple(_as_matrix(tup) for tup in self.coeffs))
+        object.__setattr__(self, "coeff_orders", tuple(int(x) for x in self.coeff_orders))
         validate_exchange_matrix(self.matrix, self.data.d, self.data.r)
+        if not self.coeff_orders or min(self.coeff_orders) < 1:
+            raise ValueError("coefficient orders must be positive integers")
         if len(self.coeffs) != self.data.n:
             raise ValueError("one coefficient tuple per direction required")
+        dim = sum(self.coeff_orders)
         for i, tup in enumerate(self.coeffs):
             if len(tup) != self.data.r[i]:
                 raise ValueError(f"direction {i + 1} needs {self.data.r[i]} coefficients")
+            if any(len(p) != dim for p in tup):
+                raise ValueError(f"direction {i + 1}: coefficient exponent vectors need length {dim}")
         if self.cluster is not None:
             if not self.semifield:
                 raise ValueError("group-mode seeds (semifield=False) carry no cluster")
             if len(self.cluster) != self.data.n:
                 raise ValueError("cluster size mismatch")
-
-    @property
-    def coeff_lattice(self) -> CoeffLattice:
-        return self.coeffs[0][0].lattice
 
 
 def initial_seed(
@@ -235,24 +235,20 @@ def initial_seed(
     coeffs=None,
     with_cluster: bool = True,
     semifield: bool = True,
+    coeff_orders=None,
 ) -> Seed:
     """Seed at the basepoint.  Default coefficients are the semifield
-    generators themselves (principal); pass explicit tuples for other
-    coefficient patterns."""
+    generators themselves (principal); pass explicit exponent tuples for
+    other coefficient patterns.  ``coeff_orders`` defaults to ``data.r``."""
+    orders = data.r if coeff_orders is None else coeff_orders
     if coeffs is None:
-        lat = data.lattice
-        coeffs = tuple(
-            tuple(lat.generator(i, j) for j in range(data.r[i])) for i in range(data.n)
-        )
-    else:
-        coeffs = tuple(tuple(tup) for tup in coeffs)
-    lat = coeffs[0][0].lattice
+        coeffs = generator_blocks(orders)
     cluster = None
     if with_cluster:
         cluster = tuple(
-            _laurent(LaurentSeries.monomial(_unit(data.n, i), (0,) * lat.d)) for i in range(data.n)
+            _laurent(LaurentSeries.monomial(_unit(data.n, i), (0,) * sum(orders))) for i in range(data.n)
         )
-    return Seed(data, data.B, coeffs, cluster, (), semifield)
+    return Seed(data, data.B, coeffs, orders, cluster, (), semifield)
 
 
 def _coeffs_mutate(coeffs, B: Matrix, r, a: int, split):
@@ -263,16 +259,18 @@ def _coeffs_mutate(coeffs, B: Matrix, r, a: int, split):
     other p_i is multiplied by (P^- if b_ia > 0 else P^+)^(b_ai), with
     b_ij = B[i][j]/r_j.  Group mode splits p as (p, 1): b_ia and b_ai are zero
     together and otherwise of opposite signs, so its factor is
-    (prod p_a)^max(b_ai, 0), the plus-signed rule."""
+    (prod p_a)^max(b_ai, 0), the plus-signed rule.  On exponent tuples a
+    product is a componentwise sum and a power a scaling."""
     plus, minus = zip(*map(split, coeffs[a]))
-    pk_plus, pk_minus = reduce(mul, plus), reduce(mul, minus)
+    pk_plus, pk_minus = (tuple(map(sum, zip(*parts))) for parts in (plus, minus))
     out = []
     for i, tup in enumerate(coeffs):
         if i == a:
-            out.append(tuple(p.inv() for p in tup))
+            out.append(tuple(tuple(-x for x in p) for p in tup))
             continue
-        fac = (pk_minus if _beta(B, r, i, a) > 0 else pk_plus) ** _beta(B, r, a, i)
-        out.append(tuple(p * fac for p in tup))
+        e = _beta(B, r, a, i)
+        fac = pk_minus if _beta(B, r, i, a) > 0 else pk_plus
+        out.append(tuple(tuple(x + e * y for x, y in zip(p, fac)) for p in tup))
     return tuple(out)
 
 
@@ -280,7 +278,7 @@ def _exchange_variable(s: Seed, a: int) -> RationalFunction:
     # x_k' = x_k^{-1} * prod_l (p_{k,l}^+ u_+ + p_{k,l}^- u_-), one exact division
     n = s.data.n
     r = s.data.r
-    d = s.coeff_lattice.d
+    d = sum(s.coeff_orders)
     x = [v.series for v in s.cluster]
     u_plus = LaurentSeries.one(n, d)
     u_minus = LaurentSeries.one(n, d)
@@ -294,8 +292,8 @@ def _exchange_variable(s: Seed, a: int) -> RationalFunction:
     zero = (0,) * n
     for p in s.coeffs[a]:
         num = num * (
-            LaurentSeries.monomial(zero, p_plus(p).exponents) * u_plus
-            + LaurentSeries.monomial(zero, p_minus(p).exponents) * u_minus
+            LaurentSeries.monomial(zero, p_plus(p)) * u_plus
+            + LaurentSeries.monomial(zero, p_minus(p)) * u_minus
         )
     q = series_exact_div(num, x[a])
     if q is None:
@@ -312,13 +310,14 @@ def _exchange_variable(s: Seed, a: int) -> RationalFunction:
 
 
 def seed_mutate(s: Seed, k: int) -> Seed:
-    """Mutation in direction k: an involution in semifield mode.  In group
-    mode, mutating twice in direction k multiplies each other p_i by
-    t_k^{b_ki/r_i} (t_k: the product of the direction-k coefficients), while
-    the word drops the repeated letter."""
+    """Mutation in direction k.  In semifield mode it is an involution, and
+    the word drops a repeated last letter.  In group mode, mutating twice in
+    direction k multiplies each other p_i by t_k^{b_ki/r_i} (t_k: the product
+    of the direction-k coefficients), so the word keeps both letters and
+    ``seed_frame`` replays both steps."""
     matrix = matrix_mutate(s.matrix, k)
     a = k - 1
-    one = s.coeff_lattice.one()
+    one = (0,) * sum(s.coeff_orders)
     split = (lambda p: (p_plus(p), p_minus(p))) if s.semifield else (lambda p: (p, one))
     coeffs = _coeffs_mutate(s.coeffs, s.matrix, s.data.r, a, split)
     cluster = None
@@ -326,8 +325,8 @@ def seed_mutate(s: Seed, k: int) -> Seed:
         entries = list(s.cluster)
         entries[a] = _exchange_variable(s, a)
         cluster = tuple(entries)
-    word = s.word[:-1] if s.word and s.word[-1] == k else s.word + (k,)
-    return Seed(s.data, matrix, coeffs, cluster, word, s.semifield)
+    word = s.word[:-1] if s.semifield and s.word and s.word[-1] == k else s.word + (k,)
+    return Seed(s.data, matrix, coeffs, s.coeff_orders, cluster, word, s.semifield)
 
 
 def reduce_word(word) -> tuple[int, ...]:
@@ -341,16 +340,17 @@ def reduce_word(word) -> tuple[int, ...]:
 
 
 def pattern_walk(s0: Seed, word, memo: dict | None = None) -> Seed:
-    """Apply a mutation word of directions; consecutive equal letters cancel
-    before any work is done, and seeds are memoized by reduced prefix.  A
-    cancelled pair costs no mutation and returns the seed of the shorter word,
-    which in group mode differs from mutating twice with ``seed_mutate``."""
+    """Apply a mutation word of directions, memoizing seeds by prefix.  In
+    semifield mode, where mutation is an involution, consecutive equal letters
+    cancel before any work is done, so a cancelled pair costs no mutation.
+    In group mode every letter is mutated, so the result is always that of
+    ``seed_mutate`` letter by letter.  Every letter is checked first."""
     for k in word:
         _check_direction(k, s0.data.n)
     if memo is None:
         memo = {}
     s = memo.setdefault((), s0)
-    word = reduce_word(word)
+    word = reduce_word(word) if s0.semifield else tuple(word)
     for i in range(1, len(word) + 1):
         hit = memo.get(word[:i])
         if hit is None:
@@ -362,10 +362,7 @@ def pattern_walk(s0: Seed, word, memo: dict | None = None) -> Seed:
 def seed_key(s: Seed, strict: bool = True):
     """Hashable identity of a seed; with ``strict=False`` the coefficients of
     each direction are compared as a multiset (relabeling of the tuple index)."""
-    coeffs = tuple(
-        tuple(p.exponents for p in tup) if strict else tuple(sorted(p.exponents for p in tup))
-        for tup in s.coeffs
-    )
+    coeffs = s.coeffs if strict else tuple(tuple(sorted(tup)) for tup in s.coeffs)
     return (s.matrix, s.data.d, s.data.r, coeffs, s.cluster)
 
 
@@ -446,10 +443,9 @@ class CMatrix:
         """Off-diagonal block rows are constant; the diagonal square has a
         constant off-diagonal value c with all diagonal entries equal to c+1
         or all equal to c-1."""
-        lat = CoeffLattice(self.r)
         for i, b in enumerate(self.blocks):
             for kk in range(len(self.r)):
-                rows = lat.block_range(kk)
+                rows = block_range(self.r, kk)
                 vals = {col[a] for col in b for a in rows}
                 if kk != i:
                     if len(vals) != 1:
@@ -475,16 +471,7 @@ class CMatrix:
 
 
 def initial_c_matrix(r) -> CMatrix:
-    lat = CoeffLattice(tuple(r))
-    blocks = []
-    for i in range(lat.n):
-        cols = []
-        for j in range(lat.orders[i]):
-            col = [0] * lat.d
-            col[lat.flat_index(i, j)] = 1
-            cols.append(tuple(col))
-        blocks.append(tuple(cols))
-    return CMatrix(tuple(r), tuple(blocks))
+    return CMatrix(tuple(r), generator_blocks(tuple(r)))
 
 
 def c_matrix_mutate(C: CMatrix, B, k: int) -> CMatrix:
@@ -515,9 +502,9 @@ def c_matrix_mutate(C: CMatrix, B, k: int) -> CMatrix:
 
 def c_matrix_of(s: Seed) -> CMatrix:
     """Read the coefficient exponents of a seed as a block matrix."""
-    if s.coeff_lattice.orders != s.data.r:
+    if s.coeff_orders != s.data.r:
         raise ValueError("seed coefficients do not live in the principal lattice")
-    return CMatrix(s.data.r, tuple(tuple(p.exponents for p in tup) for tup in s.coeffs))
+    return CMatrix(s.data.r, s.coeffs)
 
 
 # -- g-vector frames ---------------------------------------------------------
@@ -619,9 +606,9 @@ def _chamber_walk(data: FixedData, depth: int):
 
     Yields ``(word, tropical seed, g-frame)`` once per distinct (seed, frame)
     pair, with the first word that reaches it.  The walk is principal: the
-    tropical seeds start from the generators of ``data.lattice`` whatever the
+    tropical seeds start from the principal generators whatever the
     coefficients of the caller's seed, and callers push the coefficient
-    exponents they emit through that seed's coefficients (``TropMap``).
+    exponents they emit through that seed's coefficients (``coeff_map``).
     """
     start = (initial_seed(data, with_cluster=False, semifield=True), initial_g_frame(data))
     step = lambda st, k: (seed_mutate(st[0], k), g_frame_mutate(st[1], st[0], k))
@@ -633,37 +620,12 @@ def _chamber_walk(data: FixedData, depth: int):
 # -- coefficient maps ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TropMap:
-    """Multiplicative map of tropical semifields given on the source generators."""
-
-    source: CoeffLattice
-    target: CoeffLattice
-    images: tuple[TropElement, ...]
-
-    def __post_init__(self):
-        if len(self.images) != self.source.d:
-            raise ValueError("one image per source generator required")
-
-    def of_exponents(self, t) -> TropElement:
-        out = self.target.one()
-        for b, e in enumerate(t):
-            if e:
-                out = out * self.images[b] ** e
-        return out
-
-    def of(self, p: TropElement) -> TropElement:
-        return self.of_exponents(p.exponents)
-
-    def on_series(self, x: LaurentSeries) -> LaurentSeries:
-        """Push every coefficient monomial through the map, one integer
-        matrix-vector product per term; collisions add."""
-        rows = tuple(zip(*(p.exponents for p in self.images)))  # rows[j][b]: exponent j of image b
-        terms: dict[Exponent, int | Fraction] = {}
-        for e, c in x.terms.items():
-            e2 = Exponent(e.m, tuple(sum(map(mul, row, e.t)) for row in rows))
-            terms[e2] = terms.get(e2, 0) + c
-        return LaurentSeries(terms, x.order)
+def coeff_map(s: Seed):
+    """The map of exponent tuples that evaluates principal coefficients at
+    the seed's own: t, one slot per coefficient of s in flat order, goes to
+    the exponents of prod_b p_b^(t_b), one integer matrix-vector product."""
+    rows = tuple(zip(*(p for tup in s.coeffs for p in tup)))  # rows[j][b]: exponent j of coefficient b
+    return lambda t: tuple(sum(map(mul, row, t)) for row in rows)
 
 
 # -- chart variables by composed crossings -----------------------------------
@@ -674,8 +636,8 @@ def _exchange_factor(coeffs, w, n: int, d: int) -> LaurentSeries:
     f = LaurentSeries.one(n, d)
     for p in coeffs:
         f = f * (
-            LaurentSeries.monomial((0,) * n, p_minus(p).exponents)
-            + LaurentSeries.monomial(w, p_plus(p).exponents)
+            LaurentSeries.monomial((0,) * n, p_minus(p))
+            + LaurentSeries.monomial(w, p_plus(p))
         )
     return f
 
@@ -717,7 +679,7 @@ def _transport(s: Seed, word, signed: bool):
     covector eps w_k, and the last frame.
     """
     n = s.data.n
-    d = s.coeff_lattice.d
+    d = sum(s.coeff_orders)
     s = replace(s, cluster=None)
     G = initial_g_frame(s.data)
     steps = []
@@ -725,7 +687,8 @@ def _transport(s: Seed, word, signed: bool):
         a = k - 1
         eps = G.epsilon(k) if signed else 1
         w = tuple(eps * x for x in G.w(k))
-        steps.append((_exchange_factor([p**eps for p in s.coeffs[a]], w, n, d), G.gstar[a]))
+        p_eps = [tuple(eps * x for x in p) for p in s.coeffs[a]]
+        steps.append((_exchange_factor(p_eps, w, n, d), G.gstar[a]))
         G = _frame_step(G, s.matrix, k, eps)
         s = seed_mutate(s, k)
     return steps, G
@@ -770,7 +733,7 @@ def chart_variables(s0: Seed, word) -> tuple[RationalFunction, ...]:
     if not s0.semifield:
         raise ValueError("chart variables need a semifield-mode seed: group-mode seeds carry no cluster")
     steps, G = _transport(s0, word, signed=False)
-    d = s0.coeff_lattice.d
+    d = sum(s0.coeff_orders)
     return tuple(_laurent(_pull_back(steps, LaurentSeries.monomial(g, (0,) * d))) for g in G.g)
 
 
@@ -812,7 +775,7 @@ def seed_to_json(s: Seed) -> dict:
         "B": [list(row) for row in s.matrix],
         "d": list(s.data.d),
         "r": list(s.data.r),
-        "coeffs": [[trop_element_to_json(p) for p in tup] for tup in s.coeffs],
+        "coeffs": [[{"orders": list(s.coeff_orders), "exponents": list(p)} for p in tup] for tup in s.coeffs],
     }
     if s.cluster is not None:
         out["cluster"] = [rational_to_json(x) for x in s.cluster]
@@ -824,13 +787,15 @@ def seed_from_json(data: dict, semifield: bool = True) -> Seed:
     ignores the document's cluster.  An exponent beyond a packed slot, and a
     cluster entry that is zero, has a zero denominator, does not reduce to a
     Laurent polynomial or has a coefficient that is no integer or below 0,
-    raise ValueError."""
+    and coefficient entries that disagree on their ``orders``, raise
+    ValueError."""
     fixed = FixedData(_as_matrix(data["B"]), tuple(data["d"]), tuple(data["r"]))
-    coeffs = tuple(
-        tuple(trop_element_from_json(p) for p in tup) for tup in data["coeffs"]
-    )
-    _fit_slots("coefficients", [e for tup in coeffs for p in tup for e in p.exponents])
+    orders = {tuple(p["orders"]) for tup in data["coeffs"] for p in tup}
+    if len(orders) != 1:
+        raise ValueError(f"the coefficient entries must share one orders list, got {sorted(orders)}")
+    coeffs = tuple(tuple(p["exponents"] for p in tup) for tup in data["coeffs"])
+    _fit_slots("coefficients", [e for tup in coeffs for p in tup for e in p])
     cluster = None
     if semifield and data.get("cluster") is not None:
         cluster = tuple(_cluster_entry(i, x) for i, x in enumerate(data["cluster"], 1))
-    return Seed(fixed, fixed.B, coeffs, cluster, (), semifield)
+    return Seed(fixed, fixed.B, coeffs, orders.pop(), cluster, (), semifield)

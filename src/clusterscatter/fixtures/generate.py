@@ -14,7 +14,6 @@ from ..cluster_core import (
 )
 from ..monoid_ring import LaurentSeries, series_pow, series_to_json
 from ..scattering import build_initial, complete_rank2, diagram_to_json, tk_transform
-from ..semifield import trop_element_to_json
 from . import FILES
 
 B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
@@ -39,7 +38,7 @@ def b2_chart() -> dict:
         rows.append(
             {
                 "word": list(prefix),
-                "coeffs": [[trop_element_to_json(p) for p in tup] for tup in s.coeffs],
+                "coeffs": seed_to_json(s)["coeffs"],
                 "vars": [rational_to_json(x) for x in variables],
             }
         )

@@ -37,9 +37,9 @@ from typing import Callable, Iterable, Sequence
 from .cluster_core import (
     InvariantViolation,
     Seed,
-    TropMap,
     _chamber_walk,
     _frame_step,
+    coeff_map,
     initial_g_frame,
     matrix_mutate,
     seed_key,
@@ -58,7 +58,7 @@ from .monoid_ring import (
     _unit,
     series_mul,
 )
-from .semifield import CoeffLattice
+from .semifield import block_range
 
 
 class PositivityError(InvariantViolation):
@@ -313,9 +313,8 @@ def seed_frame(s: Seed) -> SeedFrame:
         raise InvariantViolation("seed word does not reproduce the seed matrix")
     E = G.gstar
     W = tuple(G.w(i) for i in range(1, data.n + 1))
-    lat = s.coeff_lattice
-    U = tuple(tuple(p.exponents) for tup in s.coeffs for p in tup)
-    ident = tuple(_unit(lat.d, j) for j in range(lat.d))
+    U = tuple(p for tup in s.coeffs for p in tup)
+    ident = tuple(_unit(len(U), j) for j in range(len(U)))
     if U == ident:
         return SeedFrame(s, E, W, U, ident, True)
     try:
@@ -343,9 +342,9 @@ def _grading_data(frame: SeedFrame, t_fresh: Sequence[int]):
     and m = omega(-, nbar) = sum_i alpha_i w_i.
     """
     data = frame.seed.data
-    lat = frame.seed.coeff_lattice
+    orders = frame.seed.coeff_orders
     n = data.n
-    alpha = tuple(sum(t_fresh[j] for j in lat.block_range(i)) for i in range(n))
+    alpha = tuple(sum(t_fresh[j] for j in block_range(orders, i)) for i in range(n))
     if all(a == 0 for a in alpha):
         raise InvariantViolation("coefficient monomial has zero grading")
     if any(a < 0 for a in alpha):
@@ -378,7 +377,7 @@ def build_initial(s: Seed, order: int) -> ScatteringDiagram:
         e_i = _primitive(frame.E[i])
         if frame.E[i] != e_i:
             raise InvariantViolation("basis row is not primitive")
-        walls += _hyperplane(e_i, tuple((tuple(p.exponents), frame.W[i], 1) for p in s.coeffs[i]))
+        walls += _hyperplane(e_i, tuple((p, frame.W[i], 1) for p in s.coeffs[i]))
     return ScatteringDiagram(_sort_walls(walls), order, s)
 
 
@@ -462,7 +461,7 @@ def path_ordered_product(D: ScatteringDiagram, path: PathSpec) -> Automorphism:
     turn = lambda r: _turn(r[0], path.start, path.ccw)
     stop = _turn(end, path.start, path.ccw)
     fan = sorted((r for r in _ray_atoms(walls) if turn(r) < stop), key=turn)
-    d = D.seed.coeff_lattice.d
+    d = sum(D.seed.coeff_orders)
     images, bound = _cross_fan(fan, path.ccw, d, series_order)
     images = [
         LaurentSeries._make({k: c for sl in slices for k, c in sl.items()}, series_order, (2, d), bound)
@@ -539,7 +538,7 @@ def _defect_terms(frame: SeedFrame, slices: Sequence[LaurentSeries]) -> list:
 def check_consistency(D: ScatteringDiagram) -> ConsistencyReport:
     """Is the counterclockwise loop around the origin the identity, modulo
     coefficient degree above the diagram's order?"""
-    first, terms = _defect_derivation(D.fresh_walls, D.frame, D.seed.coeff_lattice.d, D.order + 1)
+    first, terms = _defect_derivation(D.fresh_walls, D.frame, sum(D.seed.coeff_orders), D.order + 1)
     if first is None:
         return ConsistencyReport(True, D.order)
     return ConsistencyReport(False, D.order, first, tuple((c, e, acting) for c, e, acting, _ in terms))
@@ -563,7 +562,7 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
     each ray factor by factor, expands no wall function, and takes about a
     fifth of a completion.  Idempotent on consistent input.
     """
-    ord_, frame, lat = D.order, D.frame, D.seed.coeff_lattice
+    ord_, frame, d = D.order, D.frame, sum(D.seed.coeff_orders)
     walls = list(D.fresh_walls)
     outgoing: dict[tuple[int, ...], Wall] = {}
     for w in walls:
@@ -571,7 +570,7 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
             if w.ray in outgoing:
                 raise ValueError("diagram has two outgoing walls on one ray; merge them first")
             outgoing[w.ray] = w
-    fan = _OnlineFan(2, lat.d, ord_ + 1)
+    fan = _OnlineFan(2, d, ord_ + 1)
     keys: list = []  # angle keys of the fan's rays, in fan order
     for ray, acting, f in _fan(walls, ord_ + 1):
         fan.insert(len(keys), acting, _crossing_eps(ray, acting, True))
@@ -616,7 +615,7 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
         else:
             merged = Wall(old.support, old.normal, old.acting, old.factors + tuple(atoms), old.incoming)
             walls[walls.index(old)] = merged
-    first, _ = _defect_derivation(walls, frame, lat.d, ord_ + 1)
+    first, _ = _defect_derivation(walls, frame, d, ord_ + 1)
     if first is not None:
         raise InvariantViolation(f"completion finished but the loop still fails at degree {first}")
     return ScatteringDiagram(_sort_walls(_old_walls(walls, frame)), ord_, D.seed)
@@ -642,8 +641,8 @@ def tk_transform(D: ScatteringDiagram, k: int) -> ScatteringDiagram:
     e_k = frame.E[a]
     w_k = frame.W[a]
     r_k = data.r[a]
-    tk_exps = tuple(sum(p.exponents[j] for p in s.coeffs[a]) for j in range(s.coeff_lattice.d))
-    slab_atoms = _combine_atoms((tuple(p.exponents), w_k, 1) for p in s.coeffs[a])
+    tk_exps = tuple(map(sum, zip(*s.coeffs[a])))
+    slab_atoms = _combine_atoms((p, w_k, 1) for p in s.coeffs[a])
 
     def pairing_e(m: Sequence[int]) -> int:
         return sum(x * y for x, y in zip(e_k, m))
@@ -676,7 +675,7 @@ def tk_transform(D: ScatteringDiagram, k: int) -> ScatteringDiagram:
         normal2 = _regrade_normal(frame2, atoms2)
         new_walls.append(Wall((ray2,), normal2, _primitive(acting2), tuple(atoms2), w.incoming))
     inv_atoms = tuple(
-        (tuple(-x for x in p.exponents), tuple(-x for x in w_k), 1) for p in s.coeffs[a]
+        (tuple(-x for x in p), tuple(-x for x in w_k), 1) for p in s.coeffs[a]
     )
     new_walls += _hyperplane(_primitive(frame2.E[a]), inv_atoms)
     return ScatteringDiagram(_sort_walls(new_walls), D.order, s2)
@@ -698,7 +697,7 @@ def tk_invariance_check(
         raise ValueError("tk_invariance_check starts from the base seed")
     rhs = complete_rank2(build_initial(seed_mutate(s, k), order))
     e_k = frame.E[k - 1]
-    tk_total = sum(sum(p.exponents) for p in s.coeffs[k - 1])
+    tk_total = sum(map(sum, s.coeffs[k - 1]))
     K = order
     for w in rhs.walls:
         for t, m, _ in w.factors:
@@ -740,18 +739,17 @@ def cluster_chamber_walls(s: Seed, depth: int) -> tuple[Wall, ...]:
         raise ValueError("cluster_chamber_walls starts from the base seed")
     if s.data.n != 2:
         raise ValueError("cluster_chamber_walls is defined for rank-2 seeds only")
-    lat = s.data.lattice
-    lam = TropMap(lat, s.coeff_lattice, tuple(p for tup in s.coeffs for p in tup))
+    lam = coeff_map(s)
     found: dict[tuple[tuple[int, ...], ...], Wall] = {}
     for _, sd, G in _chamber_walk(s.data, depth):
         for i in (1, 2):
             eps = G.epsilon(i)
             m = tuple(eps * x for x in G.w(i))
             support = (G.g[2 - i],)
-            atoms = tuple((lam.of(p**eps).exponents, m, 1) for p in sd.coeffs[i - 1])
+            atoms = tuple((lam(tuple(eps * x for x in p)), m, 1) for p in sd.coeffs[i - 1])
             acting = tuple(eps * x for x in G.gstar[i - 1])
             alphas = {
-                tuple(eps * sum(p.exponents[j] for j in lat.block_range(b)) for b in range(2))
+                tuple(eps * sum(p[j] for j in block_range(s.data.r, b)) for b in range(2))
                 for p in sd.coeffs[i - 1]
             }
             if len(alphas) != 1:
@@ -852,9 +850,9 @@ def diagram_to_json(D: ScatteringDiagram) -> dict:
     return {"order": D.order, "walls": walls}
 
 
-def _tnames(lat: CoeffLattice) -> list[str]:
+def _tnames(orders: Sequence[int]) -> list[str]:
     """Display names t{i}{j} of the coefficient generators, in flat order."""
-    return [f"t{i + 1}{j + 1}" for i in range(lat.n) for j in range(lat.orders[i])]
+    return [f"t{i + 1}{j + 1}" for i, r in enumerate(orders) for j in range(r)]
 
 
 def _atom_str(atom: Atom, names: Sequence[str]) -> str:
@@ -869,14 +867,14 @@ def _atom_str(atom: Atom, names: Sequence[str]) -> str:
     return body if c == 1 else f"{body}^{c}"
 
 
-def wall_label(w: Wall, lat: CoeffLattice) -> str:
-    names = _tnames(lat)
+def wall_label(w: Wall, orders: Sequence[int]) -> str:
+    names = _tnames(orders)
     return "".join(_atom_str(a, names) for a in w.factors)
 
 
 def render_svg(D: ScatteringDiagram) -> str:
     """Deterministic 1000x1000 picture of a diagram."""
-    lat = D.seed.coeff_lattice
+    orders = D.seed.coeff_orders
     cx = cy = 500.0
     length = 430.0
     lines = [
@@ -897,7 +895,7 @@ def render_svg(D: ScatteringDiagram) -> str:
         )
         lx, ly = cx + (length + 18) * ux, cy - (length + 18) * uy
         anchor = "start" if ux >= 0 else "end"
-        label = f"({x},{y})  {wall_label(w, lat)}"
+        label = f"({x},{y})  {wall_label(w, orders)}"
         lines.append(
             f'<text x="{lx:.2f}" y="{ly:.2f}" font-size="13" font-family="monospace" '
             f'text-anchor="{anchor}" fill="black">{_xml_escape(label)}</text>'

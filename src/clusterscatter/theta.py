@@ -32,11 +32,11 @@ from operator import add
 from .cluster_core import (
     InvariantViolation,
     RationalFunction,
-    TropMap,
     _chamber_walk,
     _laurent,
     _pull_back,
     _transport,
+    coeff_map,
     initial_seed,
 )
 from .monoid_ring import Exponent, LaurentSeries, series_pow
@@ -211,7 +211,7 @@ def enumerate_broken_lines(
     Q = (Fraction(Q[0]), Fraction(Q[1]))
     if _finals:
         finals: list[tuple] = []
-        d = D.seed.coeff_lattice.d
+        d = sum(D.seed.coeff_orders)
         _search(ctx, p0, Q, lambda trail: finals.append(_final(p0, trail, d)))
         return tuple(finals)
     frame = D.frame
@@ -308,7 +308,7 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
 
 
 def _assemble(Q: Point, p0, trail, frame) -> BrokenLine:
-    c, t, m = 1, (0,) * frame.seed.coeff_lattice.d, tuple(p0)
+    c, t, m = 1, (0,) * sum(frame.seed.coeff_orders), tuple(p0)
     segments = [(c, t, m)]
     bends = []
     for (X0, X1, w), ray, cq, tq, mq in reversed(trail):
@@ -391,7 +391,7 @@ def theta(
     ctx = _search_context(D, order)
     p0 = _exponent(p0)
     if not any(p0):
-        return LaurentSeries.monomial(p0, (0,) * D.seed.coeff_lattice.d, 1, ctx.order)
+        return LaurentSeries.monomial(p0, (0,) * sum(D.seed.coeff_orders), 1, ctx.order)
     finals, _ = _at_endpoint(
         lambda Q: enumerate_broken_lines(D, p0, Q, ctx.order, _finals=True), Q, q_seed
     )
@@ -445,6 +445,11 @@ def theta_via_transport(D: ScatteringDiagram, p0) -> RationalFunction:
         raise ValueError(f"no cluster chamber contains {p0} within depth {_TRANSPORT_DEPTH}")
     # replay the word, crossing one chamber facet per step
     steps, _ = _transport(initial_seed(data, with_cluster=False), word, signed=True)
-    x = _pull_back(steps, LaurentSeries.monomial(p0, (0,) * data.lattice.d))
-    lam = TropMap(data.lattice, s.coeff_lattice, tuple(p for tup in s.coeffs for p in tup))
-    return _laurent(lam.on_series(x))
+    x = _pull_back(steps, LaurentSeries.monomial(p0, (0,) * sum(data.r)))
+    # evaluate the principal coefficients at the seed's; colliding terms add
+    lam = coeff_map(s)
+    terms: dict[Exponent, int] = {}
+    for e, c in x.terms.items():
+        e2 = Exponent(e.m, lam(e.t))
+        terms[e2] = terms.get(e2, 0) + c
+    return _laurent(LaurentSeries(terms, x.order))

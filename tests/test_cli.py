@@ -389,7 +389,7 @@ class TestTheta:
         assert res.exit_code == 2
 
 
-@pytest.mark.parametrize(
+OUTPUT_OPTIONS = pytest.mark.parametrize(
     "command",
     [
         ["scatter", "--json"],
@@ -399,11 +399,40 @@ class TestTheta:
     ],
     ids=["scatter-json", "scatter-svg", "scatter-mutate-json", "theta-trace"],
 )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["mutate", "121"], ["scatter", "--order", "3"], ["theta", "--m", "-1,0", "--order", "3"], ["scatter-mutate", "--k", "1"]],
+    ids=lambda c: c[0],
+)
+def test_coefficient_entries_that_disagree_on_orders_do_not_load(runner, tmp_path, command):
+    doc = json.loads(fixture_text("b2.json"))
+    doc["coeffs"][0][0] = {"orders": [1, 3], "exponents": [1, 0, 0, 0]}
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(cli, [command[0], "--seed", str(path), *command[1:]])
+    assert res.exit_code == 2
+    assert f"cannot load seed from {path}: the coefficient entries must share one orders list" in res.stderr
+    assert isinstance(res.exception, SystemExit)  # handled, no traceback
+
+
+@OUTPUT_OPTIONS
 def test_output_path_in_a_missing_directory_is_bad_input(runner, b2_path, tmp_path, command):
     path = str(tmp_path / "missing" / "out")
     res = runner.invoke(cli, [*command, path, "--seed", b2_path])
     assert res.exit_code == 2
     assert f"cannot write {path}: " in res.stderr
+    assert isinstance(res.exception, SystemExit)  # handled, no traceback
+
+
+@OUTPUT_OPTIONS
+def test_an_empty_output_path_is_bad_input(runner, b2_path, command):
+    """An empty path names no file: the command reports that it cannot
+    write there instead of silently writing nothing."""
+    res = runner.invoke(cli, [*command, "", "--seed", b2_path, "--order", "3"])
+    assert res.exit_code == 2
+    assert "cannot write : " in res.stderr
     assert isinstance(res.exception, SystemExit)  # handled, no traceback
 
 
@@ -611,8 +640,8 @@ def test_a_bad_option_value_never_ends_in_a_traceback(runner, fixture, command, 
 @pytest.mark.parametrize("fixture", FUZZ_FIXTURES)
 def test_a_bad_trace_path_never_ends_in_a_traceback(runner, fixture, tmp_path):
     (tmp_path / "dir").mkdir()
-    # an empty path asks for no trace
-    paths = {"": 0, str(tmp_path / "t.json"): 0, str(tmp_path / "dir"): 2, str(tmp_path / "missing" / "t.json"): 2}
+    # an empty path names no file
+    paths = {"": 2, str(tmp_path / "t.json"): 0, str(tmp_path / "dir"): 2, str(tmp_path / "missing" / "t.json"): 2}
     for path, code in paths.items():
         res = runner.invoke(cli, ["theta", "--seed", fixture, "--m", "-1,0", "--order", "3", "--trace", path])
         assert res.exception is None or isinstance(res.exception, SystemExit), (path, repr(res.exception))

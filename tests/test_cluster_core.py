@@ -41,7 +41,7 @@ from clusterscatter.cluster_core import (
     unimodular_inverse_transpose,
 )
 from clusterscatter.monoid_ring import LaurentSeries, series_exact_div, series_pow
-from clusterscatter.semifield import CoeffLattice, p_minus, p_plus
+from clusterscatter.semifield import block_range, p_minus, p_plus
 
 from test_scattering import RANK2
 
@@ -141,7 +141,7 @@ class TestChart:
         A1, A2, t11, t21, t22, one = _b2_symbols()
         s = initial_seed(B2)
         assert s.matrix == ((0, -2), (1, 0))
-        assert [[p.exponents for p in tup] for tup in s.coeffs] == [
+        assert [list(tup) for tup in s.coeffs] == [
             [(1, 0, 0)],
             [(0, 1, 0), (0, 0, 1)],
         ]
@@ -149,7 +149,7 @@ class TestChart:
 
         s = seed_mutate(s, 1)  # t1
         assert s.matrix == ((0, 2), (-1, 0))
-        assert [[p.exponents for p in tup] for tup in s.coeffs] == [
+        assert [list(tup) for tup in s.coeffs] == [
             [(-1, 0, 0)],
             [(0, 1, 0), (0, 0, 1)],
         ]
@@ -159,7 +159,7 @@ class TestChart:
 
         s = seed_mutate(s, 2)  # t2
         assert s.matrix == ((0, -2), (1, 0))
-        assert [[p.exponents for p in tup] for tup in s.coeffs] == [
+        assert [list(tup) for tup in s.coeffs] == [
             [(-1, 0, 0)],
             [(0, -1, 0), (0, 0, -1)],
         ]
@@ -170,7 +170,7 @@ class TestChart:
 
         s = seed_mutate(s, 1)  # t3
         assert s.matrix == ((0, 2), (-1, 0))
-        assert [[p.exponents for p in tup] for tup in s.coeffs] == [
+        assert [list(tup) for tup in s.coeffs] == [
             [(1, 0, 0)],
             [(-1, -1, 0), (-1, 0, -1)],
         ]
@@ -187,7 +187,7 @@ class TestChart:
 
         s = seed_mutate(s, 2)  # t4
         assert s.matrix == ((0, -2), (1, 0))
-        assert [[p.exponents for p in tup] for tup in s.coeffs] == [
+        assert [list(tup) for tup in s.coeffs] == [
             [(-1, -1, -1)],
             [(1, 1, 0), (1, 0, 1)],
         ]
@@ -197,7 +197,7 @@ class TestChart:
 
         s = seed_mutate(s, 1)  # t5
         assert s.matrix == ((0, 2), (-1, 0))
-        assert [[p.exponents for p in tup] for tup in s.coeffs] == [
+        assert [list(tup) for tup in s.coeffs] == [
             [(1, 1, 1)],
             [(0, 0, -1), (0, -1, 0)],  # tuple indices come back swapped
         ]
@@ -206,7 +206,7 @@ class TestChart:
 
         s = seed_mutate(s, 2)  # t6
         assert s.matrix == ((0, -2), (1, 0))
-        assert [[p.exponents for p in tup] for tup in s.coeffs] == [
+        assert [list(tup) for tup in s.coeffs] == [
             [(1, 0, 0)],
             [(0, 0, 1), (0, 1, 0)],
         ]
@@ -252,13 +252,12 @@ class TestChart:
 
 
 def random_coeff_seed(data, rng_exps, with_cluster=True):
-    lat = CoeffLattice((2, 1))
     it = iter(rng_exps)
     coeffs = tuple(
-        tuple(lat.element([next(it) for _ in range(3)]) for _ in range(data.r[i]))
+        tuple(tuple(next(it) for _ in range(3)) for _ in range(data.r[i]))
         for i in range(data.n)
     )
-    return initial_seed(data, coeffs=coeffs, with_cluster=with_cluster)
+    return initial_seed(data, coeffs=coeffs, with_cluster=with_cluster, coeff_orders=(2, 1))
 
 
 class TestSeedMutation:
@@ -289,16 +288,15 @@ class TestSeedMutation:
                 assert all(v >= 0 for v in e.t)
 
     def test_group_mode_skips_cluster_and_uses_plus_rule(self):
-        lat = CoeffLattice(B2.r)
         s = initial_seed(B2, with_cluster=False, semifield=False)
         s1 = seed_mutate(s, 1)
         assert s1.cluster is None
         # direction 1: inverted; direction 2: exponent [beta_12]_+ = 0, unchanged
-        assert s1.coeffs[0][0] == lat.generator(0, 0).inv()
-        assert s1.coeffs[1] == (lat.generator(1, 0), lat.generator(1, 1))
+        assert s1.coeffs[0][0] == (-1, 0, 0)
+        assert s1.coeffs[1] == ((0, 1, 0), (0, 0, 1))
         # direction 2 mutation multiplies t_{1,1} by t_{2,1} t_{2,2}
         s2 = seed_mutate(s, 2)
-        assert s2.coeffs[0][0] == lat.generator(0, 0) * lat.generator(1, 0) * lat.generator(1, 1)
+        assert s2.coeffs[0][0] == (1, 1, 1)
         # group rule and semifield rule diverge deeper in the pattern
         sa = pattern_walk(initial_seed(B2, with_cluster=False), (1, 2, 1))
         sb = pattern_walk(initial_seed(B2, with_cluster=False, semifield=False), (1, 2, 1))
@@ -308,21 +306,29 @@ class TestSeedMutation:
     @pytest.mark.parametrize("k", [1, 2])
     def test_group_mode_twice_is_not_an_involution(self, data, k):
         # twice in direction k: p_i -> p_i * t_k^(b_ki / r_i) for i != k, with
-        # t_k the product of the direction-k coefficients; the word cancels
+        # t_k the product of the direction-k coefficients; the word keeps both
+        # letters, so that the seed's frame replays both steps
         s = initial_seed(data, with_cluster=False, semifield=False)
         twice = seed_mutate(seed_mutate(s, k), k)
         a = k - 1
-        t_k = s.coeffs[a][0]
-        for p in s.coeffs[a][1:]:
-            t_k = t_k * p
+        t_k = tuple(map(sum, zip(*s.coeffs[a])))
         expected = tuple(
-            tup if i == a else tuple(p * t_k ** (data.B[a][i] // data.r[i]) for p in tup)
+            tup if i == a else tuple(tuple(x + data.B[a][i] // data.r[i] * y for x, y in zip(p, t_k)) for p in tup)
             for i, tup in enumerate(s.coeffs)
         )
         assert twice.coeffs == expected != s.coeffs
-        assert twice.word == () and twice.matrix == s.matrix
-        # pattern_walk cancels the pair instead and returns the start seed
-        assert pattern_walk(s, (k, k)) is s
+        assert twice.word == (k, k) and twice.matrix == s.matrix
+        # pattern_walk mutates both letters in group mode
+        assert pattern_walk(s, (k, k)) == twice
+
+    @pytest.mark.parametrize("semifield", [True, False], ids=["semifield", "group"])
+    @pytest.mark.parametrize("data", [B2, KRON], ids=["b2", "kronecker"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_pattern_walk_mutates_twice_as_seed_mutate_does(self, data, k, semifield):
+        s = initial_seed(data, with_cluster=semifield, semifield=semifield)
+        twice = seed_mutate(seed_mutate(s, k), k)
+        assert pattern_walk(s, (k, k)) == twice
+        assert twice.word == (() if semifield else (k, k))
 
     def test_group_mode_seed_carries_no_cluster(self):
         with pytest.raises(ValueError, match="carry no cluster"):
@@ -342,7 +348,7 @@ class TestSeedMutation:
     def test_group_mode_twice_on_b2(self):
         s = initial_seed(B2, with_cluster=False, semifield=False)
         twice = seed_mutate(seed_mutate(s, 1), 1)
-        assert [[p.exponents for p in tup] for tup in twice.coeffs] == [
+        assert [list(tup) for tup in twice.coeffs] == [
             [(1, 0, 0)],
             [(-1, 1, 0), (-1, 0, 1)],
         ]
@@ -358,44 +364,49 @@ class TestSeedMutation:
         assert s.cluster[0].series == series_pow(A1, -1) * (one + s1 * A2) * (one + s2 * A2)
 
 
-def _reference_prod(items, one):
-    out = one
-    for x in items:
-        out = out * x
-    return out
+def _reference_prod(items):
+    """Product in the coefficient group: the componentwise sum of exponents."""
+    items = list(items)
+    return tuple(sum(x[j] for x in items) for j in range(len(items[0])))
+
+
+def _reference_pow(p, e):
+    return tuple(e * x for x in p)
+
+
+def _reference_inv(p):
+    return _reference_pow(p, -1)
 
 
 def reference_coeffs_normalized(coeffs, B, r, a):
     """The normalized rule, stated on its own: the coefficient rule of
     semifield-mode seeds."""
-    one = coeffs[a][0].lattice.one()
-    pk_plus = _reference_prod((p_plus(p) for p in coeffs[a]), one)
-    pk_minus = _reference_prod((p_minus(p) for p in coeffs[a]), one)
+    pk_plus = _reference_prod(p_plus(p) for p in coeffs[a])
+    pk_minus = _reference_prod(p_minus(p) for p in coeffs[a])
     out = []
     for i, tup in enumerate(coeffs):
         if i == a:
-            out.append(tuple(p.inv() for p in tup))
+            out.append(tuple(_reference_inv(p) for p in tup))
             continue
         b_ik = _beta(B, r, i, a)
         b_ki = _beta(B, r, a, i)
-        fac = (pk_minus if b_ik > 0 else pk_plus) ** b_ki
-        out.append(tuple(p * fac for p in tup))
+        fac = _reference_pow(pk_minus if b_ik > 0 else pk_plus, b_ki)
+        out.append(tuple(_reference_prod((p, fac)) for p in tup))
     return tuple(out)
 
 
 def reference_coeffs_group(coeffs, B, r, a):
     """The plus-signed rule, stated on its own: the coefficient rule of
     group-mode seeds."""
-    one = coeffs[a][0].lattice.one()
-    tk = _reference_prod(coeffs[a], one)
+    tk = _reference_prod(coeffs[a])
     out = []
     for i, tup in enumerate(coeffs):
         if i == a:
-            out.append(tuple(p.inv() for p in tup))
+            out.append(tuple(_reference_inv(p) for p in tup))
             continue
         e = max(_beta(B, r, a, i), 0)
-        fac = tk**e
-        out.append(tuple(p * fac for p in tup))
+        fac = _reference_pow(tk, e)
+        out.append(tuple(_reference_prod((p, fac)) for p in tup))
     return tuple(out)
 
 
@@ -534,7 +545,6 @@ class TestGVectorFrame:
     @settings(max_examples=30, deadline=None)
     def test_dual_basis_and_coefficient_identity(self, data, draw):
         word = draw.draw(walk_words(data.n, 8))
-        lat = CoeffLattice(data.r)
         G = initial_g_frame(data)
         C = initial_c_matrix(data.r)
         s = initial_seed(data, with_cluster=False)
@@ -547,7 +557,7 @@ class TestGVectorFrame:
             for a in range(data.n):
                 lhs = data.d[i] * data.r[a] * G.gstar[i][a]
                 rhs = data.d[a] * sum(
-                    col[row] for col in C.blocks[i] for row in lat.block_range(a)
+                    col[row] for col in C.blocks[i] for row in block_range(data.r, a)
                 )
                 assert lhs == rhs
 
@@ -679,7 +689,7 @@ def test_level_split_matches_the_common_denominator_oracle():
     outcomes = {True: 0, False: 0}  # raised or not, over the drawn inputs
     for data in RANK2:
         s = initial_seed(data, with_cluster=False)
-        d = s.coeff_lattice.d
+        d = sum(s.coeff_orders)
         longest = 5 if data.B[0][1] * data.B[1][0] >= -4 else 3
         words = [()] + [tuple((k, 3 - k)[i % 2] for i in range(n)) for n in range(1, longest + 1) for k in (1, 2)]
         for word in words:

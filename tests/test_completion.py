@@ -87,7 +87,7 @@ def log_defect_derivation(walls, frame, d, series_order):
 
 def reference_complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
     """The staged completion: a full loop at order k + 1 for every degree k."""
-    ord_, frame, lat = D.order, D.frame, D.seed.coeff_lattice
+    ord_, frame, d = D.order, D.frame, sum(D.seed.coeff_orders)
     walls = list(D.fresh_walls)
     outgoing: dict = {}
     for w in walls:
@@ -96,7 +96,7 @@ def reference_complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
                 raise ValueError("diagram has two outgoing walls on one ray; merge them first")
             outgoing[w.ray] = w
     for degree in range(2, ord_ + 1):
-        first, terms = log_defect_derivation(walls, frame, lat.d, degree + 1)
+        first, terms = log_defect_derivation(walls, frame, d, degree + 1)
         if first is None:
             continue
         if first < degree:
@@ -122,7 +122,7 @@ def reference_complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
                 walls.remove(old)
             outgoing[ray] = new
             walls.append(new)
-    first, _ = log_defect_derivation(walls, frame, lat.d, ord_ + 1)
+    first, _ = log_defect_derivation(walls, frame, d, ord_ + 1)
     if first is not None:
         raise InvariantViolation(f"completion finished but the loop still fails at degree {first}")
     return ScatteringDiagram(_sort_walls(_old_walls(walls, frame)), ord_, D.seed)
@@ -236,7 +236,7 @@ def test_defect_reader_matches_the_log_of_the_loop():
             C = complete_rank2(D)
             dropped = [replace(C, walls=C.walls[:i] + C.walls[i + 1 :]) for i, w in enumerate(C.walls) if not w.incoming]
             for E in [D, C, *dropped]:
-                args = (list(E.fresh_walls), E.frame, E.seed.coeff_lattice.d, order + 1)
+                args = (list(E.fresh_walls), E.frame, sum(E.seed.coeff_orders), order + 1)
                 assert outcome(_defect_derivation, *args) == outcome(log_defect_derivation, *args)
                 cases += 1
     assert cases == 436
@@ -302,7 +302,7 @@ def test_online_fan_matches_one_shot_crossing(data, order, completed):
         D = complete_rank2(D)
     so = order + 1
     walls = D.fresh_walls
-    d = D.seed.coeff_lattice.d
+    d = sum(D.seed.coeff_orders)
     online = _OnlineFan(2, d, so)
     for j, (ray, acting, f) in enumerate(_fan(walls, so)):
         online.insert(j, acting, _crossing_eps(ray, acting, True))
@@ -342,7 +342,7 @@ def test_factor_crossing_matches_expanded_crossing(data, order, word, drop):
     walls = list(D.fresh_walls)
     if drop:
         walls.remove([w for w in walls if not w.incoming][-1])
-    d, so = D.seed.coeff_lattice.d, order + 1
+    d, so = sum(D.seed.coeff_orders), order + 1
     got = one_shot_images(_ray_atoms(walls), True, d, so)
     assert got == reference_cross_fan(_fan(walls, so), True, d, so)
     closed = [LaurentSeries.monomial(_unit(2, i), (0,) * d, 1, so) for i in range(2)]
@@ -358,7 +358,7 @@ def test_clockwise_partial_path_matches_expanded_crossing(data, order):
     turn = lambda r: _turn(r[0], path.start, False)
     fan = sorted((r for r in _fan(walls, order + 1) if turn(r) < stop), key=turn)
     assert len(fan) >= 3
-    want = reference_cross_fan(fan, False, D.seed.coeff_lattice.d, order + 1)
+    want = reference_cross_fan(fan, False, sum(D.seed.coeff_orders), order + 1)
     assert path_ordered_product(D, path).m_images == want
 
 

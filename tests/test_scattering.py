@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from clusterscatter.cluster_core import (
     FixedData,
     InvariantViolation,
+    _chamber_walk,
     _frame_step,
     initial_g_frame,
     initial_seed,
@@ -49,12 +50,14 @@ from clusterscatter.scattering import (
     _primitive,
     seed_frame,
 )
+from clusterscatter.semifield import block_range
 
 B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
 KRON = FixedData(((0, -2), (2, 0)), (1, 1), (2, 2))
 A2 = FixedData(((0, -1), (1, 0)), (1, 1), (1, 1))
 ZERO = FixedData(((0, 0), (0, 0)), (1, 1), (1, 1))
 A3 = FixedData(((0, 1, 0), (-1, 0, 1), (0, -1, 0)), (1, 1, 1), (1, 1, 1))
+WILD33 = FixedData(((0, -3), (3, 0)), (1, 1), (3, 3))
 
 
 def group_seed(data):
@@ -241,10 +244,9 @@ class TestFrameOracle:
         assert frame.E == G.gstar == E
         assert frame.W == tuple(reference_normal(data, E[i], i) for i in range(2))
         assert G.g == unimodular_inverse_transpose(E)
-        lat = s.coeff_lattice
-        t = [0] * lat.d
+        t = [0] * sum(s.coeff_orders)
         for i in range(2):
-            t[lat.block_range(i)[-1]] = alpha[i]
+            t[block_range(s.coeff_orders, i)[-1]] = alpha[i]
         assert _grading_data(frame, t) == reference_grading(data, E, alpha)
 
 
@@ -503,10 +505,9 @@ class TestCompletion:
         assert ((2, 2, 2, 2), (-4, 4), 4) in out[(1, -1)].factors
 
     def test_non_basis_coefficients_rejected(self):
-        lat = B2.lattice
         bad = initial_seed(
             B2,
-            coeffs=((lat.element((2, 0, 0)),), (lat.generator(1, 0), lat.generator(1, 1))),
+            coeffs=(((2, 0, 0),), ((0, 1, 0), (0, 0, 1))),
             with_cluster=False,
             semifield=False,
         )
@@ -542,6 +543,28 @@ class TestMutationTransform:
     def test_matches_completed_mutated_seed(self, data, k, order):
         _, _, ok = tk_invariance_check(group_seed(data), k, order)
         assert ok
+
+    @pytest.mark.parametrize(
+        "data, order", [(B2, 8), (KRON, 7), (WILD33, 5)], ids=["b2", "kron", "wild33"]
+    )
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_twice_matches_the_twice_mutated_seed(self, data, k, order):
+        """T_k twice is no identity in group mode.  It is the completion of
+        the seed mutated twice in direction k, whose word keeps both letters
+        so that its frame replays both steps."""
+        s = group_seed(data)
+        twice = tk_transform(tk_transform(complete_rank2(build_initial(s, order)), k), k)
+        s2 = seed_mutate(seed_mutate(s, k), k)
+        assert twice.seed == s2 and s2.word == (k, k)
+        assert diagrams_equivalent(twice, complete_rank2(build_initial(s2, order)))
+
+    def test_matches_completed_mutated_seed_on_every_rank2_datum(self):
+        """``tk_invariance_check`` for k = 1 and 2 on the 37 valid rank-2
+        data of the box, at order 3."""
+        assert len(RANK2) == 37
+        for data in RANK2:
+            for k in (1, 2):
+                assert tk_invariance_check(group_seed(data), k, 3)[2], (data, k)
 
     def test_missing_slab_rejected(self, b2_completed):
         once = tk_transform(b2_completed, 2)
@@ -589,12 +612,37 @@ class TestChamberWalls:
             cluster_chamber_walls(group_seed(A3), 2)
 
     def test_non_principal_coefficients(self):
-        lat = A2.lattice
-        coeffs = ((lat.element((1, 1)),), (lat.generator(1, 0),))
+        coeffs = (((1, 1),), ((0, 1),))
         s = initial_seed(A2, coeffs, with_cluster=False, semifield=False)
         chambers = ScatteringDiagram(cluster_chamber_walls(s, 6), 6, s)
         assert {w.ray: w.factors for w in chambers.walls}[(1, -1)] == (((1, 2), (-1, 1), 1),)
         assert diagrams_equivalent(complete_rank2(build_initial(s, 6)), chambers)
+
+    def test_cluster_complex_on_every_rank2_datum(self):
+        """On the 37 valid rank-2 data, completed at order 4 (order 3 where
+        b12 b21 >= 9): every facet ray of the chambers within 6 mutations
+        carries the function of the chamber walls, and no completed ray lies
+        strictly inside one of those chambers.  The data with b12 b21 <= 3
+        are of finite type, and their completions equal their chamber walls
+        as whole diagrams."""
+        finite = 0
+        for data in RANK2:
+            s = group_seed(data)
+            beta = -data.B[0][1] * data.B[1][0]
+            order = 4 if beta < 9 else 3
+            completed = canonical_form(complete_rank2(build_initial(s, order)))
+            chambers = canonical_form(ScatteringDiagram(cluster_chamber_walls(s, 6), order, s))
+            frames = [G for _, _, G in _chamber_walk(data, 6)]
+            for ray in {g for G in frames for g in G.g}:
+                assert completed.get(ray) == chambers.get(ray), (data, ray)
+            for ray in completed:
+                inside = [G for G in frames if all(g[0] * ray[0] + g[1] * ray[1] > 0 for g in G.gstar)]
+                assert not inside, (data, ray)
+            if beta <= 3:
+                finite += 1
+                D = complete_rank2(build_initial(s, 6))
+                assert diagrams_equivalent(D, ScatteringDiagram(cluster_chamber_walls(s, 10), 6, s)), data
+        assert finite == 9
 
 
 # -- equivalence and truncation ----------------------------------------------
@@ -752,5 +800,4 @@ class TestSerialization:
 
     def test_wall_label(self, b2_completed):
         out = outgoing_by_ray(b2_completed)
-        lat = group_seed(B2).coeff_lattice
-        assert wall_label(out[(2, -1)], lat) == "(1+t11*t21*t22*z^(-2,1))"
+        assert wall_label(out[(2, -1)], group_seed(B2).coeff_orders) == "(1+t11*t21*t22*z^(-2,1))"

@@ -488,8 +488,7 @@ class TestSummingRoute:
     def test_routes_agree_on_the_sheared_basis(self, monkeypatch):
         """B2 with coefficients p11 = t11, p21 = t11*t21, p22 = t22: a
         coefficient basis that is not the standard one."""
-        lat = B2.lattice
-        coeffs = ((lat.element((1, 0, 0)),), (lat.element((1, 1, 0)), lat.element((0, 0, 1))))
+        coeffs = (((1, 0, 0),), ((1, 1, 0), (0, 0, 1)))
         D = complete_rank2(build_initial(initial_seed(B2, coeffs, with_cluster=False, semifield=False), 4))
         assert not D.frame.is_identity
         for g in [(a, b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]:
@@ -602,8 +601,7 @@ class TestTransport:
         # the chamber walk is principal; its coefficients must be evaluated
         # at the seed's own (t1*t2, t2), not left as (t1, t2)
         data = FixedData(((0, -1), (1, 0)), (1, 1), (1, 1))
-        lat = data.lattice
-        coeffs = ((lat.element((1, 1)),), (lat.generator(1, 0),))
+        coeffs = (((1, 1),), ((0, 1),))
         D = complete_rank2(build_initial(initial_seed(data, coeffs, with_cluster=False, semifield=False), 6))
         for p0 in ((-1, 0), (0, -1), (-1, 1), (1, 1), (0, 1)):
             x = theta_via_transport(D, p0)
