@@ -9,7 +9,6 @@ initial variables, and only six distinct variables ever appear.
 
 from clusterscatter import (
     FixedData,
-    c_matrix_of,
     chart_variables,
     explore_pattern,
     initial_seed,
@@ -34,7 +33,7 @@ s = s0
 for step in range(1, 7):
     k = 1 if step % 2 else 2
     s = seed_mutate(s, k)
-    print(f"after step {step} (direction {k}): c-matrix blocks {c_matrix_of(s).blocks}")
+    print(f"after step {step} (direction {k}): c-matrix blocks {s.coeffs}")
 print()
 print("closed after 6 steps (slots as multisets):", seeds_equal(s, s0))
 print("closed after 6 steps (slots in order):   ", seeds_equal(s, s0, strict=True))

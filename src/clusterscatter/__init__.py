@@ -1,7 +1,7 @@
 """Exact symbolic computation for generalized cluster algebras and their
-scattering diagrams: seed mutation, c- and g-vector recursions, chart variables,
-rank-2 order-by-order scattering completion, mutation invariance, cluster
-chamber walls, broken lines, and theta functions.
+scattering diagrams: seed mutation, g-vector frames, chart variables, rank-2
+order-by-order scattering completion, mutation invariance, cluster chamber
+walls, broken lines, and theta functions.
 """
 
 __version__ = "0.1.0"
@@ -10,7 +10,6 @@ from .semifield import p_plus, p_minus
 from .cluster_core import (
     FixedData,
     Seed,
-    CMatrix,
     GVectorFrame,
     RationalFunction,
     initial_seed,
@@ -19,9 +18,6 @@ from .cluster_core import (
     pattern_walk,
     explore_pattern,
     seeds_equal,
-    initial_c_matrix,
-    c_matrix_mutate,
-    c_matrix_of,
     initial_g_frame,
     g_frame_mutate,
     chart_variables,
@@ -62,7 +58,6 @@ __all__ = [
     "p_minus",
     "FixedData",
     "Seed",
-    "CMatrix",
     "GVectorFrame",
     "RationalFunction",
     "initial_seed",
@@ -71,9 +66,6 @@ __all__ = [
     "pattern_walk",
     "explore_pattern",
     "seeds_equal",
-    "initial_c_matrix",
-    "c_matrix_mutate",
-    "c_matrix_of",
     "initial_g_frame",
     "g_frame_mutate",
     "chart_variables",

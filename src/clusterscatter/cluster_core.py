@@ -13,16 +13,16 @@ tuples; group-mode seeds, whose coefficients are bare group elements, use the
 same rule with the split (p, 1), which is the plus-signed rule of the
 scattering frames.  ``coeff_map`` evaluates principal coefficient exponents
 at a seed's own coefficients.  On top of seed mutation this module provides
-pattern walks, the c-vector block matrices, g-vector frames with signed
-mutation, and the chart variables: the cluster variables at the end of a
-mutation path, computed a second way by composing wall-crossing
-substitutions in the initial chart.  One g-frame step moves
-every frame: ``g_frame_mutate`` takes its sign from g*_k, while chart
-variables (and the seed frames of ``scattering``) replay it with sign +1.
-Chart variables and theta's chamber transport share one replay of the word
-and one pull-back.  A crossing z^m -> z^m f^h, h = -<g*_k, m>, leaves the
-terms of level h >= 0 Laurent on their own, so each step divides only the
-terms of negative level, once, by f^D for the deepest level -D.
+pattern walks, g-vector frames with signed mutation, and the chart
+variables: the cluster variables at the end of a mutation path, computed a
+second way by composing wall-crossing substitutions in the initial chart.
+One g-frame step moves every frame: ``g_frame_mutate`` takes its sign from
+g*_k, while chart variables (and the seed frames of ``scattering``) replay
+it with sign +1.  Chart variables and theta's chamber transport share one
+replay of the word and one pull-back.  A crossing z^m -> z^m f^h,
+h = -<g*_k, m>, leaves the terms of level h >= 0 Laurent on their own, so
+each step divides only the terms of negative level, once, by f^D for the
+deepest level -D.
 
 Directions k are 1-based in the public API, matching the usual edge labels
 of the regular tree.  All arithmetic is exact.
@@ -46,7 +46,7 @@ from .monoid_ring import (
     series_pow,
     series_to_json,
 )
-from .semifield import block_range, generator_blocks, p_minus, p_plus
+from .semifield import generator_blocks, p_minus, p_plus
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -228,6 +228,10 @@ class Seed:
                 raise ValueError("group-mode seeds (semifield=False) carry no cluster")
             if len(self.cluster) != self.data.n:
                 raise ValueError("cluster size mismatch")
+            nd = (self.data.n, dim)
+            for i, x in enumerate(self.cluster, 1):
+                if x.num.dims() != nd:
+                    raise ValueError(f"cluster entry {i} has dims (n, d) {x.num.dims()}, the seed needs {nd}")
 
 
 def initial_seed(
@@ -402,111 +406,6 @@ def distinct_cluster_variables(seeds) -> list[RationalFunction]:
     return list(dict.fromkeys(x for s in seeds if s.cluster is not None for x in s.cluster))
 
 
-# -- coefficient block matrices ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class CMatrix:
-    """Exponent columns of the coefficients: block i holds r_i columns of
-    length sum(r), one per coefficient of direction i."""
-
-    r: tuple[int, ...]
-    blocks: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", tuple(int(x) for x in self.r))
-        object.__setattr__(
-            self, "blocks", tuple(tuple(tuple(int(x) for x in col) for col in b) for b in self.blocks)
-        )
-        dim = sum(self.r)
-        if len(self.blocks) != len(self.r):
-            raise ValueError("one block per direction required")
-        for i, b in enumerate(self.blocks):
-            if len(b) != self.r[i] or any(len(col) != dim for col in b):
-                raise ValueError(f"block {i + 1} must be {sum(self.r)} x {self.r[i]}")
-
-    @property
-    def dim(self) -> int:
-        return sum(self.r)
-
-    def column(self, i: int, j: int) -> tuple[int, ...]:
-        return self.blocks[i - 1][j - 1]
-
-    def is_sign_coherent(self) -> bool:
-        for b in self.blocks:
-            for col in b:
-                if any(x > 0 for x in col) and any(x < 0 for x in col):
-                    return False
-        return True
-
-    def block_structure_ok(self) -> bool:
-        """Off-diagonal block rows are constant; the diagonal square has a
-        constant off-diagonal value c with all diagonal entries equal to c+1
-        or all equal to c-1."""
-        for i, b in enumerate(self.blocks):
-            for kk in range(len(self.r)):
-                rows = block_range(self.r, kk)
-                vals = {col[a] for col in b for a in rows}
-                if kk != i:
-                    if len(vals) != 1:
-                        return False
-                else:
-                    start = rows.start
-                    diag = {b[j][start + j] for j in range(self.r[i])}
-                    off = {
-                        col[start + a]
-                        for j, col in enumerate(b)
-                        for a in range(self.r[i])
-                        if a != j
-                    }
-                    if len(diag) != 1:
-                        return False
-                    if self.r[i] > 1 and len(off) != 1:
-                        return False
-                    c = off.pop() if off else None
-                    v = diag.pop()
-                    if c is not None and abs(v - c) != 1:
-                        return False
-        return True
-
-
-def initial_c_matrix(r) -> CMatrix:
-    return CMatrix(tuple(r), generator_blocks(tuple(r)))
-
-
-def c_matrix_mutate(C: CMatrix, B, k: int) -> CMatrix:
-    """Mutation of the coefficient exponent columns in direction k."""
-    B = _as_matrix(B)
-    n = len(C.r)
-    if len(B) != n:
-        raise ValueError("matrix size does not match block count")
-    _check_direction(k, n)
-    a = k - 1
-    dim = C.dim
-    colk = C.blocks[a]
-    neg = [sum(max(-col[row], 0) for col in colk) for row in range(dim)]
-    pos = [sum(max(col[row], 0) for col in colk) for row in range(dim)]
-    blocks = []
-    for i in range(n):
-        if i == a:
-            blocks.append(tuple(tuple(-x for x in col) for col in colk))
-            continue
-        b_ik = _beta(B, C.r, i, a)
-        b_ki = _beta(B, C.r, a, i)
-        base = neg if b_ik > 0 else pos
-        blocks.append(
-            tuple(tuple(col[row] + base[row] * b_ki for row in range(dim)) for col in C.blocks[i])
-        )
-    return CMatrix(C.r, tuple(blocks))
-
-
-def c_matrix_of(s: Seed) -> CMatrix:
-    """Read the coefficient exponents of a seed as a block matrix."""
-    if s.coeff_orders != s.data.r:
-        raise ValueError("seed coefficients do not live in the principal lattice")
-    return CMatrix(s.data.r, s.coeffs)
-
-
 # -- g-vector frames ---------------------------------------------------------
 
 
@@ -541,20 +440,6 @@ class GVectorFrame:
 
     def epsilon(self, i: int) -> int:
         return _vector_sign(self.gstar[i - 1])
-
-    def matrix(self) -> Matrix:
-        """Exchange matrix of the frame: omega(g*_i, d_j g*_j)."""
-        n = self.data.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                v = self.data.omega(self.gstar[i], self.gstar[j]) * self.data.d[j]
-                if v.denominator != 1:
-                    raise InvariantViolation("frame matrix is not integral")
-                row.append(int(v))
-            out.append(tuple(row))
-        return tuple(out)
 
     def w(self, i: int) -> tuple[int, ...]:
         """Normal covector omega(-, (d_i/r_i) g*_i) in dual coordinates."""
@@ -645,6 +530,8 @@ def _exchange_factor(coeffs, w, n: int, d: int) -> LaurentSeries:
 def unimodular_inverse_transpose(rows: Matrix) -> Matrix:
     """Inverse transpose of an integer matrix with determinant +-1."""
     n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
     aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col]), None)

@@ -38,11 +38,6 @@ max-heap of packed keys and divides int coefficients with ``divmod``.
 that completion can add walls between degrees without crossing the fan again.
 ``_by_level`` splits a polynomial by the level <n0, m> of its terms, read off
 the m-slots of the packed keys, for the seed layer's pull-back.
-
-Wall-crossing automorphisms ``z^p -> z^p * f^{sign*<n0, m(p)>}`` and their
-compositions are materialized as images of the ``n + d`` generators
-(`Automorphism`); the t-generators are fixed by crossings but move under the
-piecewise-linear transforms defined elsewhere.
 """
 
 from __future__ import annotations
@@ -268,11 +263,6 @@ class LaurentSeries:
                 f"non-integer coefficient {c} at exponent {e}" + (f" ({context})" if context else "")
             )
         return self
-
-    def eq_mod_order(self, other: "LaurentSeries", order: int | None = None) -> bool:
-        order = _min_order(order, _min_order(self.order, other.order))
-        a, b = self.truncate(order), other.truncate(order)
-        return a._nd == b._nd and a._packed == b._packed
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentSeries):
@@ -745,88 +735,6 @@ class _OnlineFan:
     def defect(self) -> list[LaurentSeries]:
         """Slice k of z^{-e_i} times the last output, one series per generator."""
         return _shifted_slices(self._input(len(self.rays)), self.k, self.order, self.nd, self.bound)
-
-
-# -- automorphisms ----------------------------------------------------------
-
-
-class Automorphism:
-    """Ring map determined by the images of the n + d generators.
-
-    ``m_images[i]`` is the image of z^{e_i*}; ``t_images[j]`` the image of the
-    j-th coefficient generator.  Application substitutes images (negative
-    generator powers go through unit inversion), so every image must be a unit
-    modulo the truncation ideal.
-    """
-
-    __slots__ = ("m_images", "t_images", "order", "_power_cache")
-
-    def __init__(self, m_images: Sequence[LaurentSeries], t_images: Sequence[LaurentSeries], order: int | None):
-        self.m_images = list(m_images)
-        self.t_images = list(t_images)
-        self.order = order
-        self._power_cache: dict[tuple[int, int], LaurentSeries] = {}
-
-    @property
-    def n(self) -> int:
-        return len(self.m_images)
-
-    @property
-    def d(self) -> int:
-        return len(self.t_images)
-
-    @staticmethod
-    def identity(n: int, d: int, order: int | None) -> "Automorphism":
-        m_images = [LaurentSeries.monomial(_unit(n, i), (0,) * d, order=order) for i in range(n)]
-        t_images = [LaurentSeries.monomial((0,) * n, _unit(d, j), order=order) for j in range(d)]
-        return Automorphism(m_images, t_images, order)
-
-    def _gen_power(self, i: int, e: int) -> LaurentSeries:
-        """e-th power of the image of generator i: z^{e_i*} for i < n, else t_{i-n}."""
-        key = (i, e)
-        cached = self._power_cache.get(key)
-        if cached is None:
-            base = self.m_images[i] if i < self.n else self.t_images[i - self.n]
-            cached = self._power_cache[key] = series_pow(base, e)
-        return cached
-
-    def apply(self, x: LaurentSeries) -> LaurentSeries:
-        count = self.n + self.d
-        if x._nd is not None and x._nd != (self.n, self.d):
-            raise ValueError(f"series of dims (n, d) {x._nd} under an automorphism of {(self.n, self.d)}")
-        order = _min_order(self.order, x.order)
-        result = LaurentSeries.zero(order)
-        for k, c in x._packed.items():
-            image: LaurentSeries | None = None
-            for i, e in enumerate(_unpack((k + _HALF) >> _SLOT, count)):  # all slots but the degree
-                if e:
-                    p = self._gen_power(i, e)
-                    image = p if image is None else series_mul(image, p)
-            if image is None:
-                image = LaurentSeries.one(self.n, self.d, order)
-            result = series_add(result, series_scale(image.truncate(order), c))
-        return result
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """self after other: (self.compose(other)).apply(x) == self.apply(other.apply(x))."""
-        order = _min_order(self.order, other.order)
-        return Automorphism(
-            [self.apply(img) for img in other.m_images],
-            [self.apply(img) for img in other.t_images],
-            order,
-        )
-
-    def eq_mod_order(self, other: "Automorphism", order: int | None = None) -> bool:
-        if self.n != other.n or self.d != other.d:
-            return False
-        order = _min_order(order, _min_order(self.order, other.order))
-        return all(
-            a.eq_mod_order(b, order)
-            for a, b in zip(self.m_images + self.t_images, other.m_images + other.t_images)
-        )
-
-    def is_identity(self, order: int | None = None) -> bool:
-        return self.eq_mod_order(Automorphism.identity(self.n, self.d, self.order), order)
 
 
 def _unit(length: int, idx: int) -> tuple[int, ...]:

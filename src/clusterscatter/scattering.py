@@ -47,7 +47,6 @@ from .cluster_core import (
     unimodular_inverse_transpose,
 )
 from .monoid_ring import (
-    Automorphism,
     Exponent,
     LaurentSeries,
     _LIMIT,
@@ -445,9 +444,10 @@ def _turn(v: Sequence[int], start: Sequence[int], ccw: bool):
     return (k <= s, k)
 
 
-def path_ordered_product(D: ScatteringDiagram, path: PathSpec) -> Automorphism:
+def path_ordered_product(D: ScatteringDiagram, path: PathSpec) -> tuple[LaurentSeries, LaurentSeries]:
     """Compose the crossings met along the angular path, first crossed first,
-    modulo coefficient degree above the diagram's order.
+    modulo coefficient degree above the diagram's order: the images of z^{e_1}
+    and z^{e_2}.  Crossings fix the coefficient generators.
 
     Coefficient exponents in the result are taken in the seed's own basis.
     """
@@ -463,11 +463,10 @@ def path_ordered_product(D: ScatteringDiagram, path: PathSpec) -> Automorphism:
     fan = sorted((r for r in _ray_atoms(walls) if turn(r) < stop), key=turn)
     d = sum(D.seed.coeff_orders)
     images, bound = _cross_fan(fan, path.ccw, d, series_order)
-    images = [
+    return tuple(
         LaurentSeries._make({k: c for sl in slices for k, c in sl.items()}, series_order, (2, d), bound)
         for slices in images
-    ]
-    return Automorphism(images, Automorphism.identity(2, d, series_order).t_images, series_order)
+    )
 
 
 # -- consistency and completion ----------------------------------------------

@@ -417,6 +417,32 @@ def test_coefficient_entries_that_disagree_on_orders_do_not_load(runner, tmp_pat
     assert isinstance(res.exception, SystemExit)  # handled, no traceback
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["mutate", "121"], "cluster entry 1 has dims (n, d) (2, 3), the seed needs (2, 4)"),
+        (["scatter", "--order", "3"], "seed coefficients do not form a lattice basis"),
+        (["scatter-check"], "seed coefficients do not form a lattice basis"),
+        (["theta", "--m", "-1,0", "--order", "3"], "seed coefficients do not form a lattice basis"),
+        (["scatter-mutate", "--k", "1"], "seed coefficients do not form a lattice basis"),
+    ],
+    ids=["mutate", "scatter", "scatter-check", "theta", "scatter-mutate"],
+)
+def test_coefficient_orders_that_disagree_with_the_seed_do_not_load(runner, tmp_path, command, message):
+    """Orders (1, 3) give every coefficient four exponents, while the cluster
+    entries and the three coefficients span three generators."""
+    doc = json.loads(fixture_text("b2.json"))
+    for tup in doc["coeffs"]:
+        for p in tup:
+            p["orders"], p["exponents"] = [1, 3], p["exponents"] + [0]
+    path = tmp_path / "orders13.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(cli, [command[0], "--seed", str(path), *command[1:]])
+    assert res.exit_code == 2
+    assert message in res.stderr
+    assert isinstance(res.exception, SystemExit)  # handled, no traceback
+
+
 @OUTPUT_OPTIONS
 def test_output_path_in_a_missing_directory_is_bad_input(runner, b2_path, tmp_path, command):
     path = str(tmp_path / "missing" / "out")

@@ -50,11 +50,11 @@ from clusterscatter.scattering import (
     complete_rank2,
     diagram_to_json,
     diagram_truncate,
-    path_ordered_product,
     seed_frame,
     tk_invariance_check,
     tk_transform,
 )
+from oracles import path_ordered_product
 from test_scattering import A2, B2, KRON, RANK2, group_seed
 
 G2 = FixedData(((0, -3), (1, 0)), (1, 3), (1, 3))

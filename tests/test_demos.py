@@ -1,7 +1,8 @@
 """The demos are the README's walkthrough: each one runs to completion as a
-standalone script, and the picture one of them draws is byte for byte the
-committed file.  Each runs as a copy in a temporary directory, so the
-picture lands there and the checkout stays untouched."""
+standalone script, its stdout is byte for byte ``demo_stdout/<demo>.txt``,
+and the picture one of them draws is byte for byte the committed file.  Each
+runs as a copy in a temporary directory, so the picture lands there and the
+checkout stays untouched."""
 
 import os
 import shutil
@@ -26,6 +27,7 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert res.returncode == 0, res.stderr
+    assert res.stdout == (ROOT / "tests" / "demo_stdout" / f"{demo}.txt").read_text()
     drawn = tmp_path / SVG
     if demo == "diagram_completion":
         assert drawn.read_bytes() == (ROOT / "demos" / SVG).read_bytes()

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from clusterscatter import monoid_ring
 from clusterscatter.monoid_ring import (
-    Automorphism,
     Exponent,
     LaurentSeries,
     _decode,
@@ -27,6 +26,8 @@ from clusterscatter.monoid_ring import (
     series_to_str,
     wall_cross,
 )
+
+from oracles import Automorphism
 
 # Two lattice variables (A1, A2) and three coefficient slots (t11; t21, t22),
 # matching the rank-2 fixture with orders (1, 2).

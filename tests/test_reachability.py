@@ -38,11 +38,7 @@ KRONECKER = [
     "theta --seed kronecker.json --m -1,0",
 ]
 
-_ORACLE = "oracle of diagrams_equivalent in TestEquivalenceOracle"
-_C_MATRIX = (
-    "second route for seed_mutate's coefficient rule (test_tracks_seed_coefficients) "
-    "and for g/c duality (test_dual_basis_and_coefficient_identity)"
-)
+_ORACLE = "oracle of diagrams_equivalent in TestEquivalenceOracle, through tests/oracles.py"
 
 ALLOW = {
     "scattering.path_ordered_product": _ORACLE + "; traced by perfbench/tracing.LAYERS",
@@ -54,21 +50,6 @@ ALLOW = {
     ),
     "monoid_ring.LaurentSeries.min_coeff_degree": "called by wall_cross and by the log oracle of the defect reader",
     "monoid_ring._tight_bound": "the overflow guard: re-derives a slot bound only when the carried one exceeds the slot limit",
-    "monoid_ring.Automorphism.identity": "acting automorphism, serves the " + _ORACLE,
-    "monoid_ring.Automorphism.apply": "acting automorphism, serves the " + _ORACLE,
-    "monoid_ring.Automorphism.compose": "acting automorphism, serves the " + _ORACLE,
-    "monoid_ring.Automorphism.eq_mod_order": "acting automorphism, serves the " + _ORACLE,
-    "monoid_ring.Automorphism.is_identity": "acting automorphism, serves the " + _ORACLE,
-    "monoid_ring.Automorphism.n": "acting automorphism, serves the " + _ORACLE,
-    "monoid_ring.Automorphism.d": "acting automorphism, serves the " + _ORACLE,
-    "monoid_ring.LaurentSeries.eq_mod_order": "called by Automorphism.eq_mod_order",
-    "cluster_core.initial_c_matrix": _C_MATRIX,
-    "cluster_core.c_matrix_mutate": _C_MATRIX,
-    "cluster_core.CMatrix.dim": _C_MATRIX,
-    "cluster_core.CMatrix.column": _C_MATRIX,
-    "cluster_core.CMatrix.is_sign_coherent": _C_MATRIX,
-    "cluster_core.CMatrix.block_structure_ok": _C_MATRIX,
-    "cluster_core.GVectorFrame.matrix": "second route for the mutated exchange matrix (TestGVectorFrame.test_hexagon)",
     "cli.main": "the console entry point",
 }
 

@@ -40,7 +40,6 @@ from clusterscatter.scattering import (
     diagram_to_json,
     diagram_truncate,
     diagrams_equivalent,
-    path_ordered_product,
     render_svg,
     tk_invariance_check,
     tk_transform,
@@ -51,6 +50,8 @@ from clusterscatter.scattering import (
     seed_frame,
 )
 from clusterscatter.semifield import block_range
+
+from oracles import path_ordered_product
 
 B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
 KRON = FixedData(((0, -2), (2, 0)), (1, 1), (2, 2))
@@ -351,6 +352,16 @@ class TestPathOrderedProduct:
         D = build_initial(group_seed(B2), 6)
         P = path_ordered_product(D, PathSpec((3, -1), (3, -1), ccw=True, loop=True))
         assert not P.is_identity()
+
+    def test_loop_on_every_rank2_datum(self):
+        """On the 37 valid rank-2 data at order 4, the counterclockwise loop
+        is the identity on the completed diagram and on no initial one."""
+        loop = PathSpec((1009, -1013), (1009, -1013), ccw=True, loop=True)
+        assert len(RANK2) == 37
+        for data in RANK2:
+            D = build_initial(group_seed(data), 4)
+            assert path_ordered_product(complete_rank2(D), loop).is_identity(), data
+            assert not path_ordered_product(D, loop).is_identity(), data
 
     def test_arcs_compose(self, b2_completed):
         C = b2_completed

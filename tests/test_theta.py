@@ -561,6 +561,22 @@ def test_theta_matches_transport_on_valid_rank2_data():
             assert theta(D, g, 4) == x.num.truncate(4), (data, g)
 
 
+def test_closed_forms_at_the_imaginary_direction():
+    """B = ((0,-2),(2,0)), d = (1,1) and r in {1,2}^2, completed at order 10.
+    No cluster chamber holds delta = (1,-1), so ``theta_via_transport`` has no
+    route there; the multiples of delta obey theta_delta^2 - theta_2delta = 2c
+    and theta_delta theta_ndelta = theta_(n+1)delta + c theta_(n-1)delta,
+    where c is the product of all coefficient generators."""
+    order = 10
+    for r in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        D = complete_rank2(build_initial(group_seed(FixedData(((0, -2), (2, 0)), (1, 1), r)), order))
+        th = [theta(D, (n, -n), order) for n in range(6)]
+        c = LaurentSeries.monomial((0, 0), (1,) * sum(r), 1, order)
+        assert th[1] * th[1] - th[2] == c + c, r
+        for n in (2, 3, 4):
+            assert th[1] * th[n] == th[n + 1] + c * th[n - 1], (r, n)
+
+
 # -- chamber transport --------------------------------------------------------
 
 
