@@ -634,6 +634,16 @@ def rational_to_json(x: RationalFunction) -> dict:
     }
 
 
+def _json_ints(field: str, values) -> tuple[int, ...]:
+    """The entries of a seed document's field, which must be JSON integers:
+    ValueError naming the field for a float, a bool or a string."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{field} must hold integers, got {v!r}")
+    return values
+
+
 def _fit_slots(what: str, exponents) -> None:
     big = max((abs(int(e)) for e in exponents), default=0)
     if big > _LIMIT:
@@ -644,6 +654,10 @@ def _cluster_entry(i: int, data: dict) -> RationalFunction:
     """Cluster entry i of a seed document; ValueError unless its exponents fit
     a packed slot and it is a nonzero Laurent polynomial with integer
     coefficients >= 0."""
+    for term in data["num"] + data["den"]:
+        for key in ("m", "t"):
+            _json_ints(f"cluster entry {i} {key}", term[key])
+        _json_ints(f"cluster entry {i} c", [term["c"]])
     _fit_slots(f"cluster entry {i}", [e for term in data["num"] + data["den"] for e in (*term["m"], *term["t"])])
     num, den = (series_from_json({"terms": data[k], "order": "inf"}) for k in ("num", "den"))
     if not num or not den:
@@ -674,13 +688,15 @@ def seed_from_json(data: dict, semifield: bool = True) -> Seed:
     ignores the document's cluster.  An exponent beyond a packed slot, and a
     cluster entry that is zero, has a zero denominator, does not reduce to a
     Laurent polynomial or has a coefficient that is no integer or below 0,
-    and coefficient entries that disagree on their ``orders``, raise
-    ValueError."""
-    fixed = FixedData(_as_matrix(data["B"]), tuple(data["d"]), tuple(data["r"]))
-    orders = {tuple(p["orders"]) for tup in data["coeffs"] for p in tup}
+    coefficient entries that disagree on their ``orders``, and a number that
+    is no JSON integer in ``B``, ``d``, ``r``, ``orders``, ``exponents`` or a
+    cluster entry, raise ValueError."""
+    B = tuple(_json_ints("B", row) for row in data["B"])
+    fixed = FixedData(B, _json_ints("d", data["d"]), _json_ints("r", data["r"]))
+    orders = {_json_ints("orders", p["orders"]) for tup in data["coeffs"] for p in tup}
     if len(orders) != 1:
         raise ValueError(f"the coefficient entries must share one orders list, got {sorted(orders)}")
-    coeffs = tuple(tuple(p["exponents"] for p in tup) for tup in data["coeffs"])
+    coeffs = tuple(tuple(_json_ints("exponents", p["exponents"]) for p in tup) for tup in data["coeffs"])
     _fit_slots("coefficients", [e for tup in coeffs for p in tup for e in p])
     cluster = None
     if semifield and data.get("cluster") is not None:

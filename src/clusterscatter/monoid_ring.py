@@ -29,15 +29,17 @@ kernel stores them normalized back to ``int`` whenever the denominator clears,
 so ``series_add`` normalizes only the sums it writes.  Callers that need
 integrality assert it via ``assert_integral``.  Crossings never invert: they
 expand ``(1 + g)^h`` binomially, with integer ``C(h, j)`` for any ``h``.
-``_cross_factors`` crosses an image held as slices by coefficient degree in
-place, one wall factor ``(1 + t z^m)^c`` at a time, and is the kernel of every
-one-shot crossing; ``wall_cross`` crosses with an expanded function and is
-kept as its test oracle.  ``series_exact_div`` pops each leading term from a
-max-heap of packed keys and divides int coefficients with ``divmod``.
-``_OnlineFan`` crosses a fan of walls one coefficient degree at a time, so
-that completion can add walls between degrees without crossing the fan again.
-``_by_level`` splits a polynomial by the level <n0, m> of its terms, read off
-the m-slots of the packed keys, for the seed layer's pull-back.
+Every crossing of the library goes one wall factor ``(1 + t z^m)^c`` at a
+time through one kernel, ``_Factor``, on images held as slices by coefficient
+degree.  Two loops call it: ``_cross_in_place`` crosses a whole image at
+once (the one-shot loop), and ``_OnlineFan`` crosses a fan of factors one
+coefficient degree at a time, so that completion can insert factors between
+degrees without crossing the fan again.  ``wall_cross`` crosses with an
+expanded function and is kept as the kernel's test oracle.
+``series_exact_div`` pops each leading term from a max-heap of packed keys
+and divides int coefficients with ``divmod``.  ``_by_level`` splits a
+polynomial by the level <n0, m> of its terms, read off the m-slots of the
+packed keys, for the seed layer's pull-back.
 """
 
 from __future__ import annotations
@@ -461,107 +463,43 @@ def wall_cross(x: LaurentSeries, f: LaurentSeries, n0: Sequence, sign: int = 1) 
         return LaurentSeries.zero(order)
     if not g:
         return x.truncate(order)
-    ys = _binomial_tables(x._packed, n0, sign, nd, order, max(g.min_coeff_degree(), 1))
-    terms, bound, power = dict(ys.get(0, {})), x._bound, g
-    for j in range(1, len(ys)):
-        if j > 1:
-            power = series_mul(power, g)
-        if not power:
-            break
-        bound = max(bound, _sum_bound(x, power))
-        powers = _by_degree(power._packed)
-        for dy, y in _by_degree(ys[j]).items():
-            for dp, p in powers.items():
-                if order is None or dy + dp < order:
-                    _mul_into(terms, y, p)
-    return LaurentSeries._make(_normalized(terms), order, nd, bound)
-
-
-def _binomial_tables(
-    terms: dict, n0: Sequence[int], sign: int, nd: tuple[int, int], order: int | None, low: int = 1
-) -> dict:
-    """j -> sum of C(h, j) c z^p over the packed terms c z^p, h = sign*<n0, m(p)>.
-
-    With a finite order, j stops where a j-th power of degree at least ``low``
-    times z^p would pass the order; with none, at h (and h < 0 raises
-    ValueError: the crossing would need an inverse).
-    """
     n, d = nd
+    low = max(g.min_coeff_degree(), 1)
     lift, shift = _pack([_HALF] * (d + 1)), _SLOT * (d + 1)  # lifts the t and degree slots to [0, 2^32)
-    ys: dict[int, dict[int, int | Fraction]] = {}
+    # ys[j][s]: sum of C(h, j) c z^p over the terms c z^p of x of degree s; with a finite order, j stops
+    # where a j-th power of g times z^p would pass it, with none at h (h < 0 would need an inverse)
+    ys: dict[int, dict[int, dict]] = {}
     hs: dict[int, int] = {}  # h by the lifted m-slots of a key, shared by every t
-    for k, c in terms.items():
+    for k, c in x._packed.items():
         mk = (k + lift) >> shift
         h = hs.get(mk)
         if h is None:
             h = hs[mk] = sign * sum(map(mul, n0, _unpack(mk, n)))
         if order is None and h < 0:
             raise ValueError("inverting a non-monomial series requires a finite truncation order")
-        binom = 1
-        for j in range((order - 1 - _deg(k)) // low + 1 if order is not None else h + 1):
-            ys.setdefault(j, {})[k] = binom * c
+        binom, s = 1, _deg(k)
+        for j in range((order - 1 - s) // low + 1 if order is not None else h + 1):
+            ys.setdefault(j, {}).setdefault(s, {})[k] = binom * c
             binom = binom * (h - j) // (j + 1)  # exact: C(h, j + 1)
             if not binom:
                 break
-    return ys
-
-
-def _cross_factors(
-    slices: list[dict], factors: Sequence, n0: Sequence[int], sign: int, nd: tuple[int, int]
-) -> int:
-    """Cross an image in place, factor by factor: z^p -> z^p (1 + t z^m)^(c h),
-    h = sign*<n0, m(p)>, for each factor (t, m, c) in turn.
-
-    ``slices[k]`` holds the image's packed terms of coefficient degree k, for
-    k below the order ``len(slices)``.  Every z^m is tangent to the wall
-    (<n0, m> = 0), so a term a factor writes has the h of the term it came
-    from, and crossing factor after factor is crossing once with their
-    product.  A factor of degree delta reads only the slices below ``order -
-    delta``, from the top down, and writes only above the slice it reads, so
-    no term is crossed twice by one factor.  The binomials C(c h, j) are
-    integers for any h: nothing is inverted.  Returns the slot bound of the
-    image, whose terms are a generator times at most order - 1 factor
-    monomials; it is guarded before any key forms.
-    """
-    order, (n, d) = len(slices), nd
-    live = []
-    for t, m, c in factors:
-        delta = sum(t)
-        if delta < 1:
-            raise ValueError("wall function must have constant term exactly 1")
-        if sum(map(mul, n0, m)):
-            raise ValueError(f"wall monomial {tuple(m)} is not tangent to the acting normal {tuple(n0)}")
-        if delta < order:
-            live.append((delta, (*m, *t, delta), c))
-    bound = _guard(1 + (order - 1) * max((abs(v) for _, y, _ in live for v in y), default=0))
-    lift, shift = _pack([_HALF] * (d + 1)), _SLOT * (d + 1)  # lifts the t and degree slots to [0, 2^32)
-    hs: dict[int, int] = {}  # h by the lifted m-slots of a key, shared by every t
-    for delta, y, c in live:
-        y = _pack(y)
-        for k in range(order - 1 - delta, -1, -1):
-            if not slices[k]:
-                continue
-            targets = list(zip(range(1, order), slices[k + delta :: delta], range(y, order * y, y)))
-            for key, a in slices[k].items():
-                mk = (key + lift) >> shift
-                h = hs.get(mk)
-                if h is None:
-                    h = hs[mk] = sign * sum(map(mul, n0, _unpack(mk, n)))
-                e, binom = c * h, 1
-                for j, out, step in targets:
-                    binom = binom * (e - j + 1) // j  # exact: C(e, j)
-                    if not binom:
-                        break
-                    k2 = key + step
-                    s = out.get(k2, 0) + binom * a
-                    if s:
-                        out[k2] = s
-                    else:
-                        del out[k2]
-    return bound
-
-
-_ONE = {0: 1}  # the packed series 1
+    terms, bound, power = {}, x._bound, g
+    for y in ys.get(0, {}).values():
+        terms.update(y)
+    for j in range(1, len(ys)):
+        if j > 1:
+            power = series_mul(power, g)
+        if not power:
+            break
+        bound = max(bound, _sum_bound(x, power))
+        powers: dict[int, dict] = {}
+        for k, c in power._packed.items():
+            powers.setdefault(_deg(k), {})[k] = c
+        for dy, y in ys[j].items():
+            for dp, p in powers.items():
+                if order is None or dy + dp < order:
+                    _mul_into(terms, y, p)
+    return LaurentSeries._make(_normalized(terms), order, nd, bound)
 
 
 def _generator_slices(n: int, d: int, order: int) -> list[list[dict]]:
@@ -579,14 +517,6 @@ def _shifted_slices(
     for slices in images:
         (gen,) = slices[0]
         out.append(LaurentSeries._make({key - gen: c for key, c in slices[k].items()}, order, nd, bound))
-    return out
-
-
-def _by_degree(packed: dict) -> dict[int, dict]:
-    """Packed terms split into slices by coefficient degree."""
-    out: dict[int, dict] = {}
-    for k, c in packed.items():
-        out.setdefault(_deg(k), {})[k] = c
     return out
 
 
@@ -621,120 +551,139 @@ def _mul_into(acc: dict, a: dict, b: dict) -> None:
                 del acc[k]
 
 
-class _Crossing:
-    """One position of an `_OnlineFan`: acting normal and sign, the slices of
-    g = f - 1 and of its powers by degree (``powers[1]`` is ``g``), the
-    binomial tables of the finished input slices per generator, the output
-    slices per generator, and the slot bound of g's terms."""
+class _Factor:
+    """One wall factor (1 + y)^c, y = t z^m of coefficient degree delta >= 1,
+    crossed as z^p -> z^p (1 + y)^(c h), h = sign*<n0, m(p)>, on images held
+    as slices by coefficient degree below ``order``.
 
-    __slots__ = ("n0", "sign", "powers", "tables", "out", "bound")
+    z^m is tangent to the wall (<n0, m> = 0), so every term the factor writes
+    has the level h of the term it came from, and the crossed terms of degree
+    k are, over q >= 1, C(c h, q) y^q times the terms of degree k - q delta.
+    ``prepare`` reads a finished slice once; ``add`` gathers the crossed
+    terms of one degree from prepared lower slices.  The binomials are
+    integers for any h: nothing is inverted.  ``bound`` holds the slots of an
+    image under factors no larger than this one, a generator times at most
+    order - 1 factor monomials; it is guarded before any key forms.
+    """
 
-    def __init__(self, n0, sign, tables, out):
-        self.n0, self.sign, self.tables, self.out = tuple(n0), sign, tables, out
-        self.powers: dict[int, dict[int, dict]] = {1: {}}
-        self.bound = 0
+    __slots__ = ("n0", "scale", "delta", "y", "top", "bound", "n", "lift", "shift", "rows")
+
+    def __init__(self, n0: Sequence[int], sign: int, atom, nd: tuple[int, int], order: int):
+        t, m, c = atom
+        delta = sum(t)
+        if delta < 1:
+            raise ValueError("wall function must have constant term exactly 1")
+        if sum(map(mul, n0, m)):
+            raise ValueError(f"wall monomial {tuple(m)} is not tangent to the acting normal {tuple(n0)}")
+        self.n0, self.scale, self.delta = tuple(n0), sign * c, delta
+        self.y, self.top = _pack((*m, *t, delta)), (order - 1) // delta
+        self.bound = _guard(1 + (order - 1) * max(map(abs, (*m, *t, delta)))) if self.top else 1
+        # the lift raises the t and degree slots to [0, 2^32), so that a shift leaves the m-slots
+        self.n, self.lift, self.shift = nd[0], _pack([_HALF] * (nd[1] + 1)), _SLOT * (nd[1] + 1)
+        self.rows: dict[int, list] = {}  # C(c h, q), q <= top, by the lifted m-slots of a key, which fix h
+
+    def prepare(self, sl: dict) -> list:
+        """The terms of a finished slice that the factor moves, as (key,
+        coefficient, row C(c h, q) of its level)."""
+        rows, lift, shift, out = self.rows, self.lift, self.shift, []
+        for key, a in sl.items():
+            mk = (key + lift) >> shift
+            row = rows.get(mk)
+            if row is None:
+                row = rows[mk] = self._row(mk)
+            if row:
+                out.append((key, a, row))
+        return out
+
+    def _row(self, mk: int) -> list:
+        """C(c h, q) for q <= top at the level h of the lifted m-slots mk, or
+        no row where the factor moves nothing (c h = 0)."""
+        e = self.scale * sum(map(mul, self.n0, _unpack(mk, self.n)))
+        if not e:
+            return []
+        row = [1] + [0] * self.top
+        for q in range(1, self.top + 1):
+            row[q] = row[q - 1] * (e - q + 1) // q  # exact: C(e, q)
+            if not row[q]:
+                break
+        return row
+
+    def add(self, acc: dict, prepared: Sequence[list], k: int) -> None:
+        """acc += the crossed terms of degree k, gathered from ``prepared[s]``,
+        the prepared slice s, for s = k - q delta, q >= 1."""
+        get, y, q, step = acc.get, self.y, 0, 0
+        for s in range(k - self.delta, -1, -self.delta):
+            q += 1
+            step += y
+            for key, a, row in prepared[s]:
+                b = row[q]
+                if b:
+                    k2 = key + step
+                    v = get(k2, 0) + b * a
+                    if v:
+                        acc[k2] = v
+                    else:
+                        del acc[k2]
+
+
+def _cross_in_place(slices: list[dict], factor: _Factor) -> None:
+    """Cross an image held as slices by coefficient degree (``slices[k]`` for
+    k below the order) by one factor, in place: every slice the factor reads
+    is prepared before any is written."""
+    prepared = [factor.prepare(sl) for sl in slices[: len(slices) - factor.delta]]
+    for k in range(factor.delta, len(slices)):
+        factor.add(slices[k], prepared, k)
 
 
 class _OnlineFan:
-    """Images of the generators z^{e_i} across a sequence of wall crossings,
+    """Images of the generators z^{e_i} across a sequence of wall factors,
     built one coefficient degree at a time (online, or "relaxed", evaluation:
     van der Hoeven, *Relax, but don't be too lazy*, 2002).
 
-    Position j crosses by z^p -> z^p f_j^h, h = sign_j*<n0_j, m(p)>, with
-    f_j = 1 + g_j known to ``order``.  Each position keeps its output image as
-    slices by coefficient degree.  Slice k of an output is slice k of its input
-    plus, over k' < k and q >= 1, the table Y_{k'}^q = sum C(h, q) c z^p over
-    the input's slice k' times slice k - k' of g_j^q: only lower slices enter,
-    and each table is built once, when its input slice is final.  Slice 0 of
-    every image is its generator, so a factor 1 + psi multiplied into f_j at
-    stage k, psi of degree >= k, changes slice k at j and at every later
-    position by its first-order term h(e_i) z^{e_i} psi_k alone.
-
-    Slot bound: an image term is a generator times at most order - 1 terms of
-    the g_j, and a term of g_j has slots within the sum of the bounds of the
-    factors multiplied into f_j; ``multiply`` guards that product.
+    Position j crosses by one `_Factor`.  It keeps its output image as slices
+    by coefficient degree, and its input's finished slices prepared.  Slice k
+    of an output is slice k of its input plus the crossed terms gathered from
+    the input's lower slices, which are final by stage k.  Slice 0 of every
+    image is its generator, so a factor of degree k inserted at stage k
+    changes slice k, at its own position and at every later one, by its
+    first-order term c h(e_i) z^{e_i} y alone; a factor of higher degree
+    changes no slice yet.
     """
 
     def __init__(self, n: int, d: int, order: int):
-        self.nd, self.order, self.k, self.bound = (n, d), order, 0, 2
+        self.nd, self.order, self.k, self.bound = (n, d), order, 0, 1
         self.start = _generator_slices(n, d, order)
-        self.rays: list[_Crossing] = []
+        self.positions: list[tuple[_Factor, list[list[dict]], list[list[list]]]] = []  # factor, output, prepared input
 
     def _input(self, j: int) -> list[list[dict]]:
-        return self.rays[j - 1].out if j else self.start
+        return self.positions[j - 1][1] if j else self.start
 
-    def _tables(self, sl: dict, n0: Sequence[int], sign: int, low: int) -> dict:
-        tables = _binomial_tables(sl, n0, sign, self.nd, self.order, low)
-        tables.pop(0, None)  # the q = 0 term is the input slice itself
-        return tables
-
-    def insert(self, j: int, n0: Sequence[int], sign: int) -> None:
-        """A crossing with f = 1 at position j: its output is its input, whose
-        slices below the stage are final and shared."""
-        src, k, low = self._input(j), self.k, max(self.k, 1)  # no factor of degree below the stage is added
-        tables = [[self._tables(sl[s], n0, sign, low) for s in range(k)] for sl in src]
-        self.rays.insert(j, _Crossing(n0, sign, tables, [sl[:k] + [dict(sl[k])] for sl in src]))
-
-    def multiply(self, j: int, phi: LaurentSeries) -> None:
-        """f_j *= phi, where phi - 1 has degree at least the current stage."""
-        if not phi.constant_slice().is_one():
-            raise ValueError("wall function must have constant term exactly 1")
-        psi = _by_degree(phi.truncate(self.order)._packed)
-        del psi[0]
-        if not psi:
-            return
-        if min(psi) < max(self.k, 1):
-            raise ValueError(f"wall factor of coefficient degree {min(psi)} at stage {self.k}")
-        x = self.rays[j]
-        x.bound += phi._bound
-        self.bound = _guard(max(self.bound, 2 + (self.order - 1) * x.bound))
-        if self.k in psi:
-            for i, tables in enumerate(x.tables):
-                delta: dict = {}
-                _mul_into(delta, tables[0].get(1, {}), psi[self.k])
-                for later in self.rays[j:]:
-                    _mul_into(later.out[i][self.k], _ONE, delta)
-        g, grown = x.powers[1], {}  # f * phi = 1 + g + psi + g psi
-        for u, p in psi.items():
-            _mul_into(grown.setdefault(u, {}), _ONE, p)
-            for s, gs in g.items():
-                if s + u < self.order:
-                    _mul_into(grown.setdefault(s + u, {}), gs, p)
-        for s, acc in grown.items():
-            _mul_into(g.setdefault(s, {}), _ONE, acc)
-            if not g[s]:
-                del g[s]
+    def insert(self, j: int, n0: Sequence[int], sign: int, atom) -> None:
+        """Insert the factor (t, m, c) at position j, at the current stage."""
+        factor, k = _Factor(n0, sign, atom, self.nd, self.order), self.k
+        if factor.delta < k:
+            raise ValueError(f"wall factor of coefficient degree {factor.delta} at stage {k}")
+        src = self._input(j)
+        prepared = [[factor.prepare(s) for s in sl[:k]] for sl in src]
+        self.positions.insert(j, (factor, [sl[:k] + [dict(sl[k])] for sl in src], prepared))
+        self.bound = max(self.bound, factor.bound)
+        for i, prep in enumerate(prepared):
+            for _, out, _ in self.positions[j:]:
+                factor.add(out[i][k], prep, k)
 
     def step(self) -> None:
         """Build the next slice of every output, first position first."""
         k = self.k = self.k + 1
-        for j, x in enumerate(self.rays):
-            src, g, powers = self._input(j), x.powers[1], x.powers
-            low = min(min(g, default=k), k)
-            for i, sl in enumerate(src):
-                x.tables[i].append(self._tables(sl[k - 1], x.n0, x.sign, low))
-            for q in range(2, k + 1):  # slice k of g^q = sum_s g_s (g^{q-1})_{k-s}
-                lower = powers.get(q - 1)
-                if lower is None:  # g^{q-1}, and so g^q, vanishes below degree k
-                    break
-                acc: dict = {}
-                for s, gs in g.items():
-                    if k - s in lower:
-                        _mul_into(acc, gs, lower[k - s])
-                if acc:
-                    powers.setdefault(q, {})[k] = acc
-            for i, sl in enumerate(src):
+        for j, (factor, out, prepared) in enumerate(self.positions):
+            for sl, image, prep in zip(self._input(j), out, prepared):
+                prep.append(factor.prepare(sl[k - 1]))
                 acc = dict(sl[k])
-                tables = x.tables[i]
-                for q, slices in powers.items():
-                    for s, gq in slices.items():
-                        if s <= k and q in tables[k - s]:
-                            _mul_into(acc, tables[k - s][q], gq)
-                x.out[i].append(acc)
+                factor.add(acc, prep, k)
+                image.append(acc)
 
     def defect(self) -> list[LaurentSeries]:
         """Slice k of z^{-e_i} times the last output, one series per generator."""
-        return _shifted_slices(self._input(len(self.rays)), self.k, self.order, self.nd, self.bound)
+        return _shifted_slices(self._input(len(self.positions)), self.k, self.order, self.nd, self.bound)
 
 
 def _unit(length: int, idx: int) -> tuple[int, ...]:

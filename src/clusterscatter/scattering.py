@@ -27,7 +27,7 @@ shared by every diagram over that seed (``_frame_of``).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -50,7 +50,8 @@ from .monoid_ring import (
     Exponent,
     LaurentSeries,
     _LIMIT,
-    _cross_factors,
+    _cross_in_place,
+    _Factor,
     _generator_slices,
     _OnlineFan,
     _shifted_slices,
@@ -135,23 +136,18 @@ def _combine_atoms(factors: Iterable[Atom]) -> tuple[Atom, ...]:
     return tuple(out)
 
 
-def _factor(t: Sequence[int], m: Sequence[int], c: int, order: int | None) -> LaurentSeries:
-    """``(1 + t z^m)^c`` at the given truncation order, expanded binomially."""
-    deg = sum(t)
-    terms = {}
-    for q in range(c + 1):
-        if order is not None and q * deg >= order:
-            break
-        terms[Exponent(tuple(q * x for x in m), tuple(q * x for x in t))] = comb(c, q)
-    return LaurentSeries(terms, order)
-
-
 def _function(atoms: Sequence[Atom], order: int | None) -> LaurentSeries:
-    """The product of the factors ``(1 + t z^m)^c`` of nonempty atoms."""
+    """The product of the factors ``(1 + t z^m)^c`` of nonempty atoms, each
+    expanded binomially."""
     t, m, _ = atoms[0]
     out = LaurentSeries.one(len(m), len(t), order)
     for t, m, c in atoms:
-        out = series_mul(out, _factor(t, m, c, order))
+        terms = {}
+        for q in range(c + 1):
+            if order is not None and q * sum(t) >= order:
+                break
+            terms[Exponent(tuple(q * x for x in m), tuple(q * x for x in t))] = comb(c, q)
+        out = series_mul(out, LaurentSeries(terms, order))
     return out
 
 
@@ -430,8 +426,11 @@ def _cross_fan(fan: list, ccw: bool, d: int, series_order: int) -> tuple[list[li
     images, bound = _generator_slices(2, d, series_order), 1
     for ray, acting, atoms in fan:
         eps = _crossing_eps(ray, acting, ccw)
-        for slices in images:
-            bound = max(bound, _cross_factors(slices, atoms, acting, eps, (2, d)))
+        for atom in atoms:
+            factor = _Factor(acting, eps, atom, (2, d), series_order)
+            bound = max(bound, factor.bound)
+            for slices in images:
+                _cross_in_place(slices, factor)
     return images, bound
 
 
@@ -547,19 +546,18 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
     """Add outgoing walls degree by degree, up to the diagram's order, until
     the loop closes.
 
-    The loop images of z^{e_1} and z^{e_2} are built online (`_OnlineFan`):
-    stage k computes their degree-k slices at every ray of the fan from the
-    lower slices alone, and reads the loop defect at degree k off the last
-    ray, through the same reader as ``check_consistency``.  The defect is a
-    derivation; each term forces one factor ``(1 + t z^m)^c`` of degree k on
-    the ray opposite to m, and the exponent must come out a positive integer.
-    A degree-k factor changes the loop at degree k by its first-order term
-    alone, which is added at its ray and every later one (a new ray starts as
-    a copy of the images before it); after that, the degree-k slices of the
-    loop must vanish.  Each new wall is built once, after the last stage, and
-    a closing one-shot loop at the full order checks the result; it crosses
-    each ray factor by factor, expands no wall function, and takes about a
-    fifth of a completion.  Idempotent on consistent input.
+    The loop images of z^{e_1} and z^{e_2} are built online (`_OnlineFan`),
+    one wall factor per position of the fan: stage k computes their
+    degree-k slices at every position from the lower slices alone, and
+    reads the loop defect at degree k off the last position, through the
+    same reader as ``check_consistency``.  The defect is a derivation; each
+    term forces one factor ``(1 + t z^m)^c`` of degree k on the ray opposite
+    to m, and the exponent must come out a positive integer.  A degree-k
+    factor, inserted after the factors already on its ray, changes the loop
+    at degree k by its first-order term alone; after that, the degree-k
+    slices of the loop must vanish.  Each new wall is built once, after the
+    last stage, and ``check_consistency`` on the result closes.  Idempotent
+    on consistent input.
     """
     ord_, frame, d = D.order, D.frame, sum(D.seed.coeff_orders)
     walls = list(D.fresh_walls)
@@ -570,11 +568,11 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
                 raise ValueError("diagram has two outgoing walls on one ray; merge them first")
             outgoing[w.ray] = w
     fan = _OnlineFan(2, d, ord_ + 1)
-    keys: list = []  # angle keys of the fan's rays, in fan order
-    for ray, acting, f in _fan(walls, ord_ + 1):
-        fan.insert(len(keys), acting, _crossing_eps(ray, acting, True))
-        fan.multiply(len(keys), f)
-        keys.append(_angle_key(ray))
+    keys: list = []  # angle keys of the rays of the fan's factors, in fan order
+    for ray, acting, atoms in _ray_atoms(walls):
+        for atom in atoms:
+            fan.insert(len(keys), acting, _crossing_eps(ray, acting, True), atom)
+            keys.append(_angle_key(ray))
     new: dict[tuple[int, ...], tuple] = {}  # ray -> (grading normal, acting normal, atoms)
     for degree in range(1, ord_ + 1):
         fan.step()
@@ -591,16 +589,12 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
                 raise PositivityError(
                     f"completion needs (1 + t^{e.t} z^{e.m})^{c}; exponent is not a positive integer"
                 )
-            # acting is orthogonal to m (omega is skew), so parallel to every other normal on this ray
-            entry = new.setdefault(ray, (n0, acting, []))
-            key = _angle_key(ray)
-            pos = bisect_left(keys, key)
-            if pos == len(keys) or keys[pos] != key:
-                keys.insert(pos, key)
-                fan.insert(pos, acting, eps)
-            atom = (e.t, e.m, int(c))
-            fan.multiply(pos, _factor(*atom, ord_ + 1))
-            entry[2].append(atom)
+            # acting is orthogonal to m (omega is skew), so eps * acting is that of every factor on this ray
+            key, atom = _angle_key(ray), (e.t, e.m, int(c))
+            pos = bisect_right(keys, key)
+            fan.insert(pos, acting, eps, atom)
+            keys.insert(pos, key)
+            new.setdefault(ray, (n0, acting, []))[2].append(atom)
         if any(fan.defect()):
             raise InvariantViolation(
                 f"stage invariant violated: completion stage {degree} left degree-{degree} terms "
@@ -614,10 +608,13 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
         else:
             merged = Wall(old.support, old.normal, old.acting, old.factors + tuple(atoms), old.incoming)
             walls[walls.index(old)] = merged
-    first, _ = _defect_derivation(walls, frame, d, ord_ + 1)
-    if first is not None:
-        raise InvariantViolation(f"completion finished but the loop still fails at degree {first}")
-    return ScatteringDiagram(_sort_walls(_old_walls(walls, frame)), ord_, D.seed)
+    out = ScatteringDiagram(_sort_walls(_old_walls(walls, frame)), ord_, D.seed)
+    report = check_consistency(out)
+    if not report.consistent:
+        raise InvariantViolation(
+            f"completion finished but the loop still fails at degree {report.first_failure_degree}"
+        )
+    return out
 
 
 # -- mutation transform -------------------------------------------------------

@@ -4,8 +4,10 @@ ceiling.  A ceiling is twice the claim's baseline wall time in ROADMAP.md
 (Python 3.11.7 on a 2-vCPU VM, taken before wall crossing used the binomial
 expansion, which made completion about 2.4x faster): Kronecker order 12
 1.83 s, B2 order 14 0.61 s, the theta-chart suite 0.24 s, and the sum of
-the verify suites 2.9 s."""
+the verify suites 2.9 s.  The Kronecker claim also runs orders 14 and 16,
+under the same ceiling: all three orders take about 0.1 s."""
 
+import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -23,6 +25,7 @@ from clusterscatter.scattering import (
     build_initial,
     cluster_chamber_walls,
     complete_rank2,
+    diagram_to_json,
     diagrams_equivalent,
 )
 from clusterscatter.theta import theta, theta_via_transport
@@ -46,11 +49,23 @@ def claim(capsys):
     return timed
 
 
+# SHA-256 of the canonical JSON (as in perfbench/reference.py) of each whole
+# Kronecker completion, taken before every crossing went through one kernel
+KRONECKER_DIGESTS = {
+    12: "730b13a4208c2cb706568ede14a069d47a1a1c07a625f7f17b14b12f8a268b43",
+    14: "23438bf24645f3365142815e39e3e816b0608608d9fd1082b618b6f2e7581861",
+    16: "d7b4a64ddb3e51a9679c0c93c56ea70835e6bb50b71505ce496be652fb437e76",
+}
+
+
 def test_kronecker_completion_matches_closed_form(claim):
-    with claim("Kronecker completion at order 12 closes; its (1,-1) wall is the closed form", 4.0):
-        D = complete_rank2(build_initial(group_seed("kronecker.json"), 12))
-        wall = next(w for w in D.walls if w.ray == (1, -1) and not w.incoming)
-        assert wall.function(13) == kron_rw_series(13)
+    with claim("Kronecker completion at orders 12, 14 and 16 closes; its (1,-1) wall is the closed form", 4.0):
+        for order, want in KRONECKER_DIGESTS.items():
+            D = complete_rank2(build_initial(group_seed("kronecker.json"), order))
+            wall = next(w for w in D.walls if w.ray == (1, -1) and not w.incoming)
+            assert wall.function(order + 1) == kron_rw_series(order + 1), order
+            text = json.dumps(diagram_to_json(D), sort_keys=True, separators=(",", ":"))
+            assert hashlib.sha256(text.encode()).hexdigest() == want, order
 
 
 def test_b2_completion_is_the_chamber_walls(claim):

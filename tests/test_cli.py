@@ -193,6 +193,28 @@ class TestMutate:
         assert res.exit_code == 2
         assert "cluster entry 1 has a non-integer coefficient (integrality)" in res.output
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["cluster"][0]["num"][0].update(c=1.5), "cluster entry 1 c must hold integers, got 1.5"),
+            (lambda d: d["cluster"][0]["num"][0].update(c=True), "cluster entry 1 c must hold integers, got True"),
+            (lambda d: d["cluster"][0]["den"][0]["m"].__setitem__(0, "0"), "cluster entry 1 m must hold integers, got '0'"),
+            (lambda d: d["cluster"][1]["num"][0]["t"].__setitem__(2, 0.0), "cluster entry 2 t must hold integers, got 0.0"),
+            (lambda d: d.update(d=[1.5, 2]), "d must hold integers, got 1.5"),
+            (lambda d: d["B"][0].__setitem__(1, -2.9), "B must hold integers, got -2.9"),
+            (lambda d: d.update(r=[1, 2.0]), "r must hold integers, got 2.0"),
+            (lambda d: d["coeffs"][0][0]["exponents"].__setitem__(0, 0.5), "exponents must hold integers, got 0.5"),
+            (lambda d: d["coeffs"][1][0]["exponents"].__setitem__(1, "1"), "exponents must hold integers, got '1'"),
+            (lambda d: [p.update(orders=[1, 2.0]) for tup in d["coeffs"] for p in tup], "orders must hold integers, got 2.0"),
+        ],
+        ids=["c-float", "c-bool", "m-string", "t-float", "d", "B", "r", "exponent-float", "exponent-string", "orders"],
+    )
+    def test_number_that_is_no_json_integer_is_bad_input(self, runner, tmp_path, edit, message):
+        """int() used to truncate such numbers, and the seed loaded."""
+        res = self._b2_mutate(runner, tmp_path, edit, word="")
+        assert res.exit_code == 2
+        assert f"cannot load seed from {tmp_path / 'b2_edited.json'}: {message}" in res.output
+
     def test_non_integral_exchange_violates_integrality(self, runner, tmp_path):
         # first cluster entry 7*z0: the exchange in direction 1 divides by 7
         res = self._b2_mutate(runner, tmp_path, lambda d: d["cluster"][0]["num"][0].update(c=7))

@@ -1,5 +1,5 @@
-"""Online completion against the staged oracle, and the factor-by-factor
-crossing against the expanded one.
+"""Online completion against the staged oracle, and the one crossing
+kernel, ``_Factor``, against the expanded crossing.
 
 ``reference_complete_rank2`` is the staged completion the library used
 before completion went online: at every degree k it re-crosses the whole fan
@@ -10,9 +10,10 @@ return the same diagram, byte for byte, and raise the same errors; the
 library's ``_defect_derivation`` reads the same slice off the crossed images
 without a log, and must agree with the log reading.
 
-``reference_cross_fan`` is the crossing the one-shot loop used before it went
-factor by factor: expand each ray's function, then ``wall_cross`` once per
-generator.  ``_cross_fan`` must give the same images.
+``reference_cross_fan`` expands each ray's function and crosses it with
+``wall_cross`` once per generator.  Both loops over the kernel must give its
+images: the one-shot loop ``_cross_fan`` and, slice by slice, the online fan
+``_OnlineFan``.
 """
 
 from dataclasses import replace
@@ -22,7 +23,8 @@ import pytest
 from clusterscatter.cluster_core import FixedData, InvariantViolation, pattern_walk
 from clusterscatter.monoid_ring import (
     LaurentSeries,
-    _cross_factors,
+    _cross_in_place,
+    _Factor,
     _generator_slices,
     _OnlineFan,
     _unit,
@@ -278,25 +280,28 @@ def test_defect_below_the_first_stage(data):
 
 def test_stage_that_does_not_cancel_its_defect(monkeypatch):
     """The invariant after every stage: once its factors are in, the degree-k
-    slices of the loop vanish.  Doubling every factor a stage adds breaks it."""
-    multiply = _OnlineFan.multiply
+    slices of the loop vanish.  Doubling the exponent of every factor a stage
+    adds breaks it."""
+    insert = _OnlineFan.insert
 
-    def doubled(fan, j, phi):
-        multiply(fan, j, series_mul(phi, phi) if fan.k >= 2 else phi)
+    def doubled(fan, j, n0, sign, atom):
+        t, m, c = atom
+        insert(fan, j, n0, sign, (t, m, 2 * c) if fan.k >= 2 else atom)
 
-    monkeypatch.setattr(_OnlineFan, "multiply", doubled)
+    monkeypatch.setattr(_OnlineFan, "insert", doubled)
     with pytest.raises(InvariantViolation, match="completion stage 2 left degree-2 terms in the loop"):
         complete_rank2(build_initial(group_seed(B2), 4))
 
 
-# -- the online fan against the one-shot crossing -----------------------------
+# -- the online fan against the expanded crossing -----------------------------
 
 
 @pytest.mark.parametrize("data, order", [(B2, 6), (KRON, 6), (G2, 5), (WILD, 4)], ids=["b2", "kron", "g2", "wild"])
 @pytest.mark.parametrize("completed", [False, True], ids=["initial", "completed"])
 def test_online_fan_matches_one_shot_crossing(data, order, completed):
-    """Slice by slice, the online images equal the one-shot loop's, on a
-    consistent and on an inconsistent diagram."""
+    """Slice by slice, the online images equal those of the expanded
+    crossing (``reference_cross_fan``), on a consistent and on an
+    inconsistent diagram."""
     D = build_initial(group_seed(data), order)
     if completed:
         D = complete_rank2(D)
@@ -304,10 +309,10 @@ def test_online_fan_matches_one_shot_crossing(data, order, completed):
     walls = D.fresh_walls
     d = sum(D.seed.coeff_orders)
     online = _OnlineFan(2, d, so)
-    for j, (ray, acting, f) in enumerate(_fan(walls, so)):
-        online.insert(j, acting, _crossing_eps(ray, acting, True))
-        online.multiply(j, f)
-    images = one_shot_images(_ray_atoms(walls), True, d, so)
+    for ray, acting, atoms in _ray_atoms(walls):
+        for atom in atoms:
+            online.insert(len(online.positions), acting, _crossing_eps(ray, acting, True), atom)
+    images = reference_cross_fan(_fan(walls, so), True, d, so)
     for k in range(1, so):
         online.step()
         for a, sl in enumerate(online.defect()):
@@ -315,7 +320,7 @@ def test_online_fan_matches_one_shot_crossing(data, order, completed):
             assert sl.terms == series_mul(images[a], shift).degree_slice(k).terms, (k, a)
 
 
-# -- the factor-by-factor crossing against the expanded one -------------------
+# -- the one-shot loop against the expanded crossing -------------------------
 
 
 def reference_cross_fan(fan, ccw, d, series_order):
@@ -362,28 +367,53 @@ def test_clockwise_partial_path_matches_expanded_crossing(data, order):
     assert path_ordered_product(D, path).m_images == want
 
 
-def test_cross_factors_rejects_a_factor_of_degree_below_one():
+# -- the kernel's checks ------------------------------------------------------
+
+
+def test_factor_of_degree_below_one_is_rejected():
     for t in ((0, 0), (1, -2)):
-        slices = _generator_slices(2, 2, 4)[1]
         with pytest.raises(ValueError, match="constant term exactly 1"):
-            _cross_factors(slices, [((1, 0), (1, 0), 1), (t, (1, 0), 1)], (0, 1), 1, (2, 2))
+            _Factor((0, 1), 1, (t, (1, 0), 1), (2, 2), 4)
+        fan = _OnlineFan(2, 2, 4)
+        fan.insert(0, (0, 1), 1, ((1, 0), (1, 0), 1))
+        with pytest.raises(ValueError, match="constant term exactly 1"):
+            fan.insert(1, (0, 1), 1, (t, (1, 0), 1))
+        assert len(fan.positions) == 1
 
 
-def test_cross_factors_rejects_a_factor_off_the_wall():
+def test_factor_below_the_stage_is_rejected():
+    """Slices below the stage are final: a factor of lower degree would change them."""
+    fan = _OnlineFan(2, 2, 4)
+    fan.step()
+    fan.step()
+    with pytest.raises(ValueError, match="wall factor of coefficient degree 1 at stage 2"):
+        fan.insert(0, (0, 1), 1, ((1, 0), (1, 0), 1))
+    assert fan.positions == []
+
+
+def test_factor_off_the_wall_is_rejected():
     with pytest.raises(ValueError, match="not tangent"):
-        _cross_factors(_generator_slices(2, 2, 4)[1], [((1, 0), (1, 1), 1)], (0, 1), 1, (2, 2))
+        _OnlineFan(2, 2, 4).insert(0, (0, 1), 1, ((1, 0), (1, 1), 1))
 
 
-def test_cross_factors_guards_the_slots_before_any_key_forms():
+def test_factor_guards_the_slots_before_any_key_forms():
     """An image term is a generator times at most order - 1 factor monomials:
     at order 4 a slot of 715827882 fits (1 + 3 * 715827882 = 2^31 - 1), one
-    more does not, and the image is left as it was."""
+    more does not, and the fan is left as it was."""
     fits = (2**31 - 2) // 3
+    factor = _Factor((0, 1), 1, ((1, 0), (fits, 0), 1), (2, 2), 4)
+    assert factor.bound == 2**31 - 1
     slices = _generator_slices(2, 2, 4)[1]
-    assert _cross_factors(slices, [((1, 0), (fits, 0), 1)], (0, 1), 1, (2, 2)) == 2**31 - 1
-    image = LaurentSeries._make({k: c for sl in slices for k, c in sl.items()}, 4, (2, 2), 2**31 - 1)
+    _cross_in_place(slices, factor)
+    image = LaurentSeries._make({k: c for sl in slices for k, c in sl.items()}, 4, (2, 2), factor.bound)
     assert image == LaurentSeries({((0, 1), (0, 0)): 1, ((fits, 1), (1, 0)): 1}, 4)
-    slices = _generator_slices(2, 2, 4)[1]
+    fan, alone = _OnlineFan(2, 2, 4), _OnlineFan(2, 2, 4)
+    for f in (fan, alone):
+        f.insert(0, (0, 1), 1, ((1, 0), (fits, 0), 1))
     with pytest.raises(OverflowError):
-        _cross_factors(slices, [((1, 0), (fits + 1, 0), 1)], (0, 1), 1, (2, 2))
-    assert slices == _generator_slices(2, 2, 4)[1]
+        fan.insert(0, (0, 1), 1, ((1, 0), (fits + 1, 0), 1))
+    assert len(fan.positions) == 1 and fan.bound == alone.bound == 2**31 - 1
+    for _ in range(3):
+        fan.step()
+        alone.step()
+        assert fan.defect() == alone.defect()

@@ -43,7 +43,7 @@ _ORACLE = "oracle of diagrams_equivalent in TestEquivalenceOracle, through tests
 ALLOW = {
     "scattering.path_ordered_product": _ORACLE + "; traced by perfbench/tracing.LAYERS",
     "scattering._turn": "serves path_ordered_product, the " + _ORACLE,
-    "monoid_ring.wall_cross": "oracle of `_cross_factors`; traced by perfbench/tracing.LAYERS",
+    "monoid_ring.wall_cross": "oracle of the crossing kernel `_Factor` and the two loops over it; traced by perfbench/tracing.LAYERS",
     "monoid_ring.series_log": (
         "oracle of the defect reader `scattering._defect_derivation` in tests/test_completion.py; "
         "looked up by name by perfbench/tracing.LAYERS (--trace 1) and tests/test_tracer_layers.py"

@@ -561,6 +561,44 @@ def test_theta_matches_transport_on_valid_rank2_data():
             assert theta(D, g, 4) == x.num.truncate(4), (data, g)
 
 
+def theta_products(D, box, order):
+    """Each product theta_p theta_q, p and q in the box, peeled into theta
+    functions lowest coefficient degree first: the degree-k terms c t^a z^m
+    of what is left are the constants c t^a of theta_m, since t^a theta_m is
+    t^a z^m below degree k + 1.  Yields (p, q, {(m, a): c})."""
+    thetas: dict = {}
+
+    def th(m):
+        if m not in thetas:
+            thetas[m] = theta(D, m, order)
+        return thetas[m]
+
+    for i, p in enumerate(box):
+        for q in box[i:]:
+            rest, constants = th(p) * th(q), {}
+            while rest:
+                for e, c in rest.degree_slice(rest.min_coeff_degree()).terms.items():
+                    constants[e.m, e.t] = c
+                    rest = rest - LaurentSeries.monomial((0, 0), e.t, c, order) * th(e.m)
+            yield p, q, constants
+
+
+def test_theta_structure_constants_are_nonnegative_integers():
+    """The paper's positivity, on the multiplication of theta functions: on
+    each of the 37 valid rank-2 data completed at order 3, every product of
+    two theta functions with exponents in |a|, |b| <= 2 is a sum of theta
+    functions with nonnegative int constants (GHKK section 6)."""
+    box = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    products = 0
+    for data in RANK2:
+        D = complete_rank2(build_initial(group_seed(data), 3))
+        for p, q, constants in theta_products(D, box, 3):
+            assert all(type(c) is int and c > 0 for c in constants.values()), (data, p, q, constants)
+            assert constants[tuple(map(sum, zip(p, q))), (0,) * sum(D.seed.coeff_orders)] == 1
+            products += 1
+    assert products == 37 * 325
+
+
 def test_closed_forms_at_the_imaginary_direction():
     """B = ((0,-2),(2,0)), d = (1,1) and r in {1,2}^2, completed at order 10.
     No cluster chamber holds delta = (1,-1), so ``theta_via_transport`` has no
