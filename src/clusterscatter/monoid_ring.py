@@ -553,34 +553,41 @@ def _mul_into(acc: dict, a: dict, b: dict) -> None:
 
 class _Factor:
     """One wall factor (1 + y)^c, y = t z^m of coefficient degree delta >= 1,
-    crossed as z^p -> z^p (1 + y)^(c h), h = sign*<n0, m(p)>, on images held
-    as slices by coefficient degree below ``order``.
+    crossed as z^p -> z^p (1 + y)^(c h), h = sign*<n0, m(p)>, on rank-2
+    images held as slices by coefficient degree below ``order``.
 
     z^m is tangent to the wall (<n0, m> = 0), so every term the factor writes
     has the level h of the term it came from, and the crossed terms of degree
     k are, over q >= 1, C(c h, q) y^q times the terms of degree k - q delta.
     ``prepare`` reads a finished slice once; ``add`` gathers the crossed
-    terms of one degree from prepared lower slices.  The binomials are
-    integers for any h: nothing is inverted.  ``bound`` holds the slots of an
-    image under factors no larger than this one, a generator times at most
-    order - 1 factor monomials; it is guarded before any key forms.
+    terms of one degree from prepared lower slices.  The level of a key is
+    read off its two m-slots.  The binomials are integers for any h: nothing
+    is inverted.  The rows C(e, q), q < order, come from ``binomials``, a
+    memo e -> row owned by the one computation (fan or loop) whose factors
+    share it, so that a row is built once per computation and never outlives
+    it.  ``bound`` holds the slots of an image under factors no larger than
+    this one, a generator times at most order - 1 factor monomials; it is
+    guarded before any key forms.
     """
 
-    __slots__ = ("n0", "scale", "delta", "y", "top", "bound", "n", "lift", "shift", "rows")
+    __slots__ = ("w", "delta", "y", "top", "bound", "lift", "shift", "order", "binomials", "rows")
 
-    def __init__(self, n0: Sequence[int], sign: int, atom, nd: tuple[int, int], order: int):
+    def __init__(self, n0: Sequence[int], sign: int, atom, d: int, order: int, binomials: dict[int, list]):
         t, m, c = atom
+        if len(n0) != 2 or len(m) != 2:
+            raise ValueError(f"wall factors cross rank-2 images only, not rank {max(len(n0), len(m))}")
         delta = sum(t)
         if delta < 1:
             raise ValueError("wall function must have constant term exactly 1")
         if sum(map(mul, n0, m)):
             raise ValueError(f"wall monomial {tuple(m)} is not tangent to the acting normal {tuple(n0)}")
-        self.n0, self.scale, self.delta = tuple(n0), sign * c, delta
+        self.w, self.delta = (sign * c * n0[0], sign * c * n0[1]), delta  # c h = w . m(p)
         self.y, self.top = _pack((*m, *t, delta)), (order - 1) // delta
         self.bound = _guard(1 + (order - 1) * max(map(abs, (*m, *t, delta)))) if self.top else 1
         # the lift raises the t and degree slots to [0, 2^32), so that a shift leaves the m-slots
-        self.n, self.lift, self.shift = nd[0], _pack([_HALF] * (nd[1] + 1)), _SLOT * (nd[1] + 1)
-        self.rows: dict[int, list] = {}  # C(c h, q), q <= top, by the lifted m-slots of a key, which fix h
+        self.lift, self.shift = _pack([_HALF] * (d + 1)), _SLOT * (d + 1)
+        self.order, self.binomials = order, binomials
+        self.rows: dict[int, list] = {}  # C(c h, q) by the lifted m-slots of a key, which fix h
 
     def prepare(self, sl: dict) -> list:
         """The terms of a finished slice that the factor moves, as (key,
@@ -596,16 +603,19 @@ class _Factor:
         return out
 
     def _row(self, mk: int) -> list:
-        """C(c h, q) for q <= top at the level h of the lifted m-slots mk, or
-        no row where the factor moves nothing (c h = 0)."""
-        e = self.scale * sum(map(mul, self.n0, _unpack(mk, self.n)))
+        """C(c h, q) for q < order at the level h of the lifted m-slots
+        mk = m_0 2^32 + m_1, or no row where the factor moves nothing (c h = 0)."""
+        m1 = ((mk + _HALF) & _MASK) - _HALF
+        e = self.w[0] * ((mk - m1) >> _SLOT) + self.w[1] * m1
         if not e:
             return []
-        row = [1] + [0] * self.top
-        for q in range(1, self.top + 1):
-            row[q] = row[q - 1] * (e - q + 1) // q  # exact: C(e, q)
-            if not row[q]:
-                break
+        row = self.binomials.get(e)
+        if row is None:
+            row = self.binomials[e] = [1] + [0] * (self.order - 1)
+            for q in range(1, self.order):
+                row[q] = row[q - 1] * (e - q + 1) // q  # exact: C(e, q)
+                if not row[q]:
+                    break
         return row
 
     def add(self, acc: dict, prepared: Sequence[list], k: int) -> None:
@@ -615,6 +625,8 @@ class _Factor:
         for s in range(k - self.delta, -1, -self.delta):
             q += 1
             step += y
+            if not prepared[s]:
+                continue
             for key, a, row in prepared[s]:
                 b = row[q]
                 if b:
@@ -647,12 +659,13 @@ class _OnlineFan:
     image is its generator, so a factor of degree k inserted at stage k
     changes slice k, at its own position and at every later one, by its
     first-order term c h(e_i) z^{e_i} y alone; a factor of higher degree
-    changes no slice yet.
+    changes no slice yet.  The fan's factors share one binomial memo, which
+    lives as long as the fan.
     """
 
-    def __init__(self, n: int, d: int, order: int):
-        self.nd, self.order, self.k, self.bound = (n, d), order, 0, 1
-        self.start = _generator_slices(n, d, order)
+    def __init__(self, d: int, order: int):
+        self.nd, self.order, self.k, self.bound, self.binomials = (2, d), order, 0, 1, {}
+        self.start = _generator_slices(2, d, order)
         self.positions: list[tuple[_Factor, list[list[dict]], list[list[list]]]] = []  # factor, output, prepared input
 
     def _input(self, j: int) -> list[list[dict]]:
@@ -660,7 +673,7 @@ class _OnlineFan:
 
     def insert(self, j: int, n0: Sequence[int], sign: int, atom) -> None:
         """Insert the factor (t, m, c) at position j, at the current stage."""
-        factor, k = _Factor(n0, sign, atom, self.nd, self.order), self.k
+        factor, k = _Factor(n0, sign, atom, self.nd[1], self.order, self.binomials), self.k
         if factor.delta < k:
             raise ValueError(f"wall factor of coefficient degree {factor.delta} at stage {k}")
         src = self._input(j)
@@ -684,6 +697,10 @@ class _OnlineFan:
     def defect(self) -> list[LaurentSeries]:
         """Slice k of z^{-e_i} times the last output, one series per generator."""
         return _shifted_slices(self._input(len(self.positions)), self.k, self.order, self.nd, self.bound)
+
+    def closed(self) -> bool:
+        """Is slice k of the last output empty for every generator?"""
+        return not any(sl[self.k] for sl in self._input(len(self.positions)))
 
 
 def _unit(length: int, idx: int) -> tuple[int, ...]:

@@ -421,13 +421,14 @@ def _fan(walls: Sequence[Wall], series_order: int | None) -> list:
 
 def _cross_fan(fan: list, ccw: bool, d: int, series_order: int) -> tuple[list[list[dict]], int]:
     """Images of the generators z^{e_i} after crossing the rays of a
-    `_ray_atoms` fan in order, each ray factor by factor: packed slices by
-    coefficient degree per generator, and their slot bound."""
-    images, bound = _generator_slices(2, d, series_order), 1
+    `_ray_atoms` fan in order, each ray factor by factor, the factors sharing
+    one binomial memo: packed slices by coefficient degree per generator, and
+    their slot bound."""
+    images, bound, binomials = _generator_slices(2, d, series_order), 1, {}
     for ray, acting, atoms in fan:
         eps = _crossing_eps(ray, acting, ccw)
         for atom in atoms:
-            factor = _Factor(acting, eps, atom, (2, d), series_order)
+            factor = _Factor(acting, eps, atom, d, series_order, binomials)
             bound = max(bound, factor.bound)
             for slices in images:
                 _cross_in_place(slices, factor)
@@ -567,7 +568,7 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
             if w.ray in outgoing:
                 raise ValueError("diagram has two outgoing walls on one ray; merge them first")
             outgoing[w.ray] = w
-    fan = _OnlineFan(2, d, ord_ + 1)
+    fan = _OnlineFan(d, ord_ + 1)
     keys: list = []  # angle keys of the rays of the fan's factors, in fan order
     for ray, acting, atoms in _ray_atoms(walls):
         for atom in atoms:
@@ -595,7 +596,7 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
             fan.insert(pos, acting, eps, atom)
             keys.insert(pos, key)
             new.setdefault(ray, (n0, acting, []))[2].append(atom)
-        if any(fan.defect()):
+        if not fan.closed():
             raise InvariantViolation(
                 f"stage invariant violated: completion stage {degree} left degree-{degree} terms "
                 "in the loop after adding its walls"

@@ -308,7 +308,7 @@ def test_online_fan_matches_one_shot_crossing(data, order, completed):
     so = order + 1
     walls = D.fresh_walls
     d = sum(D.seed.coeff_orders)
-    online = _OnlineFan(2, d, so)
+    online = _OnlineFan(d, so)
     for ray, acting, atoms in _ray_atoms(walls):
         for atom in atoms:
             online.insert(len(online.positions), acting, _crossing_eps(ray, acting, True), atom)
@@ -354,6 +354,36 @@ def test_factor_crossing_matches_expanded_crossing(data, order, word, drop):
     assert (got == closed) is not drop
 
 
+def test_factor_crossing_matches_expanded_crossing_on_every_datum():
+    """The loop of each of the 37 valid rank-2 completions, at order 4 (3
+    where b12 b21 <= -9), closed and with its last outgoing wall dropped."""
+    cases = 0
+    for data in RANK2:
+        order = 3 if data.B[0][1] * data.B[1][0] <= -9 else 4
+        D = complete_rank2(build_initial(group_seed(data), order))
+        walls = list(D.fresh_walls)
+        dropped = walls[:]
+        dropped.remove([w for w in walls if not w.incoming][-1])
+        d, so = sum(D.seed.coeff_orders), order + 1
+        for ws in (walls, dropped):
+            assert one_shot_images(_ray_atoms(ws), True, d, so) == reference_cross_fan(_fan(ws, so), True, d, so), data
+            cases += 1
+    assert cases == 74
+
+
+def test_binomial_memo_lives_one_computation():
+    """Each completion and each loop builds its rows C(e, q) for q below its
+    own order: after a computation at order 3, one at order 9 of the same
+    datum still matches the staged completion and the expanded crossing."""
+    s = group_seed(KRON)
+    for order in (3, 9):
+        D = build_initial(s, order)
+        C = complete_rank2(D)
+        assert diagram_to_json(C) == diagram_to_json(reference_complete_rank2(D))
+        walls, d, so = C.fresh_walls, sum(C.seed.coeff_orders), order + 1
+        assert one_shot_images(_ray_atoms(walls), True, d, so) == reference_cross_fan(_fan(walls, so), True, d, so)
+
+
 @pytest.mark.parametrize("data, order", CROSSINGS, ids=CROSSING_IDS)
 def test_clockwise_partial_path_matches_expanded_crossing(data, order):
     D = complete_rank2(build_initial(group_seed(data), order))
@@ -373,17 +403,27 @@ def test_clockwise_partial_path_matches_expanded_crossing(data, order):
 def test_factor_of_degree_below_one_is_rejected():
     for t in ((0, 0), (1, -2)):
         with pytest.raises(ValueError, match="constant term exactly 1"):
-            _Factor((0, 1), 1, (t, (1, 0), 1), (2, 2), 4)
-        fan = _OnlineFan(2, 2, 4)
+            _Factor((0, 1), 1, (t, (1, 0), 1), 2, 4, {})
+        fan = _OnlineFan(2, 4)
         fan.insert(0, (0, 1), 1, ((1, 0), (1, 0), 1))
         with pytest.raises(ValueError, match="constant term exactly 1"):
             fan.insert(1, (0, 1), 1, (t, (1, 0), 1))
         assert len(fan.positions) == 1
 
 
+def test_factor_of_rank_other_than_two_is_rejected():
+    """The level of a term is read off two m-slots: no other rank may reach it."""
+    with pytest.raises(ValueError, match="rank-2 images only, not rank 3"):
+        _Factor((0, 0, 1), 1, ((1, 0), (1, 0, 0), 1), 2, 4, {})
+    fan = _OnlineFan(2, 4)
+    with pytest.raises(ValueError, match="rank-2 images only, not rank 3"):
+        fan.insert(0, (0, 0, 1), 1, ((1, 0), (1, 0, 0), 1))
+    assert fan.positions == []
+
+
 def test_factor_below_the_stage_is_rejected():
     """Slices below the stage are final: a factor of lower degree would change them."""
-    fan = _OnlineFan(2, 2, 4)
+    fan = _OnlineFan(2, 4)
     fan.step()
     fan.step()
     with pytest.raises(ValueError, match="wall factor of coefficient degree 1 at stage 2"):
@@ -393,7 +433,7 @@ def test_factor_below_the_stage_is_rejected():
 
 def test_factor_off_the_wall_is_rejected():
     with pytest.raises(ValueError, match="not tangent"):
-        _OnlineFan(2, 2, 4).insert(0, (0, 1), 1, ((1, 0), (1, 1), 1))
+        _OnlineFan(2, 4).insert(0, (0, 1), 1, ((1, 0), (1, 1), 1))
 
 
 def test_factor_guards_the_slots_before_any_key_forms():
@@ -401,13 +441,13 @@ def test_factor_guards_the_slots_before_any_key_forms():
     at order 4 a slot of 715827882 fits (1 + 3 * 715827882 = 2^31 - 1), one
     more does not, and the fan is left as it was."""
     fits = (2**31 - 2) // 3
-    factor = _Factor((0, 1), 1, ((1, 0), (fits, 0), 1), (2, 2), 4)
+    factor = _Factor((0, 1), 1, ((1, 0), (fits, 0), 1), 2, 4, {})
     assert factor.bound == 2**31 - 1
     slices = _generator_slices(2, 2, 4)[1]
     _cross_in_place(slices, factor)
     image = LaurentSeries._make({k: c for sl in slices for k, c in sl.items()}, 4, (2, 2), factor.bound)
     assert image == LaurentSeries({((0, 1), (0, 0)): 1, ((fits, 1), (1, 0)): 1}, 4)
-    fan, alone = _OnlineFan(2, 2, 4), _OnlineFan(2, 2, 4)
+    fan, alone = _OnlineFan(2, 4), _OnlineFan(2, 4)
     for f in (fan, alone):
         f.insert(0, (0, 1), 1, ((1, 0), (fits, 0), 1))
     with pytest.raises(OverflowError):

@@ -599,6 +599,21 @@ def test_theta_structure_constants_are_nonnegative_integers():
     assert products == 37 * 325
 
 
+@pytest.mark.parametrize("data", [B2, KRON], ids=["b2", "kron"])
+def test_theta_structure_constants_on_a_wider_box(data):
+    """The same positivity on the B2 and Kronecker fixture seeds completed at
+    order 4, with |a|, |b| <= 3: a box wide enough to see the Kronecker wall
+    on the ray (1,-2)."""
+    D = complete_rank2(build_initial(group_seed(data), 4))
+    box = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+    products = 0
+    for p, q, constants in theta_products(D, box, 4):
+        assert all(type(c) is int and c > 0 for c in constants.values()), (p, q, constants)
+        assert constants[tuple(map(sum, zip(p, q))), (0,) * sum(D.seed.coeff_orders)] == 1
+        products += 1
+    assert products == 1225
+
+
 def test_closed_forms_at_the_imaginary_direction():
     """B = ((0,-2),(2,0)), d = (1,1) and r in {1,2}^2, completed at order 10.
     No cluster chamber holds delta = (1,-1), so ``theta_via_transport`` has no
