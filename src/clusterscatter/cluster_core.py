@@ -348,12 +348,15 @@ def pattern_walk(s0: Seed, word, memo: dict | None = None) -> Seed:
     semifield mode, where mutation is an involution, consecutive equal letters
     cancel before any work is done, so a cancelled pair costs no mutation.
     In group mode every letter is mutated, so the result is always that of
-    ``seed_mutate`` letter by letter.  Every letter is checked first."""
+    ``seed_mutate`` letter by letter.  Every letter is checked first, and a
+    memo filled from another start seed is refused."""
     for k in word:
         _check_direction(k, s0.data.n)
     if memo is None:
         memo = {}
     s = memo.setdefault((), s0)
+    if s != s0:
+        raise ValueError("the memo holds the walk of another start seed")
     word = reduce_word(word) if s0.semifield else tuple(word)
     for i in range(1, len(word) + 1):
         hit = memo.get(word[:i])

@@ -9,11 +9,13 @@ checks consistency of the loop around the origin, completes a rank-2 diagram
 order by order, applies the piecewise-linear mutation transform, and collects
 the walls spanned by cluster chambers.
 
-Support in rank 2 is always a single ray from the origin; the two halves of an
+A wall in rank 2 sits on a single ray from the origin; the two halves of an
 incoming hyperplane are stored as two ray walls carrying the same function.
-Every crossing goes through one fan of rays.  A ray is crossed factor by
-factor over the atoms of its walls, which is crossing it once with the product
-of their functions; so diagrams agree when their merged atoms per ray do.
+A diagram keeps its walls in counterclockwise order of their rays, sorted
+once when it is built.  Every crossing goes through one fan of rays.  A ray
+is crossed factor by factor over the atoms of its walls, which is crossing it
+once with the product of their functions; so diagrams agree when their
+merged atoms per ray do.
 A diagram decides its shape, order and basis once.  Its seed has rank 2 and
 each wall sits on one ray of the plane.  Every operation runs at the
 diagram's order; ``diagram_truncate`` lowers it.  Its frame (basis rows e_i
@@ -68,15 +70,8 @@ class PositivityError(InvariantViolation):
 # -- small integer geometry ---------------------------------------------------
 
 
-def _gcd_vec(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
-
-
 def _primitive(v: Sequence[int]) -> tuple[int, ...]:
-    g = _gcd_vec(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive direction")
     return tuple(x // g for x in v)
@@ -91,27 +86,11 @@ def _sign(x) -> int:
 
 
 def _angle_key(v: Sequence[int]):
-    """Total order on ray directions by angle from the positive x-axis.
-
-    Key is (sector, slope); slope y/x is monotone in the angle inside each
-    open quadrant, and the four axis directions get even sectors of their own.
-    """
+    """Total order on ray directions by angle from the positive x-axis: the
+    half-plane (the upper one with the positive x-axis first), then its axis
+    direction before its open half, where -x/y grows with the angle."""
     x, y = v[0], v[1]
-    if x > 0 and y == 0:
-        return (0, Fraction(0))
-    if x > 0 and y > 0:
-        return (1, Fraction(y, x))
-    if x == 0 and y > 0:
-        return (2, Fraction(0))
-    if x < 0 and y > 0:
-        return (3, Fraction(y, x))
-    if x < 0 and y == 0:
-        return (4, Fraction(0))
-    if x < 0 and y < 0:
-        return (5, Fraction(y, x))
-    if x == 0 and y < 0:
-        return (6, Fraction(0))
-    return (7, Fraction(y, x))
+    return (y < 0 or (y == 0 and x < 0), y != 0, Fraction(-x, y) if y else 0)
 
 
 # -- walls and diagrams -------------------------------------------------------
@@ -153,26 +132,25 @@ def _function(atoms: Sequence[Atom], order: int | None) -> LaurentSeries:
 
 @dataclass(frozen=True)
 class Wall:
-    """One wall: support cone, grading normal, acting normal, factored function.
+    """One wall: support ray, grading normal, acting normal, factored function.
 
-    ``support`` holds exactly one primitive ray of the plane.
+    ``ray`` is the primitive direction of the plane the wall sits on.
     ``normal`` is the primitive grading vector of the function's coefficient
     monomials in the tagged seed's basis; ``acting`` is the primitive integer
     normal used by crossings, orthogonal to the support and to every monomial
     exponent.  ``factors`` holds (t, m, c) for ``(1 + t z^m)^c`` with c > 0.
     """
 
-    support: tuple[tuple[int, ...], ...]
+    ray: tuple[int, int]
     normal: tuple[int, ...]
     acting: tuple[int, ...]
     factors: tuple[Atom, ...]
     incoming: bool = False
 
     def __post_init__(self):
-        support = tuple(_primitive(r) for r in self.support)
-        if len(support) != 1 or len(support[0]) != 2:
-            raise ValueError(f"a wall is supported on exactly one ray of the plane, got {support}")
-        object.__setattr__(self, "support", support)
+        if len(self.ray) != 2 or not all(isinstance(x, int) for x in self.ray):
+            raise ValueError(f"a wall is supported on exactly one ray of the plane, got {self.ray!r}")
+        object.__setattr__(self, "ray", _primitive(self.ray))
         object.__setattr__(self, "normal", tuple(int(x) for x in self.normal))
         object.__setattr__(self, "acting", tuple(int(x) for x in self.acting))
         object.__setattr__(self, "factors", _combine_atoms(self.factors))
@@ -185,10 +163,6 @@ class Wall:
         for _, m, _ in self.factors:
             if sum(a * b for a, b in zip(self.acting, m)):
                 raise InvariantViolation(f"wall monomial {m} not tangent to the wall")
-
-    @property
-    def ray(self) -> tuple[int, ...]:
-        return self.support[0]
 
     def function(self, order: int | None = None) -> LaurentSeries:
         """Expanded wall function at the given truncation order."""
@@ -204,6 +178,8 @@ class Wall:
 class ScatteringDiagram:
     """A finite set of walls known modulo coefficient degree > order, over
     the rank-2 group-mode seed whose frame and coefficient basis grade them.
+    The walls are stored in counterclockwise order of their rays
+    (``_sort_walls``), whatever order they are given in.
 
     ``frame``, ``fresh_walls`` and ``_search`` (the broken-line search
     context of ``theta`` by order) are built on first use and kept.  They are
@@ -216,7 +192,7 @@ class ScatteringDiagram:
     _search: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "walls", tuple(self.walls))
+        object.__setattr__(self, "walls", _sort_walls(self.walls))
         if self.order < 1:
             raise ValueError("diagram order must be at least 1")
         if self.order + 1 > _LIMIT:
@@ -373,17 +349,19 @@ def build_initial(s: Seed, order: int) -> ScatteringDiagram:
         if frame.E[i] != e_i:
             raise InvariantViolation("basis row is not primitive")
         walls += _hyperplane(e_i, tuple((p, frame.W[i], 1) for p in s.coeffs[i]))
-    return ScatteringDiagram(_sort_walls(walls), order, s)
+    return ScatteringDiagram(walls, order, s)
 
 
 def _hyperplane(e: tuple[int, ...], atoms) -> list[Wall]:
     """The incoming hyperplane with primitive normal e, as its two opposite rays."""
     ray = _primitive((-e[1], e[0]))
-    return [Wall((r,), e, e, atoms, incoming=True) for r in (ray, tuple(-x for x in ray))]
+    return [Wall(r, e, e, atoms, incoming=True) for r in (ray, tuple(-x for x in ray))]
 
 
 def _sort_walls(walls: Iterable[Wall]) -> tuple[Wall, ...]:
-    return tuple(sorted(walls, key=lambda w: (_angle_key(w.ray), not w.incoming, w.factors)))
+    """Counterclockwise by ray, incoming walls first on a ray; the remaining
+    fields break ties, so the order does not depend on the input's."""
+    return tuple(sorted(walls, key=lambda w: (_angle_key(w.ray), not w.incoming, w.factors, w.acting, w.normal)))
 
 
 # -- crossings ----------------------------------------------------------------
@@ -437,17 +415,19 @@ def _cross_fan(fan: list, ccw: bool, d: int, series_order: int) -> tuple[list[li
 
 def _turn(v: Sequence[int], start: Sequence[int], ccw: bool):
     """Sort key of direction v by the angle turned from ``start`` in the
-    direction of travel; ``start`` itself sorts last, as a full turn."""
+    direction of travel; ``start`` itself sorts first, as no turn."""
     k, s = _angle_key(v), _angle_key(start)
     if not ccw:
-        k, s = (-k[0], -k[1]), (-s[0], -s[1])
-    return (k <= s, k)
+        k, s = tuple(-x for x in k), tuple(-x for x in s)
+    return (k < s, k)
 
 
 def path_ordered_product(D: ScatteringDiagram, path: PathSpec) -> tuple[LaurentSeries, LaurentSeries]:
     """Compose the crossings met along the angular path, first crossed first,
     modulo coefficient degree above the diagram's order: the images of z^{e_1}
-    and z^{e_2}.  Crossings fix the coefficient generators.
+    and z^{e_2}.  Crossings fix the coefficient generators.  A loop crosses
+    every ray; any other path crosses the rays strictly between its ends, so
+    none when its end points the way its start does.
 
     Coefficient exponents in the result are taken in the seed's own basis.
     """
@@ -460,7 +440,7 @@ def path_ordered_product(D: ScatteringDiagram, path: PathSpec) -> tuple[LaurentS
         raise ValueError("path endpoint lies on a wall")
     turn = lambda r: _turn(r[0], path.start, path.ccw)
     stop = _turn(end, path.start, path.ccw)
-    fan = sorted((r for r in _ray_atoms(walls) if turn(r) < stop), key=turn)
+    fan = sorted((r for r in _ray_atoms(walls) if path.loop or turn(r) < stop), key=turn)
     d = sum(D.seed.coeff_orders)
     images, bound = _cross_fan(fan, path.ccw, d, series_order)
     return tuple(
@@ -470,12 +450,6 @@ def path_ordered_product(D: ScatteringDiagram, path: PathSpec) -> tuple[LaurentS
 
 
 # -- consistency and completion ----------------------------------------------
-
-
-def _old_walls(walls: Sequence[Wall], frame: SeedFrame) -> list[Wall]:
-    if frame.is_identity:
-        return list(walls)
-    return [w.map_factors(lambda a: (frame.to_old(a[0]), a[1], a[2])) for w in walls]
 
 
 def _defect_derivation(
@@ -556,12 +530,13 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
     to m, and the exponent must come out a positive integer.  A degree-k
     factor, inserted after the factors already on its ray, changes the loop
     at degree k by its first-order term alone; after that, the degree-k
-    slices of the loop must vanish.  Each new wall is built once, after the
-    last stage, and ``check_consistency`` on the result closes.  Idempotent
-    on consistent input.
+    slices of the loop must vanish.  Each new atom is mapped to the initial
+    coefficient basis once, each new wall is built once, after the last
+    stage, and ``check_consistency`` on the result closes.  Idempotent on
+    consistent input.
     """
     ord_, frame, d = D.order, D.frame, sum(D.seed.coeff_orders)
-    walls = list(D.fresh_walls)
+    walls = list(D.walls)
     outgoing: dict[tuple[int, ...], Wall] = {}
     for w in walls:
         if not w.incoming:
@@ -570,11 +545,11 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
             outgoing[w.ray] = w
     fan = _OnlineFan(d, ord_ + 1)
     keys: list = []  # angle keys of the rays of the fan's factors, in fan order
-    for ray, acting, atoms in _ray_atoms(walls):
+    for ray, acting, atoms in _ray_atoms(D.fresh_walls):
         for atom in atoms:
             fan.insert(len(keys), acting, _crossing_eps(ray, acting, True), atom)
             keys.append(_angle_key(ray))
-    new: dict[tuple[int, ...], tuple] = {}  # ray -> (grading normal, acting normal, atoms)
+    new: dict[tuple[int, ...], tuple] = {}  # ray -> (grading normal, acting normal, initial-basis atoms)
     for degree in range(1, ord_ + 1):
         fan.step()
         terms = _defect_terms(frame, fan.defect())
@@ -595,7 +570,7 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
             pos = bisect_right(keys, key)
             fan.insert(pos, acting, eps, atom)
             keys.insert(pos, key)
-            new.setdefault(ray, (n0, acting, []))[2].append(atom)
+            new.setdefault(ray, (n0, acting, []))[2].append((frame.to_old(e.t), e.m, int(c)))
         if not fan.closed():
             raise InvariantViolation(
                 f"stage invariant violated: completion stage {degree} left degree-{degree} terms "
@@ -605,11 +580,10 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
     for ray, (n0, acting, atoms) in new.items():
         old = outgoing.get(ray)
         if old is None:
-            walls.append(Wall((ray,), n0, acting, tuple(atoms), incoming=False))
+            walls.append(Wall(ray, n0, acting, tuple(atoms), incoming=False))
         else:
-            merged = Wall(old.support, old.normal, old.acting, old.factors + tuple(atoms), old.incoming)
-            walls[walls.index(old)] = merged
-    out = ScatteringDiagram(_sort_walls(_old_walls(walls, frame)), ord_, D.seed)
+            walls[walls.index(old)] = replace(old, factors=old.factors + tuple(atoms))
+    out = ScatteringDiagram(walls, ord_, D.seed)
     report = check_consistency(out)
     if not report.consistent:
         raise InvariantViolation(
@@ -670,12 +644,12 @@ def tk_transform(D: ScatteringDiagram, k: int) -> ScatteringDiagram:
         pair_w = sum(x * y for x, y in zip(w_k, w.acting))
         acting2 = tuple(x - r_k * pair_w * y for x, y in zip(w.acting, e_k))
         normal2 = _regrade_normal(frame2, atoms2)
-        new_walls.append(Wall((ray2,), normal2, _primitive(acting2), tuple(atoms2), w.incoming))
+        new_walls.append(Wall(ray2, normal2, _primitive(acting2), tuple(atoms2), w.incoming))
     inv_atoms = tuple(
         (tuple(-x for x in p), tuple(-x for x in w_k), 1) for p in s.coeffs[a]
     )
     new_walls += _hyperplane(_primitive(frame2.E[a]), inv_atoms)
-    return ScatteringDiagram(_sort_walls(new_walls), D.order, s2)
+    return ScatteringDiagram(new_walls, D.order, s2)
 
 
 def tk_invariance_check(
@@ -737,12 +711,12 @@ def cluster_chamber_walls(s: Seed, depth: int) -> tuple[Wall, ...]:
     if s.data.n != 2:
         raise ValueError("cluster_chamber_walls is defined for rank-2 seeds only")
     lam = coeff_map(s)
-    found: dict[tuple[tuple[int, ...], ...], Wall] = {}
+    found: dict[tuple[int, ...], Wall] = {}
     for _, sd, G in _chamber_walk(s.data, depth):
         for i in (1, 2):
             eps = G.epsilon(i)
             m = tuple(eps * x for x in G.w(i))
-            support = (G.g[2 - i],)
+            ray = G.g[2 - i]
             atoms = tuple((lam(tuple(eps * x for x in p)), m, 1) for p in sd.coeffs[i - 1])
             acting = tuple(eps * x for x in G.gstar[i - 1])
             alphas = {
@@ -751,12 +725,12 @@ def cluster_chamber_walls(s: Seed, depth: int) -> tuple[Wall, ...]:
             }
             if len(alphas) != 1:
                 raise InvariantViolation("facet coefficients have mixed gradings")
-            wall = Wall(support, _primitive(next(iter(alphas))), acting, atoms, incoming=False)
-            old = found.get(support)
+            wall = Wall(ray, _primitive(next(iter(alphas))), acting, atoms, incoming=False)
+            old = found.get(ray)
             if old is None:
-                found[support] = wall
+                found[ray] = wall
             elif old.factors != wall.factors or _cross(old.acting, wall.acting):
-                raise InvariantViolation(f"facet {support} reached twice with different walls")
+                raise InvariantViolation(f"facet {ray} reached twice with different walls")
     return _sort_walls(found.values())
 
 
@@ -825,8 +799,8 @@ def diagram_truncate(D: ScatteringDiagram, order: int) -> ScatteringDiagram:
     for w in D.walls:
         kept = tuple(a for a in w.factors if degree(a[0]) <= order)
         if kept:
-            walls.append(Wall(w.support, w.normal, w.acting, kept, w.incoming))
-    return ScatteringDiagram(_sort_walls(walls), order, D.seed)
+            walls.append(replace(w, factors=kept))
+    return ScatteringDiagram(walls, order, D.seed)
 
 
 # -- serialization and rendering ----------------------------------------------
@@ -837,7 +811,7 @@ def diagram_to_json(D: ScatteringDiagram) -> dict:
     for w in D.walls:
         walls.append(
             {
-                "support": {"rays": [list(r) for r in w.support]},
+                "support": {"rays": [list(w.ray)]},
                 "normal": list(w.normal),
                 "acting_normal": [str(x) for x in w.acting],
                 "factors": [{"t": list(t), "m": list(m), "c": c} for t, m, c in w.factors],
@@ -879,7 +853,7 @@ def render_svg(D: ScatteringDiagram) -> str:
         '<rect width="1000" height="1000" fill="white"/>',
         f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="3" fill="black"/>',
     ]
-    for w in _sort_walls(D.walls):
+    for w in D.walls:
         x, y = w.ray
         norm = hypot(x, y)
         ux, uy = x / norm, y / norm

@@ -228,6 +228,17 @@ class TestChart:
         s = pattern_walk(s0, (1, 2, 1), memo)
         assert seeds_equal(pattern_walk(s0, (1, 2, 2, 2, 1, 1, 1), memo), s, strict=True)
 
+    def test_memo_of_another_start_seed_is_refused(self):
+        """The memo is keyed by word alone, so it holds for one start seed:
+        reusing it with that seed hits it, with another seed raises."""
+        b2, kron = initial_seed(B2), initial_seed(KRON)
+        memo = {}
+        s = pattern_walk(b2, (1, 2), memo)
+        assert pattern_walk(initial_seed(B2), (1, 2), memo) is s
+        for word in ((), (1, 2)):
+            with pytest.raises(ValueError, match="another start seed"):
+                pattern_walk(kron, word, memo)
+
     def test_cancelled_pair_costs_no_mutation(self):
         s0 = initial_seed(B2)
         memo = {}

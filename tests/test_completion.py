@@ -43,10 +43,8 @@ from clusterscatter.scattering import (
     _defect_derivation,
     _defect_terms,
     _fan,
-    _old_walls,
     _primitive,
     _ray_atoms,
-    _sort_walls,
     _turn,
     build_initial,
     complete_rank2,
@@ -116,18 +114,20 @@ def reference_complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
             atom = (e.t, e.m, int(c))
             old = outgoing.get(ray)
             if old is None:
-                new = Wall((ray,), n0, acting, (atom,), incoming=False)
+                new = Wall(ray, n0, acting, (atom,), incoming=False)
             else:
                 if _cross(old.acting, acting) != 0:
                     raise InvariantViolation("existing wall on the ray has a different normal direction")
-                new = Wall(old.support, old.normal, old.acting, old.factors + (atom,), old.incoming)
+                new = Wall(old.ray, old.normal, old.acting, old.factors + (atom,), old.incoming)
                 walls.remove(old)
             outgoing[ray] = new
             walls.append(new)
     first, _ = log_defect_derivation(walls, frame, d, ord_ + 1)
     if first is not None:
         raise InvariantViolation(f"completion finished but the loop still fails at degree {first}")
-    return ScatteringDiagram(_sort_walls(_old_walls(walls, frame)), ord_, D.seed)
+    # the walls were built in the seed's own coefficient basis; the diagram holds the initial one
+    to_old = lambda a: (frame.to_old(a[0]), a[1], a[2])
+    return ScatteringDiagram([w.map_factors(to_old) for w in walls], ord_, D.seed)
 
 
 def outcome(fn, *args):

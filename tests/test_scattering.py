@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -47,6 +48,7 @@ from clusterscatter.scattering import (
     _angle_key,
     _grading_data,
     _primitive,
+    _turn,
     seed_frame,
 )
 from clusterscatter.semifield import block_range
@@ -107,7 +109,7 @@ def off_rays(D, *directions):
 class TestWall:
     def test_combines_repeated_factors(self):
         w = Wall(
-            ((0, 1),),
+            (0, 1),
             (1, 0),
             (1, 0),
             (((1, 0), (0, 1), 1), ((1, 0), (0, 1), 1)),
@@ -117,29 +119,29 @@ class TestWall:
 
     def test_rejects_non_tangent_monomial(self):
         with pytest.raises(InvariantViolation):
-            Wall(((0, 1),), (1, 0), (1, 0), (((1, 0), (1, 0), 1),))
+            Wall((0, 1), (1, 0), (1, 0), (((1, 0), (1, 0), 1),))
 
     def test_rejects_ray_off_the_wall(self):
         with pytest.raises(InvariantViolation):
-            Wall(((1, 1),), (1, 0), (1, 0), (((1, 0), (0, 1), 1),))
+            Wall((1, 1), (1, 0), (1, 0), (((1, 0), (0, 1), 1),))
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(PositivityError):
-            Wall(((0, 1),), (1, 0), (1, 0), (((1, 0), (0, 1), -1),))
+            Wall((0, 1), (1, 0), (1, 0), (((1, 0), (0, 1), -1),))
 
     @pytest.mark.parametrize(
-        "support", [((0, 1), (0, -1)), ((0, 1, 0),), ()], ids=["two-rays", "space-ray", "no-ray"]
+        "support", [((0, 1), (0, -1)), (0, 1, 0), ()], ids=["two-rays", "space-ray", "no-ray"]
     )
     def test_rejects_a_support_that_is_not_one_plane_ray(self, support):
         with pytest.raises(ValueError, match="exactly one ray of the plane"):
             Wall(support, (1, 0), (1, 0), (((1, 0), (0, 1), 1),))
 
     def test_support_primitivized(self):
-        w = Wall(((0, 3),), (1, 0), (1, 0), (((1, 0), (0, 1), 1),))
-        assert w.support == ((0, 1),)
+        w = Wall((0, 3), (1, 0), (1, 0), (((1, 0), (0, 1), 1),))
+        assert w.ray == (0, 1)
 
     def test_function_expansion(self):
-        w = Wall(((0, 1),), (1, 0), (1, 0), (((1, 0), (0, 2), 2),))
+        w = Wall((0, 1), (1, 0), (1, 0), (((1, 0), (0, 2), 2),))
         f = w.function(7)
         terms = {(e.m, e.t): c for e, c in f.terms.items()}
         assert terms[((0, 0), (0, 0))] == 1
@@ -162,6 +164,21 @@ class TestAngleOrder:
             assert (_angle_key(u) < _angle_key(v)) == (ang(u) < ang(v))
         else:
             assert _angle_key(u) == _angle_key(v)
+
+    @given(DIRECTION, DIRECTION, DIRECTION, st.booleans())
+    @settings(max_examples=300)
+    def test_turn_matches_atan2(self, start, u, v, ccw):
+        """The angle turned from ``start`` in the direction of travel, the
+        start's own direction first (a turn of 0, not of 2 pi)."""
+
+        def turned(w):
+            a = turn(start, w) if ccw else turn(w, start)
+            return 0.0 if a > 2 * math.pi - 1e-12 else a
+
+        if abs(turned(u) - turned(v)) > 1e-12:
+            assert (_turn(u, start, ccw) < _turn(v, start, ccw)) == (turned(u) < turned(v))
+        else:
+            assert _turn(u, start, ccw) == _turn(v, start, ccw)
 
 
 # -- frames: the g-frame step against the plus-signed replay ------------------
@@ -411,6 +428,18 @@ class TestPathOrderedProduct:
         assert bc.compose(ab).eq_mod_order(ac)
         cb = path_ordered_product(D, PathSpec(c, b, ccw=False))
         assert cb.compose(ac).eq_mod_order(ab)
+
+    @pytest.mark.parametrize("ccw", [True, False], ids=["ccw", "cw"])
+    def test_path_that_ends_in_its_start_direction_crosses_nothing(self, ccw):
+        """Only a loop turns all the way round: a path that ends the way it
+        starts, at the start or at twice it, crosses no ray."""
+        bare = build_initial(group_seed(B2), 4)
+        for D in (bare, complete_rank2(bare)):
+            for a in ((3, -1), (-1, 2), (5, 1)):
+                for end in (a, (2 * a[0], 2 * a[1])):
+                    assert path_ordered_product(D, PathSpec(a, end, ccw=ccw)).is_identity(), (D is bare, a, end)
+            loop = PathSpec((3, -1), (3, -1), ccw=ccw, loop=True)
+            assert path_ordered_product(D, loop).is_identity() is (D is not bare)
 
     def test_endpoint_on_wall_rejected(self, b2_completed):
         with pytest.raises(ValueError):
@@ -666,7 +695,7 @@ class TestEquivalence:
         for w in b2_completed.walls:
             if w.ray == (1, -1) and not w.incoming:
                 for a in w.factors:
-                    walls.append(Wall(w.support, w.normal, w.acting, (a,), False))
+                    walls.append(Wall(w.ray, w.normal, w.acting, (a,), False))
             else:
                 walls.append(w)
         split = ScatteringDiagram(tuple(walls), 6, s)
@@ -690,19 +719,27 @@ class TestEquivalence:
         assert not diagrams_equivalent(b2_deep, bare) and not diagrams_equivalent(bare, b2_deep)
 
 
-def crossing_comparison(D1, D2, order):
-    """Equal path-ordered products from one fixed start to a direction in
-    every gap between the rays of both diagrams."""
-    rays = sorted({w.ray for w in D1.walls + D2.walls}, key=angle)
+def gap_directions(walls):
+    """A direction inside each gap between the rays of the walls, in
+    counterclockwise order."""
+    rays = sorted({w.ray for w in walls}, key=angle)
     gaps = []
     for r, q in zip(rays, rays[1:] + rays[:1]):
         inside = r[0] * q[1] - r[1] * q[0] > 0
         gaps.append((r[0] + q[0], r[1] + q[1]) if inside else (-r[1], r[0]))
+    return gaps
+
+
+def crossing_comparison(D1, D2, order):
+    """Equal path-ordered products from one fixed start to a direction in
+    every gap between the rays of both diagrams; the last gap is the start's
+    own, reached by the full loop so that every ray is compared."""
+    gaps = gap_directions(D1.walls + D2.walls)
     start = gaps[-1]
     D1, D2 = diagram_truncate(D1, order), diagram_truncate(D2, order)
     for end in gaps:
-        P1 = path_ordered_product(D1, PathSpec(start, end))
-        P2 = path_ordered_product(D2, PathSpec(start, end))
+        path = PathSpec(start, end, loop=end == start)
+        P1, P2 = path_ordered_product(D1, path), path_ordered_product(D2, path)
         if not P1.eq_mod_order(P2):
             return False
     return True
@@ -779,6 +816,27 @@ class TestTruncate:
             diagram_truncate(b2_completed, 8)
 
 
+# -- wall order -----------------------------------------------------------------
+
+
+class TestWallOrder:
+    def test_diagram_sorts_its_walls_when_built(self, b2_completed, kron_completed):
+        """Walls given in any order make the same diagram, JSON and picture.
+        Two walls that differ in their acting normal alone still sort one way."""
+        w = next(w for w in b2_completed.walls if not w.incoming)
+        tied = replace(b2_completed, walls=b2_completed.walls + (replace(w, acting=tuple(-x for x in w.acting)),))
+        bases = [b2_completed, kron_completed, tk_transform(b2_completed, 1), tk_transform(kron_completed, 2), tied]
+        for D in bases:
+            keys = [_angle_key(w.ray) for w in D.walls]
+            assert keys == sorted(keys)
+            orders = [D.walls[::-1]] + [random.Random(seed).sample(D.walls, len(D.walls)) for seed in range(5)]
+            for walls in orders:
+                E = ScatteringDiagram(walls, D.order, D.seed)
+                assert E == D and E.walls == D.walls
+                assert json.dumps(diagram_to_json(E)) == json.dumps(diagram_to_json(D))
+                assert render_svg(E) == render_svg(D)
+
+
 # -- serialization ------------------------------------------------------------
 
 
@@ -788,7 +846,7 @@ class TestSerialization:
         back = json.loads(json.dumps(blob))
         walls = tuple(
             Wall(
-                tuple(tuple(r) for r in e["support"]["rays"]),
+                tuple(e["support"]["rays"][0]),
                 tuple(e["normal"]),
                 tuple(int(x) for x in e["acting_normal"]),
                 tuple((tuple(f["t"]), tuple(f["m"]), f["c"]) for f in e["factors"]),

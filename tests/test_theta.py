@@ -22,6 +22,7 @@ from clusterscatter.cluster_core import (
 )
 from clusterscatter.monoid_ring import Exponent, LaurentSeries, series_to_str
 from clusterscatter.scattering import (
+    PathSpec,
     ScatteringDiagram,
     _cross,
     _fan,
@@ -47,8 +48,9 @@ from clusterscatter.theta import (
     theta,
     theta_via_transport,
 )
+from oracles import eq_mod_order, path_ordered_product
 from test_bench_digests import _load
-from test_scattering import RANK2
+from test_scattering import RANK2, gap_directions
 
 B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
 KRON = FixedData(((0, -2), (2, 0)), (1, 1), (2, 2))
@@ -559,6 +561,30 @@ def test_theta_matches_transport_on_valid_rank2_data():
             x = theta_via_transport(D, g)
             assert x.den.is_one(), (data, g)
             assert theta(D, g, 4) == x.num.truncate(4), (data, g)
+
+
+@pytest.mark.parametrize("data", [B2, KRON], ids=["b2", "kron"])
+def test_theta_moves_between_endpoints_by_the_path_ordered_product(data):
+    """Consistency of broken lines (Carl-Pumperla-Siebert; GHKK section 3):
+    moving the endpoint from Q to Q' along either arc of a consistent
+    diagram, completed at order 4, carries theta at Q to theta at Q' by the
+    path-ordered product of the arc, for every p0 with |a|, |b| <= 2.  Q
+    lies in one gap of the fan and Q' in each other; each sits just off the
+    gap's integer direction, which the path runs between."""
+    D = complete_rank2(build_initial(group_seed(data), 4))
+    start, *others = gap_directions(D.walls)
+    point = lambda g: (g[0] + Fraction(1, 1009), g[1] + Fraction(1, 1013))
+    box = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b]
+    checks = 0
+    for p0 in box:
+        at_start = theta(D, p0, 4, Q=point(start))
+        for end in others:
+            at_end = theta(D, p0, 4, Q=point(end))
+            for ccw in (True, False):
+                P = path_ordered_product(D, PathSpec(start, end, ccw))
+                assert eq_mod_order(P.apply(at_start), at_end, 4), (p0, end, ccw)
+                checks += 1
+    assert checks == {B2: 240, KRON: 288}[data]
 
 
 def theta_products(D, box, order):
