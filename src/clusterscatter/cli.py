@@ -11,6 +11,7 @@ deterministic byte for byte.
 """
 
 import json
+import os
 from pathlib import Path
 
 import click
@@ -47,6 +48,25 @@ SEED_OPT = dict(
     callback=_seed_path,
     help=f"Seed JSON file, or a shipped fixture ({', '.join(fixtures.FILES[:2])}).",
 )
+
+
+def _output_path(ctx, param, value):
+    """An output path, checked before the command computes anything, so that
+    one it cannot write exits 2 with nothing printed and no file written.
+    ``click.Path(dir_okay=False)`` has already refused an existing directory."""
+    if value is None:
+        return None
+    parent = Path(value).parent
+    if not value:
+        reason = "empty path"
+    elif not (parent.is_dir() and os.access(parent, os.W_OK)):
+        reason = f"{parent} is not a writable directory"
+    else:
+        return value
+    raise click.UsageError(f"cannot write {value}: {reason}")
+
+
+OUT_OPT = dict(type=click.Path(dir_okay=False), callback=_output_path)
 
 
 def _dumps(obj) -> str:
@@ -136,18 +156,8 @@ def mutate(seed_path, word):
 @cli.command()
 @click.option("--seed", "seed_path", **SEED_OPT)
 @click.option("--order", default=6, show_default=True)
-@click.option(
-    "--json",
-    "json_path",
-    type=click.Path(dir_okay=False),
-    help="Write the diagram as JSON here.",
-)
-@click.option(
-    "--svg",
-    "svg_path",
-    type=click.Path(dir_okay=False),
-    help="Write a picture here.",
-)
+@click.option("--json", "json_path", **OUT_OPT, help="Write the diagram as JSON here.")
+@click.option("--svg", "svg_path", **OUT_OPT, help="Write a picture here.")
 def scatter(seed_path, order, json_path, svg_path):
     """Complete the seed's diagram to --order and list its walls."""
     D = _completed(seed_path, order)
@@ -198,12 +208,7 @@ def scatter_check(ctx, seed_path, order, completed):
 @click.option("--seed", "seed_path", **SEED_OPT)
 @click.option("--k", required=True, type=int, help="Mutation direction.")
 @click.option("--order", default=4, show_default=True)
-@click.option(
-    "--json",
-    "json_path",
-    type=click.Path(dir_okay=False),
-    help="Write the transformed diagram as JSON here.",
-)
+@click.option("--json", "json_path", **OUT_OPT, help="Write the transformed diagram as JSON here.")
 @click.pass_context
 def scatter_mutate(ctx, seed_path, k, order, json_path):
     """Trade the direction-k hyperplane across the completed diagram and
@@ -232,12 +237,7 @@ def scatter_mutate(ctx, seed_path, k, order, json_path):
     show_default=True,
     help="Deterministic endpoint draw.",
 )
-@click.option(
-    "--trace",
-    "trace_path",
-    type=click.Path(dir_okay=False),
-    help="Write every broken line here as JSON.",
-)
+@click.option("--trace", "trace_path", **OUT_OPT, help="Write every broken line here as JSON.")
 def theta(seed_path, m_text, order, q_seed, trace_path):
     """Theta function of an exponent over the completed diagram, presented
     at the all-positive chamber: the sum of the final terms of the broken

@@ -27,19 +27,20 @@ Coefficients are exact integers.  Rationals appear transiently inside
 ``series_log``, ``series_pow`` of negative powers and exact division; every
 kernel stores them normalized back to ``int`` whenever the denominator clears,
 so ``series_add`` normalizes only the sums it writes.  Callers that need
-integrality assert it via ``assert_integral``.  Crossings never invert: they
-expand ``(1 + g)^h`` binomially, with integer ``C(h, j)`` for any ``h``.
-Every crossing of the library goes one wall factor ``(1 + t z^m)^c`` at a
-time through one kernel, ``_Factor``, on images held as slices by coefficient
-degree.  Two loops call it: ``_cross_in_place`` crosses a whole image at
-once (the one-shot loop), and ``_OnlineFan`` crosses a fan of factors one
-coefficient degree at a time, so that completion can insert factors between
-degrees without crossing the fan again.  ``wall_cross`` crosses with an
-expanded function and is kept as the kernel's test oracle.
+integrality assert it via ``assert_integral``.  Every crossing of the
+library goes one wall factor ``(1 + t z^m)^c`` at a time through one kernel,
+``_Factor``, on images held as slices by coefficient degree; it never
+inverts, since it expands ``(1 + y)^(c h)`` binomially, with integer
+``C(c h, q)`` for any ``h``.  Two loops call it: ``_cross_in_place`` crosses
+a whole image at once (the one-shot loop), and ``_OnlineFan`` crosses a fan
+of factors one coefficient degree at a time, so that completion can insert
+factors between degrees without crossing the fan again.  ``wall_cross`` is
+the kernel's reference form, kept as its test oracle: it crosses with an
+expanded function level by level, and inverts it for a negative level.
 ``series_exact_div`` pops each leading term from a max-heap of packed keys
 and divides int coefficients with ``divmod``.  ``_by_level`` splits a
 polynomial by the level <n0, m> of its terms, read off the m-slots of the
-packed keys, for the seed layer's pull-back.
+packed keys, for the seed layer's pull-back and for ``wall_cross``.
 """
 
 from __future__ import annotations
@@ -237,9 +238,6 @@ class LaurentSeries:
 
     def is_one(self) -> bool:
         return len(self._packed) == 1 and self._packed.get(0) == 1
-
-    def min_coeff_degree(self) -> int | None:
-        return min(map(_deg, self._packed), default=None)
 
     def degree_slice(self, k: int) -> "LaurentSeries":
         packed = {key: c for key, c in self._packed.items() if _deg(key) == k}
@@ -440,12 +438,11 @@ def series_log(f: LaurentSeries) -> LaurentSeries:
 def wall_cross(x: LaurentSeries, f: LaurentSeries, n0: Sequence, sign: int = 1) -> LaurentSeries:
     """Monomial-wise z^p -> z^p * f^h, h = sign*<n0, m(p)>; t-monomials are fixed.
 
-    ``f = 1 + g`` must have constant term 1, so ``g`` has coefficient degree
-    >= 1 and ``f^h = sum_{j < order} C(h, j) g^j`` exactly, with integer
-    generalized binomials ``C(h, j)`` also for ``h < 0``: nothing is inverted,
-    and each ``g^j`` is formed once per call.  With ``order=None`` the sum ends
-    at ``j = h`` for ``h >= 0``; ``h < 0`` raises ValueError unless ``f == 1``.
-    ``n0`` is the acting normal, a vector of ints.
+    The reference form of the crossing kernel `_Factor`: the terms of x are
+    split by level h, and the part at level h is multiplied by ``f^h``, all
+    below the smaller of the two orders.  ``f`` must have constant term 1; a
+    negative level inverts it, which with ``order=None`` raises ValueError
+    unless ``f == 1``.  ``n0`` is the acting normal, a vector of ints.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -453,53 +450,12 @@ def wall_cross(x: LaurentSeries, f: LaurentSeries, n0: Sequence, sign: int = 1) 
         raise ValueError(f"acting normal {tuple(n0)} must have int entries")
     if not f.constant_slice().is_one():
         raise ValueError("wall function must have constant term exactly 1")
-    nd = _dims(x, f)
+    _dims(x, f)  # rejects an f of other dims even when x is empty
     order = _min_order(x.order, f.order)
-    g = LaurentSeries._make(
-        {k: c for k, c in f._packed.items() if _deg(k) and (order is None or _deg(k) < order)},
-        order, nd, f._bound,
-    )
-    if not x._packed:
-        return LaurentSeries.zero(order)
-    if not g:
-        return x.truncate(order)
-    n, d = nd
-    low = max(g.min_coeff_degree(), 1)
-    lift, shift = _pack([_HALF] * (d + 1)), _SLOT * (d + 1)  # lifts the t and degree slots to [0, 2^32)
-    # ys[j][s]: sum of C(h, j) c z^p over the terms c z^p of x of degree s; with a finite order, j stops
-    # where a j-th power of g times z^p would pass it, with none at h (h < 0 would need an inverse)
-    ys: dict[int, dict[int, dict]] = {}
-    hs: dict[int, int] = {}  # h by the lifted m-slots of a key, shared by every t
-    for k, c in x._packed.items():
-        mk = (k + lift) >> shift
-        h = hs.get(mk)
-        if h is None:
-            h = hs[mk] = sign * sum(map(mul, n0, _unpack(mk, n)))
-        if order is None and h < 0:
-            raise ValueError("inverting a non-monomial series requires a finite truncation order")
-        binom, s = 1, _deg(k)
-        for j in range((order - 1 - s) // low + 1 if order is not None else h + 1):
-            ys.setdefault(j, {}).setdefault(s, {})[k] = binom * c
-            binom = binom * (h - j) // (j + 1)  # exact: C(h, j + 1)
-            if not binom:
-                break
-    terms, bound, power = {}, x._bound, g
-    for y in ys.get(0, {}).values():
-        terms.update(y)
-    for j in range(1, len(ys)):
-        if j > 1:
-            power = series_mul(power, g)
-        if not power:
-            break
-        bound = max(bound, _sum_bound(x, power))
-        powers: dict[int, dict] = {}
-        for k, c in power._packed.items():
-            powers.setdefault(_deg(k), {})[k] = c
-        for dy, y in ys[j].items():
-            for dp, p in powers.items():
-                if order is None or dy + dp < order:
-                    _mul_into(terms, y, p)
-    return LaurentSeries._make(_normalized(terms), order, nd, bound)
+    f, result = f.truncate(order), LaurentSeries.zero(order)
+    for h, part in _by_level(x, [sign * v for v in n0]).items():
+        result = series_add(result, series_mul(part, series_pow(f, h)))
+    return result
 
 
 def _generator_slices(n: int, d: int, order: int) -> list[list[dict]]:
@@ -522,7 +478,8 @@ def _shifted_slices(
 
 def _by_level(x: LaurentSeries, n0: Sequence[int]) -> dict[int, LaurentSeries]:
     """The terms c z^p of x split by level h = <n0, m(p)>: h -> the part of x
-    at level h, with x's order, dims and slot bound."""
+    at level h, with x's order, dims and slot bound.  It serves the seed
+    layer's pull-back and the reference crossing ``wall_cross``."""
     if not x._packed:
         return {}
     n, d = x._nd

@@ -35,6 +35,11 @@ from clusterscatter.semifield import block_range, generator_blocks
 # -- automorphisms ----------------------------------------------------------
 
 
+def min_degree(series: LaurentSeries) -> int | None:
+    """The lowest coefficient degree of a term of ``series``, or None if it is zero."""
+    return min((sum(e.t) for e in series.terms), default=None)
+
+
 def eq_mod_order(a: LaurentSeries, b: LaurentSeries, order: int | None = None) -> bool:
     """a and b agree below the lowest of ``order`` and their own orders."""
     order = _min_order(order, _min_order(a.order, b.order))

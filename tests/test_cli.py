@@ -484,6 +484,31 @@ def test_an_empty_output_path_is_bad_input(runner, b2_path, command):
     assert isinstance(res.exception, SystemExit)  # handled, no traceback
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["scatter", "--order", "3", "--json", ""], "cannot write : empty path"),
+        (["scatter", "--order", "3", "--json", "ok.json", "--svg", "missing/x.svg"],
+         "cannot write missing/x.svg: missing is not a writable directory"),
+        (["theta", "--m", "-1,0", "--order", "3", "--trace", "missing/t.json"],
+         "cannot write missing/t.json: missing is not a writable directory"),
+        (["scatter-mutate", "--k", "2", "--json", "missing/out.json"],
+         "cannot write missing/out.json: missing is not a writable directory"),
+        (["scatter", "--order", "3", "--json", "."], "File '.' is a directory"),
+    ],
+    ids=["scatter-empty-json", "scatter-json-then-bad-svg", "theta-trace", "scatter-mutate-json", "scatter-json-dir"],
+)
+def test_output_paths_are_checked_before_any_work(runner, b2_path, tmp_path, monkeypatch, args, message):
+    """A path the command cannot write exits 2 before it computes: nothing
+    on stdout, and no file written, not even for a good path given first."""
+    monkeypatch.chdir(tmp_path)
+    res = runner.invoke(cli, [args[0], "--seed", b2_path, *args[1:]])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert message in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestVerify:
     @pytest.mark.parametrize(
         "suite",

@@ -54,7 +54,7 @@ from clusterscatter.scattering import (
     tk_invariance_check,
     tk_transform,
 )
-from oracles import path_ordered_product
+from oracles import min_degree, path_ordered_product
 from test_scattering import A2, B2, KRON, RANK2, group_seed
 
 G2 = FixedData(((0, -3), (1, 0)), (1, 3), (1, 3))
@@ -78,7 +78,7 @@ def log_defect_derivation(walls, frame, d, series_order):
     for a in range(2):
         shift = LaurentSeries.monomial(tuple(-x for x in _unit(2, a)), (0,) * d, 1, series_order)
         logs.append(series_log(series_mul(images[a], shift)))
-    degrees = [lg.min_coeff_degree() for lg in logs if lg]
+    degrees = [min_degree(lg) for lg in logs if lg]
     if not degrees:
         return None, None
     first = min(degrees)

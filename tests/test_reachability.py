@@ -43,12 +43,11 @@ _ORACLE = "oracle of diagrams_equivalent in TestEquivalenceOracle, through tests
 ALLOW = {
     "scattering.path_ordered_product": _ORACLE + "; traced by perfbench/tracing.LAYERS",
     "scattering._turn": "serves path_ordered_product, the " + _ORACLE,
-    "monoid_ring.wall_cross": "oracle of the crossing kernel `_Factor` and the two loops over it; traced by perfbench/tracing.LAYERS",
+    "monoid_ring.wall_cross": "reference form of `_Factor`: the oracle of the crossing kernel and the two loops over it; traced by perfbench/tracing.LAYERS",
     "monoid_ring.series_log": (
         "oracle of the defect reader `scattering._defect_derivation` in tests/test_completion.py; "
         "looked up by name by perfbench/tracing.LAYERS (--trace 1) and tests/test_tracer_layers.py"
     ),
-    "monoid_ring.LaurentSeries.min_coeff_degree": "called by wall_cross and by the log oracle of the defect reader",
     "monoid_ring._tight_bound": "the overflow guard: re-derives a slot bound only when the carried one exceeds the slot limit",
     "cli.main": "the console entry point",
 }

@@ -48,7 +48,7 @@ from clusterscatter.theta import (
     theta,
     theta_via_transport,
 )
-from oracles import eq_mod_order, path_ordered_product
+from oracles import eq_mod_order, min_degree, path_ordered_product
 from test_bench_digests import _load
 from test_scattering import RANK2, gap_directions
 
@@ -603,7 +603,7 @@ def theta_products(D, box, order):
         for q in box[i:]:
             rest, constants = th(p) * th(q), {}
             while rest:
-                for e, c in rest.degree_slice(rest.min_coeff_degree()).terms.items():
+                for e, c in rest.degree_slice(min_degree(rest)).terms.items():
                     constants[e.m, e.t] = c
                     rest = rest - LaurentSeries.monomial((0, 0), e.t, c, order) * th(e.m)
             yield p, q, constants
