@@ -50,7 +50,7 @@ print("theta(-1,0) =", series_to_str(th, A, T))
 # the same variable by a different route: transport the monomial from the
 # chamber whose frame contains the exponent back to the positive chamber
 tv = theta_via_transport(D, (-1, 0))
-print("transported  =", series_to_str(tv.series, A, T))
+print("transported  =", series_to_str(tv.num, A, T))
 
 # cluster variables along the hexagon, one g-vector each; theta matches
 # every one of them
@@ -60,7 +60,7 @@ checks = []
 for word, i, g in [((1,), 0, (-1, 0)), ((1, 2), 1, (0, -1)),
                    ((2, 1), 0, (1, -1)), ((2,), 1, (2, -1))]:
     var = chart_variables(s_cl, word)[i]
-    ok = theta(D, g, order=8) == var.series.truncate(8)
+    ok = theta(D, g, order=8) == var.num.truncate(8)
     checks.append(ok)
     print(f"theta{g} equals the chart variable for word {word}: {ok}")
 assert all(checks)

@@ -128,7 +128,7 @@ def suite_theta_chart() -> list[Check]:
     for g, (word, i) in sorted(_chamber_vectors(s.data, 6).items()):
         var = chart_variables(s_cl, word)[i]
         tag = f"({g[0]},{g[1]})"
-        ok = var.is_laurent and theta(D, g, 8) == var.num.truncate(8)
+        ok = theta(D, g, 8) == var.num.truncate(8)
         checks.append((f"theta-{tag}", ok, None if ok else {"g": list(g)}))
         tv = theta_via_transport(D, g)
         ok2 = tv.den.is_one() and tv.num == var.num

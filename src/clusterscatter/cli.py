@@ -59,6 +59,8 @@ def _output_path(ctx, param, value):
     parent = Path(value).parent
     if not value:
         reason = "empty path"
+    elif value.endswith(("/", os.sep)):
+        reason = "the path ends in a separator, so it names a directory"
     elif not (parent.is_dir() and os.access(parent, os.W_OK)):
         reason = f"{parent} is not a writable directory"
     else:

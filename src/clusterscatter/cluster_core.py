@@ -147,30 +147,17 @@ class FixedData:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """A cluster variable as results and JSON carry it: ``num / den``.  Every
-    instance the library builds is a Laurent polynomial, ``den`` one."""
+    """A cluster variable as results and JSON carry it: ``num / den``.  The
+    library builds Laurent polynomials only, so ``den`` is one."""
 
     num: LaurentSeries
-    den: LaurentSeries
 
     @property
-    def is_laurent(self) -> bool:
-        return self.den.is_one()
-
-    @property
-    def series(self) -> LaurentSeries:
-        if not self.den.is_one():
-            raise ValueError("rational function did not reduce to a Laurent polynomial")
-        return self.num
+    def den(self) -> LaurentSeries:
+        return LaurentSeries.one(*self.num.dims())
 
     def __str__(self) -> str:
-        if self.den.is_one():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-
-def _laurent(x: LaurentSeries) -> RationalFunction:
-    return RationalFunction(x, LaurentSeries.one(*x.dims()))
+        return str(self.num)
 
 
 def rational(num: LaurentSeries, den: LaurentSeries) -> RationalFunction:
@@ -178,7 +165,7 @@ def rational(num: LaurentSeries, den: LaurentSeries) -> RationalFunction:
     q = series_exact_div(num, den)
     if q is None:
         raise ValueError("rational function does not reduce to a Laurent polynomial")
-    return RationalFunction(q, LaurentSeries.one(*den.dims()))
+    return RationalFunction(q)
 
 
 # -- seeds and mutation ------------------------------------------------------
@@ -250,7 +237,7 @@ def initial_seed(
     cluster = None
     if with_cluster:
         cluster = tuple(
-            _laurent(LaurentSeries.monomial(_unit(data.n, i), (0,) * sum(orders))) for i in range(data.n)
+            RationalFunction(LaurentSeries.monomial(_unit(data.n, i), (0,) * sum(orders))) for i in range(data.n)
         )
     return Seed(data, data.B, coeffs, orders, cluster, (), semifield)
 
@@ -283,7 +270,7 @@ def _exchange_variable(s: Seed, a: int) -> RationalFunction:
     n = s.data.n
     r = s.data.r
     d = sum(s.coeff_orders)
-    x = [v.series for v in s.cluster]
+    x = [v.num for v in s.cluster]
     u_plus = LaurentSeries.one(n, d)
     u_minus = LaurentSeries.one(n, d)
     for i in range(n):
@@ -310,7 +297,7 @@ def _exchange_variable(s: Seed, a: int) -> RationalFunction:
             f"exchange in direction {a + 1} has a non-integer coefficient (integrality): "
             "the cluster does not belong to the pattern"
         )
-    return _laurent(q)
+    return RationalFunction(q)
 
 
 def seed_mutate(s: Seed, k: int) -> Seed:
@@ -624,7 +611,7 @@ def chart_variables(s0: Seed, word) -> tuple[RationalFunction, ...]:
         raise ValueError("chart variables need a semifield-mode seed: group-mode seeds carry no cluster")
     steps, G = _transport(s0, word, signed=False)
     d = sum(s0.coeff_orders)
-    return tuple(_laurent(_pull_back(steps, LaurentSeries.monomial(g, (0,) * d))) for g in G.g)
+    return tuple(RationalFunction(_pull_back(steps, LaurentSeries.monomial(g, (0,) * d))) for g in G.g)
 
 
 # -- serialization -----------------------------------------------------------

@@ -12,19 +12,21 @@ the walls spanned by cluster chambers.
 A wall in rank 2 sits on a single ray from the origin; the two halves of an
 incoming hyperplane are stored as two ray walls carrying the same function.
 A diagram keeps its walls in counterclockwise order of their rays, sorted
-once when it is built.  Every crossing goes through one fan of rays.  A ray
-is crossed factor by factor over the atoms of its walls, which is crossing it
-once with the product of their functions; so diagrams agree when their
-merged atoms per ray do.
+once when it is built.  It groups them by ray once, too: its ``fan`` holds
+one entry per ray, with the atoms of the ray's walls.  Every crossing, the
+broken-line search and ``canonical_form`` read the fan; a ray is crossed
+factor by factor over its atoms, which is crossing it once with the product
+of their functions, so diagrams agree when their merged atoms per ray do.
+The walls are what JSON, labels and pictures show.
 A diagram decides its shape, order and basis once.  Its seed has rank 2 and
 each wall sits on one ray of the plane.  Every operation runs at the
 diagram's order; ``diagram_truncate`` lowers it.  Its frame (basis rows e_i
 and normal covectors w_i = omega(-, (d_i/r_i) e_i)) replays the seed's word
 with the g-frame step at sign +1.  Wall monomial exponents are kept in the
 coefficient basis of the initial seed, and degrees are counted in the seed's
-own coefficient basis: the frame and the walls in that basis are built on
-first use and kept on the diagram.  A seed's frame is replayed once and
-shared by every diagram over that seed (``_frame_of``).
+own coefficient basis, the basis of the fan's atoms: the frame and the fan
+are built on first use and kept on the diagram.  A seed's frame is replayed
+once and shared by every diagram over that seed (``_frame_of``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd, hypot, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .cluster_core import (
     InvariantViolation,
@@ -170,9 +172,6 @@ class Wall:
             raise ValueError("wall has an empty factor list")
         return _function(self.factors, order)
 
-    def map_factors(self, fn: Callable[[Atom], Atom]) -> "Wall":
-        return replace(self, factors=tuple(fn(a) for a in self.factors))
-
 
 @dataclass(frozen=True)
 class ScatteringDiagram:
@@ -181,10 +180,10 @@ class ScatteringDiagram:
     The walls are stored in counterclockwise order of their rays
     (``_sort_walls``), whatever order they are given in.
 
-    ``frame``, ``fresh_walls`` and ``_search`` (the broken-line search
-    context of ``theta`` by order) are built on first use and kept.  They are
-    functions of the frozen walls, order and seed, so equality, hashing,
-    ``repr`` and ``dataclasses.replace`` ignore them."""
+    ``frame``, ``fan`` and ``_search`` (the broken-line search context of
+    ``theta`` by order) are built on first use and kept.  They are functions
+    of the frozen walls, order and seed, so equality, hashing, ``repr`` and
+    ``dataclasses.replace`` ignore them."""
 
     walls: tuple[Wall, ...]
     order: int
@@ -210,12 +209,26 @@ class ScatteringDiagram:
         return _frame_of(self.seed)
 
     @cached_property
-    def fresh_walls(self) -> tuple[Wall, ...]:
-        """The walls with coefficient exponents in the seed's own basis."""
-        frame = self.frame
-        if frame.is_identity:
-            return self.walls
-        return tuple(w.map_factors(lambda a: (frame.to_fresh(a[0]), a[1], a[2])) for w in self.walls)
+    def fan(self) -> tuple[tuple[tuple[int, int], tuple[int, ...], tuple[Atom, ...]], ...]:
+        """The wall rays in counterclockwise order, each as (ray, acting
+        normal, factors of the walls on it with coefficient exponents in the
+        seed's own basis): what every crossing, the broken-line search and
+        ``canonical_form`` read of the diagram.
+
+        Walls on one ray have parallel acting normals.  Their crossings then
+        commute, and since eps * acting is the same for each, crossing the ray
+        once with all their factors is crossing its walls one at a time.
+        """
+        to_fresh = self.frame.to_fresh
+        fan: list = []
+        for w in self.walls:  # sorted, so the walls on one ray are adjacent
+            atoms = tuple((to_fresh(t), m, c) for t, m, c in w.factors)
+            if fan and fan[-1][0] == w.ray:
+                # each acting normal is orthogonal to its ray (Wall checks it), so in the plane they are parallel
+                fan[-1] = (w.ray, fan[-1][1], fan[-1][2] + atoms)
+            else:
+                fan.append((w.ray, w.acting, atoms))
+        return tuple(fan)
 
 
 @dataclass(frozen=True)
@@ -266,9 +279,6 @@ class SeedFrame:
             return tuple(a)
         d = len(a)
         return tuple(sum(self.U[f][j] * a[f] for f in range(d)) for j in range(d))
-
-    def fresh_degree(self, t: Sequence[int]) -> int:
-        return sum(self.to_fresh(t))
 
 
 def seed_frame(s: Seed) -> SeedFrame:
@@ -374,34 +384,11 @@ def _crossing_eps(ray: tuple[int, ...], acting: tuple[int, ...], ccw: bool) -> i
     return -_sign(c) if ccw else _sign(c)
 
 
-def _ray_atoms(walls: Sequence[Wall]) -> list:
-    """The wall rays in counterclockwise order, each as (ray, acting normal,
-    factors of the walls on it).
-
-    Walls on one ray have parallel acting normals.  Their crossings then
-    commute, and since eps * acting is the same for each, crossing the ray once
-    with all their factors is crossing its walls one at a time.
-    """
-    groups: dict[tuple[int, ...], list[Wall]] = {}
-    for w in walls:
-        groups.setdefault(w.ray, []).append(w)
-    # each acting normal is orthogonal to its ray (Wall checks it), so in the plane they are parallel
-    return [
-        (ray, groups[ray][0].acting, tuple(a for w in groups[ray] for a in w.factors))
-        for ray in sorted(groups, key=_angle_key)
-    ]
-
-
-def _fan(walls: Sequence[Wall], series_order: int | None) -> list:
-    """`_ray_atoms` with each ray's factors expanded into its function."""
-    return [(ray, acting, _function(atoms, series_order)) for ray, acting, atoms in _ray_atoms(walls)]
-
-
 def _cross_fan(fan: list, ccw: bool, d: int, series_order: int) -> tuple[list[list[dict]], int]:
-    """Images of the generators z^{e_i} after crossing the rays of a
-    `_ray_atoms` fan in order, each ray factor by factor, the factors sharing
-    one binomial memo: packed slices by coefficient degree per generator, and
-    their slot bound."""
+    """Images of the generators z^{e_i} after crossing the rays of a fan
+    (``ScatteringDiagram.fan``) in order, each ray factor by factor, the
+    factors sharing one binomial memo: packed slices by coefficient degree per
+    generator, and their slot bound."""
     images, bound, binomials = _generator_slices(2, d, series_order), 1, {}
     for ray, acting, atoms in fan:
         eps = _crossing_eps(ray, acting, ccw)
@@ -432,15 +419,14 @@ def path_ordered_product(D: ScatteringDiagram, path: PathSpec) -> tuple[LaurentS
     Coefficient exponents in the result are taken in the seed's own basis.
     """
     series_order = D.order + 1
-    walls = D.fresh_walls
     if not any(path.start) or not any(path.end):
         raise ValueError("path endpoints must be nonzero directions")
     end = path.start if path.loop else path.end
-    if {_primitive(path.start), _primitive(end)} & {w.ray for w in walls}:
+    if {_primitive(path.start), _primitive(end)} & {ray for ray, _, _ in D.fan}:
         raise ValueError("path endpoint lies on a wall")
     turn = lambda r: _turn(r[0], path.start, path.ccw)
     stop = _turn(end, path.start, path.ccw)
-    fan = sorted((r for r in _ray_atoms(walls) if path.loop or turn(r) < stop), key=turn)
+    fan = sorted((r for r in D.fan if path.loop or turn(r) < stop), key=turn)
     d = sum(D.seed.coeff_orders)
     images, bound = _cross_fan(fan, path.ccw, d, series_order)
     return tuple(
@@ -452,12 +438,7 @@ def path_ordered_product(D: ScatteringDiagram, path: PathSpec) -> tuple[LaurentS
 # -- consistency and completion ----------------------------------------------
 
 
-def _defect_derivation(
-    walls: Sequence[Wall],
-    frame: SeedFrame,
-    d: int,
-    series_order: int,
-):
+def _defect_derivation(fan: Sequence, frame: SeedFrame, d: int, series_order: int):
     """Lowest slice of the log of the counterclockwise loop around the origin.
 
     The loop starts just below the positive x-axis and maps z^{e_a} to
@@ -466,7 +447,7 @@ def _defect_derivation(
     (first_degree, terms) with the terms of `_defect_terms`; both are None
     when the loop closes.
     """
-    images, bound = _cross_fan(_ray_atoms(walls), True, d, series_order)
+    images, bound = _cross_fan(fan, True, d, series_order)
     first = next((k for k in range(1, series_order) if any(sl[k] for sl in images)), None)
     if first is None:
         return None, None
@@ -511,7 +492,7 @@ def _defect_terms(frame: SeedFrame, slices: Sequence[LaurentSeries]) -> list:
 def check_consistency(D: ScatteringDiagram) -> ConsistencyReport:
     """Is the counterclockwise loop around the origin the identity, modulo
     coefficient degree above the diagram's order?"""
-    first, terms = _defect_derivation(D.fresh_walls, D.frame, sum(D.seed.coeff_orders), D.order + 1)
+    first, terms = _defect_derivation(D.fan, D.frame, sum(D.seed.coeff_orders), D.order + 1)
     if first is None:
         return ConsistencyReport(True, D.order)
     return ConsistencyReport(False, D.order, first, tuple((c, e, acting) for c, e, acting, _ in terms))
@@ -545,7 +526,7 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
             outgoing[w.ray] = w
     fan = _OnlineFan(d, ord_ + 1)
     keys: list = []  # angle keys of the rays of the fan's factors, in fan order
-    for ray, acting, atoms in _ray_atoms(D.fresh_walls):
+    for ray, acting, atoms in D.fan:
         for atom in atoms:
             fan.insert(len(keys), acting, _crossing_eps(ray, acting, True), atom)
             keys.append(_angle_key(ray))
@@ -746,18 +727,12 @@ def canonical_form(D: ScatteringDiagram) -> dict[tuple[int, ...], tuple[Atom, ..
     ray determine its function and are determined by it (see
     ``diagrams_equivalent``).
     """
-    frame = D.frame
-    merged: dict[tuple[int, ...], list[Atom]] = {}
-    for w in D.walls:
-        for t, m, c in w.factors:
-            tf = frame.to_fresh(t)
-            if sum(tf) <= D.order:
-                merged.setdefault(w.ray, []).append((tf, m, c))
+    to_old = D.frame.to_old
     out = {}
-    for ray, atoms in merged.items():
-        combined = _combine_atoms(atoms)
+    for ray, _, atoms in D.fan:
+        combined = _combine_atoms(a for a in atoms if sum(a[0]) <= D.order)
         if combined:
-            out[ray] = tuple((frame.to_old(t), m, c) for t, m, c in combined)
+            out[ray] = tuple((to_old(t), m, c) for t, m, c in combined)
     return out
 
 
@@ -794,10 +769,10 @@ def diagram_truncate(D: ScatteringDiagram, order: int) -> ScatteringDiagram:
     """Drop wall factors above ``order`` in the seed's coefficient degrees."""
     if order > D.order:
         raise ValueError("cannot truncate to a higher order than the diagram carries")
-    degree = D.frame.fresh_degree
+    to_fresh = D.frame.to_fresh
     walls = []
     for w in D.walls:
-        kept = tuple(a for a in w.factors if degree(a[0]) <= order)
+        kept = tuple(a for a in w.factors if sum(to_fresh(a[0])) <= order)
         if kept:
             walls.append(replace(w, factors=kept))
     return ScatteringDiagram(walls, order, D.seed)

@@ -33,14 +33,13 @@ from .cluster_core import (
     InvariantViolation,
     RationalFunction,
     _chamber_walk,
-    _laurent,
     _pull_back,
     _transport,
     coeff_map,
     initial_seed,
 )
 from .monoid_ring import Exponent, LaurentSeries, series_pow
-from .scattering import ScatteringDiagram, _angle_key, _cross, _fan
+from .scattering import ScatteringDiagram, _angle_key, _cross, _function
 
 __all__ = [
     "BrokenLine",
@@ -155,7 +154,7 @@ class _SearchContext:
 
     def __init__(self, D: ScatteringDiagram, order: int):
         self.order = order
-        self.ring = [_RayData(*ray) for ray in _fan(D.fresh_walls, order)]
+        self.ring = [_RayData(ray, acting, _function(atoms, order)) for ray, acting, atoms in D.fan]
         self.rays = sorted(self.ring, key=lambda rd: rd.ray)
         for i, rd in enumerate(self.ring):
             rd.walks = self.walks(i - 1, i + 1)
@@ -452,4 +451,4 @@ def theta_via_transport(D: ScatteringDiagram, p0) -> RationalFunction:
     for e, c in x.terms.items():
         e2 = Exponent(e.m, lam(e.t))
         terms[e2] = terms.get(e2, 0) + c
-    return _laurent(LaurentSeries(terms, x.order))
+    return RationalFunction(LaurentSeries(terms, x.order))

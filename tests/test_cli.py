@@ -495,8 +495,10 @@ def test_an_empty_output_path_is_bad_input(runner, b2_path, command):
         (["scatter-mutate", "--k", "2", "--json", "missing/out.json"],
          "cannot write missing/out.json: missing is not a writable directory"),
         (["scatter", "--order", "3", "--json", "."], "File '.' is a directory"),
+        (["scatter", "--order", "3", "--json", "b2x/"], "cannot write b2x/: the path ends in a separator"),
     ],
-    ids=["scatter-empty-json", "scatter-json-then-bad-svg", "theta-trace", "scatter-mutate-json", "scatter-json-dir"],
+    ids=["scatter-empty-json", "scatter-json-then-bad-svg", "theta-trace", "scatter-mutate-json", "scatter-json-dir",
+         "scatter-json-trailing-separator"],
 )
 def test_output_paths_are_checked_before_any_work(runner, b2_path, tmp_path, monkeypatch, args, message):
     """A path the command cannot write exits 2 before it computes: nothing

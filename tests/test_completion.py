@@ -42,9 +42,8 @@ from clusterscatter.scattering import (
     _crossing_eps,
     _defect_derivation,
     _defect_terms,
-    _fan,
+    _function,
     _primitive,
-    _ray_atoms,
     _turn,
     build_initial,
     complete_rank2,
@@ -70,10 +69,15 @@ def one_shot_images(fan, ccw, d, series_order):
     ]
 
 
-def log_defect_derivation(walls, frame, d, series_order):
+def expanded(fan, series_order):
+    """A diagram's fan with each ray's factors expanded into its function."""
+    return [(ray, acting, _function(atoms, series_order)) for ray, acting, atoms in fan]
+
+
+def log_defect_derivation(fan, frame, d, series_order):
     """The loop's defect read off its log: z^{-e_a} times each image, then
     ``series_log``, then the lowest nonzero slice of the two logs."""
-    images = one_shot_images(_ray_atoms(walls), True, d, series_order)
+    images = one_shot_images(fan, True, d, series_order)
     logs = []
     for a in range(2):
         shift = LaurentSeries.monomial(tuple(-x for x in _unit(2, a)), (0,) * d, 1, series_order)
@@ -88,7 +92,7 @@ def log_defect_derivation(walls, frame, d, series_order):
 def reference_complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
     """The staged completion: a full loop at order k + 1 for every degree k."""
     ord_, frame, d = D.order, D.frame, sum(D.seed.coeff_orders)
-    walls = list(D.fresh_walls)
+    walls = list(D.walls)
     outgoing: dict = {}
     for w in walls:
         if not w.incoming:
@@ -96,7 +100,7 @@ def reference_complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
                 raise ValueError("diagram has two outgoing walls on one ray; merge them first")
             outgoing[w.ray] = w
     for degree in range(2, ord_ + 1):
-        first, terms = log_defect_derivation(walls, frame, d, degree + 1)
+        first, terms = log_defect_derivation(ScatteringDiagram(walls, ord_, D.seed).fan, frame, d, degree + 1)
         if first is None:
             continue
         if first < degree:
@@ -111,7 +115,7 @@ def reference_complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
                 raise PositivityError(
                     f"completion needs (1 + t^{e.t} z^{e.m})^{c}; exponent is not a positive integer"
                 )
-            atom = (e.t, e.m, int(c))
+            atom = (frame.to_old(e.t), e.m, int(c))
             old = outgoing.get(ray)
             if old is None:
                 new = Wall(ray, n0, acting, (atom,), incoming=False)
@@ -122,12 +126,11 @@ def reference_complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
                 walls.remove(old)
             outgoing[ray] = new
             walls.append(new)
-    first, _ = log_defect_derivation(walls, frame, d, ord_ + 1)
+    out = ScatteringDiagram(walls, ord_, D.seed)
+    first, _ = log_defect_derivation(out.fan, frame, d, ord_ + 1)
     if first is not None:
         raise InvariantViolation(f"completion finished but the loop still fails at degree {first}")
-    # the walls were built in the seed's own coefficient basis; the diagram holds the initial one
-    to_old = lambda a: (frame.to_old(a[0]), a[1], a[2])
-    return ScatteringDiagram([w.map_factors(to_old) for w in walls], ord_, D.seed)
+    return out
 
 
 def outcome(fn, *args):
@@ -238,7 +241,7 @@ def test_defect_reader_matches_the_log_of_the_loop():
             C = complete_rank2(D)
             dropped = [replace(C, walls=C.walls[:i] + C.walls[i + 1 :]) for i, w in enumerate(C.walls) if not w.incoming]
             for E in [D, C, *dropped]:
-                args = (list(E.fresh_walls), E.frame, sum(E.seed.coeff_orders), order + 1)
+                args = (E.fan, E.frame, sum(E.seed.coeff_orders), order + 1)
                 assert outcome(_defect_derivation, *args) == outcome(log_defect_derivation, *args)
                 cases += 1
     assert cases == 436
@@ -306,13 +309,12 @@ def test_online_fan_matches_one_shot_crossing(data, order, completed):
     if completed:
         D = complete_rank2(D)
     so = order + 1
-    walls = D.fresh_walls
     d = sum(D.seed.coeff_orders)
     online = _OnlineFan(d, so)
-    for ray, acting, atoms in _ray_atoms(walls):
+    for ray, acting, atoms in D.fan:
         for atom in atoms:
             online.insert(len(online.positions), acting, _crossing_eps(ray, acting, True), atom)
-    images = reference_cross_fan(_fan(walls, so), True, d, so)
+    images = reference_cross_fan(expanded(D.fan, so), True, d, so)
     for k in range(1, so):
         online.step()
         for a, sl in enumerate(online.defect()):
@@ -324,7 +326,7 @@ def test_online_fan_matches_one_shot_crossing(data, order, completed):
 
 
 def reference_cross_fan(fan, ccw, d, series_order):
-    """Images of the generators after crossing an expanded fan (`_fan`) in
+    """Images of the generators after crossing an expanded fan (`expanded`) in
     order: each ray's function at once, by ``wall_cross`` per generator."""
     images = [LaurentSeries.monomial(_unit(2, i), (0,) * d, 1, series_order) for i in range(2)]
     for ray, acting, f in fan:
@@ -344,12 +346,13 @@ def test_factor_crossing_matches_expanded_crossing(data, order, word, drop):
     """The loop of a completion, over the base seed and over a mutated seed's
     frame, closed and with its last outgoing wall dropped."""
     D = complete_rank2(build_initial(pattern_walk(group_seed(data), word), order))
-    walls = list(D.fresh_walls)
+    walls = list(D.walls)
     if drop:
         walls.remove([w for w in walls if not w.incoming][-1])
+    fan = replace(D, walls=walls).fan
     d, so = sum(D.seed.coeff_orders), order + 1
-    got = one_shot_images(_ray_atoms(walls), True, d, so)
-    assert got == reference_cross_fan(_fan(walls, so), True, d, so)
+    got = one_shot_images(fan, True, d, so)
+    assert got == reference_cross_fan(expanded(fan, so), True, d, so)
     closed = [LaurentSeries.monomial(_unit(2, i), (0,) * d, 1, so) for i in range(2)]
     assert (got == closed) is not drop
 
@@ -361,12 +364,11 @@ def test_factor_crossing_matches_expanded_crossing_on_every_datum():
     for data in RANK2:
         order = 3 if data.B[0][1] * data.B[1][0] <= -9 else 4
         D = complete_rank2(build_initial(group_seed(data), order))
-        walls = list(D.fresh_walls)
-        dropped = walls[:]
-        dropped.remove([w for w in walls if not w.incoming][-1])
+        dropped = list(D.walls)
+        dropped.remove([w for w in dropped if not w.incoming][-1])
         d, so = sum(D.seed.coeff_orders), order + 1
-        for ws in (walls, dropped):
-            assert one_shot_images(_ray_atoms(ws), True, d, so) == reference_cross_fan(_fan(ws, so), True, d, so), data
+        for fan in (D.fan, replace(D, walls=dropped).fan):
+            assert one_shot_images(fan, True, d, so) == reference_cross_fan(expanded(fan, so), True, d, so), data
             cases += 1
     assert cases == 74
 
@@ -380,18 +382,17 @@ def test_binomial_memo_lives_one_computation():
         D = build_initial(s, order)
         C = complete_rank2(D)
         assert diagram_to_json(C) == diagram_to_json(reference_complete_rank2(D))
-        walls, d, so = C.fresh_walls, sum(C.seed.coeff_orders), order + 1
-        assert one_shot_images(_ray_atoms(walls), True, d, so) == reference_cross_fan(_fan(walls, so), True, d, so)
+        fan, d, so = C.fan, sum(C.seed.coeff_orders), order + 1
+        assert one_shot_images(fan, True, d, so) == reference_cross_fan(expanded(fan, so), True, d, so)
 
 
 @pytest.mark.parametrize("data, order", CROSSINGS, ids=CROSSING_IDS)
 def test_clockwise_partial_path_matches_expanded_crossing(data, order):
     D = complete_rank2(build_initial(group_seed(data), order))
     path = PathSpec((1000, 1), (-1000, 1), ccw=False)
-    walls = D.fresh_walls
     stop = _turn(path.end, path.start, False)
     turn = lambda r: _turn(r[0], path.start, False)
-    fan = sorted((r for r in _fan(walls, order + 1) if turn(r) < stop), key=turn)
+    fan = sorted((r for r in expanded(D.fan, order + 1) if turn(r) < stop), key=turn)
     assert len(fan) >= 3
     want = reference_cross_fan(fan, False, sum(D.seed.coeff_orders), order + 1)
     assert path_ordered_product(D, path).m_images == want

@@ -358,6 +358,29 @@ class TestBuildInitial:
 # -- paths --------------------------------------------------------------------
 
 
+class TestFan:
+    def test_one_entry_per_ray_with_its_atoms_in_the_seed_basis(self):
+        """Over a mutated seed, whose coefficient basis is not the initial
+        one, and with its walls split one factor each so that rays carry
+        several walls: the fan lists each ray once, in the order of the walls,
+        with the acting normal of its first wall; its atoms map back to the
+        factors of the ray's walls; it does not depend on the order the walls
+        are given in, and it is built once."""
+        D = complete_rank2(build_initial(pattern_walk(group_seed(KRON), (2, 1)), 6))
+        frame = D.frame
+        assert any(frame.to_fresh(t) != t for w in D.walls for t, _, _ in w.factors)
+        split = ScatteringDiagram([replace(w, factors=(a,)) for w in D.walls for a in w.factors], D.order, D.seed)
+        assert len(split.walls) > len(split.fan) == len(D.fan)
+        for E in (D, split):
+            assert [ray for ray, _, _ in E.fan] == list(dict.fromkeys(w.ray for w in E.walls))
+            for ray, acting, atoms in E.fan:
+                walls = [w for w in E.walls if w.ray == ray]
+                assert acting == walls[0].acting
+                assert sorted((frame.to_old(t), m, c) for t, m, c in atoms) == sorted(a for w in walls for a in w.factors)
+            assert ScatteringDiagram(E.walls[::-1], E.order, E.seed).fan == E.fan
+            assert E.fan is E.fan
+
+
 class TestPathOrderedProduct:
     def test_loop_on_completed_is_identity(self, b2_completed):
         P = path_ordered_product(b2_completed, PathSpec((3, -1), (3, -1), ccw=True, loop=True))
