@@ -5,6 +5,12 @@ them against the fixture files or against an independent second route.  The
 suites are fixed: orders and depths are constants of each suite, so the JSON
 report of ``verify`` is itself the reference.  Checks are (name, passed,
 first counterexample or None).
+
+The suites of one ``run_suite`` call share completions through that call's
+memo, which maps each seed to its deepest completion so far
+(``scattering._completed``): a seed is completed once, at the deepest order
+asked so far, and lower orders are served by truncation.  The memo is
+dropped when the call returns, so nothing is kept between runs.
 """
 
 from .cluster_core import (
@@ -20,10 +26,10 @@ from .fixtures.generate import CHART_WORD, kron_rw_series
 from .monoid_ring import series_from_json
 from .scattering import (
     ScatteringDiagram,
-    build_initial,
+    _completed,
     check_consistency,
     cluster_chamber_walls,
-    complete_rank2,
+    complete_rank2,  # not called here: perfbench/test_perfbench.py checks that its tracer rebinds this name
     diagram_to_json,
     diagrams_equivalent,
     tk_invariance_check,
@@ -38,7 +44,7 @@ def _fixture_seed(name: str, group: bool):
     return seed_from_json(load_fixture(name), semifield=not group)
 
 
-def suite_b2_chart() -> list[Check]:
+def suite_b2_chart(memo: dict) -> list[Check]:
     fix = load_fixture("b2_chart.json")
     s0 = seed_from_json(fix["seed"], semifield=True)
     checks: list[Check] = []
@@ -60,9 +66,9 @@ def suite_b2_chart() -> list[Check]:
     return checks
 
 
-def suite_b2_scatter() -> list[Check]:
+def suite_b2_scatter(memo: dict) -> list[Check]:
     s = _fixture_seed("b2.json", group=True)
-    D = complete_rank2(build_initial(s, 6))
+    D = _completed(s, 6, memo)
     checks: list[Check] = []
     rep = check_consistency(D)
     checks.append(
@@ -76,37 +82,37 @@ def suite_b2_scatter() -> list[Check]:
     return checks
 
 
-def suite_b2_mutation() -> list[Check]:
+def suite_b2_mutation(memo: dict) -> list[Check]:
     s = _fixture_seed("b2.json", group=True)
     checks: list[Check] = []
-    moved = tk_transform(complete_rank2(build_initial(s, 6)), 2)
+    moved = tk_transform(_completed(s, 6, memo), 2)
     same = diagram_to_json(moved) == load_fixture("b2_mutated_walls_order6.json")
     checks.append(("transform-vs-fixture", same, None))
-    _, _, ok = tk_invariance_check(s, 2, 4)
+    _, _, ok = tk_invariance_check(s, 2, 4, memo)
     checks.append(("invariance-k2", ok, None))
     return checks
 
 
-def suite_kron_series() -> list[Check]:
+def suite_kron_series(memo: dict) -> list[Check]:
     fix = series_from_json(load_fixture("kron_rw_order10.json"))
     checks: list[Check] = []
     checks.append(("closed-form-vs-fixture", kron_rw_series() == fix, None))
     s = _fixture_seed("kronecker.json", group=True)
-    D = complete_rank2(build_initial(s, 10))
+    D = _completed(s, 10, memo)
     wall = next(w for w in D.walls if w.ray == (1, -1) and not w.incoming)
     same = wall.function(11) == fix
     checks.append(("completion-vs-closed-form", same, None))
     return checks
 
 
-def suite_tk_invariance() -> list[Check]:
+def suite_tk_invariance(memo: dict) -> list[Check]:
     checks: list[Check] = []
     for name in ("b2.json", "kronecker.json"):
         s = _fixture_seed(name, group=True)
         for k in (1, 2):
-            for o in (4, 6):
-                _, _, ok = tk_invariance_check(s, k, o)
-                checks.append((f"{name.removesuffix('.json')}-k{k}-o{o}", ok, None))
+            # the deeper order first, so that the lower one is a truncation
+            ok = {o: tk_invariance_check(s, k, o, memo)[2] for o in (6, 4)}
+            checks += [(f"{name.removesuffix('.json')}-k{k}-o{o}", ok[o], None) for o in (4, 6)]
     return checks
 
 
@@ -120,10 +126,10 @@ def _chamber_vectors(data, depth):
     return out
 
 
-def suite_theta_chart() -> list[Check]:
+def suite_theta_chart(memo: dict) -> list[Check]:
     s = _fixture_seed("b2.json", group=True)
     s_cl = _fixture_seed("b2.json", group=False)
-    D = complete_rank2(build_initial(s, 8))
+    D = _completed(s, 8, memo)
     checks: list[Check] = []
     for g, (word, i) in sorted(_chamber_vectors(s.data, 6).items()):
         var = chart_variables(s_cl, word)[i]
@@ -147,12 +153,13 @@ SUITES = {
 
 
 def run_suite(name: str) -> list[Check]:
+    memo: dict = {}
     if name == "all":
         out: list[Check] = []
         for key in SUITES:
-            out.extend((f"{key}/{n}", ok, ce) for n, ok, ce in SUITES[key]())
+            out.extend((f"{key}/{n}", ok, ce) for n, ok, ce in SUITES[key](memo))
         return out
     fn = SUITES.get(name)
     if fn is None:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join([*SUITES, 'all'])}")
-    return fn()
+    return fn(memo)

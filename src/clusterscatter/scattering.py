@@ -633,8 +633,26 @@ def tk_transform(D: ScatteringDiagram, k: int) -> ScatteringDiagram:
     return ScatteringDiagram(new_walls, D.order, s2)
 
 
+def _completed(s: Seed, order: int, memo: dict) -> ScatteringDiagram:
+    """``complete_rank2(build_initial(s, order))``, served by truncation when
+    ``memo[s]`` holds a completion of ``s`` at this order or deeper.
+
+    Order by order a consistent completion is unique, so the completion at
+    a lower order is the truncation of a deeper one, wall for wall
+    (``tests/test_completion.py`` checks the bytes).  On a miss the seed is
+    completed afresh and the result replaces the shallower entry.  A memo
+    entry over another seed is refused."""
+    hit = memo.get(s)
+    if hit is not None and hit.seed != s:
+        raise ValueError("the memo holds a completion of another seed")
+    if hit is not None and hit.order >= order:
+        return hit if hit.order == order else diagram_truncate(hit, order)
+    D = memo[s] = complete_rank2(build_initial(s, order))
+    return D
+
+
 def tk_invariance_check(
-    s: Seed, k: int, order: int
+    s: Seed, k: int, order: int, memo: dict | None = None
 ) -> tuple[ScatteringDiagram, ScatteringDiagram, bool]:
     """Compare the mutation transform of the completed diagram against the
     completed diagram of the one-step mutated seed, at the given order.
@@ -643,11 +661,19 @@ def tk_invariance_check(
     source factor of higher degree, so the source is completed deep enough to
     cover every preimage before transforming and truncating.  Returns
     (transformed side, mutated-seed side, equivalent?).
+
+    Both sides are completed through ``memo``, a dict owned by the caller
+    that maps each seed to its deepest completion so far (``_completed``):
+    an entry at this order or deeper is truncated instead of completed
+    again, and a new completion replaces a shallower entry.  Without a memo
+    each call completes both sides afresh.
     """
     frame = _frame_of(s)
     if not frame.is_identity:
         raise ValueError("tk_invariance_check starts from the base seed")
-    rhs = complete_rank2(build_initial(seed_mutate(s, k), order))
+    if memo is None:
+        memo = {}
+    rhs = _completed(seed_mutate(s, k), order, memo)
     e_k = frame.E[k - 1]
     tk_total = sum(map(sum, s.coeffs[k - 1]))
     K = order
@@ -655,7 +681,7 @@ def tk_invariance_check(
         for t, m, _ in w.factors:
             h = sum(x * y for x, y in zip(e_k, m))
             K = max(K, sum(t), sum(t) - h * tk_total)
-    lhs = diagram_truncate(tk_transform(complete_rank2(build_initial(s, K)), k), order)
+    lhs = diagram_truncate(tk_transform(_completed(s, K, memo), k), order)
     return lhs, rhs, diagrams_equivalent(lhs, rhs)
 
 

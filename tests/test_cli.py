@@ -532,6 +532,25 @@ class TestVerify:
         assert names == {"b2-chart", "b2-scatter", "b2-mutation", "kron-series",
                          "tk-invariance", "theta-chart"}
 
+    def test_one_run_completes_each_diagram_once_and_keeps_nothing(self, monkeypatch):
+        """Within one run a seed is completed again only deeper than before:
+        the run's memo serves every lower order by truncation.  A second run
+        does the same completions again, so nothing outlives a run."""
+        runs: list[list] = []
+
+        def counted(D):
+            runs[-1].append((D.seed, D.order))
+            return complete_rank2(D)
+
+        monkeypatch.setattr("clusterscatter.scattering.complete_rank2", counted)
+        for _ in range(2):
+            runs.append([])
+            assert all(ok for _, ok, _ in _verify.run_suite("all"))
+        first, second = runs
+        assert first == second and len(first) == 8
+        for i, (seed, order) in enumerate(first):
+            assert all(o < order for s, o in first[:i] if s == seed), (seed.word, order)
+
     def test_unknown_suite(self, runner):
         res = runner.invoke(cli, ["verify", "--suite", "nope"])
         assert res.exit_code == 2

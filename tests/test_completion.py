@@ -199,6 +199,30 @@ def test_consistent_input_is_returned_unchanged():
     assert assert_same(C5) == diagram_to_json(complete_rank2(C5)) == diagram_to_json(C5)
 
 
+def truncations_are_completions(s, top) -> int:
+    """Below ``top``, the truncated deep completion of ``s`` against the
+    completion at each lower order, as JSON; returns the orders checked."""
+    deep = complete_rank2(build_initial(s, top))
+    for o in range(1, top):
+        shallow = complete_rank2(build_initial(s, o))
+        assert diagram_to_json(diagram_truncate(deep, o)) == diagram_to_json(shallow), (s.data, s.word, o)
+    return top - 1
+
+
+@pytest.mark.parametrize("data, top", [(B2, 8), (KRON, 10), (G2, 9), (WILD, 7)], ids=["b2", "kron", "g2", "wild"])
+@pytest.mark.parametrize("word", [(), (1,), (2,), (2, 1)], ids=lambda w: "w" + "".join(map(str, w)))
+def test_truncated_completion_is_the_lower_completion(data, top, word):
+    """Order by order a consistent completion is unique, so a seed's
+    completion at a lower order is the truncation of a deeper one, byte for
+    byte.  ``scattering._completed`` serves lower orders from its memo on
+    this; the mutated seeds read degrees in their own coefficient basis."""
+    assert truncations_are_completions(pattern_walk(group_seed(data), word), top) == top - 1
+
+
+def test_truncated_completion_is_the_lower_completion_on_every_rank2_datum():
+    assert sum(truncations_are_completions(group_seed(data), 3) for data in RANK2) == 37 * 2
+
+
 def without_one_outgoing_atom(C):
     """C with one atom of one outgoing wall dropped, for every such atom (a
     wall left without atoms is dropped too)."""

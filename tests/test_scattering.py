@@ -46,6 +46,7 @@ from clusterscatter.scattering import (
     tk_transform,
     wall_label,
     _angle_key,
+    _completed,
     _grading_data,
     _primitive,
     _turn,
@@ -628,6 +629,34 @@ class TestMutationTransform:
         for data in RANK2:
             for k in (1, 2):
                 assert tk_invariance_check(group_seed(data), k, 3)[2], (data, k)
+
+    @pytest.mark.parametrize("data", [B2, KRON], ids=["b2", "kron"])
+    def test_a_shared_memo_changes_only_the_work_done(self, data, monkeypatch):
+        """One memo over k in {1, 2} and the orders 6 and 4 gives what fresh
+        calls give.  Afterwards each seed's entry is its completion at the
+        deepest order asked of it, and an entry over another seed is
+        refused."""
+        s = group_seed(data)
+        asked: dict = {}
+
+        def spy(seed, order, memo):
+            asked[seed] = max(asked.get(seed, 0), order)
+            return _completed(seed, order, memo)
+
+        monkeypatch.setattr("clusterscatter.scattering._completed", spy)
+        memo: dict = {}
+        for k in (1, 2):
+            for o in (6, 4):
+                shared, fresh = tk_invariance_check(s, k, o, memo), tk_invariance_check(s, k, o)
+                assert shared[2] == fresh[2]
+                assert [diagram_to_json(D) for D in shared[:2]] == [diagram_to_json(D) for D in fresh[:2]]
+        assert memo.keys() == asked.keys() == {s, seed_mutate(s, 1), seed_mutate(s, 2)}
+        for seed, D in memo.items():
+            assert D.order == asked[seed]
+            assert diagram_to_json(D) == diagram_to_json(complete_rank2(build_initial(seed, asked[seed])))
+        other = {s: complete_rank2(build_initial(group_seed(A2), 6))}
+        with pytest.raises(ValueError, match="^the memo holds a completion of another seed$"):
+            tk_invariance_check(s, 1, 4, other)
 
     def test_missing_slab_rejected(self, b2_completed):
         once = tk_transform(b2_completed, 2)

@@ -587,8 +587,7 @@ def test_theta_moves_between_endpoints_by_the_path_ordered_product(name):
     seed's basis first; both sides are compared below the theta order."""
     seed, expected = ENDPOINT_SEEDS[name]
     D = complete_rank2(build_initial(seed, 4))
-    to_fresh = D.frame.to_fresh
-    fresh = lambda x: LaurentSeries({Exponent(e.m, to_fresh(e.t)): c for e, c in x.terms.items()}, 4)
+    fresh = lambda x: in_seed_basis(D, x, 4)
     start, *others = gap_directions(D.walls)
     point = lambda g: (g[0] + Fraction(1, 1009), g[1] + Fraction(1, 1013))
     box = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b]
@@ -606,16 +605,25 @@ def test_theta_moves_between_endpoints_by_the_path_ordered_product(name):
     assert checks == expected
 
 
+def in_seed_basis(D, x, order):
+    """A series of ``theta`` (coefficients in the initial basis) with its
+    coefficient exponents mapped into the seed's own basis, where the
+    diagram counts degrees."""
+    to_fresh = D.frame.to_fresh
+    return LaurentSeries({Exponent(e.m, to_fresh(e.t)): c for e, c in x.terms.items()}, order)
+
+
 def theta_products(D, box, order):
     """Each product theta_p theta_q, p and q in the box, peeled into theta
     functions lowest coefficient degree first: the degree-k terms c t^a z^m
     of what is left are the constants c t^a of theta_m, since t^a theta_m is
-    t^a z^m below degree k + 1.  Yields (p, q, {(m, a): c})."""
+    t^a z^m below degree k + 1.  Degrees are those of the seed's own basis,
+    so each theta is mapped into it first.  Yields (p, q, {(m, a): c})."""
     thetas: dict = {}
 
     def th(m):
         if m not in thetas:
-            thetas[m] = theta(D, m, order)
+            thetas[m] = in_seed_basis(D, theta(D, m, order), order)
         return thetas[m]
 
     for i, p in enumerate(box):
@@ -644,12 +652,15 @@ def test_theta_structure_constants_are_nonnegative_integers():
     assert products == 37 * 325
 
 
-@pytest.mark.parametrize("data", [B2, KRON], ids=["b2", "kron"])
-def test_theta_structure_constants_on_a_wider_box(data):
+@pytest.mark.parametrize(
+    "seed", [group_seed(B2), group_seed(KRON), SHEARED_B2], ids=["b2", "kron", "b2-sheared"]
+)
+def test_theta_structure_constants_on_a_wider_box(seed):
     """The same positivity on the B2 and Kronecker fixture seeds completed at
     order 4, with |a|, |b| <= 3: a box wide enough to see the Kronecker wall
-    on the ray (1,-2)."""
-    D = complete_rank2(build_initial(group_seed(data), 4))
+    on the ray (1,-2).  The sheared B2 seed peels in its own basis, which is
+    not the initial one."""
+    D = complete_rank2(build_initial(seed, 4))
     box = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
     products = 0
     for p, q, constants in theta_products(D, box, 4):
