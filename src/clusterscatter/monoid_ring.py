@@ -31,16 +31,19 @@ integrality assert it via ``assert_integral``.  Every crossing of the
 library goes one wall factor ``(1 + t z^m)^c`` at a time through one kernel,
 ``_Factor``, on images held as slices by coefficient degree; it never
 inverts, since it expands ``(1 + y)^(c h)`` binomially, with integer
-``C(c h, q)`` for any ``h``.  Two loops call it: ``_cross_in_place`` crosses
-a whole image at once (the one-shot loop), and ``_OnlineFan`` crosses a fan
-of factors one coefficient degree at a time, so that completion can insert
-factors between degrees without crossing the fan again.  ``wall_cross`` is
-the kernel's reference form, kept as its test oracle: it crosses with an
-expanded function level by level, and inverts it for a negative level.
-``series_exact_div`` pops each leading term from a max-heap of packed keys
-and divides int coefficients with ``divmod``.  ``_by_level`` splits a
-polynomial by the level <n0, m> of its terms, read off the m-slots of the
-packed keys, for the seed layer's pull-back and for ``wall_cross``.
+``C(c h, q)`` for any ``h``; a factor of degree delta reads no slice at or
+above order - delta.  Two loops call it: ``_cross_in_place`` crosses a whole
+image at once (the one-shot loop), and ``_OnlineFan`` crosses a fan of
+factors one coefficient degree at a time, so that completion can insert
+factors between degrees without crossing the fan again; the slices an
+insert makes stale are rebuilt once, before the fan is next read.
+``wall_cross`` is the kernel's reference form, kept as its test oracle: it
+crosses with an expanded function level by level, and inverts it for a
+negative level.  ``series_exact_div`` pops each leading term from a
+max-heap of packed keys and divides int coefficients with ``divmod``.
+``_by_level`` splits a polynomial by the level <n0, m> of its terms, read
+off the m-slots of the packed keys, for the seed layer's pull-back and for
+``wall_cross``.
 """
 
 from __future__ import annotations
@@ -517,17 +520,19 @@ class _Factor:
     has the level h of the term it came from, and the crossed terms of degree
     k are, over q >= 1, C(c h, q) y^q times the terms of degree k - q delta.
     ``prepare`` reads a finished slice once; ``add`` gathers the crossed
-    terms of one degree from prepared lower slices.  The level of a key is
-    read off its two m-slots.  The binomials are integers for any h: nothing
-    is inverted.  The rows C(e, q), q < order, come from ``binomials``, a
-    memo e -> row owned by the one computation (fan or loop) whose factors
-    share it, so that a row is built once per computation and never outlives
-    it.  ``bound`` holds the slots of an image under factors no larger than
-    this one, a generator times at most order - 1 factor monomials; it is
-    guarded before any key forms.
+    terms of one degree from prepared lower slices.  A degree below the
+    order draws on slices below order - delta only: ``reads``, their count,
+    is the one read limit, and no driver prepares a slice at or above it.
+    The level of a key is read off its two m-slots.  The binomials are
+    integers for any h: nothing is inverted.  The rows C(e, q), q < order,
+    come from ``binomials``, a memo e -> row owned by the one computation
+    (fan or loop) whose factors share it, so that a row is built once per
+    computation and never outlives it.  ``bound`` holds the slots of an
+    image under factors no larger than this one, a generator times at most
+    order - 1 factor monomials; it is guarded before any key forms.
     """
 
-    __slots__ = ("w", "delta", "y", "top", "bound", "lift", "shift", "order", "binomials", "rows")
+    __slots__ = ("w", "delta", "reads", "y", "top", "bound", "lift", "shift", "order", "binomials", "rows")
 
     def __init__(self, n0: Sequence[int], sign: int, atom, d: int, order: int, binomials: dict[int, list]):
         t, m, c = atom
@@ -539,6 +544,7 @@ class _Factor:
         if sum(map(mul, n0, m)):
             raise ValueError(f"wall monomial {tuple(m)} is not tangent to the acting normal {tuple(n0)}")
         self.w, self.delta = (sign * c * n0[0], sign * c * n0[1]), delta  # c h = w . m(p)
+        self.reads = max(0, order - delta)  # add reads slices k - q delta < order - delta only
         self.y, self.top = _pack((*m, *t, delta)), (order - 1) // delta
         self.bound = _guard(1 + (order - 1) * max(map(abs, (*m, *t, delta)))) if self.top else 1
         # the lift raises the t and degree slots to [0, 2^32), so that a shift leaves the m-slots
@@ -599,7 +605,7 @@ def _cross_in_place(slices: list[dict], factor: _Factor) -> None:
     """Cross an image held as slices by coefficient degree (``slices[k]`` for
     k below the order) by one factor, in place: every slice the factor reads
     is prepared before any is written."""
-    prepared = [factor.prepare(sl) for sl in slices[: len(slices) - factor.delta]]
+    prepared = [factor.prepare(sl) for sl in slices[: factor.reads]]
     for k in range(factor.delta, len(slices)):
         factor.add(slices[k], prepared, k)
 
@@ -609,21 +615,27 @@ class _OnlineFan:
     built one coefficient degree at a time (online, or "relaxed", evaluation:
     van der Hoeven, *Relax, but don't be too lazy*, 2002).
 
-    Position j crosses by one `_Factor`.  It keeps its output image as slices
-    by coefficient degree, and its input's finished slices prepared.  Slice k
-    of an output is slice k of its input plus the crossed terms gathered from
-    the input's lower slices, which are final by stage k.  Slice 0 of every
-    image is its generator, so a factor of degree k inserted at stage k
-    changes slice k, at its own position and at every later one, by its
-    first-order term c h(e_i) z^{e_i} y alone; a factor of higher degree
-    changes no slice yet.  The fan's factors share one binomial memo, which
-    lives as long as the fan.
+    Position j crosses by one `_Factor`.  It keeps its output image as
+    slices by coefficient degree (those above the stage are placeholders),
+    and the finished input slices that its factor reads, prepared: a factor
+    of degree delta reads its input's slices below order - delta only.
+    Slice k of an output is slice k of its input plus the crossed terms
+    gathered from the input's lower slices, which are final by stage k.  A
+    factor inserted at stage k has degree k or more, so it leaves every
+    slice below k as it was, and slice k at its own position and later
+    ones.  ``insert`` therefore builds nothing: it records the lowest
+    position whose slice k is stale, and ``_flush``, the loop that also
+    builds each stage, rebuilds slice k from there on before ``step``,
+    ``defect`` or ``closed`` reads it.  A stage that inserts factors at
+    several positions rebuilds once.  The fan's factors share one binomial
+    memo, which lives as long as the fan.
     """
 
     def __init__(self, d: int, order: int):
         self.nd, self.order, self.k, self.bound, self.binomials = (2, d), order, 0, 1, {}
         self.start = _generator_slices(2, d, order)
         self.positions: list[tuple[_Factor, list[list[dict]], list[list[list]]]] = []  # factor, output, prepared input
+        self.stale = 0  # slice k of every output from this position on is stale
 
     def _input(self, j: int) -> list[list[dict]]:
         return self.positions[j - 1][1] if j else self.start
@@ -634,29 +646,41 @@ class _OnlineFan:
         if factor.delta < k:
             raise ValueError(f"wall factor of coefficient degree {factor.delta} at stage {k}")
         src = self._input(j)
-        prepared = [[factor.prepare(s) for s in sl[:k]] for sl in src]
-        self.positions.insert(j, (factor, [sl[:k] + [dict(sl[k])] for sl in src], prepared))
+        prepared = [[factor.prepare(s) for s in sl[: min(k, factor.reads)]] for sl in src]
+        self.positions.insert(j, (factor, [list(sl) for sl in src], prepared))
         self.bound = max(self.bound, factor.bound)
-        for i, prep in enumerate(prepared):
-            for _, out, _ in self.positions[j:]:
-                factor.add(out[i][k], prep, k)
+        self.stale = min(self.stale, j)
 
-    def step(self) -> None:
-        """Build the next slice of every output, first position first."""
-        k = self.k = self.k + 1
-        for j, (factor, out, prepared) in enumerate(self.positions):
+    def _flush(self) -> None:
+        """Build slice k of every output from the lowest stale position on,
+        first position first, once each factor has prepared the input slices
+        below k that it reads."""
+        k = self.k
+        for j in range(self.stale, len(self.positions)):
+            factor, out, prepared = self.positions[j]
+            reads = min(k, factor.reads)
             for sl, image, prep in zip(self._input(j), out, prepared):
-                prep.append(factor.prepare(sl[k - 1]))
+                if len(prep) < reads:
+                    prep.append(factor.prepare(sl[k - 1]))
                 acc = dict(sl[k])
                 factor.add(acc, prep, k)
-                image.append(acc)
+                image[k] = acc
+        self.stale = len(self.positions)
+
+    def step(self) -> None:
+        """Build the next slice of every output."""
+        self._flush()
+        self.k, self.stale = self.k + 1, 0
+        self._flush()
 
     def defect(self) -> list[LaurentSeries]:
         """Slice k of z^{-e_i} times the last output, one series per generator."""
+        self._flush()
         return _shifted_slices(self._input(len(self.positions)), self.k, self.order, self.nd, self.bound)
 
     def closed(self) -> bool:
         """Is slice k of the last output empty for every generator?"""
+        self._flush()
         return not any(sl[self.k] for sl in self._input(len(self.positions)))
 
 

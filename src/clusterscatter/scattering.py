@@ -509,12 +509,15 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
     same reader as ``check_consistency``.  The defect is a derivation; each
     term forces one factor ``(1 + t z^m)^c`` of degree k on the ray opposite
     to m, and the exponent must come out a positive integer.  A degree-k
-    factor, inserted after the factors already on its ray, changes the loop
-    at degree k by its first-order term alone; after that, the degree-k
-    slices of the loop must vanish.  Each new atom is mapped to the initial
-    coefficient basis once, each new wall is built once, after the last
-    stage, and ``check_consistency`` on the result closes.  Idempotent on
-    consistent input.
+    factor, inserted after the factors already on its ray, leaves every
+    slice below k as it was, and prepares only the input slices it reads,
+    those below the fan's order minus k.  The fan rebuilds slice k once
+    per stage, from the lowest position the stage inserted at, before it
+    reads the loop; after that, the degree-k slices of the loop must
+    vanish.  Each new atom is mapped to the initial coefficient basis once,
+    each new wall is built once, after the last stage, and
+    ``check_consistency`` on the result closes.  Idempotent on consistent
+    input.
     """
     ord_, frame, d = D.order, D.frame, sum(D.seed.coeff_orders)
     walls = list(D.walls)

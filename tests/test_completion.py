@@ -16,6 +16,7 @@ images: the one-shot loop ``_cross_fan`` and, slice by slice, the online fan
 ``_OnlineFan``.
 """
 
+from bisect import bisect_left
 from dataclasses import replace
 
 import pytest
@@ -323,27 +324,94 @@ def test_stage_that_does_not_cancel_its_defect(monkeypatch):
 # -- the online fan against the expanded crossing -----------------------------
 
 
-@pytest.mark.parametrize("data, order", [(B2, 6), (KRON, 6), (G2, 5), (WILD, 4)], ids=["b2", "kron", "g2", "wild"])
-@pytest.mark.parametrize("completed", [False, True], ids=["initial", "completed"])
-def test_online_fan_matches_one_shot_crossing(data, order, completed):
+def staged_fan(fan, d, series_order, late):
+    """An `_OnlineFan` over a diagram's fan, and the stage driver that fills
+    it: ``insert_stage(k)`` inserts the factors due at stage k, each after
+    the factors already in that precede it in the fan.  Every factor is due
+    at stage 0, or (``late``) at the stage of its degree, the last stage for
+    a degree at or above it, as completion inserts its factors."""
+    online, placed, due = _OnlineFan(d, series_order), [], {}
+    for i, (ray, acting, atom) in enumerate((r, a, x) for r, a, atoms in fan for x in atoms):
+        stage = min(sum(atom[0]), series_order - 1) if late else 0
+        due.setdefault(stage, []).append((i, acting, _crossing_eps(ray, acting, True), atom))
+
+    def insert_stage(k):
+        for i, acting, eps, atom in due.get(k, ()):
+            pos = bisect_left(placed, i)
+            placed.insert(pos, i)
+            online.insert(pos, acting, eps, atom)
+
+    return online, insert_stage
+
+
+FANS = [(B2, (), 6), (KRON, (), 6), (KRON, (2,), 6), (G2, (), 5), (WILD, (), 4), (WILD, (), 6)]
+FAN_IDS = ["b2", "kron", "kron-w2", "g2", "wild", "wild-o6"]
+
+
+def online_matches_expanded_crossing(data, word, order, completed, late):
     """Slice by slice, the online images equal those of the expanded
-    crossing (``reference_cross_fan``), on a consistent and on an
-    inconsistent diagram."""
-    D = build_initial(group_seed(data), order)
+    crossing (``reference_cross_fan``); ``defect`` reads slice k right after
+    the stage's inserts."""
+    D = build_initial(pattern_walk(group_seed(data), word), order)
     if completed:
         D = complete_rank2(D)
     so = order + 1
     d = sum(D.seed.coeff_orders)
-    online = _OnlineFan(d, so)
-    for ray, acting, atoms in D.fan:
-        for atom in atoms:
-            online.insert(len(online.positions), acting, _crossing_eps(ray, acting, True), atom)
+    online, insert_stage = staged_fan(D.fan, d, so, late)
+    insert_stage(0)
     images = reference_cross_fan(expanded(D.fan, so), True, d, so)
     for k in range(1, so):
         online.step()
+        insert_stage(k)
         for a, sl in enumerate(online.defect()):
             shift = LaurentSeries.monomial(tuple(-x for x in _unit(2, a)), (0,) * d, 1, so)
             assert sl.terms == series_mul(images[a], shift).degree_slice(k).terms, (k, a)
+
+
+@pytest.mark.parametrize("data, word, order", FANS, ids=FAN_IDS)
+@pytest.mark.parametrize("completed", [False, True], ids=["initial", "completed"])
+def test_online_fan_matches_one_shot_crossing(data, word, order, completed):
+    """Every factor inserted before the first stage, on a consistent and on
+    an inconsistent diagram, over the base seed and over the Kronecker seed
+    mutated at 2, whose frame is not the identity."""
+    online_matches_expanded_crossing(data, word, order, completed, False)
+
+
+@pytest.mark.parametrize("data, word, order", FANS, ids=FAN_IDS)
+@pytest.mark.parametrize("completed", [False, True], ids=["initial", "completed"])
+def test_online_fan_matches_one_shot_crossing_stage_by_stage(data, word, order, completed):
+    """Each factor inserted at the stage of its degree, as completion does,
+    so that slice k of every later position is stale until it is rebuilt;
+    on the completed wild diagram at order 6 one stage inserts factors at
+    several positions."""
+    online_matches_expanded_crossing(data, word, order, completed, True)
+
+
+@pytest.mark.parametrize("reader", ["closed", "defect", "step"])
+def test_online_fan_reads_no_stale_slice(reader):
+    """A factor inserted at stage k changes slice k at its own position and
+    every later one; ``insert`` leaves that to ``_flush``, which must run
+    before any read.  On a completed diagram with each factor inserted at
+    the stage of its degree, the loop closes at every stage: ``closed()``
+    and ``defect()`` see it right after the stage's inserts, and ``step()``
+    builds the next stage on rebuilt slices, so that the last image, read
+    once at the end, is its generator in every slice."""
+    D = complete_rank2(build_initial(group_seed(WILD), 5))
+    d, so = sum(D.seed.coeff_orders), 6
+    online, insert_stage = staged_fan(D.fan, d, so, True)
+    inserted = 0
+    for k in range(1, so):
+        online.step()
+        before = len(online.positions)
+        insert_stage(k)
+        inserted += k > 1 and len(online.positions) > before
+        if reader == "closed":
+            assert online.closed(), k
+        elif reader == "defect":
+            assert not any(online.defect()), k
+    assert inserted == so - 2  # every stage from 2 on inserted outgoing factors
+    assert online.closed()
+    assert online._input(len(online.positions)) == _generator_slices(2, d, so)
 
 
 # -- the one-shot loop against the expanded crossing -------------------------
@@ -459,6 +527,36 @@ def test_factor_below_the_stage_is_rejected():
 def test_factor_off_the_wall_is_rejected():
     with pytest.raises(ValueError, match="not tangent"):
         _OnlineFan(2, 4).insert(0, (0, 1), 1, ((1, 0), (1, 1), 1))
+
+
+def test_factor_at_or_above_the_order_reads_and_changes_nothing(monkeypatch):
+    """A factor of degree delta reads the slices below order - delta only
+    (``_Factor.reads``): at order 4 one of degree 4, 5 or 8 prepares no slice
+    and leaves every image as it was, in the one-shot loop and in the online
+    fan, also when it comes in at a later stage."""
+    low, high = ((1, 0), (1, 0), 2), [((4, 0), (1, 0), 3), ((2, 3), (1, 0), 1), ((8, 0), (1, 0), 1)]
+    prepared = []
+    prepare = _Factor.prepare
+    monkeypatch.setattr(_Factor, "prepare", lambda f, sl: prepared.append(f.delta) or prepare(f, sl))
+    factors = [_Factor((0, 1), 1, atom, 2, 4, {}) for atom in (low, *high)]
+    assert [f.reads for f in factors] == [3, 0, 0, 0]
+    for i in range(2):
+        alone, crossed = _generator_slices(2, 2, 4)[i], _generator_slices(2, 2, 4)[i]
+        _cross_in_place(alone, factors[0])
+        for f in factors:
+            _cross_in_place(crossed, f)
+        assert crossed == alone and any(alone[1:]) == (i == 1), i  # the low factor moves z^{e_2} only
+    fan, alone = _OnlineFan(2, 4), _OnlineFan(2, 4)
+    for f in (fan, alone):
+        f.insert(0, (0, 1), 1, low)
+    fan.insert(0, (0, 1), 1, high[0])
+    fan.insert(2, (0, 1), 1, high[1])
+    for k in range(1, 4):
+        fan.step()
+        alone.step()
+        fan.insert(1, (0, 1), 1, high[2])
+        assert fan.defect() == alone.defect(), k
+    assert len(fan.positions) == 6 and set(prepared) == {1}
 
 
 def test_factor_guards_the_slots_before_any_key_forms():
