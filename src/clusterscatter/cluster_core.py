@@ -11,11 +11,12 @@ t-exponents of series and wall functions.  Coefficients mutate by one
 normalized rule with the split p = p^+/p^-, integer arithmetic on the
 tuples; group-mode seeds, whose coefficients are bare group elements, use the
 same rule with the split (p, 1), which is the plus-signed rule of the
-scattering frames.  ``coeff_map`` evaluates principal coefficient exponents
-at a seed's own coefficients.  On top of seed mutation this module provides
-pattern walks, g-vector frames with signed mutation, and the chart
-variables: the cluster variables at the end of a mutation path, computed a
-second way by composing wall-crossing substitutions in the initial chart.
+scattering frames, whose ``to_old`` evaluates principal coefficient
+exponents at a seed's own coefficients.  On top of seed mutation this
+module provides pattern walks, g-vector frames with signed mutation, and
+the chart variables: the cluster variables at the end of a mutation path,
+computed a second way by composing wall-crossing substitutions in the
+initial chart.
 One g-frame step moves every frame: ``g_frame_mutate`` takes its sign from
 g*_k, while chart variables (and the seed frames of ``scattering``) replay
 it with sign +1.  Chart variables and theta's chamber transport share one
@@ -34,7 +35,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from math import gcd
-from operator import mul
 
 from .monoid_ring import (
     _LIMIT,
@@ -483,24 +483,13 @@ def _chamber_walk(data: FixedData, depth: int):
     pair, with the first word that reaches it.  The walk is principal: the
     tropical seeds start from the principal generators whatever the
     coefficients of the caller's seed, and callers push the coefficient
-    exponents they emit through that seed's coefficients (``coeff_map``).
+    exponents they emit through that seed's frame (``SeedFrame.to_old``).
     """
     start = (initial_seed(data, with_cluster=False, semifield=True), initial_g_frame(data))
     step = lambda st, k: (seed_mutate(st[0], k), g_frame_mutate(st[1], st[0], k))
     key = lambda st: (seed_key(st[0]), st[1].g, st[1].gstar)
     for word, (sd, G) in _bfs(start, data.n, depth, step, key):
         yield word, sd, G
-
-
-# -- coefficient maps ---------------------------------------------------------
-
-
-def coeff_map(s: Seed):
-    """The map of exponent tuples that evaluates principal coefficients at
-    the seed's own: t, one slot per coefficient of s in flat order, goes to
-    the exponents of prod_b p_b^(t_b), one integer matrix-vector product."""
-    rows = tuple(zip(*(p for tup in s.coeffs for p in tup)))  # rows[j][b]: exponent j of coefficient b
-    return lambda t: tuple(sum(map(mul, row, t)) for row in rows)
 
 
 # -- chart variables by composed crossings -----------------------------------

@@ -26,7 +26,8 @@ with the g-frame step at sign +1.  Wall monomial exponents are kept in the
 coefficient basis of the initial seed, and degrees are counted in the seed's
 own coefficient basis, the basis of the fan's atoms: the frame and the fan
 are built on first use and kept on the diagram.  A seed's frame is replayed
-once and shared by every diagram over that seed (``_frame_of``).
+once and shared by every diagram over that seed (``_frame_of``).  A built
+wall takes both normals from its atoms' grading in its seed's frame.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .cluster_core import (
     Seed,
     _chamber_walk,
     _frame_step,
-    coeff_map,
     initial_g_frame,
     matrix_mutate,
     seed_key,
@@ -141,6 +141,8 @@ class Wall:
     monomials in the tagged seed's basis; ``acting`` is the primitive integer
     normal used by crossings, orthogonal to the support and to every monomial
     exponent.  ``factors`` holds (t, m, c) for ``(1 + t z^m)^c`` with c > 0.
+    An incoming wall takes the basis row e_i for both normals; every other
+    wall takes both from the grading of its atoms (``_grading_data``).
     """
 
     ray: tuple[int, int]
@@ -336,6 +338,18 @@ def _grading_data(frame: SeedFrame, t_fresh: Sequence[int]):
     nbar = tuple(sum(scale[i] * frame.E[i][b] for i in range(n)) for b in range(n))
     m = tuple(sum(alpha[i] * frame.W[i][b] for i in range(n)) for b in range(n))
     return alpha, _primitive(n_vec), _primitive(nbar), m
+
+
+def _wall_normals(frame: SeedFrame, atoms: Sequence[Atom]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(grading normal, acting normal) of a wall built over the frame's
+    seed, from its atoms (t in the initial basis): every atom must grade to
+    the same pair (``_grading_data``)."""
+    normals = {_grading_data(frame, frame.to_fresh(t))[1:3] for t, _, _ in atoms}
+    if not normals:
+        raise InvariantViolation("a transformed wall has no atoms")
+    if len(normals) > 1:
+        raise InvariantViolation("wall atoms have incompatible gradings")
+    return normals.pop()
 
 
 # -- diagram construction -----------------------------------------------------
@@ -586,7 +600,8 @@ def tk_transform(D: ScatteringDiagram, k: int) -> ScatteringDiagram:
     ``m -> m + <e_k, m> r_k w_k`` with coefficients picking up the block
     product t_k to the same power; the negative side is fixed; the direction-k
     hyperplane trades its function for the one with inverted coefficients.
-    The result is tagged with the one-step mutated seed.
+    The result is tagged with the one-step mutated seed, and every wall it
+    emits, bent or kept, is graded in that seed's frame (``_wall_normals``).
     """
     s = D.seed
     s2 = seed_mutate(s, k)
@@ -615,20 +630,16 @@ def tk_transform(D: ScatteringDiagram, k: int) -> ScatteringDiagram:
     new_walls: list[Wall] = []
     for w in rest:
         h_ray = pairing_e(w.ray)
-        if h_ray <= 0:
-            new_walls.append(w)
-            continue
-        ray2 = _primitive(tuple(x + h_ray * r_k * y for x, y in zip(w.ray, w_k)))
-        atoms2 = []
-        for t, m, c in w.factors:
-            h = pairing_e(m)
-            t2 = tuple(x + h * y for x, y in zip(t, tk_exps))
-            m2 = tuple(x + h * r_k * y for x, y in zip(m, w_k))
-            atoms2.append((t2, m2, c))
-        pair_w = sum(x * y for x, y in zip(w_k, w.acting))
-        acting2 = tuple(x - r_k * pair_w * y for x, y in zip(w.acting, e_k))
-        normal2 = _regrade_normal(frame2, atoms2)
-        new_walls.append(Wall(ray2, normal2, _primitive(acting2), tuple(atoms2), w.incoming))
+        ray2, atoms2 = w.ray, w.factors
+        if h_ray > 0:
+            ray2 = _primitive(tuple(x + h_ray * r_k * y for x, y in zip(w.ray, w_k)))
+            atoms2 = []
+            for t, m, c in w.factors:
+                h = pairing_e(m)
+                t2 = tuple(x + h * y for x, y in zip(t, tk_exps))
+                m2 = tuple(x + h * r_k * y for x, y in zip(m, w_k))
+                atoms2.append((t2, m2, c))
+        new_walls.append(Wall(ray2, *_wall_normals(frame2, atoms2), atoms2, w.incoming))
     inv_atoms = tuple(
         (tuple(-x for x in p), tuple(-x for x in w_k), 1) for p in s.coeffs[a]
     )
@@ -688,20 +699,6 @@ def tk_invariance_check(
     return lhs, rhs, diagrams_equivalent(lhs, rhs)
 
 
-def _regrade_normal(frame: SeedFrame, atoms: Sequence[Atom]) -> tuple[int, ...]:
-    """Primitive grading vector of a transformed wall, from its own atoms."""
-    base: tuple[int, ...] | None = None
-    for t, _, _ in atoms:
-        _, n0, _, _ = _grading_data(frame, frame.to_fresh(t))
-        if base is None:
-            base = n0
-        elif base != n0 and base != tuple(-x for x in n0):
-            raise InvariantViolation("wall atoms have incompatible gradings")
-    if base is None:
-        raise InvariantViolation("a transformed wall has no atoms")
-    return base
-
-
 # -- cluster chamber walls ----------------------------------------------------
 
 
@@ -712,30 +709,24 @@ def cluster_chamber_walls(s: Seed, depth: int) -> tuple[Wall, ...]:
     g-vector, function ``prod_j (1 + p_{i,j}^eps z^{eps w_i})`` from the
     chamber's tropical coefficients, with eps the frame sign of direction i.
     The walk runs on principal coefficients; each p^eps is then evaluated at
-    the seed's own coefficients, while the grading normal is read from the
-    principal exponents, which are the seed's own coefficient degrees.
-    Duplicate facets must agree exactly; disagreement is an error.
+    the seed's own coefficients (its frame's ``to_old``), and both normals
+    come from the grading of the principal exponents, which are the seed's
+    own coefficient degrees (``_wall_normals``).  Duplicate facets must
+    agree exactly; disagreement is an error.
     """
     if s.word:
         raise ValueError("cluster_chamber_walls starts from the base seed")
     if s.data.n != 2:
         raise ValueError("cluster_chamber_walls is defined for rank-2 seeds only")
-    lam = coeff_map(s)
+    frame = _frame_of(s)
     found: dict[tuple[int, ...], Wall] = {}
     for _, sd, G in _chamber_walk(s.data, depth):
         for i in (1, 2):
             eps = G.epsilon(i)
             m = tuple(eps * x for x in G.w(i))
             ray = G.g[2 - i]
-            atoms = tuple((lam(tuple(eps * x for x in p)), m, 1) for p in sd.coeffs[i - 1])
-            acting = tuple(eps * x for x in G.gstar[i - 1])
-            alphas = {
-                tuple(eps * sum(p[j] for j in block_range(s.data.r, b)) for b in range(2))
-                for p in sd.coeffs[i - 1]
-            }
-            if len(alphas) != 1:
-                raise InvariantViolation("facet coefficients have mixed gradings")
-            wall = Wall(ray, _primitive(next(iter(alphas))), acting, atoms, incoming=False)
+            atoms = tuple((frame.to_old(tuple(eps * x for x in p)), m, 1) for p in sd.coeffs[i - 1])
+            wall = Wall(ray, *_wall_normals(frame, atoms), atoms, incoming=False)
             old = found.get(ray)
             if old is None:
                 found[ray] = wall

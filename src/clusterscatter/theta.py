@@ -14,10 +14,10 @@ line is built, while ``enumerate_broken_lines`` itself (and ``clusterscatter
 theta --trace``) returns the lines whole.  The search holds points as
 reduced integer homogeneous coordinates, and each of its steps walks the
 counterclockwise fan from the segment's start to the first ray it misses.
-What it reads of a diagram at one order (the ray fan with every power of
-its wall functions, and the table of shifts reachable from the origin) is
-built once, on first use, and kept on the diagram for every later call at
-that order, next to the diagram's frame.
+What it reads of a diagram at one order (the ray fan with the bend terms
+of each power F^e it meets, expanded from the ray's atoms, and the table of
+shifts reachable from the origin) is built once, on first use, and kept on
+the diagram for every later call at that order, next to the diagram's frame.
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ from .cluster_core import (
     _chamber_walk,
     _pull_back,
     _transport,
-    coeff_map,
     initial_seed,
 )
-from .monoid_ring import Exponent, LaurentSeries, series_pow
+from .monoid_ring import Exponent, LaurentSeries
 from .scattering import ScatteringDiagram, _angle_key, _cross, _function
 
 __all__ = [
@@ -92,27 +91,27 @@ def _vadd(u, v):
 
 
 class _RayData:
-    """One ray of the fan with its acting normal and merged wall function F,
-    in the diagram seed's own coefficient basis.  ``powers[e]`` holds F^e and
-    its bending terms (coeff, t, m, coefficient degree), those with t != 0 in
-    exponent order, each computed once; binary powering keeps a large e to
-    about log e products.  ``walks`` is the fan as seen from this ray
-    (``_SearchContext.walks``), set by the search context."""
+    """One ray of the fan with its acting normal and the atoms (t, m, c) of
+    its merged wall function F, in the diagram seed's own coefficient basis.
+    ``power(e)`` returns the bending terms (coeff, t, m, coefficient degree)
+    of F^e mod degree ``order``, those with t != 0 in exponent order: the
+    atoms with c scaled by e, expanded, each e once (``powers``).  ``walks``
+    is the fan as seen from this ray (``_SearchContext.walks``)."""
 
-    __slots__ = ("ray", "acting", "function", "powers", "walks")
+    __slots__ = ("ray", "acting", "atoms", "order", "powers", "walks")
 
-    def __init__(self, ray, acting, function: LaurentSeries):
+    def __init__(self, ray, acting, atoms, order: int):
         self.ray = ray
         self.acting = acting
-        self.function = function
-        self.powers: dict[int, tuple[LaurentSeries, tuple]] = {}
+        self.atoms = atoms
+        self.order = order
+        self.powers: dict[int, tuple] = {}
 
-    def power(self, e: int) -> tuple[LaurentSeries, tuple]:
+    def power(self, e: int) -> tuple:
         got = self.powers.get(e)
         if got is None:
-            f = series_pow(self.function, e)
-            bends = tuple((c, x.t, x.m, sum(x.t)) for x, c in sorted(f.terms.items()) if any(x.t))
-            got = self.powers[e] = (f, bends)
+            f = _function([(t, m, c * e) for t, m, c in self.atoms], self.order)
+            got = self.powers[e] = tuple((c, x.t, x.m, sum(x.t)) for x, c in sorted(f.terms.items()) if any(x.t))
         return got
 
 
@@ -122,7 +121,7 @@ def _reachable_shifts(rays: list[_RayData], budget: int) -> dict[tuple, int]:
     p0 costs the same as reaching p - p0 from the origin."""
     types = set()
     for rd in rays:
-        for _, _, m, d in rd.power(1)[1]:
+        for _, _, m, d in rd.power(1):
             if d < 1:
                 raise ValueError("wall factors must carry positive coefficient degree")
             types.add((d, m))
@@ -154,7 +153,7 @@ class _SearchContext:
 
     def __init__(self, D: ScatteringDiagram, order: int):
         self.order = order
-        self.ring = [_RayData(ray, acting, _function(atoms, order)) for ray, acting, atoms in D.fan]
+        self.ring = [_RayData(ray, acting, atoms, order) for ray, acting, atoms in D.fan]
         self.rays = sorted(self.ring, key=lambda rd: rd.ray)
         for i, rd in enumerate(self.ring):
             rd.walks = self.walks(i - 1, i + 1)
@@ -286,7 +285,7 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
             Y0, Y1, v = X0 * c + a * a0, X1 * c + a * a1, w * c
             g = gcd(Y0, Y1, v)
             pt = (Y0 // g, Y1 // g, v // g)
-            for coeff, t, m, dq in rd.power(e)[1]:
+            for coeff, t, m, dq in rd.power(e):
                 if dq < 1:
                     raise InvariantViolation("a bend must raise the coefficient degree")
                 nu = used + dq
@@ -432,10 +431,7 @@ def theta_via_transport(D: ScatteringDiagram, p0) -> RationalFunction:
     if s.word:
         raise ValueError("transport starts from the base seed")
     data = s.data
-    n = data.n
-    p0 = tuple(int(x) for x in p0)
-    if len(p0) != n:
-        raise ValueError(f"exponent must have length {n}")
+    p0 = _exponent(p0)
     word = next(
         (w for w, _, G in _chamber_walk(data, _TRANSPORT_DEPTH) if all(_dot(g, p0) >= 0 for g in G.gstar)),
         None,
@@ -446,9 +442,8 @@ def theta_via_transport(D: ScatteringDiagram, p0) -> RationalFunction:
     steps, _ = _transport(initial_seed(data, with_cluster=False), word, signed=True)
     x = _pull_back(steps, LaurentSeries.monomial(p0, (0,) * sum(data.r)))
     # evaluate the principal coefficients at the seed's; colliding terms add
-    lam = coeff_map(s)
     terms: dict[Exponent, int] = {}
     for e, c in x.terms.items():
-        e2 = Exponent(e.m, lam(e.t))
+        e2 = Exponent(e.m, D.frame.to_old(e.t))
         terms[e2] = terms.get(e2, 0) + c
     return RationalFunction(LaurentSeries(terms, x.order))

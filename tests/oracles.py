@@ -9,11 +9,14 @@
   route to the coefficient rule of ``seed_mutate``.
 - ``frame_matrix`` reads the exchange matrix off a g-vector frame: a second
   route to ``matrix_mutate``.
+- ``greedy_element`` is the rank-2 greedy recursion: a second route to
+  theta functions at every exponent, with no diagram and no search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from clusterscatter import scattering
@@ -248,3 +251,37 @@ def frame_matrix(G: GVectorFrame) -> Matrix:
             row.append(int(v))
         out.append(tuple(row))
     return tuple(out)
+
+
+# -- greedy elements ----------------------------------------------------------
+
+
+def greedy_element(b12: int, b21: int, r: Sequence[int], a: Sequence[int]) -> dict[tuple[int, int], int]:
+    """The greedy element x[a1, a2] of B = ((0, -b12), (b21, 0)) with
+    exchange-polynomial degrees r, as {(exponent of x1, of x2): coefficient}.
+
+    With b' = b12/r2 and c' = b21/r1, x[a1, a2] is
+    x1^-a1 x2^-a2 sum_{p,q} c(p, q) x1^(b'p) x2^(c'q), where c(0, 0) = 1 and
+    c(p, q) is the larger of
+    sum_{k=1..p} (-1)^(k-1) c(p-k, q) C(r2 [a2 - c'q]_+ + k - 1, k) and
+    sum_{k=1..q} (-1)^(k-1) c(p, q-k) C(r1 [a1 - b'p]_+ + k - 1, k),
+    over 0 <= p <= r2 [a2]_+ and 0 <= q <= r1 [a1]_+.  With r = (1, 1) this
+    is the recursion of Lee-Li-Zelevinsky (*Greedy elements in rank 2
+    cluster algebras*, Selecta Math. 2014).  The factor r_j, from the
+    exchange polynomial (1 + u)^(r_j) at t = 1, is a generalized form that
+    rests on the comparison with theta functions in the tests only.
+    """
+    r1, r2 = r
+    b, c = b12 // r2, b21 // r1
+    a1, a2 = a
+    coeff: dict[tuple[int, int], int] = {}
+    for p in range(r2 * max(a2, 0) + 1):
+        for q in range(r1 * max(a1, 0) + 1):
+            if p == q == 0:
+                coeff[p, q] = 1
+                continue
+            n1, n2 = r2 * max(a2 - c * q, 0), r1 * max(a1 - b * p, 0)
+            down = sum((-1) ** (k - 1) * coeff[p - k, q] * comb(n1 + k - 1, k) for k in range(1, p + 1))
+            left = sum((-1) ** (k - 1) * coeff[p, q - k] * comb(n2 + k - 1, k) for k in range(1, q + 1))
+            coeff[p, q] = max(down, left)
+    return {(b * p - a1, c * q - a2): v for (p, q), v in coeff.items() if v}

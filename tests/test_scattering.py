@@ -196,6 +196,8 @@ def _valid_rank2():
 
 
 RANK2 = _valid_rank2()
+# p11 = t11, p21 = t11*t21, p22 = t22: a coefficient basis that is not the standard one
+SHEARED_B2 = initial_seed(B2, (((1, 0, 0),), ((1, 1, 0), (0, 0, 1))), with_cluster=False, semifield=False)
 
 
 def reference_basis_rows(E, B, a):
@@ -582,6 +584,12 @@ class TestCompletion:
 # -- mutation transform -------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def tk_checks():
+    """(data, k, ``tk_invariance_check`` at order 3) for the 37 data and k = 1, 2."""
+    return [(data, k, tk_invariance_check(group_seed(data), k, 3)) for data in RANK2 for k in (1, 2)]
+
+
 class TestMutationTransform:
     def test_b2_direction_two_golden(self, b2_completed):
         T = tk_transform(b2_completed, 2)
@@ -622,13 +630,29 @@ class TestMutationTransform:
         assert twice.seed == s2 and s2.word == (k, k)
         assert diagrams_equivalent(twice, complete_rank2(build_initial(s2, order)))
 
-    def test_matches_completed_mutated_seed_on_every_rank2_datum(self):
+    def test_matches_completed_mutated_seed_on_every_rank2_datum(self, tk_checks):
         """``tk_invariance_check`` for k = 1 and 2 on the 37 valid rank-2
         data of the box, at order 3."""
         assert len(RANK2) == 37
-        for data in RANK2:
-            for k in (1, 2):
-                assert tk_invariance_check(group_seed(data), k, 3)[2], (data, k)
+        for data, k, (_, _, ok) in tk_checks:
+            assert ok, (data, k)
+
+    def test_every_emitted_wall_is_graded_in_the_mutated_seed(self, tk_checks):
+        """The same 74 checks: each wall of the transformed side that the
+        mutated seed's completion also has (same ray, same factors) carries
+        that wall's normals.  A kept wall, on the fixed side of the
+        direction-k hyperplane, is graded in the mutated seed's frame like a
+        bent one; grading kept walls in the source frame gets 74 of the 478
+        normals wrong."""
+        compared = 0
+        for data, k, (lhs, rhs, _) in tk_checks:
+            completed = {(w.ray, w.factors): (w.normal, w.acting) for w in rhs.walls}
+            for w in lhs.walls:
+                expected = completed.get((w.ray, w.factors))
+                if expected is not None:
+                    compared += 1
+                    assert (w.normal, w.acting) == expected, (data, k, w)
+        assert compared == 478
 
     @pytest.mark.parametrize("data", [B2, KRON], ids=["b2", "kron"])
     def test_a_shared_memo_changes_only_the_work_done(self, data, monkeypatch):
@@ -694,6 +718,36 @@ class TestChamberWalls:
             ((1, 2, 2, 2), (-4, 3), 1),
             ((2, 1, 2, 2), (-4, 3), 1),
         )
+
+    def test_facets_match_the_chamber_walk_read_directly(self):
+        """Each facet read straight off ``_chamber_walk`` on the 37 data and
+        the sheared B2 seed at depth 4 (347 walls; the first facet on a ray
+        wins): acting normal eps g*_i, grading normal primitive(eps * block
+        sums of the principal coefficient), and factors prod_b p_b^(eps c_b)
+        over the seed's own coefficients p_b."""
+        walls = 0
+        for s in [group_seed(data) for data in RANK2] + [SHEARED_B2]:
+            own = [p for tup in s.coeffs for p in tup]
+            expected = {}
+            for _, sd, G in _chamber_walk(s.data, 4):
+                for i in (1, 2):
+                    eps = G.epsilon(i)
+                    m = tuple(eps * x for x in G.w(i))
+                    (alpha,) = {
+                        tuple(eps * sum(c[j] for j in block_range(s.data.r, b)) for b in (0, 1))
+                        for c in sd.coeffs[i - 1]
+                    }
+                    factors: dict = {}
+                    for c in sd.coeffs[i - 1]:
+                        t = tuple(sum(eps * c[b] * p[j] for b, p in enumerate(own)) for j in range(len(own)))
+                        factors[t, m] = factors.get((t, m), 0) + 1
+                    acting = tuple(eps * x for x in G.gstar[i - 1])
+                    atoms = sorted((t, m, c) for (t, m), c in factors.items())
+                    expected.setdefault(G.g[2 - i], (_primitive(alpha), acting, atoms))
+            got = {w.ray: (w.normal, w.acting, list(w.factors)) for w in cluster_chamber_walls(s, 4)}
+            assert got == expected, s.data
+            walls += len(got)
+        assert walls == 347
 
     def test_requires_base_seed(self):
         with pytest.raises(ValueError):

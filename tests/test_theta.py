@@ -21,7 +21,7 @@ from clusterscatter.cluster_core import (
     pattern_walk,
     seed_mutate,
 )
-from clusterscatter.monoid_ring import Exponent, LaurentSeries, series_to_str
+from clusterscatter.monoid_ring import Exponent, LaurentSeries, series_pow, series_to_str
 from clusterscatter.scattering import (
     PathSpec,
     ScatteringDiagram,
@@ -49,9 +49,9 @@ from clusterscatter.theta import (
     theta,
     theta_via_transport,
 )
-from oracles import eq_mod_order, min_degree, path_ordered_product
+from oracles import eq_mod_order, greedy_element, min_degree, path_ordered_product
 from test_bench_digests import _load
-from test_scattering import RANK2, gap_directions
+from test_scattering import RANK2, SHEARED_B2, WILD33, gap_directions
 
 B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
 KRON = FixedData(((0, -2), (2, 0)), (1, 1), (2, 2))
@@ -189,7 +189,9 @@ class TestBrokenLines:
 def reference_broken_lines(D, p0, Q, order=None):
     """The broken-line search on ``Fraction`` points: every incidence builds
     its hit parameters as Fractions and the hits are checked pairwise for a
-    shared point.  Same validation, fan, reach and assembly as the library."""
+    shared point.  Same validation, fan, reach and assembly as the library;
+    each F^e is ``series_pow`` of the ray's expanded function, not the
+    library's expansion of its atoms with scaled exponents."""
     if order is None:
         order = D.order
     if order < 1 or order > D.order:
@@ -201,7 +203,7 @@ def reference_broken_lines(D, p0, Q, order=None):
     if Q == (Fraction(0), Fraction(0)):
         raise ValueError("endpoint must be nonzero")
     frame = D.frame
-    rays = [_RayData(ray, acting, _function(atoms, order)) for ray, acting, atoms in sorted(D.fan)]
+    rays = [_RayData(ray, acting, atoms, order) for ray, acting, atoms in sorted(D.fan)]
     for rd in rays:
         if _cross(rd.ray, Q) == 0 and _dot(rd.ray, Q) > 0:
             raise _EndpointOnWall(f"endpoint {Q} lies on the wall ray {rd.ray}")
@@ -244,7 +246,7 @@ def reference_broken_lines(D, p0, Q, order=None):
             e = abs(_dot(rd.acting, p))
             assert e >= 1
             pt = (x[0] + s * p[0], x[1] + s * p[1])
-            fe = rd.power(e)[0]
+            fe = series_pow(_function(rd.atoms, order), e)
             for exp, coeff in sorted(fe.terms.items()):
                 if not any(exp.t):
                     continue
@@ -428,6 +430,22 @@ class TestSearchContext:
         assert replace(D) == D and not replace(D)._search
         assert not diagram_truncate(D, 4)._search
 
+    @pytest.mark.parametrize(
+        "seed, order",
+        [(group_seed(B2), 6), (group_seed(KRON), 6), (SHEARED_B2, 4), (group_seed(WILD33), 5)],
+        ids=["b2", "kron", "b2-sheared", "r33"],
+    )
+    def test_powers_expand_the_atoms_like_series_pow(self, seed, order):
+        """For every ray of the completed diagram, the bend terms of F^e for
+        e = 1..4 equal those of ``series_pow`` of the ray's expanded function."""
+        D = complete_rank2(build_initial(seed, order))
+        for ray, acting, atoms in D.fan:
+            rd = _RayData(ray, acting, atoms, order)
+            for e in range(1, 5):
+                f = series_pow(_function(atoms, order), e)
+                bends = tuple((c, x.t, x.m, sum(x.t)) for x, c in sorted(f.terms.items()) if any(x.t))
+                assert rd.power(e) == bends, (ray, e)
+
 
 # -- the summing route against the built lines --------------------------------
 
@@ -543,8 +561,7 @@ class TestSummingRoute:
         ctx.reach()  # built from the true terms, before the stub
         (rd,) = [rd for rd in ctx.rays if rd.ray == (0, 1)]
         for e in range(1, 4):
-            f, bends = rd.power(e)
-            rd.powers[e] = (f, tuple((c, (0, 0, 0), m, 0) for c, _, m, _ in bends))
+            rd.powers[e] = tuple((c, (0, 0, 0), m, 0) for c, _, m, _ in rd.power(e))
         for call in (lambda: theta(D, (-1, 0), 3, Q=Q0), lambda: enumerate_broken_lines(D, (-1, 0), Q0, 3)):
             with pytest.raises(InvariantViolation, match="^a bend must raise the coefficient degree$"):
                 call()
@@ -564,8 +581,6 @@ def test_theta_matches_transport_on_valid_rank2_data():
             assert theta(D, g, 4) == x.num.truncate(4), (data, g)
 
 
-# p11 = t11, p21 = t11*t21, p22 = t22: a coefficient basis that is not the standard one
-SHEARED_B2 = initial_seed(B2, (((1, 0, 0),), ((1, 1, 0), (0, 0, 1))), with_cluster=False, semifield=False)
 ENDPOINT_SEEDS = {
     "b2": (group_seed(B2), 240),
     "kron": (group_seed(KRON), 288),
@@ -684,6 +699,58 @@ def test_closed_forms_at_the_imaginary_direction():
         assert th[1] * th[1] - th[2] == c + c, r
         for n in (2, 3, 4):
             assert th[1] * th[n] == th[n + 1] + c * th[n - 1], (r, n)
+
+
+# -- greedy elements: a second route for theta at every exponent --------------
+
+
+def greedy_comparison(datas, box, order):
+    """Compare theta with the greedy element (``oracles.greedy_element``) for
+    each datum and each g != 0 with |g_1|, |g_2| <= box: theta_g at
+    ``order`` from the default endpoint, summed over t, against x[a1, a2]
+    at its corner a_i = -min m_i.  The t-degree of a term z^m is u + v in
+    m - g = u w_1 + v w_2, with w_i the seed's normal covectors; a g whose
+    greedy support reaches degree ``order`` is skipped.  Returns the
+    (datum, g) pairs compared and those skipped."""
+    agreed, skipped = [], []
+    for data in datas:
+        D = complete_rank2(build_initial(group_seed(data), order))
+        (w00, w01), (w10, w11) = D.frame.W
+        det = w00 * w11 - w01 * w10
+        for g in [(a, b) for a in range(-box, box + 1) for b in range(-box, box + 1) if (a, b) != (0, 0)]:
+            summed: dict = {}
+            for e, c in theta(D, g, order).terms.items():
+                summed[e.m] = summed.get(e.m, 0) + c
+            corner = tuple(-min(m[i] for m in summed) for i in (0, 1))
+            greedy = greedy_element(-data.B[0][1], data.B[1][0], data.r, corner)
+            degrees = []
+            for m in greedy:
+                d0, d1 = m[0] - g[0], m[1] - g[1]
+                u, v = d0 * w11 - d1 * w10, w00 * d1 - w01 * d0
+                assert u % det == 0 and v % det == 0, (data, g, m)
+                degrees.append((u + v) // det)
+            if max(degrees) >= order:
+                skipped.append((data, g))
+                continue
+            assert summed == greedy, (data, g)
+            agreed.append((data, g))
+    return agreed, skipped
+
+
+@pytest.mark.parametrize(
+    "ordinary, box, order, agreed, skipped",
+    [(True, 2, 8, 265, 23), (False, 1, 6, 250, 46)],
+    ids=["ordinary-box2-order8", "all-box1-order6"],
+)
+def test_theta_summed_over_t_is_the_greedy_element(ordinary, box, order, agreed, skipped):
+    """On the 12 ordinary data (r = (1,1)) at |g_i| <= 2 and order 8, and
+    on all 37 data at |g_i| <= 1 and order 6.  Every skipped g lies on the
+    bottom row g_2 = -box: its greedy support reaches degree ``order``."""
+    datas = [data for data in RANK2 if data.r == (1, 1) or not ordinary]
+    assert len(datas) == (12 if ordinary else 37)
+    got, missed = greedy_comparison(datas, box, order)
+    assert (len(got), len(missed)) == (agreed, skipped)
+    assert all(g[1] == -box for _, g in missed)
 
 
 # -- chamber transport --------------------------------------------------------
