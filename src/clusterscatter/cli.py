@@ -122,7 +122,14 @@ class _Group(click.Group):
     """The one exit-code policy: an ``InvariantViolation`` exits 1 with
     ``invariant violated: ...``, a ``GenericityError`` 1 with its message, and
     a ``ValueError``, ``IndexError`` or ``OverflowError`` 2 with ``Error: ...``
-    under the command's usage.  Any other exception keeps its traceback."""
+    under the command's usage, and a ``MemoryError`` 2 with one line naming
+    the command and its ``--order``.  Any other exception keeps its
+    traceback."""
+
+    def resolve_command(self, ctx, args):
+        name, cmd, rest = super().resolve_command(ctx, args)
+        ctx.meta["command_args"] = list(rest)  # parsing consumes rest; the out-of-memory line rereads it
+        return name, cmd, rest
 
     def invoke(self, ctx):
         try:
@@ -134,6 +141,14 @@ class _Group(click.Group):
         except (ValueError, IndexError, OverflowError) as err:
             name = ctx.invoked_subcommand
             raise click.UsageError(str(err), click.Context(self.commands[name], parent=ctx, info_name=name))
+        except MemoryError:
+            pass  # reported below, once leaving the handler has freed what the traceback held
+        name = ctx.invoked_subcommand
+        sub = self.commands[name].make_context(name, ctx.meta["command_args"], parent=ctx, resilient_parsing=True)
+        order = sub.params.get("order")
+        err = click.ClickException(f"{name} ran out of memory" + (f" at --order {order}" if order else ""))
+        err.exit_code = 2
+        raise err
 
 
 @click.group(cls=_Group)

@@ -513,8 +513,9 @@ def _mul_into(acc: dict, a: dict, b: dict) -> None:
 
 class _Factor:
     """One wall factor (1 + y)^c, y = t z^m of coefficient degree delta >= 1,
-    crossed as z^p -> z^p (1 + y)^(c h), h = sign*<n0, m(p)>, on rank-2
-    images held as slices by coefficient degree below ``order``.
+    crossed as z^p -> z^p (1 + y)^(c h), h = <n0, m(p)> for the wall normal
+    n0 oriented toward the side the crossing comes from, on rank-2 images
+    held as slices by coefficient degree below ``order``.
 
     z^m is tangent to the wall (<n0, m> = 0), so every term the factor writes
     has the level h of the term it came from, and the crossed terms of degree
@@ -534,7 +535,7 @@ class _Factor:
 
     __slots__ = ("w", "delta", "reads", "y", "top", "bound", "lift", "shift", "order", "binomials", "rows")
 
-    def __init__(self, n0: Sequence[int], sign: int, atom, d: int, order: int, binomials: dict[int, list]):
+    def __init__(self, n0: Sequence[int], atom, d: int, order: int, binomials: dict[int, list]):
         t, m, c = atom
         if len(n0) != 2 or len(m) != 2:
             raise ValueError(f"wall factors cross rank-2 images only, not rank {max(len(n0), len(m))}")
@@ -543,7 +544,7 @@ class _Factor:
             raise ValueError("wall function must have constant term exactly 1")
         if sum(map(mul, n0, m)):
             raise ValueError(f"wall monomial {tuple(m)} is not tangent to the acting normal {tuple(n0)}")
-        self.w, self.delta = (sign * c * n0[0], sign * c * n0[1]), delta  # c h = w . m(p)
+        self.w, self.delta = (c * n0[0], c * n0[1]), delta  # c h = w . m(p)
         self.reads = max(0, order - delta)  # add reads slices k - q delta < order - delta only
         self.y, self.top = _pack((*m, *t, delta)), (order - 1) // delta
         self.bound = _guard(1 + (order - 1) * max(map(abs, (*m, *t, delta)))) if self.top else 1
@@ -640,9 +641,10 @@ class _OnlineFan:
     def _input(self, j: int) -> list[list[dict]]:
         return self.positions[j - 1][1] if j else self.start
 
-    def insert(self, j: int, n0: Sequence[int], sign: int, atom) -> None:
-        """Insert the factor (t, m, c) at position j, at the current stage."""
-        factor, k = _Factor(n0, sign, atom, self.nd[1], self.order, self.binomials), self.k
+    def insert(self, j: int, n0: Sequence[int], atom) -> None:
+        """Insert the factor (t, m, c) at position j, at the current stage,
+        crossed by the oriented normal n0 (``_Factor``)."""
+        factor, k = _Factor(n0, atom, self.nd[1], self.order, self.binomials), self.k
         if factor.delta < k:
             raise ValueError(f"wall factor of coefficient degree {factor.delta} at stage {k}")
         src = self._input(j)

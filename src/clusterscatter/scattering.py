@@ -3,7 +3,8 @@
 A wall is a codimension-1 cone together with a function ``prod_a (1 + t_a
 z^{m_a})^{c_a}`` whose monomial directions are tangent to the cone.  Crossing a
 wall acts on the ambient Laurent ring by ``z^p -> z^p * f^{<n, m(p)>}`` with the
-acting normal ``n`` oriented toward the side the path comes from.  The module
+primitive normal ``n`` of the cone oriented toward the side the path comes
+from: crossing the ray r counterclockwise, n = (r_1, -r_0).  The module
 builds the incoming diagram of a seed, composes crossings along angular paths,
 checks consistency of the loop around the origin, completes a rank-2 diagram
 order by order, applies the piecewise-linear mutation transform, and collects
@@ -17,7 +18,9 @@ one entry per ray, with the atoms of the ray's walls.  Every crossing, the
 broken-line search and ``canonical_form`` read the fan; a ray is crossed
 factor by factor over its atoms, which is crossing it once with the product
 of their functions, so diagrams agree when their merged atoms per ray do.
-The walls are what JSON, labels and pictures show.
+The walls are what JSON, labels and pictures show.  A wall is its ray and
+its function; the grading and acting normals that JSON prints are read off
+its atoms' grading in the seed's frame (``_wall_normals``), there alone.
 A diagram decides its shape, order and basis once.  Its seed has rank 2 and
 each wall sits on one ray of the plane.  Every operation runs at the
 diagram's order; ``diagram_truncate`` lowers it.  Its frame (basis rows e_i
@@ -26,8 +29,7 @@ with the g-frame step at sign +1.  Wall monomial exponents are kept in the
 coefficient basis of the initial seed, and degrees are counted in the seed's
 own coefficient basis, the basis of the fan's atoms: the frame and the fan
 are built on first use and kept on the diagram.  A seed's frame is replayed
-once and shared by every diagram over that seed (``_frame_of``).  A built
-wall takes both normals from its atoms' grading in its seed's frame.
+once and shared by every diagram over that seed (``_frame_of``).
 """
 
 from __future__ import annotations
@@ -83,10 +85,6 @@ def _cross(u: Sequence[int], v: Sequence[int]) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _angle_key(v: Sequence[int]):
     """Total order on ray directions by angle from the positive x-axis: the
     half-plane (the upper one with the positive x-axis first), then its axis
@@ -134,20 +132,16 @@ def _function(atoms: Sequence[Atom], order: int | None) -> LaurentSeries:
 
 @dataclass(frozen=True)
 class Wall:
-    """One wall: support ray, grading normal, acting normal, factored function.
+    """One wall: support ray and factored function.
 
     ``ray`` is the primitive direction of the plane the wall sits on.
-    ``normal`` is the primitive grading vector of the function's coefficient
-    monomials in the tagged seed's basis; ``acting`` is the primitive integer
-    normal used by crossings, orthogonal to the support and to every monomial
-    exponent.  ``factors`` holds (t, m, c) for ``(1 + t z^m)^c`` with c > 0.
-    An incoming wall takes the basis row e_i for both normals; every other
-    wall takes both from the grading of its atoms (``_grading_data``).
+    ``factors`` holds (t, m, c) for ``(1 + t z^m)^c`` with c > 0, each m
+    along the ray.  The wall's normal is +-(r_1, -r_0), fixed by the ray; the
+    grading of its atoms in a seed's frame picks the sign that JSON prints
+    (``_wall_normals``).
     """
 
     ray: tuple[int, int]
-    normal: tuple[int, ...]
-    acting: tuple[int, ...]
     factors: tuple[Atom, ...]
     incoming: bool = False
 
@@ -155,17 +149,9 @@ class Wall:
         if len(self.ray) != 2 or not all(isinstance(x, int) for x in self.ray):
             raise ValueError(f"a wall is supported on exactly one ray of the plane, got {self.ray!r}")
         object.__setattr__(self, "ray", _primitive(self.ray))
-        object.__setattr__(self, "normal", tuple(int(x) for x in self.normal))
-        object.__setattr__(self, "acting", tuple(int(x) for x in self.acting))
         object.__setattr__(self, "factors", _combine_atoms(self.factors))
-        if not any(self.acting):
-            raise ValueError("wall needs a nonzero acting normal")
-        if self.acting != _primitive(self.acting):
-            raise ValueError("acting normal must be primitive")
-        if sum(a * b for a, b in zip(self.acting, self.ray)):
-            raise InvariantViolation(f"support ray {self.ray} not orthogonal to acting normal {self.acting}")
         for _, m, _ in self.factors:
-            if sum(a * b for a, b in zip(self.acting, m)):
+            if len(m) != 2 or _cross(m, self.ray):
                 raise InvariantViolation(f"wall monomial {m} not tangent to the wall")
 
     def function(self, order: int | None = None) -> LaurentSeries:
@@ -211,25 +197,25 @@ class ScatteringDiagram:
         return _frame_of(self.seed)
 
     @cached_property
-    def fan(self) -> tuple[tuple[tuple[int, int], tuple[int, ...], tuple[Atom, ...]], ...]:
-        """The wall rays in counterclockwise order, each as (ray, acting
-        normal, factors of the walls on it with coefficient exponents in the
-        seed's own basis): what every crossing, the broken-line search and
-        ``canonical_form`` read of the diagram.
+    def fan(self) -> tuple[tuple[tuple[int, int], tuple[Atom, ...]], ...]:
+        """The wall rays in counterclockwise order, each as (ray, factors of
+        the walls on it with coefficient exponents in the seed's own basis):
+        what every crossing, the broken-line search and ``canonical_form``
+        read of the diagram.
 
-        Walls on one ray have parallel acting normals.  Their crossings then
-        commute, and since eps * acting is the same for each, crossing the ray
-        once with all their factors is crossing its walls one at a time.
+        A crossing of a ray acts by the ray's own oriented normal, whichever
+        wall on it the factor came from.  The crossings of its walls then
+        commute, and crossing the ray once with all their factors is crossing
+        its walls one at a time.
         """
         to_fresh = self.frame.to_fresh
         fan: list = []
         for w in self.walls:  # sorted, so the walls on one ray are adjacent
             atoms = tuple((to_fresh(t), m, c) for t, m, c in w.factors)
             if fan and fan[-1][0] == w.ray:
-                # each acting normal is orthogonal to its ray (Wall checks it), so in the plane they are parallel
-                fan[-1] = (w.ray, fan[-1][1], fan[-1][2] + atoms)
+                fan[-1] = (w.ray, fan[-1][1] + atoms)
             else:
-                fan.append((w.ray, w.acting, atoms))
+                fan.append((w.ray, atoms))
         return tuple(fan)
 
 
@@ -316,13 +302,13 @@ def _frame_of(s: Seed) -> SeedFrame:
 
 
 def _grading_data(frame: SeedFrame, t_fresh: Sequence[int]):
-    """Grading vector, acting normal, and forced monomial of a coefficient.
+    """Grading normal, acting normal, and forced monomial of a coefficient.
 
-    Returns (alpha, n_primitive, acting, m) where alpha holds the per-direction
-    degrees of ``t`` in the frame's basis, the normals are ambient primitive
-    integer vectors, and m is the unique lattice exponent the grading allows.
-    With nbar = sum_i alpha_i (d_i/r_i) e_i, acting is primitive(lcm(r) nbar)
-    and m = omega(-, nbar) = sum_i alpha_i w_i.
+    Returns (n_primitive, acting, m): with alpha the per-direction degrees of
+    ``t`` in the frame's basis, the normals are ambient primitive integer
+    vectors, and m is the unique lattice exponent the grading allows.  With
+    nbar = sum_i alpha_i (d_i/r_i) e_i, acting is primitive(lcm(r) nbar) and
+    m = omega(-, nbar) = sum_i alpha_i w_i.
     """
     data = frame.seed.data
     orders = frame.seed.coeff_orders
@@ -337,16 +323,16 @@ def _grading_data(frame: SeedFrame, t_fresh: Sequence[int]):
     n_vec = tuple(sum(alpha[i] * frame.E[i][b] for i in range(n)) for b in range(n))
     nbar = tuple(sum(scale[i] * frame.E[i][b] for i in range(n)) for b in range(n))
     m = tuple(sum(alpha[i] * frame.W[i][b] for i in range(n)) for b in range(n))
-    return alpha, _primitive(n_vec), _primitive(nbar), m
+    return _primitive(n_vec), _primitive(nbar), m
 
 
 def _wall_normals(frame: SeedFrame, atoms: Sequence[Atom]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(grading normal, acting normal) of a wall built over the frame's
-    seed, from its atoms (t in the initial basis): every atom must grade to
-    the same pair (``_grading_data``)."""
-    normals = {_grading_data(frame, frame.to_fresh(t))[1:3] for t, _, _ in atoms}
+    """(grading normal, acting normal) of a wall over the frame's seed, from
+    its atoms (t in the initial basis): every atom must grade to the same
+    pair (``_grading_data``)."""
+    normals = {_grading_data(frame, frame.to_fresh(t))[:2] for t, _, _ in atoms}
     if not normals:
-        raise InvariantViolation("a transformed wall has no atoms")
+        raise InvariantViolation("a wall has no atoms")
     if len(normals) > 1:
         raise InvariantViolation("wall atoms have incompatible gradings")
     return normals.pop()
@@ -369,33 +355,22 @@ def build_initial(s: Seed, order: int) -> ScatteringDiagram:
     frame = _frame_of(s)
     walls = []
     for i in range(2):
-        e_i = _primitive(frame.E[i])
-        if frame.E[i] != e_i:
-            raise InvariantViolation("basis row is not primitive")
-        walls += _hyperplane(e_i, tuple((p, frame.W[i], 1) for p in s.coeffs[i]))
+        walls += _hyperplane(frame.E[i], tuple((p, frame.W[i], 1) for p in s.coeffs[i]))
     return ScatteringDiagram(walls, order, s)
 
 
 def _hyperplane(e: tuple[int, ...], atoms) -> list[Wall]:
-    """The incoming hyperplane with primitive normal e, as its two opposite rays."""
-    ray = _primitive((-e[1], e[0]))
-    return [Wall(r, e, e, atoms, incoming=True) for r in (ray, tuple(-x for x in ray))]
+    """The incoming hyperplane with normal e, as its two opposite rays."""
+    return [Wall(r, atoms, incoming=True) for r in ((-e[1], e[0]), (e[1], -e[0]))]
 
 
 def _sort_walls(walls: Iterable[Wall]) -> tuple[Wall, ...]:
-    """Counterclockwise by ray, incoming walls first on a ray; the remaining
-    fields break ties, so the order does not depend on the input's."""
-    return tuple(sorted(walls, key=lambda w: (_angle_key(w.ray), not w.incoming, w.factors, w.acting, w.normal)))
+    """Counterclockwise by ray, incoming walls first on a ray; the factors
+    break ties, so the order does not depend on the input's."""
+    return tuple(sorted(walls, key=lambda w: (_angle_key(w.ray), not w.incoming, w.factors)))
 
 
 # -- crossings ----------------------------------------------------------------
-
-
-def _crossing_eps(ray: tuple[int, ...], acting: tuple[int, ...], ccw: bool) -> int:
-    c = _cross(ray, acting)
-    if c == 0:
-        raise InvariantViolation("acting normal parallel to its own wall ray")
-    return -_sign(c) if ccw else _sign(c)
 
 
 def _cross_fan(fan: list, ccw: bool, d: int, series_order: int) -> tuple[list[list[dict]], int]:
@@ -404,10 +379,10 @@ def _cross_fan(fan: list, ccw: bool, d: int, series_order: int) -> tuple[list[li
     factors sharing one binomial memo: packed slices by coefficient degree per
     generator, and their slot bound."""
     images, bound, binomials = _generator_slices(2, d, series_order), 1, {}
-    for ray, acting, atoms in fan:
-        eps = _crossing_eps(ray, acting, ccw)
+    for (r0, r1), atoms in fan:
+        n = (r1, -r0) if ccw else (-r1, r0)  # toward the side the path comes from
         for atom in atoms:
-            factor = _Factor(acting, eps, atom, d, series_order, binomials)
+            factor = _Factor(n, atom, d, series_order, binomials)
             bound = max(bound, factor.bound)
             for slices in images:
                 _cross_in_place(slices, factor)
@@ -436,7 +411,7 @@ def path_ordered_product(D: ScatteringDiagram, path: PathSpec) -> tuple[LaurentS
     if not any(path.start) or not any(path.end):
         raise ValueError("path endpoints must be nonzero directions")
     end = path.start if path.loop else path.end
-    if {_primitive(path.start), _primitive(end)} & {ray for ray, _, _ in D.fan}:
+    if {_primitive(path.start), _primitive(end)} & {ray for ray, _ in D.fan}:
         raise ValueError("path endpoint lies on a wall")
     turn = lambda r: _turn(r[0], path.start, path.ccw)
     stop = _turn(end, path.start, path.ccw)
@@ -472,14 +447,14 @@ def _defect_terms(frame: SeedFrame, slices: Sequence[LaurentSeries]) -> list:
     """Read the lowest slices of a loop defect, one per generator z^{e_a} of
     log(image * z^{-e_a}), as a derivation.
 
-    Returns a list of (coeff, Exponent, acting normal, grading vector), one
-    per monomial; raises InvariantViolation when a monomial breaks the grading
-    or the generators disagree on its coefficient.
+    Returns a list of (coeff, Exponent, acting normal), one per monomial;
+    raises InvariantViolation when a monomial breaks the grading or the
+    generators disagree on its coefficient.
     """
     keys = sorted({e for sl in slices for e in sl.terms}, key=lambda e: (e.t, e.m))
     terms = []
     for e in keys:
-        alpha, n0, acting, m_expected = _grading_data(frame, e.t)
+        _, acting, m_expected = _grading_data(frame, e.t)
         if tuple(e.m) != m_expected:
             raise InvariantViolation(
                 f"loop defect monomial z^{e.m} t^{e.t} violates the grading (expected z^{m_expected})"
@@ -499,7 +474,7 @@ def _defect_terms(frame: SeedFrame, slices: Sequence[LaurentSeries]) -> list:
                 raise InvariantViolation(
                     f"loop defect coefficients disagree across generators: {c_tilde} vs {value}"
                 )
-        terms.append((c_tilde, e, acting, n0))
+        terms.append((c_tilde, e, acting))
     return terms
 
 
@@ -509,7 +484,7 @@ def check_consistency(D: ScatteringDiagram) -> ConsistencyReport:
     first, terms = _defect_derivation(D.fan, D.frame, sum(D.seed.coeff_orders), D.order + 1)
     if first is None:
         return ConsistencyReport(True, D.order)
-    return ConsistencyReport(False, D.order, first, tuple((c, e, acting) for c, e, acting, _ in terms))
+    return ConsistencyReport(False, D.order, first, tuple(terms))
 
 
 def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
@@ -543,11 +518,11 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
             outgoing[w.ray] = w
     fan = _OnlineFan(d, ord_ + 1)
     keys: list = []  # angle keys of the rays of the fan's factors, in fan order
-    for ray, acting, atoms in D.fan:
+    for (r0, r1), atoms in D.fan:
         for atom in atoms:
-            fan.insert(len(keys), acting, _crossing_eps(ray, acting, True), atom)
-            keys.append(_angle_key(ray))
-    new: dict[tuple[int, ...], tuple] = {}  # ray -> (grading normal, acting normal, initial-basis atoms)
+            fan.insert(len(keys), (r1, -r0), atom)
+            keys.append(_angle_key((r0, r1)))
+    new: dict[tuple[int, ...], list] = {}  # ray -> initial-basis atoms
     for degree in range(1, ord_ + 1):
         fan.step()
         terms = _defect_terms(frame, fan.defect())
@@ -555,30 +530,30 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
             if terms and ord_ > 1:
                 raise InvariantViolation("completion left a defect at degree 1 below the current stage 2")
             continue
-        for c_tilde, e, acting, n0 in terms:
+        for c_tilde, e, acting in terms:
             ray = _primitive(tuple(-x for x in e.m))
-            eps = _crossing_eps(ray, acting, True)
-            c = -eps * c_tilde
+            # acting is orthogonal to m (omega is skew), so it is +-(r1, -r0), the normal the loop crosses by
+            n = (ray[1], -ray[0])
+            c = -c_tilde if acting == n else c_tilde
             if c.denominator != 1 or c <= 0:
                 raise PositivityError(
                     f"completion needs (1 + t^{e.t} z^{e.m})^{c}; exponent is not a positive integer"
                 )
-            # acting is orthogonal to m (omega is skew), so eps * acting is that of every factor on this ray
             key, atom = _angle_key(ray), (e.t, e.m, int(c))
             pos = bisect_right(keys, key)
-            fan.insert(pos, acting, eps, atom)
+            fan.insert(pos, n, atom)
             keys.insert(pos, key)
-            new.setdefault(ray, (n0, acting, []))[2].append((frame.to_old(e.t), e.m, int(c)))
+            new.setdefault(ray, []).append((frame.to_old(e.t), e.m, int(c)))
         if not fan.closed():
             raise InvariantViolation(
                 f"stage invariant violated: completion stage {degree} left degree-{degree} terms "
                 "in the loop after adding its walls"
             )
     del fan  # frees the slices before the closing loop, so that the two peaks do not add up
-    for ray, (n0, acting, atoms) in new.items():
+    for ray, atoms in new.items():
         old = outgoing.get(ray)
         if old is None:
-            walls.append(Wall(ray, n0, acting, tuple(atoms), incoming=False))
+            walls.append(Wall(ray, tuple(atoms), incoming=False))
         else:
             walls[walls.index(old)] = replace(old, factors=old.factors + tuple(atoms))
     out = ScatteringDiagram(walls, ord_, D.seed)
@@ -600,8 +575,7 @@ def tk_transform(D: ScatteringDiagram, k: int) -> ScatteringDiagram:
     ``m -> m + <e_k, m> r_k w_k`` with coefficients picking up the block
     product t_k to the same power; the negative side is fixed; the direction-k
     hyperplane trades its function for the one with inverted coefficients.
-    The result is tagged with the one-step mutated seed, and every wall it
-    emits, bent or kept, is graded in that seed's frame (``_wall_normals``).
+    The result is tagged with the one-step mutated seed.
     """
     s = D.seed
     s2 = seed_mutate(s, k)
@@ -619,14 +593,13 @@ def tk_transform(D: ScatteringDiagram, k: int) -> ScatteringDiagram:
 
     slab, rest = [], []
     for w in D.walls:
-        if w.incoming and _cross(w.normal, e_k) == 0:
+        if w.incoming and pairing_e(w.ray) == 0:
             slab.append(w)
         else:
             rest.append(w)
     if len(slab) != 2 or any(w.factors != slab_atoms for w in slab):
         raise ValueError("diagram does not carry the expected direction-k hyperplane to trade away")
 
-    frame2 = _frame_of(s2)
     new_walls: list[Wall] = []
     for w in rest:
         h_ray = pairing_e(w.ray)
@@ -639,11 +612,11 @@ def tk_transform(D: ScatteringDiagram, k: int) -> ScatteringDiagram:
                 t2 = tuple(x + h * y for x, y in zip(t, tk_exps))
                 m2 = tuple(x + h * r_k * y for x, y in zip(m, w_k))
                 atoms2.append((t2, m2, c))
-        new_walls.append(Wall(ray2, *_wall_normals(frame2, atoms2), atoms2, w.incoming))
+        new_walls.append(Wall(ray2, atoms2, w.incoming))
     inv_atoms = tuple(
         (tuple(-x for x in p), tuple(-x for x in w_k), 1) for p in s.coeffs[a]
     )
-    new_walls += _hyperplane(_primitive(frame2.E[a]), inv_atoms)
+    new_walls += _hyperplane(e_k, inv_atoms)  # the mutated seed's row is -e_k: same two rays
     return ScatteringDiagram(new_walls, D.order, s2)
 
 
@@ -709,10 +682,8 @@ def cluster_chamber_walls(s: Seed, depth: int) -> tuple[Wall, ...]:
     g-vector, function ``prod_j (1 + p_{i,j}^eps z^{eps w_i})`` from the
     chamber's tropical coefficients, with eps the frame sign of direction i.
     The walk runs on principal coefficients; each p^eps is then evaluated at
-    the seed's own coefficients (its frame's ``to_old``), and both normals
-    come from the grading of the principal exponents, which are the seed's
-    own coefficient degrees (``_wall_normals``).  Duplicate facets must
-    agree exactly; disagreement is an error.
+    the seed's own coefficients (its frame's ``to_old``).  Duplicate facets
+    must agree exactly; disagreement is an error.
     """
     if s.word:
         raise ValueError("cluster_chamber_walls starts from the base seed")
@@ -726,11 +697,11 @@ def cluster_chamber_walls(s: Seed, depth: int) -> tuple[Wall, ...]:
             m = tuple(eps * x for x in G.w(i))
             ray = G.g[2 - i]
             atoms = tuple((frame.to_old(tuple(eps * x for x in p)), m, 1) for p in sd.coeffs[i - 1])
-            wall = Wall(ray, *_wall_normals(frame, atoms), atoms, incoming=False)
+            wall = Wall(ray, atoms, incoming=False)
             old = found.get(ray)
             if old is None:
                 found[ray] = wall
-            elif old.factors != wall.factors or _cross(old.acting, wall.acting):
+            elif old.factors != wall.factors:
                 raise InvariantViolation(f"facet {ray} reached twice with different walls")
     return _sort_walls(found.values())
 
@@ -749,7 +720,7 @@ def canonical_form(D: ScatteringDiagram) -> dict[tuple[int, ...], tuple[Atom, ..
     """
     to_old = D.frame.to_old
     out = {}
-    for ray, _, atoms in D.fan:
+    for ray, atoms in D.fan:
         combined = _combine_atoms(a for a in atoms if sum(a[0]) <= D.order)
         if combined:
             out[ray] = tuple((to_old(t), m, c) for t, m, c in combined)
@@ -802,13 +773,16 @@ def diagram_truncate(D: ScatteringDiagram, order: int) -> ScatteringDiagram:
 
 
 def diagram_to_json(D: ScatteringDiagram) -> dict:
+    """The diagram's order and walls, each with the grading and acting
+    normals of its atoms in the seed's frame (``_wall_normals``)."""
     walls = []
     for w in D.walls:
+        normal, acting = _wall_normals(D.frame, w.factors)
         walls.append(
             {
                 "support": {"rays": [list(w.ray)]},
-                "normal": list(w.normal),
-                "acting_normal": [str(x) for x in w.acting],
+                "normal": list(normal),
+                "acting_normal": [str(x) for x in acting],
                 "factors": [{"t": list(t), "m": list(m), "c": c} for t, m, c in w.factors],
                 "incoming": w.incoming,
             }

@@ -5,9 +5,10 @@ path coming in from infinity carrying the monomial z^p0, travelling with
 velocity -m for its current exponent m, and optionally bending where it
 crosses a wall: at a crossing the carried term is replaced by one term of
 (carried term) * F^e, where F is the full wall function on the crossed ray
-and e = |<n, m>| for the acting normal n.  Theta functions sum the final
-terms of all broken lines, and for exponents inside a cluster chamber they
-agree with the transport of the bare monomial to the positive chamber.
+r and e = |<n, m>| for its primitive normal n, that is e = |cross(r, m)|.
+Theta functions sum the final terms of all broken lines, and for exponents
+inside a cluster chamber they agree with the transport of the bare monomial
+to the positive chamber.
 One search, run through ``enumerate_broken_lines``, serves both uses:
 ``theta`` asks it for each line's final term only and sums those, so no
 line is built, while ``enumerate_broken_lines`` itself (and ``clusterscatter
@@ -91,18 +92,17 @@ def _vadd(u, v):
 
 
 class _RayData:
-    """One ray of the fan with its acting normal and the atoms (t, m, c) of
-    its merged wall function F, in the diagram seed's own coefficient basis.
+    """One ray of the fan with the atoms (t, m, c) of its merged wall
+    function F, in the diagram seed's own coefficient basis.
     ``power(e)`` returns the bending terms (coeff, t, m, coefficient degree)
     of F^e mod degree ``order``, those with t != 0 in exponent order: the
     atoms with c scaled by e, expanded, each e once (``powers``).  ``walks``
     is the fan as seen from this ray (``_SearchContext.walks``)."""
 
-    __slots__ = ("ray", "acting", "atoms", "order", "powers", "walks")
+    __slots__ = ("ray", "atoms", "order", "powers", "walks")
 
-    def __init__(self, ray, acting, atoms, order: int):
+    def __init__(self, ray, atoms, order: int):
         self.ray = ray
-        self.acting = acting
         self.atoms = atoms
         self.order = order
         self.powers: dict[int, tuple] = {}
@@ -153,7 +153,7 @@ class _SearchContext:
 
     def __init__(self, D: ScatteringDiagram, order: int):
         self.order = order
-        self.ring = [_RayData(ray, acting, atoms, order) for ray, acting, atoms in D.fan]
+        self.ring = [_RayData(ray, atoms, order) for ray, atoms in D.fan]
         self.rays = sorted(self.ring, key=lambda rd: rd.ray)
         for i, rd in enumerate(self.ring):
             rd.walks = self.walks(i - 1, i + 1)
@@ -235,13 +235,15 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
     The search holds each point as reduced integer homogeneous coordinates
     (X0, X1, w) with w > 0; a segment from x along p meets a ray r at
     x + s*p = u*r with s = a/(w*c), a = cross(x, r) and c = cross(r, p)
-    signed by cross(x, p) both > 0.  Such rays lie in the arc (under a
-    half-turn) swept from x toward p, met in fan order, so a step walks the
-    ring that way from x's place (Q's gap, or the ray x bent on) to the
-    first ray it misses.  Every degenerate incidence has cross(x, p) == 0:
-    such a step checks the rays in tuple order and crosses none.  The ray
-    fan and reach table are built once per (D, order) and kept on D (see
-    ``_search_context``); the reach table holds shifts from the origin.
+    signed by cross(x, p) both > 0; c is also the bend exponent |<n, p>|
+    for the ray's primitive normal n = +-(r_1, -r_0).  Such rays lie in the
+    arc (under a half-turn) swept from x toward p, met in fan order, so a
+    step walks the ring that way from x's place (Q's gap, or the ray x bent
+    on) to the first ray it misses.  Every degenerate incidence has
+    cross(x, p) == 0: such a step checks the rays in tuple order and
+    crosses none.  The ray fan and reach table are built once per (D,
+    order) and kept on D (see ``_search_context``); the reach table holds
+    shifts from the origin.
     """
     if Q == (Fraction(0), Fraction(0)):
         raise ValueError("endpoint must be nonzero")
@@ -279,13 +281,10 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
             a, c = sx0 * r1 - sx1 * r0, r0 * sp1 - r1 * sp0
             if a <= 0 or c <= 0:
                 break
-            e = abs(rd.acting[0] * a0 + rd.acting[1] * a1)
-            if e < 1:
-                raise InvariantViolation(f"a segment crossing the ray {rd.ray} pairs to 0 with its normal")
             Y0, Y1, v = X0 * c + a * a0, X1 * c + a * a1, w * c
             g = gcd(Y0, Y1, v)
             pt = (Y0 // g, Y1 // g, v // g)
-            for coeff, t, m, dq in rd.power(e):
+            for coeff, t, m, dq in rd.power(c):
                 if dq < 1:
                     raise InvariantViolation("a bend must raise the coefficient degree")
                 nu = used + dq

@@ -683,6 +683,30 @@ def test_every_command_shares_one_exit_code_policy(runner, monkeypatch, args, mo
         assert res.stderr.startswith(f"Usage: cli {args[0]} [OPTIONS]")
 
 
+def exhaust(*_args, **_kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("args, module, name", POLICY_COMMANDS, ids=[a[0] for a, _, _ in POLICY_COMMANDS])
+def test_memory_exhaustion_exits_2_with_one_line(runner, monkeypatch, args, module, name):
+    """One line naming the command and, where it has one, its --order (the
+    default here); nothing on stdout and no traceback."""
+    monkeypatch.setattr(module, name, exhaust)
+    res = runner.invoke(cli, args)
+    assert isinstance(res.exception, SystemExit) and res.exit_code == 2
+    order = {"scatter": 6, "scatter-check": 6, "scatter-mutate": 4, "theta": 6}.get(args[0])
+    at = f" at --order {order}" if order else ""
+    assert res.stdout == "" and res.stderr == f"Error: {args[0]} ran out of memory{at}\n"
+    assert "Traceback" not in res.output
+
+
+def test_memory_exhaustion_names_the_order_asked_for(runner, monkeypatch):
+    monkeypatch.setattr(CLI_MODULE, "tk_invariance_check", exhaust)
+    res = runner.invoke(cli, ["scatter-mutate", "--order=9", "--seed", "b2.json", "--k", "1"])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == "Error: scatter-mutate ran out of memory at --order 9\n"
+
+
 def test_only_the_group_maps_exceptions_to_exit_codes():
     """No command body holds a ``try``: ``_Group.invoke`` maps library
     exceptions, and the only other handlers add what it cannot know (the

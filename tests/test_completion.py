@@ -40,7 +40,6 @@ from clusterscatter.scattering import (
     Wall,
     _cross,
     _cross_fan,
-    _crossing_eps,
     _defect_derivation,
     _defect_terms,
     _function,
@@ -72,7 +71,7 @@ def one_shot_images(fan, ccw, d, series_order):
 
 def expanded(fan, series_order):
     """A diagram's fan with each ray's factors expanded into its function."""
-    return [(ray, acting, _function(atoms, series_order)) for ray, acting, atoms in fan]
+    return [(ray, _function(atoms, series_order)) for ray, atoms in fan]
 
 
 def log_defect_derivation(fan, frame, d, series_order):
@@ -108,10 +107,10 @@ def reference_complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
             raise InvariantViolation(
                 f"completion left a defect at degree {first} below the current stage {degree}"
             )
-        for c_tilde, e, acting, n0 in terms:
+        for c_tilde, e, acting in terms:
             ray = _primitive(tuple(-x for x in e.m))
-            eps = _crossing_eps(ray, acting, True)
-            c = -eps * c_tilde
+            # the loop crosses the ray by (r1, -r0): c = -c_tilde when that is acting itself
+            c = c_tilde if _cross(ray, acting) > 0 else -c_tilde
             if c.denominator != 1 or c <= 0:
                 raise PositivityError(
                     f"completion needs (1 + t^{e.t} z^{e.m})^{c}; exponent is not a positive integer"
@@ -119,11 +118,9 @@ def reference_complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
             atom = (frame.to_old(e.t), e.m, int(c))
             old = outgoing.get(ray)
             if old is None:
-                new = Wall(ray, n0, acting, (atom,), incoming=False)
+                new = Wall(ray, (atom,), incoming=False)
             else:
-                if _cross(old.acting, acting) != 0:
-                    raise InvariantViolation("existing wall on the ray has a different normal direction")
-                new = Wall(old.ray, old.normal, old.acting, old.factors + (atom,), old.incoming)
+                new = Wall(old.ray, old.factors + (atom,), old.incoming)
                 walls.remove(old)
             outgoing[ray] = new
             walls.append(new)
@@ -312,9 +309,9 @@ def test_stage_that_does_not_cancel_its_defect(monkeypatch):
     adds breaks it."""
     insert = _OnlineFan.insert
 
-    def doubled(fan, j, n0, sign, atom):
+    def doubled(fan, j, n0, atom):
         t, m, c = atom
-        insert(fan, j, n0, sign, (t, m, 2 * c) if fan.k >= 2 else atom)
+        insert(fan, j, n0, (t, m, 2 * c) if fan.k >= 2 else atom)
 
     monkeypatch.setattr(_OnlineFan, "insert", doubled)
     with pytest.raises(InvariantViolation, match="completion stage 2 left degree-2 terms in the loop"):
@@ -331,15 +328,15 @@ def staged_fan(fan, d, series_order, late):
     at stage 0, or (``late``) at the stage of its degree, the last stage for
     a degree at or above it, as completion inserts its factors."""
     online, placed, due = _OnlineFan(d, series_order), [], {}
-    for i, (ray, acting, atom) in enumerate((r, a, x) for r, a, atoms in fan for x in atoms):
+    for i, ((r0, r1), atom) in enumerate((r, x) for r, atoms in fan for x in atoms):
         stage = min(sum(atom[0]), series_order - 1) if late else 0
-        due.setdefault(stage, []).append((i, acting, _crossing_eps(ray, acting, True), atom))
+        due.setdefault(stage, []).append((i, (r1, -r0), atom))
 
     def insert_stage(k):
-        for i, acting, eps, atom in due.get(k, ()):
+        for i, n, atom in due.get(k, ()):
             pos = bisect_left(placed, i)
             placed.insert(pos, i)
-            online.insert(pos, acting, eps, atom)
+            online.insert(pos, n, atom)
 
     return online, insert_stage
 
@@ -419,11 +416,12 @@ def test_online_fan_reads_no_stale_slice(reader):
 
 def reference_cross_fan(fan, ccw, d, series_order):
     """Images of the generators after crossing an expanded fan (`expanded`) in
-    order: each ray's function at once, by ``wall_cross`` per generator."""
+    order: each ray's function at once, by ``wall_cross`` per generator, with
+    the ray's normal turned clockwise from it, signed -1 for a clockwise
+    path."""
     images = [LaurentSeries.monomial(_unit(2, i), (0,) * d, 1, series_order) for i in range(2)]
-    for ray, acting, f in fan:
-        eps = _crossing_eps(ray, acting, ccw)
-        images = [wall_cross(x, f, acting, eps) for x in images]
+    for (r0, r1), f in fan:
+        images = [wall_cross(x, f, (r1, -r0), 1 if ccw else -1) for x in images]
     return images
 
 
@@ -496,21 +494,21 @@ def test_clockwise_partial_path_matches_expanded_crossing(data, order):
 def test_factor_of_degree_below_one_is_rejected():
     for t in ((0, 0), (1, -2)):
         with pytest.raises(ValueError, match="constant term exactly 1"):
-            _Factor((0, 1), 1, (t, (1, 0), 1), 2, 4, {})
+            _Factor((0, 1), (t, (1, 0), 1), 2, 4, {})
         fan = _OnlineFan(2, 4)
-        fan.insert(0, (0, 1), 1, ((1, 0), (1, 0), 1))
+        fan.insert(0, (0, 1), ((1, 0), (1, 0), 1))
         with pytest.raises(ValueError, match="constant term exactly 1"):
-            fan.insert(1, (0, 1), 1, (t, (1, 0), 1))
+            fan.insert(1, (0, 1), (t, (1, 0), 1))
         assert len(fan.positions) == 1
 
 
 def test_factor_of_rank_other_than_two_is_rejected():
     """The level of a term is read off two m-slots: no other rank may reach it."""
     with pytest.raises(ValueError, match="rank-2 images only, not rank 3"):
-        _Factor((0, 0, 1), 1, ((1, 0), (1, 0, 0), 1), 2, 4, {})
+        _Factor((0, 0, 1), ((1, 0), (1, 0, 0), 1), 2, 4, {})
     fan = _OnlineFan(2, 4)
     with pytest.raises(ValueError, match="rank-2 images only, not rank 3"):
-        fan.insert(0, (0, 0, 1), 1, ((1, 0), (1, 0, 0), 1))
+        fan.insert(0, (0, 0, 1), ((1, 0), (1, 0, 0), 1))
     assert fan.positions == []
 
 
@@ -520,13 +518,13 @@ def test_factor_below_the_stage_is_rejected():
     fan.step()
     fan.step()
     with pytest.raises(ValueError, match="wall factor of coefficient degree 1 at stage 2"):
-        fan.insert(0, (0, 1), 1, ((1, 0), (1, 0), 1))
+        fan.insert(0, (0, 1), ((1, 0), (1, 0), 1))
     assert fan.positions == []
 
 
 def test_factor_off_the_wall_is_rejected():
     with pytest.raises(ValueError, match="not tangent"):
-        _OnlineFan(2, 4).insert(0, (0, 1), 1, ((1, 0), (1, 1), 1))
+        _OnlineFan(2, 4).insert(0, (0, 1), ((1, 0), (1, 1), 1))
 
 
 def test_factor_at_or_above_the_order_reads_and_changes_nothing(monkeypatch):
@@ -538,7 +536,7 @@ def test_factor_at_or_above_the_order_reads_and_changes_nothing(monkeypatch):
     prepared = []
     prepare = _Factor.prepare
     monkeypatch.setattr(_Factor, "prepare", lambda f, sl: prepared.append(f.delta) or prepare(f, sl))
-    factors = [_Factor((0, 1), 1, atom, 2, 4, {}) for atom in (low, *high)]
+    factors = [_Factor((0, 1), atom, 2, 4, {}) for atom in (low, *high)]
     assert [f.reads for f in factors] == [3, 0, 0, 0]
     for i in range(2):
         alone, crossed = _generator_slices(2, 2, 4)[i], _generator_slices(2, 2, 4)[i]
@@ -548,13 +546,13 @@ def test_factor_at_or_above_the_order_reads_and_changes_nothing(monkeypatch):
         assert crossed == alone and any(alone[1:]) == (i == 1), i  # the low factor moves z^{e_2} only
     fan, alone = _OnlineFan(2, 4), _OnlineFan(2, 4)
     for f in (fan, alone):
-        f.insert(0, (0, 1), 1, low)
-    fan.insert(0, (0, 1), 1, high[0])
-    fan.insert(2, (0, 1), 1, high[1])
+        f.insert(0, (0, 1), low)
+    fan.insert(0, (0, 1), high[0])
+    fan.insert(2, (0, 1), high[1])
     for k in range(1, 4):
         fan.step()
         alone.step()
-        fan.insert(1, (0, 1), 1, high[2])
+        fan.insert(1, (0, 1), high[2])
         assert fan.defect() == alone.defect(), k
     assert len(fan.positions) == 6 and set(prepared) == {1}
 
@@ -564,7 +562,7 @@ def test_factor_guards_the_slots_before_any_key_forms():
     at order 4 a slot of 715827882 fits (1 + 3 * 715827882 = 2^31 - 1), one
     more does not, and the fan is left as it was."""
     fits = (2**31 - 2) // 3
-    factor = _Factor((0, 1), 1, ((1, 0), (fits, 0), 1), 2, 4, {})
+    factor = _Factor((0, 1), ((1, 0), (fits, 0), 1), 2, 4, {})
     assert factor.bound == 2**31 - 1
     slices = _generator_slices(2, 2, 4)[1]
     _cross_in_place(slices, factor)
@@ -572,9 +570,9 @@ def test_factor_guards_the_slots_before_any_key_forms():
     assert image == LaurentSeries({((0, 1), (0, 0)): 1, ((fits, 1), (1, 0)): 1}, 4)
     fan, alone = _OnlineFan(2, 4), _OnlineFan(2, 4)
     for f in (fan, alone):
-        f.insert(0, (0, 1), 1, ((1, 0), (fits, 0), 1))
+        f.insert(0, (0, 1), ((1, 0), (fits, 0), 1))
     with pytest.raises(OverflowError):
-        fan.insert(0, (0, 1), 1, ((1, 0), (fits + 1, 0), 1))
+        fan.insert(0, (0, 1), ((1, 0), (fits + 1, 0), 1))
     assert len(fan.positions) == 1 and fan.bound == alone.bound == 2**31 - 1
     for _ in range(3):
         fan.step()

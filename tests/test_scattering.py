@@ -62,6 +62,7 @@ A2 = FixedData(((0, -1), (1, 0)), (1, 1), (1, 1))
 ZERO = FixedData(((0, 0), (0, 0)), (1, 1), (1, 1))
 A3 = FixedData(((0, 1, 0), (-1, 0, 1), (0, -1, 0)), (1, 1, 1), (1, 1, 1))
 WILD33 = FixedData(((0, -3), (3, 0)), (1, 1), (3, 3))
+G2 = FixedData(((0, -3), (1, 0)), (1, 3), (1, 3))
 
 
 def group_seed(data):
@@ -80,6 +81,12 @@ def kron_completed():
 
 def outgoing_by_ray(D):
     return {w.ray: w for w in D.walls if not w.incoming}
+
+
+def printed_normals(D):
+    """(grading normal, acting normal) of each wall of D, in wall order, as
+    ``diagram_to_json`` prints them."""
+    return [(tuple(e["normal"]), tuple(int(x) for x in e["acting_normal"])) for e in diagram_to_json(D)["walls"]]
 
 
 def angle(v):
@@ -109,40 +116,38 @@ def off_rays(D, *directions):
 
 class TestWall:
     def test_combines_repeated_factors(self):
-        w = Wall(
-            (0, 1),
-            (1, 0),
-            (1, 0),
-            (((1, 0), (0, 1), 1), ((1, 0), (0, 1), 1)),
-            incoming=True,
-        )
+        w = Wall((0, 1), (((1, 0), (0, 1), 1), ((1, 0), (0, 1), 1)), incoming=True)
         assert w.factors == (((1, 0), (0, 1), 2),)
 
     def test_rejects_non_tangent_monomial(self):
         with pytest.raises(InvariantViolation):
-            Wall((0, 1), (1, 0), (1, 0), (((1, 0), (1, 0), 1),))
+            Wall((0, 1), (((1, 0), (1, 0), 1),))
 
     def test_rejects_ray_off_the_wall(self):
         with pytest.raises(InvariantViolation):
-            Wall((1, 1), (1, 0), (1, 0), (((1, 0), (0, 1), 1),))
+            Wall((1, 1), (((1, 0), (0, 1), 1),))
+
+    def test_rejects_a_monomial_off_the_plane(self):
+        with pytest.raises(InvariantViolation, match="not tangent to the wall"):
+            Wall((0, 1), (((1, 0), (0, 1, 0), 1),))
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(PositivityError):
-            Wall((0, 1), (1, 0), (1, 0), (((1, 0), (0, 1), -1),))
+            Wall((0, 1), (((1, 0), (0, 1), -1),))
 
     @pytest.mark.parametrize(
         "support", [((0, 1), (0, -1)), (0, 1, 0), ()], ids=["two-rays", "space-ray", "no-ray"]
     )
     def test_rejects_a_support_that_is_not_one_plane_ray(self, support):
         with pytest.raises(ValueError, match="exactly one ray of the plane"):
-            Wall(support, (1, 0), (1, 0), (((1, 0), (0, 1), 1),))
+            Wall(support, (((1, 0), (0, 1), 1),))
 
     def test_support_primitivized(self):
-        w = Wall((0, 3), (1, 0), (1, 0), (((1, 0), (0, 1), 1),))
+        w = Wall((0, 3), (((1, 0), (0, 1), 1),))
         assert w.ray == (0, 1)
 
     def test_function_expansion(self):
-        w = Wall((0, 1), (1, 0), (1, 0), (((1, 0), (0, 2), 2),))
+        w = Wall((0, 1), (((1, 0), (0, 2), 2),))
         f = w.function(7)
         terms = {(e.m, e.t): c for e, c in f.terms.items()}
         assert terms[((0, 0), (0, 0))] == 1
@@ -240,7 +245,7 @@ def reference_grading(data, E, alpha):
         v = data.omega(tuple(int(a == b) for a in range(n)), nbar)
         assert v.denominator == 1
         m.append(int(v))
-    return alpha, _primitive(n_vec), acting, tuple(m)
+    return _primitive(n_vec), acting, tuple(m)
 
 
 class TestFrameOracle:
@@ -319,8 +324,9 @@ class TestBuildInitial:
         x_atoms = (((0, 0, 1), (-1, 0), 1), ((0, 1, 0), (-1, 0), 1))
         assert by_ray[(1, 0)].factors == x_atoms
         assert by_ray[(-1, 0)].factors == x_atoms
-        assert by_ray[(0, 1)].acting == (1, 0)
-        assert by_ray[(1, 0)].acting == (0, 1)
+        normals = {w.ray: n for w, n in zip(D.walls, printed_normals(D))}
+        assert normals[(0, 1)] == normals[(0, -1)] == ((1, 0), (1, 0))
+        assert normals[(1, 0)] == normals[(-1, 0)] == ((0, 1), (0, 1))
 
     def test_kron_walls(self):
         D = build_initial(group_seed(KRON), 6)
@@ -365,20 +371,18 @@ class TestFan:
     def test_one_entry_per_ray_with_its_atoms_in_the_seed_basis(self):
         """Over a mutated seed, whose coefficient basis is not the initial
         one, and with its walls split one factor each so that rays carry
-        several walls: the fan lists each ray once, in the order of the walls,
-        with the acting normal of its first wall; its atoms map back to the
-        factors of the ray's walls; it does not depend on the order the walls
-        are given in, and it is built once."""
+        several walls: the fan lists each ray once, in the order of the walls;
+        its atoms map back to the factors of the ray's walls; it does not
+        depend on the order the walls are given in, and it is built once."""
         D = complete_rank2(build_initial(pattern_walk(group_seed(KRON), (2, 1)), 6))
         frame = D.frame
         assert any(frame.to_fresh(t) != t for w in D.walls for t, _, _ in w.factors)
         split = ScatteringDiagram([replace(w, factors=(a,)) for w in D.walls for a in w.factors], D.order, D.seed)
         assert len(split.walls) > len(split.fan) == len(D.fan)
         for E in (D, split):
-            assert [ray for ray, _, _ in E.fan] == list(dict.fromkeys(w.ray for w in E.walls))
-            for ray, acting, atoms in E.fan:
+            assert [ray for ray, _ in E.fan] == list(dict.fromkeys(w.ray for w in E.walls))
+            for ray, atoms in E.fan:
                 walls = [w for w in E.walls if w.ray == ray]
-                assert acting == walls[0].acting
                 assert sorted((frame.to_old(t), m, c) for t, m, c in atoms) == sorted(a for w in walls for a in w.factors)
             assert ScatteringDiagram(E.walls[::-1], E.order, E.seed).fan == E.fan
             assert E.fan is E.fan
@@ -513,9 +517,9 @@ class TestCompletion:
             ((1, 1, 0), (-1, 1), 1),
         )
         assert out[(2, -1)].factors == (((1, 1, 1), (-2, 1), 1),)
-        assert out[(1, -1)].acting == (1, 1)
-        assert out[(2, -1)].acting == (1, 2)
-        assert out[(2, -1)].normal == (1, 2)
+        normals = {w.ray: n for w, n in zip(b2_completed.walls, printed_normals(b2_completed)) if not w.incoming}
+        assert normals[(1, -1)][1] == (1, 1)
+        assert normals[(2, -1)] == ((1, 2), (1, 2))
 
     def test_b2_idempotent_and_deterministic(self, b2_completed):
         again = complete_rank2(build_initial(group_seed(B2), 6))
@@ -639,19 +643,19 @@ class TestMutationTransform:
 
     def test_every_emitted_wall_is_graded_in_the_mutated_seed(self, tk_checks):
         """The same 74 checks: each wall of the transformed side that the
-        mutated seed's completion also has (same ray, same factors) carries
+        mutated seed's completion also has (same ray, same factors) prints
         that wall's normals.  A kept wall, on the fixed side of the
         direction-k hyperplane, is graded in the mutated seed's frame like a
         bent one; grading kept walls in the source frame gets 74 of the 478
         normals wrong."""
         compared = 0
         for data, k, (lhs, rhs, _) in tk_checks:
-            completed = {(w.ray, w.factors): (w.normal, w.acting) for w in rhs.walls}
-            for w in lhs.walls:
+            completed = {(w.ray, w.factors): n for w, n in zip(rhs.walls, printed_normals(rhs))}
+            for w, normals in zip(lhs.walls, printed_normals(lhs)):
                 expected = completed.get((w.ray, w.factors))
                 if expected is not None:
                     compared += 1
-                    assert (w.normal, w.acting) == expected, (data, k, w)
+                    assert normals == expected, (data, k, w)
         assert compared == 478
 
     @pytest.mark.parametrize("data", [B2, KRON], ids=["b2", "kron"])
@@ -744,7 +748,9 @@ class TestChamberWalls:
                     acting = tuple(eps * x for x in G.gstar[i - 1])
                     atoms = sorted((t, m, c) for (t, m), c in factors.items())
                     expected.setdefault(G.g[2 - i], (_primitive(alpha), acting, atoms))
-            got = {w.ray: (w.normal, w.acting, list(w.factors)) for w in cluster_chamber_walls(s, 4)}
+            facets = cluster_chamber_walls(s, 4)
+            printed = printed_normals(ScatteringDiagram(facets, 4, s))
+            got = {w.ray: (*normals, list(w.factors)) for w, normals in zip(facets, printed)}
             assert got == expected, s.data
             walls += len(got)
         assert walls == 347
@@ -801,7 +807,7 @@ class TestEquivalence:
         for w in b2_completed.walls:
             if w.ray == (1, -1) and not w.incoming:
                 for a in w.factors:
-                    walls.append(Wall(w.ray, w.normal, w.acting, (a,), False))
+                    walls.append(Wall(w.ray, (a,), False))
             else:
                 walls.append(w)
         split = ScatteringDiagram(tuple(walls), 6, s)
@@ -868,8 +874,6 @@ def edit_walls(D, edits):
             else:
                 continue
             walls[i:i + 1] = [replace(w, factors=tuple(part)) for part in (left, right)]
-        elif kind == "flip":
-            walls[i] = replace(w, acting=tuple(-x for x in w.acting))
         elif kind == "raise":
             t, m, c = atoms[j]
             walls[i] = replace(w, factors=tuple(atoms[:j] + [(t, m, c + 1)] + atoms[j + 1:]))
@@ -891,7 +895,7 @@ def edit_bases(b2_completed):
 
 EDITS = st.lists(
     st.tuples(
-        st.sampled_from(["split", "flip", "raise", "drop", "remove"]),
+        st.sampled_from(["split", "raise", "drop", "remove"]),
         st.integers(0, 30),
         st.integers(0, 5),
     ),
@@ -927,10 +931,10 @@ class TestTruncate:
 
 class TestWallOrder:
     def test_diagram_sorts_its_walls_when_built(self, b2_completed, kron_completed):
-        """Walls given in any order make the same diagram, JSON and picture.
-        Two walls that differ in their acting normal alone still sort one way."""
+        """Walls given in any order make the same diagram, JSON and picture,
+        also when one wall is given twice."""
         w = next(w for w in b2_completed.walls if not w.incoming)
-        tied = replace(b2_completed, walls=b2_completed.walls + (replace(w, acting=tuple(-x for x in w.acting)),))
+        tied = replace(b2_completed, walls=b2_completed.walls + (w,))
         bases = [b2_completed, kron_completed, tk_transform(b2_completed, 1), tk_transform(kron_completed, 2), tied]
         for D in bases:
             keys = [_angle_key(w.ray) for w in D.walls]
@@ -953,8 +957,6 @@ class TestSerialization:
         walls = tuple(
             Wall(
                 tuple(e["support"]["rays"][0]),
-                tuple(e["normal"]),
-                tuple(int(x) for x in e["acting_normal"]),
                 tuple((tuple(f["t"]), tuple(f["m"]), f["c"]) for f in e["factors"]),
                 e["incoming"],
             )
@@ -965,6 +967,34 @@ class TestSerialization:
         assert json.dumps(blob, sort_keys=True) == json.dumps(
             diagram_to_json(b2_completed), sort_keys=True
         )
+
+    def test_every_wall_prints_a_normal_of_its_ray(self, tk_checks):
+        """A wall stores no normal: ``diagram_to_json`` grades its atoms in
+        the diagram seed's frame, and the acting normal it prints is
+        +-(r_1, -r_0) for the wall's ray r.  Over every wall of the 37
+        completions at order 3, both sides of their ``tk_invariance_check``
+        for k = 1, 2, and the B2 (depth 6) and G2 (depth 8) chamber walls."""
+        diagrams = [complete_rank2(build_initial(group_seed(data), 3)) for data in RANK2]
+        diagrams += [D for _, _, (lhs, rhs, _) in tk_checks for D in (lhs, rhs)]
+        for data, depth in ((B2, 6), (G2, 8)):
+            s = group_seed(data)
+            diagrams.append(ScatteringDiagram(cluster_chamber_walls(s, depth), depth, s))
+        walls = 0
+        for D in diagrams:
+            for w, (normal, acting) in zip(D.walls, printed_normals(D), strict=True):
+                r0, r1 = w.ray
+                assert acting in ((r1, -r0), (-r1, r0)), (D.seed, w)
+                assert normal == _primitive(normal)
+                walls += 1
+        assert walls == 1209
+
+    def test_atoms_of_two_gradings_do_not_print(self):
+        """Atoms t11 z^(0,1) and t21 z^(0,1) grade to the normals (1,0) and
+        (0,1) over the B2 seed: a wall carrying both has no normal."""
+        s = group_seed(B2)
+        D = ScatteringDiagram((Wall((0, 1), (((1, 0, 0), (0, 1), 1), ((0, 1, 0), (0, 1), 1))),), 4, s)
+        with pytest.raises(InvariantViolation, match="^wall atoms have incompatible gradings$"):
+            diagram_to_json(D)
 
     def test_svg_deterministic(self, b2_completed):
         svg = render_svg(b2_completed)

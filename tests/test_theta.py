@@ -51,7 +51,7 @@ from clusterscatter.theta import (
 )
 from oracles import eq_mod_order, greedy_element, min_degree, path_ordered_product
 from test_bench_digests import _load
-from test_scattering import RANK2, SHEARED_B2, WILD33, gap_directions
+from test_scattering import RANK2, SHEARED_B2, WILD33, gap_directions, printed_normals
 
 B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
 KRON = FixedData(((0, -2), (2, 0)), (1, 1), (2, 2))
@@ -190,8 +190,10 @@ def reference_broken_lines(D, p0, Q, order=None):
     """The broken-line search on ``Fraction`` points: every incidence builds
     its hit parameters as Fractions and the hits are checked pairwise for a
     shared point.  Same validation, fan, reach and assembly as the library;
-    each F^e is ``series_pow`` of the ray's expanded function, not the
-    library's expansion of its atoms with scaled exponents."""
+    e is |<n, p>| for the acting normal n that ``diagram_to_json`` prints,
+    not the library's cross(r, p), and each F^e is ``series_pow`` of the
+    ray's expanded function, not the library's expansion of its atoms with
+    scaled exponents."""
     if order is None:
         order = D.order
     if order < 1 or order > D.order:
@@ -203,7 +205,8 @@ def reference_broken_lines(D, p0, Q, order=None):
     if Q == (Fraction(0), Fraction(0)):
         raise ValueError("endpoint must be nonzero")
     frame = D.frame
-    rays = [_RayData(ray, acting, atoms, order) for ray, acting, atoms in sorted(D.fan)]
+    rays = [_RayData(ray, atoms, order) for ray, atoms in sorted(D.fan)]
+    acting = {w.ray: n for w, (_, n) in zip(D.walls, printed_normals(D))}
     for rd in rays:
         if _cross(rd.ray, Q) == 0 and _dot(rd.ray, Q) > 0:
             raise _EndpointOnWall(f"endpoint {Q} lies on the wall ray {rd.ray}")
@@ -243,7 +246,7 @@ def reference_broken_lines(D, p0, Q, order=None):
                 raise GenericityError("segment meets two rays at one point")
         for s, i in hits:
             rd = rays[i]
-            e = abs(_dot(rd.acting, p))
+            e = abs(_dot(acting[rd.ray], p))
             assert e >= 1
             pt = (x[0] + s * p[0], x[1] + s * p[1])
             fe = series_pow(_function(rd.atoms, order), e)
@@ -439,8 +442,8 @@ class TestSearchContext:
         """For every ray of the completed diagram, the bend terms of F^e for
         e = 1..4 equal those of ``series_pow`` of the ray's expanded function."""
         D = complete_rank2(build_initial(seed, order))
-        for ray, acting, atoms in D.fan:
-            rd = _RayData(ray, acting, atoms, order)
+        for ray, atoms in D.fan:
+            rd = _RayData(ray, atoms, order)
             for e in range(1, 5):
                 f = series_pow(_function(atoms, order), e)
                 bends = tuple((c, x.t, x.m, sum(x.t)) for x, c in sorted(f.terms.items()) if any(x.t))
