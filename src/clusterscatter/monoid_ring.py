@@ -515,7 +515,9 @@ class _Factor:
     """One wall factor (1 + y)^c, y = t z^m of coefficient degree delta >= 1,
     crossed as z^p -> z^p (1 + y)^(c h), h = <n0, m(p)> for the wall normal
     n0 oriented toward the side the crossing comes from, on rank-2 images
-    held as slices by coefficient degree below ``order``.
+    held as slices by coefficient degree below ``order``.  Its callers
+    guarantee rank 2, tangency and delta >= 1 (``Wall`` and
+    ``ScatteringDiagram`` check them), so the factor checks none of them.
 
     z^m is tangent to the wall (<n0, m> = 0), so every term the factor writes
     has the level h of the term it came from, and the crossed terms of degree
@@ -537,13 +539,7 @@ class _Factor:
 
     def __init__(self, n0: Sequence[int], atom, d: int, order: int, binomials: dict[int, list]):
         t, m, c = atom
-        if len(n0) != 2 or len(m) != 2:
-            raise ValueError(f"wall factors cross rank-2 images only, not rank {max(len(n0), len(m))}")
         delta = sum(t)
-        if delta < 1:
-            raise ValueError("wall function must have constant term exactly 1")
-        if sum(map(mul, n0, m)):
-            raise ValueError(f"wall monomial {tuple(m)} is not tangent to the acting normal {tuple(n0)}")
         self.w, self.delta = (c * n0[0], c * n0[1]), delta  # c h = w . m(p)
         self.reads = max(0, order - delta)  # add reads slices k - q delta < order - delta only
         self.y, self.top = _pack((*m, *t, delta)), (order - 1) // delta

@@ -28,7 +28,7 @@ and normal covectors w_i = omega(-, (d_i/r_i) e_i)) replays the seed's word
 with the g-frame step at sign +1.  Wall monomial exponents are kept in the
 coefficient basis of the initial seed, and degrees are counted in the seed's
 own coefficient basis, the basis of the fan's atoms: the frame and the fan
-are built on first use and kept on the diagram.  A seed's frame is replayed
+are built with the diagram and kept on it.  A seed's frame is replayed
 once and shared by every diagram over that seed (``_frame_of``).
 """
 
@@ -102,8 +102,8 @@ Atom = tuple[tuple[int, ...], tuple[int, ...], int]
 def _combine_atoms(factors: Iterable[Atom]) -> tuple[Atom, ...]:
     merged: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for t, m, c in factors:
-        key = (tuple(int(x) for x in t), tuple(int(x) for x in m))
-        merged[key] = merged.get(key, 0) + int(c)
+        key = (tuple(t), tuple(m))
+        merged[key] = merged.get(key, 0) + c
     out = []
     for (t, m), c in merged.items():
         if c == 0:
@@ -135,10 +135,11 @@ class Wall:
     """One wall: support ray and factored function.
 
     ``ray`` is the primitive direction of the plane the wall sits on.
-    ``factors`` holds (t, m, c) for ``(1 + t z^m)^c`` with c > 0, each m
-    along the ray.  The wall's normal is +-(r_1, -r_0), fixed by the ray; the
-    grading of its atoms in a seed's frame picks the sign that JSON prints
-    (``_wall_normals``).
+    ``factors`` holds (t, m, c) for ``(1 + t z^m)^c``: ints, at least one,
+    c > 0 once equal (t, m) merge, each m along the ray.  The wall's normal
+    is +-(r_1, -r_0), fixed by the ray; the grading of its atoms in a seed's
+    frame picks the sign that JSON prints (``_wall_normals``).  The diagram
+    that holds the wall checks the degree of each t, in its seed's basis.
     """
 
     ray: tuple[int, int]
@@ -149,15 +150,18 @@ class Wall:
         if len(self.ray) != 2 or not all(isinstance(x, int) for x in self.ray):
             raise ValueError(f"a wall is supported on exactly one ray of the plane, got {self.ray!r}")
         object.__setattr__(self, "ray", _primitive(self.ray))
-        object.__setattr__(self, "factors", _combine_atoms(self.factors))
+        factors = tuple(self.factors)
+        if not all(isinstance(x, int) for t, m, c in factors for x in (*t, *m, c)):
+            raise ValueError(f"wall factor entries must be ints, got {factors!r}")
+        object.__setattr__(self, "factors", _combine_atoms(factors))
+        if not self.factors:
+            raise ValueError("a wall carries at least one factor")
         for _, m, _ in self.factors:
             if len(m) != 2 or _cross(m, self.ray):
                 raise InvariantViolation(f"wall monomial {m} not tangent to the wall")
 
     def function(self, order: int | None = None) -> LaurentSeries:
         """Expanded wall function at the given truncation order."""
-        if not self.factors:
-            raise ValueError("wall has an empty factor list")
         return _function(self.factors, order)
 
 
@@ -166,16 +170,25 @@ class ScatteringDiagram:
     """A finite set of walls known modulo coefficient degree > order, over
     the rank-2 group-mode seed whose frame and coefficient basis grade them.
     The walls are stored in counterclockwise order of their rays
-    (``_sort_walls``), whatever order they are given in.
+    (``_sort_walls``), whatever order they are given in.  Each wall factor's
+    t must have one exponent per seed coefficient and degree at least 1 in
+    the seed's own basis (ValueError otherwise): every reader trusts a
+    diagram once it is made.
 
-    ``frame``, ``fan`` and ``_search`` (the broken-line search context of
-    ``theta`` by order) are built on first use and kept.  They are functions
-    of the frozen walls, order and seed, so equality, hashing, ``repr`` and
-    ``dataclasses.replace`` ignore them."""
+    ``fan`` holds the wall rays counterclockwise, each as (ray, factors of
+    its walls with t in the seed's own basis): what every crossing, the
+    broken-line search and ``canonical_form`` read.  A crossing of a ray
+    acts by the ray's oriented normal, whichever wall a factor came from, so
+    crossing the ray once with all their factors is crossing its walls one
+    at a time.  ``frame`` and ``fan`` are built with the diagram, ``_search``
+    (the broken-line search context of ``theta`` by order) on first use.
+    They are functions of the frozen walls, order and seed, so equality,
+    hashing, ``repr`` and ``dataclasses.replace`` ignore them."""
 
     walls: tuple[Wall, ...]
     order: int
     seed: Seed
+    fan: tuple = field(init=False, compare=False, hash=False, repr=False)
     _search: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
@@ -190,33 +203,26 @@ class ScatteringDiagram:
             raise ValueError("scattering diagrams carry group-mode seeds (semifield=False)")
         if self.seed.data.n != 2:
             raise ValueError("scattering diagrams are defined for rank-2 seeds only")
+        d, to_fresh, fan = sum(self.seed.coeff_orders), self.frame.to_fresh, []
+        for w in self.walls:  # sorted, so the walls on one ray are adjacent
+            atoms = []
+            for t, m, c in w.factors:
+                if len(t) != d:
+                    raise ValueError(f"wall factor t^{t} needs {d} coefficient exponents, one per seed coefficient")
+                a = to_fresh(t)
+                if sum(a) < 1:
+                    raise ValueError(f"wall factor (1 + t^{t} z^{m}) has degree {sum(a)} < 1 in the seed's basis")
+                atoms.append((a, m, c))
+            if fan and fan[-1][0] == w.ray:
+                fan[-1] = (w.ray, fan[-1][1] + tuple(atoms))
+            else:
+                fan.append((w.ray, tuple(atoms)))
+        object.__setattr__(self, "fan", tuple(fan))
 
     @cached_property
     def frame(self) -> SeedFrame:
         """The seed's frame and coefficient basis (``seed_frame``)."""
         return _frame_of(self.seed)
-
-    @cached_property
-    def fan(self) -> tuple[tuple[tuple[int, int], tuple[Atom, ...]], ...]:
-        """The wall rays in counterclockwise order, each as (ray, factors of
-        the walls on it with coefficient exponents in the seed's own basis):
-        what every crossing, the broken-line search and ``canonical_form``
-        read of the diagram.
-
-        A crossing of a ray acts by the ray's own oriented normal, whichever
-        wall on it the factor came from.  The crossings of its walls then
-        commute, and crossing the ray once with all their factors is crossing
-        its walls one at a time.
-        """
-        to_fresh = self.frame.to_fresh
-        fan: list = []
-        for w in self.walls:  # sorted, so the walls on one ray are adjacent
-            atoms = tuple((to_fresh(t), m, c) for t, m, c in w.factors)
-            if fan and fan[-1][0] == w.ray:
-                fan[-1] = (w.ray, fan[-1][1] + atoms)
-            else:
-                fan.append((w.ray, atoms))
-        return tuple(fan)
 
 
 @dataclass(frozen=True)
@@ -314,8 +320,6 @@ def _grading_data(frame: SeedFrame, t_fresh: Sequence[int]):
     orders = frame.seed.coeff_orders
     n = data.n
     alpha = tuple(sum(t_fresh[j] for j in block_range(orders, i)) for i in range(n))
-    if all(a == 0 for a in alpha):
-        raise InvariantViolation("coefficient monomial has zero grading")
     if any(a < 0 for a in alpha):
         raise InvariantViolation(f"coefficient monomial grading {alpha} leaves the positive cone")
     L = lcm(*data.r)
@@ -331,8 +335,6 @@ def _wall_normals(frame: SeedFrame, atoms: Sequence[Atom]) -> tuple[tuple[int, .
     its atoms (t in the initial basis): every atom must grade to the same
     pair (``_grading_data``)."""
     normals = {_grading_data(frame, frame.to_fresh(t))[:2] for t, _, _ in atoms}
-    if not normals:
-        raise InvariantViolation("a wall has no atoms")
     if len(normals) > 1:
         raise InvariantViolation("wall atoms have incompatible gradings")
     return normals.pop()

@@ -31,7 +31,6 @@ from math import gcd, lcm
 from operator import add
 
 from .cluster_core import (
-    InvariantViolation,
     RationalFunction,
     _chamber_walk,
     _pull_back,
@@ -119,13 +118,7 @@ def _reachable_shifts(rays: list[_RayData], budget: int) -> dict[tuple, int]:
     """Minimal coefficient degree needed to reach each shift from the origin
     by adding wall exponents; bends spend from these sums.  Reaching p from
     p0 costs the same as reaching p - p0 from the origin."""
-    types = set()
-    for rd in rays:
-        for _, _, m, d in rd.power(1):
-            if d < 1:
-                raise ValueError("wall factors must carry positive coefficient degree")
-            types.add((d, m))
-    types = sorted(types)
+    types = sorted({(d, m) for rd in rays for _, _, m, d in rd.power(1)})
     best: dict[tuple, int] = {(0, 0): 0}
     heap: list[tuple[int, tuple]] = [(0, (0, 0))]
     while heap:
@@ -147,9 +140,11 @@ class _SearchContext:
     """What the broken-line search reads of one diagram at one order: the
     ray fan in the seed's own coefficient basis (whose ``powers`` memos fill
     as bends need them), counterclockwise as ``ring`` and in tuple order as
-    ``rays``, and the reach table with its shifts in sorted order."""
+    ``rays``, and ``reach``, the reach table with its shifts in sorted
+    order, built with the context.  Every bend raises the coefficient degree,
+    since ``ScatteringDiagram`` checks that each wall factor has degree >= 1."""
 
-    __slots__ = ("order", "ring", "rays", "_reach")
+    __slots__ = ("order", "ring", "rays", "reach")
 
     def __init__(self, D: ScatteringDiagram, order: int):
         self.order = order
@@ -157,19 +152,12 @@ class _SearchContext:
         self.rays = sorted(self.ring, key=lambda rd: rd.ray)
         for i, rd in enumerate(self.ring):
             rd.walks = self.walks(i - 1, i + 1)
-        self._reach = None
+        table = _reachable_shifts(self.rays, order - 1)
+        self.reach = (table, sorted(table))
 
     def walks(self, lo: int, hi: int) -> tuple[list, list]:
         # the ring once round, clockwise from ring[lo] and counterclockwise from ring[hi]
         return self.ring[lo::-1] + self.ring[:lo:-1], self.ring[hi:] + self.ring[:hi]
-
-    def reach(self) -> tuple[dict[tuple, int], list[tuple]]:
-        # built on first use, so that the endpoint check raises before the
-        # degree check of _reachable_shifts
-        if self._reach is None:
-            table = _reachable_shifts(self.rays, self.order - 1)
-            self._reach = (table, sorted(table))
-        return self._reach
 
 
 def _search_context(D: ScatteringDiagram, order: int | None) -> _SearchContext:
@@ -229,8 +217,7 @@ def _exponent(p0) -> tuple[int, int]:
 def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
     """The broken-line search for p0 ending at Q: ``emit(trail)`` runs on
     every completed line, whose trail lists its bends from Q backward as
-    (point, ray, coeff, t, m) with t in the seed's own basis.  A bend term
-    that does not raise the coefficient degree raises InvariantViolation.
+    (point, ray, coeff, t, m) with t in the seed's own basis.
 
     The search holds each point as reduced integer homogeneous coordinates
     (X0, X1, w) with w > 0; a segment from x along p meets a ray r at
@@ -254,7 +241,7 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
         if _cross(rd.ray, x) == 0 and _dot(rd.ray, x) > 0:
             raise _EndpointOnWall(f"endpoint {Q} lies on the wall ray {rd.ray}")
     budget = ctx.order - 1
-    reach, shifts = ctx.reach()
+    reach, shifts = ctx.reach
     q0, q1 = p0
 
     def descend(x: tuple[int, int, int], p: tuple, used: int, trail: list, walks) -> None:
@@ -285,8 +272,6 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
             g = gcd(Y0, Y1, v)
             pt = (Y0 // g, Y1 // g, v // g)
             for coeff, t, m, dq in rd.power(c):
-                if dq < 1:
-                    raise InvariantViolation("a bend must raise the coefficient degree")
                 nu = used + dq
                 prev = (a0 - m[0], a1 - m[1])
                 need = reach.get((prev[0] - q0, prev[1] - q1))

@@ -439,6 +439,21 @@ def test_one_coefficient_rule_matches_both_reference_rules():
                         assert s.coeffs == coeffs, (data, s0.coeffs, semifield, s.word)
 
 
+def test_cluster_variables_are_positive_laurent_polynomials():
+    """Positivity, on every valid rank-2 datum of the box: each distinct
+    cluster variable that ``explore_pattern`` reaches in three mutations from
+    the principal-coefficient seed is a Laurent polynomial in the initial
+    cluster with positive int coefficients.  (Depth 4 is out of reach for
+    the wild data.)"""
+    count = 0
+    for data in RANK2:
+        for x in distinct_cluster_variables(explore_pattern(initial_seed(data), 3).values()):
+            assert x.num.order is None, (data, str(x))
+            assert all(type(c) is int and c > 0 for c in x.num.terms.values()), (data, str(x))
+            count += 1
+    assert count == 285
+
+
 class TestFiniteType:
     def test_b2_counts(self):
         seeds = explore_pattern(initial_seed(B2), 8)

@@ -492,24 +492,13 @@ def test_clockwise_partial_path_matches_expanded_crossing(data, order):
 
 
 def test_factor_of_degree_below_one_is_rejected():
+    """A diagram refuses a factor of degree below 1 where it is made, so no
+    crossing, completion or ``_Factor`` ever sees one."""
+    s = group_seed(A2)
     for t in ((0, 0), (1, -2)):
-        with pytest.raises(ValueError, match="constant term exactly 1"):
-            _Factor((0, 1), (t, (1, 0), 1), 2, 4, {})
-        fan = _OnlineFan(2, 4)
-        fan.insert(0, (0, 1), ((1, 0), (1, 0), 1))
-        with pytest.raises(ValueError, match="constant term exactly 1"):
-            fan.insert(1, (0, 1), (t, (1, 0), 1))
-        assert len(fan.positions) == 1
-
-
-def test_factor_of_rank_other_than_two_is_rejected():
-    """The level of a term is read off two m-slots: no other rank may reach it."""
-    with pytest.raises(ValueError, match="rank-2 images only, not rank 3"):
-        _Factor((0, 0, 1), ((1, 0), (1, 0, 0), 1), 2, 4, {})
-    fan = _OnlineFan(2, 4)
-    with pytest.raises(ValueError, match="rank-2 images only, not rank 3"):
-        fan.insert(0, (0, 0, 1), ((1, 0), (1, 0, 0), 1))
-    assert fan.positions == []
+        walls = (Wall((1, 0), (((1, 0), (1, 0), 1),)), Wall((-1, 0), ((t, (-1, 0), 1),)))
+        with pytest.raises(ValueError, match=r"has degree -?\d+ < 1 in the seed's basis"):
+            ScatteringDiagram(walls, 4, s)
 
 
 def test_factor_below_the_stage_is_rejected():
@@ -520,11 +509,6 @@ def test_factor_below_the_stage_is_rejected():
     with pytest.raises(ValueError, match="wall factor of coefficient degree 1 at stage 2"):
         fan.insert(0, (0, 1), ((1, 0), (1, 0), 1))
     assert fan.positions == []
-
-
-def test_factor_off_the_wall_is_rejected():
-    with pytest.raises(ValueError, match="not tangent"):
-        _OnlineFan(2, 4).insert(0, (0, 1), ((1, 0), (1, 1), 1))
 
 
 def test_factor_at_or_above_the_order_reads_and_changes_nothing(monkeypatch):

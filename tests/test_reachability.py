@@ -48,6 +48,10 @@ ALLOW = {
         "oracle of the defect reader `scattering._defect_derivation` in tests/test_completion.py; "
         "looked up by name by perfbench/tracing.LAYERS (--trace 1) and tests/test_tracer_layers.py"
     ),
+    "monoid_ring.LaurentSeries.is_one": (
+        "serves the oracles wall_cross and series_log (their constant-term check); "
+        "perfbench workloads.theta_check reads it on theta_via_transport's denominator"
+    ),
     "monoid_ring._tight_bound": "the overflow guard: re-derives a slot bound only when the carried one exceeds the slot limit",
     "cli.main": "the console entry point",
 }

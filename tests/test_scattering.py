@@ -21,11 +21,13 @@ from clusterscatter.cluster_core import (
     initial_seed,
     matrix_mutate,
     pattern_walk,
+    seed_from_json,
     seed_key,
     seed_mutate,
     unimodular_inverse_transpose,
 )
 from clusterscatter.cli import cli
+from clusterscatter.fixtures import load_fixture
 from clusterscatter.monoid_ring import LaurentSeries, series_mul, series_pow, series_unit_inverse
 from clusterscatter.scattering import (
     ConsistencyReport,
@@ -153,6 +155,56 @@ class TestWall:
         assert terms[((0, 0), (0, 0))] == 1
         assert terms[((0, 2), (1, 0))] == 2
         assert terms[((0, 4), (2, 0))] == 1
+
+
+@pytest.fixture(scope="module")
+def b2_file_d4():
+    """The B2 seed of ``b2.json`` in group mode, completed at order 4."""
+    return complete_rank2(build_initial(seed_from_json(load_fixture("b2.json"), semifield=False), 4))
+
+
+def with_wall(D, wall):
+    return ScatteringDiagram(D.walls + (wall,), D.order, D.seed)
+
+
+class TestAtomRule:
+    """A wall factor (1 + t^a z^m)^c has int entries, and coefficient degree
+    at least 1 in the diagram seed's own basis, so its function is 1 modulo
+    the maximal ideal.  A factor that breaks the rule raises one ValueError
+    where the wall or the diagram is made, so no crossing, search or printer
+    ever runs on it."""
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            ((0, 0, 0), r"t\^\(0, 0, 0\) z\^\(1, 1\)\) has degree 0 < 1 in the seed's basis"),
+            ((1, 0), r"t\^\(1, 0\) needs 3 coefficient exponents"),
+            ((1, -1, 0), r"t\^\(1, -1, 0\) z\^\(1, 1\)\) has degree 0 < 1 in the seed's basis"),
+        ],
+        ids=["zero-coefficient", "wrong-length", "degree-0"],
+    )
+    def test_diagram_refuses_a_factor_that_breaks_the_rule(self, b2_file_d4, t, message):
+        with pytest.raises(ValueError, match=message):
+            with_wall(b2_file_d4, Wall((1, 1), ((t, (1, 1), 1),)))
+
+    def test_degree_is_counted_in_the_seeds_own_basis(self):
+        """On the sheared B2 seed, t^(0,1,0) has degree 1 in the initial
+        basis and 0 in the seed's."""
+        D = complete_rank2(build_initial(SHEARED_B2, 4))
+        assert D.frame.to_fresh((0, 1, 0)) == (-1, 1, 0)
+        with pytest.raises(ValueError, match=r"t\^\(0, 1, 0\) z\^\(1, 1\)\) has degree 0 < 1"):
+            with_wall(D, Wall((1, 1), (((0, 1, 0), (1, 1), 1),)))
+
+    def test_wall_refuses_entries_that_are_not_ints(self):
+        for atom in (((1.5, 0, 0), (1.9, 0), 2.7), ((1, 0, 0), (1, 0), 2.0)):
+            with pytest.raises(ValueError, match="wall factor entries must be ints"):
+                Wall((1, 0), [atom])
+
+    def test_wall_refuses_an_empty_factor_list(self):
+        """Also when its factors cancel once merged."""
+        for factors in ((), (((1, 0, 0), (1, -1), 1), ((1, 0, 0), (1, -1), -1))):
+            with pytest.raises(ValueError, match="a wall carries at least one factor"):
+                Wall((1, -1), factors)
 
 
 class TestAngleOrder:

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from clusterscatter.cluster_core import (
     FixedData,
-    InvariantViolation,
     _chamber_walk,
     chart_variables,
     g_frame_mutate,
@@ -25,6 +24,7 @@ from clusterscatter.monoid_ring import Exponent, LaurentSeries, series_pow, seri
 from clusterscatter.scattering import (
     PathSpec,
     ScatteringDiagram,
+    Wall,
     _cross,
     _function,
     build_initial,
@@ -42,7 +42,6 @@ from clusterscatter.theta import (
     _EndpointOnWall,
     _RayData,
     _reachable_shifts,
-    _search_context,
     _theta_lines,
     _vadd,
     enumerate_broken_lines,
@@ -556,18 +555,16 @@ class TestSummingRoute:
         x = theta_via_transport(D, (0, -1))
         assert x.den.is_one() and got == x.num.truncate(D.order)
 
-    def test_degree_check_is_live_on_both_routes(self):
-        """A bending term of coefficient degree 0 on the ray (0,1), where
-        the line of (-1,0) to Q0 bends, violates the invariant."""
+    def test_a_factor_of_degree_zero_never_reaches_either_route(self):
+        """A factor of coefficient degree 0 on the ray (0,1), where the line
+        of (-1,0) to Q0 bends, would bend without raising the degree.  The
+        diagram refuses it where it is made, so neither ``theta`` nor
+        ``enumerate_broken_lines`` can meet it."""
         D = completed("b2")
-        ctx = _search_context(D, 3)
-        ctx.reach()  # built from the true terms, before the stub
-        (rd,) = [rd for rd in ctx.rays if rd.ray == (0, 1)]
-        for e in range(1, 4):
-            rd.powers[e] = tuple((c, (0, 0, 0), m, 0) for c, _, m, _ in rd.power(e))
-        for call in (lambda: theta(D, (-1, 0), 3, Q=Q0), lambda: enumerate_broken_lines(D, (-1, 0), Q0, 3)):
-            with pytest.raises(InvariantViolation, match="^a bend must raise the coefficient degree$"):
-                call()
+        assert theta(D, (-1, 0), 3, Q=Q0) and enumerate_broken_lines(D, (-1, 0), Q0, 3)
+        for t in ((0, 0, 0), (1, -1, 0)):
+            with pytest.raises(ValueError, match="has degree 0 < 1 in the seed's basis"):
+                ScatteringDiagram(D.walls + (Wall((0, 1), ((t, (0, 1), 1),)),), D.order, D.seed)
 
 
 # -- generalized data: theta against chamber transport ------------------------
