@@ -328,6 +328,92 @@ class TestScatterMutate:
         assert res.exit_code == 2
 
 
+SLOT_LIMIT_THETA = {  # (fixture, --m): (exit code, stdout) at --order 3
+    ("b2", "2147483647,0"): (0, "A1^2147483647\n"),
+    ("b2", "1,-2147483647"): (
+        0,
+        " + ".join([
+            "A1*A2^-2147483647",
+            "2147483647*t22*A2^-2147483647",
+            "2305843005992468481*t22^2*A1^-1*A2^-2147483647",
+            "2147483647*t21*A2^-2147483647",
+            "4611686014132420609*t21*t22*A1^-1*A2^-2147483647",
+            "2305843005992468481*t21^2*A1^-1*A2^-2147483647",
+            "2147483646*t11*t22*A2^-2147483646",
+            "2147483646*t11*t21*A2^-2147483646",
+        ])
+        + "\n",
+    ),
+    ("b2", "-2147483647,-2147483647"): (2, ""),
+    ("b2", "-2147483647,0"): (
+        0,
+        " + ".join([
+            "A1^-2147483647",
+            "2147483647*t11*A1^-2147483647*A2",
+            "2305843005992468481*t11^2*A1^-2147483647*A2^2",
+        ])
+        + "\n",
+    ),
+    ("b2", "0,2147483647"): (0, "A2^2147483647\n"),
+    ("b2", "2147483645,1"): (0, "A1^2147483645*A2\n"),
+    ("b2", "2147483647,2147483647"): (0, "A1^2147483647*A2^2147483647\n"),
+    ("b2", "-2147483647,1"): (
+        0,
+        " + ".join([
+            "A1^-2147483647*A2",
+            "2147483647*t11*A1^-2147483647*A2^2",
+            "2305843005992468481*t11^2*A1^-2147483647*A2^3",
+        ])
+        + "\n",
+    ),
+    ("kronecker", "2147483647,0"): (0, "A1^2147483647\n"),
+    ("kronecker", "1,-2147483647"): (
+        0,
+        " + ".join([
+            "A1*A2^-2147483647",
+            "2147483647*t22*A2^-2147483647",
+            "2305843005992468481*t22^2*A1^-1*A2^-2147483647",
+            "2147483647*t21*A2^-2147483647",
+            "4611686014132420609*t21*t22*A1^-1*A2^-2147483647",
+            "2305843005992468481*t21^2*A1^-1*A2^-2147483647",
+            "2147483646*t12*t22*A2^-2147483646",
+            "2147483646*t12*t21*A2^-2147483646",
+            "2147483646*t11*t22*A2^-2147483646",
+            "2147483646*t11*t21*A2^-2147483646",
+        ])
+        + "\n",
+    ),
+    ("kronecker", "-2147483647,-2147483647"): (2, ""),
+    ("kronecker", "-2147483647,0"): (
+        0,
+        " + ".join([
+            "A1^-2147483647",
+            "2147483647*t12*A1^-2147483647*A2",
+            "2305843005992468481*t12^2*A1^-2147483647*A2^2",
+            "2147483647*t11*A1^-2147483647*A2",
+            "4611686014132420609*t11*t12*A1^-2147483647*A2^2",
+            "2305843005992468481*t11^2*A1^-2147483647*A2^2",
+        ])
+        + "\n",
+    ),
+    ("kronecker", "0,2147483647"): (0, "A2^2147483647\n"),
+    ("kronecker", "2147483645,1"): (0, "A1^2147483645*A2\n"),
+    ("kronecker", "2147483647,2147483647"): (0, "A1^2147483647*A2^2147483647\n"),
+    ("kronecker", "-2147483647,1"): (
+        0,
+        " + ".join([
+            "A1^-2147483647*A2",
+            "2147483647*t12*A1^-2147483647*A2^2",
+            "2305843005992468481*t12^2*A1^-2147483647*A2^3",
+            "2147483647*t11*A1^-2147483647*A2^2",
+            "4611686014132420609*t11*t12*A1^-2147483647*A2^3",
+            "2305843005992468481*t11^2*A1^-2147483647*A2^3",
+        ])
+        + "\n",
+    ),
+}
+
+
 class TestTheta:
     def test_one_step_variable(self, runner, b2_path):
         res = runner.invoke(cli, ["theta", "--seed", b2_path, "--m", "-1,0"])
@@ -409,6 +495,19 @@ class TestTheta:
     def test_wrong_exponent_length(self, runner, b2_path):
         res = runner.invoke(cli, ["theta", "--seed", b2_path, "--m", "1,2,3"])
         assert res.exit_code == 2
+
+
+    @pytest.mark.parametrize("fixture, m", sorted(SLOT_LIMIT_THETA))
+    def test_exponents_at_the_slot_limit(self, runner, fixture, m, tmp_path):
+        """An exponent with an entry at 2^31 - 1 in magnitude: theta answers
+        whenever every term it prints fits a packed slot, and exits 2 when
+        one would not.  Pinned to the outputs of the tuple-keyed search."""
+        path = tmp_path / f"{fixture}.json"
+        path.write_text(fixture_text(f"{fixture}.json"))
+        res = runner.invoke(cli, ["theta", "--seed", str(path), "--order", "3", "--m", m])
+        assert (res.exit_code, res.stdout) == SLOT_LIMIT_THETA[fixture, m]
+        if res.exit_code:
+            assert "Error: a packed exponent slot could reach " in res.output and "Traceback" not in res.output
 
 
 OUTPUT_OPTIONS = pytest.mark.parametrize(
