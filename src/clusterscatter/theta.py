@@ -9,16 +9,21 @@ r and e = |<n, m>| for its primitive normal n, that is e = |cross(r, m)|.
 Theta functions sum the final terms of all broken lines, and for exponents
 inside a cluster chamber they agree with the transport of the bare monomial
 to the positive chamber.
-One search, run through ``enumerate_broken_lines``, serves both uses:
-``theta`` asks it for each line's final term only and sums those, so no
-line is built, while ``enumerate_broken_lines`` itself (and ``clusterscatter
-theta --trace``) returns the lines whole.  The search holds points as
-reduced integer homogeneous coordinates, and each of its steps walks the
-counterclockwise fan from the segment's start to the first ray it misses.
-What it reads of a diagram at one order (the ray fan with the bend terms
-of each power F^e it meets, expanded from the ray's atoms, and the table of
-shifts reachable from the origin) is built once, on first use, and kept on
-the diagram for every later call at that order, next to the diagram's frame.
+One search, ``_search``, serves both uses: ``theta`` sums each line's
+final term and builds no line, while ``enumerate_broken_lines`` (and
+``clusterscatter theta --trace``) returns the lines whole.  The search holds
+points as reduced integer homogeneous coordinates, and each of its steps
+walks the counterclockwise fan from the segment's start to the first ray it
+misses.  It takes a bend only when the bent segment can still end a line:
+the segment carries p0, or it crosses the first ray of its own walk, so it
+never bends onto a segment that misses every ray.  Each bend term carries its monomial
+as one packed key in the initial coefficient basis: a line's final term is
+the product of its bend coefficients on the monomial whose key is z^p0's
+plus the sum of its bend keys, so ``theta`` sums ints.  What the search
+reads of a diagram at one order (the ray fan with the bend terms of each
+power F^e it meets, expanded from the ray's atoms, and the table of shifts
+reachable from the origin) is built once, on first use, and kept on the
+diagram for every later call at that order, next to the diagram's frame.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 
 from .cluster_core import (
     RationalFunction,
@@ -37,7 +41,7 @@ from .cluster_core import (
     _transport,
     initial_seed,
 )
-from .monoid_ring import Exponent, LaurentSeries
+from .monoid_ring import _LIMIT, Exponent, LaurentSeries, _guard, _pack, _unpack
 from .scattering import ScatteringDiagram, _angle_key, _cross, _function
 
 __all__ = [
@@ -93,32 +97,44 @@ def _vadd(u, v):
 class _RayData:
     """One ray of the fan with the atoms (t, m, c) of its merged wall
     function F, in the diagram seed's own coefficient basis.
-    ``power(e)`` returns the bending terms (coeff, t, m, coefficient degree)
-    of F^e mod degree ``order``, those with t != 0 in exponent order: the
-    atoms with c scaled by e, expanded, each e once (``powers``).  ``walks``
-    is the fan as seen from this ray (``_SearchContext.walks``)."""
+    ``power(e)`` returns the bending terms (coeff, t, m, coefficient degree,
+    key) of F^e mod degree ``order``, those with t != 0 in exponent order:
+    the atoms with c scaled by e, expanded, each e once (``powers``).  The
+    key is the term's monomial packed as a series key, its t mapped by
+    ``to_old`` (the seed's basis into the initial one; the identity by
+    default).  ``walks`` is the fan as seen from this ray
+    (``_SearchContext.walks``) and ``heads`` the first ray of each walk
+    that a segment leaving this ray can cross (``_SearchContext``)."""
 
-    __slots__ = ("ray", "atoms", "order", "powers", "walks")
+    __slots__ = ("ray", "atoms", "order", "to_old", "powers", "walks", "heads")
 
-    def __init__(self, ray, atoms, order: int):
+    def __init__(self, ray, atoms, order: int, to_old=tuple):
         self.ray = ray
         self.atoms = atoms
         self.order = order
+        self.to_old = to_old
         self.powers: dict[int, tuple] = {}
 
     def power(self, e: int) -> tuple:
         got = self.powers.get(e)
         if got is None:
             f = _function([(t, m, c * e) for t, m, c in self.atoms], self.order)
-            got = self.powers[e] = tuple((c, x.t, x.m, sum(x.t)) for x, c in sorted(f.terms.items()) if any(x.t))
+            got = self.powers[e] = tuple(
+                (c, x.t, x.m, sum(x.t), _key(x.m, self.to_old(x.t))) for x, c in sorted(f.terms.items()) if any(x.t)
+            )
         return got
+
+
+def _key(m, t) -> int:
+    """The series key of z^m t^t."""
+    return _pack((*m, *t, sum(t)))
 
 
 def _reachable_shifts(rays: list[_RayData], budget: int) -> dict[tuple, int]:
     """Minimal coefficient degree needed to reach each shift from the origin
     by adding wall exponents; bends spend from these sums.  Reaching p from
     p0 costs the same as reaching p - p0 from the origin."""
-    types = sorted({(d, m) for rd in rays for _, _, m, d in rd.power(1)})
+    types = sorted({(d, m) for rd in rays for _, _, m, d, _ in rd.power(1)})
     best: dict[tuple, int] = {(0, 0): 0}
     heap: list[tuple[int, tuple]] = [(0, (0, 0))]
     while heap:
@@ -140,20 +156,35 @@ class _SearchContext:
     """What the broken-line search reads of one diagram at one order: the
     ray fan in the seed's own coefficient basis (whose ``powers`` memos fill
     as bends need them), counterclockwise as ``ring`` and in tuple order as
-    ``rays``, and ``reach``, the reach table with its shifts in sorted
-    order, built with the context.  Every bend raises the coefficient degree,
-    since ``ScatteringDiagram`` checks that each wall factor has degree >= 1."""
+    ``rays``, and ``reach``, the reach table in sorted order of its shifts,
+    built with the context.  Every bend raises the coefficient degree,
+    since ``ScatteringDiagram`` checks that each wall factor has degree >= 1.
 
-    __slots__ = ("order", "ring", "rays", "reach")
+    A segment that leaves the ray r at a point u*r (u > 0) with exponent p
+    walks the ring from r counterclockwise when cross(r, p) > 0 and
+    clockwise when it is < 0; its first test is cross(x, r') > 0 for the
+    first ray r' of that walk, with x = +-u*r signed by the walk, so it
+    depends on r alone.  ``heads`` holds, by the walk's direction, r' when
+    that test passes and None when it fails.  ``bound`` bounds every slot of
+    the sum of the bend keys along a line: a line's bends multiply at most
+    order - 1 atom monomials, since each has degree >= 1."""
+
+    __slots__ = ("order", "ring", "rays", "reach", "bound")
 
     def __init__(self, D: ScatteringDiagram, order: int):
         self.order = order
-        self.ring = [_RayData(ray, atoms, order) for ray, atoms in D.fan]
+        to_old = D.frame.to_old
+        self.ring = [_RayData(ray, atoms, order, to_old) for ray, atoms in D.fan]
         self.rays = sorted(self.ring, key=lambda rd: rd.ray)
         for i, rd in enumerate(self.ring):
-            rd.walks = self.walks(i - 1, i + 1)
-        table = _reachable_shifts(self.rays, order - 1)
-        self.reach = (table, sorted(table))
+            rd.walks = cw, ccw = self.walks(i - 1, i + 1)
+            rd.heads = (
+                cw[0].ray if _cross(rd.ray, cw[0].ray) < 0 else None,
+                ccw[0].ray if _cross(rd.ray, ccw[0].ray) > 0 else None,
+            )
+        self.reach = dict(sorted(_reachable_shifts(self.rays, order - 1).items()))
+        slots = (abs(v) for rd in self.ring for t, m, _ in rd.atoms for v in (*m, *to_old(t), sum(to_old(t))))
+        self.bound = (order - 1) * max(slots, default=0)
 
     def walks(self, lo: int, hi: int) -> tuple[list, list]:
         # the ring once round, clockwise from ring[lo] and counterclockwise from ring[hi]
@@ -173,21 +204,13 @@ def _search_context(D: ScatteringDiagram, order: int | None) -> _SearchContext:
     return ctx
 
 
-def enumerate_broken_lines(
-    D: ScatteringDiagram,
-    p0,
-    Q,
-    order: int | None = None,
-    *,
-    _finals: bool = False,
-) -> tuple[BrokenLine, ...]:
+def enumerate_broken_lines(D: ScatteringDiagram, p0, Q, order: int | None = None) -> tuple[BrokenLine, ...]:
     """All broken lines for exponent p0 ending at Q, with final coefficient
     degree below ``order``, each built whole: its ``Fraction`` bend points,
     and its segments in the initial coefficient basis.
 
-    ``theta`` runs the same search with ``_finals=True`` and gets back only
-    each line's final term (c, t, m), t in the seed's own coefficient basis,
-    in search order: no line is built.  Degrees are measured in the diagram
+    ``theta`` runs the same search (``_search``) and sums each line's final
+    term without building the line.  Degrees are measured in the diagram
     seed's own coefficient basis.  Raises ValueError if Q lies on a wall and
     GenericityError when some segment runs through the origin or along a
     wall line.
@@ -195,11 +218,6 @@ def enumerate_broken_lines(
     ctx = _search_context(D, order)
     p0 = _exponent(p0)
     Q = (Fraction(Q[0]), Fraction(Q[1]))
-    if _finals:
-        finals: list[tuple] = []
-        d = sum(D.seed.coeff_orders)
-        _search(ctx, p0, Q, lambda trail: finals.append(_final(p0, trail, d)))
-        return tuple(finals)
     frame = D.frame
     lines: list[BrokenLine] = []
     _search(ctx, p0, Q, lambda trail: lines.append(_assemble(Q, p0, trail, frame)))
@@ -217,7 +235,8 @@ def _exponent(p0) -> tuple[int, int]:
 def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
     """The broken-line search for p0 ending at Q: ``emit(trail)`` runs on
     every completed line, whose trail lists its bends from Q backward as
-    (point, ray, coeff, t, m) with t in the seed's own basis.
+    (point, ray, coeff, t, m, key) with t in the seed's own basis and key
+    the packed z^m t in the initial one (``_RayData.power``).
 
     The search holds each point as reduced integer homogeneous coordinates
     (X0, X1, w) with w > 0; a segment from x along p meets a ray r at
@@ -230,7 +249,16 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
     cross(x, p) == 0: such a step checks the rays in tuple order and
     crosses none.  The ray fan and reach table are built once per (D,
     order) and kept on D (see ``_search_context``); the reach table holds
-    shifts from the origin.
+    shifts from the origin, and each call shifts it by p0 once.
+
+    A bend is taken only if its new segment, of exponent prev, can still
+    end a line: prev is reachable from p0 within the degree left, and
+    either prev == p0 (the segment ends the line, or raises on a degenerate
+    incidence) or the segment passes the first test of its own walk (see
+    ``_SearchContext``).  A segment with cross(x, prev) == 0 is taken too:
+    it lies along the ray it leaves, so it raises.  Any other segment would
+    cross no ray and find nothing, so skipping it changes no line, no line
+    order and no error.
     """
     if Q == (Fraction(0), Fraction(0)):
         raise ValueError("endpoint must be nonzero")
@@ -241,8 +269,8 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
         if _cross(rd.ray, x) == 0 and _dot(rd.ray, x) > 0:
             raise _EndpointOnWall(f"endpoint {Q} lies on the wall ray {rd.ray}")
     budget = ctx.order - 1
-    reach, shifts = ctx.reach
     q0, q1 = p0
+    reach = {(q0 + s0, q1 + s1): need for (s0, s1), need in ctx.reach.items()}
 
     def descend(x: tuple[int, int, int], p: tuple, used: int, trail: list, walks) -> None:
         (X0, X1, w), (a0, a1) = x, p
@@ -270,14 +298,22 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
                 break
             Y0, Y1, v = X0 * c + a * a0, X1 * c + a * a1, w * c
             g = gcd(Y0, Y1, v)
-            pt = (Y0 // g, Y1 // g, v // g)
-            for coeff, t, m, dq in rd.power(c):
+            P0, P1 = Y0 // g, Y1 // g
+            pt = (P0, P1, v // g)
+            heads = rd.heads
+            for coeff, t, m, dq, key in rd.power(c):
                 nu = used + dq
-                prev = (a0 - m[0], a1 - m[1])
-                need = reach.get((prev[0] - q0, prev[1] - q1))
+                prev = (b0, b1) = (a0 - m[0], a1 - m[1])
+                need = reach.get(prev)
                 if need is None or nu + need > budget:
                     continue
-                trail.append((pt, rd.ray, coeff, t, m))
+                if prev != p0:
+                    kk = P0 * b1 - P1 * b0  # cross(pt, prev): the walk the segment takes
+                    if kk:
+                        head = heads[kk > 0]
+                        if head is None or (head[0] * b1 - head[1] * b0) * kk <= 0:
+                            continue
+                trail.append((pt, rd.ray, coeff, t, m, key))
                 descend(pt, prev, nu, trail, rd.walks)
                 trail.pop()
 
@@ -285,15 +321,15 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
     # final exponent: p0 shifted by any reachable sum of wall exponents.
     j = bisect(ctx.ring, _angle_key(x), key=lambda rd: _angle_key(rd.ray))  # Q lies on no ray
     start = ctx.walks(j - 1, j)
-    for delta in shifts:
-        descend(x, _vadd(p0, delta), 0, [], start)
+    for p in reach:
+        descend(x, p, 0, [], start)
 
 
 def _assemble(Q: Point, p0, trail, frame) -> BrokenLine:
     c, t, m = 1, (0,) * sum(frame.seed.coeff_orders), tuple(p0)
     segments = [(c, t, m)]
     bends = []
-    for (X0, X1, w), ray, cq, tq, mq in reversed(trail):
+    for (X0, X1, w), ray, cq, tq, mq, *_ in reversed(trail):
         c *= cq
         t = _vadd(t, tq)
         m = _vadd(m, mq)
@@ -301,18 +337,6 @@ def _assemble(Q: Point, p0, trail, frame) -> BrokenLine:
         bends.append(((Fraction(X0, w), Fraction(X1, w)), ray))
     segments = [(c, frame.to_old(t), m) for c, t, m in segments]
     return BrokenLine(Q, tuple(segments), tuple(bends))
-
-
-def _final(p0: tuple[int, int], trail, d: int) -> tuple:
-    """The final term (c, t, m) of a trail's line, t in the seed's own
-    coefficient basis (of rank d): c, t and m - p0 are the product and sums
-    of the bends' terms."""
-    c, t, m = 1, (0,) * d, p0
-    for _, _, cq, tq, mq in trail:
-        c *= cq
-        t = tuple(map(add, t, tq))
-        m = (m[0] + mq[0], m[1] + mq[1])
-    return c, t, m
 
 
 def _endpoint_draw(q_seed: int, attempt: int) -> Point:
@@ -360,11 +384,15 @@ def theta(
     coefficient degree ``order``: the sum of the final terms of the broken
     lines for p0 ending at Q.
 
-    The search (``enumerate_broken_lines`` with ``_finals=True``) hands back
-    each line's final term and no ``BrokenLine``; the terms are summed by
-    key in the seed's own coefficient basis and each distinct key is mapped
-    to the initial basis once.  The lines themselves come from
-    ``enumerate_broken_lines`` (and ``clusterscatter theta --trace``).
+    The search (``_search``) builds no ``BrokenLine``: each line's final
+    term is the product of its bend coefficients and the sum of its bend
+    keys, already in the initial basis.  Those are summed as ints by key,
+    and z^p0 is added once to each distinct key.  The lines themselves come
+    from ``enumerate_broken_lines`` (and ``clusterscatter theta --trace``).
+    A sum of bend keys stays within the context's a priori ``bound``; the
+    final slots are that plus |p0| in the m-slots, re-derived exactly from
+    the keys only when that trips the slot limit, so that ``OverflowError``
+    is raised just when some printed term has a slot beyond it.
 
     With no endpoint given, Q is drawn deterministically from q_seed inside
     the all-positive quadrant, redrawing on genericity failures; running out
@@ -374,14 +402,30 @@ def theta(
     p0 = _exponent(p0)
     if not any(p0):
         return LaurentSeries.monomial(p0, (0,) * sum(D.seed.coeff_orders), 1, ctx.order)
-    finals, _ = _at_endpoint(
-        lambda Q: enumerate_broken_lines(D, p0, Q, ctx.order, _finals=True), Q, q_seed
-    )
-    sums: dict[tuple, int] = {}
-    for c, t, m in finals:
-        sums[m, t] = sums.get((m, t), 0) + c
-    to_old = D.frame.to_old
-    return _series(D, ctx.order, ((c, to_old(t), m) for (m, t), c in sums.items()))
+
+    def search(Q) -> dict[int, int]:
+        sums: dict[int, int] = {}
+
+        def emit(trail):
+            c, key = 1, 0
+            for _, _, cq, _, _, kq in trail:
+                c *= cq
+                key += kq
+            sums[key] = sums.get(key, 0) + c
+
+        _search(ctx, p0, (Fraction(Q[0]), Fraction(Q[1])), emit)
+        return sums
+
+    sums, _ = _at_endpoint(search, Q, q_seed)
+    d = sum(D.seed.coeff_orders)
+    bound = _guard(ctx.bound) + max(map(abs, p0))
+    if bound > _LIMIT:  # every line has a positive coefficient, so every key is printed
+        bound = max(
+            max(abs(s[0] + p0[0]), abs(s[1] + p0[1]), *map(abs, s[2:])) for s in (_unpack(k, d + 3) for k in sums)
+        )
+    z = _key(p0, (0,) * d)
+    packed = {key + z: c for key, c in sums.items()}
+    return LaurentSeries._make(packed, ctx.order if D.frame.is_identity else None, (2, d), _guard(bound))
 
 
 def _theta_lines(D: ScatteringDiagram, p0, order=None, Q=None, q_seed=0):

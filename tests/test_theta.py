@@ -20,7 +20,7 @@ from clusterscatter.cluster_core import (
     pattern_walk,
     seed_mutate,
 )
-from clusterscatter.monoid_ring import Exponent, LaurentSeries, series_pow, series_to_str
+from clusterscatter.monoid_ring import Exponent, LaurentSeries, _pack, series_pow, series_to_str
 from clusterscatter.scattering import (
     PathSpec,
     ScatteringDiagram,
@@ -434,19 +434,31 @@ class TestSearchContext:
 
     @pytest.mark.parametrize(
         "seed, order",
-        [(group_seed(B2), 6), (group_seed(KRON), 6), (SHEARED_B2, 4), (group_seed(WILD33), 5)],
-        ids=["b2", "kron", "b2-sheared", "r33"],
+        [
+            (group_seed(B2), 6),
+            (group_seed(KRON), 6),
+            (SHEARED_B2, 4),
+            (group_seed(WILD33), 5),
+            (pattern_walk(group_seed(KRON), (2, 1)), 5),
+        ],
+        ids=["b2", "kron", "b2-sheared", "r33", "kron-w21"],
     )
     def test_powers_expand_the_atoms_like_series_pow(self, seed, order):
-        """For every ray of the completed diagram, the bend terms of F^e for
-        e = 1..4 equal those of ``series_pow`` of the ray's expanded function."""
+        """For every ray of the completed diagram, the bend terms (c, t, m,
+        degree) of F^e for e = 1..4 equal those of ``series_pow`` of the
+        ray's expanded function, and each term's key is its monomial packed
+        with t in the initial basis."""
         D = complete_rank2(build_initial(seed, order))
+        to_old = D.frame.to_old
         for ray, atoms in D.fan:
-            rd = _RayData(ray, atoms, order)
+            rd = _RayData(ray, atoms, order, to_old)
             for e in range(1, 5):
                 f = series_pow(_function(atoms, order), e)
                 bends = tuple((c, x.t, x.m, sum(x.t)) for x, c in sorted(f.terms.items()) if any(x.t))
-                assert rd.power(e) == bends, (ray, e)
+                assert tuple(row[:4] for row in rd.power(e)) == bends, (ray, e)
+                for c, t, m, degree, key in rd.power(e):
+                    old = to_old(t)
+                    assert key == _pack((*m, *old, sum(old))), (ray, e, t, m)
 
 
 # -- the summing route against the built lines --------------------------------
@@ -581,11 +593,12 @@ def test_theta_matches_transport_on_valid_rank2_data():
             assert theta(D, g, 4) == x.num.truncate(4), (data, g)
 
 
-ENDPOINT_SEEDS = {
-    "b2": (group_seed(B2), 240),
-    "kron": (group_seed(KRON), 288),
-    "b2-sheared": (SHEARED_B2, 240),
-    "kron-w21": (pattern_walk(group_seed(KRON), (2, 1)), 288),
+ENDPOINT_SEEDS = {  # name: (seeds, order, r, checks)
+    "b2": ([group_seed(B2)], 4, 2, 240),
+    "kron": ([group_seed(KRON)], 4, 2, 288),
+    "b2-sheared": ([SHEARED_B2], 4, 2, 240),
+    "kron-w21": ([pattern_walk(group_seed(KRON), (2, 1))], 4, 2, 288),
+    "rank2": ([group_seed(data) for data in RANK2], 3, 1, 3232),
 }
 
 
@@ -593,30 +606,33 @@ ENDPOINT_SEEDS = {
 def test_theta_moves_between_endpoints_by_the_path_ordered_product(name):
     """Consistency of broken lines (Carl-Pumperla-Siebert; GHKK section 3):
     moving the endpoint from Q to Q' along either arc of a consistent
-    diagram, completed at order 4, carries theta at Q to theta at Q' by the
-    path-ordered product of the arc, for every p0 with |a|, |b| <= 2.  Q
-    lies in one gap of the fan and Q' in each other; each sits just off the
-    gap's integer direction, which the path runs between.  Theta gives its
+    diagram carries theta at Q to theta at Q' by the path-ordered product
+    of the arc, for every p0 with |a|, |b| <= r.  The diagrams are the
+    fixtures, the sheared and the mutated seed, completed at order 4 with
+    r = 2, and the 37 valid rank-2 data, completed at order 3 with r = 1.
+    Q lies in one gap of the fan and Q' in each other; each sits just off
+    the gap's integer direction, which the path runs between, so segments
+    leave rays walking either way round the fan.  Theta gives its
     coefficients in the initial basis and the product works in the seed's
     own, so on the sheared and the mutated seed theta is mapped into the
     seed's basis first; both sides are compared below the theta order."""
-    seed, expected = ENDPOINT_SEEDS[name]
-    D = complete_rank2(build_initial(seed, 4))
-    fresh = lambda x: in_seed_basis(D, x, 4)
-    start, *others = gap_directions(D.walls)
+    seeds, order, r, expected = ENDPOINT_SEEDS[name]
     point = lambda g: (g[0] + Fraction(1, 1009), g[1] + Fraction(1, 1013))
-    box = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b]
-    at = lambda g: {p0: fresh(theta(D, p0, 4, Q=point(g))) for p0 in box}
-    at_start = at(start)
+    box = [(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1) if a or b]
     checks = 0
-    for end in others:
-        at_end = at(end)
-        for ccw in (True, False):
-            # one product per arc, so that its memo of generator powers serves every p0
-            P = path_ordered_product(D, PathSpec(start, end, ccw))
-            for p0 in box:
-                assert eq_mod_order(P.apply(at_start[p0]), at_end[p0], 4), (p0, end, ccw)
-                checks += 1
+    for seed in seeds:
+        D = complete_rank2(build_initial(seed, order))
+        at = lambda g: {p0: in_seed_basis(D, theta(D, p0, order, Q=point(g)), order) for p0 in box}
+        start, *others = gap_directions(D.walls)
+        at_start = at(start)
+        for end in others:
+            at_end = at(end)
+            for ccw in (True, False):
+                # one product per arc, so that its memo of generator powers serves every p0
+                P = path_ordered_product(D, PathSpec(start, end, ccw))
+                for p0 in box:
+                    assert eq_mod_order(P.apply(at_start[p0]), at_end[p0], order), (seed.data, p0, end, ccw)
+                    checks += 1
     assert checks == expected
 
 
