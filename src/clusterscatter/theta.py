@@ -166,8 +166,9 @@ class _SearchContext:
     first ray r' of that walk, with x = +-u*r signed by the walk, so it
     depends on r alone.  ``heads`` holds, by the walk's direction, r' when
     that test passes and None when it fails.  ``bound`` bounds every slot of
-    the sum of the bend keys along a line: a line's bends multiply at most
-    order - 1 atom monomials, since each has degree >= 1."""
+    the sum of the bend keys along a line, as ``_Factor.bound`` does a
+    crossing's: a line's bends multiply at most order - 1 atom monomials,
+    since each has degree >= 1."""
 
     __slots__ = ("order", "ring", "rays", "reach", "bound")
 
@@ -392,7 +393,10 @@ def theta(
     A sum of bend keys stays within the context's a priori ``bound``; the
     final slots are that plus |p0| in the m-slots, re-derived exactly from
     the keys only when that trips the slot limit, so that ``OverflowError``
-    is raised just when some printed term has a slot beyond it.
+    is raised just when some term of the result has a slot beyond it.  On a
+    diagram whose atoms put ``bound`` itself beyond the limit, the keys
+    could carry between slots, so the built lines are summed instead, each
+    term guarded by the series constructor.
 
     With no endpoint given, Q is drawn deterministically from q_seed inside
     the all-positive quadrant, redrawing on genericity failures; running out
@@ -402,6 +406,8 @@ def theta(
     p0 = _exponent(p0)
     if not any(p0):
         return LaurentSeries.monomial(p0, (0,) * sum(D.seed.coeff_orders), 1, ctx.order)
+    if ctx.bound > _LIMIT:
+        return _theta_lines(D, p0, ctx.order, Q, q_seed)[0]
 
     def search(Q) -> dict[int, int]:
         sums: dict[int, int] = {}
@@ -418,7 +424,7 @@ def theta(
 
     sums, _ = _at_endpoint(search, Q, q_seed)
     d = sum(D.seed.coeff_orders)
-    bound = _guard(ctx.bound) + max(map(abs, p0))
+    bound = ctx.bound + max(map(abs, p0))
     if bound > _LIMIT:  # every line has a positive coefficient, so every key is printed
         bound = max(
             max(abs(s[0] + p0[0]), abs(s[1] + p0[1]), *map(abs, s[2:])) for s in (_unpack(k, d + 3) for k in sums)

@@ -567,6 +567,36 @@ class TestSummingRoute:
         x = theta_via_transport(D, (0, -1))
         assert x.den.is_one() and got == x.num.truncate(D.order)
 
+    def test_atoms_beyond_the_key_bound_sum_the_built_lines(self):
+        """Hand-built atoms at order 3 that put the a priori bound of a sum
+        of bend keys, twice their largest slot, beyond a packed slot: theta
+        sums the built lines instead, and refuses just the exponents whose
+        result has a slot beyond 2^31 - 1.  With t11*t21 z^(K, K), K = 2^31
+        - 2, on the ray (1,1) a line bends on the atom at most once.  With
+        t = (K + 1, -K, 0), K = 3 * 2^29, on the rays (0,1) and (-1,0), a
+        line of (0,-1) bends on both: its t-slots 2K + 2 and -2K would carry
+        into the next slot of a summed key and read as a wrong term."""
+        D0 = complete_rank2(build_initial(group_seed(B2), 3))
+        K = 2**31 - 2
+        D = ScatteringDiagram(D0.walls + (Wall((1, 1), (((1, 1, 0), (K, K), 1),)),), 3, D0.seed)
+        refused = set()
+        for p0 in [(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b]:
+            try:
+                x = theta(D, p0)
+            except OverflowError as err:
+                assert "could reach 2147483648" in str(err)
+                refused.add(p0)
+                continue
+            assert x == lines_sum(D, enumerate_broken_lines(D, p0, _endpoint_draw(0, 0), 3), 3), p0
+        assert refused == {(-2, 2), (-1, 2), (0, 2), (1, 2)}
+        assert theta(D, (0, 1)).terms[Exponent((K, K + 1), (1, 1, 0))] == 1
+        K, walls = 3 * 2**29, ()
+        for ray, m in (((0, 1), (0, 1)), ((-1, 0), (-1, 0))):
+            walls += (Wall(ray, (((K + 1, -K, 0), m, 1),)),)
+        D = ScatteringDiagram(D0.walls + walls, 3, D0.seed)
+        with pytest.raises(OverflowError, match="could reach 3221225474"):
+            theta(D, (0, -1))
+
     def test_a_factor_of_degree_zero_never_reaches_either_route(self):
         """A factor of coefficient degree 0 on the ray (0,1), where the line
         of (-1,0) to Q0 bends, would bend without raising the degree.  The
