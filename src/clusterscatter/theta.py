@@ -9,21 +9,22 @@ r and e = |<n, m>| for its primitive normal n, that is e = |cross(r, m)|.
 Theta functions sum the final terms of all broken lines, and for exponents
 inside a cluster chamber they agree with the transport of the bare monomial
 to the positive chamber.
-One search, ``_search``, serves both uses: ``theta`` sums each line's
-final term and builds no line, while ``enumerate_broken_lines`` (and
-``clusterscatter theta --trace``) returns the lines whole.  The search holds
-points as reduced integer homogeneous coordinates, and each of its steps
-walks the counterclockwise fan from the segment's start to the first ray it
-misses.  It takes a bend only when the bent segment can still end a line:
-the segment carries p0, or it crosses the first ray of its own walk, so it
-never bends onto a segment that misses every ray.  Each bend term carries its monomial
-as one packed key in the initial coefficient basis: a line's final term is
-the product of its bend coefficients on the monomial whose key is z^p0's
-plus the sum of its bend keys, so ``theta`` sums ints.  What the search
-reads of a diagram at one order (the ray fan with the bend terms of each
-power F^e it meets, expanded from the ray's atoms, and the table of shifts
-reachable from the origin) is built once, on first use, and kept on the
-diagram for every later call at that order, next to the diagram's frame.
+One search, run through ``enumerate_broken_lines``, serves both uses:
+``theta`` asks it for each line's final term only and sums those, so no
+line is built, while ``enumerate_broken_lines`` itself (and ``clusterscatter
+theta --trace``) returns the lines whole.  The search holds points as
+reduced integer homogeneous coordinates, and each of its steps walks the
+counterclockwise fan from the segment's start to the first ray it misses.
+It takes a bend only when the bent segment can still end a line: the
+segment carries p0, or it crosses the first ray of its own walk, so it
+never bends onto a segment that misses every ray.  Each bend term carries
+its monomial as one packed key in the initial coefficient basis: a line's
+final term is the product of its bend coefficients on the monomial whose
+key is z^p0's plus the sum of its bend keys, so ``theta`` sums ints.  What
+the search reads of a diagram at one order (the ray fan with the bend terms
+of each power F^e it meets, expanded from the ray's atoms, and the table of
+shifts reachable from the origin) is built once, on first use, and kept on
+the diagram for every later call at that order, next to the diagram's frame.
 """
 
 from __future__ import annotations
@@ -205,20 +206,32 @@ def _search_context(D: ScatteringDiagram, order: int | None) -> _SearchContext:
     return ctx
 
 
-def enumerate_broken_lines(D: ScatteringDiagram, p0, Q, order: int | None = None) -> tuple[BrokenLine, ...]:
+def enumerate_broken_lines(
+    D: ScatteringDiagram,
+    p0,
+    Q,
+    order: int | None = None,
+    *,
+    _finals: bool = False,
+) -> tuple[BrokenLine, ...]:
     """All broken lines for exponent p0 ending at Q, with final coefficient
     degree below ``order``, each built whole: its ``Fraction`` bend points,
     and its segments in the initial coefficient basis.
 
-    ``theta`` runs the same search (``_search``) and sums each line's final
-    term without building the line.  Degrees are measured in the diagram
-    seed's own coefficient basis.  Raises ValueError if Q lies on a wall and
+    ``theta`` runs the same search with ``_finals=True`` and gets back only
+    each line's final term as (c, key) (``_final``), in search order: no
+    line is built.  Degrees are measured in the diagram seed's own
+    coefficient basis.  Raises ValueError if Q lies on a wall and
     GenericityError when some segment runs through the origin or along a
     wall line.
     """
     ctx = _search_context(D, order)
     p0 = _exponent(p0)
     Q = (Fraction(Q[0]), Fraction(Q[1]))
+    if _finals:
+        finals: list[tuple[int, int]] = []
+        _search(ctx, p0, Q, lambda trail: finals.append(_final(trail)))
+        return tuple(finals)
     frame = D.frame
     lines: list[BrokenLine] = []
     _search(ctx, p0, Q, lambda trail: lines.append(_assemble(Q, p0, trail, frame)))
@@ -340,6 +353,17 @@ def _assemble(Q: Point, p0, trail, frame) -> BrokenLine:
     return BrokenLine(Q, tuple(segments), tuple(bends))
 
 
+def _final(trail) -> tuple[int, int]:
+    """The final term of a trail's line as (c, key): c is the product of its
+    bend coefficients, and key, the sum of its bend keys, is the key of its
+    final monomial less that of z^p0, in the initial coefficient basis."""
+    c, key = 1, 0
+    for _, _, cq, _, _, kq in trail:
+        c *= cq
+        key += kq
+    return c, key
+
+
 def _endpoint_draw(q_seed: int, attempt: int) -> Point:
     h = (1103515245 * (q_seed * 65537 + attempt * 1013 + 12345) + 54321) % (1 << 31)
     a = 1 + h % 911
@@ -385,10 +409,11 @@ def theta(
     coefficient degree ``order``: the sum of the final terms of the broken
     lines for p0 ending at Q.
 
-    The search (``_search``) builds no ``BrokenLine``: each line's final
-    term is the product of its bend coefficients and the sum of its bend
-    keys, already in the initial basis.  Those are summed as ints by key,
-    and z^p0 is added once to each distinct key.  The lines themselves come
+    The search (``enumerate_broken_lines`` with ``_finals=True``) hands back
+    each line's final term as the product of its bend coefficients and the
+    sum of its bend keys, already in the initial basis, and no
+    ``BrokenLine``.  Those are summed as ints by key, and z^p0 is added once
+    to each distinct key.  The lines themselves come
     from ``enumerate_broken_lines`` (and ``clusterscatter theta --trace``).
     A sum of bend keys stays within the context's a priori ``bound``; the
     final slots are that plus |p0| in the m-slots, re-derived exactly from
@@ -408,21 +433,12 @@ def theta(
         return LaurentSeries.monomial(p0, (0,) * sum(D.seed.coeff_orders), 1, ctx.order)
     if ctx.bound > _LIMIT:
         return _theta_lines(D, p0, ctx.order, Q, q_seed)[0]
-
-    def search(Q) -> dict[int, int]:
-        sums: dict[int, int] = {}
-
-        def emit(trail):
-            c, key = 1, 0
-            for _, _, cq, _, _, kq in trail:
-                c *= cq
-                key += kq
-            sums[key] = sums.get(key, 0) + c
-
-        _search(ctx, p0, (Fraction(Q[0]), Fraction(Q[1])), emit)
-        return sums
-
-    sums, _ = _at_endpoint(search, Q, q_seed)
+    finals, _ = _at_endpoint(
+        lambda Q: enumerate_broken_lines(D, p0, Q, ctx.order, _finals=True), Q, q_seed
+    )
+    sums: dict[int, int] = {}
+    for c, key in finals:
+        sums[key] = sums.get(key, 0) + c
     d = sum(D.seed.coeff_orders)
     bound = ctx.bound + max(map(abs, p0))
     if bound > _LIMIT:  # every line has a positive coefficient, so every key is printed
