@@ -410,18 +410,16 @@ def theta(
     lines for p0 ending at Q.
 
     The search (``enumerate_broken_lines`` with ``_finals=True``) hands back
-    each line's final term as the product of its bend coefficients and the
-    sum of its bend keys, already in the initial basis, and no
-    ``BrokenLine``.  Those are summed as ints by key, and z^p0 is added once
-    to each distinct key.  The lines themselves come
-    from ``enumerate_broken_lines`` (and ``clusterscatter theta --trace``).
-    A sum of bend keys stays within the context's a priori ``bound``; the
-    final slots are that plus |p0| in the m-slots, re-derived exactly from
-    the keys only when that trips the slot limit, so that ``OverflowError``
-    is raised just when some term of the result has a slot beyond it.  On a
-    diagram whose atoms put ``bound`` itself beyond the limit, the keys
-    could carry between slots, so the built lines are summed instead, each
-    term guarded by the series constructor.
+    each line's final term as (c, key), key in the initial basis, and builds
+    no ``BrokenLine``; the terms are summed as ints by key, and z^p0's key
+    is added once to each distinct key.  The lines themselves come from
+    ``enumerate_broken_lines`` (and ``clusterscatter theta --trace``).  A
+    summed key's slots stay within the context's a priori ``bound``, so the
+    result's slots are re-derived from the keys only when ``bound`` plus
+    |p0| passes the slot limit, and ``OverflowError`` comes exactly when a
+    term of the result has a slot beyond it.  When ``bound`` itself passes
+    the limit, keys could carry between slots, so the built lines are
+    summed instead, each term guarded by the series constructor.
 
     With no endpoint given, Q is drawn deterministically from q_seed inside
     the all-positive quadrant, redrawing on genericity failures; running out
