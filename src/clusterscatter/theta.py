@@ -17,14 +17,16 @@ reduced integer homogeneous coordinates, and each of its steps walks the
 counterclockwise fan from the segment's start to the first ray it misses.
 It takes a bend only when the bent segment can still end a line: the
 segment carries p0, or it crosses the first ray of its own walk, so it
-never bends onto a segment that misses every ray.  Each bend term carries
-its monomial as one packed key in the initial coefficient basis: a line's
-final term is the product of its bend coefficients on the monomial whose
-key is z^p0's plus the sum of its bend keys, so ``theta`` sums ints.  What
-the search reads of a diagram at one order (the ray fan with the bend terms
-of each power F^e it meets, expanded from the ray's atoms, and the table of
-shifts reachable from the origin) is built once, on first use, and kept on
-the diagram for every later call at that order, next to the diagram's frame.
+never bends onto a segment that misses every ray.  It branches once per
+group of the bend terms of F^e that share m and degree, as they share all
+below the bend.  Each term carries its monomial as one packed key in the
+initial coefficient basis: a line's final term is the product of its bend
+coefficients on the monomial whose key is z^p0's plus the sum of its bend
+keys, so ``theta`` sums ints.  What the search reads of a diagram at one
+order (the ray fan with the bend terms of each power F^e it meets, expanded
+from the ray's atoms, and the table of shifts reachable from the origin) is
+built once, on first use, and kept on the diagram for every later call at
+that order, next to the diagram's frame.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import heapq
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 from .cluster_core import (
@@ -98,9 +101,10 @@ def _vadd(u, v):
 class _RayData:
     """One ray of the fan with the atoms (t, m, c) of its merged wall
     function F, in the diagram seed's own coefficient basis.
-    ``power(e)`` returns the bending terms (coeff, t, m, coefficient degree,
-    key) of F^e mod degree ``order``, those with t != 0 in exponent order:
-    the atoms with c scaled by e, expanded, each e once (``powers``).  The
+    ``power(e)`` returns the bending terms of F^e mod degree ``order``,
+    those with t != 0, as groups (m, coefficient degree, rows) in the order
+    of their first rows, each e once (``powers``): the atoms with c scaled
+    by e, expanded.  A row is (coeff, t, key, index in exponent order); the
     key is the term's monomial packed as a series key, its t mapped by
     ``to_old`` (the seed's basis into the initial one; the identity by
     default).  ``walks`` is the fan as seen from this ray
@@ -120,9 +124,10 @@ class _RayData:
         got = self.powers.get(e)
         if got is None:
             f = _function([(t, m, c * e) for t, m, c in self.atoms], self.order)
-            got = self.powers[e] = tuple(
-                (c, x.t, x.m, sum(x.t), _key(x.m, self.to_old(x.t))) for x, c in sorted(f.terms.items()) if any(x.t)
-            )
+            groups: dict[tuple, list] = {}
+            for i, (x, c) in enumerate(item for item in sorted(f.terms.items()) if any(item[0].t)):
+                groups.setdefault((x.m, sum(x.t)), []).append((c, x.t, _key(x.m, self.to_old(x.t)), i))
+            got = self.powers[e] = tuple((m, d, tuple(rows)) for (m, d), rows in groups.items())
         return got
 
 
@@ -135,7 +140,7 @@ def _reachable_shifts(rays: list[_RayData], budget: int) -> dict[tuple, int]:
     """Minimal coefficient degree needed to reach each shift from the origin
     by adding wall exponents; bends spend from these sums.  Reaching p from
     p0 costs the same as reaching p - p0 from the origin."""
-    types = sorted({(d, m) for rd in rays for _, _, m, d, _ in rd.power(1)})
+    types = sorted({(d, m) for rd in rays for m, d, _ in rd.power(1)})
     best: dict[tuple, int] = {(0, 0): 0}
     heap: list[tuple[int, tuple]] = [(0, (0, 0))]
     while heap:
@@ -216,7 +221,10 @@ def enumerate_broken_lines(
 ) -> tuple[BrokenLine, ...]:
     """All broken lines for exponent p0 ending at Q, with final coefficient
     degree below ``order``, each built whole: its ``Fraction`` bend points,
-    and its segments in the initial coefficient basis.
+    and its segments in the initial coefficient basis.  Lines tied on
+    final degree, m, t and bends share their rays and, up to where they
+    first differ from Q, their rows, so their row indices, the last sort
+    key, order them as a search per row met them.
 
     ``theta`` runs the same search with ``_finals=True`` and gets back only
     each line's final term as (c, key) (``_final``), in search order: no
@@ -230,13 +238,18 @@ def enumerate_broken_lines(
     Q = (Fraction(Q[0]), Fraction(Q[1]))
     if _finals:
         finals: list[tuple[int, int]] = []
-        _search(ctx, p0, Q, lambda trail: finals.append(_final(trail)))
+        _search(ctx, p0, Q, lambda trail: finals.extend(_final(trail)))
         return tuple(finals)
-    frame = D.frame
-    lines: list[BrokenLine] = []
-    _search(ctx, p0, Q, lambda trail: lines.append(_assemble(Q, p0, trail, frame)))
-    key = lambda bl: (sum(bl.final[1]), bl.final[2], bl.final[1], bl.bends)
-    return tuple(sorted(lines, key=key))
+    frame, lines = D.frame, []
+
+    def emit(trail):  # one line per choice of a row in each group, with the rows' indices
+        for rows in product(*(bend[3] for bend in trail)):
+            path = [(pt, ray, c, t, m) for (pt, ray, m, _), (c, t, _, _) in zip(trail, rows)]
+            lines.append((tuple(row[3] for row in rows), _assemble(Q, p0, path, frame)))
+
+    _search(ctx, p0, Q, emit)
+    key = lambda line: (sum(line[1].final[1]), line[1].final[2], line[1].final[1], line[1].bends, line[0])
+    return tuple(bl for _, bl in sorted(lines, key=key))
 
 
 def _exponent(p0) -> tuple[int, int]:
@@ -248,9 +261,11 @@ def _exponent(p0) -> tuple[int, int]:
 
 def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
     """The broken-line search for p0 ending at Q: ``emit(trail)`` runs on
-    every completed line, whose trail lists its bends from Q backward as
-    (point, ray, coeff, t, m, key) with t in the seed's own basis and key
-    the packed z^m t in the initial one (``_RayData.power``).
+    every completed trail, its bends from Q backward as (point, ray, m,
+    rows) with the group of bend terms taken (``_RayData.power``), one line
+    per choice of a row in each group.  Rows of a group share all below
+    the bend, and groups come in the order of their first rows, so the
+    first ``GenericityError`` met is the one a search per row meets.
 
     The search holds each point as reduced integer homogeneous coordinates
     (X0, X1, w) with w > 0; a segment from x along p meets a ray r at
@@ -315,7 +330,7 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
             P0, P1 = Y0 // g, Y1 // g
             pt = (P0, P1, v // g)
             heads = rd.heads
-            for coeff, t, m, dq, key in rd.power(c):
+            for m, dq, rows in rd.power(c):
                 nu = used + dq
                 prev = (b0, b1) = (a0 - m[0], a1 - m[1])
                 need = reach.get(prev)
@@ -327,7 +342,7 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
                         head = heads[kk > 0]
                         if head is None or (head[0] * b1 - head[1] * b0) * kk <= 0:
                             continue
-                trail.append((pt, rd.ray, coeff, t, m, key))
+                trail.append((pt, rd.ray, m, rows))
                 descend(pt, prev, nu, trail, rd.walks)
                 trail.pop()
 
@@ -353,15 +368,15 @@ def _assemble(Q: Point, p0, trail, frame) -> BrokenLine:
     return BrokenLine(Q, tuple(segments), tuple(bends))
 
 
-def _final(trail) -> tuple[int, int]:
-    """The final term of a trail's line as (c, key): c is the product of its
-    bend coefficients, and key, the sum of its bend keys, is the key of its
-    final monomial less that of z^p0, in the initial coefficient basis."""
-    c, key = 1, 0
-    for _, _, cq, _, _, kq in trail:
-        c *= cq
-        key += kq
-    return c, key
+def _final(trail) -> list[tuple[int, int]]:
+    """The final terms of a trail's lines, one row of each bend's group per
+    line, as (c, key): c is the product of the line's bend coefficients, and
+    key, the sum of its bend keys, is the key of its final monomial less
+    that of z^p0, in the initial coefficient basis."""
+    finals = [(1, 0)]
+    for *_, rows in trail:
+        finals = [(c * cq, key + kq) for c, key in finals for cq, _, kq, _ in rows]
+    return finals
 
 
 def _endpoint_draw(q_seed: int, attempt: int) -> Point:

@@ -323,6 +323,23 @@ def test_integer_search_matches_fraction_route(case):
     assert outcome(enumerate_broken_lines, *case) == outcome(reference_broken_lines, *case)
 
 
+@pytest.mark.parametrize("name, lines, tied", [("b2", 542, 1), ("kron", 848, 6), ("g2", 922, 7)])
+def test_line_order_matches_fraction_route_on_the_box(name, lines, tied):
+    """Every exponent of the box |a|, |b| <= 3 at the first endpoint of the
+    benchmark's first endpoint seed: the same lines, in the same order, as
+    the Fraction route.  ``tied`` lines share their sort key with an earlier
+    line, so their order is the one the search met them in."""
+    D = small_diagram(name)
+    Q = _endpoint_draw(Q_SEEDS[0], 0)
+    found = ties = 0
+    for p0 in BOX:
+        got = enumerate_broken_lines(D, p0, Q)
+        assert got == reference_broken_lines(D, p0, Q), p0
+        keys = [(sum(bl.final[1]), bl.final[2], bl.final[1], bl.bends) for bl in got]
+        found, ties = found + len(got), ties + len(keys) - len(set(keys))
+    assert (found, ties) == (lines, tied)
+
+
 # -- theta functions ----------------------------------------------------------
 
 
@@ -444,10 +461,12 @@ class TestSearchContext:
         ids=["b2", "kron", "b2-sheared", "r33", "kron-w21"],
     )
     def test_powers_expand_the_atoms_like_series_pow(self, seed, order):
-        """For every ray of the completed diagram, the bend terms (c, t, m,
-        degree) of F^e for e = 1..4 equal those of ``series_pow`` of the
-        ray's expanded function, and each term's key is its monomial packed
-        with t in the initial basis."""
+        """For every ray of the completed diagram and e = 1..4, the bend
+        terms of F^e come in groups of one (m, degree), the groups in the
+        order of their first rows; flattened by index, the rows are the
+        bend terms (c, t, m, degree) of ``series_pow`` of the ray's expanded
+        function, and each row's key is its monomial packed with t in the
+        initial basis."""
         D = complete_rank2(build_initial(seed, order))
         to_old = D.frame.to_old
         for ray, atoms in D.fan:
@@ -455,8 +474,14 @@ class TestSearchContext:
             for e in range(1, 5):
                 f = series_pow(_function(atoms, order), e)
                 bends = tuple((c, x.t, x.m, sum(x.t)) for x, c in sorted(f.terms.items()) if any(x.t))
-                assert tuple(row[:4] for row in rd.power(e)) == bends, (ray, e)
-                for c, t, m, degree, key in rd.power(e):
+                groups = rd.power(e)
+                assert len({(m, degree) for m, degree, _ in groups}) == len(groups), (ray, e)
+                firsts = [rows[0][3] for _, _, rows in groups]
+                assert firsts == sorted(firsts), (ray, e)
+                flat = sorted((i, (c, t, m, degree), key) for m, degree, rows in groups for c, t, key, i in rows)
+                assert [i for i, _, _ in flat] == list(range(len(bends))), (ray, e)
+                assert tuple(row for _, row, _ in flat) == bends, (ray, e)
+                for _, (c, t, m, degree), key in flat:
                     old = to_old(t)
                     assert key == _pack((*m, *old, sum(old))), (ray, e, t, m)
 
@@ -550,8 +575,8 @@ class TestSummingRoute:
         def search(ctx, p0, Q, emit):
             emitted.append(0)
 
-            def counted(trail):
-                emitted[-1] += 1
+            def counted(trail):  # a trail holds one line per choice of a row in each bend's group
+                emitted[-1] += len(THETA._final(trail))
                 emit(trail)
 
             try:
@@ -629,6 +654,8 @@ ENDPOINT_SEEDS = {  # name: (seeds, order, r, checks)
     "b2-sheared": ([SHEARED_B2], 4, 2, 240),
     "kron-w21": ([pattern_walk(group_seed(KRON), (2, 1))], 4, 2, 288),
     "rank2": ([group_seed(data) for data in RANK2], 3, 1, 3232),
+    "b2-o6": ([group_seed(B2)], 6, 2, 240),
+    "kron-o6": ([group_seed(KRON)], 6, 2, 384),
 }
 
 
@@ -639,7 +666,8 @@ def test_theta_moves_between_endpoints_by_the_path_ordered_product(name):
     diagram carries theta at Q to theta at Q' by the path-ordered product
     of the arc, for every p0 with |a|, |b| <= r.  The diagrams are the
     fixtures, the sheared and the mutated seed, completed at order 4 with
-    r = 2, and the 37 valid rank-2 data, completed at order 3 with r = 1.
+    r = 2, the fixtures again at order 6 with r = 2, and the 37 valid
+    rank-2 data, completed at order 3 with r = 1.
     Q lies in one gap of the fan and Q' in each other; each sits just off
     the gap's integer direction, which the path runs between, so segments
     leave rays walking either way round the fan.  Theta gives its
@@ -714,21 +742,30 @@ def test_theta_structure_constants_are_nonnegative_integers():
 
 
 @pytest.mark.parametrize(
-    "seed", [group_seed(B2), group_seed(KRON), SHEARED_B2], ids=["b2", "kron", "b2-sheared"]
+    "seed, order, r, expected",
+    [
+        (group_seed(B2), 4, 3, 1225),
+        (group_seed(KRON), 4, 3, 1225),
+        (SHEARED_B2, 4, 3, 1225),
+        (group_seed(B2), 6, 2, 325),
+        (group_seed(KRON), 6, 2, 325),
+    ],
+    ids=["b2", "kron", "b2-sheared", "b2-o6", "kron-o6"],
 )
-def test_theta_structure_constants_on_a_wider_box(seed):
+def test_theta_structure_constants_on_a_wider_box(seed, order, r, expected):
     """The same positivity on the B2 and Kronecker fixture seeds completed at
     order 4, with |a|, |b| <= 3: a box wide enough to see the Kronecker wall
-    on the ray (1,-2).  The sheared B2 seed peels in its own basis, which is
-    not the initial one."""
-    D = complete_rank2(build_initial(seed, 4))
-    box = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+    on the ray (1,-2); and on both fixtures at order 6 with |a|, |b| <= 2.
+    The sheared B2 seed peels in its own basis, which is not the initial
+    one."""
+    D = complete_rank2(build_initial(seed, order))
+    box = [(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1)]
     products = 0
-    for p, q, constants in theta_products(D, box, 4):
+    for p, q, constants in theta_products(D, box, order):
         assert all(type(c) is int and c > 0 for c in constants.values()), (p, q, constants)
         assert constants[tuple(map(sum, zip(p, q))), (0,) * sum(D.seed.coeff_orders)] == 1
         products += 1
-    assert products == 1225
+    assert products == expected
 
 
 def test_closed_forms_at_the_imaginary_direction():
