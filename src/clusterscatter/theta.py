@@ -12,12 +12,13 @@ to the positive chamber.
 One search, run through ``enumerate_broken_lines``, serves both uses:
 ``theta`` asks it for each line's final term only and sums those, so no
 line is built, while ``enumerate_broken_lines`` itself (and ``clusterscatter
-theta --trace``) returns the lines whole.  The search holds points as
-reduced integer homogeneous coordinates, and each of its steps walks the
-counterclockwise fan from the segment's start to the first ray it misses.
-It takes a bend only when the bent segment can still end a line: the
-segment carries p0, or it crosses the first ray of its own walk, so it
-never bends onto a segment that misses every ray.  It branches once per
+theta --trace``) returns the lines whole.  The search does integer work
+only, holding points as reduced integer homogeneous coordinates, and each
+of its steps walks the counterclockwise fan from the segment's start to
+the first ray it misses.  It takes a bend only when the bent segment can
+still end a line: the segment carries p0, or it crosses the first ray of
+its own walk, so it never bends onto a segment that misses every ray, and
+it reduces a bend point only for a bend it takes.  It branches once per
 group of the bend terms of F^e that share m and degree, as they share all
 below the bend.  Each term carries its monomial as one packed key in the
 initial coefficient basis: a line's final term is the product of its bend
@@ -46,7 +47,7 @@ from .cluster_core import (
     initial_seed,
 )
 from .monoid_ring import _LIMIT, Exponent, LaurentSeries, _guard, _pack, _unpack
-from .scattering import ScatteringDiagram, _angle_key, _cross, _function
+from .scattering import ScatteringDiagram, _angle_key, _cross, _function, _grading_data
 
 __all__ = [
     "BrokenLine",
@@ -161,10 +162,13 @@ def _reachable_shifts(rays: list[_RayData], budget: int) -> dict[tuple, int]:
 class _SearchContext:
     """What the broken-line search reads of one diagram at one order: the
     ray fan in the seed's own coefficient basis (whose ``powers`` memos fill
-    as bends need them), counterclockwise as ``ring`` and in tuple order as
-    ``rays``, and ``reach``, the reach table in sorted order of its shifts,
-    built with the context.  Every bend raises the coefficient degree,
-    since ``ScatteringDiagram`` checks that each wall factor has degree >= 1.
+    as bends need them), counterclockwise as ``ring`` with the rays' angle
+    keys as ``keys`` and in tuple order as ``rays``, and ``reach``, the
+    reach table in sorted order of its shifts, built with the context.
+    Every bend raises the coefficient degree, since ``ScatteringDiagram``
+    checks that each wall factor has degree >= 1; the context checks that
+    each grades into the positive cone, raising ``InvariantViolation`` as
+    crossings and JSON do.
 
     A segment that leaves the ray r at a point u*r (u > 0) with exponent p
     walks the ring from r counterclockwise when cross(r, p) > 0 and
@@ -176,12 +180,16 @@ class _SearchContext:
     crossing's: a line's bends multiply at most order - 1 atom monomials,
     since each has degree >= 1."""
 
-    __slots__ = ("order", "ring", "rays", "reach", "bound")
+    __slots__ = ("order", "ring", "keys", "rays", "reach", "bound")
 
     def __init__(self, D: ScatteringDiagram, order: int):
+        for _, atoms in D.fan:  # the grading cone, as crossings and JSON check it
+            for a, _, _ in atoms:
+                _grading_data(D.frame, a)
         self.order = order
         to_old = D.frame.to_old
         self.ring = [_RayData(ray, atoms, order, to_old) for ray, atoms in D.fan]
+        self.keys = [_angle_key(rd.ray) for rd in self.ring]
         self.rays = sorted(self.ring, key=lambda rd: rd.ray)
         for i, rd in enumerate(self.ring):
             rd.walks = cw, ccw = self.walks(i - 1, i + 1)
@@ -229,13 +237,14 @@ def enumerate_broken_lines(
     ``theta`` runs the same search with ``_finals=True`` and gets back only
     each line's final term as (c, key) (``_final``), in search order: no
     line is built.  Degrees are measured in the diagram seed's own
-    coefficient basis.  Raises ValueError if Q lies on a wall and
+    coefficient basis.  Raises ValueError if Q lies on a wall,
+    InvariantViolation if a wall atom grades out of the positive cone, and
     GenericityError when some segment runs through the origin or along a
     wall line.
     """
     ctx = _search_context(D, order)
     p0 = _exponent(p0)
-    Q = (Fraction(Q[0]), Fraction(Q[1]))
+    Q = tuple(q if isinstance(q, Fraction) else Fraction(q) for q in (Q[0], Q[1]))
     if _finals:
         finals: list[tuple[int, int]] = []
         _search(ctx, p0, Q, lambda trail: finals.extend(_final(trail)))
@@ -268,35 +277,41 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
     first ``GenericityError`` met is the one a search per row meets.
 
     The search holds each point as reduced integer homogeneous coordinates
-    (X0, X1, w) with w > 0; a segment from x along p meets a ray r at
-    x + s*p = u*r with s = a/(w*c), a = cross(x, r) and c = cross(r, p)
-    signed by cross(x, p) both > 0; c is also the bend exponent |<n, p>|
-    for the ray's primitive normal n = +-(r_1, -r_0).  Such rays lie in the
-    arc (under a half-turn) swept from x toward p, met in fan order, so a
-    step walks the ring that way from x's place (Q's gap, or the ray x bent
-    on) to the first ray it misses.  Every degenerate incidence has
-    cross(x, p) == 0: such a step checks the rays in tuple order and
-    crosses none.  The ray fan and reach table are built once per (D,
-    order) and kept on D (see ``_search_context``); the reach table holds
-    shifts from the origin, and each call shifts it by p0 once.
+    (X0, X1, w) with w > 0, Q's from its numerators and denominators; Q's
+    gap is found by bisecting ``ctx.keys``, and Q lies on a ray exactly when
+    its angle key equals the one below the gap.  A segment from x along p
+    meets a ray r at x + s*p = u*r with s = a/(w*c), a = cross(x, r) and
+    c = cross(r, p) signed by cross(x, p) both > 0; c is also the bend
+    exponent |<n, p>| for the ray's primitive normal n = +-(r_1, -r_0).
+    Such rays lie in the arc (under a half-turn) swept from x toward p, met
+    in fan order, so a step walks the ring that way from x's place (Q's
+    gap, or the ray x bent on) to the first ray it misses.  Every degenerate
+    incidence has cross(x, p) == 0: such a step checks the rays in tuple
+    order and crosses none.  The ray fan and reach table are built once per
+    (D, order) and kept on D (see ``_search_context``); the reach table
+    holds shifts from the origin, and each call shifts it by p0 once.
 
     A bend is taken only if its new segment, of exponent prev, can still
     end a line: prev is reachable from p0 within the degree left, and
     either prev == p0 (the segment ends the line, or raises on a degenerate
     incidence) or the segment passes the first test of its own walk (see
-    ``_SearchContext``).  A segment with cross(x, prev) == 0 is taken too:
-    it lies along the ray it leaves, so it raises.  Any other segment would
-    cross no ray and find nothing, so skipping it changes no line, no line
-    order and no error.
+    ``_SearchContext``).  The walk is read off cross(r, prev), which has the
+    sign of cross(pt, prev) since the bend point is u*r with u > 0, so the
+    reduced point is built once per crossing, when its first group is taken.
+    A segment with cross(r, prev) == 0 is taken too: it lies along the ray
+    it leaves, so it raises.  Any other segment would cross no ray and find
+    nothing, so skipping it changes no line, no line order and no error.
     """
-    if Q == (Fraction(0), Fraction(0)):
+    (n0, d0), (n1, d1) = Q[0].as_integer_ratio(), Q[1].as_integer_ratio()
+    if not n0 and not n1:
         raise ValueError("endpoint must be nonzero")
     rays = ctx.rays
-    w = lcm(Q[0].denominator, Q[1].denominator)
-    x = (int(Q[0] * w), int(Q[1] * w), w)  # _cross and _dot read only (X0, X1)
-    for rd in rays:
-        if _cross(rd.ray, x) == 0 and _dot(rd.ray, x) > 0:
-            raise _EndpointOnWall(f"endpoint {Q} lies on the wall ray {rd.ray}")
+    w = lcm(d0, d1)
+    x = (n0 * (w // d0), n1 * (w // d1), w)  # _cross and _dot read only (X0, X1)
+    key = _angle_key(x)
+    j = bisect(ctx.keys, key)  # Q's gap: ring[j - 1] <= Q < ring[j]
+    if j and ctx.keys[j - 1] == key:
+        raise _EndpointOnWall(f"endpoint {Q} lies on the wall ray {ctx.ring[j - 1].ray}")
     budget = ctx.order - 1
     q0, q1 = p0
     reach = {(q0 + s0, q1 + s1): need for (s0, s1), need in ctx.reach.items()}
@@ -325,11 +340,7 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
             a, c = sx0 * r1 - sx1 * r0, r0 * sp1 - r1 * sp0
             if a <= 0 or c <= 0:
                 break
-            Y0, Y1, v = X0 * c + a * a0, X1 * c + a * a1, w * c
-            g = gcd(Y0, Y1, v)
-            P0, P1 = Y0 // g, Y1 // g
-            pt = (P0, P1, v // g)
-            heads = rd.heads
+            heads, pt = rd.heads, None
             for m, dq, rows in rd.power(c):
                 nu = used + dq
                 prev = (b0, b1) = (a0 - m[0], a1 - m[1])
@@ -337,18 +348,21 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
                 if need is None or nu + need > budget:
                     continue
                 if prev != p0:
-                    kk = P0 * b1 - P1 * b0  # cross(pt, prev): the walk the segment takes
+                    kk = r0 * b1 - r1 * b0  # cross(r, prev): the walk the segment takes
                     if kk:
                         head = heads[kk > 0]
                         if head is None or (head[0] * b1 - head[1] * b0) * kk <= 0:
                             continue
+                if pt is None:
+                    Y0, Y1, v = X0 * c + a * a0, X1 * c + a * a1, w * c
+                    g = gcd(Y0, Y1, v)
+                    pt = (Y0 // g, Y1 // g, v // g)
                 trail.append((pt, rd.ray, m, rows))
                 descend(pt, prev, nu, trail, rd.walks)
                 trail.pop()
 
     # The DFS runs backward from Q, so it must be seeded with each candidate
     # final exponent: p0 shifted by any reachable sum of wall exponents.
-    j = bisect(ctx.ring, _angle_key(x), key=lambda rd: _angle_key(rd.ray))  # Q lies on no ray
     start = ctx.walks(j - 1, j)
     for p in reach:
         descend(x, p, 0, [], start)

@@ -200,6 +200,26 @@ class TestAtomRule:
             with pytest.raises(ValueError, match="wall factor entries must be ints"):
                 Wall((1, 0), [atom])
 
+    def test_a_grading_out_of_the_cone_fails_every_reader_alike(self, b2_file_d4):
+        """An atom of degree 1 graded (2, -1), out of the positive cone, is
+        built (construction checks the degree only), and every reader that
+        crosses or searches it raises the same InvariantViolation: the
+        broken-line search checks the cone once per (diagram, order)."""
+        from clusterscatter.theta import enumerate_broken_lines, theta
+
+        D = with_wall(b2_file_d4, Wall((1, 1), [((2, -1, 0), (1, 1), 1)]))
+        calls = [
+            lambda: theta(D, (-1, 0)),
+            lambda: theta(D, (0, 0), 2),
+            lambda: enumerate_broken_lines(D, (-1, 0), (Fraction(17, 5), Fraction(9, 7))),
+            lambda: check_consistency(D),
+            lambda: complete_rank2(D),
+            lambda: diagram_to_json(D),
+        ]
+        for call in calls:
+            with pytest.raises(InvariantViolation, match=r"^coefficient monomial grading \(2, -1\) leaves the positive cone$"):
+                call()
+
     def test_wall_refuses_an_empty_factor_list(self):
         """Also when its factors cancel once merged."""
         for factors in ((), (((1, 0, 0), (1, -1), 1), ((1, 0, 0), (1, -1), -1))):

@@ -340,6 +340,45 @@ def test_line_order_matches_fraction_route_on_the_box(name, lines, tied):
     assert (found, ties) == (lines, tied)
 
 
+def gap_test_diagrams():
+    yield from (small_diagram(name) for name in SMALL)
+    yield complete_rank2(build_initial(SHEARED_B2, 4))
+
+
+def test_endpoint_on_each_ray_is_refused_like_the_fraction_route():
+    """The search finds Q's gap by the stored angle keys of the fan: on
+    every ray, at a Fraction or an int multiple, Q raises the same
+    ``_EndpointOnWall`` as the Fraction route's cross-product test, naming
+    that ray; a point just off the ray on either side is accepted, with the
+    same lines as the Fraction route."""
+    for D in gap_test_diagrams():
+        rays = [ray for ray, _ in D.fan]
+        assert len(rays) >= 6
+        for r0, r1 in rays:
+            for Q in ((Fraction(7, 3) * r0, Fraction(7, 3) * r1), (2 * r0, 2 * r1)):
+                err = outcome(enumerate_broken_lines, D, (-1, 0), Q)
+                assert err == outcome(reference_broken_lines, D, (-1, 0), Q)
+                assert err[0] is _EndpointOnWall and err[1].endswith(f"lies on the wall ray {(r0, r1)}")
+            for eps in (Fraction(1, 997), Fraction(-1, 997)):
+                Q = (3 * r0 - eps * r1, 3 * r1 + eps * r0)
+                got = outcome(enumerate_broken_lines, D, (1, -2), Q, 3)
+                assert got == outcome(reference_broken_lines, D, (1, -2), Q, 3)
+                assert isinstance(got, tuple) and got and not isinstance(got[0], type), (r0, r1, eps)
+
+
+def test_endpoint_may_mix_ints_and_fractions():
+    """Q given as ints, as Fractions or as a mix gives equal lines, each with
+    the endpoint as Fractions, and equal theta functions."""
+    D = small_diagram("kron")
+    forms = [(-7, 4), (Fraction(-7), Fraction(4)), (-7, Fraction(8, 2)), (Fraction(-14, 2), 4)]
+    for p0 in [(1, -2), (2, -3), (-1, -1)]:
+        got = [enumerate_broken_lines(D, p0, Q) for Q in forms]
+        assert got[0] and all(lines == got[0] for lines in got)
+        assert all(type(q) is Fraction for bl in got[1] + got[2] for q in bl.endpoint)
+        thetas = [theta(D, p0, Q=Q) for Q in forms]
+        assert thetas[0].terms and all(x == thetas[0] for x in thetas)
+
+
 # -- theta functions ----------------------------------------------------------
 
 
@@ -598,9 +637,10 @@ class TestSummingRoute:
         sums the built lines instead, and refuses just the exponents whose
         result has a slot beyond 2^31 - 1.  With t11*t21 z^(K, K), K = 2^31
         - 2, on the ray (1,1) a line bends on the atom at most once.  With
-        t = (K + 1, -K, 0), K = 3 * 2^29, on the rays (0,1) and (-1,0), a
-        line of (0,-1) bends on both: its t-slots 2K + 2 and -2K would carry
-        into the next slot of a summed key and read as a wrong term."""
+        t = (0, K + 1, -K), K = 3 * 2^29, graded (0, 1) in the positive cone,
+        on the rays (0,1) and (-1,0), a line of (0,-1) bends on both: its
+        t-slots 2K + 2 and -2K would carry into the next slot of a summed key
+        and read as a wrong term."""
         D0 = complete_rank2(build_initial(group_seed(B2), 3))
         K = 2**31 - 2
         D = ScatteringDiagram(D0.walls + (Wall((1, 1), (((1, 1, 0), (K, K), 1),)),), 3, D0.seed)
@@ -617,7 +657,7 @@ class TestSummingRoute:
         assert theta(D, (0, 1)).terms[Exponent((K, K + 1), (1, 1, 0))] == 1
         K, walls = 3 * 2**29, ()
         for ray, m in (((0, 1), (0, 1)), ((-1, 0), (-1, 0))):
-            walls += (Wall(ray, (((K + 1, -K, 0), m, 1),)),)
+            walls += (Wall(ray, (((0, K + 1, -K), m, 1),)),)
         D = ScatteringDiagram(D0.walls + walls, 3, D0.seed)
         with pytest.raises(OverflowError, match="could reach 3221225474"):
             theta(D, (0, -1))
