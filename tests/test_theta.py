@@ -340,18 +340,13 @@ def test_line_order_matches_fraction_route_on_the_box(name, lines, tied):
     assert (found, ties) == (lines, tied)
 
 
-def gap_test_diagrams():
-    yield from (small_diagram(name) for name in SMALL)
-    yield complete_rank2(build_initial(SHEARED_B2, 4))
-
-
 def test_endpoint_on_each_ray_is_refused_like_the_fraction_route():
     """The search finds Q's gap by the stored angle keys of the fan: on
     every ray, at a Fraction or an int multiple, Q raises the same
     ``_EndpointOnWall`` as the Fraction route's cross-product test, naming
     that ray; a point just off the ray on either side is accepted, with the
     same lines as the Fraction route."""
-    for D in gap_test_diagrams():
+    for D in [*map(small_diagram, SMALL), complete_rank2(build_initial(SHEARED_B2, 4))]:
         rays = [ray for ray, _ in D.fan]
         assert len(rays) >= 6
         for r0, r1 in rays:
@@ -363,7 +358,7 @@ def test_endpoint_on_each_ray_is_refused_like_the_fraction_route():
                 Q = (3 * r0 - eps * r1, 3 * r1 + eps * r0)
                 got = outcome(enumerate_broken_lines, D, (1, -2), Q, 3)
                 assert got == outcome(reference_broken_lines, D, (1, -2), Q, 3)
-                assert isinstance(got, tuple) and got and not isinstance(got[0], type), (r0, r1, eps)
+                assert got and isinstance(got[0], BrokenLine), (r0, r1, eps)
 
 
 def test_endpoint_may_mix_ints_and_fractions():
