@@ -2,6 +2,7 @@
 infinite-type closed form."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from ..cluster_core import (
@@ -26,23 +27,29 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def b2_chart() -> dict:
-    s0 = initial_seed(B2)
+def chart_rows(s0) -> list[dict]:
+    """The rows of ``b2_chart.json`` on ``s0``: each prefix of ``CHART_WORD``,
+    the coefficients of one walk of ``s0`` without its cluster, and the
+    cluster variables of the prefix's chart."""
+    s = replace(s0, cluster=None)
     rows = []
     for k in range(len(CHART_WORD) + 1):
-        prefix = CHART_WORD[:k]
-        variables = chart_variables(s0, prefix)
-        s = s0
-        for j in prefix:
-            s = seed_mutate(s, j)
+        if k:
+            s = seed_mutate(s, CHART_WORD[k - 1])
+        variables = chart_variables(s0, CHART_WORD[:k])
         rows.append(
             {
-                "word": list(prefix),
+                "word": list(CHART_WORD[:k]),
                 "coeffs": seed_to_json(s)["coeffs"],
                 "vars": [rational_to_json(x) for x in variables],
             }
         )
-    return {"seed": seed_to_json(s0), "word": list(CHART_WORD), "rows": rows}
+    return rows
+
+
+def b2_chart() -> dict:
+    s0 = initial_seed(B2)
+    return {"seed": seed_to_json(s0), "word": list(CHART_WORD), "rows": chart_rows(s0)}
 
 
 def kron_rw_series(order: int = 11) -> LaurentSeries:

@@ -640,6 +640,13 @@ def _completed(s: Seed, order: int, memo: dict) -> ScatteringDiagram:
     return D
 
 
+# The most that ``tk_invariance_check`` completes: the source order times the
+# number of coefficient generators.  Completion cost grows with both.  Of the
+# sources measured within 54, the costliest takes about 0.7 s and 300 MB, and
+# every shipped input needs 51 or less (BENCH_36.json).
+TK_SOURCE_BUDGET = 54
+
+
 def tk_invariance_check(
     s: Seed, k: int, order: int, memo: dict | None = None
 ) -> tuple[ScatteringDiagram, ScatteringDiagram, bool]:
@@ -648,8 +655,11 @@ def tk_invariance_check(
 
     A factor of the mutated-seed diagram at this order can descend from a
     source factor of higher degree, so the source is completed deep enough to
-    cover every preimage before transforming and truncating.  Returns
-    (transformed side, mutated-seed side, equivalent?).
+    cover every preimage before transforming and truncating.  That order K is
+    read off the mutated side, which is cheap to complete; a K beyond
+    ``TK_SOURCE_BUDGET // g``, for g coefficient generators, raises
+    ValueError before the source is completed.  Returns (transformed side,
+    mutated-seed side, equivalent?).
 
     Both sides are completed through ``memo``, a dict owned by the caller
     that maps each seed to its deepest completion so far (``_completed``):
@@ -670,6 +680,12 @@ def tk_invariance_check(
         for t, m, _ in w.factors:
             h = sum(x * y for x, y in zip(e_k, m))
             K = max(K, sum(t), sum(t) - h * tk_total)
+    gens = sum(s.coeff_orders)
+    if K > TK_SOURCE_BUDGET // gens:
+        raise ValueError(
+            f"the mutation check at order {order} needs the source completed to order {K} "
+            f"(limit {TK_SOURCE_BUDGET // gens} with {gens} coefficient generators)"
+        )
     lhs = diagram_truncate(tk_transform(_completed(s, K, memo), k), order)
     return lhs, rhs, diagrams_equivalent(lhs, rhs)
 

@@ -11,6 +11,8 @@
   route to ``matrix_mutate``.
 - ``greedy_element`` is the rank-2 greedy recursion: a second route to
   theta functions at every exponent, with no diagram and no search.
+- ``permute_blocks`` permutes each block of coefficient generators of a
+  diagram: a completion must be invariant under it.
 """
 
 from __future__ import annotations
@@ -135,6 +137,30 @@ def path_ordered_product(D: scattering.ScatteringDiagram, path: scattering.PathS
     images = scattering.path_ordered_product(D, path)
     order = D.order + 1
     return Automorphism(images, Automorphism.identity(2, sum(D.seed.coeff_orders), order).t_images, order)
+
+
+# -- coefficient block symmetry ------------------------------------------------
+
+
+def permute_blocks(D: scattering.ScatteringDiagram, perm: Sequence[int]) -> scattering.ScatteringDiagram:
+    """``D`` with the t-slots of every wall atom permuted: slot j moves to
+    slot ``perm[j]``, and ``perm`` maps each block of the seed's generators
+    onto itself (ValueError otherwise).  On a seed with principal
+    coefficients such a permutation fixes the incoming walls, so it fixes
+    their consistent completion too."""
+    orders = D.seed.coeff_orders
+    blocks = [block_range(orders, i) for i in range(len(orders))]
+    if len(perm) != sum(orders) or any(sorted(perm[j] for j in b) != list(b) for b in blocks):
+        raise ValueError(f"{tuple(perm)} does not map each block of {orders} onto itself")
+
+    def move(t):
+        out = [0] * len(t)
+        for j, x in enumerate(t):
+            out[perm[j]] = x
+        return tuple(out)
+
+    walls = [scattering.Wall(w.ray, [(move(t), m, c) for t, m, c in w.factors], w.incoming) for w in D.walls]
+    return scattering.ScatteringDiagram(walls, D.order, D.seed)
 
 
 # -- coefficient block matrices ----------------------------------------------

@@ -6,6 +6,7 @@ import ast
 import copy
 import json
 import sys
+import time
 from fractions import Fraction
 from functools import reduce
 from operator import getitem
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from clusterscatter import _verify
 from clusterscatter.cli import cli
 from clusterscatter.cluster_core import FixedData, InvariantViolation, initial_seed, seed_from_json, seed_to_json
-from clusterscatter.fixtures import fixture_text
+from clusterscatter.fixtures import fixture_text, load_fixture
 from clusterscatter.monoid_ring import Exponent, LaurentSeries, series_to_str
 from clusterscatter.scattering import PositivityError, build_initial, complete_rank2
 from clusterscatter.theta import GenericityError, theta
@@ -326,6 +327,21 @@ class TestScatterMutate:
     def test_direction_out_of_range(self, runner, b2_path):
         res = runner.invoke(cli, ["scatter-mutate", "--seed", b2_path, "--k", "5"])
         assert res.exit_code == 2
+
+    def test_a_source_beyond_the_limit_is_refused_before_it_is_completed(self, runner, tmp_path):
+        """The (8,4) datum with 5 coefficient generators needs its source
+        completed to order 33 for k = 1 at the default order 4; completing it
+        would take gigabytes.  The refusal comes from the cheap side alone."""
+        path = tmp_path / "b84.json"
+        path.write_text(json.dumps(seed_to_json(initial_seed(FixedData(((0, 8), (-4, 0)), (1, 2), (4, 1))))))
+        t0 = time.perf_counter()
+        res = runner.invoke(cli, ["scatter-mutate", "--seed", str(path), "--k", "1"])
+        assert time.perf_counter() - t0 < 1.0
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr.endswith(
+            "Error: the mutation check at order 4 needs the source completed to order 33 "
+            "(limit 10 with 5 coefficient generators)\n"
+        )
 
 
 SLOT_LIMIT_THETA = {  # (fixture, --m): (exit code, stdout) at --order 3
@@ -649,6 +665,25 @@ class TestVerify:
         assert first == second and len(first) == 8
         for i, (seed, order) in enumerate(first):
             assert all(o < order for s, o in first[:i] if s == seed), (seed.word, order)
+
+    @pytest.mark.parametrize("field", ["word", "vars", "coeffs"])
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    def test_b2_chart_fails_exactly_the_corrupted_row(self, monkeypatch, row, field):
+        """One changed entry of ``b2_chart.json`` fails its row alone, naming
+        that row and field."""
+        chart = load_fixture("b2_chart.json")
+        target = chart["rows"][row]
+        if field == "word":
+            target["word"].append(1)
+        elif field == "vars":
+            target["vars"][0]["num"][0]["c"] += 1
+        else:
+            target["coeffs"][0][0]["exponents"][0] += 1
+        monkeypatch.setattr(_verify, "load_fixture", lambda name: chart if name == "b2_chart.json" else load_fixture(name))
+        checks = _verify.run_suite("b2-chart")
+        assert [name for name, _, _ in checks] == [f"row-t{k}" for k in range(7)]
+        for k, (_, ok, ce) in enumerate(checks):
+            assert (ok, ce) == ((False, {"row": k, "field": field}) if k == row else (True, None))
 
     def test_unknown_suite(self, runner):
         res = runner.invoke(cli, ["verify", "--suite", "nope"])

@@ -6,7 +6,7 @@ import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from click.testing import CliRunner
@@ -56,7 +56,7 @@ from clusterscatter.scattering import (
 )
 from clusterscatter.semifield import block_range
 
-from oracles import path_ordered_product
+from oracles import path_ordered_product, permute_blocks
 
 B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
 KRON = FixedData(((0, -2), (2, 0)), (1, 1), (2, 2))
@@ -646,6 +646,21 @@ class TestCompletion:
         assert ((1, 1, 1, 1), (-2, 2), 4) in out[(1, -1)].factors
         assert ((2, 2, 2, 2), (-4, 4), 4) in out[(1, -1)].factors
 
+    @pytest.mark.parametrize(
+        "data, order",
+        [(d, o) for o in (4, 5) for d in RANK2 if max(d.r) > 1] + [(WILD33, 8)],
+        ids=lambda v: f"o{v}" if isinstance(v, int) else f"b{-v.B[0][1]},{v.B[1][0]}-d{v.d[0]},{v.d[1]}-r{v.r[0]},{v.r[1]}",
+    )
+    def test_completion_is_invariant_under_block_permutations(self, data, order):
+        """Permuting the generators of one direction's block fixes its
+        incoming wall, so by uniqueness of the consistent completion every
+        permutation in S_{r_1} x S_{r_2} fixes the completed diagram."""
+        D = complete_rank2(build_initial(group_seed(data), order))
+        expected = canonical_form(D)
+        blocks = [block_range(data.r, i) for i in range(2)]
+        for p1, p2 in product(*map(permutations, blocks)):
+            assert canonical_form(permute_blocks(D, p1 + p2)) == expected, (p1, p2)
+
     def test_non_basis_coefficients_rejected(self):
         bad = initial_seed(
             B2,
@@ -757,6 +772,29 @@ class TestMutationTransform:
         other = {s: complete_rank2(build_initial(group_seed(A2), 6))}
         with pytest.raises(ValueError, match="^the memo holds a completion of another seed$"):
             tk_invariance_check(s, 1, 4, other)
+
+    def test_a_source_beyond_the_limit_is_refused_before_it_is_completed(self, monkeypatch):
+        """B = ((0,-4),(4,0)), r = (2,1): 3 coefficient generators, so the
+        source order may reach 54 // 3 = 18.  For k = 1 the source needs
+        order 17 at orders 3 and 4, the deepest of the 37 data, and order 25
+        at order 5, which is refused once the mutated side is completed."""
+        s = group_seed(FixedData(((0, -4), (4, 0)), (1, 1), (2, 1)))
+        asked = []
+
+        def spy(seed, order, memo):
+            asked.append((seed, order))
+            return _completed(seed, order, memo)
+
+        monkeypatch.setattr("clusterscatter.scattering._completed", spy)
+        with pytest.raises(ValueError) as refused:
+            tk_invariance_check(s, 1, 5)
+        assert str(refused.value) == (
+            "the mutation check at order 5 needs the source completed to order 25 "
+            "(limit 18 with 3 coefficient generators)"
+        )
+        assert asked == [(seed_mutate(s, 1), 5)]
+        assert tk_invariance_check(s, 1, 4)[2]
+        assert asked[-1] == (s, 17)
 
     def test_missing_slab_rejected(self, b2_completed):
         once = tk_transform(b2_completed, 2)
