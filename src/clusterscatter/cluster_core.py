@@ -19,11 +19,11 @@ computed a second way by composing wall-crossing substitutions in the
 initial chart.
 One g-frame step moves every frame: ``g_frame_mutate`` takes its sign from
 g*_k, while chart variables (and the seed frames of ``scattering``) replay
-it with sign +1.  Chart variables and theta's chamber transport share one
-replay of the word and one pull-back.  A crossing z^m -> z^m f^h,
-h = -<g*_k, m>, leaves the terms of level h >= 0 Laurent on their own, so
-each step divides only the terms of negative level, once, by f^D for the
-deepest level -D.
+it with sign +1.  Chart variables, walks from the initial chart and theta's
+chamber transport share one replay of the word and one pull-back.  A
+crossing z^m -> z^m f^h, h = -<g*_k, m>, leaves the terms of level h >= 0
+Laurent on their own, so each step divides only the terms of negative
+level, once, by f^D for the deepest level -D.
 
 Directions k are 1-based in the public API, matching the usual edge labels
 of the regular tree.  All arithmetic is exact.
@@ -234,12 +234,13 @@ def initial_seed(
     orders = data.r if coeff_orders is None else coeff_orders
     if coeffs is None:
         coeffs = generator_blocks(orders)
-    cluster = None
-    if with_cluster:
-        cluster = tuple(
-            RationalFunction(LaurentSeries.monomial(_unit(data.n, i), (0,) * sum(orders))) for i in range(data.n)
-        )
+    cluster = _chart(data.n, sum(orders)) if with_cluster else None
     return Seed(data, data.B, coeffs, orders, cluster, (), semifield)
+
+
+def _chart(n: int, d: int) -> tuple[RationalFunction, ...]:
+    """The cluster of the initial chart: the generator monomials z_1..z_n."""
+    return tuple(RationalFunction(LaurentSeries.monomial(_unit(n, i), (0,) * d)) for i in range(n))
 
 
 def _coeffs_mutate(coeffs, B: Matrix, r, a: int, split):
@@ -336,7 +337,17 @@ def pattern_walk(s0: Seed, word, memo: dict | None = None) -> Seed:
     cancel before any work is done, so a cancelled pair costs no mutation.
     In group mode every letter is mutated, so the result is always that of
     ``seed_mutate`` letter by letter.  Every letter is checked first, and a
-    memo filled from another start seed is refused."""
+    memo filled from another start seed is refused.
+
+    Two routes reach the same seeds.  A walk from the initial chart (a
+    semifield-mode seed with the empty word, the matrix B of its data and
+    the generator monomials as its cluster) pulls each new cluster variable
+    back instead of dividing: at letter i it is z^g, g the new row of the
+    frame, carried to the initial chart through the first i steps
+    (``_pull_back``), and one ``_transport`` of the word gives every step,
+    frame, matrix and coefficient tuple.  Every other start seed, and every
+    seed of ``explore_pattern``, takes ``seed_mutate``'s exchange relation,
+    one exact division by the old variable per letter."""
     for k in word:
         _check_direction(k, s0.data.n)
     if memo is None:
@@ -345,12 +356,35 @@ def pattern_walk(s0: Seed, word, memo: dict | None = None) -> Seed:
     if s != s0:
         raise ValueError("the memo holds the walk of another start seed")
     word = reduce_word(word) if s0.semifield else tuple(word)
+    if word in memo or not _at_chart(s0):
+        step = lambda s, i: seed_mutate(s, word[i - 1])
+    else:
+        steps, trail = _transport(s0, word, signed=False)
+        d = sum(s0.coeff_orders)
+
+        def step(s, i):
+            G, t = trail[i]
+            a = word[i - 1] - 1
+            x = RationalFunction(_pull_back(steps[:i], LaurentSeries.monomial(G.g[a], (0,) * d)))
+            return replace(t, cluster=s.cluster[:a] + (x,) + s.cluster[a + 1 :])
+
     for i in range(1, len(word) + 1):
         hit = memo.get(word[:i])
         if hit is None:
-            hit = memo[word[:i]] = seed_mutate(s, word[i - 1])
+            hit = memo[word[:i]] = step(s, i)
         s = hit
     return s
+
+
+def _at_chart(s: Seed) -> bool:
+    """Whether s is the initial chart of its pattern, where ``pattern_walk``
+    pulls back."""
+    return (
+        s.semifield
+        and not s.word
+        and s.matrix == s.data.B
+        and s.cluster == _chart(s.data.n, sum(s.coeff_orders))
+    )
 
 
 def seed_key(s: Seed, strict: bool = True):
@@ -542,13 +576,14 @@ def _transport(s: Seed, word, signed: bool):
 
     Returns the steps ``(f, g*_k)`` in order, with f the exchange factor
     ``_exchange_factor`` builds from the coefficients p^eps and the normal
-    covector eps w_k, and the last frame.
+    covector eps w_k, and the trail: the pairs (frame, coefficient-only seed)
+    at the start and after each letter.
     """
     n = s.data.n
     d = sum(s.coeff_orders)
     s = replace(s, cluster=None)
     G = initial_g_frame(s.data)
-    steps = []
+    steps, trail = [], [(G, s)]
     for k in reduce_word(word):
         a = k - 1
         eps = G.epsilon(k) if signed else 1
@@ -557,7 +592,8 @@ def _transport(s: Seed, word, signed: bool):
         steps.append((_exchange_factor(p_eps, w, n, d), G.gstar[a]))
         G = _frame_step(G, s.matrix, k, eps)
         s = seed_mutate(s, k)
-    return steps, G
+        trail.append((G, s))
+    return steps, trail
 
 
 def _pull_back(steps, x: LaurentSeries) -> LaurentSeries:
@@ -598,9 +634,9 @@ def chart_variables(s0: Seed, word) -> tuple[RationalFunction, ...]:
     seed has no cluster variables and raises ValueError."""
     if not s0.semifield:
         raise ValueError("chart variables need a semifield-mode seed: group-mode seeds carry no cluster")
-    steps, G = _transport(s0, word, signed=False)
+    steps, trail = _transport(s0, word, signed=False)
     d = sum(s0.coeff_orders)
-    return tuple(RationalFunction(_pull_back(steps, LaurentSeries.monomial(g, (0,) * d))) for g in G.g)
+    return tuple(RationalFunction(_pull_back(steps, LaurentSeries.monomial(g, (0,) * d))) for g in trail[-1][0].g)
 
 
 # -- serialization -----------------------------------------------------------

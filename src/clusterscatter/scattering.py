@@ -658,8 +658,9 @@ def tk_invariance_check(
     cover every preimage before transforming and truncating.  That order K is
     read off the mutated side, which is cheap to complete; a K beyond
     ``TK_SOURCE_BUDGET // g``, for g coefficient generators, raises
-    ValueError before the source is completed.  Returns (transformed side,
-    mutated-seed side, equivalent?).
+    ValueError before the source is completed.  K is never below ``order``,
+    so an order beyond that limit raises before either side is completed.
+    Returns (transformed side, mutated-seed side, equivalent?).
 
     Both sides are completed through ``memo``, a dict owned by the caller
     that maps each seed to its deepest completion so far (``_completed``):
@@ -670,6 +671,17 @@ def tk_invariance_check(
     frame = _frame_of(s)
     if not frame.is_identity:
         raise ValueError("tk_invariance_check starts from the base seed")
+    gens = sum(s.coeff_orders)
+    limit = TK_SOURCE_BUDGET // gens
+
+    def beyond(K, at_least=""):
+        return ValueError(
+            f"the mutation check at order {order} needs the source completed to order {K}{at_least} "
+            f"(limit {limit} with {gens} coefficient generators)"
+        )
+
+    if order > limit:
+        raise beyond(order, " or more")
     if memo is None:
         memo = {}
     rhs = _completed(seed_mutate(s, k), order, memo)
@@ -680,12 +692,8 @@ def tk_invariance_check(
         for t, m, _ in w.factors:
             h = sum(x * y for x, y in zip(e_k, m))
             K = max(K, sum(t), sum(t) - h * tk_total)
-    gens = sum(s.coeff_orders)
-    if K > TK_SOURCE_BUDGET // gens:
-        raise ValueError(
-            f"the mutation check at order {order} needs the source completed to order {K} "
-            f"(limit {TK_SOURCE_BUDGET // gens} with {gens} coefficient generators)"
-        )
+    if K > limit:
+        raise beyond(K)
     lhs = diagram_truncate(tk_transform(_completed(s, K, memo), k), order)
     return lhs, rhs, diagrams_equivalent(lhs, rhs)
 

@@ -328,18 +328,40 @@ class TestScatterMutate:
         res = runner.invoke(cli, ["scatter-mutate", "--seed", b2_path, "--k", "5"])
         assert res.exit_code == 2
 
-    def test_a_source_beyond_the_limit_is_refused_before_it_is_completed(self, runner, tmp_path):
-        """The (8,4) datum with 5 coefficient generators needs its source
-        completed to order 33 for k = 1 at the default order 4; completing it
-        would take gigabytes.  The refusal comes from the cheap side alone."""
+    @staticmethod
+    def _b84_path(tmp_path):
+        # the (8,4) datum with 5 coefficient generators: the source order may reach 54 // 5 = 10
         path = tmp_path / "b84.json"
         path.write_text(json.dumps(seed_to_json(initial_seed(FixedData(((0, 8), (-4, 0)), (1, 2), (4, 1))))))
+        return path
+
+    def test_a_source_beyond_the_limit_is_refused_before_it_is_completed(self, runner, tmp_path):
+        """The (8,4) datum needs its source completed to order 33 for k = 1
+        at the default order 4; completing it would take gigabytes.  The
+        refusal comes from the cheap side alone."""
+        path = self._b84_path(tmp_path)
         t0 = time.perf_counter()
         res = runner.invoke(cli, ["scatter-mutate", "--seed", str(path), "--k", "1"])
         assert time.perf_counter() - t0 < 1.0
         assert res.exit_code == 2 and res.stdout == ""
         assert res.stderr.endswith(
             "Error: the mutation check at order 4 needs the source completed to order 33 "
+            "(limit 10 with 5 coefficient generators)\n"
+        )
+
+    def test_an_order_beyond_the_limit_is_refused_before_either_side_is_completed(self, runner, tmp_path, monkeypatch):
+        """The source order is never below --order, so on the (8,4) datum
+        --order 12 is refused before the mutated side is completed, which
+        would take most of a second and hundreds of MB."""
+        path = self._b84_path(tmp_path)
+        completed = []
+        monkeypatch.setattr("clusterscatter.scattering._completed", lambda *args: completed.append(args))
+        t0 = time.perf_counter()
+        res = runner.invoke(cli, ["scatter-mutate", "--seed", str(path), "--k", "2", "--order", "12"])
+        assert time.perf_counter() - t0 < 1.0
+        assert res.exit_code == 2 and res.stdout == "" and completed == []
+        assert res.stderr.endswith(
+            "Error: the mutation check at order 12 needs the source completed to order 12 or more "
             "(limit 10 with 5 coefficient generators)\n"
         )
 

@@ -27,7 +27,6 @@ from clusterscatter.cluster_core import (
     initial_seed,
     matrix_mutate,
     pattern_walk,
-    rational_to_json,
     reduce_word,
     seed_from_json,
     seed_key,
@@ -36,6 +35,7 @@ from clusterscatter.cluster_core import (
     seeds_equal,
     unimodular_inverse_transpose,
 )
+from clusterscatter.fixtures import load_fixture
 from clusterscatter.monoid_ring import LaurentSeries, series_exact_div, series_pow
 from clusterscatter.semifield import block_range, p_minus, p_plus
 
@@ -603,40 +603,48 @@ class TestGVectorFrame:
 # -- chart variables ---------------------------------------------------------
 
 
+def exchange_walk(s0, word):
+    """The seeds of ``seed_mutate`` letter by letter, the start seed first.
+    It runs the exchange relation, one exact division per letter, and is the
+    reference of the chart variables and of walks from the initial chart,
+    which pull back instead."""
+    seeds = [s0]
+    for k in word:
+        seeds.append(seed_mutate(seeds[-1], k))
+    return seeds
+
+
 class TestPullbacks:
     def test_chart_replay_on_chart_prefixes(self):
         s0 = initial_seed(B2)
-        memo = {}
-        for wl in range(7):
-            word = tuple((1, 2)[i % 2] for i in range(wl))
-            sv = pattern_walk(s0, word, memo)
-            cv = chart_variables(s0, word)
-            for i in range(2):
-                assert cv[i] == sv.cluster[i]
+        word = (1, 2) * 3
+        for wl, s in enumerate(exchange_walk(s0, word)):
+            assert chart_variables(s0, word[:wl]) == s.cluster
 
     @given(st.sampled_from([B2, KRON, R3]), st.data())
     @settings(max_examples=15, deadline=None)
     def test_chart_replay_matches_walk(self, data, draw):
         word = draw.draw(walk_words(data.n, 4))
         s0 = initial_seed(data)
-        sv = pattern_walk(s0, word)
-        cv = chart_variables(s0, word)
-        for i in range(data.n):
-            assert cv[i] == sv.cluster[i]
+        want = exchange_walk(s0, word)[-1]
+        assert chart_variables(s0, word) == want.cluster
+        assert pattern_walk(s0, word) == want
 
     def test_chart_runs_no_exchange_relation(self, monkeypatch):
-        # the chart route must stay independent of the exchange relation it checks
+        # the chart variables and a walk from the initial chart pull back, so
+        # they stay independent of the exchange relation that checks them
         s0 = initial_seed(KRON)
         words = [(1, 2, 1, 2), (2, 1, 2)]
-        want = [[rational_to_json(x) for x in pattern_walk(s0, w).cluster] for w in words]
+        want = [exchange_walk(s0, w)[-1] for w in words]
 
         def fail(s, a):
             raise AssertionError("the exchange relation ran")
 
         monkeypatch.setattr(cluster_core, "_exchange_variable", fail)
+        assert [chart_variables(s0, w) for w in words] == [s.cluster for s in want]
+        assert [pattern_walk(s0, w) for w in words] == want
         with pytest.raises(AssertionError, match="exchange relation ran"):
-            pattern_walk(s0, words[0])
-        assert [[rational_to_json(x) for x in chart_variables(s0, w)] for w in words] == want
+            pattern_walk(want[0], (1,))
 
     def test_group_mode_seed_has_no_chart_variables(self):
         # the plus-signed group rule is no Y-pattern: at (1, 2, 1, 2) its
@@ -662,6 +670,71 @@ class TestPullbacks:
                 assert sum(M[i][a] * X[j][a] for a in range(2)) == (1 if i == j else 0)
         with pytest.raises(ValueError):
             unimodular_inverse_transpose(((2, 0), (0, 1)))
+
+
+def cheap_at_four_letters(data) -> bool:
+    """|b12 b21| r1 r2 <= 18.  Within it, four letters of ``seed_mutate``
+    took 0.07 s or less from either start letter.  Beyond it, nine data: six
+    took 0.5-2.7 s from the costlier start letter, B = ((0,-3),(3,0)) about
+    4.3 s with r = (1,3) or (3,1) and over 90 s with r = (3,3), and
+    B = ((0,-4),(4,0)) with r = (2,2) was not timed."""
+    return abs(data.B[0][1] * data.B[1][0]) * data.r[0] * data.r[1] <= 18
+
+
+def test_walk_from_the_chart_matches_the_exchange_relation_on_every_prefix():
+    """Every prefix of a walk from the initial chart, which pulls back,
+    equals ``seed_mutate`` letter by letter, which divides: matrix,
+    coefficients, word and cluster.  On all 37 valid rank-2 data of the box
+    from both start letters, to 4 letters where the exchange route is cheap
+    and to 3 elsewhere; on the Kronecker fixture to 6; and with drawn
+    tropical coefficients on B2, the Kronecker datum and a rank-3 datum."""
+    cases = [(initial_seed(data), 4 if cheap_at_four_letters(data) else 3) for data in RANK2]
+    cases.append((seed_from_json(load_fixture("kronecker.json")), 6))
+    rng = random.Random(5)
+    cases += [(random_coeff_seed(data, [rng.randint(-2, 2) for _ in range(24)]), 4) for data in (B2, KRON, R3)]
+    for s0, longest in cases:
+        n = s0.data.n
+        for k in range(1, n + 1):
+            word = tuple((k - 1 + i) % n + 1 for i in range(longest))
+            memo = {}
+            pattern_walk(s0, word, memo)
+            assert [memo[word[:i]] for i in range(longest + 1)] == exchange_walk(s0, word), (s0.data, word)
+
+
+def test_only_a_walk_from_the_initial_chart_pulls_back(monkeypatch):
+    """A spy on both routes: the initial chart runs one ``_transport`` and no
+    exchange relation, and every other start seed runs ``seed_mutate``, whose
+    exchange relation needs a cluster.  Both give the seeds of
+    ``seed_mutate`` letter by letter."""
+    ran = []
+
+    def spy(name):
+        real = getattr(cluster_core, name)
+        return lambda *args, **kwargs: ran.append(name) or real(*args, **kwargs)
+
+    for name in ("_transport", "_exchange_variable"):
+        monkeypatch.setattr(cluster_core, name, spy(name))
+
+    def route(s, word):
+        ran.clear()
+        got = pattern_walk(s, word)
+        taken = list(ran)
+        assert got == exchange_walk(s, word)[-1]
+        return taken
+
+    s0, word = initial_seed(B2), (2, 1, 2)
+    assert route(s0, word) == ["_transport"]
+    moved = pattern_walk(s0, (1,))
+    others = {
+        "group mode": initial_seed(B2, with_cluster=False, semifield=False),
+        "no cluster": initial_seed(B2, with_cluster=False),
+        "a non-empty word": moved,
+        "a cluster from JSON that is not the chart": seed_from_json(seed_to_json(moved)),
+        "a matrix other than B": replace(s0, matrix=matrix_mutate(B2.B, 1)),
+    }
+    for why, s in others.items():
+        exchanges = ["_exchange_variable"] * len(word) if s.cluster is not None else []
+        assert route(s, word) == exchanges, why
 
 
 def reference_pull_back(steps, x):
@@ -717,7 +790,8 @@ def test_level_split_matches_the_common_denominator_oracle():
         words = [()] + [tuple((k, 3 - k)[i % 2] for i in range(n)) for n in range(1, longest + 1) for k in (1, 2)]
         for word in words:
             for signed in (False, True):
-                steps, G = _transport(s, word, signed)
+                steps, trail = _transport(s, word, signed)
+                G = trail[-1][0]
                 charts = [LaurentSeries.monomial(g, (0,) * d) for g in G.g]
                 drawn = [drawn_laurent(rng, d, terms) for terms in (1, 2, 3)] if len(word) <= 2 else []
                 for i, x in enumerate(charts + drawn):
