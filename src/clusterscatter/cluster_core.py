@@ -3,23 +3,25 @@
 A seed carries an exchange matrix B (skew-symmetrizable by diag(d), column i
 divisible by the exchange-polynomial degree r_i), a tuple of r_i normalized
 coefficients per direction, and n cluster variables stored as exact Laurent
-polynomials in the initial cluster (the Laurent phenomenon): each exchange is
-one exact division.  A coefficient is an element of a tropical semifield,
-held as its int exponent tuple over the semifield's generators, whose shape
-the seed stores once as ``coeff_orders``; the same tuples are the
-t-exponents of series and wall functions.  Coefficients mutate by one
-normalized rule with the split p = p^+/p^-, integer arithmetic on the
-tuples; group-mode seeds, whose coefficients are bare group elements, use the
-same rule with the split (p, 1), which is the plus-signed rule of the
-scattering frames, whose ``to_old`` evaluates principal coefficient
-exponents at a seed's own coefficients.  On top of seed mutation this
-module provides pattern walks, g-vector frames with signed mutation, and
-the chart variables: the cluster variables at the end of a mutation path,
-computed a second way by composing wall-crossing substitutions in the
-initial chart.
+polynomials (the Laurent phenomenon) in the chart a walk starts from.  Each
+seed is the origin of its own chart: there its cluster is the generator
+monomials z_1..z_n, and its own matrix steps the frames.  A coefficient is
+an element of a tropical semifield, held as its int exponent tuple over the
+semifield's generators, whose shape the seed stores once as
+``coeff_orders``; the same tuples are the t-exponents of series and wall
+functions.  Coefficients mutate by one normalized rule with the split
+p = p^+/p^-, integer arithmetic on the tuples; group-mode seeds, whose
+coefficients are bare group elements, use the same rule with the split
+(p, 1), which is the plus-signed rule of the scattering frames, whose
+``to_old`` evaluates principal coefficient exponents at a seed's own
+coefficients.  On top of seed mutation this module provides pattern
+walks, g-vector frames with signed mutation, and the chart variables: the
+cluster variables at the end of a mutation path, computed by composing
+wall-crossing substitutions in the start seed's chart instead of one exact
+division per exchange.
 One g-frame step moves every frame: ``g_frame_mutate`` takes its sign from
 g*_k, while chart variables (and the seed frames of ``scattering``) replay
-it with sign +1.  Chart variables, walks from the initial chart and theta's
+it with sign +1.  Chart variables, walks from a chart and theta's
 chamber transport share one replay of the word and one pull-back.  A
 crossing z^m -> z^m f^h, h = -<g*_k, m>, leaves the terms of level h >= 0
 Laurent on their own, so each step divides only the terms of negative
@@ -339,15 +341,14 @@ def pattern_walk(s0: Seed, word, memo: dict | None = None) -> Seed:
     ``seed_mutate`` letter by letter.  Every letter is checked first, and a
     memo filled from another start seed is refused.
 
-    Two routes reach the same seeds.  A walk from the initial chart (a
-    semifield-mode seed with the empty word, the matrix B of its data and
-    the generator monomials as its cluster) pulls each new cluster variable
-    back instead of dividing: at letter i it is z^g, g the new row of the
-    frame, carried to the initial chart through the first i steps
-    (``_pull_back``), and one ``_transport`` of the word gives every step,
-    frame, matrix and coefficient tuple.  Every other start seed, and every
-    seed of ``explore_pattern``, takes ``seed_mutate``'s exchange relation,
-    one exact division by the old variable per letter."""
+    Two routes reach the same seeds.  A walk from a chart (a semifield-mode
+    seed whose cluster is the generator monomials) pulls each new cluster
+    variable back instead of dividing: at letter i it is z^g, g the new row
+    of the frame, carried to the start seed's chart through the first i
+    steps (``_chart_variable``), and one ``_transport`` of the word gives
+    every step, frame, matrix and coefficient tuple.  Every other start
+    seed, and every seed of ``explore_pattern``, takes ``seed_mutate``'s
+    exchange relation, one exact division by the old variable per letter."""
     for k in word:
         _check_direction(k, s0.data.n)
     if memo is None:
@@ -365,7 +366,7 @@ def pattern_walk(s0: Seed, word, memo: dict | None = None) -> Seed:
         def step(s, i):
             G, t = trail[i]
             a = word[i - 1] - 1
-            x = RationalFunction(_pull_back(steps[:i], LaurentSeries.monomial(G.g[a], (0,) * d)))
+            x = _chart_variable(steps[:i], G.g[a], d)
             return replace(t, cluster=s.cluster[:a] + (x,) + s.cluster[a + 1 :])
 
     for i in range(1, len(word) + 1):
@@ -377,14 +378,11 @@ def pattern_walk(s0: Seed, word, memo: dict | None = None) -> Seed:
 
 
 def _at_chart(s: Seed) -> bool:
-    """Whether s is the initial chart of its pattern, where ``pattern_walk``
-    pulls back."""
-    return (
-        s.semifield
-        and not s.word
-        and s.matrix == s.data.B
-        and s.cluster == _chart(s.data.n, sum(s.coeff_orders))
-    )
+    """Whether s is the origin of its own chart, its cluster the generator
+    monomials, where ``pattern_walk`` pulls back.  Every semifield-mode seed
+    is the origin of one chart: ``_transport`` builds its frames on the
+    seed's own matrix."""
+    return s.semifield and s.cluster == _chart(s.data.n, sum(s.coeff_orders))
 
 
 def seed_key(s: Seed, strict: bool = True):
@@ -570,9 +568,9 @@ def unimodular_inverse_transpose(rows: Matrix) -> Matrix:
 
 
 def _transport(s: Seed, word, signed: bool):
-    """Replay the reduced word on a coefficient-only copy of s, from the
-    initial frame.  Each letter k steps the frame with eps = epsilon(k) when
-    ``signed`` (chamber transport) or eps = +1 (chart variables).
+    """Replay the reduced word on a coefficient-only copy of s from the
+    initial frame at s's own matrix, so that s is the origin of the chart.
+    Each letter k steps the frame with eps = epsilon(k) if ``signed`` (chamber transport), else +1 (chart variables).
 
     Returns the steps ``(f, g*_k)`` in order, with f the exchange factor
     ``_exchange_factor`` builds from the coefficients p^eps and the normal
@@ -582,7 +580,7 @@ def _transport(s: Seed, word, signed: bool):
     n = s.data.n
     d = sum(s.coeff_orders)
     s = replace(s, cluster=None)
-    G = initial_g_frame(s.data)
+    G = initial_g_frame(replace(s.data, B=s.matrix))
     steps, trail = [], [(G, s)]
     for k in reduce_word(word):
         a = k - 1
@@ -625,18 +623,24 @@ def _pull_back(steps, x: LaurentSeries) -> LaurentSeries:
     return x
 
 
+def _chart_variable(steps, g, d: int) -> RationalFunction:
+    """z^g of the last chart of ``steps`` (``_transport``), pulled back to the first."""
+    return RationalFunction(_pull_back(steps, LaurentSeries.monomial(g, (0,) * d)))
+
+
 def chart_variables(s0: Seed, word) -> tuple[RationalFunction, ...]:
-    """Cluster variables at the end of the word computed by composing one
-    wall-crossing substitution per step in the initial chart (instead of
-    iterating exchange relations).  The frame replays the g-frame step with
-    sign +1; its dual rows g give the monomials to pull back, and each step
-    divides only the terms of negative level (``_pull_back``).  A group-mode
-    seed has no cluster variables and raises ValueError."""
+    """Cluster variables at the end of the word in the chart of s0, where
+    s0's cluster is the generator monomials, whatever it carries: one
+    wall-crossing substitution per step composed in that chart instead of
+    iterated exchange relations.  The frame starts at s0's own matrix and
+    replays the g-frame step with sign +1; its dual rows g give the
+    monomials to pull back (``_chart_variable``).  A group-mode seed has no
+    cluster variables and raises ValueError."""
     if not s0.semifield:
         raise ValueError("chart variables need a semifield-mode seed: group-mode seeds carry no cluster")
     steps, trail = _transport(s0, word, signed=False)
     d = sum(s0.coeff_orders)
-    return tuple(RationalFunction(_pull_back(steps, LaurentSeries.monomial(g, (0,) * d))) for g in trail[-1][0].g)
+    return tuple(_chart_variable(steps, g, d) for g in trail[-1][0].g)
 
 
 # -- serialization -----------------------------------------------------------

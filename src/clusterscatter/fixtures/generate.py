@@ -2,17 +2,9 @@
 infinite-type closed form."""
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
-from ..cluster_core import (
-    FixedData,
-    chart_variables,
-    initial_seed,
-    rational_to_json,
-    seed_mutate,
-    seed_to_json,
-)
+from ..cluster_core import FixedData, initial_seed, pattern_walk, seed_to_json
 from ..monoid_ring import LaurentSeries, series_pow, series_to_json
 from ..scattering import build_initial, complete_rank2, diagram_to_json, tk_transform
 from . import FILES
@@ -28,22 +20,15 @@ def _dumps(obj) -> str:
 
 
 def chart_rows(s0) -> list[dict]:
-    """The rows of ``b2_chart.json`` on ``s0``: each prefix of ``CHART_WORD``,
-    the coefficients of one walk of ``s0`` without its cluster, and the
-    cluster variables of the prefix's chart."""
-    s = replace(s0, cluster=None)
+    """The rows of ``b2_chart.json`` on ``s0``: each prefix of ``CHART_WORD``
+    with the coefficients and cluster of its seed, read from the memo of one
+    ``pattern_walk``, which pulls back from the chart of ``s0``."""
+    memo: dict = {}
+    pattern_walk(s0, CHART_WORD, memo)
     rows = []
     for k in range(len(CHART_WORD) + 1):
-        if k:
-            s = seed_mutate(s, CHART_WORD[k - 1])
-        variables = chart_variables(s0, CHART_WORD[:k])
-        rows.append(
-            {
-                "word": list(CHART_WORD[:k]),
-                "coeffs": seed_to_json(s)["coeffs"],
-                "vars": [rational_to_json(x) for x in variables],
-            }
-        )
+        seed = seed_to_json(memo[CHART_WORD[:k]])
+        rows.append({"word": list(CHART_WORD[:k]), "coeffs": seed["coeffs"], "vars": seed["cluster"]})
     return rows
 
 

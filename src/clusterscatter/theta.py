@@ -457,7 +457,7 @@ def theta(
     ctx = _search_context(D, order)
     p0 = _exponent(p0)
     if not any(p0):
-        return LaurentSeries.monomial(p0, (0,) * sum(D.seed.coeff_orders), 1, ctx.order)
+        return _series(D, ctx.order, [(1, (0,) * sum(D.seed.coeff_orders), p0)])
     if ctx.bound > _LIMIT:
         return _theta_lines(D, p0, ctx.order, Q, q_seed)[0]
     finals, _ = _at_endpoint(

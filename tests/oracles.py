@@ -13,16 +13,29 @@
   theta functions at every exponent, with no diagram and no search.
 - ``permute_blocks`` permutes each block of coefficient generators of a
   diagram: a completion must be invariant under it.
+- ``specialize`` identifies the generators of each block, and
+  ``one_generator_diagram`` builds the incoming walls it maps the principal
+  ones onto: a completion must specialize to the completion of those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from math import comb, gcd, lcm
 from typing import Sequence
 
 from clusterscatter import scattering
-from clusterscatter.cluster_core import GVectorFrame, InvariantViolation, Matrix, _as_matrix, _beta, _check_direction
+from clusterscatter.cluster_core import (
+    FixedData,
+    GVectorFrame,
+    InvariantViolation,
+    Matrix,
+    _as_matrix,
+    _beta,
+    _check_direction,
+    initial_seed,
+)
 from clusterscatter.monoid_ring import (
     _HALF,
     _SLOT,
@@ -161,6 +174,38 @@ def permute_blocks(D: scattering.ScatteringDiagram, perm: Sequence[int]) -> scat
 
     walls = [scattering.Wall(w.ray, [(move(t), m, c) for t, m, c in w.factors], w.incoming) for w in D.walls]
     return scattering.ScatteringDiagram(walls, D.order, D.seed)
+
+
+def specialize(D: scattering.ScatteringDiagram) -> dict[tuple[int, ...], tuple[scattering.Atom, ...]]:
+    """The ray functions of ``D`` under the monoid map t_{i,j} -> t_i, which
+    identifies the generators of each block: per ray, the merged atoms with
+    their t summed block by block.  Merged atoms determine the ray functions
+    and are determined by them (``canonical_form``)."""
+    orders = D.seed.coeff_orders
+    blocks = [block_range(orders, i) for i in range(len(orders))]
+    return {
+        ray: scattering._combine_atoms((tuple(sum(t[j] for j in b) for b in blocks), m, c) for t, m, c in atoms)
+        for ray, atoms in scattering.canonical_form(D).items()
+    }
+
+
+def one_generator_diagram(data: FixedData, order: int) -> scattering.ScatteringDiagram:
+    """The incoming walls that ``specialize`` maps the principal incoming
+    walls of ``data`` onto: (1 + t_i z^{w_i})^{r_i}, Gross-Pandharipande-
+    Siebert's standard diagram with l_i = r_i.  Its seed is the one-generator
+    seed of FixedData(B_ij/r_j, d', (1,1)), d' the d_i/r_i scaled to coprime
+    integers so that the matrix stays skew-symmetrizable; its normal
+    covectors w_i are those of ``data``."""
+    B = tuple(tuple(x // data.r[j] for j, x in enumerate(row)) for row in data.B)
+    ratios = [Fraction(d, r) for d, r in zip(data.d, data.r)]
+    scale = lcm(*(q.denominator for q in ratios))
+    d = [int(q * scale) for q in ratios]
+    small = FixedData(B, tuple(x // gcd(*d) for x in d), (1,) * data.n)
+    D = scattering.build_initial(initial_seed(small, with_cluster=False, semifield=False), order)
+    walls = [
+        scattering.Wall(w.ray, [(t, m, c * data.r[t.index(1)]) for t, m, c in w.factors], w.incoming) for w in D.walls
+    ]
+    return scattering.ScatteringDiagram(walls, order, D.seed)
 
 
 # -- coefficient block matrices ----------------------------------------------

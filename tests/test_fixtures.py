@@ -26,14 +26,15 @@ def test_loaded_fixtures_parse():
 
 
 def test_chart_rows_mutate_each_letter_once_without_the_cluster(monkeypatch):
-    """The coefficients come from one walk of a coefficient-only seed: no
-    exchange relation is solved for a row."""
+    """The rows come from one walk from the chart, which mutates a
+    coefficient-only seed once per letter: no exchange relation is solved
+    for a row."""
     seen = []
 
     def spy(s, k):
         seen.append((s.cluster, k))
         return seed_mutate(s, k)
 
-    monkeypatch.setattr("clusterscatter.fixtures.generate.seed_mutate", spy)
+    monkeypatch.setattr("clusterscatter.cluster_core.seed_mutate", spy)
     assert chart_rows(initial_seed(B2)) == load_fixture("b2_chart.json")["rows"]
     assert seen == [(None, k) for k in CHART_WORD]

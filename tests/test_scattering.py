@@ -56,7 +56,7 @@ from clusterscatter.scattering import (
 )
 from clusterscatter.semifield import block_range
 
-from oracles import path_ordered_product, permute_blocks
+from oracles import one_generator_diagram, path_ordered_product, permute_blocks, specialize
 
 B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
 KRON = FixedData(((0, -2), (2, 0)), (1, 1), (2, 2))
@@ -660,6 +660,19 @@ class TestCompletion:
         blocks = [block_range(data.r, i) for i in range(2)]
         for p1, p2 in product(*map(permutations, blocks)):
             assert canonical_form(permute_blocks(D, p1 + p2)) == expected, (p1, p2)
+
+    @pytest.mark.parametrize(
+        "data, order",
+        [(WILD33, 6), (WILD33, 8), (KRON, 8)] + [(d, 4) for d in RANK2 if max(d.r) > 1],
+        ids=lambda v: f"o{v}" if isinstance(v, int) else f"b{-v.B[0][1]},{v.B[1][0]}-d{v.d[0]},{v.d[1]}-r{v.r[0]},{v.r[1]}",
+    )
+    def test_completion_specializes_to_the_one_generator_completion(self, data, order):
+        """Identifying the generators of each block, t_{i,j} -> t_i, keeps
+        every degree, so it maps the completion onto the consistent
+        completion of its image, the incoming walls (1 + t_i z^{w_i})^{r_i}
+        (uniqueness of the consistent completion)."""
+        D = complete_rank2(build_initial(group_seed(data), order))
+        assert specialize(D) == canonical_form(complete_rank2(one_generator_diagram(data, order)))
 
     def test_non_basis_coefficients_rejected(self):
         bad = initial_seed(

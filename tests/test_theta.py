@@ -382,6 +382,19 @@ class TestTheta:
         th = theta(b2_d6, (0, 0), 6)
         assert th == LaurentSeries.one(2, 3, 6)
 
+    def test_zero_exponent_is_the_unit_in_every_frame(self):
+        """theta_0 carries the order rule of every other theta_p, so theta_0
+        times theta_p is theta_p also where the frame is not the identity
+        and theta_p is exact."""
+        walked = pattern_walk(group_seed(KRON), (2, 1))
+        for s in (walked, SHEARED_B2):
+            D = complete_rank2(build_initial(s, 5))
+            assert not D.frame.is_identity
+            one = theta(D, (0, 0), 5)
+            for p in ((-1, 0), (0, 1), (1, -1)):
+                th = theta(D, p, 5)
+                assert one * th == th, (s.word, p)
+
     def test_order_one_is_the_bare_monomial(self, b2_d6):
         th = theta(b2_d6, (-2, 1), 1)
         assert th == LaurentSeries.monomial((-2, 1), (0, 0, 0), 1, 1)
