@@ -57,8 +57,17 @@ class InvariantViolation(RuntimeError):
     """A structural invariant that should be unreachable failed."""
 
 
-def _as_matrix(rows) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+def _as_ints(what: str, values) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; ValueError naming ``what`` when an
+    entry is no int, which ``int()`` would silently truncate."""
+    values = tuple(values)
+    if not all(isinstance(x, int) for x in values):
+        raise ValueError(f"{what} entries must be ints, got {values!r}")
+    return tuple(map(int, values))
+
+
+def _as_matrix(rows, what: str = "matrix") -> Matrix:
+    return tuple(_as_ints(what, row) for row in rows)
 
 
 def validate_exchange_matrix(B: Matrix, d, r) -> None:
@@ -74,6 +83,8 @@ def validate_exchange_matrix(B: Matrix, d, r) -> None:
 
 
 def _check_direction(k: int, n: int) -> None:
+    if not isinstance(k, int):
+        raise ValueError(f"direction {k!r} must be an int")
     if not 1 <= k <= n:
         raise IndexError(f"direction {k} out of range 1..{n}")
 
@@ -114,9 +125,9 @@ class FixedData:
     r: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "B", _as_matrix(self.B))
-        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
-        object.__setattr__(self, "r", tuple(int(x) for x in self.r))
+        object.__setattr__(self, "B", _as_matrix(self.B, "B"))
+        object.__setattr__(self, "d", _as_ints("d", self.d))
+        object.__setattr__(self, "r", _as_ints("r", self.r))
         n = len(self.B)
         if any(len(row) != n for row in self.B):
             raise ValueError("exchange matrix must be square")
@@ -131,17 +142,6 @@ class FixedData:
     @property
     def n(self) -> int:
         return len(self.B)
-
-    def omega(self, u, v) -> Fraction:
-        """Skew form on N in basis coordinates: omega(e_a, e_b) = b_ab/d_b."""
-        tot = Fraction(0)
-        for a, ua in enumerate(u):
-            if not ua:
-                continue
-            for b, vb in enumerate(v):
-                if vb:
-                    tot += Fraction(ua * vb * self.B[a][b], self.d[b])
-        return tot
 
 
 # -- cluster variables -------------------------------------------------------
@@ -199,8 +199,8 @@ class Seed:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _as_matrix(self.matrix))
-        object.__setattr__(self, "coeffs", tuple(_as_matrix(tup) for tup in self.coeffs))
-        object.__setattr__(self, "coeff_orders", tuple(int(x) for x in self.coeff_orders))
+        object.__setattr__(self, "coeffs", tuple(_as_matrix(tup, "coefficient exponent") for tup in self.coeffs))
+        object.__setattr__(self, "coeff_orders", _as_ints("coefficient order", self.coeff_orders))
         validate_exchange_matrix(self.matrix, self.data.d, self.data.r)
         if not self.coeff_orders or min(self.coeff_orders) < 1:
             raise ValueError("coefficient orders must be positive integers")
@@ -464,15 +464,15 @@ class GVectorFrame:
         return _vector_sign(self.gstar[i - 1])
 
     def w(self, i: int) -> tuple[int, ...]:
-        """Normal covector omega(-, (d_i/r_i) g*_i) in dual coordinates."""
-        n = self.data.n
-        scale = Fraction(self.data.d[i - 1], self.data.r[i - 1])
+        """Normal covector omega(-, (d_i/r_i) g*_i) in dual coordinates: as
+        b_ab/d_b = -b_ba/d_a, entry a is -d_i (B^T g*_i)_a / (r_i d_a), exactly."""
+        B, d, g = self.data.B, self.data.d, self.gstar[i - 1]
         out = []
-        for a in range(n):
-            v = self.data.omega(_unit(n, a), self.gstar[i - 1]) * scale
-            if v.denominator != 1:
+        for a in range(self.data.n):
+            q, rem = divmod(-d[i - 1] * sum(B[b][a] * x for b, x in enumerate(g)), self.data.r[i - 1] * d[a])
+            if rem:
                 raise InvariantViolation("normal covector is not integral")
-            out.append(int(v))
+            out.append(q)
         return tuple(out)
 
 
@@ -501,10 +501,10 @@ def _frame_step(G: GVectorFrame, B: Matrix, k: int, eps: int) -> GVectorFrame:
     return GVectorFrame(G.data, tuple(g), tuple(gstar))
 
 
-def g_frame_mutate(G: GVectorFrame, s: Seed | Matrix, k: int) -> GVectorFrame:
-    """Signed mutation in direction k, with the sign read off g*_k."""
+def g_frame_mutate(G: GVectorFrame, s: Seed, k: int) -> GVectorFrame:
+    """Signed mutation in direction k under s's matrix, the sign read off g*_k."""
     _check_direction(k, G.data.n)
-    return _frame_step(G, s.matrix if isinstance(s, Seed) else _as_matrix(s), k, G.epsilon(k))
+    return _frame_step(G, s.matrix, k, G.epsilon(k))
 
 
 def _chamber_walk(data: FixedData, depth: int):
@@ -569,7 +569,8 @@ def unimodular_inverse_transpose(rows: Matrix) -> Matrix:
 
 def _transport(s: Seed, word, signed: bool):
     """Replay the reduced word on a coefficient-only copy of s from the
-    initial frame at s's own matrix, so that s is the origin of the chart.
+    initial frame at s's own matrix, so that s is the origin of the chart;
+    every letter is checked first.
     Each letter k steps the frame with eps = epsilon(k) if ``signed`` (chamber transport), else +1 (chart variables).
 
     Returns the steps ``(f, g*_k)`` in order, with f the exchange factor
@@ -578,6 +579,8 @@ def _transport(s: Seed, word, signed: bool):
     at the start and after each letter.
     """
     n = s.data.n
+    for k in word:
+        _check_direction(k, n)
     d = sum(s.coeff_orders)
     s = replace(s, cluster=None)
     G = initial_g_frame(replace(s.data, B=s.matrix))

@@ -13,14 +13,15 @@ balanced signed 32-bit slots).  The slots hold, most significant first,
 ``m_0 .. m_{n-1}, a_0 .. a_{d-1}`` and then the coefficient degree, so that
 multiplying monomials is adding keys, the degree is the lowest slot
 ``((k + 2^31) & (2^32 - 1)) - 2^31``, and the int order of keys is the tuple
-order of ``Exponent(m, a)``.  A key decodes under one ``(n, d)`` only, so the
-binary kernels reject operands of different dims.  Each series carries a bound
-on its slot magnitudes; every kernel that forms new keys derives the bound of
-its result from its operands' bounds and raises OverflowError before a slot
-could leave ``(-2^31, 2^31)``.  Carried bounds only grow through products, so
-when a sum of bounds would trip the guard, both operands' bounds are first
-re-derived from their keys; an exact quotient takes its bound from the slot box
-of its support.  ``LaurentSeries.terms`` is the read-only ``{Exponent:
+order of ``Exponent(m, a)``; ``_key(m, a)`` is the one packer of a monomial.
+A key decodes under one ``(n, d)`` only, so the binary kernels reject
+operands of different dims.  Each series carries a bound on its slot
+magnitudes; every kernel that forms new keys derives the bound of its result
+from its operands' bounds and raises OverflowError before a slot could leave
+``(-2^31, 2^31)``.  Carried bounds only grow through products, so when a sum
+of bounds would trip the guard, both operands' bounds are first re-derived
+from their keys; an exact quotient takes its bound from the slot box of its
+support.  ``LaurentSeries.terms`` is the read-only ``{Exponent:
 coefficient}`` view, decoded once when first read.
 
 Coefficients are exact integers.  Rationals appear transiently inside
@@ -82,6 +83,11 @@ def _pack(slots: Iterable[int]) -> int:
     for v in slots:
         k = (k << _SLOT) + v
     return k
+
+
+def _key(m: Sequence[int], t: Sequence[int]) -> int:
+    """The packed key of the monomial z^m t^t."""
+    return _pack((*m, *t, sum(t)))
 
 
 def _unpack(k: int, count: int) -> list[int]:
@@ -185,7 +191,7 @@ class LaurentSeries:
             c = _norm_coeff(c)
             if c != 0:
                 bound = _guard(max(bound, abs(deg), *map(abs, m), *map(abs, t)))
-                packed[_pack((*m, *t, deg))] = c
+                packed[_key(m, t)] = c
         self._packed = packed
         self.order = order
         self._nd = nd if packed else None
@@ -463,7 +469,7 @@ def wall_cross(x: LaurentSeries, f: LaurentSeries, n0: Sequence, sign: int = 1) 
 
 def _generator_slices(n: int, d: int, order: int) -> list[list[dict]]:
     """Each generator z^{e_i} as packed slices by coefficient degree below ``order``."""
-    return [[{_pack((*_unit(n, i), *(0,) * d, 0)): 1}] + [{} for _ in range(order - 1)] for i in range(n)]
+    return [[{_key(_unit(n, i), (0,) * d): 1}] + [{} for _ in range(order - 1)] for i in range(n)]
 
 
 def _shifted_slices(
@@ -542,7 +548,7 @@ class _Factor:
         delta = sum(t)
         self.w, self.delta = (c * n0[0], c * n0[1]), delta  # c h = w . m(p)
         self.reads = max(0, order - delta)  # add reads slices k - q delta < order - delta only
-        self.y, self.top = _pack((*m, *t, delta)), (order - 1) // delta
+        self.y, self.top = _key(m, t), (order - 1) // delta
         self.bound = _guard(1 + (order - 1) * max(map(abs, (*m, *t, delta)))) if self.top else 1
         # the lift raises the t and degree slots to [0, 2^32), so that a shift leaves the m-slots
         self.lift, self.shift = _pack([_HALF] * (d + 1)), _SLOT * (d + 1)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, gcd, hypot, lcm
 from typing import Iterable, Sequence
 
@@ -188,6 +188,7 @@ class ScatteringDiagram:
     walls: tuple[Wall, ...]
     order: int
     seed: Seed
+    frame: SeedFrame = field(init=False, compare=False, hash=False, repr=False)
     fan: tuple = field(init=False, compare=False, hash=False, repr=False)
     _search: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
@@ -203,6 +204,7 @@ class ScatteringDiagram:
             raise ValueError("scattering diagrams carry group-mode seeds (semifield=False)")
         if self.seed.data.n != 2:
             raise ValueError("scattering diagrams are defined for rank-2 seeds only")
+        object.__setattr__(self, "frame", _frame_of(self.seed))
         d, to_fresh, fan = sum(self.seed.coeff_orders), self.frame.to_fresh, []
         for w in self.walls:  # sorted, so the walls on one ray are adjacent
             atoms = []
@@ -218,11 +220,6 @@ class ScatteringDiagram:
             else:
                 fan.append((w.ray, tuple(atoms)))
         object.__setattr__(self, "fan", tuple(fan))
-
-    @cached_property
-    def frame(self) -> SeedFrame:
-        """The seed's frame and coefficient basis (``seed_frame``)."""
-        return _frame_of(self.seed)
 
 
 @dataclass(frozen=True)
@@ -311,15 +308,16 @@ def _grading_data(frame: SeedFrame, t_fresh: Sequence[int]):
     """Grading normal, acting normal, and forced monomial of a coefficient.
 
     Returns (n_primitive, acting, m): with alpha the per-direction degrees of
-    ``t`` in the frame's basis, the normals are ambient primitive integer
-    vectors, and m is the unique lattice exponent the grading allows.  With
+    ``t`` in the frame's basis, whose slot j is the seed's j-th coefficient
+    (so direction i owns r_i slots, whatever the seed's ``coeff_orders``),
+    the normals are ambient primitive integer vectors, and m is the unique
+    lattice exponent the grading allows.  With
     nbar = sum_i alpha_i (d_i/r_i) e_i, acting is primitive(lcm(r) nbar) and
     m = omega(-, nbar) = sum_i alpha_i w_i.
     """
     data = frame.seed.data
-    orders = frame.seed.coeff_orders
     n = data.n
-    alpha = tuple(sum(t_fresh[j] for j in block_range(orders, i)) for i in range(n))
+    alpha = tuple(sum(t_fresh[j] for j in block_range(data.r, i)) for i in range(n))
     if any(a < 0 for a in alpha):
         raise InvariantViolation(f"coefficient monomial grading {alpha} leaves the positive cone")
     L = lcm(*data.r)

@@ -20,7 +20,7 @@ still end a line: the segment carries p0, or it crosses the first ray of
 its own walk, so it never bends onto a segment that misses every ray, and
 it reduces a bend point only for a bend it takes.  It branches once per
 group of the bend terms of F^e that share m and degree, as they share all
-below the bend.  Each term carries its monomial as one packed key in the
+below the bend.  Each term carries its monomial packed by ``_key``, in the
 initial coefficient basis: a line's final term is the product of its bend
 coefficients on the monomial whose key is z^p0's plus the sum of its bend
 keys, so ``theta`` sums ints.  What the search reads of a diagram at one
@@ -41,12 +41,13 @@ from math import gcd, lcm
 
 from .cluster_core import (
     RationalFunction,
+    _as_ints,
     _chamber_walk,
     _pull_back,
     _transport,
     initial_seed,
 )
-from .monoid_ring import _LIMIT, Exponent, LaurentSeries, _guard, _pack, _unpack
+from .monoid_ring import _LIMIT, Exponent, LaurentSeries, _guard, _key, _unpack
 from .scattering import ScatteringDiagram, _angle_key, _cross, _function, _grading_data
 
 __all__ = [
@@ -130,11 +131,6 @@ class _RayData:
                 groups.setdefault((x.m, sum(x.t)), []).append((c, x.t, _key(x.m, self.to_old(x.t)), i))
             got = self.powers[e] = tuple((m, d, tuple(rows)) for (m, d), rows in groups.items())
         return got
-
-
-def _key(m, t) -> int:
-    """The series key of z^m t^t."""
-    return _pack((*m, *t, sum(t)))
 
 
 def _reachable_shifts(rays: list[_RayData], budget: int) -> dict[tuple, int]:
@@ -262,7 +258,7 @@ def enumerate_broken_lines(
 
 
 def _exponent(p0) -> tuple[int, int]:
-    p0 = tuple(int(x) for x in p0)
+    p0 = _as_ints("exponent", p0)
     if len(p0) != 2:
         raise ValueError("exponent must have length 2")
     return p0
@@ -418,8 +414,9 @@ def _at_endpoint(search, Q, q_seed: int):
     raise GenericityError(f"no generic endpoint in {_REDRAWS} draws; last: {last}")
 
 
-def _series(D: ScatteringDiagram, order: int, finals) -> LaurentSeries:
-    """The sum of final terms (c, t, m), t in the initial basis."""
+def _series(D: ScatteringDiagram, order: int | None, finals) -> LaurentSeries:
+    """The sum of terms (c, t, m), t in the initial basis, mod ``order`` in an
+    identity frame only: theta's one builder of a series from terms."""
     terms: dict[Exponent, int] = {}
     for c, t, m in finals:
         e = Exponent(m, t)
@@ -448,7 +445,8 @@ def theta(
     |p0| passes the slot limit, and ``OverflowError`` comes exactly when a
     term of the result has a slot beyond it.  When ``bound`` itself passes
     the limit, keys could carry between slots, so the built lines are
-    summed instead, each term guarded by the series constructor.
+    summed instead (``_theta_lines``), each term guarded by the series
+    constructor; p0 = 0, which has no lines, takes the same route.
 
     With no endpoint given, Q is drawn deterministically from q_seed inside
     the all-positive quadrant, redrawing on genericity failures; running out
@@ -456,9 +454,7 @@ def theta(
     """
     ctx = _search_context(D, order)
     p0 = _exponent(p0)
-    if not any(p0):
-        return _series(D, ctx.order, [(1, (0,) * sum(D.seed.coeff_orders), p0)])
-    if ctx.bound > _LIMIT:
+    if not any(p0) or ctx.bound > _LIMIT:
         return _theta_lines(D, p0, ctx.order, Q, q_seed)[0]
     finals, _ = _at_endpoint(
         lambda Q: enumerate_broken_lines(D, p0, Q, ctx.order, _finals=True), Q, q_seed
@@ -478,13 +474,13 @@ def theta(
 
 
 def _theta_lines(D: ScatteringDiagram, p0, order=None, Q=None, q_seed=0):
-    """``theta`` through whole broken lines (``clusterscatter theta
-    --trace``): the series, the lines summed into it and their endpoint;
-    p0 = 0 has no lines and no endpoint."""
+    """``theta`` through whole broken lines (``theta --trace``, and ``theta``
+    itself for p0 = 0 or past the slot limit): the series, the lines summed
+    into it and their endpoint; p0 = 0 has no lines and no endpoint."""
     ctx = _search_context(D, order)
     p0 = _exponent(p0)
     if not any(p0):
-        return theta(D, p0, order), (), None
+        return _series(D, ctx.order, [(1, (0,) * sum(D.seed.coeff_orders), p0)]), (), None
     lines, Q = _at_endpoint(lambda Q: enumerate_broken_lines(D, p0, Q, ctx.order), Q, q_seed)
     return _series(D, ctx.order, (bl.final for bl in lines)), lines, Q
 
@@ -519,8 +515,4 @@ def theta_via_transport(D: ScatteringDiagram, p0) -> RationalFunction:
     steps, _ = _transport(initial_seed(data, with_cluster=False), word, signed=True)
     x = _pull_back(steps, LaurentSeries.monomial(p0, (0,) * sum(data.r)))
     # evaluate the principal coefficients at the seed's; colliding terms add
-    terms: dict[Exponent, int] = {}
-    for e, c in x.terms.items():
-        e2 = Exponent(e.m, D.frame.to_old(e.t))
-        terms[e2] = terms.get(e2, 0) + c
-    return RationalFunction(LaurentSeries(terms, x.order))
+    return RationalFunction(_series(D, None, ((c, D.frame.to_old(e.t), e.m) for e, c in x.terms.items())))

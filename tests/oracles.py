@@ -7,8 +7,9 @@
   products of paths compose.
 - ``CMatrix`` and ``c_matrix_mutate`` are the c-vector recursion: a second
   route to the coefficient rule of ``seed_mutate``.
-- ``frame_matrix`` reads the exchange matrix off a g-vector frame: a second
-  route to ``matrix_mutate``.
+- ``omega`` is the skew form of the fixed data, and ``frame_matrix`` reads
+  the exchange matrix off a g-vector frame through it: a second route to
+  ``matrix_mutate``, and to the normal covectors ``GVectorFrame.w``.
 - ``greedy_element`` is the rank-2 greedy recursion: a second route to
   theta functions at every exponent, with no diagram and no search.
 - ``permute_blocks`` permutes each block of coefficient generators of a
@@ -309,6 +310,18 @@ def c_matrix_mutate(C: CMatrix, B, k: int) -> CMatrix:
 # -- g-vector frames ---------------------------------------------------------
 
 
+def omega(data: FixedData, u, v) -> Fraction:
+    """Skew form on N in basis coordinates: omega(e_a, e_b) = b_ab/d_b."""
+    tot = Fraction(0)
+    for a, ua in enumerate(u):
+        if not ua:
+            continue
+        for b, vb in enumerate(v):
+            if vb:
+                tot += Fraction(ua * vb * data.B[a][b], data.d[b])
+    return tot
+
+
 def frame_matrix(G: GVectorFrame) -> Matrix:
     """Exchange matrix of the frame: omega(g*_i, d_j g*_j)."""
     n = G.data.n
@@ -316,7 +329,7 @@ def frame_matrix(G: GVectorFrame) -> Matrix:
     for i in range(n):
         row = []
         for j in range(n):
-            v = G.data.omega(G.gstar[i], G.gstar[j]) * G.data.d[j]
+            v = omega(G.data, G.gstar[i], G.gstar[j]) * G.data.d[j]
             if v.denominator != 1:
                 raise InvariantViolation("frame matrix is not integral")
             row.append(int(v))

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 from functools import reduce
 from operator import getitem
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -20,7 +21,7 @@ from clusterscatter.cli import cli
 from clusterscatter.cluster_core import FixedData, InvariantViolation, initial_seed, seed_from_json, seed_to_json
 from clusterscatter.fixtures import fixture_text, load_fixture
 from clusterscatter.monoid_ring import Exponent, LaurentSeries, series_to_str
-from clusterscatter.scattering import PositivityError, build_initial, complete_rank2
+from clusterscatter.scattering import PositivityError, build_initial, complete_rank2, diagram_to_json
 from clusterscatter.theta import GenericityError, theta
 from test_cli_transcript import TRANSCRIPT
 
@@ -508,7 +509,7 @@ class TestTheta:
         )
         assert res.exit_code == 0
         names = (["A1", "A2"], ["t11", "t21", "t22"])
-        s = seed_from_json(json.loads(open(sheared_b2_path).read()), semifield=False)
+        s = seed_from_json(json.loads(Path(sheared_b2_path).read_text()), semifield=False)
         series = theta(complete_rank2(build_initial(s, 2)), (0, -1), 2)
         traced: dict = {}
         for line in json.loads(tp.read_text())["lines"]:
@@ -600,6 +601,29 @@ def test_coefficient_orders_that_disagree_with_the_seed_do_not_load(runner, tmp_
     assert res.exit_code == 2
     assert message in res.stderr
     assert isinstance(res.exception, SystemExit)  # handled, no traceback
+
+
+@pytest.mark.parametrize("name, orders", [("b2.json", [2, 1]), ("kronecker.json", [1, 3])], ids=["b2", "kronecker"])
+def test_generator_blocks_other_than_r_change_nothing(runner, tmp_path, name, orders):
+    """The seed's coefficients come in blocks of r, one per direction,
+    whatever blocks ``orders`` groups the semifield's generators in: the
+    regrouped seed, its exponents unchanged, grades, completes and sums
+    theta functions as the fixture does."""
+    doc = json.loads(fixture_text(name))
+    for tup in doc["coeffs"]:
+        for p in tup:
+            p["orders"] = orders
+    path = tmp_path / f"regrouped-{name}"
+    path.write_text(json.dumps(doc))
+    base, regrouped = (
+        complete_rank2(build_initial(seed_from_json(d, semifield=False), 6)) for d in (load_fixture(name), doc)
+    )
+    assert regrouped.seed.coeff_orders == tuple(orders) != base.seed.coeff_orders
+    assert diagram_to_json(regrouped) == diagram_to_json(base)
+    assert theta(regrouped, (-1, 0)) == theta(base, (-1, 0))
+    for command in (["scatter", "--order", "4"], ["theta", "--m", "-1,0"]):
+        res = runner.invoke(cli, [command[0], "--seed", str(path), *command[1:]])
+        assert res.exit_code == 0, res.output
 
 
 @OUTPUT_OPTIONS
@@ -867,7 +891,7 @@ def test_only_the_group_maps_exceptions_to_exit_codes():
     """No command body holds a ``try``: ``_Group.invoke`` maps library
     exceptions, and the only other handlers add what it cannot know (the
     seed path, the output path, the exponent text)."""
-    tree = ast.parse(open(CLI_MODULE.__file__).read())
+    tree = ast.parse(Path(CLI_MODULE.__file__).read_text())
     functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
     commands = [fn for fn in functions if any(ast.unparse(d).startswith("cli.command(") for d in fn.decorator_list)]
     handlers = {fn.name for fn in functions if any(isinstance(node, ast.Try) for node in ast.walk(fn))}

@@ -250,10 +250,39 @@ class TestChart:
         with pytest.raises(IndexError, match=r"direction \d out of range 1\.\.2"):
             pattern_walk(initial_seed(B2), word)
 
+    @pytest.mark.parametrize("word", [(3, 3), (0,), (1, 3, 3, 1)])
+    def test_chart_checks_every_letter_first(self, word):
+        """As ``pattern_walk`` does: a letter out of range is refused before
+        any step, even when it cancels, and never passes for a false
+        invariant violation."""
+        with pytest.raises(IndexError, match=r"direction \d out of range 1\.\.2"):
+            chart_variables(initial_seed(B2), word)
+
     def test_reduce_word(self):
         assert reduce_word((1, 2, 2, 1)) == ()
         assert reduce_word((1, 2, 2, 3)) == (1, 3)
         assert reduce_word((1, 2, 1)) == (1, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FixedData(((0, -2.7), (1.2, 0)), (1, 2.9), (1, 2)),
+        lambda: FixedData(((0, -2), (1, 0)), (1, 2), (1.0, 2)),
+        lambda: initial_seed(B2, coeffs=(((1.9, 0, 0),), ((0, 1, 0), (0, 0, 1)))),
+        lambda: initial_seed(B2, (((1, 0, 0),), ((0, 1, 0), (0, 0, 1))), False, coeff_orders=(1.5, 2)),
+        lambda: pattern_walk(initial_seed(B2), (1.5, 2)),
+        lambda: chart_variables(initial_seed(B2), (1.5,)),
+        lambda: seed_mutate(initial_seed(B2), 1.5),
+        lambda: matrix_mutate(B2.B, 2.0),
+    ],
+    ids=["B-and-d", "r", "coefficient", "orders", "walk", "chart", "mutate", "matrix"],
+)
+def test_an_entry_that_is_no_int_is_refused(build):
+    """``int()`` would truncate it, and a letter 1.5 would pass the range
+    check: each is refused as ``Wall`` refuses a factor entry."""
+    with pytest.raises(ValueError, match=r"entries must be ints, got|direction [\d.]+ must be an int"):
+        build()
 
 
 # -- general seed properties -------------------------------------------------

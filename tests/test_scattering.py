@@ -56,7 +56,7 @@ from clusterscatter.scattering import (
 )
 from clusterscatter.semifield import block_range
 
-from oracles import one_generator_diagram, path_ordered_product, permute_blocks, specialize
+from oracles import omega, one_generator_diagram, path_ordered_product, permute_blocks, specialize
 
 B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
 KRON = FixedData(((0, -2), (2, 0)), (1, 1), (2, 2))
@@ -295,7 +295,7 @@ def reference_normal(data, e_row, k0):
     scale = Fraction(data.d[k0], data.r[k0])
     out = []
     for a in range(data.n):
-        v = data.omega(tuple(int(b == a) for b in range(data.n)), e_row) * scale
+        v = omega(data, tuple(int(b == a) for b in range(data.n)), e_row) * scale
         assert v.denominator == 1
         out.append(int(v))
     return tuple(out)
@@ -314,7 +314,7 @@ def reference_grading(data, E, alpha):
     acting = _primitive([int(x * denom) for x in nbar])
     m = []
     for b in range(n):
-        v = data.omega(tuple(int(a == b) for a in range(n)), nbar)
+        v = omega(data, tuple(int(a == b) for a in range(n)), nbar)
         assert v.denominator == 1
         m.append(int(v))
     return _primitive(n_vec), acting, tuple(m)
@@ -574,6 +574,12 @@ class TestConsistency:
 # -- completion ---------------------------------------------------------------
 
 
+# (data, order) of the generator-rich checks: r=(3,3), the Kronecker data and
+# the 25 data with some r_i > 1
+SPECIALIZATION_CASES = [(WILD33, 6), (WILD33, 8), (KRON, 8)] + [(d, 4) for d in RANK2 if max(d.r) > 1]
+BLOCK_IDS = lambda v: f"o{v}" if isinstance(v, int) else f"b{-v.B[0][1]},{v.B[1][0]}-d{v.d[0]},{v.d[1]}-r{v.r[0]},{v.r[1]}"
+
+
 class TestCompletion:
     def test_a2_pentagon(self):
         C = complete_rank2(build_initial(group_seed(A2), 6))
@@ -649,7 +655,7 @@ class TestCompletion:
     @pytest.mark.parametrize(
         "data, order",
         [(d, o) for o in (4, 5) for d in RANK2 if max(d.r) > 1] + [(WILD33, 8)],
-        ids=lambda v: f"o{v}" if isinstance(v, int) else f"b{-v.B[0][1]},{v.B[1][0]}-d{v.d[0]},{v.d[1]}-r{v.r[0]},{v.r[1]}",
+        ids=BLOCK_IDS,
     )
     def test_completion_is_invariant_under_block_permutations(self, data, order):
         """Permuting the generators of one direction's block fixes its
@@ -661,11 +667,7 @@ class TestCompletion:
         for p1, p2 in product(*map(permutations, blocks)):
             assert canonical_form(permute_blocks(D, p1 + p2)) == expected, (p1, p2)
 
-    @pytest.mark.parametrize(
-        "data, order",
-        [(WILD33, 6), (WILD33, 8), (KRON, 8)] + [(d, 4) for d in RANK2 if max(d.r) > 1],
-        ids=lambda v: f"o{v}" if isinstance(v, int) else f"b{-v.B[0][1]},{v.B[1][0]}-d{v.d[0]},{v.d[1]}-r{v.r[0]},{v.r[1]}",
-    )
+    @pytest.mark.parametrize("data, order", SPECIALIZATION_CASES, ids=BLOCK_IDS)
     def test_completion_specializes_to_the_one_generator_completion(self, data, order):
         """Identifying the generators of each block, t_{i,j} -> t_i, keeps
         every degree, so it maps the completion onto the consistent

@@ -33,6 +33,7 @@ from clusterscatter.scattering import (
     diagram_truncate,
     tk_transform,
 )
+from clusterscatter.semifield import block_range
 from clusterscatter.theta import (
     BrokenLine,
     GenericityError,
@@ -48,9 +49,9 @@ from clusterscatter.theta import (
     theta,
     theta_via_transport,
 )
-from oracles import eq_mod_order, greedy_element, min_degree, path_ordered_product
+from oracles import eq_mod_order, greedy_element, min_degree, one_generator_diagram, path_ordered_product
 from test_bench_digests import _load
-from test_scattering import RANK2, SHEARED_B2, WILD33, gap_directions, printed_normals
+from test_scattering import BLOCK_IDS, RANK2, SHEARED_B2, SPECIALIZATION_CASES, WILD33, gap_directions, printed_normals
 
 B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
 KRON = FixedData(((0, -2), (2, 0)), (1, 1), (2, 2))
@@ -453,6 +454,22 @@ class TestTheta:
             theta(b2_d6, (1, 0, 0), 4)
         with pytest.raises(ValueError):
             theta(b2_d6, (0, 0, 0), 4)
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda D: theta(D, (-1.7, 0.2), 4),
+            lambda D: enumerate_broken_lines(D, (-1.7, 0.2), Q0, 4),
+            lambda D: _theta_lines(D, (-1, 0.0), 4),
+            lambda D: theta_via_transport(D, (-1.7, 0.2)),
+            lambda D: tk_transform(D, 1.5),
+        ],
+        ids=["theta", "lines", "traced", "transport", "tk"],
+    )
+    def test_an_entry_that_is_no_int_is_refused(self, b2_d6, route):
+        """``int()`` would read (-1.7, 0.2) as (-1, 0), and 1.5 is no direction."""
+        with pytest.raises(ValueError, match=r"^(exponent entries must be ints, got|direction 1\.5 must be an int)"):
+            route(b2_d6)
 
     def test_order_checked_for_zero_exponent(self, b2_d6):
         for order in (0, -3, b2_d6.order + 1):
@@ -882,6 +899,60 @@ def test_theta_summed_over_t_is_the_greedy_element(ordinary, box, order, agreed,
     got, missed = greedy_comparison(datas, box, order)
     assert (len(got), len(missed)) == (agreed, skipped)
     assert all(g[1] == -box for _, g in missed)
+
+
+# -- coefficient blocks: symmetry and specialization of theta -----------------
+
+@lru_cache(maxsize=None)
+def block_thetas(data, order):
+    """theta_g of the completion of ``data`` at ``order``, by g != 0 with
+    |g_1|, |g_2| <= 2, and the number of g skipped because the default
+    endpoint's search raised ``GenericityError``."""
+    D = complete_rank2(build_initial(group_seed(data), order))
+    thetas, skipped = {}, 0
+    for g in [(a, b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]:
+        try:
+            thetas[g] = theta(D, g, order)
+        except GenericityError:
+            skipped += 1
+    return thetas, skipped
+
+
+def map_t(x, f):
+    """The series x with every t-exponent sent through f; colliding terms add."""
+    terms = {}
+    for e, c in x.terms.items():
+        e2 = Exponent(e.m, f(e.t))
+        terms[e2] = terms.get(e2, 0) + c
+    return LaurentSeries(terms, x.order)
+
+
+@pytest.mark.parametrize("data, order", SPECIALIZATION_CASES, ids=BLOCK_IDS)
+def test_theta_is_invariant_under_block_permutations(data, order):
+    """The completion is invariant under S_{r_1} x S_{r_2} permuting the
+    generators of each block (``oracles.permute_blocks``), so each theta_g
+    is too: swapping two t-slots of one block gives theta_g back.  The
+    swaps of neighbours in a block generate the group."""
+    thetas, skipped = block_thetas(data, order)
+    assert skipped == 0 and len(thetas) == 24
+    for j in (j for i in range(2) for j in block_range(data.r, i)[:-1]):
+        swap = lambda t: t[:j] + (t[j + 1], t[j]) + t[j + 2 :]
+        for g, th in thetas.items():
+            assert map_t(th, swap) == th, (g, j)
+
+
+@pytest.mark.parametrize("data, order", SPECIALIZATION_CASES, ids=BLOCK_IDS)
+def test_theta_specializes_to_the_one_generator_theta(data, order):
+    """t_{i,j} -> t_i maps the completion onto the completion of
+    ``oracles.one_generator_diagram``, and it keeps every degree and every
+    wall, so it maps each theta_g onto theta_g of that diagram."""
+    thetas, skipped = block_thetas(data, order)
+    assert skipped == 0 and len(thetas) == 24
+    small = complete_rank2(one_generator_diagram(data, order))
+    blocks = [block_range(data.r, i) for i in range(2)]
+    specialize = lambda t: tuple(sum(t[j] for j in b) for b in blocks)
+    for g, th in thetas.items():
+        assert map_t(th, specialize) == theta(small, g, order), g
 
 
 # -- chamber transport --------------------------------------------------------
