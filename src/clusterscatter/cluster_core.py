@@ -23,9 +23,9 @@ One g-frame step moves every frame: ``g_frame_mutate`` takes its sign from
 g*_k, while chart variables (and the seed frames of ``scattering``) replay
 it with sign +1.  Chart variables, walks from a chart and theta's
 chamber transport share one replay of the word and one pull-back.  A
-crossing z^m -> z^m f^h, h = -<g*_k, m>, leaves the terms of level h >= 0
-Laurent on their own, so each step divides only the terms of negative
-level, once, by f^D for the deepest level -D.
+crossing z^m -> z^m f^h, h = -<g*_k, m>, keeps the level of every term,
+as the exchange factor f is tangent to the wall, so each step crosses
+level by level with powers of f that every pull-back through it shares.
 
 Directions k are 1-based in the public API, matching the usual edge labels
 of the regular tree.  All arithmetic is exact.
@@ -42,9 +42,11 @@ from .monoid_ring import (
     _LIMIT,
     LaurentSeries,
     _by_level,
+    _disjoint_sum,
     _unit,
     series_exact_div,
     series_from_json,
+    series_mul,
     series_pow,
     series_to_json,
 )
@@ -233,7 +235,7 @@ def initial_seed(
     """Seed at the basepoint.  Default coefficients are the semifield
     generators themselves (principal); pass explicit exponent tuples for
     other coefficient patterns.  ``coeff_orders`` defaults to ``data.r``."""
-    orders = data.r if coeff_orders is None else coeff_orders
+    orders = data.r if coeff_orders is None else _as_ints("coefficient order", coeff_orders)
     if coeffs is None:
         coeffs = generator_blocks(orders)
     cluster = _chart(data.n, sum(orders)) if with_cluster else None
@@ -461,11 +463,13 @@ class GVectorFrame:
                     raise InvariantViolation("g and g* are not dual bases")
 
     def epsilon(self, i: int) -> int:
+        _check_direction(i, self.data.n)
         return _vector_sign(self.gstar[i - 1])
 
     def w(self, i: int) -> tuple[int, ...]:
         """Normal covector omega(-, (d_i/r_i) g*_i) in dual coordinates: as
         b_ab/d_b = -b_ba/d_a, entry a is -d_i (B^T g*_i)_a / (r_i d_a), exactly."""
+        _check_direction(i, self.data.n)
         B, d, g = self.data.B, self.data.d, self.gstar[i - 1]
         out = []
         for a in range(self.data.n):
@@ -502,8 +506,8 @@ def _frame_step(G: GVectorFrame, B: Matrix, k: int, eps: int) -> GVectorFrame:
 
 
 def g_frame_mutate(G: GVectorFrame, s: Seed, k: int) -> GVectorFrame:
-    """Signed mutation in direction k under s's matrix, the sign read off g*_k."""
-    _check_direction(k, G.data.n)
+    """Signed mutation in direction k under s's matrix, the sign read off
+    g*_k; ``epsilon`` checks k."""
     return _frame_step(G, s.matrix, k, G.epsilon(k))
 
 
@@ -573,10 +577,13 @@ def _transport(s: Seed, word, signed: bool):
     every letter is checked first.
     Each letter k steps the frame with eps = epsilon(k) if ``signed`` (chamber transport), else +1 (chart variables).
 
-    Returns the steps ``(f, g*_k)`` in order, with f the exchange factor
-    ``_exchange_factor`` builds from the coefficients p^eps and the normal
-    covector eps w_k, and the trail: the pairs (frame, coefficient-only seed)
-    at the start and after each letter.
+    Returns the steps ``(f, g*_k, powers)`` in order, with f the exchange
+    factor ``_exchange_factor`` builds from the coefficients p^eps and the
+    normal covector eps w_k, which must be tangent to the wall, <g*_k, eps
+    w_k> = 0, or InvariantViolation is raised, and ``powers`` the list [1,
+    f, f^2, ...] that ``_pull_back`` grows by one product per new power;
+    and the trail: the pairs (frame, coefficient-only seed) at the start
+    and after each letter.
     """
     n = s.data.n
     for k in word:
@@ -585,12 +592,15 @@ def _transport(s: Seed, word, signed: bool):
     s = replace(s, cluster=None)
     G = initial_g_frame(replace(s.data, B=s.matrix))
     steps, trail = [], [(G, s)]
-    for k in reduce_word(word):
+    for i, k in enumerate(reduce_word(word), 1):
         a = k - 1
         eps = G.epsilon(k) if signed else 1
         w = tuple(eps * x for x in G.w(k))
+        if sum(x * y for x, y in zip(G.gstar[a], w)):
+            raise InvariantViolation(f"step {i} (direction {k}): the exchange factor is not tangent to its wall")
         p_eps = [tuple(eps * x for x in p) for p in s.coeffs[a]]
-        steps.append((_exchange_factor(p_eps, w, n, d), G.gstar[a]))
+        f = _exchange_factor(p_eps, w, n, d)
+        steps.append((f, G.gstar[a], [LaurentSeries.one(n, d), f]))
         G = _frame_step(G, s.matrix, k, eps)
         s = seed_mutate(s, k)
         trail.append((G, s))
@@ -601,28 +611,27 @@ def _pull_back(steps, x: LaurentSeries) -> LaurentSeries:
     """Write x, a Laurent polynomial in the last chart of ``steps``, in the
     first: each step, last first, crosses z^m -> z^m f^h, h = -<g*_k, m>.
 
-    The terms are split by level h.  A term of level h >= 0 maps straight to
-    the Laurent polynomial z^m f^h.  Only the terms of negative level are
-    crossed over their common denominator f^D, D = -min h, and come back out
-    of one exact division by f^D.  The whole image is Laurent exactly when
-    that part is, so the split changes no outcome.  On the monomials the
-    library pulls back the division succeeds by the Laurent phenomenon; when
-    it fails, InvariantViolation is raised."""
-    for f, gstar in reversed(steps):
-        levels = _by_level(x, [-v for v in gstar])
-        D = max(0, -min(levels))
-        powers = {e: series_pow(f, e) for e in {D, *(h + D if h < 0 else h for h in levels)}}
-        x = neg = LaurentSeries.zero(None)
-        for h, part in levels.items():
-            if h < 0:
-                neg = neg + part * powers[h + D]
-            else:
-                x = x + part * powers[h]
-        if D:
-            neg = series_exact_div(neg, powers[D])
-            if neg is None:
-                raise InvariantViolation("a crossing left the Laurent ring (Laurent phenomenon)")
-            x = x + neg
+    f is tangent to the wall, so it has level 0 and x is crossed level by
+    level: the part of level h > 0 is multiplied by f^h, the part of level
+    0 is kept, and the part of level h < 0 is divided by f^-h.  Over a
+    common denominator f^D the level-h part of the numerator is part *
+    f^(h + D), so the image is Laurent exactly when every negative level
+    divides on its own.  On the library's monomials each does, by the
+    Laurent phenomenon; when one does not, InvariantViolation is raised.
+    The images keep their levels, so the image of x is their union."""
+    for _, gstar, powers in reversed(steps):
+        parts = []
+        for h, part in _by_level(x, [-v for v in gstar]).items():
+            while len(powers) <= abs(h):
+                powers.append(series_mul(powers[-1], powers[1]))
+            if h > 0:
+                part = series_mul(part, powers[h])
+            elif h < 0:
+                part = series_exact_div(part, powers[-h])
+                if part is None:
+                    raise InvariantViolation("a crossing left the Laurent ring (Laurent phenomenon)")
+            parts.append(part)
+        x = _disjoint_sum(parts)
     return x
 
 

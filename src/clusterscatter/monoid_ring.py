@@ -43,8 +43,9 @@ crosses with an expanded function level by level, and inverts it for a
 negative level.  ``series_exact_div`` pops each leading term from a
 max-heap of packed keys and divides int coefficients with ``divmod``.
 ``_by_level`` splits a polynomial by the level <n0, m> of its terms, read
-off the m-slots of the packed keys, for the seed layer's pull-back and for
-``wall_cross``.
+off the m-slots of the packed keys, for ``wall_cross`` and for the seed
+layer's pull-back, which crosses each level on its own and joins the
+images with ``_disjoint_sum``, a union of terms.
 """
 
 from __future__ import annotations
@@ -171,7 +172,8 @@ class LaurentSeries:
     """Finite map monomial -> nonzero coefficient, plus a truncation order.
 
     The constructor takes an ``{Exponent: coefficient}`` dict; ``terms`` gives
-    the same view back.  ``dims()`` is ``(n, d)``, or None for the zero series.
+    the same view back.  Without terms it builds the zero series of the
+    order.  ``dims()`` is ``(n, d)``, or None for the zero series.
     """
 
     __slots__ = ("_packed", "order", "_nd", "_bound", "_view")
@@ -226,10 +228,6 @@ class LaurentSeries:
     @staticmethod
     def one(n: int, d: int, order: int | None = None) -> "LaurentSeries":
         return LaurentSeries._make({0: 1} if order is None or order > 0 else {}, order, (n, d), 0)
-
-    @staticmethod
-    def zero(order: int | None = None) -> "LaurentSeries":
-        return LaurentSeries._make({}, order, None, 0)
 
     # -- basic queries ------------------------------------------------------
 
@@ -330,7 +328,7 @@ def series_sub(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
 
 def series_scale(a: LaurentSeries, c) -> LaurentSeries:
     if c == 0:
-        return LaurentSeries.zero(a.order)
+        return LaurentSeries(order=a.order)
     terms = {k: cc * c for k, cc in a._packed.items()}
     return LaurentSeries._make(_normalized(terms), a.order, a._nd, a._bound)
 
@@ -341,7 +339,7 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     nd = _dims(a, b)
     order = _min_order(a.order, b.order)
     if not a._packed or not b._packed:
-        return LaurentSeries.zero(order)
+        return LaurentSeries(order=order)
     bound = _sum_bound(a, b)
     if len(a._packed) > len(b._packed):
         a, b = b, a
@@ -377,7 +375,7 @@ def series_pow(a: LaurentSeries, e: int) -> LaurentSeries:
         if e == 0:
             raise ValueError("0**0 of a dimensionless zero series")
         if e > 0:
-            return LaurentSeries.zero(a.order)
+            return LaurentSeries(order=a.order)
         raise ZeroDivisionError("negative power of the zero series")
     n, d = dims
     if e == 0:
@@ -434,7 +432,7 @@ def series_log(f: LaurentSeries) -> LaurentSeries:
         raise ValueError("series_log requires constant term exactly 1")
     n, d = f._nd
     g = series_sub(f, LaurentSeries.one(n, d, f.order))
-    result = LaurentSeries.zero(f.order)
+    result = LaurentSeries(order=f.order)
     power = LaurentSeries.one(n, d, f.order)
     for j in range(1, f.order):
         power = series_mul(power, g)
@@ -461,7 +459,7 @@ def wall_cross(x: LaurentSeries, f: LaurentSeries, n0: Sequence, sign: int = 1) 
         raise ValueError("wall function must have constant term exactly 1")
     _dims(x, f)  # rejects an f of other dims even when x is empty
     order = _min_order(x.order, f.order)
-    f, result = f.truncate(order), LaurentSeries.zero(order)
+    f, result = f.truncate(order), LaurentSeries(order=order)
     for h, part in _by_level(x, [sign * v for v in n0]).items():
         result = series_add(result, series_mul(part, series_pow(f, h)))
     return result
@@ -502,6 +500,18 @@ def _by_level(x: LaurentSeries, n0: Sequence[int]) -> dict[int, LaurentSeries]:
             h = hs[mk] = sum(map(mul, n0, _unpack(mk, n)))
         parts.setdefault(h, {})[k] = c
     return {h: LaurentSeries._make(p, x.order, x._nd, x._bound) for h, p in parts.items()}
+
+
+def _disjoint_sum(parts: Sequence[LaurentSeries]) -> LaurentSeries:
+    """The sum of nonzero exact polynomials of one dims whose supports are
+    pairwise disjoint, such as the parts of ``_by_level`` after a map that
+    keeps each at its level: the union of their terms, no coefficient added."""
+    if len(parts) == 1:
+        return parts[0]
+    packed: dict[int, int | Fraction] = {}
+    for p in parts:
+        packed.update(p._packed)
+    return LaurentSeries._make(packed, None, parts[0]._nd, max(p._bound for p in parts))
 
 
 def _mul_into(acc: dict, a: dict, b: dict) -> None:
@@ -715,7 +725,7 @@ def series_exact_div(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries | None
         raise ZeroDivisionError("division by the zero series")
     nd = _dims(a, b)
     if not a._packed:
-        return LaurentSeries.zero(None)
+        return LaurentSeries()
     if len(b._packed) == 1:
         (kb, cb), = b._packed.items()
         inv = _inverse_coeff(cb)

@@ -495,10 +495,11 @@ def theta_via_transport(D: ScatteringDiagram, p0) -> RationalFunction:
 
     The chamber walk is principal, then evaluated at the seed's coefficients.
     The monomial is pulled back one facet at a time as the chart variables
-    are (``cluster_core._pull_back``): each crossing divides only the terms
-    of negative level.  Raises ValueError when no chamber within
-    ``_TRANSPORT_DEPTH`` mutations contains p0.  Agrees with ``theta`` order
-    by order on consistent diagrams.
+    are (``cluster_core._pull_back``): each crossing keeps the level of
+    every term, multiplies a positive level by a power of the facet's
+    factor and divides each negative level on its own.  Raises ValueError
+    when no chamber within ``_TRANSPORT_DEPTH`` mutations contains p0.
+    Agrees with ``theta`` order by order on consistent diagrams.
     """
     s = D.seed
     if s.word:

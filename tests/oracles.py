@@ -111,7 +111,7 @@ class Automorphism:
         if x._nd is not None and x._nd != (self.n, self.d):
             raise ValueError(f"series of dims (n, d) {x._nd} under an automorphism of {(self.n, self.d)}")
         order = _min_order(self.order, x.order)
-        result = LaurentSeries.zero(order)
+        result = LaurentSeries(order=order)
         for k, c in x._packed.items():
             image: LaurentSeries | None = None
             for i, e in enumerate(_unpack((k + _HALF) >> _SLOT, count)):  # all slots but the degree

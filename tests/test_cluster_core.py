@@ -271,12 +271,13 @@ class TestChart:
         lambda: FixedData(((0, -2), (1, 0)), (1, 2), (1.0, 2)),
         lambda: initial_seed(B2, coeffs=(((1.9, 0, 0),), ((0, 1, 0), (0, 0, 1)))),
         lambda: initial_seed(B2, (((1, 0, 0),), ((0, 1, 0), (0, 0, 1))), False, coeff_orders=(1.5, 2)),
+        lambda: initial_seed(B2, coeff_orders=(1.5, 2)),
         lambda: pattern_walk(initial_seed(B2), (1.5, 2)),
         lambda: chart_variables(initial_seed(B2), (1.5,)),
         lambda: seed_mutate(initial_seed(B2), 1.5),
         lambda: matrix_mutate(B2.B, 2.0),
     ],
-    ids=["B-and-d", "r", "coefficient", "orders", "walk", "chart", "mutate", "matrix"],
+    ids=["B-and-d", "r", "coefficient", "orders", "orders-default", "walk", "chart", "mutate", "matrix"],
 )
 def test_an_entry_that_is_no_int_is_refused(build):
     """``int()`` would truncate it, and a letter 1.5 would pass the range
@@ -618,6 +619,17 @@ class TestGVectorFrame:
         assert G.w(1) == (0, 1)
         assert G.w(2) == (-1, 0)
 
+    @pytest.mark.parametrize("method", ["w", "epsilon"])
+    @pytest.mark.parametrize(
+        "i, error, message",
+        [(0, IndexError, r"^direction 0 out of range 1\.\.2$"), (3, IndexError, r"^direction 3 out of range 1\.\.2$"), (1.5, ValueError, r"^direction 1\.5 must be an int$")],
+        ids=["zero", "beyond", "float"],
+    )
+    def test_a_direction_out_of_range_is_refused(self, method, i, error, message):
+        # index 0 would read gstar[-1], direction 2's covector
+        with pytest.raises(error, match=message):
+            getattr(initial_g_frame(B2), method)(i)
+
     def test_chamber_walk_yields_each_pair_once(self):
         walk = list(_chamber_walk(B2, 9))
         assert walk[0][0] == () and walk[0][2] == initial_g_frame(B2)
@@ -684,11 +696,28 @@ class TestPullbacks:
     def test_crossing_that_leaves_the_laurent_ring(self):
         # one step f = 1 + z1, g*_k = e_1: the lone z0 has level -1, and z0 / (1 + z1) is no Laurent polynomial
         f = LaurentSeries.one(2, 1) + LaurentSeries.monomial((0, 1), (0,))
-        steps, x = [(f, (1, 0))], LaurentSeries.monomial((1, 0), (0,))
+        steps, x = [(f, (1, 0), [LaurentSeries.one(2, 1), f])], LaurentSeries.monomial((1, 0), (0,))
         for pull_back in (_pull_back, reference_pull_back):
             with pytest.raises(InvariantViolation, match=r"^a crossing left the Laurent ring \(Laurent phenomenon\)$"):
                 pull_back(steps, x)
         assert _pull_back(steps, f * x) == reference_pull_back(steps, f * x) == x
+
+    def test_a_step_whose_factor_is_not_tangent_is_refused(self, monkeypatch):
+        """A crossing keeps the level of every term only when f is tangent to
+        its wall; otherwise the union of the crossed levels could overwrite
+        colliding terms.  Direction 2's covector is tilted by g*_2, and the
+        transport refuses that step before any level is crossed."""
+        real = GVectorFrame.w
+        tilted = lambda G, i: real(G, i) if i == 1 else tuple(x + y for x, y in zip(real(G, i), G.gstar[i - 1]))
+        monkeypatch.setattr(GVectorFrame, "w", tilted)
+        crossed = []
+        monkeypatch.setattr(cluster_core, "_pull_back", lambda *args: crossed.append(args))
+        s0 = initial_seed(B2)
+        for run in (lambda: chart_variables(s0, (1, 2)), lambda: pattern_walk(s0, (1, 2)), lambda: _transport(s0, (1, 2), True)):
+            with pytest.raises(InvariantViolation, match=r"^step 2 \(direction 2\): the exchange factor is not tangent to its wall$"):
+                run()
+        assert crossed == []
+        assert len(_transport(s0, (1,), False)[0]) == 1  # direction 1 is not tilted
 
     def test_unimodular_inverse_transpose(self):
         M = ((1, 2), (0, 1))
@@ -797,13 +826,13 @@ def reference_pull_back(steps, x):
     """``_pull_back`` before the level split, kept as its oracle: every term
     is crossed over the common denominator f^D, and the whole sum comes back
     out of one exact division by f^D."""
-    for f, gstar in reversed(steps):
+    for f, gstar, *_ in reversed(steps):
         levels: dict = {}
         for e, c in x.terms.items():
             levels.setdefault(-sum(map(mul, gstar, e.m)), {})[e] = c
         D = max(0, -min(levels))
         powers = {e: series_pow(f, e) for e in {D, *(lv + D for lv in levels)}}
-        x = LaurentSeries.zero(None)
+        x = LaurentSeries()
         for lv, terms in levels.items():
             x = x + LaurentSeries(terms, None) * powers[lv + D]
         if D:

@@ -4,7 +4,10 @@ through module aliases; each name they read must still exist."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
+
+from clusterscatter import cluster_core, monoid_ring
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -67,3 +70,22 @@ def test_every_name_the_benchmark_reads_resolves():
     assert {"scattering", "theta", "cluster_core"} <= {m.split(".")[-1] for _, m, _ in read}
     missing = [r for r in sorted(read) if not hasattr(importlib.import_module(r[1]), r[2])]
     assert not missing, f"perfbench reads names the library lacks: {missing}"
+
+
+def test_the_tracer_rebinds_the_pull_backs_product_and_restores_it():
+    """``cluster_core`` holds its own binding of ``series_mul``, which the
+    pull-back calls for every positive level: a traced run wraps it, gives
+    the same chart variables, and ``restore`` puts the original back."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    original = monoid_ring.series_mul
+    s0 = cluster_core.initial_seed(cluster_core.FixedData(((0, -2), (2, 0)), (1, 1), (2, 2)))
+    want = cluster_core.chart_variables(s0, (1, 2, 1))
+    tracer = tracing.Tracer().install()
+    try:
+        assert cluster_core.series_mul.__wrapped__ is original
+        assert cluster_core.chart_variables(s0, (1, 2, 1)) == want
+    finally:
+        tracer.restore()
+    assert cluster_core.series_mul is original
