@@ -503,33 +503,35 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
     those below the fan's order minus k.  The fan rebuilds slice k once
     per stage, from the lowest position the stage inserted at, before it
     reads the loop; after that, the degree-k slices of the loop must
-    vanish.  Each new atom is mapped to the initial coefficient basis once,
-    each new wall is built once, after the last stage, and
-    ``check_consistency`` on the result closes.  Idempotent on consistent
-    input.
+    vanish, and a factor inserted at a later stage leaves them so: after the
+    last stage every slice from 1 to the order is empty.  The new walls are
+    built once, after the last stage, and the result must carry exactly the
+    atoms the fan crossed: equal merged atoms per ray give equal path-ordered
+    products (``diagrams_equivalent``), so its loop is the fan's, closed.
+    Idempotent on consistent input.
     """
     ord_, frame, d = D.order, D.frame, sum(D.seed.coeff_orders)
-    walls = list(D.walls)
     outgoing: dict[tuple[int, ...], Wall] = {}
-    for w in walls:
+    for w in D.walls:
         if not w.incoming:
             if w.ray in outgoing:
                 raise ValueError("diagram has two outgoing walls on one ray; merge them first")
             outgoing[w.ray] = w
     fan = _OnlineFan(d, ord_ + 1)
     keys: list = []  # angle keys of the rays of the fan's factors, in fan order
-    for (r0, r1), atoms in D.fan:
-        for atom in atoms:
-            fan.insert(len(keys), (r1, -r0), atom)
-            keys.append(_angle_key((r0, r1)))
+    crossed = [(ray, atom) for ray, atoms in D.fan for atom in atoms]  # every factor the fan crosses
+    for (r0, r1), atom in crossed:
+        fan.insert(len(keys), (r1, -r0), atom)
+        keys.append(_angle_key((r0, r1)))
     new: dict[tuple[int, ...], list] = {}  # ray -> initial-basis atoms
     for degree in range(1, ord_ + 1):
         fan.step()
         terms = _defect_terms(frame, fan.defect())
-        if degree == 1:
-            if terms and ord_ > 1:
-                raise InvariantViolation("completion left a defect at degree 1 below the current stage 2")
-            continue
+        if degree == 1 and terms:
+            raise InvariantViolation(
+                "completion left a defect at degree 1 below the current stage 2"
+                if ord_ > 1 else "completion finished but the loop still fails at degree 1"
+            )
         for c_tilde, e, acting in terms:
             ray = _primitive(tuple(-x for x in e.m))
             # acting is orthogonal to m (omega is skew), so it is +-(r1, -r0), the normal the loop crosses by
@@ -543,26 +545,30 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
             pos = bisect_right(keys, key)
             fan.insert(pos, n, atom)
             keys.insert(pos, key)
+            crossed.append((ray, atom))
             new.setdefault(ray, []).append((frame.to_old(e.t), e.m, int(c)))
         if not fan.closed():
             raise InvariantViolation(
                 f"stage invariant violated: completion stage {degree} left degree-{degree} terms "
                 "in the loop after adding its walls"
             )
-    del fan  # frees the slices before the closing loop, so that the two peaks do not add up
+    out = _add_walls(D, outgoing, new)
+    walls = [Wall(r, ((frame.to_old(t), m, c),)) for r, (t, m, c) in crossed]
+    if not diagrams_equivalent(out, ScatteringDiagram(walls, ord_, D.seed)):
+        raise InvariantViolation("completion assembled walls that differ from the factors it crossed")
+    return out
+
+
+def _add_walls(D: ScatteringDiagram, outgoing: dict, new: dict) -> ScatteringDiagram:
+    """D with each ray's new atoms joined to its outgoing wall, or on a new one."""
+    walls = list(D.walls)
     for ray, atoms in new.items():
         old = outgoing.get(ray)
         if old is None:
             walls.append(Wall(ray, tuple(atoms), incoming=False))
         else:
             walls[walls.index(old)] = replace(old, factors=old.factors + tuple(atoms))
-    out = ScatteringDiagram(walls, ord_, D.seed)
-    report = check_consistency(out)
-    if not report.consistent:
-        raise InvariantViolation(
-            f"completion finished but the loop still fails at degree {report.first_failure_degree}"
-        )
-    return out
+    return ScatteringDiagram(walls, D.order, D.seed)
 
 
 # -- mutation transform -------------------------------------------------------

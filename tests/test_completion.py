@@ -18,9 +18,11 @@ images: the one-shot loop ``_cross_fan`` and, slice by slice, the online fan
 
 from bisect import bisect_left
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
+from clusterscatter import scattering
 from clusterscatter.cluster_core import FixedData, InvariantViolation, pattern_walk
 from clusterscatter.monoid_ring import (
     LaurentSeries,
@@ -46,6 +48,7 @@ from clusterscatter.scattering import (
     _primitive,
     _turn,
     build_initial,
+    check_consistency,
     complete_rank2,
     diagram_to_json,
     diagram_truncate,
@@ -296,7 +299,8 @@ def test_exponent_that_is_not_positive():
 @pytest.mark.parametrize("data", [B2, KRON], ids=["b2", "kron"])
 def test_defect_below_the_first_stage(data):
     """A missing half of an incoming hyperplane leaves a defect at degree 1,
-    below the first stage; at order 1 it is only seen by the closing loop."""
+    below the first stage; at order 1 there is no later stage, and the staged
+    oracle sees it only in its closing loop."""
     msg = "completion left a defect at degree 1 below the current stage 2"
     assert assert_same(without_one_incoming_ray(data, 4)) == ("InvariantViolation", msg)
     msg = "completion finished but the loop still fails at degree 1"
@@ -316,6 +320,67 @@ def test_stage_that_does_not_cancel_its_defect(monkeypatch):
     monkeypatch.setattr(_OnlineFan, "insert", doubled)
     with pytest.raises(InvariantViolation, match="completion stage 2 left degree-2 terms in the loop"):
         complete_rank2(build_initial(group_seed(B2), 4))
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_walls_that_differ_from_the_crossed_factors(monkeypatch, change):
+    """The returned diagram must carry exactly the atoms the online fan
+    crossed: a wall assembly that drops one new atom, or adds a second copy
+    of one, is an invariant violation."""
+    add_walls = scattering._add_walls
+
+    def assemble(D, outgoing, new):
+        new = dict(new)
+        ray, atoms = new.popitem()
+        atoms = atoms[:-1] if change == "drop" else atoms + atoms[-1:]
+        if atoms:
+            new[ray] = atoms
+        return add_walls(D, outgoing, new)
+
+    monkeypatch.setattr(scattering, "_add_walls", assemble)
+    with pytest.raises(InvariantViolation) as err:
+        complete_rank2(build_initial(group_seed(B2), 4))
+    assert str(err.value) == "completion assembled walls that differ from the factors it crossed"
+
+
+def test_completion_crosses_no_loop_after_its_stages(monkeypatch):
+    """Completion reads the loop off its online fan alone: the one-shot
+    crossing of ``check_consistency`` (``_cross_fan``) is not called."""
+    calls = []
+    cross_fan = scattering._cross_fan
+    monkeypatch.setattr(scattering, "_cross_fan", lambda *args: calls.append(args) or cross_fan(*args))
+    C = complete_rank2(build_initial(group_seed(KRON), 8))
+    assert calls == []
+    assert check_consistency(C).consistent and len(calls) == 1
+
+
+# -- the one-shot check on completions ----------------------------------------
+
+
+def completions(shapes):
+    """The completions of the shapes that tier-1 completes against the
+    staged oracle (``test_box_of_valid_data`` and
+    ``test_mutated_prefix_seeds``), and of the north-star ladder."""
+    if shapes == "box":
+        for data in RANK2:
+            order = 8 if tame(data) else 6 if data.r[0] * data.r[1] <= 2 else 5
+            yield complete_rank2(build_initial(group_seed(data), order))
+    elif shapes == "prefixes":
+        for data, word in product([A2, B2, KRON, G2, WILD], [(1,), (2,), (1, 2), (2, 1, 2)]):
+            yield complete_rank2(build_initial(pattern_walk(group_seed(data), word), 4 if data is not WILD else 3))
+    else:
+        for data, order in [(KRON, 10), (KRON, 12), (KRON, 14), (KRON, 16), (B2, 14)]:
+            yield complete_rank2(build_initial(group_seed(data), order))
+
+
+@pytest.mark.parametrize("shapes, count", [("box", 37), ("prefixes", 20), ("ladder", 5)])
+def test_one_shot_check_closes_every_completion(shapes, count):
+    """Completion trusts its online stages and does not cross its result
+    again, so the one-shot loop (``check_consistency``, over ``_cross_fan``)
+    must find every completion it returns consistent."""
+    reports = [check_consistency(C) for C in completions(shapes)]
+    assert len(reports) == count
+    assert all(rep.consistent for rep in reports), [rep.first_failure_degree for rep in reports]
 
 
 # -- the online fan against the expanded crossing -----------------------------
