@@ -25,7 +25,9 @@ it with sign +1.  Chart variables, walks from a chart and theta's
 chamber transport share one replay of the word and one pull-back.  A
 crossing z^m -> z^m f^h, h = -<g*_k, m>, keeps the level of every term,
 as the exchange factor f is tangent to the wall, so each step crosses
-level by level with powers of f that every pull-back through it shares.
+level by level: a positive level by powers of f that every pull-back
+through it shares, a negative one by dividing by each binomial
+t^{p^-} + t^{p^+} z^w of f in turn.
 
 Directions k are 1-based in the public API, matching the usual edge labels
 of the regular tree.  All arithmetic is exact.
@@ -35,14 +37,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd
 
 from .monoid_ring import (
     _LIMIT,
     LaurentSeries,
+    _binomial_div,
     _by_level,
     _disjoint_sum,
+    _guard,
+    _key,
     _unit,
     series_exact_div,
     series_from_json,
@@ -60,8 +65,11 @@ class InvariantViolation(RuntimeError):
 
 
 def _as_ints(what: str, values) -> tuple[int, ...]:
-    """``values`` as a tuple of ints; ValueError naming ``what`` when an
-    entry is no int, which ``int()`` would silently truncate."""
+    """``values`` as a tuple of ints, returned as it is when it already is
+    one; ValueError naming ``what`` when an entry is no int, which ``int()``
+    would silently truncate."""
+    if type(values) is tuple and all(type(x) is int for x in values):
+        return values
     values = tuple(values)
     if not all(isinstance(x, int) for x in values):
         raise ValueError(f"{what} entries must be ints, got {values!r}")
@@ -73,6 +81,15 @@ def _as_matrix(rows, what: str = "matrix") -> Matrix:
 
 
 def validate_exchange_matrix(B: Matrix, d, r) -> None:
+    """ValueError unless diag(d) B is skew-symmetric and column j of B is
+    divisible by r_j.  A triple that passes is remembered
+    (``_exchange_matrix_ok``), so a seed built from a checked one, as every
+    mutation builds, costs a lookup; a failing triple is checked again."""
+    _exchange_matrix_ok(tuple(map(tuple, B)), tuple(d), tuple(r))
+
+
+@lru_cache(maxsize=1024)
+def _exchange_matrix_ok(B: Matrix, d, r) -> None:
     n = len(B)
     for i in range(n):
         for j in range(n):
@@ -531,15 +548,18 @@ def _chamber_walk(data: FixedData, depth: int):
 # -- chart variables by composed crossings -----------------------------------
 
 
-def _exchange_factor(coeffs, w, n: int, d: int) -> LaurentSeries:
-    """prod_p (p^- + p^+ z^w) over the tropical coefficients of one direction."""
-    f = LaurentSeries.one(n, d)
+def _exchange_factor(coeffs, w, n: int, d: int) -> tuple[list[LaurentSeries], LaurentSeries]:
+    """The binomials t^{p^-} + t^{p^+} z^w over the tropical coefficients p of
+    one direction, built from packed keys, and f, their product."""
+    binomials, zero = [], (0,) * n
     for p in coeffs:
-        f = f * (
-            LaurentSeries.monomial((0,) * n, p_minus(p))
-            + LaurentSeries.monomial(w, p_plus(p))
-        )
-    return f
+        lo, hi = p_minus(p), p_plus(p)
+        u, v = _key(zero, lo), _key(w, hi)
+        # guarded term by term, as the monomial constructor did, so an overflow names the same figure
+        bound = _guard(max(map(abs, (*lo, sum(lo)))))
+        bound = _guard(max(bound, *map(abs, (*w, *hi, sum(hi)))))
+        binomials.append(LaurentSeries._make({u: 2} if u == v else {u: 1, v: 1}, None, (n, d), bound))
+    return binomials, reduce(series_mul, binomials)
 
 
 def unimodular_inverse_transpose(rows: Matrix) -> Matrix:
@@ -577,13 +597,15 @@ def _transport(s: Seed, word, signed: bool):
     every letter is checked first.
     Each letter k steps the frame with eps = epsilon(k) if ``signed`` (chamber transport), else +1 (chart variables).
 
-    Returns the steps ``(f, g*_k, powers)`` in order, with f the exchange
-    factor ``_exchange_factor`` builds from the coefficients p^eps and the
-    normal covector eps w_k, which must be tangent to the wall, <g*_k, eps
-    w_k> = 0, or InvariantViolation is raised, and ``powers`` the list [1,
-    f, f^2, ...] that ``_pull_back`` grows by one product per new power;
-    and the trail: the pairs (frame, coefficient-only seed) at the start
-    and after each letter.
+    Returns the steps ``(g*_k, binomials, powers)`` in order, with the
+    binomials t^{p^-} + t^{p^+} z^{eps w_k} and their product f, the
+    exchange factor, that ``_exchange_factor`` builds from the coefficients
+    p^eps and the normal covector eps w_k, which must be tangent to the
+    wall, <g*_k, eps w_k> = 0, or InvariantViolation is raised; ``powers``
+    is the list [1, f, f^2, ...] that ``_pull_back`` grows by one product
+    per new power for the positive levels, and the binomials divide the
+    negative ones; and the trail: the pairs (frame, coefficient-only seed)
+    at the start and after each letter.
     """
     n = s.data.n
     for k in word:
@@ -599,8 +621,8 @@ def _transport(s: Seed, word, signed: bool):
         if sum(x * y for x, y in zip(G.gstar[a], w)):
             raise InvariantViolation(f"step {i} (direction {k}): the exchange factor is not tangent to its wall")
         p_eps = [tuple(eps * x for x in p) for p in s.coeffs[a]]
-        f = _exchange_factor(p_eps, w, n, d)
-        steps.append((f, G.gstar[a], [LaurentSeries.one(n, d), f]))
+        binomials, f = _exchange_factor(p_eps, w, n, d)
+        steps.append((G.gstar[a], binomials, [LaurentSeries.one(n, d), f]))
         G = _frame_step(G, s.matrix, k, eps)
         s = seed_mutate(s, k)
         trail.append((G, s))
@@ -613,23 +635,27 @@ def _pull_back(steps, x: LaurentSeries) -> LaurentSeries:
 
     f is tangent to the wall, so it has level 0 and x is crossed level by
     level: the part of level h > 0 is multiplied by f^h, the part of level
-    0 is kept, and the part of level h < 0 is divided by f^-h.  Over a
-    common denominator f^D the level-h part of the numerator is part *
-    f^(h + D), so the image is Laurent exactly when every negative level
-    divides on its own.  On the library's monomials each does, by the
-    Laurent phenomenon; when one does not, InvariantViolation is raised.
-    The images keep their levels, so the image of x is their union."""
-    for _, gstar, powers in reversed(steps):
+    0 is kept, and the part of level h < 0 is divided -h times by each
+    binomial of f (``_binomial_div``).  Over a common denominator f^D the
+    level-h part of the numerator is part * f^(h + D), so the image is
+    Laurent exactly when every negative level divides on its own, and a
+    level divides by f^-h exactly when each of those binomial divisions is
+    exact.  On the library's monomials each is, by the Laurent phenomenon;
+    when one is not, InvariantViolation is raised.  The images keep their
+    levels, so the image of x is their union."""
+    for gstar, binomials, powers in reversed(steps):
         parts = []
         for h, part in _by_level(x, [-v for v in gstar]).items():
-            while len(powers) <= abs(h):
-                powers.append(series_mul(powers[-1], powers[1]))
             if h > 0:
+                while len(powers) <= h:
+                    powers.append(series_mul(powers[-1], powers[1]))
                 part = series_mul(part, powers[h])
             elif h < 0:
-                part = series_exact_div(part, powers[-h])
-                if part is None:
-                    raise InvariantViolation("a crossing left the Laurent ring (Laurent phenomenon)")
+                for b in binomials:
+                    for _ in range(-h):
+                        part = _binomial_div(part, b)
+                        if part is None:
+                            raise InvariantViolation("a crossing left the Laurent ring (Laurent phenomenon)")
             parts.append(part)
         x = _disjoint_sum(parts)
     return x

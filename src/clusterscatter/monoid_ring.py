@@ -45,12 +45,17 @@ max-heap of packed keys and divides int coefficients with ``divmod``.
 ``_by_level`` splits a polynomial by the level <n0, m> of its terms, read
 off the m-slots of the packed keys, for ``wall_cross`` and for the seed
 layer's pull-back, which crosses each level on its own and joins the
-images with ``_disjoint_sum``, a union of terms.
+images with ``_disjoint_sum``, a union of terms.  The pull-back divides a
+negative level by one binomial of its exchange factor at a time with
+``_binomial_div``, which walks the chains k, k - delta, ... of the
+dividend top down with no heap and no slot box; ``series_exact_div`` is
+its oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import mul
 from types import MappingProxyType
@@ -772,6 +777,74 @@ def series_exact_div(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries | None
             else:
                 del rem[k]
     return LaurentSeries._make(quot, None, nd, _box_bound(low_a - low_b, high_a - high_b, count))
+
+
+def _binomial_div(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries | None:
+    """Exact quotient a/b by an exact binomial b = c_u z^u + c_v z^v (u < v
+    as keys), or None if b does not divide a; a b of one term goes to
+    ``series_exact_div``.  The caller guarantees exact operands of one dims.
+
+    With delta = v - u, a quotient term at k - v meets a only at k and at
+    k - delta, so each chain k, k - delta, ... of a is walked top down, each
+    step forcing one quotient term, and the division is exact iff the
+    residual at the chain's lowest key of a vanishes.  A key k lies on the
+    chain of k - j delta, j = floor(k_i / delta_i) for the slot i of delta
+    of largest magnitude: that representative's slots stay within twice
+    the operands' bounds, guarded as ``series_exact_div`` guards them, and
+    a chain takes at most 2 a._bound / |delta_i| steps inside the slot box
+    of a.  The quotient's slots are within a._bound + b._bound.
+    """
+    if len(b._packed) == 1:
+        return series_exact_div(a, b)
+    if not a._packed:
+        return LaurentSeries()
+    (u, cu), (v, cv) = b._packed.items()
+    if u > v:
+        (u, cu), (v, cv) = (v, cv), (u, cu)
+    bound = a._bound + b._bound
+    if 2 * bound > _LIMIT:
+        bound = _tight_bound(a) + _tight_bound(b)
+    _guard(2 * bound)
+    delta = v - u
+    di, lift, shift = _chain_slot(delta, a._nd[0] + a._nd[1] + 1)
+    chains: dict[int, list[int]] = {}  # representative -> [lowest j, highest j] of a's keys
+    for k in a._packed:
+        j = ((((k + lift) >> shift) & _MASK) - _HALF) // di
+        rep = k - j * delta
+        ends = chains.get(rep)
+        if ends is None:
+            chains[rep] = [j, j]
+        elif j < ends[0]:
+            ends[0] = j
+        elif j > ends[1]:
+            ends[1] = j
+    get, inv, quot = a._packed.get, 1 if cv == 1 else _inverse_coeff(cv), {}
+    for rep, (low, high) in chains.items():
+        k, carry = rep + high * delta, 0
+        for _ in range(high - low):
+            r = get(k, 0) - carry
+            if r:
+                q = r * inv
+                if type(q) is Fraction:
+                    q = _norm_coeff(q)
+                quot[k - v] = q
+                carry = cu * q
+            else:
+                carry = 0
+            k -= delta
+        if get(k) != carry:
+            return None
+    return LaurentSeries._make(quot, None, a._nd, bound)
+
+
+@lru_cache(maxsize=256)
+def _chain_slot(delta: int, count: int) -> tuple[int, int, int]:
+    """``(delta_i, lift, shift)`` for the slot i of the key delta with the
+    largest magnitude: slot i of a key k is ``(((k + lift) >> shift) &
+    _MASK) - _HALF``.  One entry per binomial a pull-back divides by."""
+    slots = _unpack(delta, count)
+    i = max(range(count), key=lambda s: abs(slots[s]))
+    return slots[i], _pack([_HALF] * (count - i)), _SLOT * (count - 1 - i)
 
 
 def _box(keys, count: int) -> tuple[int, int]:

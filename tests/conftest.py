@@ -8,6 +8,8 @@ already in force is kept, and where the ``resource`` module is missing
 nothing is capped.
 """
 
+import sys
+
 try:
     import resource
 except ImportError:
@@ -21,3 +23,13 @@ if resource is not None:
     soft, hard = resource.getrlimit(resource.RLIMIT_AS)
     if soft == resource.RLIM_INFINITY or soft > MEMORY_CAP:
         resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, hard))
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Print the peak resident set of the pytest process, so that each CI
+    log carries a row to compare with the cap.  Linux reports ``ru_maxrss``
+    in KiB, macOS in bytes."""
+    if resource is not None:
+        unit = 1 if sys.platform == "darwin" else 1 << 10
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit / (1 << 20)
+        terminalreporter.write_line(f"peak RSS of the pytest process: {peak:.0f} MiB (the cap is {MEMORY_CAP >> 20} MiB of address space)")

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from operator import mul
@@ -9,12 +10,14 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clusterscatter import cluster_core
+from clusterscatter import cluster_core, monoid_ring
 from clusterscatter.cluster_core import (
     FixedData,
     GVectorFrame,
     InvariantViolation,
+    RationalFunction,
     Seed,
+    _as_ints,
     _beta,
     _chamber_walk,
     _pull_back,
@@ -34,6 +37,7 @@ from clusterscatter.cluster_core import (
     seed_to_json,
     seeds_equal,
     unimodular_inverse_transpose,
+    validate_exchange_matrix,
 )
 from clusterscatter.fixtures import load_fixture
 from clusterscatter.monoid_ring import LaurentSeries, series_exact_div, series_pow
@@ -113,6 +117,51 @@ class TestFixedData:
     def test_beta(self):
         assert _beta(B2.B, B2.r, 0, 1) == -1
         assert _beta(B2.B, B2.r, 1, 0) == 1
+
+
+class TestSeedsCheckedOnce:
+    """``validate_exchange_matrix`` remembers a (B, d, r) that passed, so the
+    seeds a walk builds from a checked one cost a lookup.  Every other check
+    still runs on every seed: a bad seed or a bad FixedData raises the same
+    class and text after a good seed of the same (B, d, r) was built."""
+
+    def test_bad_input_after_a_good_seed_of_the_same_data(self):
+        good = initial_seed(B2)
+        pattern_walk(good, (1, 2, 1))
+        coeffs, orders = good.coeffs, good.coeff_orders
+        other_dims = RationalFunction(LaurentSeries.monomial((1, 0), (0, 0)))
+        cases = [
+            (lambda: Seed(B2, B2.B, coeffs[:1], orders, None), "one coefficient tuple per direction required"),
+            (lambda: Seed(B2, B2.B, (coeffs[0], coeffs[1][:1]), orders, None), "direction 2 needs 2 coefficients"),
+            (lambda: Seed(B2, B2.B, (((1, 0),), coeffs[1]), orders, None), "direction 1: coefficient exponent vectors need length 3"),
+            (lambda: Seed(B2, B2.B, (((1.0, 0, 0),), coeffs[1]), orders, None), "coefficient exponent entries must be ints, got (1.0, 0, 0)"),
+            (lambda: Seed(B2, B2.B, coeffs, (0, 3), None), "coefficient orders must be positive integers"),
+            (lambda: Seed(B2, B2.B, coeffs, orders, good.cluster[:1]), "cluster size mismatch"),
+            (lambda: Seed(B2, B2.B, coeffs, orders, (other_dims, good.cluster[1])), "cluster entry 1 has dims (n, d) (2, 2), the seed needs (2, 3)"),
+            (lambda: Seed(B2, B2.B, coeffs, orders, good.cluster, (), False), "group-mode seeds (semifield=False) carry no cluster"),
+            (lambda: Seed(B2, ((0, -2.0), (1, 0)), coeffs, orders, None), "matrix entries must be ints, got (0, -2.0)"),
+            (lambda: Seed(B2, ((0, 2), (1, 0)), coeffs, orders, None), "matrix is not skew-symmetrizable by diag(1, 2) at (1,2)"),
+            (lambda: FixedData(((0, -2.0), (1, 0)), (1, 2), (1, 2)), "B entries must be ints, got (0, -2.0)"),
+            (lambda: FixedData(((0, -2), (1, 0)), (1, 2.0), (1, 2)), "d entries must be ints, got (1, 2.0)"),
+            (lambda: FixedData(((0, -2), (1, 0)), (1, 1), (1, 2)), "matrix is not skew-symmetrizable by diag(1, 1) at (1,2)"),
+        ]
+        for build, message in cases:
+            for _ in range(2):  # a triple that failed is checked again
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    build()
+
+    def test_validate_exchange_matrix_takes_lists(self):
+        assert validate_exchange_matrix([[0, -2], [1, 0]], [1, 2], [1, 2]) is None
+        assert validate_exchange_matrix(B2.B, B2.d, B2.r) is None
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^column 2 is not divisible by r_2 = 3$"):
+                validate_exchange_matrix([[0, -2], [1, 0]], [1, 2], [1, 3])
+
+    def test_a_tuple_of_plain_ints_is_kept_as_it_is(self):
+        row = (0, -2)
+        assert _as_ints("B", row) is row
+        assert _as_ints("B", [0, -2]) == row and _as_ints("B", (0, True)) == (0, 1)
+        assert type(_as_ints("B", (0, True))[1]) is int
 
 
 # -- golden chart ------------------------------------------------------------
@@ -696,11 +745,30 @@ class TestPullbacks:
     def test_crossing_that_leaves_the_laurent_ring(self):
         # one step f = 1 + z1, g*_k = e_1: the lone z0 has level -1, and z0 / (1 + z1) is no Laurent polynomial
         f = LaurentSeries.one(2, 1) + LaurentSeries.monomial((0, 1), (0,))
-        steps, x = [(f, (1, 0), [LaurentSeries.one(2, 1), f])], LaurentSeries.monomial((1, 0), (0,))
+        steps, x = [((1, 0), [f], [LaurentSeries.one(2, 1), f])], LaurentSeries.monomial((1, 0), (0,))
         for pull_back in (_pull_back, reference_pull_back):
             with pytest.raises(InvariantViolation, match=r"^a crossing left the Laurent ring \(Laurent phenomenon\)$"):
                 pull_back(steps, x)
         assert _pull_back(steps, f * x) == reference_pull_back(steps, f * x) == x
+
+    def test_negative_levels_divide_by_the_binomials_only(self, monkeypatch):
+        """The pull-back divides each negative level by the binomials of its
+        step's factor, one ``_binomial_div`` at a time, and never calls the
+        heap division: the chart variables of B2 and the Kronecker datum
+        still equal the exchange relation's."""
+        want = {data: exchange_walk(initial_seed(data), (1, 2, 1, 2))[-1].cluster for data in (B2, KRON)}
+        divided = []
+        real = cluster_core._binomial_div
+
+        def no_heap(*args):
+            raise AssertionError("the pull-back ran series_exact_div")
+
+        monkeypatch.setattr(cluster_core, "series_exact_div", no_heap)
+        monkeypatch.setattr(monoid_ring, "series_exact_div", no_heap)
+        monkeypatch.setattr(cluster_core, "_binomial_div", lambda a, b: divided.append(len(b)) or real(a, b))
+        for data, cluster in want.items():
+            assert chart_variables(initial_seed(data), (1, 2, 1, 2)) == cluster
+        assert divided and set(divided) == {2}
 
     def test_a_step_whose_factor_is_not_tangent_is_refused(self, monkeypatch):
         """A crossing keeps the level of every term only when f is tangent to
@@ -826,7 +894,7 @@ def reference_pull_back(steps, x):
     """``_pull_back`` before the level split, kept as its oracle: every term
     is crossed over the common denominator f^D, and the whole sum comes back
     out of one exact division by f^D."""
-    for f, gstar, *_ in reversed(steps):
+    for gstar, _, (_, f, *_) in reversed(steps):
         levels: dict = {}
         for e, c in x.terms.items():
             levels.setdefault(-sum(map(mul, gstar, e.m)), {})[e] = c

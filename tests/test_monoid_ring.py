@@ -11,6 +11,7 @@ from clusterscatter import monoid_ring
 from clusterscatter.monoid_ring import (
     Exponent,
     LaurentSeries,
+    _binomial_div,
     _decode,
     _min_order,
     exponent,
@@ -495,6 +496,89 @@ def test_exact_div_matches_reference(triple):
         if got is not None:
             assert got.order == want.order is None
             assert got.terms == want.terms
+
+
+@st.composite
+def binomial_divisions(draw):
+    """Untruncated (p, b, r) of one dims: p and r of up to 10 terms, and b a
+    binomial of two distinct monomials, about a third of them t-only (one
+    lattice part) and the rest mixed.  b's coefficients are 1 in about half
+    the draws, as in every exchange binomial, and otherwise +-1, +-2 or a
+    non-integral Fraction."""
+    p, r = draw(packed_series(2, untruncated=True, max_size=10, coefficients=draw(st.sampled_from((int_coeffs, coeffs)))))
+    n, d = p.dims() or r.dims() or (draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    ms = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    ts = st.lists(st.integers(-1, 3), min_size=d, max_size=d)
+    m_u = draw(ms)
+    m_v = m_u if draw(st.integers(0, 2)) == 0 else draw(ms)
+    u, v = exponent(m_u, draw(ts)), exponent(m_v, draw(ts))
+    if u == v:
+        v = exponent(m_v, [x + 1 for x in v.t])
+    cs = st.just(1) if draw(st.booleans()) else st.sampled_from((1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)))
+    return p, LaurentSeries({u: draw(cs), v: draw(cs)}), r
+
+
+@settings(max_examples=200, deadline=None)
+@given(binomial_divisions())
+def test_binomial_division_matches_exact_division(triple):
+    """The chain walk of ``_binomial_div`` against ``series_exact_div``, its
+    oracle, on exact products, on products plus a drawn remainder and on the
+    bare dividend: the same quotient or the same None, a normalized quotient,
+    and every quotient key inside the carried bound a._bound + b._bound."""
+    p, b, r = triple
+    for num in (p * b, p * b + r, p):
+        bound = num._bound + b._bound  # read first: the oracle re-derives both bounds
+        got, want = _binomial_div(num, b), series_exact_div(num, b)
+        assert (got is None) == (want is None), (num, b)
+        if got is not None:
+            assert got == want
+            assert all(map(_is_normalized, got._packed.values()))
+            assert got._bound <= bound
+            assert all(abs(x) <= got._bound for e in got.terms for x in (*e.m, *e.t, sum(e.t)))
+
+
+class TestBinomialDivision:
+    def z(self, e, t=Z3, c=1):
+        return mono((e, 0), t, c)
+
+    def test_chain_with_interior_gaps(self):
+        # (1 + z^3) / (1 + z): the chain 3, 2, 1, 0 of a holds keys at its ends only
+        z = self.z
+        assert _binomial_div(z(0) + z(3), z(0) + z(1)) == z(0) - z(1) + z(2)
+        assert _binomial_div(z(0) - z(6), z(0) - z(2)) == z(0) + z(2) + z(4)
+        assert _binomial_div(z(0) + z(4), z(0) + z(1)) is None
+
+    def test_t_only_and_mixed_binomials(self):
+        t_only = mono(Z2, T11) + mono(Z2, T21)
+        mixed = mono(Z2, T21) + mono((0, -2), T22)  # t^{p^-} + t^{p^+} z^w
+        for b in (t_only, mixed, t_only * mixed):
+            for q in (one(), mono((3, -1), T11) + mono(A1, Z3, -2), mono(A2, T22) * mono(A1, Z3) + one()):
+                if len(b) == 2:
+                    assert _binomial_div(q * b, b) == series_exact_div(q * b, b) == q
+                    assert _binomial_div(q * b + mono((9, 9), Z3), b) is None
+        assert _binomial_div(t_only * mixed, mixed) == t_only
+
+    def test_keys_that_share_a_residue_lie_on_different_chains(self):
+        # (z0 + 1) / (1 + z1): z0 and 1 differ by 2^32 z1 as packed ints, so
+        # grouping by k % delta would join them and walk about 2^32 positions;
+        # each is a chain of one key, so the division fails at once
+        b = one() + mono(A2, Z3)
+        assert _binomial_div(mono(A1, Z3) + one(), b) is None
+        assert _binomial_div(mono((1000, 0), Z3) + one(), b) is None
+        assert _binomial_div((mono(A1, Z3) + one()) * b, b) == mono(A1, Z3) + one()
+
+    def test_dividend_at_the_slot_limit_is_refused(self):
+        top = 2**31 - 1
+        b = one() + mono(A2, Z3)
+        a = mono((top, 0), Z3) + mono((top, 1), Z3)  # z0^top (1 + z1), each slot inside the limit
+        for div in (_binomial_div, series_exact_div):
+            with pytest.raises(OverflowError, match=r"could reach 4294967296; slots hold at most 2147483647"):
+                div(a, b)
+
+    def test_monomial_divisor_goes_to_exact_division(self):
+        # t^0 + t^0 is 2, as an exchange binomial with w = 0 and p = 0 is
+        a = mono(A1, T11, 4) + mono(A2, Z3, 3)
+        assert _binomial_div(a, mono(Z2, Z3, 2)) == series_exact_div(a, mono(Z2, Z3, 2))
 
 
 def _is_normalized(c):
