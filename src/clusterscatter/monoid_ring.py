@@ -242,9 +242,6 @@ class LaurentSeries:
     def __len__(self) -> int:
         return len(self._packed)
 
-    def coefficient(self, e: Exponent):
-        return self.terms.get(e, 0)
-
     def dims(self) -> tuple[int, int] | None:
         return self._nd
 

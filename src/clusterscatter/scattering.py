@@ -13,8 +13,10 @@ the walls spanned by cluster chambers.
 A wall in rank 2 sits on a single ray from the origin; the two halves of an
 incoming hyperplane are stored as two ray walls carrying the same function.
 A diagram keeps its walls in counterclockwise order of their rays, sorted
-once when it is built.  It groups them by ray once, too: its ``fan`` holds
-one entry per ray, with the atoms of the ray's walls.  Every crossing, the
+once when it is built by an int angle key, exact since a wall's ray fits a
+packed slot; theta places an endpoint of any size by its key and, where
+the key ties a ray's, by a cross product.  It groups the walls by ray once,
+too: its ``fan`` holds one entry per ray, with the atoms of the ray's walls.  Every crossing, the
 broken-line search and ``canonical_form`` read the fan; a ray is crossed
 factor by factor over its atoms, which is crossing it once with the product
 of their functions, so diagrams agree when their merged atoms per ray do.
@@ -62,9 +64,9 @@ from .monoid_ring import (
     _OnlineFan,
     _shifted_slices,
     _unit,
+    _unpack,
     series_mul,
 )
-from .semifield import block_range
 
 
 class PositivityError(InvariantViolation):
@@ -85,12 +87,14 @@ def _cross(u: Sequence[int], v: Sequence[int]) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _angle_key(v: Sequence[int]):
+def _angle_key(v: Sequence[int]) -> tuple[bool, bool, int]:
     """Total order on ray directions by angle from the positive x-axis: the
     half-plane (the upper one with the positive x-axis first), then its axis
-    direction before its open half, where -x/y grows with the angle."""
+    direction before its open half, where -x/y grows with the angle, floored
+    at scale 2^64.  Exact within ``_LIMIT`` (every wall ray): distinct slopes
+    there differ by over 2^-62.  Keys that differ order any directions."""
     x, y = v[0], v[1]
-    return (y < 0 or (y == 0 and x < 0), y != 0, Fraction(-x, y) if y else 0)
+    return (y < 0 or (y == 0 and x < 0), y != 0, (-x << 64) // y if y else 0)
 
 
 # -- walls and diagrams -------------------------------------------------------
@@ -150,6 +154,8 @@ class Wall:
         if len(self.ray) != 2 or not all(isinstance(x, int) for x in self.ray):
             raise ValueError(f"a wall is supported on exactly one ray of the plane, got {self.ray!r}")
         object.__setattr__(self, "ray", _primitive(self.ray))
+        if max(map(abs, self.ray)) > _LIMIT:
+            raise ValueError(f"wall ray {self.ray} is too large: its entries must fit a packed slot (at most {_LIMIT})")
         factors = tuple(self.factors)
         if not all(isinstance(x, int) for t, m, c in factors for x in (*t, *m, c)):
             raise ValueError(f"wall factor entries must be ints, got {factors!r}")
@@ -313,19 +319,19 @@ def _grading_data(frame: SeedFrame, t_fresh: Sequence[int]):
     the normals are ambient primitive integer vectors, and m is the unique
     lattice exponent the grading allows.  With
     nbar = sum_i alpha_i (d_i/r_i) e_i, acting is primitive(lcm(r) nbar) and
-    m = omega(-, nbar) = sum_i alpha_i w_i.
+    m = omega(-, nbar) = sum_i alpha_i w_i.  The frame has rank 2, as every
+    diagram's has.
     """
-    data = frame.seed.data
-    n = data.n
-    alpha = tuple(sum(t_fresh[j] for j in block_range(data.r, i)) for i in range(n))
-    if any(a < 0 for a in alpha):
-        raise InvariantViolation(f"coefficient monomial grading {alpha} leaves the positive cone")
-    L = lcm(*data.r)
-    scale = [alpha[i] * data.d[i] * (L // data.r[i]) for i in range(n)]
-    n_vec = tuple(sum(alpha[i] * frame.E[i][b] for i in range(n)) for b in range(n))
-    nbar = tuple(sum(scale[i] * frame.E[i][b] for i in range(n)) for b in range(n))
-    m = tuple(sum(alpha[i] * frame.W[i][b] for i in range(n)) for b in range(n))
-    return _primitive(n_vec), _primitive(nbar), m
+    (r0, r1), (d0, d1) = frame.seed.data.r, frame.seed.data.d
+    (e00, e01), (e10, e11) = frame.E
+    (w00, w01), (w10, w11) = frame.W
+    a0, a1 = sum(t_fresh[:r0]), sum(t_fresh[r0 : r0 + r1])
+    if a0 < 0 or a1 < 0:
+        raise InvariantViolation(f"coefficient monomial grading {(a0, a1)} leaves the positive cone")
+    L = lcm(r0, r1)
+    s0, s1 = a0 * d0 * (L // r0), a1 * d1 * (L // r1)
+    n_vec, nbar = (a0 * e00 + a1 * e10, a0 * e01 + a1 * e11), (s0 * e00 + s1 * e10, s0 * e01 + s1 * e11)
+    return _primitive(n_vec), _primitive(nbar), (a0 * w00 + a1 * w10, a0 * w01 + a1 * w11)
 
 
 def _wall_normals(frame: SeedFrame, atoms: Sequence[Atom]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -411,7 +417,10 @@ def path_ordered_product(D: ScatteringDiagram, path: PathSpec) -> tuple[LaurentS
     if not any(path.start) or not any(path.end):
         raise ValueError("path endpoints must be nonzero directions")
     end = path.start if path.loop else path.end
-    if {_primitive(path.start), _primitive(end)} & {ray for ray, _ in D.fan}:
+    ends = {_primitive(path.start), _primitive(end)}
+    if max(abs(x) for v in ends for x in v) > _LIMIT:  # beyond it the angle keys of _turn may tie
+        raise ValueError(f"path endpoints must fit a packed slot once primitive (at most {_LIMIT})")
+    if ends & {ray for ray, _ in D.fan}:
         raise ValueError("path endpoint lies on a wall")
     turn = lambda r: _turn(r[0], path.start, path.ccw)
     stop = _turn(end, path.start, path.ccw)
@@ -447,34 +456,35 @@ def _defect_terms(frame: SeedFrame, slices: Sequence[LaurentSeries]) -> list:
     """Read the lowest slices of a loop defect, one per generator z^{e_a} of
     log(image * z^{-e_a}), as a derivation.
 
-    Returns a list of (coeff, Exponent, acting normal), one per monomial;
-    raises InvariantViolation when a monomial breaks the grading or the
-    generators disagree on its coefficient.
+    Returns a list of (coeff, Exponent, acting normal), one per monomial in
+    (t, m) order; raises InvariantViolation when a monomial breaks the
+    grading or the generators disagree on its coefficient.  Each distinct
+    packed key is decoded once and its coefficients are looked up by key;
+    coefficients c_a agree along the acting normal a when c_0 a_1 == c_1 a_0,
+    which holds for ``Fraction`` coefficients (a log's) too.
     """
-    keys = sorted({e for sl in slices for e in sl.terms}, key=lambda e: (e.t, e.m))
+    p0, p1 = slices[0]._packed, slices[1]._packed
+    count = 3 + sum(frame.seed.coeff_orders)
+    rows = []
+    for k in p0.keys() | p1.keys():
+        v = _unpack(k, count)
+        rows.append((tuple(v[2:-1]), tuple(v[:2]), k))
+    rows.sort()
     terms = []
-    for e in keys:
-        _, acting, m_expected = _grading_data(frame, e.t)
-        if tuple(e.m) != m_expected:
+    for t, m, k in rows:
+        _, acting, m_expected = _grading_data(frame, t)
+        if m != m_expected:
             raise InvariantViolation(
-                f"loop defect monomial z^{e.m} t^{e.t} violates the grading (expected z^{m_expected})"
+                f"loop defect monomial z^{m} t^{t} violates the grading (expected z^{m_expected})"
             )
-        coeffs = [sl.coefficient(e) for sl in slices]
-        c_tilde = None
-        for a in range(2):
-            pair = acting[a]
-            if pair == 0:
-                if coeffs[a] != 0:
-                    raise InvariantViolation("loop defect is not a derivation along the expected normal")
-                continue
-            value = Fraction(coeffs[a], pair)
-            if c_tilde is None:
-                c_tilde = value
-            elif c_tilde != value:
-                raise InvariantViolation(
-                    f"loop defect coefficients disagree across generators: {c_tilde} vs {value}"
-                )
-        terms.append((c_tilde, e, acting))
+        (a0, a1), c0, c1 = acting, p0.get(k, 0), p1.get(k, 0)
+        if (not a0 and c0) or (not a1 and c1):
+            raise InvariantViolation("loop defect is not a derivation along the expected normal")
+        if c0 * a1 != c1 * a0:
+            raise InvariantViolation(
+                f"loop defect coefficients disagree across generators: {Fraction(c0, a0)} vs {Fraction(c1, a1)}"
+            )
+        terms.append((Fraction(c0, a0) if a0 else Fraction(c1, a1), Exponent(m, t), acting))
     return terms
 
 
@@ -506,8 +516,9 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
     vanish, and a factor inserted at a later stage leaves them so: after the
     last stage every slice from 1 to the order is empty.  The new walls are
     built once, after the last stage, and the result must carry exactly the
-    atoms the fan crossed: equal merged atoms per ray give equal path-ordered
-    products (``diagrams_equivalent``), so its loop is the fan's, closed.
+    atoms the fan crossed, held as one wall per ray: equal merged atoms per
+    ray give equal path-ordered products (``diagrams_equivalent``), so its
+    loop is the fan's, closed.
     Idempotent on consistent input.
     """
     ord_, frame, d = D.order, D.frame, sum(D.seed.coeff_orders)
@@ -553,7 +564,10 @@ def complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
                 "in the loop after adding its walls"
             )
     out = _add_walls(D, outgoing, new)
-    walls = [Wall(r, ((frame.to_old(t), m, c),)) for r, (t, m, c) in crossed]
+    by_ray: dict[tuple[int, ...], list] = {}  # ray -> the initial-basis atoms the fan crossed on it
+    for ray, (t, m, c) in crossed:
+        by_ray.setdefault(ray, []).append((frame.to_old(t), m, c))
+    walls = [Wall(ray, atoms) for ray, atoms in by_ray.items()]
     if not diagrams_equivalent(out, ScatteringDiagram(walls, ord_, D.seed)):
         raise InvariantViolation("completion assembled walls that differ from the factors it crossed")
     return out
@@ -794,7 +808,9 @@ def diagram_truncate(D: ScatteringDiagram, order: int) -> ScatteringDiagram:
     walls = []
     for w in D.walls:
         kept = tuple(a for a in w.factors if sum(to_fresh(a[0])) <= order)
-        if kept:
+        if len(kept) == len(w.factors):
+            walls.append(w)  # every factor survives: the wall as it is
+        elif kept:
             walls.append(replace(w, factors=kept))
     return ScatteringDiagram(walls, order, D.seed)
 

@@ -274,8 +274,12 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
 
     The search holds each point as reduced integer homogeneous coordinates
     (X0, X1, w) with w > 0, Q's from its numerators and denominators; Q's
-    gap is found by bisecting ``ctx.keys``, and Q lies on a ray exactly when
-    its angle key equals the one below the gap.  A segment from x along p
+    gap is found by bisecting ``ctx.keys`` with Q's angle key.  The ring's
+    rays fit packed slots, so their keys are distinct and a strict key
+    inequality orders Q exactly, however large its coordinates; a ray whose
+    key ties Q's, at most one, lies on Q's side given by the sign of
+    cross(ray, Q) (the two share a half-plane), and Q lies on it when that
+    is 0.  A segment from x along p
     meets a ray r at x + s*p = u*r with s = a/(w*c), a = cross(x, r) and
     c = cross(r, p) signed by cross(x, p) both > 0; c is also the bend
     exponent |<n, p>| for the ray's primitive normal n = +-(r_1, -r_0).
@@ -305,9 +309,12 @@ def _search(ctx: _SearchContext, p0: tuple[int, int], Q: Point, emit) -> None:
     w = lcm(d0, d1)
     x = (n0 * (w // d0), n1 * (w // d1), w)  # _cross and _dot read only (X0, X1)
     key = _angle_key(x)
-    j = bisect(ctx.keys, key)  # Q's gap: ring[j - 1] <= Q < ring[j]
-    if j and ctx.keys[j - 1] == key:
-        raise _EndpointOnWall(f"endpoint {Q} lies on the wall ray {ctx.ring[j - 1].ray}")
+    j = bisect(ctx.keys, key)  # Q's gap by key: ring[j - 1] <= Q < ring[j]
+    if j and ctx.keys[j - 1] == key:  # the one ray whose key ties Q's: its side by a cross product
+        side = _cross(ctx.ring[j - 1].ray, x)
+        if not side:
+            raise _EndpointOnWall(f"endpoint {Q} lies on the wall ray {ctx.ring[j - 1].ray}")
+        j -= side < 0
     budget = ctx.order - 1
     q0, q1 = p0
     reach = {(q0 + s0, q1 + s1): need for (s0, s1), need in ctx.reach.items()}

@@ -17,6 +17,10 @@
 - ``specialize`` identifies the generators of each block, and
   ``one_generator_diagram`` builds the incoming walls it maps the principal
   ones onto: a completion must specialize to the completion of those.
+- ``reference_grading_data`` and ``reference_defect_terms`` read a
+  coefficient's grading and a loop defect through decoded ``Exponent`` keys,
+  ``block_range`` sums and ``Fraction`` comparisons, for any rank: a second
+  route to the packed-key reader ``scattering._defect_terms``.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from clusterscatter.cluster_core import (
 from clusterscatter.monoid_ring import (
     _HALF,
     _SLOT,
+    Exponent,
     LaurentSeries,
     _min_order,
     _unit,
@@ -207,6 +212,58 @@ def one_generator_diagram(data: FixedData, order: int) -> scattering.ScatteringD
         scattering.Wall(w.ray, [(t, m, c * data.r[t.index(1)]) for t, m, c in w.factors], w.incoming) for w in D.walls
     ]
     return scattering.ScatteringDiagram(walls, order, D.seed)
+
+
+# -- the loop defect, read through decoded exponents -------------------------
+
+
+def reference_grading_data(frame: scattering.SeedFrame, t_fresh: Sequence[int]):
+    """(grading normal, acting normal, forced m) of a coefficient, as
+    ``scattering._grading_data`` returns them: alpha_i sums t over the slots
+    ``block_range(r, i)``, n = sum_i alpha_i e_i, acting = primitive(lcm(r)
+    sum_i alpha_i (d_i/r_i) e_i) and m = sum_i alpha_i w_i."""
+    data = frame.seed.data
+    n = data.n
+    alpha = tuple(sum(t_fresh[j] for j in block_range(data.r, i)) for i in range(n))
+    if any(a < 0 for a in alpha):
+        raise InvariantViolation(f"coefficient monomial grading {alpha} leaves the positive cone")
+    L = lcm(*data.r)
+    scale = [alpha[i] * data.d[i] * (L // data.r[i]) for i in range(n)]
+    n_vec = tuple(sum(alpha[i] * frame.E[i][b] for i in range(n)) for b in range(n))
+    nbar = tuple(sum(scale[i] * frame.E[i][b] for i in range(n)) for b in range(n))
+    m = tuple(sum(alpha[i] * frame.W[i][b] for i in range(n)) for b in range(n))
+    return scattering._primitive(n_vec), scattering._primitive(nbar), m
+
+
+def reference_defect_terms(frame: scattering.SeedFrame, slices: Sequence[LaurentSeries]) -> list:
+    """``scattering._defect_terms`` through the decoded ``terms`` of each
+    slice: per Exponent in (t, m) order, its grading, then one ``Fraction``
+    c_a / acting_a per generator, compared as Fractions."""
+    keys = sorted({e for sl in slices for e in sl.terms}, key=lambda e: (e.t, e.m))
+    terms = []
+    for e in keys:
+        _, acting, m_expected = reference_grading_data(frame, e.t)
+        if tuple(e.m) != m_expected:
+            raise InvariantViolation(
+                f"loop defect monomial z^{e.m} t^{e.t} violates the grading (expected z^{m_expected})"
+            )
+        coeffs = [sl.terms.get(e, 0) for sl in slices]
+        c_tilde = None
+        for a in range(2):
+            pair = acting[a]
+            if pair == 0:
+                if coeffs[a] != 0:
+                    raise InvariantViolation("loop defect is not a derivation along the expected normal")
+                continue
+            value = Fraction(coeffs[a], pair)
+            if c_tilde is None:
+                c_tilde = value
+            elif c_tilde != value:
+                raise InvariantViolation(
+                    f"loop defect coefficients disagree across generators: {c_tilde} vs {value}"
+                )
+        terms.append((c_tilde, Exponent(*e), acting))
+    return terms
 
 
 # -- coefficient block matrices ----------------------------------------------

@@ -8,7 +8,10 @@ at series order k + 1, reads the lowest slice of the loop's log with
 ends with one more full loop as a check.  The online ``complete_rank2`` must
 return the same diagram, byte for byte, and raise the same errors; the
 library's ``_defect_derivation`` reads the same slice off the crossed images
-without a log, and must agree with the log reading.
+without a log, and must agree with the log reading.  It reads them off
+packed keys; ``reference_defect_terms`` (``oracles``) reads the same slices
+through decoded ``Exponent``s and ``Fraction``s, and must return the same
+terms and raise the same errors.
 
 ``reference_cross_fan`` expands each ray's function and crosses it with
 ``wall_cross`` once per generator.  Both loops over the kernel must give its
@@ -18,6 +21,7 @@ images: the one-shot loop ``_cross_fan`` and, slice by slice, the online fan
 
 from bisect import bisect_left
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -25,6 +29,7 @@ import pytest
 from clusterscatter import scattering
 from clusterscatter.cluster_core import FixedData, InvariantViolation, pattern_walk
 from clusterscatter.monoid_ring import (
+    Exponent,
     LaurentSeries,
     _cross_in_place,
     _Factor,
@@ -45,6 +50,7 @@ from clusterscatter.scattering import (
     _defect_derivation,
     _defect_terms,
     _function,
+    _grading_data,
     _primitive,
     _turn,
     build_initial,
@@ -56,7 +62,7 @@ from clusterscatter.scattering import (
     tk_invariance_check,
     tk_transform,
 )
-from oracles import min_degree, path_ordered_product
+from oracles import min_degree, path_ordered_product, reference_defect_terms
 from test_scattering import A2, B2, KRON, RANK2, group_seed
 
 G2 = FixedData(((0, -3), (1, 0)), (1, 3), (1, 3))
@@ -77,9 +83,10 @@ def expanded(fan, series_order):
     return [(ray, _function(atoms, series_order)) for ray, atoms in fan]
 
 
-def log_defect_derivation(fan, frame, d, series_order):
-    """The loop's defect read off its log: z^{-e_a} times each image, then
-    ``series_log``, then the lowest nonzero slice of the two logs."""
+def log_slices(fan, d, series_order):
+    """The lowest nonzero slice of the loop's log: z^{-e_a} times each image,
+    then ``series_log``; (first degree, one slice per generator), or
+    (None, None) when the loop closes."""
     images = one_shot_images(fan, True, d, series_order)
     logs = []
     for a in range(2):
@@ -89,7 +96,13 @@ def log_defect_derivation(fan, frame, d, series_order):
     if not degrees:
         return None, None
     first = min(degrees)
-    return first, _defect_terms(frame, [lg.degree_slice(first) for lg in logs])
+    return first, [lg.degree_slice(first) for lg in logs]
+
+
+def log_defect_derivation(fan, frame, d, series_order):
+    """The loop's defect read off its log (``log_slices``)."""
+    first, slices = log_slices(fan, d, series_order)
+    return (None, None) if first is None else (first, _defect_terms(frame, slices))
 
 
 def reference_complete_rank2(D: ScatteringDiagram) -> ScatteringDiagram:
@@ -270,6 +283,125 @@ def test_defect_reader_matches_the_log_of_the_loop():
                 assert outcome(_defect_derivation, *args) == outcome(log_defect_derivation, *args)
                 cases += 1
     assert cases == 436
+
+
+# -- the packed-key defect reader against the decoded one ---------------------
+
+# The complete workload's ladder, each entry from its unmutated seed and from
+# the prefixes the workload may draw: (data, order, words).
+LADDER = [
+    (KRON, 8, [(), (2,)]),
+    (KRON, 9, [(), (2,)]),
+    (KRON, 10, [()]),
+    (KRON, 11, [(), (2,)]),
+    (B2, 12, [(), (2, 1)]),
+    (G2, 9, [()]),
+    (FixedData(((0, -3), (3, 0)), (1, 1), (1, 1)), 10, [(), (2,)]),
+]
+
+
+def stage_slices(D) -> list:
+    """The (frame, slices) that every stage of ``complete_rank2(D)`` hands
+    to the defect reader."""
+    seen, read = [], scattering._defect_terms
+
+    def record(frame, slices):
+        seen.append((frame, slices))
+        return read(frame, slices)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scattering, "_defect_terms", record)
+        complete_rank2(D)
+    return seen
+
+
+def readers_agree(frame, slices):
+    """Both readers return equal terms, with ``Fraction`` coefficients and
+    ``Exponent`` monomials of int tuples, or raise one class with one text."""
+    got = outcome(_defect_terms, frame, slices)
+    assert got == outcome(reference_defect_terms, frame, slices)
+    if isinstance(got, list):
+        for c, e, acting in got:
+            assert type(c) is Fraction and type(e) is Exponent and type(e.m) is type(e.t) is tuple
+    return got
+
+
+def test_defect_reader_matches_the_decoded_reader_on_the_ladder():
+    """Every stage of every ladder completion, at the benchmark's orders,
+    from the unmutated seeds and the mutated prefixes the workload draws."""
+    stages = terms = 0
+    for data, order, words in LADDER:
+        for word in words:
+            for frame, slices in stage_slices(build_initial(pattern_walk(group_seed(data), word), order)):
+                terms += len(readers_agree(frame, slices))
+                stages += 1
+    assert (stages, terms) == (119, 222)
+
+
+def test_defect_reader_matches_the_decoded_reader_on_every_datum():
+    """The 37 data of the box from four mutated words each, whose frames are
+    not the identity; and the log slices of their completions with an
+    outgoing wall dropped, whose coefficients are ``Fraction``s."""
+    stages = logs = 0
+    for data in RANK2:
+        for word in [(1,), (2,), (1, 2), (2, 1, 2)]:
+            s = pattern_walk(group_seed(data), word)
+            assert not seed_frame(s).is_identity
+            D = build_initial(s, 4 if tame(data) else 3)
+            for frame, slices in stage_slices(D):
+                readers_agree(frame, slices)
+                stages += 1
+            C = complete_rank2(D)
+            for i in [i for i, w in enumerate(C.walls) if not w.incoming][:2]:
+                E = replace(C, walls=C.walls[:i] + C.walls[i + 1 :])
+                first, slices = log_slices(E.fan, sum(s.coeff_orders), E.order + 1)
+                if first is not None:
+                    readers_agree(E.frame, slices)
+                    logs += 1
+    assert (stages, logs) == (480, 292)
+
+
+def test_defect_reader_errors_match_the_decoded_reader():
+    """Hand-built slices over a non-identity Kronecker frame, one per error
+    path, with int and with ``Fraction`` coefficients: the grading out of the
+    cone, a grading whose normal is the zero vector, a monomial off its
+    forced m, a defect that is no derivation along either generator, and
+    generators that disagree.  Both readers raise one class with one text."""
+    frame = seed_frame(pattern_walk(group_seed(KRON), (1,)))
+    _, (a0, a1), m = _grading_data(frame, (1, 0, 1, 0))
+    _, acting_x, m_x = _grading_data(frame, (1, 0, 0, 0))
+    _, acting_y, m_y = _grading_data(frame, (0, 0, 1, 0))
+    assert 0 in acting_x and 0 in acting_y and a0 and a1
+    zero_x, zero_y = acting_x.index(0), acting_y.index(0)
+    cases = {  # name: rows (m, t, c_0, c_1), and the error's class and text at scales 1 and 1/3
+        "cone": ([((1, 1), (2, -1, -1, 0), 1, 1)], "coefficient monomial grading (1, -1) leaves the positive cone"),
+        "zero": ([((0, 0), (1, -1, 0, 0), 1, 1)], "zero vector has no primitive direction"),
+        "off m": (
+            [((m[0] + 1, m[1]), (1, 0, 1, 0), a0, a1)],
+            f"loop defect monomial z^{(m[0] + 1, m[1])} t^(1, 0, 1, 0) violates the grading (expected z^{m})",
+        ),
+        "no derivation x": (
+            [(m_x, (1, 0, 0, 0), *(1 if a == zero_x else 2 for a in range(2)))],
+            "loop defect is not a derivation along the expected normal",
+        ),
+        "no derivation y": (
+            [(m_y, (0, 0, 1, 0), *(1 if a == zero_y else 2 for a in range(2)))],
+            "loop defect is not a derivation along the expected normal",
+        ),
+        "disagree": ([(m, (1, 0, 1, 0), a0, 2 * a1)], "loop defect coefficients disagree across generators: {} vs {}"),
+        "disagree late": (
+            [(m_x, (1, 0, 0, 0), 3 * acting_x[0], 3 * acting_x[1]), (m, (1, 0, 1, 0), a0, a1)]
+            + [((2 * m[0], 2 * m[1]), (2, 0, 2, 0), a0, 2 * a1)],
+            "loop defect coefficients disagree across generators: {} vs {}",
+        ),
+    }
+    for name, (rows, text) in cases.items():
+        for scale in (1, Fraction(1, 3)):
+            slices = [
+                LaurentSeries({Exponent(mm, t): cs[a] * scale for mm, t, *cs in rows if cs[a]}, 5) for a in range(2)
+            ]
+            error = "ValueError" if name == "zero" else "InvariantViolation"
+            assert readers_agree(frame, slices) == (error, text.format(scale, 2 * scale)), name
 
 
 def without_one_incoming_ray(data, order):

@@ -191,7 +191,7 @@ class TestExactDivision:
     def test_int_operands_with_a_fraction_quotient(self):
         q = series_exact_div(one() + mono(A1, Z3), mono(Z2, Z3, 2) + mono(A1, Z3, 2))
         assert q == mono(Z2, Z3, Fraction(1, 2))
-        assert type(q.coefficient(exponent(Z2, Z3))) is Fraction
+        assert type(q.terms[exponent(Z2, Z3)]) is Fraction
 
     def test_cancelled_remainder_key_is_created_again(self):
         # (1 - 3z^2 + z^3 - z^5) / (1 - z - z^2): the first step cancels z^3

@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd
 
 import pytest
 from click.testing import CliRunner
@@ -26,9 +27,10 @@ from clusterscatter.cluster_core import (
     seed_mutate,
     unimodular_inverse_transpose,
 )
+from clusterscatter import scattering
 from clusterscatter.cli import cli
 from clusterscatter.fixtures import load_fixture
-from clusterscatter.monoid_ring import LaurentSeries, series_mul, series_pow, series_unit_inverse
+from clusterscatter.monoid_ring import _LIMIT, LaurentSeries, series_mul, series_pow, series_unit_inverse
 from clusterscatter.scattering import (
     ConsistencyReport,
     PathSpec,
@@ -56,7 +58,14 @@ from clusterscatter.scattering import (
 )
 from clusterscatter.semifield import block_range
 
-from oracles import omega, one_generator_diagram, path_ordered_product, permute_blocks, specialize
+from oracles import (
+    omega,
+    one_generator_diagram,
+    path_ordered_product,
+    permute_blocks,
+    reference_grading_data,
+    specialize,
+)
 
 B2 = FixedData(((0, -2), (1, 0)), (1, 2), (1, 2))
 KRON = FixedData(((0, -2), (2, 0)), (1, 1), (2, 2))
@@ -102,6 +111,9 @@ def turn(a, b):
 
 
 DIRECTION = st.tuples(st.integers(-15, 15), st.integers(-15, 15)).filter(lambda v: v != (0, 0))
+# any direction whose entries fit a packed slot, small ones drawn as often as large ones
+SLOT_ENTRY = st.one_of(st.integers(-40, 40), st.integers(-_LIMIT, _LIMIT))
+SLOT_DIRECTION = st.tuples(SLOT_ENTRY, SLOT_ENTRY).filter(lambda v: v != (0, 0))
 
 
 def off_rays(D, *directions):
@@ -259,6 +271,71 @@ class TestAngleOrder:
             assert _turn(u, start, ccw) == _turn(v, start, ccw)
 
 
+    @staticmethod
+    def fraction_key(v):
+        """The angle key with the exact slope -x/y as a ``Fraction``."""
+        x, y = v
+        return (y < 0 or (y == 0 and x < 0), y != 0, Fraction(-x, y) if y else 0)
+
+    def assert_orders_like_fractions(self, u, v):
+        assert (_angle_key(u) < _angle_key(v)) == (self.fraction_key(u) < self.fraction_key(v))
+        assert (_angle_key(u) == _angle_key(v)) == (self.fraction_key(u) == self.fraction_key(v))
+
+    @given(SLOT_DIRECTION, SLOT_DIRECTION)
+    @settings(max_examples=500)
+    def test_int_key_orders_like_the_fraction_key(self, u, v):
+        """Integer slopes floored at scale 2^64 order directions within the
+        slot limit as exact Fractions do, ties included."""
+        self.assert_orders_like_fractions(u, v)
+
+    def test_farey_neighbours_near_the_slot_limit(self):
+        """Adjacent Farey fractions a/b < c/d with b, d near 2^31 differ by
+        1/(bd), about 2^-62: the closest two slopes within the slot limit
+        can be.  Their keys still differ, in every quadrant, with x and y
+        swapped, and at the extremes of the limit."""
+        rng = random.Random(43)
+        cases = [((_LIMIT, 1), (_LIMIT - 1, 1)), ((-_LIMIT, 1), (-_LIMIT, -1)), ((1, _LIMIT), (1, _LIMIT - 1))]
+        for _ in range(200):
+            d = _LIMIT - rng.randrange(1000)
+            c = rng.randrange(1, d)
+            while gcd(c, d) != 1:
+                c -= 1
+            b = pow(c, -1, d)  # b c = 1 + a d: c/d - a/b = 1/(bd)
+            a = (b * c - 1) // d
+            assert b * c - a * d == 1 and b > 1 << 20
+            cases.append(((-a, b), (-c, d)))
+        for u, v in cases:
+            for sx, sy, swap in product((1, -1), (1, -1), (False, True)):
+                u2, v2 = ((sx * w[0], sy * w[1]) for w in (u, v))
+                if swap:
+                    u2, v2 = u2[::-1], v2[::-1]
+                assert _angle_key(u2) != _angle_key(v2)
+                self.assert_orders_like_fractions(u2, v2)
+
+    def test_wall_ray_beyond_the_slot_limit_is_refused(self):
+        """A wall's primitive ray must fit a packed slot, so that its angle
+        key is exact; a ray whose multiple is large but whose primitive
+        direction fits is accepted."""
+        assert Wall((2 * _LIMIT, 2), [((1, 0), (_LIMIT, 1), 1)]).ray == (_LIMIT, 1)
+        for ray in [(_LIMIT + 1, 1), (2 * _LIMIT + 2, 2), (-1, -_LIMIT - 1)]:
+            with pytest.raises(ValueError) as err:
+                Wall(ray, [((1, 0), ray, 1)])
+            message = f"wall ray {_primitive(ray)} is too large: its entries must fit a packed slot (at most {_LIMIT})"
+            assert str(err.value) == message
+
+    def test_path_endpoint_beyond_the_slot_limit_is_refused(self):
+        """Path endpoints are ordered against the rays by their angle keys,
+        so each must fit a packed slot once primitive."""
+        D = build_initial(group_seed(B2), 3)
+        images = scattering.path_ordered_product
+        assert images(D, PathSpec((2 * _LIMIT, 2), (1, -3))) == images(D, PathSpec((_LIMIT, 1), (1, -3)))
+        big, far = (_LIMIT + 1, 1), (5, -_LIMIT - 1)
+        for path in [PathSpec(big, (1, -3)), PathSpec((1, 2), far), PathSpec(big, (1, 2), loop=True)]:
+            with pytest.raises(ValueError) as err:
+                images(D, path)
+            assert str(err.value) == f"path endpoints must fit a packed slot once primitive (at most {_LIMIT})"
+
+
 # -- frames: the g-frame step against the plus-signed replay ------------------
 
 
@@ -346,6 +423,24 @@ class TestFrameOracle:
         for i in range(2):
             t[block_range(s.coeff_orders, i)[-1]] = alpha[i]
         assert _grading_data(frame, t) == reference_grading(data, E, alpha)
+
+
+    @given(st.sampled_from(RANK2), st.lists(st.integers(1, 2), max_size=4), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_grading_matches_the_block_range_reading(self, data, word, draw):
+        """The straight-line grading against the generic one of the oracles
+        on any t, negative and zero-sum blocks included: equal results, or
+        one error class with one text."""
+        frame = seed_frame(pattern_walk(group_seed(data), word))
+        t = tuple(draw.draw(st.lists(st.integers(-2, 3), min_size=sum(data.r), max_size=sum(data.r))))
+
+        def outcome(fn):
+            try:
+                return fn(frame, t)
+            except (ValueError, InvariantViolation) as exc:
+                return type(exc).__name__, str(exc)
+
+        assert outcome(_grading_data) == outcome(reference_grading_data)
 
 
 # -- one frame per seed ---------------------------------------------------------

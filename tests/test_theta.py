@@ -25,6 +25,7 @@ from clusterscatter.scattering import (
     PathSpec,
     ScatteringDiagram,
     Wall,
+    _angle_key,
     _cross,
     _function,
     build_initial,
@@ -360,6 +361,36 @@ def test_endpoint_on_each_ray_is_refused_like_the_fraction_route():
                 got = outcome(enumerate_broken_lines, D, (1, -2), Q, 3)
                 assert got == outcome(reference_broken_lines, D, (1, -2), Q, 3)
                 assert got and isinstance(got[0], BrokenLine), (r0, r1, eps)
+
+
+def test_endpoints_with_denominators_beyond_2_70_find_their_gap_exactly():
+    """Q's coordinates are unbounded, so its angle key may tie a ray's: the
+    search then orders Q by the sign of a cross product.  On every ray, Q
+    with a denominator above 2^70 raises ``_EndpointOnWall`` naming the ray;
+    Q turned off the ray by about 2^-80 either way, whose key ties the ray's
+    for some rays on each side, gives the theta of a small endpoint inside
+    the gap it turned into."""
+    big, tiny = 2**71 + 1, Fraction(1, 2**80 + 1)
+    ties = set()
+    for name in SMALL:
+        D = small_diagram(name)
+        rays = [ray for ray, _ in D.fan]
+        for i, (r0, r1) in enumerate(rays):
+            on = (Fraction(r0, big), Fraction(r1, big))
+            assert max(q.denominator for q in on) > 1 << 70
+            err = outcome(theta, D, (1, -2), None, on)
+            assert err[0] is _EndpointOnWall and err[1].endswith(f"lies on the wall ray {(r0, r1)}")
+            for side in (1, -1):
+                Q = (r0 - side * tiny * r1, r1 + side * tiny * r0)
+                scaled = (Q[0].numerator * Q[1].denominator, Q[1].numerator * Q[0].denominator)
+                if _angle_key(scaled) == _angle_key((r0, r1)):
+                    ties.add(side)
+                small = (r0 - side * Fraction(1, 997) * r1, r1 + side * Fraction(1, 997) * r0)
+                s0, s1 = rays[(i + side) % len(rays)]  # the gap's other ray
+                assert side * _cross((r0, r1), small) > 0 and side * _cross(small, (s0, s1)) > 0
+                for p0 in [(1, -2), (-1, 1), (2, 1)]:
+                    assert theta(D, p0, Q=Q) == theta(D, p0, Q=small), (name, (r0, r1), side, p0)
+    assert ties == {1, -1}
 
 
 def test_endpoint_may_mix_ints_and_fractions():
